@@ -27,6 +27,10 @@
 //! rows are identical by construction. `--check` exits non-zero if any
 //! port's source set is missing or empty, which is how CI pins the
 //! report to the real tree.
+//!
+//! A second table totals the same tallies per workspace crate, over
+//! every `.rs` file under the crate's `src/`, so a change that claims to
+//! shrink (or grow) a crate is measured rather than asserted.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -181,6 +185,80 @@ fn count_port(port: &str) -> Result<LocCounts, String> {
     Ok(total)
 }
 
+/// Every `.rs` file under `dir`, recursively, sorted.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(dir) = pending.pop() {
+        let Ok(entries) = std::fs::read_dir(&dir) else {
+            continue;
+        };
+        for path in entries.filter_map(|e| e.ok()).map(|e| e.path()) {
+            if path.is_dir() {
+                pending.push(path);
+            } else if path.extension().is_some_and(|x| x == "rs") {
+                files.push(path);
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// Tally every crate under `crates/` (its `src/` tree), sorted by name.
+fn count_crates() -> Result<Vec<(String, LocCounts)>, String> {
+    let mut crates = Vec::new();
+    let entries = std::fs::read_dir(crates_root()).map_err(|e| format!("crates/: {e}"))?;
+    for dir in entries.filter_map(|e| e.ok()).map(|e| e.path()) {
+        let files = rust_files(&dir.join("src"));
+        if files.is_empty() {
+            continue;
+        }
+        let mut total = LocCounts::default();
+        for path in files {
+            let text =
+                std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+            total.add(&classify(&text));
+        }
+        let name = dir.file_name().unwrap_or_default().to_string_lossy();
+        crates.push((name.into_owned(), total));
+    }
+    crates.sort_by(|a, b| a.0.cmp(&b.0));
+    Ok(crates)
+}
+
+/// Per-crate source-line totals, with a workspace total row.
+fn crate_table() -> Result<Table, String> {
+    let mut table = Table::new(
+        "Crate source lines · every .rs file under crates/<name>/src",
+        &[
+            "crate", "files", "lines", "code", "comment", "blank", "boiler",
+        ],
+    );
+    let crates = count_crates()?;
+    if crates.is_empty() {
+        return Err("no crate sources found".into());
+    }
+    let mut total = LocCounts::default();
+    let mut row = |name: &str, c: &LocCounts| {
+        table.row(&[
+            name.to_string(),
+            c.files.to_string(),
+            c.lines.to_string(),
+            c.code.to_string(),
+            c.comments.to_string(),
+            c.blank.to_string(),
+            c.boilerplate.to_string(),
+        ]);
+    };
+    for (name, c) in &crates {
+        row(name, c);
+        total.add(c);
+    }
+    row("total", &total);
+    Ok(table)
+}
+
 fn productivity_table() -> Result<Table, String> {
     let mut table = Table::new(
         "Port productivity · code lines a user of each model maintains",
@@ -223,9 +301,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match productivity_table() {
-        Ok(table) => {
-            println!("{}", table.render());
+    match productivity_table().and_then(|ports| Ok((ports, crate_table()?))) {
+        Ok((ports, crates)) => {
+            println!("{}", ports.render());
+            println!("{}", crates.render());
             if check {
                 eprintln!(
                     "tea-loc: all {} ports counted",
@@ -314,6 +393,25 @@ fn f() {\n\
             let c = count_port(port).unwrap();
             assert!(c.files > 1, "{port} should include its shim crate");
         }
+    }
+
+    #[test]
+    fn crate_totals_cover_the_ports_tree() {
+        let crates = count_crates().expect("crates counted");
+        let tealeaf = crates
+            .iter()
+            .find(|(name, _)| name == "tealeaf")
+            .expect("tealeaf crate counted")
+            .1;
+        // The tealeaf crate's tree includes every port file.
+        let serial = count_port("serial").unwrap();
+        assert!(tealeaf.files > serial.files);
+        assert!(tealeaf.lines > serial.lines);
+        assert_eq!(
+            tealeaf.code + tealeaf.comments + tealeaf.blank + tealeaf.boilerplate,
+            tealeaf.lines
+        );
+        assert!(crate_table().unwrap().render().contains("total"));
     }
 
     #[test]

@@ -67,6 +67,10 @@ struct Shared {
 /// Persistent work-stealing thread pool. See module docs.
 pub struct StealPool {
     shared: Arc<Shared>,
+    /// Serialises parallel regions: `remaining`, the injector and the
+    /// job slot describe one region at a time, so a second poster must
+    /// wait for the first region to drain.
+    poster: Mutex<()>,
     stealers: Vec<Stealer<Task>>,
     workers: Vec<JoinHandle<()>>,
     n_threads: usize,
@@ -106,6 +110,7 @@ impl StealPool {
             .collect();
         StealPool {
             shared,
+            poster: Mutex::new(()),
             stealers,
             workers,
             n_threads,
@@ -234,6 +239,7 @@ impl Executor for StealPool {
             }
             return;
         }
+        let _poster = self.poster.lock();
         // Fill the injector with grained tasks.
         let mut start = 0;
         while start < n {
@@ -324,6 +330,26 @@ mod tests {
             });
         }
         assert_eq!(total.load(Ordering::Relaxed), 200 * 97);
+    }
+
+    #[test]
+    fn concurrent_posters_serialise() {
+        // Two threads race `run` on the same pool; the poster lock must
+        // serialise regions without lost updates or deadlock.
+        let pool = StealPool::new(4);
+        let total = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..200 {
+                        pool.run(32, &|_| {
+                            total.fetch_add(1, Ordering::Relaxed);
+                        });
+                    }
+                });
+            }
+        });
+        assert_eq!(total.load(Ordering::Relaxed), 2 * 200 * 32);
     }
 
     #[test]

@@ -3,22 +3,18 @@
 //! The paper's models are node-level; "inter-node communications … is
 //! handled with MPI in TeaLeaf" (§3). This module supplies that layer for
 //! the reproduction: the global mesh is decomposed over a 2-D Cartesian
-//! [`Grid2d`] of [`mpisim`] ranks, one rectangular [`Tile`] each. Every
-//! solver the serial reference implements — Jacobi, CG, Chebyshev and
-//! PPCG — runs distributed, exchanging halos with up to eight neighbours
-//! (four edges, four corners) per stencil pass and combining reductions
-//! with the exactly-ordered carry pipeline in [`crate::tile`].
+//! [`Grid2d`] of [`mpisim`] ranks, one rectangular [`Tile`] each. Each
+//! rank wraps its tile in a [`TilePort`] and runs the same step loop and
+//! the same solvers ([`crate::solver`]) a serial port runs — Jacobi, CG,
+//! Chebyshev and PPCG, sentinels included. The port exchanges halos with
+//! up to eight neighbours (four edges, four corners) per stencil pass,
+//! overlapping each exchange with the pass's interior, and combines
+//! reductions with the exactly-ordered carry pipeline in [`crate::tile`].
 //!
-//! ## Communication/computation overlap
-//!
-//! Each stencil pass opens a halo window ([`tile::post_halo`]), updates
-//! the interior cells — whose 5-point stencil reads no ghost cell — while
-//! the exchange is in flight, completes the window, then updates the
-//! boundary ring. Because no TeaLeaf kernel writes a field its stencil
-//! reads, the split is **bit-identical** to the blocking schedule by
-//! construction; [`run_distributed_solver_blocking`] exists so tests can
-//! assert exactly that, and [`OverlapStats`] reports what each window hid
-//! in deterministic logical units.
+//! This module owns what is specific to a world of ranks: setting the
+//! world up, checking that every rank agrees on the result, the
+//! checkpoint rings, and the restart/regrid ladder of the resilient
+//! entry points.
 //!
 //! ## Bit-identity
 //!
@@ -28,31 +24,29 @@
 //! padded-mesh values after every exchange — so a distributed run on any
 //! `tiles_x × tiles_y` grid is bit-identical to the serial reference
 //! (asserted by the integration tests and the conformance goldens).
-//!
-//! The one caveat: the distributed drivers replicate the serial solvers'
-//! *healthy* control flow and skip the resilience sentinels, which are
-//! numerically inert unless they trip. A deck whose serial solve trips a
-//! sentinel would diverge — loudly, via the golden/equivalence checks.
+//! [`run_distributed_solver_blocking`] runs every exchange before its
+//! stencil pass, so tests can assert the overlap changes no bit, and
+//! [`OverlapStats`] reports what each window hid in deterministic logical
+//! units.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use mpisim::{
-    run_spmd, run_spmd_faulty, ExchangeMetrics, FaultDiagnostic, FaultSpec, Grid2d, Rank, Tag,
+    run_spmd, run_spmd_faulty, ExchangeMetrics, FaultDiagnostic, FaultSpec, Grid2d, Rank,
 };
-use tea_core::config::{Coefficient, SolverKind, TeaConfig};
+use tea_core::config::{SolverKind, TeaConfig};
+use tea_core::halo::FieldId;
 use tea_core::summary::Summary;
 use tea_telemetry::{Record, TelemetrySink};
 
-use crate::cheby::{estimated_iterations, ChebyCoeffs, ChebyShift};
-use crate::eigen::eigenvalue_estimate;
-use crate::ir;
-use crate::ports::common::{self, Us};
-use crate::resilience::{RecoveryAction, RecoveryEvent, SolverHealth};
-use crate::solver::cg::CgHistory;
-use crate::solver::chebyshev::CHECK_INTERVAL;
-use crate::tile::{self, OverlapStats, Span, Tile, TileGeom};
+use crate::driver::{run_steps, StepResume};
+use crate::kernels::TeaLeafPort;
+use crate::ports::tile::TilePort;
+use crate::resilience::{PhaseStart, RecoveryAction, RecoveryEvent, SolverHealth};
+use crate::solver;
+use crate::tile::{self, OverlapStats, Tile, TileGeom};
 
 /// Result of a distributed run.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,1098 +64,54 @@ pub fn stripe_rows(y_cells: usize, rank: usize, size: usize) -> (usize, usize) {
 }
 
 // ---------------------------------------------------------------------------
-// per-rank worker
-// ---------------------------------------------------------------------------
-
-/// The fields a halo exchange can move, with their base tags and
-/// boundary semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ex {
-    Density,
-    Energy,
-    U,
-    P,
-    Sd,
-    /// Jacobi's previous-iterate scratch (stored in `r`).
-    RScratch,
-}
-
-impl Ex {
-    fn base(self) -> Tag {
-        match self {
-            Ex::Density => 1,
-            Ex::Energy => 2,
-            Ex::U => 3,
-            Ex::P => 4,
-            Ex::Sd => 5,
-            Ex::RScratch => 6,
-        }
-    }
-
-    /// Whether the exchange refreshes the local reflective halo first.
-    /// Jacobi's scratch is exchanged raw: the serial sweep reads 0.0 in
-    /// its physical ghosts (the copy never writes them), so a reflective
-    /// update there would change the answer.
-    fn reflect(self) -> bool {
-        !matches!(self, Ex::RScratch)
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Ex::Density => "density",
-            Ex::Energy => "energy",
-            Ex::U => "u",
-            Ex::P => "p",
-            Ex::Sd => "sd",
-            Ex::RScratch => "r-scratch",
-        }
-    }
-}
-
-/// Borrow the geometry and the field an [`Ex`] names, disjointly.
-fn slot(t: &mut Tile, f: Ex) -> (&TileGeom, &mut Vec<f64>) {
-    match f {
-        Ex::Density => (&t.geom, &mut t.density),
-        Ex::Energy => (&t.geom, &mut t.energy),
-        Ex::U => (&t.geom, &mut t.u),
-        Ex::P => (&t.geom, &mut t.p),
-        Ex::Sd => (&t.geom, &mut t.sd),
-        Ex::RScratch => (&t.geom, &mut t.r),
-    }
-}
-
-/// One rank's solve state: its tile plus the exchange/overlap
-/// instrumentation. The `clock` is logical — cell updates and exchanged
-/// elements each cost one unit — so telemetry spans are bit-reproducible.
-struct Worker<'a> {
-    rank: &'a Rank,
-    config: &'a TeaConfig,
-    t: Tile,
-    overlap: bool,
-    stats: OverlapStats,
-    metrics: ExchangeMetrics,
-    tel: TelemetrySink,
-    clock: f64,
-}
-
-impl Worker<'_> {
-    /// Blocking exchange of one field's halo (no compute to overlap).
-    fn exchange(&mut self, f: Ex, depth: usize) {
-        let t0 = self.clock;
-        let (geom, field) = slot(&mut self.t, f);
-        let got = tile::exchange_halo(
-            self.rank,
-            geom,
-            field,
-            f.base(),
-            depth,
-            f.reflect(),
-            &mut self.metrics,
-        );
-        self.clock = t0 + got as f64;
-        self.tel.complete_span(
-            "exchange",
-            format_args!("{} halo", f.name()),
-            t0,
-            self.clock,
-        );
-    }
-
-    /// Batched exchange of two independent fields' halos: both windows'
-    /// sends are posted before either is drained, so the wires run
-    /// concurrently and the pair is charged the slower exchange rather
-    /// than the sum. The fields' tags keep the messages apart and the
-    /// buffers are disjoint, so the received bits are identical to two
-    /// back-to-back exchanges — which is what blocking mode still runs.
-    fn exchange_pair(&mut self, a: Ex, b: Ex, depth: usize) {
-        if !self.overlap {
-            self.exchange(a, depth);
-            self.exchange(b, depth);
-            return;
-        }
-        let t0 = self.clock;
-        for f in [a, b] {
-            let (geom, field) = slot(&mut self.t, f);
-            tile::post_halo(
-                self.rank,
-                geom,
-                field,
-                f.base(),
-                depth,
-                f.reflect(),
-                &mut self.metrics,
-            );
-        }
-        let mut slowest = 0u64;
-        for f in [a, b] {
-            let got = {
-                let (geom, field) = slot(&mut self.t, f);
-                tile::complete_halo(self.rank, geom, field, f.base(), depth)
-            };
-            self.tel.complete_span(
-                "exchange",
-                format_args!("{} halo", f.name()),
-                t0,
-                t0 + got as f64,
-            );
-            slowest = slowest.max(got);
-        }
-        self.clock = t0 + slowest as f64;
-    }
-
-    /// One stencil pass around one halo window. Overlapped mode posts
-    /// the sends, runs the interior while the exchange is in flight,
-    /// completes it, then runs the boundary ring; blocking mode finishes
-    /// the exchange first and runs one monolithic pass. Both schedules
-    /// write identical bits: no kernel writes a field its stencil reads,
-    /// and the ring never runs before its ghosts are in.
-    ///
-    /// When the IR proves the kernel safe to ring-batch
-    /// ([`ir::concurrent_ring`]: its ring stencil reads nothing its
-    /// interior sweep writes), the boundary ring is enqueued directly
-    /// behind the halo drain — second-stream style — and runs while the
-    /// interior tail is still in flight, so the window closes at
-    /// `max(interior, exchange + ring)` instead of
-    /// `max(interior, exchange) + ring`. The execution order (interior,
-    /// complete, ring) is unchanged; only the charged schedule tightens.
-    fn overlapped_pass(
-        &mut self,
-        kernel: ir::KernelId,
-        f: Ex,
-        depth: usize,
-        label: &str,
-        run: &mut dyn FnMut(&mut Tile, Span),
-    ) {
-        let t0 = self.clock;
-        if self.overlap {
-            {
-                let (geom, field) = slot(&mut self.t, f);
-                tile::post_halo(
-                    self.rank,
-                    geom,
-                    field,
-                    f.base(),
-                    depth,
-                    f.reflect(),
-                    &mut self.metrics,
-                );
-            }
-            let interior = tile::span_cells(&self.t.geom.mesh, Span::Inner);
-            run(&mut self.t, Span::Inner);
-            let got = {
-                let (geom, field) = slot(&mut self.t, f);
-                tile::complete_halo(self.rank, geom, field, f.base(), depth)
-            };
-            // Logical timeline: the exchange and the interior pass share
-            // the window's start; the window closes when both are done.
-            let t_interior = t0 + interior as f64;
-            let t_exchange = t0 + got as f64;
-            self.tel.complete_span(
-                "exchange",
-                format_args!("{} halo", f.name()),
-                t0,
-                t_exchange,
-            );
-            self.tel
-                .complete_span("interior", format_args!("{label} interior"), t0, t_interior);
-            let ring = tile::span_cells(&self.t.geom.mesh, Span::Ring);
-            let tb = if ir::concurrent_ring(kernel.desc()) {
-                // Batched: the ring rides the drain's stream and overlaps
-                // the interior tail.
-                t_exchange
-            } else {
-                // A self-clobbering kernel would have to wait for both.
-                t_interior.max(t_exchange)
-            };
-            run(&mut self.t, Span::Ring);
-            self.clock = t_interior.max(tb + ring as f64);
-            self.tel.complete_span(
-                "boundary",
-                format_args!("{label} ring"),
-                tb,
-                tb + ring as f64,
-            );
-            self.stats.absorb_window(interior, ring, got);
-        } else {
-            let got = {
-                let (geom, field) = slot(&mut self.t, f);
-                tile::exchange_halo(
-                    self.rank,
-                    geom,
-                    field,
-                    f.base(),
-                    depth,
-                    f.reflect(),
-                    &mut self.metrics,
-                )
-            };
-            self.clock = t0 + got as f64;
-            self.tel.complete_span(
-                "exchange",
-                format_args!("{} halo", f.name()),
-                t0,
-                self.clock,
-            );
-            let all = tile::span_cells(&self.t.geom.mesh, Span::All);
-            let ta = self.clock;
-            run(&mut self.t, Span::All);
-            self.clock = ta + all as f64;
-            self.tel
-                .complete_span("boundary", format_args!("{label}"), ta, self.clock);
-            self.stats.absorb_window(0, all, got);
-        }
-    }
-
-    /// A full (unsplit) kernel pass run inside a halo window it does not
-    /// read from — e.g. the coefficient build riding the `u` exchange.
-    fn overlapped_full(
-        &mut self,
-        f: Ex,
-        depth: usize,
-        label: &str,
-        cells: u64,
-        run: impl FnOnce(&mut Tile),
-    ) {
-        let t0 = self.clock;
-        if self.overlap {
-            {
-                let (geom, field) = slot(&mut self.t, f);
-                tile::post_halo(
-                    self.rank,
-                    geom,
-                    field,
-                    f.base(),
-                    depth,
-                    f.reflect(),
-                    &mut self.metrics,
-                );
-            }
-            run(&mut self.t);
-            let got = {
-                let (geom, field) = slot(&mut self.t, f);
-                tile::complete_halo(self.rank, geom, field, f.base(), depth)
-            };
-            let t_run = t0 + cells as f64;
-            let t_exchange = t0 + got as f64;
-            self.tel.complete_span(
-                "exchange",
-                format_args!("{} halo", f.name()),
-                t0,
-                t_exchange,
-            );
-            self.tel
-                .complete_span("interior", format_args!("{label}"), t0, t_run);
-            self.clock = t_run.max(t_exchange);
-            self.stats.absorb_window(cells, 0, got);
-        } else {
-            let got = {
-                let (geom, field) = slot(&mut self.t, f);
-                tile::exchange_halo(
-                    self.rank,
-                    geom,
-                    field,
-                    f.base(),
-                    depth,
-                    f.reflect(),
-                    &mut self.metrics,
-                )
-            };
-            self.clock = t0 + got as f64;
-            self.tel.complete_span(
-                "exchange",
-                format_args!("{} halo", f.name()),
-                t0,
-                self.clock,
-            );
-            let ta = self.clock;
-            run(&mut self.t);
-            self.clock = ta + cells as f64;
-            self.tel
-                .complete_span("boundary", format_args!("{label}"), ta, self.clock);
-            self.stats.absorb_window(0, cells, got);
-        }
-    }
-
-    /// Exactly-ordered global reduction of a per-cell contribution.
-    fn reduce(&self, contribution: impl Fn(&Tile, usize) -> f64) -> f64 {
-        tile::ordered_reduce(self.rank, &self.t.geom, |k| contribution(&self.t, k))
-    }
-
-    /// Four-component analogue (the field summary).
-    fn reduce4(&self, contribution: impl Fn(&Tile, usize) -> [f64; 4]) -> [f64; 4] {
-        tile::ordered_reduce4(self.rank, &self.t.geom, |k| contribution(&self.t, k))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// kernel passes
-// ---------------------------------------------------------------------------
-//
-// Each pass destructures the tile so written fields get `Us` wrappers
-// while read fields stay shared slices, exactly like the serial ports.
-// SAFETY throughout: single-threaded within the rank, each cell written
-// by exactly one call per pass.
-
-fn k_init_u0(t: &mut Tile) {
-    let Tile {
-        geom,
-        density,
-        energy,
-        u0,
-        u,
-        ..
-    } = t;
-    let mesh = &geom.mesh;
-    let (u0, u) = (Us::new(u0), Us::new(u));
-    for j in mesh.i0()..mesh.j1() {
-        unsafe { common::row_init_u0(mesh, j, density, energy, &u0, &u) };
-    }
-}
-
-fn k_init_coeffs(t: &mut Tile, coefficient: Coefficient, rx: f64, ry: f64) {
-    let Tile {
-        geom,
-        density,
-        kx,
-        ky,
-        ..
-    } = t;
-    let mesh = &geom.mesh;
-    let (kx, ky) = (Us::new(kx), Us::new(ky));
-    for j in mesh.i0()..=mesh.j1() {
-        unsafe { common::row_init_coeffs(mesh, j, coefficient, rx, ry, density, &kx, &ky) };
-    }
-}
-
-fn k_cg_init(t: &mut Tile) {
-    let Tile {
-        geom,
-        u,
-        u0,
-        kx,
-        ky,
-        w,
-        r,
-        p,
-        z,
-        ..
-    } = t;
-    let mesh = &geom.mesh;
-    let width = mesh.width();
-    let (w, r, p, z) = (Us::new(w), Us::new(r), Us::new(p), Us::new(z));
-    tile::for_cells(mesh, Span::All, |k| {
-        let _ = unsafe { common::cell_cg_init(width, k, false, u, u0, kx, ky, &w, &r, &p, &z) };
-    });
-}
-
-fn k_cg_calc_w(t: &mut Tile, span: Span) {
-    let Tile {
-        geom, p, kx, ky, w, ..
-    } = t;
-    let mesh = &geom.mesh;
-    let width = mesh.width();
-    let w = Us::new(w);
-    tile::for_cells(mesh, span, |k| {
-        let _ = unsafe { common::cell_cg_calc_w(width, k, p, kx, ky, &w) };
-    });
-}
-
-fn k_cg_calc_ur(t: &mut Tile, alpha: f64) {
-    let Tile {
-        geom,
-        p,
-        w,
-        kx,
-        ky,
-        u,
-        r,
-        z,
-        ..
-    } = t;
-    let mesh = &geom.mesh;
-    let width = mesh.width();
-    let (u, r, z) = (Us::new(u), Us::new(r), Us::new(z));
-    tile::for_cells(mesh, Span::All, |k| {
-        let _ =
-            unsafe { common::cell_cg_calc_ur(width, k, alpha, false, p, w, kx, ky, &u, &r, &z) };
-    });
-}
-
-fn k_cg_calc_p(t: &mut Tile, beta: f64) {
-    let Tile { geom, r, z, p, .. } = t;
-    let p = Us::new(p);
-    tile::for_cells(&geom.mesh, Span::All, |k| unsafe {
-        common::cell_cg_calc_p(k, beta, false, r, z, &p)
-    });
-}
-
-fn k_cheby_calc_p(t: &mut Tile, span: Span, first: bool, theta: f64, alpha: f64, beta: f64) {
-    let Tile {
-        geom,
-        u,
-        u0,
-        kx,
-        ky,
-        w,
-        r,
-        p,
-        ..
-    } = t;
-    let mesh = &geom.mesh;
-    let width = mesh.width();
-    let (w, r, p) = (Us::new(w), Us::new(r), Us::new(p));
-    tile::for_cells(mesh, span, |k| unsafe {
-        common::cell_cheby_calc_p(
-            width, k, first, theta, alpha, beta, u, u0, kx, ky, &w, &r, &p,
-        )
-    });
-}
-
-fn k_add_p_to_u(t: &mut Tile) {
-    let Tile { geom, p, u, .. } = t;
-    let u = Us::new(u);
-    tile::for_cells(&geom.mesh, Span::All, |k| unsafe {
-        common::cell_add_p_to_u(k, p, &u)
-    });
-}
-
-fn k_sd_init(t: &mut Tile, theta: f64) {
-    let Tile { geom, r, sd, .. } = t;
-    let sd = Us::new(sd);
-    tile::for_cells(&geom.mesh, Span::All, |k| unsafe {
-        common::cell_sd_init(k, theta, r, &sd)
-    });
-}
-
-fn k_ppcg_w(t: &mut Tile, span: Span) {
-    let Tile {
-        geom,
-        sd,
-        kx,
-        ky,
-        w,
-        ..
-    } = t;
-    let mesh = &geom.mesh;
-    let width = mesh.width();
-    let w = Us::new(w);
-    tile::for_cells(mesh, span, |k| unsafe {
-        common::cell_ppcg_w(width, k, sd, kx, ky, &w)
-    });
-}
-
-fn k_ppcg_update(t: &mut Tile, alpha: f64, beta: f64) {
-    let Tile {
-        geom, w, u, r, sd, ..
-    } = t;
-    let (u, r, sd) = (Us::new(u), Us::new(r), Us::new(sd));
-    tile::for_cells(&geom.mesh, Span::All, |k| unsafe {
-        common::cell_ppcg_update(k, alpha, beta, w, &u, &r, &sd)
-    });
-}
-
-/// `r ← u` over the span (the serial `row_jacobi_copy`). The scratch's
-/// ghost cells are deliberately untouched: the raw exchange fills the
-/// inter-tile ones, the physical ones stay 0.0 as in serial.
-fn k_jacobi_copy(t: &mut Tile, span: Span) {
-    let Tile { geom, u, r, .. } = t;
-    tile::for_cells(&geom.mesh, span, |k| r[k] = u[k]);
-}
-
-fn k_jacobi_sweep(t: &mut Tile, span: Span) {
-    let Tile {
-        geom,
-        u0,
-        r,
-        kx,
-        ky,
-        u,
-        ..
-    } = t;
-    let mesh = &geom.mesh;
-    let width = mesh.width();
-    let u = Us::new(u);
-    tile::for_cells(mesh, span, |k| {
-        let _ = unsafe { common::cell_jacobi_iterate(width, k, u0, r, kx, ky, &u) };
-    });
-}
-
-fn k_finalise(t: &mut Tile) {
-    let Tile {
-        geom,
-        u,
-        density,
-        energy,
-        ..
-    } = t;
-    let energy = Us::new(energy);
-    tile::for_cells(&geom.mesh, Span::All, |k| unsafe {
-        common::cell_finalise(k, u, density, &energy)
-    });
-}
-
-// ---------------------------------------------------------------------------
-// solver drivers (exact replicas of the serial control flow)
-// ---------------------------------------------------------------------------
-
-/// Outcome of one CG phase, mirroring `solver::cg::run_phase`.
-struct CgPhase {
-    iterations: usize,
-    converged: bool,
-    /// `rro` after the last iteration — the serial phase's `final_rrn`.
-    rro: f64,
-    initial: f64,
-}
-
-/// The checkpointing context a resilient distributed solve threads
-/// through its solver driver (captured at the top of the step, like the
-/// serial loop variables at that point).
-struct CkptCtx<'s> {
-    store: &'s CheckpointStore,
-    step: usize,
-    total_iterations: usize,
-    converged_all: bool,
-}
-
-impl CkptCtx<'_> {
-    /// Snapshot the worker at `(step, phase, iteration)` if the deck's
-    /// checkpoint interval divides `iteration` (iteration 0 included —
-    /// the step-start cut every restart can fall back to). Every rank
-    /// calls this at the same loop tops, between the same exactly-ordered
-    /// reductions, so the set of keys each rank saves is identical: any
-    /// key common to all rings is a **consistent cut** of the exchange
-    /// graph by construction — no in-flight halo message spans it.
-    fn save(&self, wkr: &Worker, phase: u8, iteration: usize, state: LoopState) {
-        let interval = wkr.config.tl_checkpoint_interval;
-        if interval == 0 || !iteration.is_multiple_of(interval) {
-            return;
-        }
-        wkr.tel.event(
-            "resilience",
-            format_args!(
-                "checkpoint step {} phase {phase} iteration {iteration}",
-                self.step
-            ),
-            wkr.clock,
-        );
-        self.store.save(
-            wkr.rank.id(),
-            TileCheckpoint {
-                key: (self.step, phase, iteration),
-                total_iterations: self.total_iterations,
-                converged_all: self.converged_all,
-                state,
-                tile: wkr.t.clone(),
-            },
-        );
-    }
-}
-
-/// One CG phase of at most `max_iters` iterations: `run_phase` with the
-/// reductions recomputed from the written fields (bit-equal to the
-/// serial fused-kernel partials) and the stencil pass overlapped on the
-/// `p` exchange. `start` resumes mid-phase from a checkpoint.
-fn cg_phase(
-    wkr: &mut Worker,
-    max_iters: usize,
-    mut history: Option<&mut CgHistory>,
-    ckpt: Option<&CkptCtx>,
-    start: Option<(f64, f64, usize)>,
-) -> CgPhase {
-    let (mut rro, initial, mut iterations) = match start {
-        Some(s) => s,
-        None => {
-            k_cg_init(&mut wkr.t);
-            let rro = wkr.reduce(|t, k| t.r[k] * t.p[k]);
-            (rro, rro, 0)
-        }
-    };
-    let mut converged = initial.abs() <= f64::MIN_POSITIVE; // trivially solved
-    while !converged && iterations < max_iters {
-        if let Some(ck) = ckpt {
-            ck.save(
-                wkr,
-                PHASE_PRIMARY,
-                iterations,
-                LoopState::Cg {
-                    iteration: iterations,
-                    rro,
-                    initial,
-                    alphas: history
-                        .as_deref()
-                        .map_or_else(Vec::new, |h| h.alphas.clone()),
-                    betas: history
-                        .as_deref()
-                        .map_or_else(Vec::new, |h| h.betas.clone()),
-                },
-            );
-        }
-        wkr.overlapped_pass(
-            ir::KernelId::CgCalcW,
-            Ex::P,
-            1,
-            "cg_calc_w",
-            &mut |t, span| k_cg_calc_w(t, span),
-        );
-        let pw = wkr.reduce(|t, k| t.p[k] * t.w[k]);
-        let alpha = rro / pw;
-        k_cg_calc_ur(&mut wkr.t, alpha);
-        let rrn = wkr.reduce(|t, k| common::cell_norm(k, &t.r));
-        let beta = rrn / rro;
-        k_cg_calc_p(&mut wkr.t, beta);
-        if let Some(h) = history.as_deref_mut() {
-            h.alphas.push(alpha);
-            h.betas.push(beta);
-        }
-        rro = rrn;
-        iterations += 1;
-        if rrn.abs() <= wkr.config.tl_eps * initial.abs() {
-            converged = true;
-        }
-    }
-    CgPhase {
-        iterations,
-        converged,
-        rro,
-        initial,
-    }
-}
-
-/// One Chebyshev step: the p-update overlapped on the `u` exchange, then
-/// the local `u += p` pass — the same two full sweeps `cheby_init` /
-/// `cheby_iterate` run serially.
-fn cheby_step(wkr: &mut Worker, first: bool, theta: f64, alpha: f64, beta: f64) {
-    wkr.overlapped_pass(
-        ir::KernelId::ChebyCalcP,
-        Ex::U,
-        1,
-        "cheby_calc_p",
-        &mut |t, span| k_cheby_calc_p(t, span, first, theta, alpha, beta),
-    );
-    k_add_p_to_u(&mut wkr.t);
-}
-
-/// The eigenvalue-estimating CG presteps Chebyshev and PPCG share, with
-/// the mid-presteps resume path: a phase-0 [`LoopState::Cg`] checkpoint
-/// restores the history accumulated so far, so the estimate sees exactly
-/// the alphas/betas a clean run would have.
-fn presteps_phase(
-    wkr: &mut Worker,
-    history: &mut CgHistory,
-    ckpt: Option<&CkptCtx>,
-    resume: Option<&LoopState>,
-) -> CgPhase {
-    let cfg = wkr.config;
-    let presteps = cfg.tl_ch_cg_presteps.min(cfg.tl_max_iters);
-    match resume {
-        Some(LoopState::Cg {
-            iteration,
-            rro,
-            initial,
-            alphas,
-            betas,
-        }) => {
-            history.alphas = alphas.clone();
-            history.betas = betas.clone();
-            cg_phase(
-                wkr,
-                presteps,
-                Some(history),
-                ckpt,
-                Some((*rro, *initial, *iteration)),
-            )
-        }
-        _ => cg_phase(wkr, presteps, Some(history), ckpt, None),
-    }
-}
-
-/// The Chebyshev main loop, entered fresh (after the presteps and the
-/// `cheby_init` step, `start_done == 1`) or from a phase-1 checkpoint.
-/// The iteration coefficients are replayed, not stored: `ChebyShift` and
-/// `ChebyCoeffs` are pure functions of the eigenvalue bounds, so calling
-/// `next_pair` `start_done - 1` times reproduces the resumed position's
-/// coefficient stream bit-for-bit.
-#[allow(clippy::too_many_arguments)]
-fn cheby_main(
-    wkr: &mut Worker,
-    ckpt: Option<&CkptCtx>,
-    mut iterations: usize,
-    start_done: usize,
-    initial: f64,
-    eig: (f64, f64),
-    budget: usize,
-) -> (usize, bool) {
-    let cfg = wkr.config;
-    let shift = ChebyShift::from_bounds(eig.0, eig.1);
-    let mut coeffs = ChebyCoeffs::new(shift);
-    for _ in 1..start_done {
-        coeffs.next_pair();
-    }
-    let mut done = start_done;
-    let mut converged = false;
-    while !converged && done < budget {
-        if let Some(ck) = ckpt {
-            ck.save(
-                wkr,
-                PHASE_MAIN,
-                done,
-                LoopState::ChebyMain {
-                    iterations,
-                    done,
-                    initial,
-                    eig,
-                    budget,
-                },
-            );
-        }
-        let (alpha, beta) = coeffs.next_pair();
-        cheby_step(wkr, false, shift.theta, alpha, beta);
-        done += 1;
-        iterations += 1;
-        if done.is_multiple_of(CHECK_INTERVAL) {
-            let rrn = wkr.reduce(|t, k| common::cell_norm(k, &t.r));
-            if rrn.abs() <= cfg.tl_eps * initial.abs() {
-                converged = true;
-            }
-        }
-    }
-    if !converged {
-        // final norm check at budget exhaustion
-        let rrn = wkr.reduce(|t, k| common::cell_norm(k, &t.r));
-        converged = rrn.abs() <= cfg.tl_eps * initial.abs();
-    }
-    (iterations, converged)
-}
-
-fn solve_chebyshev(
-    wkr: &mut Worker,
-    ckpt: Option<&CkptCtx>,
-    resume: Option<&LoopState>,
-) -> (usize, bool) {
-    let cfg = wkr.config;
-    let presteps = cfg.tl_ch_cg_presteps.min(cfg.tl_max_iters);
-    if let Some(LoopState::ChebyMain {
-        iterations,
-        done,
-        initial,
-        eig,
-        budget,
-    }) = resume
-    {
-        return cheby_main(wkr, ckpt, *iterations, *done, *initial, *eig, *budget);
-    }
-    let mut history = CgHistory::default();
-    let pre = presteps_phase(wkr, &mut history, ckpt, resume);
-    if pre.converged {
-        return (pre.iterations, true);
-    }
-    let initial = pre.initial;
-    let Some((eigmin, eigmax)) = eigenvalue_estimate(&history.alphas, &history.betas) else {
-        // Degenerate spectrum: finish with CG, like the serial fallback.
-        // Uncheckpointed — its keys would collide with the presteps' —
-        // so a crash here replays from the last presteps cut.
-        let cont = cg_phase(
-            wkr,
-            cfg.tl_max_iters.saturating_sub(presteps),
-            Some(&mut history),
-            None,
-            None,
-        );
-        return (pre.iterations + cont.iterations, cont.converged);
-    };
-    let shift = ChebyShift::from_bounds(eigmin, eigmax);
-    let eps_ratio = (cfg.tl_eps * initial.abs() / pre.rro.abs().max(f64::MIN_POSITIVE))
-        .clamp(1e-300, 0.999_999);
-    let est = estimated_iterations(shift, eps_ratio);
-    let budget = (4 * est + CHECK_INTERVAL)
-        .max(64)
-        .min(cfg.tl_max_iters.saturating_sub(presteps));
-    cheby_step(wkr, true, shift.theta, 0.0, 0.0);
-    // cheby_init counts as the first Chebyshev step
-    cheby_main(
-        wkr,
-        ckpt,
-        pre.iterations + 1,
-        1,
-        initial,
-        (eigmin, eigmax),
-        budget,
-    )
-}
-
-/// The PPCG outer loop, entered fresh (`start_outer == 0`) or from a
-/// phase-1 checkpoint. The inner smoothing coefficients are replayed
-/// from the eigenvalue bounds like the Chebyshev stream.
-fn ppcg_outer(
-    wkr: &mut Worker,
-    ckpt: Option<&CkptCtx>,
-    mut iterations: usize,
-    start_outer: usize,
-    mut rro: f64,
-    initial: f64,
-    eig: (f64, f64),
-) -> (usize, bool) {
-    let cfg = wkr.config;
-    let presteps = cfg.tl_ch_cg_presteps.min(cfg.tl_max_iters);
-    let shift = ChebyShift::from_bounds(eig.0, eig.1);
-    let inner = ChebyCoeffs::take_pairs(shift, cfg.tl_ppcg_inner_steps);
-    let max_outer = cfg.tl_max_iters.saturating_sub(presteps);
-    let mut outer = start_outer;
-    let mut converged = false;
-    while !converged && outer < max_outer {
-        if let Some(ck) = ckpt {
-            ck.save(
-                wkr,
-                PHASE_MAIN,
-                outer,
-                LoopState::PpcgOuter {
-                    iterations,
-                    outer,
-                    rro,
-                    initial,
-                    eig,
-                },
-            );
-        }
-        wkr.overlapped_pass(
-            ir::KernelId::CgCalcW,
-            Ex::P,
-            1,
-            "cg_calc_w",
-            &mut |t, span| k_cg_calc_w(t, span),
-        );
-        let pw = wkr.reduce(|t, k| t.p[k] * t.w[k]);
-        let alpha = rro / pw;
-        // The serial outer loop discards this kernel's reduction — only
-        // the u/r updates matter, so no allreduce here.
-        k_cg_calc_ur(&mut wkr.t, alpha);
-        k_sd_init(&mut wkr.t, shift.theta);
-        for &(a, b) in &inner {
-            wkr.overlapped_pass(
-                ir::KernelId::PpcgCalcW,
-                Ex::Sd,
-                1,
-                "ppcg_w",
-                &mut |t, span| k_ppcg_w(t, span),
-            );
-            k_ppcg_update(&mut wkr.t, a, b);
-        }
-        let rrn = wkr.reduce(|t, k| common::cell_norm(k, &t.r));
-        let beta = rrn / rro;
-        k_cg_calc_p(&mut wkr.t, beta);
-        rro = rrn;
-        outer += 1;
-        iterations += 1;
-        if rrn.abs() <= cfg.tl_eps * initial.abs() {
-            converged = true;
-        }
-    }
-    (iterations, converged)
-}
-
-fn solve_ppcg(
-    wkr: &mut Worker,
-    ckpt: Option<&CkptCtx>,
-    resume: Option<&LoopState>,
-) -> (usize, bool) {
-    let cfg = wkr.config;
-    let presteps = cfg.tl_ch_cg_presteps.min(cfg.tl_max_iters);
-    if let Some(LoopState::PpcgOuter {
-        iterations,
-        outer,
-        rro,
-        initial,
-        eig,
-    }) = resume
-    {
-        return ppcg_outer(wkr, ckpt, *iterations, *outer, *rro, *initial, *eig);
-    }
-    let mut history = CgHistory::default();
-    let pre = presteps_phase(wkr, &mut history, ckpt, resume);
-    if pre.converged {
-        return (pre.iterations, true);
-    }
-    let initial = pre.initial;
-    let rro = pre.rro;
-    let Some((eigmin, eigmax)) = eigenvalue_estimate(&history.alphas, &history.betas) else {
-        // Degenerate spectrum: uncheckpointed CG finish, as in Chebyshev.
-        let cont = cg_phase(
-            wkr,
-            cfg.tl_max_iters.saturating_sub(presteps),
-            Some(&mut history),
-            None,
-            None,
-        );
-        return (pre.iterations + cont.iterations, cont.converged);
-    };
-    ppcg_outer(wkr, ckpt, pre.iterations, 0, rro, initial, (eigmin, eigmax))
-}
-
-fn solve_jacobi(
-    wkr: &mut Worker,
-    ckpt: Option<&CkptCtx>,
-    resume: Option<&LoopState>,
-) -> (usize, bool) {
-    let cfg = wkr.config;
-    let (mut iterations, mut initial) = match resume {
-        Some(LoopState::Jacobi {
-            iterations,
-            initial,
-        }) => (*iterations, *initial),
-        _ => (0, 0.0),
-    };
-    let mut converged = false;
-    while !converged && iterations < cfg.tl_max_iters {
-        if let Some(ck) = ckpt {
-            ck.save(
-                wkr,
-                PHASE_PRIMARY,
-                iterations,
-                LoopState::Jacobi {
-                    iterations,
-                    initial,
-                },
-            );
-        }
-        // Double overlap: the u→scratch copy rides the reflective `u`
-        // exchange (it reads no ghosts), then the interior sweep rides
-        // the raw scratch exchange.
-        wkr.overlapped_pass(
-            ir::KernelId::JacobiCopy,
-            Ex::U,
-            1,
-            "jacobi_copy",
-            &mut |t, span| k_jacobi_copy(t, span),
-        );
-        wkr.overlapped_pass(
-            ir::KernelId::JacobiSolve,
-            Ex::RScratch,
-            1,
-            "jacobi_sweep",
-            &mut |t, span| k_jacobi_sweep(t, span),
-        );
-        let err = wkr.reduce(|t, k| (t.u[k] - t.r[k]).abs());
-        iterations += 1;
-        if iterations == 1 {
-            initial = err;
-            if initial == 0.0 {
-                converged = true; // already the exact solution
-            } else if !initial.is_finite() {
-                break; // poisoned inputs; the serial driver bails here too
-            }
-        } else if err <= cfg.tl_eps * initial {
-            converged = true;
-        }
-    }
-    (iterations, converged)
-}
-
-// ---------------------------------------------------------------------------
 // the SPMD body
 // ---------------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
+/// One rank's run: a tile port driven through the shared step loop, one
+/// solve attempt per step (distributed runs have no fallback chain).
+/// Rank 0 traces into `trace`. With a `store` the port saves checkpoint
+/// cuts into it; `resume` replays from one, skipping the start-of-run
+/// exchanges and the dead step prefix — the snapshot already holds those
+/// bits.
 fn body(
     rank: &Rank,
     grid: Grid2d,
     config: &TeaConfig,
-    solver: SolverKind,
     overlap: bool,
-    tel: TelemetrySink,
+    trace: Option<&TelemetrySink>,
     store: Option<&CheckpointStore>,
     resume: Option<&TileCheckpoint>,
 ) -> (DistributedReport, OverlapStats, ExchangeMetrics) {
-    // Resuming replays from the snapshot's exact bits: the tile clone
-    // already holds the step's generated fields, coefficients and the
-    // solver vectors as they were at the checkpointed iteration, so the
-    // start-of-run exchanges and the dead step prefix are all skipped.
-    let t = match resume {
-        Some(ck) => ck.tile.clone(),
-        None => Tile::build(config, grid, rank.id()),
+    let mut port = match resume {
+        Some(ck) => TilePort::with_tile(rank, ck.tile.clone(), overlap),
+        None => TilePort::new(rank, config, grid, overlap),
     };
-    let mut wkr = Worker {
-        rank,
-        config,
-        t,
-        overlap,
-        stats: OverlapStats::default(),
-        metrics: ExchangeMetrics::default(),
-        tel,
-        clock: 0.0,
-    };
-    let (rx, ry) = wkr.t.geom.mesh.rx_ry(config.initial_timestep);
-
-    if resume.is_none() {
-        wkr.exchange_pair(Ex::Density, Ex::Energy, config.halo_depth);
+    if let (0, Some(sink)) = (rank.id(), trace) {
+        port.context_mut().set_telemetry(sink.clone());
     }
-
-    let mut total_iterations = resume.map_or(0, |ck| ck.total_iterations);
-    let mut converged_all = resume.is_none_or(|ck| ck.converged_all);
-    let first_step = resume.map_or(1, |ck| ck.key.0);
-    for step in first_step..=config.end_step {
-        let resumed = matches!(resume, Some(ck) if ck.key.0 == step);
-        if !resumed {
-            k_init_u0(&mut wkr.t);
-            // The coefficient build reads only density (exchanged at
-            // start-of-run depth) and writes kx/ky — it can ride the
-            // whole `u` exchange window.
-            let mesh = &wkr.t.geom.mesh;
-            let coeff_cells = ((mesh.x_cells + 1) * (mesh.y_cells + 1)) as u64;
-            wkr.overlapped_full(Ex::U, 1, "init_coeffs", coeff_cells, |t| {
-                k_init_coeffs(t, config.coefficient, rx, ry)
-            });
-        }
-        let state = if resumed {
-            resume.map(|ck| &ck.state)
-        } else {
-            None
-        };
-        let ctx = store.map(|s| CkptCtx {
-            store: s,
-            step,
-            total_iterations,
-            converged_all,
-        });
-        let (iters, converged) = match solver {
-            SolverKind::ConjugateGradient => {
-                let start = match state {
-                    Some(LoopState::Cg {
-                        iteration,
-                        rro,
-                        initial,
-                        ..
-                    }) => Some((*rro, *initial, *iteration)),
-                    _ => None,
-                };
-                let ph = cg_phase(&mut wkr, config.tl_max_iters, None, ctx.as_ref(), start);
-                (ph.iterations, ph.converged)
-            }
-            SolverKind::Chebyshev => solve_chebyshev(&mut wkr, ctx.as_ref(), state),
-            SolverKind::Ppcg => solve_ppcg(&mut wkr, ctx.as_ref(), state),
-            SolverKind::Jacobi => solve_jacobi(&mut wkr, ctx.as_ref(), state),
-        };
-        total_iterations += iters;
-        converged_all &= converged;
-
-        k_finalise(&mut wkr.t);
-        wkr.exchange(Ex::Energy, 1);
+    let at = resume.map(|ck| StepResume {
+        step: ck.key.0,
+        total_iterations: ck.total_iterations,
+        converged: ck.converged_all,
+        phase: ck.phase.clone(),
+    });
+    if let Some(store) = store {
+        let step = at
+            .as_ref()
+            .map_or((1, 0, true), |r| (r.step, r.total_iterations, r.converged));
+        port.keep_cuts(store, config.tl_checkpoint_interval, step);
     }
-
-    // global field summary (carry-pipelined; exactly-ordered)
-    let vol = wkr.t.geom.mesh.cell_volume();
-    let global = wkr.reduce4(|t, k| common::cell_summary(k, &t.density, &t.energy, &t.u, vol));
+    let (rx, ry) = port.tile().geom.mesh.rx_ry(config.initial_timestep);
+    let steps = run_steps(&mut port, config, rx, ry, at, solver::solve_once);
+    let summary = port.field_summary();
+    let (stats, metrics) = port.instrumentation();
     let report = DistributedReport {
         ranks: rank.size(),
-        total_iterations,
-        converged: converged_all,
-        summary: Summary {
-            volume: global[0],
-            mass: global[1],
-            internal_energy: global[2],
-            temperature: global[3],
-        },
+        total_iterations: steps.total_iterations,
+        converged: steps.converged,
+        summary,
     };
-    (report, wkr.stats, wkr.metrics)
+    (report, stats, metrics)
 }
 
 // ---------------------------------------------------------------------------
@@ -1182,6 +132,14 @@ fn agree(
         metrics.merge(m);
     }
     (first, stats, metrics)
+}
+
+/// The deck forced onto CG, for the CG-only legacy entry points.
+fn cg_config(config: &TeaConfig) -> TeaConfig {
+    TeaConfig {
+        solver: SolverKind::ConjugateGradient,
+        ..config.clone()
+    }
 }
 
 /// Resolve the deck's tile grid for `ranks` ranks (an unset deck means a
@@ -1225,18 +183,8 @@ pub fn run_distributed_solver_instrumented(
     overlap: bool,
 ) -> (DistributedReport, OverlapStats, ExchangeMetrics) {
     let grid = Grid2d::new(tiles_x, tiles_y);
-    let solver = config.solver;
     let results = run_spmd(grid.ranks(), |rank| {
-        body(
-            rank,
-            grid,
-            config,
-            solver,
-            overlap,
-            TelemetrySink::disabled(),
-            None,
-            None,
-        )
+        body(rank, grid, config, overlap, None, None, None)
     });
     agree(results)
 }
@@ -1253,25 +201,16 @@ pub fn run_distributed_solver_faulty(
     spec: FaultSpec,
 ) -> Result<DistributedReport, FaultDiagnostic> {
     let grid = Grid2d::new(tiles_x, tiles_y);
-    let solver = config.solver;
     let results = run_spmd_faulty(grid.ranks(), spec, |rank| {
-        body(
-            rank,
-            grid,
-            config,
-            solver,
-            true,
-            TelemetrySink::disabled(),
-            None,
-            None,
-        )
+        body(rank, grid, config, true, None, None, None)
     })?;
     Ok(agree(results).0)
 }
 
-/// [`run_distributed_solver`] with rank 0 emitting telemetry spans on a
-/// logical clock: `exchange`, `interior` and `boundary` spans per halo
-/// window, so `tea-prof` can table how much traffic each solver hides.
+/// [`run_distributed_solver`] with rank 0 tracing on the logical clock:
+/// the step/solve/iteration spans of the shared solver loop plus an
+/// `exchange`, `interior` and `boundary` span per halo window, so
+/// `tea-prof` can table how much traffic each solver hides.
 pub fn run_distributed_solver_traced(
     tiles_x: usize,
     tiles_y: usize,
@@ -1283,15 +222,9 @@ pub fn run_distributed_solver_traced(
     Vec<Record>,
 ) {
     let grid = Grid2d::new(tiles_x, tiles_y);
-    let solver = config.solver;
     let (sink, collector) = TelemetrySink::collecting();
     let results = run_spmd(grid.ranks(), |rank| {
-        let tel = if rank.id() == 0 {
-            sink.clone()
-        } else {
-            TelemetrySink::disabled()
-        };
-        body(rank, grid, config, solver, true, tel, None, None)
+        body(rank, grid, config, true, Some(&sink), None, None)
     });
     let (report, stats, metrics) = agree(results);
     (report, stats, metrics, collector.records())
@@ -1302,19 +235,7 @@ pub fn run_distributed_solver_traced(
 /// returns the global report (identical on every rank).
 pub fn run_distributed_cg(ranks: usize, config: &TeaConfig) -> DistributedReport {
     let grid = grid_for(ranks, config);
-    let results = run_spmd(ranks, |rank| {
-        body(
-            rank,
-            grid,
-            config,
-            SolverKind::ConjugateGradient,
-            true,
-            TelemetrySink::disabled(),
-            None,
-            None,
-        )
-    });
-    agree(results).0
+    run_distributed_solver(grid.tiles_x(), grid.tiles_y(), &cg_config(config))
 }
 
 /// Same as [`run_distributed_cg`] but over a fault-injected message
@@ -1328,19 +249,7 @@ pub fn run_distributed_cg_faulty(
     spec: FaultSpec,
 ) -> Result<DistributedReport, FaultDiagnostic> {
     let grid = grid_for(ranks, config);
-    let results = run_spmd_faulty(ranks, spec, |rank| {
-        body(
-            rank,
-            grid,
-            config,
-            SolverKind::ConjugateGradient,
-            true,
-            TelemetrySink::disabled(),
-            None,
-            None,
-        )
-    })?;
-    Ok(agree(results).0)
+    run_distributed_solver_faulty(grid.tiles_x(), grid.tiles_y(), &cg_config(config), spec)
 }
 
 // ---------------------------------------------------------------------------
@@ -1353,98 +262,33 @@ pub fn run_distributed_cg_faulty(
 /// entries always contains a key common to all ranks.
 const CHECKPOINT_KEEP: usize = 4;
 
-/// Checkpoint phase of the primary loop: plain CG, the CG presteps of
-/// Chebyshev/PPCG, and the Jacobi sweep loop.
-const PHASE_PRIMARY: u8 = 0;
-/// Checkpoint phase of the post-presteps main loop: the Chebyshev
-/// iteration and the PPCG outer loop.
-const PHASE_MAIN: u8 = 1;
-
 /// Checkpoint key: `(step, phase, iteration)`, ordered lexicographically
-/// so "latest" means furthest through the run. Phases within a step run
-/// in order, and iterations within a phase count up, so tuple order is
-/// execution order.
+/// so "latest" means furthest through the run. Phase 0 is the step cut
+/// (iteration 0, taken before `init_fields`); phase 1 the cuts of the
+/// solve's first CG phase — plain CG, or the presteps of Chebyshev and
+/// PPCG — at their loop-top iteration. Tuple order is execution order.
 pub type CkptKey = (usize, u8, usize);
 
-/// The solver-loop scalars a checkpoint needs alongside the tile to
-/// replay bit-exactly from its key. Everything here comes from global
-/// exactly-ordered reductions (or deck constants), so every rank stores
-/// identical values — which is what lets an elastic re-decomposition
-/// seed a *different* number of ranks from one rank's loop state.
-#[derive(Debug, Clone, PartialEq)]
-enum LoopState {
-    /// Plain CG or the CG presteps of Chebyshev/PPCG. `alphas`/`betas`
-    /// carry the eigenvalue-estimation history accumulated so far (empty
-    /// for plain CG, which keeps none).
-    Cg {
-        iteration: usize,
-        rro: f64,
-        initial: f64,
-        alphas: Vec<f64>,
-        betas: Vec<f64>,
-    },
-    /// Chebyshev main loop at `done` completed Chebyshev steps; the
-    /// coefficient stream is replayed from the eigenvalue bounds.
-    ChebyMain {
-        iterations: usize,
-        done: usize,
-        initial: f64,
-        eig: (f64, f64),
-        budget: usize,
-    },
-    /// PPCG outer loop at `outer` completed outer iterations.
-    PpcgOuter {
-        iterations: usize,
-        outer: usize,
-        rro: f64,
-        initial: f64,
-        eig: (f64, f64),
-    },
-    /// Jacobi at `iterations` completed sweeps.
-    Jacobi { iterations: usize, initial: f64 },
-}
-
-/// One rank's mid-solve snapshot: the complete tile (halo cells
-/// included) plus the loop state needed to replay from here bit-exactly.
+/// One rank's checkpoint: the complete tile (halo cells included), the
+/// run totals at the top of its step and, for a phase cut, the CG phase
+/// state to resume from. The phase state comes from global exactly
+/// ordered reductions, so every rank stores identical values — which is
+/// what lets an elastic re-decomposition seed a *different* number of
+/// ranks from one rank's cut.
 #[derive(Clone)]
-struct TileCheckpoint {
-    key: CkptKey,
-    total_iterations: usize,
-    converged_all: bool,
-    state: LoopState,
-    tile: Tile,
-}
-
-/// The eleven solver fields a tile snapshot carries, in one fixed order
-/// (shared by the reassembly reader and writer).
-fn tile_fields(t: &Tile) -> [&Vec<f64>; 11] {
-    [
-        &t.density, &t.energy, &t.u, &t.u0, &t.p, &t.r, &t.w, &t.z, &t.sd, &t.kx, &t.ky,
-    ]
-}
-
-fn tile_fields_mut(t: &mut Tile) -> [&mut Vec<f64>; 11] {
-    [
-        &mut t.density,
-        &mut t.energy,
-        &mut t.u,
-        &mut t.u0,
-        &mut t.p,
-        &mut t.r,
-        &mut t.w,
-        &mut t.z,
-        &mut t.sd,
-        &mut t.kx,
-        &mut t.ky,
-    ]
+pub(crate) struct TileCheckpoint {
+    pub key: CkptKey,
+    pub total_iterations: usize,
+    pub converged_all: bool,
+    pub phase: Option<PhaseStart>,
+    pub tile: Tile,
 }
 
 impl TileCheckpoint {
     /// Field bytes this snapshot restores into a restarted rank — the
     /// unit of the recovery log's "bytes replayed" ledger.
     fn payload_bytes(&self) -> u64 {
-        let elements: usize = tile_fields(&self.tile).iter().map(|f| f.len()).sum();
-        (elements * std::mem::size_of::<f64>()) as u64
+        self.tile.f.resident_bytes()
     }
 }
 
@@ -1464,7 +308,7 @@ impl CheckpointStore {
         }
     }
 
-    fn save(&self, rank: usize, ck: TileCheckpoint) {
+    pub(crate) fn save(&self, rank: usize, ck: TileCheckpoint) {
         self.saves.fetch_add(1, Ordering::Relaxed);
         let mut ring = self.slots[rank].lock().expect("checkpoint lock");
         // A restarted attempt re-saves the same keys with identical bits
@@ -1502,7 +346,7 @@ impl CheckpointStore {
     }
 
     /// Clone rank `rank`'s checkpoint for `key`, if present.
-    fn get(&self, rank: usize, key: CkptKey) -> Option<TileCheckpoint> {
+    pub(crate) fn get(&self, rank: usize, key: CkptKey) -> Option<TileCheckpoint> {
         self.slots[rank]
             .lock()
             .expect("checkpoint lock")
@@ -1526,32 +370,58 @@ pub fn latest_common_key(rings: &[Vec<CkptKey>]) -> Option<CkptKey> {
 }
 
 // ---------------------------------------------------------------------------
-// elastic re-decomposition
-// ---------------------------------------------------------------------------
 
-/// Copy `tile`'s cells into the global padded canvas at their global
-/// coordinates. A tile's local padded cell `(li, lj)` sits at global
+/// Every array a tile stores, each named once.
+const TILE_FIELDS: [FieldId; 11] = [
+    FieldId::Density,
+    FieldId::Energy0,
+    FieldId::U,
+    FieldId::U0,
+    FieldId::P,
+    FieldId::R,
+    FieldId::W,
+    FieldId::Z,
+    FieldId::Sd,
+    FieldId::Kx,
+    FieldId::Ky,
+];
+
+/// Visit `geom`'s padded cells (only its interior with `interior_only`)
+/// as `(local, global)` flat-index pairs into a global padded canvas `gw`
+/// cells wide. A tile's local padded cell `(li, lj)` sits at global
 /// padded `(c0 + li, r0 + lj)` where `(c0, r0)` are its interior span
 /// starts — the halo offsets cancel.
-fn blit_into_global(config: &TeaConfig, global: &mut Tile, tile: &Tile, interior_only: bool) {
-    let g = &tile.geom;
-    let (c0, _) = tile::tile_span(config.x_cells, g.tx, g.grid.tiles_x());
-    let (r0, _) = tile::tile_span(config.y_cells, g.ty, g.grid.tiles_y());
-    let (lw, lh) = (g.mesh.width(), g.mesh.height());
-    let (li0, li1, lj1) = (g.mesh.i0(), g.mesh.i1(), g.mesh.j1());
-    let gw = global.geom.mesh.width();
+fn tile_cells(
+    config: &TeaConfig,
+    geom: &TileGeom,
+    gw: usize,
+    interior_only: bool,
+    mut visit: impl FnMut(usize, usize),
+) {
+    let (c0, _) = tile::tile_span(config.x_cells, geom.tx, geom.grid.tiles_x());
+    let (r0, _) = tile::tile_span(config.y_cells, geom.ty, geom.grid.tiles_y());
+    let (m, lw) = (&geom.mesh, geom.mesh.width());
     let (is, js) = if interior_only {
-        (li0..li1, li0..lj1)
+        (m.i0()..m.i1(), m.i0()..m.j1())
     } else {
-        (0..lw, 0..lh)
+        (0..lw, 0..m.height())
     };
-    let src = tile_fields(tile);
-    for (dst, src) in tile_fields_mut(global).into_iter().zip(src) {
-        for lj in js.clone() {
-            for li in is.clone() {
-                dst[(r0 + lj) * gw + (c0 + li)] = src[lj * lw + li];
-            }
+    for lj in js {
+        for li in is.clone() {
+            visit(lj * lw + li, (r0 + lj) * gw + (c0 + li));
         }
+    }
+}
+
+/// Copy `tile`'s cells into the global padded canvas at their global
+/// coordinates.
+fn blit_into_global(config: &TeaConfig, global: &mut Tile, tile: &Tile, interior_only: bool) {
+    let gw = global.geom.mesh.width();
+    for id in TILE_FIELDS {
+        let (src, dst) = (tile.f.field(id), global.f.field_mut(id));
+        tile_cells(config, &tile.geom, gw, interior_only, |l, g| {
+            dst[g] = src[l]
+        });
     }
 }
 
@@ -1578,24 +448,17 @@ fn reassemble_global(config: &TeaConfig, tiles: &[&Tile]) -> Tile {
 /// inverse of [`blit_into_global`], ghost cells included.
 fn carve_tile(config: &TeaConfig, global: &Tile, grid: Grid2d, rank: usize) -> Tile {
     let mut t = Tile::build(config, grid, rank);
-    let (c0, _) = tile::tile_span(config.x_cells, t.geom.tx, grid.tiles_x());
-    let (r0, _) = tile::tile_span(config.y_cells, t.geom.ty, grid.tiles_y());
-    let (lw, lh) = (t.geom.mesh.width(), t.geom.mesh.height());
     let gw = global.geom.mesh.width();
-    let src = tile_fields(global);
-    for (dst, src) in tile_fields_mut(&mut t).into_iter().zip(src) {
-        for lj in 0..lh {
-            for li in 0..lw {
-                dst[lj * lw + li] = src[(r0 + lj) * gw + (c0 + li)];
-            }
-        }
+    for id in TILE_FIELDS {
+        let (src, dst) = (global.f.field(id), t.f.field_mut(id));
+        tile_cells(config, &t.geom, gw, false, |l, g| dst[l] = src[g]);
     }
     t
 }
 
 /// Re-tile one consistent cut's checkpoints onto a smaller grid: gather
 /// the surviving tile state into the global canvas, carve one fresh tile
-/// per new rank, and stamp each with the cut's loop state (identical on
+/// per new rank, and stamp each with the cut's phase state (identical on
 /// every old rank — it is all global-reduction output).
 fn regrid_checkpoints(
     config: &TeaConfig,
@@ -1610,7 +473,7 @@ fn regrid_checkpoints(
             key: meta.key,
             total_iterations: meta.total_iterations,
             converged_all: meta.converged_all,
-            state: meta.state.clone(),
+            phase: meta.phase.clone(),
             tile: carve_tile(config, &global, to, r),
         })
         .collect()
@@ -1663,7 +526,6 @@ fn resilient_core(
     tiles_x: usize,
     tiles_y: usize,
     config: &TeaConfig,
-    solver: SolverKind,
     spec: FaultSpec,
     restart_budget: usize,
     allow_regrid: bool,
@@ -1702,21 +564,8 @@ fn resilient_core(
                 .map(TileCheckpoint::payload_bytes)
                 .sum::<u64>();
             let result = run_spmd_faulty(grid.ranks(), attempt_spec, |rank| {
-                let sink = if rank.id() == 0 {
-                    tel.clone()
-                } else {
-                    TelemetrySink::disabled()
-                };
-                body(
-                    rank,
-                    grid,
-                    config,
-                    solver,
-                    true,
-                    sink,
-                    Some(&store),
-                    resumes[rank.id()].as_ref(),
-                )
+                let resume = resumes[rank.id()].as_ref();
+                body(rank, grid, config, true, Some(tel), Some(&store), resume)
             });
             attempt += 1;
             match result {
@@ -1828,7 +677,6 @@ pub fn run_distributed_solver_resilient(
         tiles_x,
         tiles_y,
         config,
-        config.solver,
         spec,
         config.tl_max_recoveries,
         config.tl_elastic_regrid,
@@ -1837,9 +685,9 @@ pub fn run_distributed_solver_resilient(
 }
 
 /// [`run_distributed_solver_resilient`] with the resilience timeline
-/// traced: rank 0 emits checkpoint events on the logical clock and the
-/// driver emits restart/regrid events, so `tea-prof --recovery` can
-/// table the recovery story.
+/// traced: rank 0 emits its spans and checkpoint events on the logical
+/// clock and the driver emits restart/regrid events, so
+/// `tea-prof --recovery` can table the recovery story.
 pub fn run_distributed_solver_resilient_traced(
     tiles_x: usize,
     tiles_y: usize,
@@ -1851,7 +699,6 @@ pub fn run_distributed_solver_resilient_traced(
         tiles_x,
         tiles_y,
         config,
-        config.solver,
         spec,
         config.tl_max_recoveries,
         config.tl_elastic_regrid,
@@ -1877,8 +724,7 @@ pub fn run_distributed_cg_resilient(
     let (report, log) = resilient_core(
         grid.tiles_x(),
         grid.tiles_y(),
-        config,
-        SolverKind::ConjugateGradient,
+        &cg_config(config),
         spec,
         max_restarts,
         false,

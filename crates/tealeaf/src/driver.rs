@@ -11,7 +11,8 @@ use crate::model_id::ModelId;
 use crate::ports::{make_port, PortError};
 use crate::problem::Problem;
 use crate::report::RunReport;
-use crate::solver;
+use crate::resilience::{PhaseStart, RecoveryEvent, SolverHealth};
+use crate::solver::{self, SolveOutcome};
 
 /// Run the full simulation for `config` with `model` on `device`,
 /// seeding any stochastic cost terms (the OpenCL CPU jitter) from `seed`.
@@ -87,52 +88,9 @@ pub fn drive(
 ) -> RunReport {
     let start = Instant::now();
     let (rx, ry) = problem.rx_ry();
-    let tel = port.context().telemetry().clone();
-    // Initial halo fill for the generated fields (depth 2, as TeaLeaf's
-    // start-of-run `update_halo`).
-    traced_halo(port, &[FieldId::Density, FieldId::Energy0], 2);
-
-    let mut total_iterations = 0;
-    let mut converged = true;
-    let mut eigenvalues = None;
-    let mut recoveries = Vec::new();
-    let mut health = Vec::new();
-    let mut failed_step = None;
-    for step in 1..=config.end_step {
-        let step_span = tel.open_span(
-            "step",
-            format_args!("step {step}"),
-            port.context().clock.seconds(),
-        );
-        port.init_fields(config.coefficient, rx, ry);
-        traced_halo(port, &[FieldId::U], 1);
-        let outcome = solver::solve(port, config);
-        total_iterations += outcome.iterations;
-        converged &= outcome.converged;
-        if outcome.eigenvalues.is_some() {
-            eigenvalues = outcome.eigenvalues;
-        }
-        let fatal = outcome.health.iter().any(|h| h.is_fatal());
-        for mut event in outcome.recoveries {
-            event.step = step;
-            recoveries.push(event);
-        }
-        for event in outcome.health {
-            health.push((step, event));
-        }
-        if fatal {
-            // The recovery chain is exhausted: every later step would
-            // solve on garbage state and accumulate garbage iterations.
-            // Stop here and report the step the run died on.
-            failed_step = Some(step);
-            converged = false;
-            tel.close_span(step_span, port.context().clock.seconds());
-            break;
-        }
-        port.finalise();
-        traced_halo(port, &[FieldId::Energy1], 1);
-        tel.close_span(step_span, port.context().clock.seconds());
-    }
+    let steps = run_steps(port, config, rx, ry, None, |port, config, _| {
+        solver::solve(port, config)
+    });
     let summary = port.field_summary();
     RunReport {
         model: port.model(),
@@ -141,16 +99,112 @@ pub fn drive(
         x_cells: config.x_cells,
         y_cells: config.y_cells,
         steps: config.end_step,
-        total_iterations,
-        converged,
+        total_iterations: steps.total_iterations,
+        converged: steps.converged,
         summary,
         sim: port.context().clock.snapshot(),
         wall_seconds: start.elapsed().as_secs_f64(),
-        eigenvalues,
-        recoveries,
-        health,
-        failed_step,
+        eigenvalues: steps.eigenvalues,
+        recoveries: steps.recoveries,
+        health: steps.health,
+        failed_step: steps.failed_step,
     }
+}
+
+/// Where a resumed step loop picks up: the run totals at the top of
+/// `step`, plus the CG phase state when the cut lies inside the step's
+/// solve (the port's fields then already hold that state).
+pub(crate) struct StepResume {
+    pub step: usize,
+    pub total_iterations: usize,
+    pub converged: bool,
+    pub phase: Option<PhaseStart>,
+}
+
+/// What the step loop accumulated over the run.
+pub(crate) struct Steps {
+    pub total_iterations: usize,
+    pub converged: bool,
+    pub eigenvalues: Option<(f64, f64)>,
+    pub recoveries: Vec<RecoveryEvent>,
+    pub health: Vec<(usize, SolverHealth)>,
+    pub failed_step: Option<usize>,
+}
+
+/// The timestep loop every executor runs — serial ports through
+/// [`drive`], each distributed rank through its tile port. `solve` is
+/// the per-step solve: [`solver::solve`] (with the fallback chain) for
+/// `drive`, [`solver::solve_once`] for ranks.
+pub(crate) fn run_steps(
+    port: &mut dyn TeaLeafPort,
+    config: &TeaConfig,
+    rx: f64,
+    ry: f64,
+    resume: Option<StepResume>,
+    solve: fn(&mut dyn TeaLeafPort, &TeaConfig, Option<PhaseStart>) -> SolveOutcome,
+) -> Steps {
+    let tel = port.context().telemetry().clone();
+    let mut steps = Steps {
+        total_iterations: 0,
+        converged: true,
+        eigenvalues: None,
+        recoveries: Vec::new(),
+        health: Vec::new(),
+        failed_step: None,
+    };
+    let (first_step, mut phase) = match resume {
+        Some(r) => {
+            steps.total_iterations = r.total_iterations;
+            steps.converged = r.converged;
+            (r.step, r.phase)
+        }
+        None => {
+            // Initial halo fill for the generated fields (depth 2, as
+            // TeaLeaf's start-of-run `update_halo`).
+            traced_halo(port, &[FieldId::Density, FieldId::Energy0], 2);
+            (1, None)
+        }
+    };
+    for step in first_step..=config.end_step {
+        let step_span = tel.open_span(
+            "step",
+            format_args!("step {step}"),
+            port.context().clock.seconds(),
+        );
+        let resume = phase.take();
+        if resume.is_none() {
+            port.step_cut(step, steps.total_iterations, steps.converged);
+            port.init_fields(config.coefficient, rx, ry);
+            traced_halo(port, &[FieldId::U], 1);
+        }
+        let outcome = solve(port, config, resume);
+        steps.total_iterations += outcome.iterations;
+        steps.converged &= outcome.converged;
+        if outcome.eigenvalues.is_some() {
+            steps.eigenvalues = outcome.eigenvalues;
+        }
+        let fatal = outcome.health.iter().any(|h| h.is_fatal());
+        for mut event in outcome.recoveries {
+            event.step = step;
+            steps.recoveries.push(event);
+        }
+        for event in outcome.health {
+            steps.health.push((step, event));
+        }
+        if fatal {
+            // The recovery chain is exhausted: every later step would
+            // solve on garbage state and accumulate garbage iterations.
+            // Stop here and report the step the run died on.
+            steps.failed_step = Some(step);
+            steps.converged = false;
+            tel.close_span(step_span, port.context().clock.seconds());
+            break;
+        }
+        port.finalise();
+        traced_halo(port, &[FieldId::Energy1], 1);
+        tel.close_span(step_span, port.context().clock.seconds());
+    }
+    steps
 }
 
 /// Back-compat alias used by examples: run one solve only (single step).

@@ -23,6 +23,7 @@ use tea_core::halo::FieldId;
 use tea_core::summary::Summary;
 
 use crate::model_id::ModelId;
+use crate::resilience::{CutSnapshot, PhaseStart};
 
 /// Which field a 2-norm is taken over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,6 +72,14 @@ pub trait TeaLeafPort {
 
     /// `p = (z|r) + β·p`.
     fn cg_calc_p(&mut self, beta: f64, preconditioner: bool);
+
+    /// [`cg_calc_ur`](TeaLeafPort::cg_calc_ur) for a caller that discards
+    /// the reduction (the PPCG outer loop). The default runs the whole
+    /// kernel, reduction included, as every node-level port does; an
+    /// executor whose reductions are collectives skips the global sum.
+    fn cg_update_ur(&mut self, alpha: f64, preconditioner: bool) {
+        let _ = self.cg_calc_ur(alpha, preconditioner);
+    }
 
     /// How this port lowers the shared kernel IR ([`crate::ir`]): which
     /// structural idioms its programming model can express. The solver
@@ -162,6 +171,28 @@ pub trait TeaLeafPort {
     /// differential harness localizes it; never called on production
     /// paths.
     fn poke_field(&mut self, id: FieldId, k: usize, value: f64);
+
+    // --- checkpoint cuts (the resilience layer's hooks) ---
+
+    /// Step cut: the step loop calls this at the top of every timestep,
+    /// before [`init_fields`](TeaLeafPort::init_fields), with the run
+    /// totals so far. The default keeps nothing.
+    fn step_cut(&mut self, _step: usize, _total_iterations: usize, _converged: bool) {}
+
+    /// Phase cut: [`PhaseGuard`](crate::resilience::PhaseGuard) calls
+    /// this at every `tl_checkpoint_interval`-th loop top of the solve's
+    /// `phase`-th CG phase. The answer says who keeps the rollback
+    /// snapshot; the default leaves it to the guard.
+    fn phase_cut(&mut self, _phase: u8, _cut: &PhaseStart) -> CutSnapshot {
+        CutSnapshot::Fields
+    }
+
+    /// Restore the fields of the latest phase cut this port kept (only
+    /// called after [`phase_cut`](TeaLeafPort::phase_cut) answered
+    /// [`CutSnapshot::Port`]).
+    fn restore_cut(&mut self) {
+        unreachable!("{:?} keeps no checkpoint cuts", self.model())
+    }
 }
 
 /// Run a halo update wrapped in a `halo` telemetry span covering the

@@ -928,11 +928,16 @@ pub struct PortFields {
 impl PortFields {
     /// Allocate all arrays and copy in the initial density and energy.
     pub fn new(mesh: &Mesh2d, density: &Field2d, energy: &Field2d) -> Self {
+        Self::from_state(mesh, density.clone(), energy.clone())
+    }
+
+    /// [`PortFields::new`] taking ownership of the initial state.
+    pub fn from_state(mesh: &Mesh2d, density: Field2d, energy: Field2d) -> Self {
         let len = mesh.len();
         PortFields {
             mesh: mesh.clone(),
-            density: density.as_slice().to_vec(),
-            energy: energy.as_slice().to_vec(),
+            density: density.into_vec(),
+            energy: energy.into_vec(),
             u: vec![0.0; len],
             u0: vec![0.0; len],
             p: vec![0.0; len],

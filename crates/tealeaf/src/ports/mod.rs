@@ -3,7 +3,8 @@
 //! One module per port, mirroring the paper's §3 ("Design, Development,
 //! and Findings"): each port expresses the same kernels in its model's
 //! idiom, against its model's data containers, charged with its model's
-//! cost profile.
+//! cost profile. The `tile` port is the odd one out: it runs the serial
+//! reference's arithmetic on one rank's tile of a distributed run.
 
 pub mod common;
 pub mod cuda;
@@ -13,6 +14,7 @@ pub mod omp3;
 pub mod opencl;
 pub mod raja;
 pub mod serial;
+pub mod tile;
 
 use std::fmt;
 

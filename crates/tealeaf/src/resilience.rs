@@ -34,6 +34,7 @@ use tea_core::config::{SolverKind, TeaConfig};
 use tea_core::halo::FieldId;
 
 use crate::kernels::TeaLeafPort;
+use crate::solver::cg::CgHistory;
 use crate::solver::{solve_once, SolveOutcome};
 
 /// A numerical-health event observed during a solve.
@@ -280,6 +281,38 @@ impl FieldCheckpoint {
     }
 }
 
+/// The loop-top state of a CG phase at a checkpoint cut: everything
+/// besides the fields that [`crate::solver::cg::run_phase`] needs to
+/// resume there bit-exactly. Every value is a global-reduction output or
+/// a pure function of one, so all ranks of a distributed run hold the
+/// same `PhaseStart` at the same cut.
+#[derive(Debug, Clone)]
+pub struct PhaseStart {
+    /// Iterations the phase had completed.
+    pub iteration: usize,
+    /// The live residual measure.
+    pub rro: f64,
+    /// The phase's initial residual measure.
+    pub initial: f64,
+    /// The α/β history accumulated so far.
+    pub history: CgHistory,
+    /// The sentinel's window state.
+    pub sentinel: Sentinel,
+}
+
+/// Who keeps the rollback snapshot of a phase-loop cut
+/// ([`TeaLeafPort::phase_cut`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CutSnapshot {
+    /// The guard snapshots [`SOLVE_FIELDS`] through the cost-free hooks.
+    Fields,
+    /// The port kept the cut; rollback goes through
+    /// [`TeaLeafPort::restore_cut`].
+    Port,
+    /// No snapshot: the executor takes no field copies, so a trip bails.
+    Off,
+}
+
 /// In-solve guard the CG-family phase loop drives: sentinel checks plus
 /// K-iteration checkpoints with capped rollback. Shared by plain CG and
 /// the Chebyshev/PPCG presteps through [`crate::solver::cg::run_phase`].
@@ -287,7 +320,10 @@ pub struct PhaseGuard {
     /// The sentinel the phase feeds.
     pub sentinel: Sentinel,
     checkpoint_interval: usize,
+    rollback: bool,
     rollback_budget: usize,
+    /// Phases started so far (1 for the solve's first `run_phase`).
+    phase: u8,
     checkpoint: Option<PhaseCheckpoint>,
     /// Sentinel trips that ended (not rolled back within) the phase.
     pub events: Vec<SolverHealth>,
@@ -297,45 +333,37 @@ pub struct PhaseGuard {
 
 /// The CG phase state a mid-solve rollback restores.
 struct PhaseCheckpoint {
-    iteration: usize,
-    rro: f64,
-    history_len: usize,
-    sentinel: Sentinel,
-    fields: FieldCheckpoint,
+    cut: PhaseStart,
+    /// `None` when the port keeps the cut itself.
+    fields: Option<FieldCheckpoint>,
 }
 
 /// What [`PhaseGuard::on_residual`] tells the phase loop to do.
 pub enum PhaseVerdict {
     /// Keep iterating.
     Continue,
-    /// A checkpoint was restored: reset to `(iteration, rro)` and
-    /// truncate the α/β history to `history_len`.
-    RolledBack {
-        iteration: usize,
-        rro: f64,
-        history_len: usize,
-    },
+    /// A checkpoint was restored: resume the loop from its cut.
+    RolledBack(PhaseStart),
     /// Unrecoverable inside the phase: stop and surface the event.
     Bail,
 }
 
 impl PhaseGuard {
-    /// A guard with the deck's thresholds and rollback budget. Passing
-    /// `tl_resilience = false` decks here is fine: [`disabled`] variants
-    /// keep the sentinel but never checkpoint.
+    /// A guard with the deck's thresholds and rollback budget. Cuts are
+    /// offered to the port every `tl_checkpoint_interval` iterations on
+    /// every deck; with `tl_resilience` off the guard keeps the sentinel
+    /// but never snapshots or rolls back.
     pub fn new(config: &TeaConfig) -> Self {
         PhaseGuard {
             sentinel: Sentinel::new(config),
-            checkpoint_interval: if config.tl_resilience {
-                config.tl_checkpoint_interval
-            } else {
-                0
-            },
+            checkpoint_interval: config.tl_checkpoint_interval,
+            rollback: config.tl_resilience,
             rollback_budget: if config.tl_resilience {
                 config.tl_max_recoveries
             } else {
                 0
             },
+            phase: 0,
             checkpoint: None,
             events: Vec::new(),
             recoveries: Vec::new(),
@@ -344,29 +372,53 @@ impl PhaseGuard {
 
     /// Arm the sentinel at phase start.
     pub fn arm(&mut self, initial: f64) {
+        self.phase += 1;
         self.sentinel.arm(initial);
     }
 
-    /// Called at the top of each phase iteration: capture a checkpoint
-    /// every K iterations (including iteration 0, so the earliest fault
-    /// is recoverable).
+    /// Start a phase from a checkpoint cut instead of arming afresh: the
+    /// sentinel resumes with the window state it had at the cut.
+    pub fn resume(&mut self, start: &PhaseStart) {
+        self.phase += 1;
+        self.sentinel = start.sentinel.clone();
+    }
+
+    /// Called at the top of each phase iteration: every K iterations
+    /// (including iteration 0, so the earliest fault is recoverable)
+    /// offer the port a checkpoint cut and keep a rollback snapshot.
     pub fn maybe_checkpoint(
         &mut self,
-        port: &dyn TeaLeafPort,
+        port: &mut dyn TeaLeafPort,
         iteration: usize,
         rro: f64,
-        history_len: usize,
+        initial: f64,
+        history: &CgHistory,
     ) {
         if self.checkpoint_interval == 0 || !iteration.is_multiple_of(self.checkpoint_interval) {
             return;
         }
-        self.checkpoint = Some(PhaseCheckpoint {
+        let cut = PhaseStart {
             iteration,
             rro,
-            history_len,
+            initial,
+            history: history.clone(),
             sentinel: self.sentinel.clone(),
-            fields: FieldCheckpoint::capture(port, &SOLVE_FIELDS),
-        });
+        };
+        // The port sees every cut (a distributed rank's ring feeds world
+        // restarts); only a rolling-back guard keeps a snapshot.
+        let snapshot = port.phase_cut(self.phase, &cut);
+        if !self.rollback {
+            return;
+        }
+        let fields = match snapshot {
+            CutSnapshot::Fields => Some(FieldCheckpoint::capture(port, &SOLVE_FIELDS)),
+            CutSnapshot::Port => None,
+            CutSnapshot::Off => {
+                self.checkpoint = None;
+                return;
+            }
+        };
+        self.checkpoint = Some(PhaseCheckpoint { cut, fields });
         let ctx = port.context();
         ctx.telemetry().event(
             "checkpoint",
@@ -401,26 +453,26 @@ impl PhaseGuard {
         if transient && self.rollback_budget > 0 {
             if let Some(ck) = self.checkpoint.take() {
                 self.rollback_budget -= 1;
-                ck.fields.restore(port);
-                self.sentinel = ck.sentinel.clone();
+                match &ck.fields {
+                    Some(fields) => fields.restore(port),
+                    None => port.restore_cut(),
+                }
+                let cut = ck.cut.clone();
+                self.sentinel = cut.sentinel.clone();
                 self.recoveries.push(RecoveryEvent {
                     step: 0,
                     trigger: event,
                     action: RecoveryAction::Rollback {
-                        to_iteration: ck.iteration,
+                        to_iteration: cut.iteration,
                     },
                 });
                 let ctx = port.context();
                 ctx.telemetry().event(
                     "recovery",
-                    format_args!("rolled back to iteration {}", ck.iteration),
+                    format_args!("rolled back to iteration {}", cut.iteration),
                     ctx.clock.seconds(),
                 );
-                let verdict = PhaseVerdict::RolledBack {
-                    iteration: ck.iteration,
-                    rro: ck.rro,
-                    history_len: ck.history_len,
-                };
+                let verdict = PhaseVerdict::RolledBack(cut);
                 self.checkpoint = Some(ck);
                 return verdict;
             }
@@ -542,7 +594,7 @@ pub fn run_with_recovery(port: &mut dyn TeaLeafPort, config: &TeaConfig) -> Solv
         let mut cfg = config.clone();
         cfg.solver = attempt.solver;
         cfg.tl_ch_cg_presteps = attempt.presteps;
-        let mut outcome = solve_once(port, &cfg);
+        let mut outcome = solve_once(port, &cfg, None);
         recoveries.append(&mut outcome.recoveries);
         if healthy(&outcome) {
             outcome.health = health;

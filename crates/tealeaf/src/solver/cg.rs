@@ -4,7 +4,7 @@ use tea_core::config::TeaConfig;
 use tea_core::halo::FieldId;
 
 use crate::kernels::{traced_halo, TeaLeafPort};
-use crate::resilience::{PhaseGuard, PhaseVerdict};
+use crate::resilience::{PhaseGuard, PhaseStart, PhaseVerdict};
 use crate::solver::SolveOutcome;
 
 /// The coefficient history a CG phase produces — the Lanczos data
@@ -15,8 +15,12 @@ pub struct CgHistory {
     pub betas: Vec<f64>,
 }
 
-/// Run plain CG to convergence.
-pub fn solve(port: &mut dyn TeaLeafPort, config: &TeaConfig) -> SolveOutcome {
+/// Run plain CG to convergence, or from `resume` on.
+pub fn solve(
+    port: &mut dyn TeaLeafPort,
+    config: &TeaConfig,
+    resume: Option<PhaseStart>,
+) -> SolveOutcome {
     let mut history = CgHistory::default();
     let mut guard = PhaseGuard::new(config);
     let (mut outcome, _) = run_phase(
@@ -26,6 +30,7 @@ pub fn solve(port: &mut dyn TeaLeafPort, config: &TeaConfig) -> SolveOutcome {
         config.tl_max_iters,
         &mut history,
         &mut guard,
+        resume,
     );
     outcome.health = guard.events;
     outcome.recoveries = guard.recoveries;
@@ -44,6 +49,9 @@ pub fn solve(port: &mut dyn TeaLeafPort, config: &TeaConfig) -> SolveOutcome {
 /// included, so a recovered phase is indistinguishable from one that
 /// never faulted. Sentinel trips that cannot be rolled back end the
 /// phase and land in `guard.events`.
+///
+/// `start` resumes the phase at a checkpoint cut instead of running
+/// `cg_init`: the port's fields must already hold the cut's state.
 pub fn run_phase(
     port: &mut dyn TeaLeafPort,
     preconditioner: bool,
@@ -51,12 +59,21 @@ pub fn run_phase(
     max_iters: usize,
     history: &mut CgHistory,
     guard: &mut PhaseGuard,
+    start: Option<PhaseStart>,
 ) -> (SolveOutcome, f64) {
     let tel = port.context().telemetry().clone();
-    let mut rro = port.cg_init(preconditioner);
-    let initial = rro;
-    guard.arm(initial);
-    let mut iterations = 0;
+    let (mut rro, initial, mut iterations) = match start {
+        Some(cut) => {
+            guard.resume(&cut);
+            *history = cut.history;
+            (cut.rro, cut.initial, cut.iteration)
+        }
+        None => {
+            let rro = port.cg_init(preconditioner);
+            guard.arm(rro);
+            (rro, rro, 0)
+        }
+    };
     let mut converged = initial.abs() <= f64::MIN_POSITIVE; // trivially solved
     while !converged && iterations < max_iters {
         let iter_span = tel.open_span(
@@ -64,7 +81,7 @@ pub fn run_phase(
             format_args!("cg iteration {}", iterations + 1),
             port.context().clock.seconds(),
         );
-        guard.maybe_checkpoint(port, iterations, rro, history.alphas.len());
+        guard.maybe_checkpoint(port, iterations, rro, initial, history);
         traced_halo(port, &[FieldId::P], 1);
         let pw = port.cg_calc_w();
         let alpha = rro / pw;
@@ -91,15 +108,10 @@ pub fn run_phase(
         } else {
             match guard.on_residual(port, iterations, rrn) {
                 PhaseVerdict::Continue => {}
-                PhaseVerdict::RolledBack {
-                    iteration,
-                    rro: ck_rro,
-                    history_len,
-                } => {
-                    iterations = iteration;
-                    rro = ck_rro;
-                    history.alphas.truncate(history_len);
-                    history.betas.truncate(history_len);
+                PhaseVerdict::RolledBack(cut) => {
+                    iterations = cut.iteration;
+                    rro = cut.rro;
+                    *history = cut.history;
                 }
                 PhaseVerdict::Bail => bail = true,
             }

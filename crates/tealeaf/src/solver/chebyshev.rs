@@ -13,15 +13,20 @@ use tea_core::halo::FieldId;
 use crate::cheby::{estimated_iterations, ChebyCoeffs, ChebyShift};
 use crate::eigen::eigenvalue_estimate;
 use crate::kernels::{traced_halo, NormField, TeaLeafPort};
-use crate::resilience::PhaseGuard;
+use crate::resilience::{PhaseGuard, PhaseStart};
 use crate::solver::cg::{self, CgHistory};
 use crate::solver::SolveOutcome;
 
 /// Iterations between residual-norm convergence checks.
 pub const CHECK_INTERVAL: usize = 10;
 
-/// Run the Chebyshev solver (CG presteps + Chebyshev iteration).
-pub fn solve(port: &mut dyn TeaLeafPort, config: &TeaConfig) -> SolveOutcome {
+/// Run the Chebyshev solver (CG presteps + Chebyshev iteration), or from
+/// `resume` — a cut inside the presteps — on.
+pub fn solve(
+    port: &mut dyn TeaLeafPort,
+    config: &TeaConfig,
+    resume: Option<PhaseStart>,
+) -> SolveOutcome {
     let mut history = CgHistory::default();
     let mut guard = PhaseGuard::new(config);
     let presteps = config.tl_ch_cg_presteps.min(config.tl_max_iters);
@@ -32,6 +37,7 @@ pub fn solve(port: &mut dyn TeaLeafPort, config: &TeaConfig) -> SolveOutcome {
         presteps,
         &mut history,
         &mut guard,
+        resume,
     );
     if pre_outcome.converged || !guard.events.is_empty() {
         // Converged in the presteps, or the presteps tripped a sentinel
@@ -51,6 +57,7 @@ pub fn solve(port: &mut dyn TeaLeafPort, config: &TeaConfig) -> SolveOutcome {
             config.tl_max_iters.saturating_sub(presteps),
             &mut history,
             &mut guard,
+            None,
         );
         return annotate(
             SolveOutcome {

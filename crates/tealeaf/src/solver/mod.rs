@@ -19,7 +19,7 @@ pub mod ppcg;
 use tea_core::config::{SolverKind, TeaConfig};
 
 use crate::kernels::TeaLeafPort;
-use crate::resilience::{self, RecoveryEvent, SolverHealth};
+use crate::resilience::{self, PhaseStart, RecoveryEvent, SolverHealth};
 
 /// Result of one solve (one timestep's implicit solve).
 #[derive(Debug, Clone, PartialEq)]
@@ -72,15 +72,20 @@ pub fn solve(port: &mut dyn TeaLeafPort, config: &TeaConfig) -> SolveOutcome {
     if config.tl_resilience {
         resilience::run_with_recovery(port, config)
     } else {
-        solve_once(port, config)
+        solve_once(port, config, None)
     }
 }
 
 /// Raw single-attempt dispatch: run the configured solver exactly once,
 /// with in-phase sentinels/rollback but no fallback chain. Each attempt
 /// is one `solve` telemetry span, so retries and fallbacks show up as
-/// sibling spans under the step.
-pub fn solve_once(port: &mut dyn TeaLeafPort, config: &TeaConfig) -> SolveOutcome {
+/// sibling spans under the step. `resume` restarts the solve at a cut in
+/// its first CG phase (Jacobi has none).
+pub fn solve_once(
+    port: &mut dyn TeaLeafPort,
+    config: &TeaConfig,
+    resume: Option<PhaseStart>,
+) -> SolveOutcome {
     let ctx = port.context();
     let tel = ctx.telemetry().clone();
     let span = tel.open_span(
@@ -89,10 +94,13 @@ pub fn solve_once(port: &mut dyn TeaLeafPort, config: &TeaConfig) -> SolveOutcom
         ctx.clock.seconds(),
     );
     let outcome = match config.solver {
-        SolverKind::Jacobi => jacobi::solve(port, config),
-        SolverKind::ConjugateGradient => cg::solve(port, config),
-        SolverKind::Chebyshev => chebyshev::solve(port, config),
-        SolverKind::Ppcg => ppcg::solve(port, config),
+        SolverKind::Jacobi => {
+            debug_assert!(resume.is_none(), "Jacobi takes no phase cuts");
+            jacobi::solve(port, config)
+        }
+        SolverKind::ConjugateGradient => cg::solve(port, config, resume),
+        SolverKind::Chebyshev => chebyshev::solve(port, config, resume),
+        SolverKind::Ppcg => ppcg::solve(port, config, resume),
     };
     tel.close_span(span, port.context().clock.seconds());
     outcome

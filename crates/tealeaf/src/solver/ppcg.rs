@@ -12,12 +12,16 @@ use tea_core::halo::FieldId;
 use crate::cheby::{ChebyCoeffs, ChebyShift};
 use crate::eigen::eigenvalue_estimate;
 use crate::kernels::{traced_halo, NormField, TeaLeafPort};
-use crate::resilience::PhaseGuard;
+use crate::resilience::{PhaseGuard, PhaseStart};
 use crate::solver::cg::{self, CgHistory};
 use crate::solver::SolveOutcome;
 
-/// Run the PPCG solver.
-pub fn solve(port: &mut dyn TeaLeafPort, config: &TeaConfig) -> SolveOutcome {
+/// Run the PPCG solver, or from `resume` — a cut inside the presteps — on.
+pub fn solve(
+    port: &mut dyn TeaLeafPort,
+    config: &TeaConfig,
+    resume: Option<PhaseStart>,
+) -> SolveOutcome {
     let mut history = CgHistory::default();
     let mut guard = PhaseGuard::new(config);
     let presteps = config.tl_ch_cg_presteps.min(config.tl_max_iters);
@@ -28,6 +32,7 @@ pub fn solve(port: &mut dyn TeaLeafPort, config: &TeaConfig) -> SolveOutcome {
         presteps,
         &mut history,
         &mut guard,
+        resume,
     );
     if pre_outcome.converged || !guard.events.is_empty() {
         return annotate(pre_outcome, guard);
@@ -42,6 +47,7 @@ pub fn solve(port: &mut dyn TeaLeafPort, config: &TeaConfig) -> SolveOutcome {
             config.tl_max_iters.saturating_sub(presteps),
             &mut history,
             &mut guard,
+            None,
         );
         return annotate(
             SolveOutcome {
@@ -68,7 +74,7 @@ pub fn solve(port: &mut dyn TeaLeafPort, config: &TeaConfig) -> SolveOutcome {
         traced_halo(port, &[FieldId::P], 1);
         let pw = port.cg_calc_w();
         let alpha = rro / pw;
-        let _ = port.cg_calc_ur(alpha, false);
+        port.cg_update_ur(alpha, false);
         // Inner polynomial smoothing: sd = r/θ, then inner_steps sweeps of
         // w = A·sd; r -= w; u += sd; sd = αₖ·sd + βₖ·r.
         port.ppcg_init_sd(shift.theta);

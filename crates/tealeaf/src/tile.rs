@@ -40,6 +40,8 @@ use tea_core::halo::update_halo;
 use tea_core::mesh::Mesh2d;
 use tea_core::state::generate_chunk;
 
+use crate::ports::common::PortFields;
+
 /// Base tag of the reduction carry pipeline (flows west→east only).
 pub const TAG_CARRY: Tag = 15;
 
@@ -107,21 +109,12 @@ impl TileGeom {
 }
 
 /// One rank's tile of the global problem: geometry plus every solver
-/// field, halo cells included.
+/// field, halo cells included, in the serial port's field storage
+/// (`f.mesh` is `geom.mesh`).
 #[derive(Clone)]
 pub struct Tile {
     pub geom: TileGeom,
-    pub density: Vec<f64>,
-    pub energy: Vec<f64>,
-    pub u: Vec<f64>,
-    pub u0: Vec<f64>,
-    pub p: Vec<f64>,
-    pub r: Vec<f64>,
-    pub w: Vec<f64>,
-    pub z: Vec<f64>,
-    pub sd: Vec<f64>,
-    pub kx: Vec<f64>,
-    pub ky: Vec<f64>,
+    pub f: PortFields,
 }
 
 impl Tile {
@@ -130,21 +123,8 @@ impl Tile {
         let mut density = Field2d::zeros(&geom.mesh);
         let mut energy = Field2d::zeros(&geom.mesh);
         generate_chunk(&geom.mesh, &config.states, &mut density, &mut energy);
-        let len = geom.mesh.len();
-        Tile {
-            geom,
-            density: density.into_vec(),
-            energy: energy.into_vec(),
-            u: vec![0.0; len],
-            u0: vec![0.0; len],
-            p: vec![0.0; len],
-            r: vec![0.0; len],
-            w: vec![0.0; len],
-            z: vec![0.0; len],
-            sd: vec![0.0; len],
-            kx: vec![0.0; len],
-            ky: vec![0.0; len],
-        }
+        let f = PortFields::from_state(&geom.mesh, density, energy);
+        Tile { geom, f }
     }
 }
 
@@ -219,81 +199,59 @@ pub fn span_cells(mesh: &Mesh2d, span: Span) -> u64 {
 // halo exchange
 // ---------------------------------------------------------------------------
 
-/// Pack the depth-`depth` strip adjacent to the `dir` edge/corner of the
-/// tile, ordered inward from the edge. Edge payloads span the full
-/// padded extent along the edge; corner payloads are `depth × depth`
-/// interior blocks.
-fn gather(mesh: &Mesh2d, field: &[f64], dir: Dir, depth: usize) -> Vec<f64> {
-    let w = mesh.width();
-    let h = mesh.height();
+/// Flat indices of the depth-`depth` strip on the `dir` side of the
+/// tile, in payload order. A sent strip (`ghost = false`) holds owned
+/// cells ordered inward from the edge; a received one (`ghost = true`)
+/// the ghost cells beyond it, ordered outward. Edge strips span the full
+/// padded extent along the edge; corner strips are `depth × depth`
+/// blocks.
+fn strip(mesh: &Mesh2d, dir: Dir, depth: usize, ghost: bool) -> Vec<usize> {
+    let (w, h) = (mesh.width(), mesh.height());
     let (i0, i1, j1) = (mesh.i0(), mesh.i1(), mesh.j1());
-    let row = |j: usize| j * w..(j + 1) * w;
-    match dir {
-        Dir::N | Dir::S => {
-            let mut p = Vec::with_capacity(depth * w);
-            for k in 0..depth {
-                let j = if dir == Dir::N { j1 - 1 - k } else { i0 + k };
-                p.extend_from_slice(&field[row(j)]);
+    // Line `k` from the edge on the high or low side of the span `lo..hi`.
+    let line = |k: usize, high: bool, lo: usize, hi: usize| match (ghost, high) {
+        (false, true) => hi - 1 - k,
+        (false, false) => lo + k,
+        (true, true) => hi + k,
+        (true, false) => lo - 1 - k,
+    };
+    let (dx, dy) = dir.offset();
+    let mut cells = Vec::with_capacity(depth * w.max(h));
+    for k in 0..depth {
+        match (dx, dy) {
+            (0, _) => {
+                let j = line(k, dy > 0, i0, j1);
+                cells.extend(j * w..(j + 1) * w);
             }
-            p
-        }
-        Dir::E | Dir::W => {
-            let mut p = Vec::with_capacity(depth * h);
-            for k in 0..depth {
-                let i = if dir == Dir::E { i1 - 1 - k } else { i0 + k };
-                for j in 0..h {
-                    p.push(field[j * w + i]);
-                }
+            (_, 0) => {
+                let i = line(k, dx > 0, i0, i1);
+                cells.extend((0..h).map(|j| j * w + i));
             }
-            p
-        }
-        _ => {
-            let (dx, dy) = dir.offset();
-            let mut p = Vec::with_capacity(depth * depth);
-            for kj in 0..depth {
-                let j = if dy > 0 { j1 - 1 - kj } else { i0 + kj };
-                for ki in 0..depth {
-                    let i = if dx > 0 { i1 - 1 - ki } else { i0 + ki };
-                    p.push(field[j * w + i]);
-                }
+            _ => {
+                let j = line(k, dy > 0, i0, j1);
+                cells.extend((0..depth).map(|ki| j * w + line(ki, dx > 0, i0, i1)));
             }
-            p
         }
     }
+    cells
+}
+
+/// Pack the strip a neighbour on the `dir` side needs.
+fn gather(mesh: &Mesh2d, field: &[f64], dir: Dir, depth: usize) -> Vec<f64> {
+    strip(mesh, dir, depth, false)
+        .into_iter()
+        .map(|k| field[k])
+        .collect()
 }
 
 /// Unpack a neighbour's payload into this tile's ghost cells on the
 /// `dir` side (`dir` = where the neighbour sits; `data` = the
 /// neighbour's [`gather`] towards us).
 fn scatter(mesh: &Mesh2d, field: &mut [f64], dir: Dir, depth: usize, data: &[f64]) {
-    let w = mesh.width();
-    let h = mesh.height();
-    let (i0, i1, j1) = (mesh.i0(), mesh.i1(), mesh.j1());
-    match dir {
-        Dir::N | Dir::S => {
-            for k in 0..depth {
-                let j = if dir == Dir::N { j1 + k } else { i0 - 1 - k };
-                field[j * w..(j + 1) * w].clone_from_slice(&data[k * w..(k + 1) * w]);
-            }
-        }
-        Dir::E | Dir::W => {
-            for k in 0..depth {
-                let i = if dir == Dir::E { i1 + k } else { i0 - 1 - k };
-                for j in 0..h {
-                    field[j * w + i] = data[k * h + j];
-                }
-            }
-        }
-        _ => {
-            let (dx, dy) = dir.offset();
-            for kj in 0..depth {
-                let j = if dy > 0 { j1 + kj } else { i0 - 1 - kj };
-                for ki in 0..depth {
-                    let i = if dx > 0 { i1 + ki } else { i0 - 1 - ki };
-                    field[j * w + i] = data[kj * depth + ki];
-                }
-            }
-        }
+    let cells = strip(mesh, dir, depth, true);
+    assert_eq!(cells.len(), data.len(), "halo payload size");
+    for (k, &value) in cells.into_iter().zip(data) {
+        field[k] = value;
     }
 }
 
@@ -348,52 +306,53 @@ pub fn complete_halo(
     received
 }
 
-/// A blocking exchange: post, then immediately complete.
-pub fn exchange_halo(
-    rank: &Rank,
-    geom: &TileGeom,
-    field: &mut [f64],
-    base: Tag,
-    depth: usize,
-    reflect: bool,
-    metrics: &mut ExchangeMetrics,
-) -> u64 {
-    post_halo(rank, geom, field, base, depth, reflect, metrics);
-    complete_halo(rank, geom, field, base, depth)
-}
-
 // ---------------------------------------------------------------------------
 // exactly-ordered reductions
 // ---------------------------------------------------------------------------
+
+/// The carry pipeline behind [`ordered_reduce`], for `K`-component
+/// contributions: continue the running row sums received from the west
+/// over this tile's cells, then forward them east. Only an east-most
+/// tile holds complete row partials; it gets them back, flattened.
+fn carry_rows<const K: usize>(
+    rank: &Rank,
+    geom: &TileGeom,
+    contribution: impl Fn(usize) -> [f64; K],
+) -> Option<Vec<f64>> {
+    let m = &geom.mesh;
+    let (i0, i1, w, j1) = (m.i0(), m.i1(), m.width(), m.j1());
+    let mut carries = match geom.neighbor(Dir::W) {
+        Some(west) => rank.recv(west, dir_tag(TAG_CARRY, Dir::E)),
+        None => vec![0.0; (j1 - i0) * K],
+    };
+    debug_assert_eq!(carries.len(), (j1 - i0) * K);
+    for (slot, j) in carries.chunks_exact_mut(K).zip(i0..j1) {
+        let mut acc: [f64; K] = slot.try_into().expect("K-wide slot");
+        for i in i0..i1 {
+            let c = contribution(j * w + i);
+            for q in 0..K {
+                acc[q] += c[q];
+            }
+        }
+        slot.copy_from_slice(&acc);
+    }
+    match geom.neighbor(Dir::E) {
+        Some(east) => {
+            rank.send(east, dir_tag(TAG_CARRY, Dir::E), carries);
+            None
+        }
+        None => Some(carries),
+    }
+}
 
 /// Exactly-ordered global reduction of a per-cell contribution: the
 /// carry-pipelined row fold described in the module docs. Bit-equal to
 /// the serial row-ordered reduction for any tile grid.
 pub fn ordered_reduce(rank: &Rank, geom: &TileGeom, contribution: impl Fn(usize) -> f64) -> f64 {
-    let m = &geom.mesh;
-    let (i0, i1, w, j1) = (m.i0(), m.i1(), m.width(), m.j1());
-    let rows = j1 - i0;
-    let mut carries = match geom.neighbor(Dir::W) {
-        Some(west) => rank.recv(west, dir_tag(TAG_CARRY, Dir::E)),
-        None => vec![0.0; rows],
-    };
-    debug_assert_eq!(carries.len(), rows);
-    for (slot, j) in (i0..j1).enumerate() {
-        let mut acc = carries[slot];
-        for i in i0..i1 {
-            acc += contribution(j * w + i);
-        }
-        carries[slot] = acc;
-    }
-    match geom.neighbor(Dir::E) {
-        Some(east) => {
-            rank.send(east, dir_tag(TAG_CARRY, Dir::E), carries);
-            // Non-last-column ranks hold incomplete row folds; they
-            // contribute nothing to the global fold.
-            rank.allreduce_ordered(&[])
-        }
-        None => rank.allreduce_ordered(&carries),
-    }
+    // Non-last-column ranks hold incomplete row folds; they contribute
+    // nothing to the global fold.
+    let rows = carry_rows(rank, geom, |k| [contribution(k)]);
+    rank.allreduce_ordered(rows.as_deref().unwrap_or(&[]))
 }
 
 /// Four-component analogue of [`ordered_reduce`] (the field summary).
@@ -402,42 +361,12 @@ pub fn ordered_reduce4(
     geom: &TileGeom,
     contribution: impl Fn(usize) -> [f64; 4],
 ) -> [f64; 4] {
-    let m = &geom.mesh;
-    let (i0, i1, w, j1) = (m.i0(), m.i1(), m.width(), m.j1());
-    let rows = j1 - i0;
-    let mut carries = match geom.neighbor(Dir::W) {
-        Some(west) => rank.recv(west, dir_tag(TAG_CARRY, Dir::E)),
-        None => vec![0.0; rows * 4],
-    };
-    debug_assert_eq!(carries.len(), rows * 4);
-    for (slot, j) in (i0..j1).enumerate() {
-        let mut acc = [
-            carries[slot * 4],
-            carries[slot * 4 + 1],
-            carries[slot * 4 + 2],
-            carries[slot * 4 + 3],
-        ];
-        for i in i0..i1 {
-            let c = contribution(j * w + i);
-            for q in 0..4 {
-                acc[q] += c[q];
-            }
-        }
-        carries[slot * 4..slot * 4 + 4].clone_from_slice(&acc);
-    }
-    match geom.neighbor(Dir::E) {
-        Some(east) => {
-            rank.send(east, dir_tag(TAG_CARRY, Dir::E), carries);
-            rank.allreduce_ordered_components::<4>(&[])
-        }
-        None => {
-            let parts: Vec<[f64; 4]> = carries
-                .chunks_exact(4)
-                .map(|c| [c[0], c[1], c[2], c[3]])
-                .collect();
-            rank.allreduce_ordered_components(&parts)
-        }
-    }
+    let rows = carry_rows(rank, geom, contribution).unwrap_or_default();
+    let parts: Vec<[f64; 4]> = rows
+        .chunks_exact(4)
+        .map(|c| [c[0], c[1], c[2], c[3]])
+        .collect();
+    rank.allreduce_ordered_components(&parts)
 }
 
 // ---------------------------------------------------------------------------

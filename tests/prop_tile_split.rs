@@ -65,8 +65,8 @@ const KERNELS: [&str; 8] = [
 ];
 
 /// Run one kernel over `spans` (in order) on `exec`, mutating `m` in
-/// place. Mirrors how `distributed::Worker` drives a pass: collect the
-/// span's flat indices row-major, then dispatch them as one parallel
+/// place, span by span as `ports::tile::TilePort` splits a pass: collect
+/// the span's flat indices row-major, then dispatch them as one parallel
 /// region per span.
 fn run_kernel(
     kernel: &str,
