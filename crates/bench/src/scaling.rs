@@ -22,7 +22,7 @@
 
 use tea_core::config::{SolverKind, TeaConfig};
 use tea_core::tablefmt::Table;
-use tealeaf::distributed::run_distributed_solver_instrumented;
+use tealeaf::distributed::{run_distributed, DistributedSpec};
 use tealeaf::tile::OverlapStats;
 
 /// The four distributed solvers, in registry order.
@@ -136,14 +136,15 @@ fn run_point(
     grid: (usize, usize),
 ) -> ScalingPoint {
     let cfg = scale.config(solver, edge);
-    let (report, stats, _metrics) = run_distributed_solver_instrumented(grid.0, grid.1, &cfg, true);
+    let run = run_distributed(&cfg, &DistributedSpec::new(grid.0, grid.1))
+        .expect("a fault-free run cannot abort");
     ScalingPoint {
         solver,
         mesh_edge: edge,
         grid,
-        iterations: report.total_iterations,
-        converged: report.converged,
-        stats,
+        iterations: run.report.total_iterations,
+        converged: run.report.converged,
+        stats: run.overlap,
     }
 }
 

@@ -47,9 +47,7 @@ use tea_core::config::SolverKind;
 use tea_core::tablefmt::{fmt_secs, Table};
 use tea_telemetry::export::{energy_to_chrome_events, energy_to_jsonl, to_chrome, to_jsonl};
 use tea_telemetry::{json, Record};
-use tealeaf::distributed::{
-    run_distributed_solver_resilient_traced, run_distributed_solver_traced,
-};
+use tealeaf::distributed::{run_distributed, DistributedRun, DistributedSpec};
 use tealeaf::driver::TEA_DEFAULT_SEED;
 use tealeaf::{run_simulation_traced, ModelId, RunReport, TelemetrySink};
 
@@ -434,7 +432,13 @@ fn overlap_table(
     for s in solvers {
         let mut cfg = deck_config(deck, text);
         cfg.solver = s;
-        let (report, stats, _metrics, records) = run_distributed_solver_traced(gx, gy, &cfg);
+        let (sink, collector) = TelemetrySink::collecting();
+        let spec = DistributedSpec {
+            sink,
+            ..DistributedSpec::new(gx, gy)
+        };
+        let run = run_distributed(&cfg, &spec).expect("a fault-free run cannot abort");
+        let (report, stats, records) = (run.report, run.overlap, collector.records());
         // rank 0's phase spans, tallied by category off the logical clock
         let (mut ne, mut ni, mut nb) = (0u64, 0u64, 0u64);
         for r in &records {
@@ -501,8 +505,18 @@ fn recovery_report(
     if ranks > 1 {
         spec.kill_rank = Some(KillSpec::transient(ranks - 1, 20 + cfg.tl_chaos_seed % 13));
     }
-    let (report, log, records) = run_distributed_solver_resilient_traced(gx, gy, &cfg, spec)
-        .map_err(|d| format!("unrecovered chaos run: {d}"))?;
+    let (sink, collector) = TelemetrySink::collecting();
+    let chaos = DistributedSpec {
+        faults: Some(spec),
+        sink,
+        ..DistributedSpec::new(gx, gy)
+    };
+    let DistributedRun {
+        report,
+        recovery: log,
+        ..
+    } = run_distributed(&cfg, &chaos).map_err(|d| format!("unrecovered chaos run: {d}"))?;
+    let records = collector.records();
     if log.checkpoints_taken == 0 {
         return Err(format!(
             "{gx}x{gy} run took no checkpoints — the rings never filled \

@@ -1,297 +1,34 @@
-//! The mpisim fault matrix: distributed CG over hostile networks.
+//! The mpisim fault matrix: distributed solves over hostile networks.
 //!
-//! For each rank count the clean distributed run is the baseline; each
-//! seeded [`FaultSpec`] then injects drops, duplicates, reorders and
-//! delays into the halo and reduction traffic. The acceptance property
-//! is binary: the reliable transport either recovers and the run is
-//! **bit-identical** to the baseline, or the run aborts loudly with a
-//! [`FaultDiagnostic`] — a silently different answer is the one outcome
-//! that must never happen, and [`run_fault_matrix`] returns `Err` the
-//! moment it sees one.
+//! For every solver × tile grid the clean distributed run is the
+//! baseline; each row then runs the same deck over a seeded
+//! [`FaultSpec`] — drops, duplicates, reorders and delays, corrupted
+//! payloads, a transient partition or a killed rank — through the
+//! self-healing driver. The deck decides how hard the driver fights:
+//! `tl_max_recoveries = 0` with `tl_elastic_regrid = false` is one
+//! attempt per row, anything more restarts (and maybe re-tiles) the
+//! world. The acceptance property is binary: a row either finishes
+//! **bit-identical** to the baseline with every restart and regrid on
+//! its recovery timeline, or aborts loudly with a
+//! [`mpisim::FaultDiagnostic`]. A silently different answer or a
+//! recovery off the timeline is the one outcome that must never happen,
+//! and [`run_fault_matrix`] returns `Err` the moment it sees one.
+//! Matrices that must always recover assert `aborted == 0` on the tally.
 
 use std::time::Duration;
 
 use mpisim::{FaultSpec, KillSpec, PartitionSpec};
 use tea_core::config::{SolverKind, TeaConfig};
-use tealeaf::distributed::{
-    run_distributed_cg, run_distributed_cg_faulty, run_distributed_cg_resilient,
-    run_distributed_solver, run_distributed_solver_faulty, run_distributed_solver_resilient,
-    DistributedReport, RecoveryLog,
-};
+use tealeaf::distributed::{run_distributed, DistributedReport, DistributedRun, DistributedSpec};
 
-/// Outcome tally of one fault matrix sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultMatrixReport {
-    /// Fault-injected runs executed.
-    pub runs: usize,
-    /// Runs the transport recovered, bit-identical to the baseline.
-    pub recovered: usize,
-    /// Runs that aborted loudly with a diagnostic (acceptable: the
-    /// network exceeded the recovery deadline).
-    pub aborted: usize,
-}
+/// One matrix row: the fault family's name and the transport it runs
+/// over.
+pub type FaultRow = (&'static str, FaultSpec);
 
-/// The lossy spec the matrix uses for `seed`, with the quiet period
-/// shortened so NACK-driven recovery fits in test budgets.
-pub fn matrix_spec(seed: u64) -> FaultSpec {
-    FaultSpec {
-        quiet: Duration::from_millis(2),
-        ..FaultSpec::lossy(seed)
-    }
-}
-
-/// Sweep distributed CG over every `rank_count` × `seed`, checking the
-/// never-silently-wrong property against the clean baseline.
-pub fn run_fault_matrix(
-    config: &TeaConfig,
-    rank_counts: &[usize],
-    seeds: &[u64],
-) -> Result<FaultMatrixReport, String> {
-    let mut report = FaultMatrixReport {
-        runs: 0,
-        recovered: 0,
-        aborted: 0,
-    };
-    for &ranks in rank_counts {
-        let baseline = run_distributed_cg(ranks, config);
-        for &seed in seeds {
-            report.runs += 1;
-            match run_distributed_cg_faulty(ranks, config, matrix_spec(seed)) {
-                Ok(faulty) => {
-                    if faulty != baseline {
-                        return Err(format!(
-                            "SILENTLY WRONG: ranks={ranks} seed={seed:#x}: \
-                             recovered run differs from clean baseline \
-                             ({faulty:?} vs {baseline:?})"
-                        ));
-                    }
-                    report.recovered += 1;
-                }
-                Err(diagnostic) => {
-                    // A loud abort is an acceptable outcome; record it so
-                    // callers can flag matrices that never recover.
-                    let _ = diagnostic;
-                    report.aborted += 1;
-                }
-            }
-        }
-    }
-    Ok(report)
-}
-
-/// The 2-D fault matrix: every solver × every tile grid × every seed,
-/// over the same lossy transport as [`run_fault_matrix`].
-///
-/// Grids with both dimensions above one put the depth×depth *corner*
-/// messages on the faulty channels alongside the edge strips, and every
-/// solver exercises its own exchange pattern (CG's p-window, Chebyshev's
-/// u-window, PPCG's sd-window, Jacobi's raw-scratch double window) plus
-/// the west→east reduction-carry pipeline. The acceptance property is
-/// the same binary one: recover bit-identical to the clean baseline, or
-/// abort loudly — `Err` on the first silently-different answer.
-pub fn run_fault_matrix_2d(
-    config: &TeaConfig,
-    grids: &[(usize, usize)],
-    solvers: &[SolverKind],
-    seeds: &[u64],
-) -> Result<FaultMatrixReport, String> {
-    let mut report = FaultMatrixReport {
-        runs: 0,
-        recovered: 0,
-        aborted: 0,
-    };
-    for &solver in solvers {
-        let mut cfg = config.clone();
-        cfg.solver = solver;
-        for &(gx, gy) in grids {
-            let baseline = run_distributed_solver(gx, gy, &cfg);
-            for &seed in seeds {
-                report.runs += 1;
-                match run_distributed_solver_faulty(gx, gy, &cfg, matrix_spec(seed)) {
-                    Ok(faulty) => {
-                        if faulty != baseline {
-                            return Err(format!(
-                                "SILENTLY WRONG: solver={solver:?} grid={gx}x{gy} \
-                                 seed={seed:#x}: recovered run differs from clean \
-                                 baseline ({faulty:?} vs {baseline:?})"
-                            ));
-                        }
-                        report.recovered += 1;
-                    }
-                    Err(diagnostic) => {
-                        let _ = diagnostic;
-                        report.aborted += 1;
-                    }
-                }
-            }
-        }
-    }
-    Ok(report)
-}
-
-/// Outcome tally of one *recovering* fault matrix sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryMatrixReport {
-    /// Fault-injected runs executed (lossy-network rows + kill rows).
-    pub runs: usize,
-    /// Checkpoint restarts the kill rows consumed in total.
-    pub restarts: usize,
-}
-
-/// The fault matrix with checkpoint-restart recovery enabled: the bar is
-/// *stricter* than [`run_fault_matrix`]. With recovery on, a loud abort
-/// is no longer acceptable — every row (lossy networks per `seed`, plus
-/// an injected rank loss per [`KillSpec`]) must finish, and must finish
-/// **bit-identical** to the clean baseline. Any abort or any bitwise
-/// divergence returns `Err`.
-pub fn run_fault_matrix_recovering(
-    config: &TeaConfig,
-    rank_counts: &[usize],
-    seeds: &[u64],
-    kills: &[KillSpec],
-) -> Result<RecoveryMatrixReport, String> {
-    const MAX_RESTARTS: usize = 4;
-    let mut report = RecoveryMatrixReport {
-        runs: 0,
-        restarts: 0,
-    };
-    for &ranks in rank_counts {
-        let baseline = run_distributed_cg(ranks, config);
-        let mut rows: Vec<FaultSpec> = seeds.iter().map(|&seed| matrix_spec(seed)).collect();
-        rows.extend(kills.iter().filter(|k| k.rank < ranks).map(|&kill| {
-            // A lost rank is detected by its peers' recovery deadlines;
-            // keep them short so the restart happens inside test budgets.
-            FaultSpec {
-                quiet: Duration::from_millis(2),
-                deadline: Duration::from_millis(250),
-                kill_rank: Some(kill),
-                ..FaultSpec::clean(kill.rank as u64 ^ kill.after_sends)
-            }
-        }));
-        for spec in rows {
-            report.runs += 1;
-            match run_distributed_cg_resilient(ranks, config, spec, MAX_RESTARTS) {
-                Ok((recovered, restarts)) => {
-                    if recovered != baseline {
-                        return Err(format!(
-                            "BITWISE DIVERGENCE: ranks={ranks} spec={spec:?}: \
-                             recovered run differs from clean baseline \
-                             ({recovered:?} vs {baseline:?})"
-                        ));
-                    }
-                    report.restarts += restarts;
-                }
-                Err(diagnostic) => {
-                    return Err(format!(
-                        "UNRECOVERED: ranks={ranks} spec={spec:?} still aborted \
-                         after {MAX_RESTARTS} restarts: {diagnostic}"
-                    ));
-                }
-            }
-        }
-    }
-    Ok(report)
-}
-
-/// The chaos-harness [`FaultSpec`] for `config` and matrix `seed`: the
-/// lossy profile with the deck's deadline budget (`tl_exchange_deadline`)
-/// and its chaos seed (`tl_chaos_seed`) mixed into the fault stream, so
-/// one deck key re-rolls every fault schedule reproducibly.
-pub fn fault_spec_for(config: &TeaConfig, seed: u64) -> FaultSpec {
-    FaultSpec {
-        quiet: Duration::from_millis(2),
-        deadline: Duration::from_secs_f64(config.tl_exchange_deadline),
-        ..FaultSpec::lossy(config.tl_chaos_seed ^ seed)
-    }
-}
-
-/// Compare a resilient run against the clean baseline. Without a regrid
-/// the whole report must be bit-identical; after an elastic regrid the
-/// rank count legitimately shrinks with the world, and every numeric
-/// field must still match bit-for-bit.
-fn check_bit_identical(
-    baseline: &DistributedReport,
-    recovered: &DistributedReport,
-    log: &RecoveryLog,
-) -> bool {
-    if log.regrids == 0 {
-        recovered == baseline
-    } else {
-        recovered.ranks == log.final_grid.0 * log.final_grid.1
-            && recovered.total_iterations == baseline.total_iterations
-            && recovered.converged == baseline.converged
-            && recovered.summary == baseline.summary
-    }
-}
-
-/// The 2-D fault matrix with checkpoint-restart recovery enabled: the
-/// 2-D analogue of [`run_fault_matrix_recovering`], closing the gap that
-/// [`run_fault_matrix_2d`] never exercised an actual recovery. Every row
-/// — lossy networks per `seed` plus an injected rank loss per
-/// [`KillSpec`] — runs every solver on every tile grid through the
-/// self-healing driver and must finish **bit-identical** to the clean
-/// baseline. Any abort or any bitwise divergence returns `Err`.
-pub fn run_fault_matrix_2d_recovering(
-    config: &TeaConfig,
-    grids: &[(usize, usize)],
-    solvers: &[SolverKind],
-    seeds: &[u64],
-    kills: &[KillSpec],
-) -> Result<RecoveryMatrixReport, String> {
-    let mut report = RecoveryMatrixReport {
-        runs: 0,
-        restarts: 0,
-    };
-    for &solver in solvers {
-        let mut cfg = config.clone();
-        cfg.solver = solver;
-        for &(gx, gy) in grids {
-            let baseline = run_distributed_solver(gx, gy, &cfg);
-            let mut rows: Vec<FaultSpec> = seeds
-                .iter()
-                .map(|&seed| fault_spec_for(&cfg, seed))
-                .collect();
-            rows.extend(
-                kills
-                    .iter()
-                    .filter(|k| k.rank < gx * gy)
-                    .map(|&kill| FaultSpec {
-                        quiet: Duration::from_millis(2),
-                        deadline: Duration::from_secs_f64(cfg.tl_exchange_deadline),
-                        kill_rank: Some(kill),
-                        ..FaultSpec::clean(kill.rank as u64 ^ kill.after_sends)
-                    }),
-            );
-            for spec in rows {
-                report.runs += 1;
-                match run_distributed_solver_resilient(gx, gy, &cfg, spec) {
-                    Ok((recovered, log)) => {
-                        if !check_bit_identical(&baseline, &recovered, &log) {
-                            return Err(format!(
-                                "BITWISE DIVERGENCE: solver={solver:?} grid={gx}x{gy} \
-                                 spec={spec:?}: recovered run differs from clean \
-                                 baseline ({recovered:?} vs {baseline:?}, log {log:?})"
-                            ));
-                        }
-                        report.restarts += log.restarts;
-                    }
-                    Err(diagnostic) => {
-                        return Err(format!(
-                            "UNRECOVERED: solver={solver:?} grid={gx}x{gy} spec={spec:?} \
-                             aborted: {diagnostic}"
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    Ok(report)
-}
-
-/// Outcome tally of one chaos matrix sweep, by recovery depth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ChaosMatrixReport {
-    /// Chaos rows executed.
+/// Outcome tally of one fault matrix sweep, by recovery depth.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct FaultTally {
+    /// Fault-injected rows executed.
     pub runs: usize,
     /// Rows the transport absorbed without a world restart.
     pub recovered: usize,
@@ -301,130 +38,202 @@ pub struct ChaosMatrixReport {
     pub regridded: usize,
     /// Rows that aborted loudly with a diagnostic.
     pub aborted: usize,
+    /// Checkpoint restarts consumed across all rows.
+    pub restarts: usize,
+    /// The first abort's row and diagnostic.
+    pub first_abort: Option<String>,
 }
 
-/// The seeded chaos matrix: for every solver × tile grid × seed, run the
-/// self-healing distributed driver under each chaos family — rank kill,
-/// payload corruption, reorder/delay storms, and a transient network
-/// partition. The invariant is the tentpole's: every row either recovers
-/// **bit-identical** to the clean baseline, degrades with explicit
-/// [`tealeaf::resilience::RecoveryEvent`]s on its log, or aborts loudly —
-/// `Err` the moment any row is silently wrong or silently degraded.
-pub fn run_chaos_matrix_2d(
+/// The matrix [`FaultSpec`] for `config` and `seed`: the lossy profile
+/// with the deck's deadline budget (`tl_exchange_deadline`) and its
+/// chaos seed (`tl_chaos_seed`) mixed into the fault stream, so one deck
+/// key re-rolls every fault schedule reproducibly.
+pub fn fault_spec_for(config: &TeaConfig, seed: u64) -> FaultSpec {
+    FaultSpec {
+        quiet: Duration::from_millis(2),
+        deadline: Duration::from_secs_f64(config.tl_exchange_deadline),
+        ..FaultSpec::lossy(config.tl_chaos_seed ^ seed)
+    }
+}
+
+/// One lossy-network row per seed.
+pub fn lossy_rows(config: &TeaConfig, seeds: &[u64]) -> Vec<FaultRow> {
+    seeds
+        .iter()
+        .map(|&seed| ("lossy", fault_spec_for(config, seed)))
+        .collect()
+}
+
+/// One rank-loss row per kill that names a rank of a `ranks`-rank
+/// world, over an otherwise clean transport. A lost rank is detected by
+/// its peers' deadlines (`tl_exchange_deadline`).
+pub fn kill_rows(config: &TeaConfig, ranks: usize, kills: &[KillSpec]) -> Vec<FaultRow> {
+    kills
+        .iter()
+        .filter(|k| k.rank < ranks)
+        .map(|&kill| {
+            let spec = FaultSpec {
+                quiet: Duration::from_millis(2),
+                deadline: Duration::from_secs_f64(config.tl_exchange_deadline),
+                kill_rank: Some(kill),
+                ..FaultSpec::clean(kill.rank as u64 ^ kill.after_sends)
+            };
+            ("kill", spec)
+        })
+        .collect()
+}
+
+/// The chaos families per seed: payload corruption and a reorder/delay
+/// storm; on multi-rank worlds also a transient kill of the highest rank
+/// and a transient partition isolating it.
+pub fn chaos_rows(config: &TeaConfig, ranks: usize, seeds: &[u64]) -> Vec<FaultRow> {
+    let mut rows = Vec::new();
+    for &seed in seeds {
+        let base = fault_spec_for(config, seed);
+        let quiet_net = FaultSpec {
+            drop: 0.0,
+            duplicate: 0.0,
+            reorder: 0.0,
+            delay: 0.0,
+            ..base
+        };
+        rows.push((
+            "corrupt",
+            FaultSpec {
+                quiet: base.quiet,
+                deadline: base.deadline,
+                ..FaultSpec::corrupting(config.tl_chaos_seed ^ seed)
+            },
+        ));
+        rows.push((
+            "delay",
+            FaultSpec {
+                reorder: 0.15,
+                delay: 0.15,
+                drop: 0.0,
+                duplicate: 0.0,
+                ..base
+            },
+        ));
+        if ranks > 1 {
+            // Kill the highest rank a deterministic distance into its
+            // send schedule; the partition isolates it for a window of
+            // everyone's schedule instead.
+            rows.push((
+                "kill",
+                FaultSpec {
+                    kill_rank: Some(KillSpec::transient(ranks - 1, 20 + seed % 13)),
+                    ..quiet_net
+                },
+            ));
+            rows.push((
+                "partition",
+                FaultSpec {
+                    partition: Some(PartitionSpec {
+                        rank: ranks - 1,
+                        from_send: 5 + seed % 7,
+                        until_send: 20 + seed % 7,
+                    }),
+                    ..quiet_net
+                },
+            ));
+        }
+    }
+    rows
+}
+
+/// What is wrong with a finished row, if anything. Without a regrid the
+/// whole report must be bit-identical to the clean baseline; after an
+/// elastic regrid the rank count legitimately shrinks with the world and
+/// every numeric field must still match bit-for-bit. The self-healing
+/// driver logs exactly one event per restart and one per regrid, so any
+/// other event count is recovery off the timeline.
+fn row_violation(baseline: &DistributedReport, run: &DistributedRun) -> Option<&'static str> {
+    let (report, log) = (&run.report, &run.recovery);
+    let identical = if log.regrids == 0 {
+        report == baseline
+    } else {
+        report.ranks == log.final_grid.0 * log.final_grid.1
+            && report.total_iterations == baseline.total_iterations
+            && report.converged == baseline.converged
+            && report.summary == baseline.summary
+    };
+    if !identical {
+        Some("SILENTLY WRONG")
+    } else if log.restarts + log.regrids != log.events.len() {
+        Some("SILENT DEGRADE")
+    } else {
+        None
+    }
+}
+
+/// Sweep every solver × tile grid × row, where `rows(cfg, ranks)` builds
+/// the rows for one solver's deck on a `ranks`-rank grid. Returns the
+/// tally, or `Err` on the first row that is silently wrong or silently
+/// degraded.
+pub fn run_fault_matrix(
     config: &TeaConfig,
     grids: &[(usize, usize)],
     solvers: &[SolverKind],
-    seeds: &[u64],
-) -> Result<ChaosMatrixReport, String> {
-    let mut report = ChaosMatrixReport::default();
+    rows: impl Fn(&TeaConfig, usize) -> Vec<FaultRow>,
+) -> Result<FaultTally, String> {
+    let mut tally = FaultTally::default();
     for &solver in solvers {
-        let mut cfg = config.clone();
-        cfg.solver = solver;
+        let cfg = TeaConfig {
+            solver,
+            ..config.clone()
+        };
         for &(gx, gy) in grids {
-            let ranks = gx * gy;
-            let baseline = run_distributed_solver(gx, gy, &cfg);
-            for &seed in seeds {
-                let base = fault_spec_for(&cfg, seed);
-                let mut rows: Vec<(&str, FaultSpec)> = vec![
-                    (
-                        "corrupt",
-                        FaultSpec {
-                            quiet: base.quiet,
-                            deadline: base.deadline,
-                            ..FaultSpec::corrupting(cfg.tl_chaos_seed ^ seed)
-                        },
-                    ),
-                    (
-                        "delay",
-                        FaultSpec {
-                            reorder: 0.15,
-                            delay: 0.15,
-                            drop: 0.0,
-                            duplicate: 0.0,
-                            ..base
-                        },
-                    ),
-                ];
-                if ranks > 1 {
-                    // Kill the highest rank a deterministic distance into
-                    // its send schedule; the partition isolates it for a
-                    // window of everyone's schedule instead.
-                    rows.push((
-                        "kill",
-                        FaultSpec {
-                            kill_rank: Some(KillSpec::transient(ranks - 1, 20 + seed % 13)),
-                            ..FaultSpec {
-                                drop: 0.0,
-                                duplicate: 0.0,
-                                reorder: 0.0,
-                                delay: 0.0,
-                                ..base
-                            }
-                        },
-                    ));
-                    rows.push((
-                        "partition",
-                        FaultSpec {
-                            partition: Some(PartitionSpec {
-                                rank: ranks - 1,
-                                from_send: 5 + seed % 7,
-                                until_send: 20 + seed % 7,
-                            }),
-                            ..FaultSpec {
-                                drop: 0.0,
-                                duplicate: 0.0,
-                                reorder: 0.0,
-                                delay: 0.0,
-                                ..base
-                            }
-                        },
-                    ));
-                }
-                for (family, spec) in rows {
-                    report.runs += 1;
-                    match run_distributed_solver_resilient(gx, gy, &cfg, spec) {
-                        Ok((recovered, log)) => {
-                            if !check_bit_identical(&baseline, &recovered, &log) {
-                                return Err(format!(
-                                    "SILENTLY WRONG: family={family} solver={solver:?} \
-                                     grid={gx}x{gy} seed={seed:#x}: recovered run \
-                                     differs from clean baseline \
-                                     ({recovered:?} vs {baseline:?}, log {log:?})"
-                                ));
-                            }
-                            if log.restarts > log.events.len() || log.regrids > log.events.len() {
-                                return Err(format!(
-                                    "SILENT DEGRADE: family={family} solver={solver:?} \
-                                     grid={gx}x{gy} seed={seed:#x}: recovery happened \
-                                     off the event timeline: {log:?}"
-                                ));
-                            }
-                            if log.regrids > 0 {
-                                report.regridded += 1;
-                            } else if log.restarts > 0 {
-                                report.restarted += 1;
-                            } else {
-                                report.recovered += 1;
-                            }
+            let clean = DistributedSpec::new(gx, gy);
+            let baseline = run_distributed(&cfg, &clean)
+                .expect("a fault-free run cannot abort")
+                .report;
+            for (family, spec) in rows(&cfg, gx * gy) {
+                tally.runs += 1;
+                let faulty = DistributedSpec {
+                    faults: Some(spec),
+                    ..DistributedSpec::new(gx, gy)
+                };
+                let row = format!("family={family} solver={solver:?} grid={gx}x{gy} spec={spec:?}");
+                match run_distributed(&cfg, &faulty) {
+                    Ok(run) => {
+                        if let Some(violation) = row_violation(&baseline, &run) {
+                            return Err(format!(
+                                "{violation}: {row}: {:?} vs clean baseline {baseline:?}, \
+                                 log {:?}",
+                                run.report, run.recovery
+                            ));
                         }
-                        Err(diagnostic) => {
-                            // A loud abort is an acceptable chaos outcome;
-                            // tally it so callers can flag rows that never
-                            // recover.
-                            let _ = diagnostic;
-                            report.aborted += 1;
+                        let log = &run.recovery;
+                        tally.restarts += log.restarts;
+                        if log.regrids > 0 {
+                            tally.regridded += 1;
+                        } else if log.restarts > 0 {
+                            tally.restarted += 1;
+                        } else {
+                            tally.recovered += 1;
                         }
+                    }
+                    Err(diagnostic) => {
+                        // A loud abort is an acceptable outcome; tally it
+                        // so callers can flag rows that must recover.
+                        tally.aborted += 1;
+                        tally
+                            .first_abort
+                            .get_or_insert_with(|| format!("{row}: {diagnostic}"));
                     }
                 }
             }
         }
     }
-    Ok(report)
+    Ok(tally)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tealeaf::distributed::RecoveryLog;
+    use tealeaf::{RecoveryAction, RecoveryEvent, SolverHealth};
 
     fn small_config() -> TeaConfig {
         let mut cfg = TeaConfig::paper_problem(16);
@@ -433,14 +242,40 @@ mod tests {
         cfg
     }
 
+    /// One attempt per row, over the lossy profile's own 5 s deadline.
+    fn one_attempt(mut cfg: TeaConfig) -> TeaConfig {
+        cfg.tl_max_recoveries = 0;
+        cfg.tl_elastic_regrid = false;
+        cfg.tl_exchange_deadline = 5.0;
+        cfg
+    }
+
+    /// Long enough that a kill fires mid-solve, with checkpoints
+    /// frequent enough that a restart resumes rather than redoing the
+    /// whole run.
+    fn recovering_config() -> TeaConfig {
+        let mut cfg = small_config();
+        cfg.end_step = 2;
+        cfg.tl_eps = 1.0e-12;
+        cfg.tl_checkpoint_interval = 2;
+        cfg
+    }
+
     #[test]
     fn small_matrix_never_silently_wrong() {
-        let report = run_fault_matrix(&small_config(), &[1, 2], &[1, 2]).expect("property holds");
-        assert_eq!(report.runs, 4);
-        assert_eq!(report.recovered + report.aborted, report.runs);
+        let cfg = one_attempt(small_config());
+        let tally = run_fault_matrix(
+            &cfg,
+            &[(1, 1), (1, 2)],
+            &[SolverKind::ConjugateGradient],
+            |cfg, _| lossy_rows(cfg, &[1, 2]),
+        )
+        .expect("property holds");
+        assert_eq!(tally.runs, 4);
+        assert_eq!(tally.recovered + tally.aborted, tally.runs);
         assert!(
-            report.recovered >= report.runs / 2,
-            "lossy() at 2ms quiet should mostly recover: {report:?}"
+            tally.recovered >= tally.runs / 2,
+            "lossy() at 2ms quiet should mostly recover: {tally:?}"
         );
     }
 
@@ -450,80 +285,111 @@ mod tests {
         // pointwise-window solver (CG) and one double-window solver
         // (Jacobi, whose scratch travels unreflected) cover the two
         // exchange shapes.
-        let report = run_fault_matrix_2d(
-            &small_config(),
+        let tally = run_fault_matrix(
+            &one_attempt(small_config()),
             &[(2, 2)],
             &[SolverKind::ConjugateGradient, SolverKind::Jacobi],
-            &[3],
+            |cfg, _| lossy_rows(cfg, &[3]),
         )
         .expect("property holds");
-        assert_eq!(report.runs, 2);
-        assert_eq!(report.recovered + report.aborted, report.runs);
+        assert_eq!(tally.runs, 2);
+        assert_eq!(tally.recovered + tally.aborted, tally.runs);
     }
 
     #[test]
     fn recovering_matrix_survives_lossy_networks_and_a_rank_loss() {
-        let mut cfg = small_config();
-        // Long enough that the kill fires mid-solve, with checkpoints
-        // frequent enough that the restart resumes rather than redoing
-        // the whole run.
-        cfg.end_step = 2;
-        cfg.tl_eps = 1.0e-12;
-        cfg.tl_checkpoint_interval = 2;
+        let mut cfg = recovering_config();
+        cfg.tl_max_recoveries = 4;
+        cfg.tl_elastic_regrid = false;
         let kills = [KillSpec::transient(1, 25)];
-        let report =
-            run_fault_matrix_recovering(&cfg, &[2], &[7], &kills).expect("every row must recover");
-        assert_eq!(report.runs, 2, "one lossy row + one kill row");
+        let tally = run_fault_matrix(
+            &cfg,
+            &[(1, 2)],
+            &[SolverKind::ConjugateGradient],
+            |cfg, ranks| [lossy_rows(cfg, &[7]), kill_rows(cfg, ranks, &kills)].concat(),
+        )
+        .expect("never silently wrong");
+        assert_eq!(tally.runs, 2, "one lossy row + one kill row");
+        assert_eq!(tally.aborted, 0, "every row must recover: {tally:?}");
         assert!(
-            report.restarts >= 1,
-            "the kill row must consume at least one restart: {report:?}"
+            tally.restarts >= 1,
+            "the kill row must consume at least one restart: {tally:?}"
         );
     }
 
     #[test]
     fn recovering_2d_matrix_replays_kills_on_tile_grids() {
-        let mut cfg = small_config();
-        cfg.end_step = 2;
-        cfg.tl_eps = 1.0e-12;
-        cfg.tl_checkpoint_interval = 2;
         let kills = [KillSpec::transient(1, 25)];
-        let report = run_fault_matrix_2d_recovering(
-            &cfg,
+        let tally = run_fault_matrix(
+            &recovering_config(),
             &[(2, 1), (2, 2)],
             &[SolverKind::ConjugateGradient, SolverKind::Jacobi],
-            &[9],
-            &kills,
+            |cfg, ranks| [lossy_rows(cfg, &[9]), kill_rows(cfg, ranks, &kills)].concat(),
         )
-        .expect("every row must recover bit-identically");
-        assert_eq!(report.runs, 8, "2 solvers × 2 grids × (1 lossy + 1 kill)");
+        .expect("never silently wrong");
+        assert_eq!(tally.runs, 8, "2 solvers × 2 grids × (1 lossy + 1 kill)");
+        assert_eq!(tally.aborted, 0, "every row must recover: {tally:?}");
         assert!(
-            report.restarts >= 1,
-            "kill rows must consume restarts: {report:?}"
+            tally.restarts >= 1,
+            "kill rows must consume restarts: {tally:?}"
         );
     }
 
     #[test]
     fn chaos_matrix_never_silently_wrong_or_silently_degraded() {
-        let mut cfg = small_config();
-        cfg.end_step = 2;
-        cfg.tl_eps = 1.0e-12;
-        cfg.tl_checkpoint_interval = 2;
+        let mut cfg = recovering_config();
         cfg.tl_max_recoveries = 2;
-        let report =
-            run_chaos_matrix_2d(&cfg, &[(2, 2)], &[SolverKind::ConjugateGradient], &[0x5eed])
-                .expect("chaos invariant must hold");
-        assert_eq!(report.runs, 4, "corrupt + delay + kill + partition");
+        let tally = run_fault_matrix(
+            &cfg,
+            &[(2, 2)],
+            &[SolverKind::ConjugateGradient],
+            |cfg, ranks| chaos_rows(cfg, ranks, &[0x5eed]),
+        )
+        .expect("chaos invariant must hold");
+        assert_eq!(tally.runs, 4, "corrupt + delay + kill + partition");
         assert_eq!(
-            report.recovered + report.restarted + report.regridded + report.aborted,
-            report.runs
+            tally.recovered + tally.restarted + tally.regridded + tally.aborted,
+            tally.runs
         );
         assert!(
-            report.restarted >= 1,
-            "the kill row must restart the world: {report:?}"
+            tally.restarted >= 1,
+            "the kill row must restart the world: {tally:?}"
         );
         assert!(
-            report.recovered >= 2,
-            "corrupt/delay/partition rows should be absorbed in-transport: {report:?}"
+            tally.recovered >= 2,
+            "corrupt/delay/partition rows should be absorbed in-transport: {tally:?}"
         );
+    }
+
+    #[test]
+    fn a_restart_missing_from_the_timeline_is_a_silent_degrade() {
+        let cfg = small_config();
+        let baseline = run_distributed(&cfg, &DistributedSpec::new(1, 1))
+            .expect("fault-free")
+            .report;
+        let event = RecoveryEvent {
+            step: 1,
+            trigger: SolverHealth::DistributedFault { rank: 1 },
+            action: RecoveryAction::Restart {
+                step: 1,
+                iteration: 0,
+            },
+        };
+        let mut run = DistributedRun {
+            report: baseline.clone(),
+            overlap: Default::default(),
+            exchange: Default::default(),
+            recovery: RecoveryLog {
+                events: vec![event.clone(), event],
+                restarts: 2,
+                final_grid: (1, 1),
+                ..RecoveryLog::default()
+            },
+        };
+        assert_eq!(row_violation(&baseline, &run), None);
+        run.recovery.events.pop();
+        assert_eq!(row_violation(&baseline, &run), Some("SILENT DEGRADE"));
+        run.report.total_iterations += 1;
+        assert_eq!(row_violation(&baseline, &run), Some("SILENTLY WRONG"));
     }
 }

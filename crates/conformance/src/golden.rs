@@ -20,7 +20,7 @@ use std::path::PathBuf;
 use tea_core::compare::hex_bits;
 use tea_core::config::SolverKind;
 use tea_core::summary::Summary;
-use tealeaf::distributed::{run_distributed_cg, run_distributed_solver};
+use tealeaf::distributed::{run_distributed, DistributedSpec};
 use tealeaf::run_simulation;
 
 use crate::matrix::{
@@ -102,7 +102,9 @@ pub fn compute_goldens(deck_name: &str, deck_text: &str) -> Vec<GoldenEntry> {
     let mut cfg = base.clone();
     cfg.solver = SolverKind::ConjugateGradient;
     for ranks in GOLDEN_RANKS {
-        let report = run_distributed_cg(ranks, &cfg);
+        let report = run_distributed(&cfg, &DistributedSpec::new(1, ranks))
+            .expect("a fault-free run cannot abort")
+            .report;
         entries.push(GoldenEntry::from_run(
             SolverKind::ConjugateGradient,
             format!("mpisim-{ranks}"),
@@ -115,7 +117,9 @@ pub fn compute_goldens(deck_name: &str, deck_text: &str) -> Vec<GoldenEntry> {
         let mut cfg = base.clone();
         cfg.solver = solver;
         for (gx, gy) in GOLDEN_GRIDS {
-            let report = run_distributed_solver(gx, gy, &cfg);
+            let report = run_distributed(&cfg, &DistributedSpec::new(gx, gy))
+                .expect("a fault-free run cannot abort")
+                .report;
             entries.push(GoldenEntry::from_run(
                 solver,
                 format!("mpisim-{gx}x{gy}"),

@@ -19,9 +19,10 @@
 //! * [`fuzz`] — the seeded schedule fuzzer: real row kernels under
 //!   adversarially permuted `StaticPool`/`StealPool` schedules, with
 //!   bit-identical reductions mandatory.
-//! * [`faults`] — the mpisim fault matrix: distributed CG over seeded
-//!   drop/duplicate/reorder/delay injection; recovered runs must be
-//!   bit-identical, unrecoverable ones must abort loudly, and a
+//! * [`faults`] — the mpisim fault matrix: every solver × tile grid over
+//!   seeded lossy, corrupting, partitioned and rank-killing transports;
+//!   recovered runs must be bit-identical with every restart on their
+//!   timeline, unrecoverable ones must abort loudly, and a
 //!   silently-wrong answer fails the matrix.
 //!
 //! Everything here is test infrastructure: nothing in this crate is on
@@ -42,9 +43,7 @@ pub use diff::{
     SabotagePlan, SabotagedPort,
 };
 pub use faults::{
-    fault_spec_for, run_chaos_matrix_2d, run_fault_matrix, run_fault_matrix_2d,
-    run_fault_matrix_2d_recovering, run_fault_matrix_recovering, ChaosMatrixReport,
-    FaultMatrixReport, RecoveryMatrixReport,
+    chaos_rows, fault_spec_for, kill_rows, lossy_rows, run_fault_matrix, FaultRow, FaultTally,
 };
 pub use fuzz::{run_schedule_fuzz, FuzzReport};
 pub use golden::{check_deck, compute_goldens, GoldenEntry};

@@ -6,8 +6,8 @@
 //! fault sweep, which is too slow for the tier-1 path).
 
 use tea_conformance::{
-    builtin_decks, diff_models, diff_ports, run_fault_matrix, run_schedule_fuzz, Mismatch,
-    SabotageMode, SabotagePlan, SabotagedPort,
+    builtin_decks, chaos_rows, diff_models, diff_ports, kill_rows, lossy_rows, run_fault_matrix,
+    run_schedule_fuzz, Mismatch, SabotageMode, SabotagePlan, SabotagedPort,
 };
 use tea_core::config::{SolverKind, TeaConfig};
 use tea_core::halo::FieldId;
@@ -21,6 +21,41 @@ fn config(solver: SolverKind, cells: usize) -> TeaConfig {
     cfg.tl_eps = 1.0e-10;
     cfg.tl_max_iters = 2000;
     cfg.tl_ch_cg_presteps = 10;
+    cfg
+}
+
+const SOLVERS: [SolverKind; 4] = [
+    SolverKind::ConjugateGradient,
+    SolverKind::Chebyshev,
+    SolverKind::Ppcg,
+    SolverKind::Jacobi,
+];
+
+/// The fault-matrix deck: 16² cells, one step.
+fn fault_config() -> TeaConfig {
+    let mut cfg = TeaConfig::paper_problem(16);
+    cfg.end_step = 1;
+    cfg.tl_eps = 1.0e-10;
+    cfg
+}
+
+/// One attempt per row (no restart, no regrid) over the lossy profile's
+/// own 5 s deadline.
+fn one_attempt_config() -> TeaConfig {
+    let mut cfg = fault_config();
+    cfg.tl_max_recoveries = 0;
+    cfg.tl_elastic_regrid = false;
+    cfg.tl_exchange_deadline = 5.0;
+    cfg
+}
+
+/// Two tighter steps with frequent checkpoints, so kills fire mid-solve
+/// and restarts resume from a cut.
+fn recovering_config() -> TeaConfig {
+    let mut cfg = fault_config();
+    cfg.end_step = 2;
+    cfg.tl_eps = 1.0e-12;
+    cfg.tl_checkpoint_interval = 2;
     cfg
 }
 
@@ -174,8 +209,15 @@ fn distributed_cg_matches_the_serial_port_bitwise() {
     let cfg = tea_conformance::matrix::deck_config(name, text);
     let device = tea_conformance::natural_device(ModelId::Serial);
     let serial = tealeaf::run_simulation(ModelId::Serial, &device, &cfg).unwrap();
+    let cfg = TeaConfig {
+        solver: SolverKind::ConjugateGradient,
+        ..cfg
+    };
     for ranks in [1, 2, 4] {
-        let dist = tealeaf::distributed::run_distributed_cg(ranks, &cfg);
+        let spec = tealeaf::distributed::DistributedSpec::new(1, ranks);
+        let dist = tealeaf::distributed::run_distributed(&cfg, &spec)
+            .expect("a fault-free run cannot abort")
+            .report;
         assert_eq!(
             dist.total_iterations, serial.total_iterations,
             "{ranks} ranks"
@@ -226,10 +268,13 @@ fn short_schedule_fuzz_budget_is_clean() {
 
 #[test]
 fn small_fault_matrix_is_never_silently_wrong() {
-    let mut cfg = TeaConfig::paper_problem(16);
-    cfg.end_step = 1;
-    cfg.tl_eps = 1.0e-10;
-    let report = run_fault_matrix(&cfg, &[2], &[3, 4]).expect("never silently wrong");
+    let report = run_fault_matrix(
+        &one_attempt_config(),
+        &[(1, 2)],
+        &[SolverKind::ConjugateGradient],
+        |cfg, _| lossy_rows(cfg, &[3, 4]),
+    )
+    .expect("never silently wrong");
     assert_eq!(report.runs, 2);
 }
 
@@ -253,11 +298,14 @@ fn golden_registry_matches_committed_files() {
 #[test]
 #[ignore = "larger fault sweep; run via the CI conformance job or locally with -- --ignored"]
 fn full_fault_matrix_across_ranks_and_seeds() {
-    let mut cfg = TeaConfig::paper_problem(16);
-    cfg.end_step = 1;
-    cfg.tl_eps = 1.0e-10;
     let seeds: Vec<u64> = (1..=8).collect();
-    let report = run_fault_matrix(&cfg, &[1, 2, 4], &seeds).expect("never silently wrong");
+    let report = run_fault_matrix(
+        &one_attempt_config(),
+        &[(1, 1), (1, 2), (1, 4)],
+        &[SolverKind::ConjugateGradient],
+        |cfg, _| lossy_rows(cfg, &seeds),
+    )
+    .expect("never silently wrong");
     assert_eq!(report.runs, 24);
     assert!(
         report.recovered > 0,
@@ -268,19 +316,12 @@ fn full_fault_matrix_across_ranks_and_seeds() {
 #[test]
 #[ignore = "full 2-D fault matrix; run via the CI conformance job or locally with -- --ignored"]
 fn full_2d_fault_matrix_every_solver_every_grid() {
-    let mut cfg = TeaConfig::paper_problem(16);
-    cfg.end_step = 1;
-    cfg.tl_eps = 1.0e-10;
-    let solvers = [
-        SolverKind::ConjugateGradient,
-        SolverKind::Chebyshev,
-        SolverKind::Ppcg,
-        SolverKind::Jacobi,
-    ];
     let grids = [(2, 1), (1, 2), (2, 2)];
     let seeds: Vec<u64> = (1..=4).collect();
-    let report = tea_conformance::run_fault_matrix_2d(&cfg, &grids, &solvers, &seeds)
-        .expect("never silently wrong");
+    let report = run_fault_matrix(&one_attempt_config(), &grids, &SOLVERS, |cfg, _| {
+        lossy_rows(cfg, &seeds)
+    })
+    .expect("never silently wrong");
     assert_eq!(report.runs, 48, "4 solvers x 3 grids x 4 seeds");
     assert!(
         report.recovered > 0,
@@ -295,19 +336,24 @@ fn full_2d_fault_matrix_every_solver_every_grid() {
 #[test]
 #[ignore = "recovery fault matrix; run via the CI conformance job or locally with -- --ignored"]
 fn full_recovering_fault_matrix_is_bit_identical() {
-    let mut cfg = TeaConfig::paper_problem(16);
-    cfg.end_step = 2;
-    cfg.tl_eps = 1.0e-12;
-    cfg.tl_checkpoint_interval = 2;
+    let mut cfg = recovering_config();
+    cfg.tl_max_recoveries = 4;
+    cfg.tl_elastic_regrid = false;
     let kills = [
         mpisim::KillSpec::transient(0, 2),
         mpisim::KillSpec::transient(1, 25),
         mpisim::KillSpec::transient(3, 40),
     ];
-    let report = tea_conformance::run_fault_matrix_recovering(&cfg, &[2, 4], &[3, 5, 11], &kills)
-        .expect("every row must recover bit-identically");
+    let report = run_fault_matrix(
+        &cfg,
+        &[(1, 2), (1, 4)],
+        &[SolverKind::ConjugateGradient],
+        |cfg, ranks| [lossy_rows(cfg, &[3, 5, 11]), kill_rows(cfg, ranks, &kills)].concat(),
+    )
+    .expect("never silently wrong");
     // 2 ranks: 3 lossy + 2 applicable kills; 4 ranks: 3 lossy + 3 kills.
     assert_eq!(report.runs, 11);
+    assert_eq!(report.aborted, 0, "every row must recover: {report:?}");
     assert!(
         report.restarts >= 2,
         "the kill rows must exercise checkpoint restarts: {report:?}"
@@ -320,26 +366,18 @@ fn full_recovering_fault_matrix_is_bit_identical() {
 #[test]
 #[ignore = "2-D recovery matrix; run via the CI chaos job or locally with -- --ignored"]
 fn full_2d_recovering_matrix_is_bit_identical() {
-    let mut cfg = TeaConfig::paper_problem(16);
-    cfg.end_step = 2;
-    cfg.tl_eps = 1.0e-12;
-    cfg.tl_checkpoint_interval = 2;
-    let solvers = [
-        SolverKind::ConjugateGradient,
-        SolverKind::Chebyshev,
-        SolverKind::Ppcg,
-        SolverKind::Jacobi,
-    ];
     let grids = [(2, 1), (1, 2), (2, 2)];
     let kills = [
         mpisim::KillSpec::transient(1, 25),
         mpisim::KillSpec::transient(3, 40),
     ];
-    let report =
-        tea_conformance::run_fault_matrix_2d_recovering(&cfg, &grids, &solvers, &[13], &kills)
-            .expect("every row must recover bit-identically");
+    let report = run_fault_matrix(&recovering_config(), &grids, &SOLVERS, |cfg, ranks| {
+        [lossy_rows(cfg, &[13]), kill_rows(cfg, ranks, &kills)].concat()
+    })
+    .expect("never silently wrong");
     // Per solver: 2-rank grids take 1 lossy + 1 kill, the 2x2 grid 1 + 2.
     assert_eq!(report.runs, 28);
+    assert_eq!(report.aborted, 0, "every row must recover: {report:?}");
     assert!(
         report.restarts >= 4,
         "the kill rows must exercise checkpoint restarts: {report:?}"
@@ -347,27 +385,20 @@ fn full_2d_recovering_matrix_is_bit_identical() {
 }
 
 /// The seeded chaos matrix the CI chaos job runs: kill × corrupt ×
-/// delay × partition over every solver and the ISSUE's tile grids.
-/// Every row must recover bit-identical, degrade with explicit events,
-/// or abort loudly — a silent divergence fails immediately.
+/// delay × partition over every solver and four tile grids. Every row
+/// must recover bit-identical, degrade with explicit events, or abort
+/// loudly — a silent divergence fails immediately.
 #[test]
 #[ignore = "seeded chaos matrix; run via the CI chaos job or locally with -- --ignored"]
 fn full_chaos_matrix_never_silently_wrong() {
-    let mut cfg = TeaConfig::paper_problem(16);
-    cfg.end_step = 2;
-    cfg.tl_eps = 1.0e-12;
-    cfg.tl_checkpoint_interval = 2;
+    let mut cfg = recovering_config();
     cfg.tl_max_recoveries = 2;
-    let solvers = [
-        SolverKind::ConjugateGradient,
-        SolverKind::Chebyshev,
-        SolverKind::Ppcg,
-        SolverKind::Jacobi,
-    ];
     let grids = [(2, 1), (1, 2), (2, 2), (4, 1)];
     let seeds = [0x5eed, 0xc4a0];
-    let report = tea_conformance::run_chaos_matrix_2d(&cfg, &grids, &solvers, &seeds)
-        .expect("chaos invariant must hold");
+    let report = run_fault_matrix(&cfg, &grids, &SOLVERS, |cfg, ranks| {
+        chaos_rows(cfg, ranks, &seeds)
+    })
+    .expect("chaos invariant must hold");
     // Every grid is multi-rank, so all four families run per row.
     assert_eq!(
         report.runs, 128,

@@ -96,12 +96,6 @@ pub struct TeaConfig {
     pub tl_ppcg_inner_steps: usize,
     pub coefficient: Coefficient,
     pub halo_depth: usize,
-    /// 2-D tile decomposition for distributed runs: the mesh is split
-    /// into `tl_tiles_x × tl_tiles_y` tiles, one per rank, in row-major
-    /// rank order. Both zero (the default) means *auto*: a single tile
-    /// column with one tile row per rank — the 1-D strip decomposition.
-    pub tl_tiles_x: usize,
-    pub tl_tiles_y: usize,
     pub states: Vec<State>,
     /// Enable the resilience layer (sentinels + checkpoint/rollback +
     /// fallback chains). On healthy runs the layer is numerically inert,
@@ -170,8 +164,6 @@ impl Default for TeaConfig {
             tl_ppcg_inner_steps: 10,
             coefficient: Coefficient::Conductivity,
             halo_depth: 2,
-            tl_tiles_x: 0,
-            tl_tiles_y: 0,
             tl_resilience: true,
             tl_checkpoint_interval: 50,
             tl_divergence_factor: 1.0e12,
@@ -316,27 +308,6 @@ impl TeaConfig {
                 self.tl_divergence_factor,
             ));
         }
-        if (self.tl_tiles_x == 0) != (self.tl_tiles_y == 0) {
-            return Err(InvalidConfig::HalfSpecifiedTileGrid {
-                tiles_x: self.tl_tiles_x,
-                tiles_y: self.tl_tiles_y,
-            });
-        }
-        if self.tl_tiles_x > 0
-            && (self.x_cells / self.tl_tiles_x < self.halo_depth
-                || self.y_cells / self.tl_tiles_y < self.halo_depth)
-        {
-            // Uneven tile spans use the floor split, so the smallest tile
-            // holds floor(cells/tiles) cells on each axis; every tile
-            // must still carry a full halo_depth of interior cells.
-            return Err(InvalidConfig::TileGridTooFine {
-                tiles_x: self.tl_tiles_x,
-                tiles_y: self.tl_tiles_y,
-                x_cells: self.x_cells,
-                y_cells: self.y_cells,
-                halo_depth: self.halo_depth,
-            });
-        }
         if !strictly_less(0.0, self.tl_exchange_deadline) || !self.tl_exchange_deadline.is_finite()
         {
             return Err(InvalidConfig::NonPositiveExchangeDeadline(
@@ -360,26 +331,6 @@ impl TeaConfig {
         }
         Ok(())
     }
-
-    /// The tile grid a distributed run over `ranks` ranks should use.
-    ///
-    /// With the keys unset this is the auto strip decomposition
-    /// `(1, ranks)`; when set, the product must equal the rank count —
-    /// a mismatch is a deck error, reported as a typed
-    /// [`InvalidConfig::TileGridRankMismatch`].
-    pub fn tile_grid(&self, ranks: usize) -> Result<(usize, usize), InvalidConfig> {
-        if self.tl_tiles_x == 0 && self.tl_tiles_y == 0 {
-            return Ok((1, ranks));
-        }
-        if self.tl_tiles_x * self.tl_tiles_y != ranks {
-            return Err(InvalidConfig::TileGridRankMismatch {
-                tiles_x: self.tl_tiles_x,
-                tiles_y: self.tl_tiles_y,
-                ranks,
-            });
-        }
-        Ok((self.tl_tiles_x, self.tl_tiles_y))
-    }
 }
 
 /// A semantically unusable [`TeaConfig`] (parsed fine, cannot run).
@@ -399,22 +350,6 @@ pub enum InvalidConfig {
     ZeroHaloDepth,
     /// The divergence sentinel factor must exceed 1.
     BadDivergenceFactor(f64),
-    /// `tl_tiles_x`/`tl_tiles_y` must be set together (or both left 0).
-    HalfSpecifiedTileGrid { tiles_x: usize, tiles_y: usize },
-    /// The smallest tile of the requested grid cannot carry the halo.
-    TileGridTooFine {
-        tiles_x: usize,
-        tiles_y: usize,
-        x_cells: usize,
-        y_cells: usize,
-        halo_depth: usize,
-    },
-    /// The tile-grid product must equal the distributed rank count.
-    TileGridRankMismatch {
-        tiles_x: usize,
-        tiles_y: usize,
-        ranks: usize,
-    },
     /// `tl_exchange_deadline` must be a positive finite duration.
     NonPositiveExchangeDeadline(f64),
     /// Watt overrides must be positive and finite.
@@ -446,30 +381,6 @@ impl fmt::Display for InvalidConfig {
             InvalidConfig::BadDivergenceFactor(v) => {
                 write!(f, "tl_divergence_factor must exceed 1, got {v}")
             }
-            InvalidConfig::HalfSpecifiedTileGrid { tiles_x, tiles_y } => write!(
-                f,
-                "tl_tiles_x and tl_tiles_y must be set together, got {tiles_x} and {tiles_y}"
-            ),
-            InvalidConfig::TileGridTooFine {
-                tiles_x,
-                tiles_y,
-                x_cells,
-                y_cells,
-                halo_depth,
-            } => write!(
-                f,
-                "tile grid {tiles_x}x{tiles_y} over a {x_cells}x{y_cells} mesh leaves a tile \
-                 smaller than the depth-{halo_depth} halo"
-            ),
-            InvalidConfig::TileGridRankMismatch {
-                tiles_x,
-                tiles_y,
-                ranks,
-            } => write!(
-                f,
-                "tile grid {tiles_x}x{tiles_y} needs {} ranks, run has {ranks}",
-                tiles_x * tiles_y
-            ),
             InvalidConfig::NonPositiveExchangeDeadline(v) => {
                 write!(
                     f,
@@ -608,8 +519,6 @@ fn parse_line(cfg: &mut TeaConfig, line: &str) -> Result<(), ErrorKind> {
         "tl_ch_cg_presteps" => cfg.tl_ch_cg_presteps = parse_num(key, value)?,
         "tl_ppcg_inner_steps" => cfg.tl_ppcg_inner_steps = parse_num(key, value)?,
         "halo_depth" => cfg.halo_depth = parse_num(key, value)?,
-        "tl_tiles_x" => cfg.tl_tiles_x = parse_num(key, value)?,
-        "tl_tiles_y" => cfg.tl_tiles_y = parse_num(key, value)?,
         "tl_checkpoint_interval" => cfg.tl_checkpoint_interval = parse_num(key, value)?,
         "tl_divergence_factor" => cfg.tl_divergence_factor = parse_num(key, value)?,
         "tl_stagnation_window" => cfg.tl_stagnation_window = parse_num(key, value)?,
@@ -1145,22 +1054,6 @@ tl_ppcg_inner_steps=12
             },
             InvalidConfig::ZeroHaloDepth,
             InvalidConfig::BadDivergenceFactor(0.5),
-            InvalidConfig::HalfSpecifiedTileGrid {
-                tiles_x: 2,
-                tiles_y: 0,
-            },
-            InvalidConfig::TileGridTooFine {
-                tiles_x: 64,
-                tiles_y: 1,
-                x_cells: 128,
-                y_cells: 128,
-                halo_depth: 2,
-            },
-            InvalidConfig::TileGridRankMismatch {
-                tiles_x: 2,
-                tiles_y: 2,
-                ranks: 3,
-            },
             InvalidConfig::NonPositiveExchangeDeadline(0.0),
             InvalidConfig::NonPositiveWatts {
                 key: "tl_idle_watts",
@@ -1262,80 +1155,6 @@ tl_ppcg_inner_steps=12
             parsed.validate(),
             Err(InvalidConfig::NonPositiveWatts { .. })
         ));
-    }
-
-    #[test]
-    fn tile_grid_keys_parse_validate_and_resolve() {
-        fn with(mutate: impl FnOnce(&mut TeaConfig)) -> TeaConfig {
-            let mut cfg = TeaConfig::default();
-            mutate(&mut cfg);
-            cfg
-        }
-
-        // parsing
-        let cfg = TeaConfig::parse("tl_tiles_x=4\ntl_tiles_y=2\n").unwrap();
-        assert_eq!((cfg.tl_tiles_x, cfg.tl_tiles_y), (4, 2));
-        assert!(TeaConfig::parse("tl_tiles_x=two\n").is_err());
-        assert!(TeaConfig::parse("tl_tiles_x=-1\n").is_err());
-        assert!(TeaConfig::parse("tl_tiles_x=\n").is_err());
-
-        // unset keys validate and resolve to the auto strip decomposition
-        let auto = TeaConfig::default();
-        assert_eq!(auto.validate(), Ok(()));
-        assert_eq!(auto.tile_grid(1), Ok((1, 1)));
-        assert_eq!(auto.tile_grid(5), Ok((1, 5)));
-
-        // half-set grids are a deck error
-        assert_eq!(
-            with(|c| c.tl_tiles_x = 2).validate(),
-            Err(InvalidConfig::HalfSpecifiedTileGrid {
-                tiles_x: 2,
-                tiles_y: 0,
-            })
-        );
-        assert_eq!(
-            with(|c| c.tl_tiles_y = 3).validate(),
-            Err(InvalidConfig::HalfSpecifiedTileGrid {
-                tiles_x: 0,
-                tiles_y: 3,
-            })
-        );
-
-        // the smallest tile must still carry the halo: 128 cells over 65
-        // tiles leaves floor(128/65) = 1 < halo_depth 2 …
-        assert!(matches!(
-            with(|c| {
-                c.tl_tiles_x = 65;
-                c.tl_tiles_y = 1;
-            })
-            .validate(),
-            Err(InvalidConfig::TileGridTooFine { .. })
-        ));
-        // … and 64 tiles (2-cell spans) is the edge that still fits.
-        assert_eq!(
-            with(|c| {
-                c.tl_tiles_x = 64;
-                c.tl_tiles_y = 1;
-            })
-            .validate(),
-            Ok(())
-        );
-
-        // explicit grids must match the rank count exactly
-        let grid = with(|c| {
-            c.tl_tiles_x = 2;
-            c.tl_tiles_y = 2;
-        });
-        assert_eq!(grid.validate(), Ok(()));
-        assert_eq!(grid.tile_grid(4), Ok((2, 2)));
-        assert_eq!(
-            grid.tile_grid(3),
-            Err(InvalidConfig::TileGridRankMismatch {
-                tiles_x: 2,
-                tiles_y: 2,
-                ranks: 3,
-            })
-        );
     }
 
     #[test]

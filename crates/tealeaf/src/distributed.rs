@@ -13,8 +13,9 @@
 //!
 //! This module owns what is specific to a world of ranks: setting the
 //! world up, checking that every rank agrees on the result, the
-//! checkpoint rings, and the restart/regrid ladder of the resilient
-//! entry points.
+//! checkpoint rings, and the restart/regrid ladder of faulty runs. Every
+//! run goes through [`run_distributed`], configured by one
+//! [`DistributedSpec`].
 //!
 //! ## Bit-identity
 //!
@@ -24,7 +25,7 @@
 //! padded-mesh values after every exchange — so a distributed run on any
 //! `tiles_x × tiles_y` grid is bit-identical to the serial reference
 //! (asserted by the integration tests and the conformance goldens).
-//! [`run_distributed_solver_blocking`] runs every exchange before its
+//! With [`DistributedSpec::overlap`] off every exchange runs before its
 //! stencil pass, so tests can assert the overlap changes no bit, and
 //! [`OverlapStats`] reports what each window hid in deterministic logical
 //! units.
@@ -36,7 +37,7 @@ use std::sync::Mutex;
 use mpisim::{
     run_spmd, run_spmd_faulty, ExchangeMetrics, FaultDiagnostic, FaultSpec, Grid2d, Rank,
 };
-use tea_core::config::{SolverKind, TeaConfig};
+use tea_core::config::TeaConfig;
 use tea_core::halo::FieldId;
 use tea_core::summary::Summary;
 use tea_telemetry::{Record, TelemetrySink};
@@ -57,10 +58,53 @@ pub struct DistributedReport {
     pub summary: Summary,
 }
 
-/// Row range (global interior rows) owned by `rank` of `size` in the
-/// 1-D strip decomposition — the y-axis slice of [`tile::tile_span`].
-pub fn stripe_rows(y_cells: usize, rank: usize, size: usize) -> (usize, usize) {
-    tile::tile_span(y_cells, rank, size)
+/// How to run one distributed solve of a deck.
+#[derive(Debug, Clone)]
+pub struct DistributedSpec {
+    /// `(tiles_x, tiles_y)`: the rank grid, ranks numbered row-major.
+    pub tiles: (usize, usize),
+    /// Overlap each halo exchange with its pass's interior. Off runs
+    /// every exchange before its stencil pass — bit-identical by
+    /// construction, so tests and benchmarks can assert and measure it.
+    pub overlap: bool,
+    /// `None` runs the reliable world with no checkpoint store. `Some`
+    /// runs over the fault-injected transport under the self-healing
+    /// driver: checkpoint rings every `tl_checkpoint_interval`
+    /// iterations, up to `tl_max_recoveries` world restarts per grid
+    /// level, and — when `tl_elastic_regrid` allows — re-decomposition
+    /// onto a smaller grid when a rank stays dead. A deck with no restart
+    /// budget and no regrid gets exactly one attempt under the spec's
+    /// seed.
+    pub faults: Option<FaultSpec>,
+    /// Rank 0 traces the shared solver loop's spans and an `exchange`,
+    /// `interior` and `boundary` span per halo window on the logical
+    /// clock; the driver adds restart and regrid events.
+    pub sink: TelemetrySink,
+}
+
+impl DistributedSpec {
+    /// A fault-free, overlapped, untraced run on `tiles_x × tiles_y`.
+    pub fn new(tiles_x: usize, tiles_y: usize) -> Self {
+        DistributedSpec {
+            tiles: (tiles_x, tiles_y),
+            overlap: true,
+            faults: None,
+            sink: TelemetrySink::disabled(),
+        }
+    }
+}
+
+/// What one distributed run produced: the global report (identical on
+/// every rank, and bit-identical to the serial reference), the merged
+/// overlap accounting and per-direction exchange counters of the
+/// attempt that finished, and the recovery log (empty for a fault-free
+/// run).
+#[derive(Debug, Clone, PartialEq)]
+pub struct DistributedRun {
+    pub report: DistributedReport,
+    pub overlap: OverlapStats,
+    pub exchange: ExchangeMetrics,
+    pub recovery: RecoveryLog,
 }
 
 // ---------------------------------------------------------------------------
@@ -69,7 +113,7 @@ pub fn stripe_rows(y_cells: usize, rank: usize, size: usize) -> (usize, usize) {
 
 /// One rank's run: a tile port driven through the shared step loop, one
 /// solve attempt per step (distributed runs have no fallback chain).
-/// Rank 0 traces into `trace`. With a `store` the port saves checkpoint
+/// Rank 0 traces into `sink`. With a `store` the port saves checkpoint
 /// cuts into it; `resume` replays from one, skipping the start-of-run
 /// exchanges and the dead step prefix — the snapshot already holds those
 /// bits.
@@ -78,7 +122,7 @@ fn body(
     grid: Grid2d,
     config: &TeaConfig,
     overlap: bool,
-    trace: Option<&TelemetrySink>,
+    sink: &TelemetrySink,
     store: Option<&CheckpointStore>,
     resume: Option<&TileCheckpoint>,
 ) -> (DistributedReport, OverlapStats, ExchangeMetrics) {
@@ -86,7 +130,7 @@ fn body(
         Some(ck) => TilePort::with_tile(rank, ck.tile.clone(), overlap),
         None => TilePort::new(rank, config, grid, overlap),
     };
-    if let (0, Some(sink)) = (rank.id(), trace) {
+    if rank.id() == 0 {
         port.context_mut().set_telemetry(sink.clone());
     }
     let at = resume.map(|ck| StepResume {
@@ -134,83 +178,61 @@ fn agree(
     (first, stats, metrics)
 }
 
-/// The deck forced onto CG, for the CG-only legacy entry points.
-fn cg_config(config: &TeaConfig) -> TeaConfig {
-    TeaConfig {
-        solver: SolverKind::ConjugateGradient,
-        ..config.clone()
-    }
-}
-
-/// Resolve the deck's tile grid for `ranks` ranks (an unset deck means a
-/// 1-D column strip), panicking with the typed config error on mismatch.
-fn grid_for(ranks: usize, config: &TeaConfig) -> Grid2d {
-    let (gx, gy) = config
-        .tile_grid(ranks)
-        .unwrap_or_else(|e| panic!("invalid tile grid: {e}"));
-    Grid2d::new(gx, gy)
-}
-
-/// Solve the configured problem with the deck's solver on a
-/// `tiles_x × tiles_y` rank grid, overlapping communication with
-/// interior compute. Returns the global report (identical on every
-/// rank, and bit-identical to the serial reference).
-pub fn run_distributed_solver(
-    tiles_x: usize,
-    tiles_y: usize,
+/// Solve the configured problem with the deck's solver as `spec` says.
+///
+/// Without faults this always returns `Ok`. With faults, either the
+/// report is bit-identical to the fault-free run's (after an elastic
+/// regrid only `ranks` shrinks with the world), or the run aborts loudly
+/// with a [`FaultDiagnostic`] — never a silently wrong answer.
+///
+/// # Panics
+///
+/// On the calling thread, before any rank starts, if the grid's smallest
+/// tile cannot carry the deck's `halo_depth`.
+pub fn run_distributed(
     config: &TeaConfig,
-) -> DistributedReport {
-    run_distributed_solver_instrumented(tiles_x, tiles_y, config, true).0
+    spec: &DistributedSpec,
+) -> Result<DistributedRun, FaultDiagnostic> {
+    let grid = Grid2d::new(spec.tiles.0, spec.tiles.1);
+    tile::check_grid(config, grid);
+    let Some(faults) = spec.faults else {
+        let results = run_spmd(grid.ranks(), |rank| {
+            body(rank, grid, config, spec.overlap, &spec.sink, None, None)
+        });
+        let (report, overlap, exchange) = agree(results);
+        return Ok(DistributedRun {
+            report,
+            overlap,
+            exchange,
+            recovery: RecoveryLog {
+                final_grid: spec.tiles,
+                ..RecoveryLog::default()
+            },
+        });
+    };
+    resilient_core(grid, config, spec, faults)
 }
 
-/// Non-overlapped variant: every exchange completes before its stencil
-/// pass. Bit-identical to [`run_distributed_solver`] by construction;
-/// exists so tests and benchmarks can assert and measure exactly that.
-pub fn run_distributed_solver_blocking(
-    tiles_x: usize,
-    tiles_y: usize,
-    config: &TeaConfig,
-) -> DistributedReport {
-    run_distributed_solver_instrumented(tiles_x, tiles_y, config, false).0
-}
-
-/// [`run_distributed_solver`] returning the merged overlap accounting
-/// and per-direction exchange counters alongside the report.
+/// A fault-free run's report and instrumentation. Pinned by the
+/// host-clock benchmark (`hostbench/`), which calls it by this
+/// signature; new code calls [`run_distributed`].
 pub fn run_distributed_solver_instrumented(
     tiles_x: usize,
     tiles_y: usize,
     config: &TeaConfig,
     overlap: bool,
 ) -> (DistributedReport, OverlapStats, ExchangeMetrics) {
-    let grid = Grid2d::new(tiles_x, tiles_y);
-    let results = run_spmd(grid.ranks(), |rank| {
-        body(rank, grid, config, overlap, None, None, None)
-    });
-    agree(results)
+    let spec = DistributedSpec {
+        overlap,
+        ..DistributedSpec::new(tiles_x, tiles_y)
+    };
+    let run = run_distributed(config, &spec).expect("a fault-free run cannot abort");
+    (run.report, run.overlap, run.exchange)
 }
 
-/// [`run_distributed_solver`] over a fault-injected message layer: the
-/// reliable transport must make the run bit-identical to the fault-free
-/// one or abort with a [`FaultDiagnostic`] — never a silently wrong
-/// answer (asserted by the conformance fault matrix, edge and corner
-/// channels alike).
-pub fn run_distributed_solver_faulty(
-    tiles_x: usize,
-    tiles_y: usize,
-    config: &TeaConfig,
-    spec: FaultSpec,
-) -> Result<DistributedReport, FaultDiagnostic> {
-    let grid = Grid2d::new(tiles_x, tiles_y);
-    let results = run_spmd_faulty(grid.ranks(), spec, |rank| {
-        body(rank, grid, config, true, None, None, None)
-    })?;
-    Ok(agree(results).0)
-}
-
-/// [`run_distributed_solver`] with rank 0 tracing on the logical clock:
-/// the step/solve/iteration spans of the shared solver loop plus an
-/// `exchange`, `interior` and `boundary` span per halo window, so
-/// `tea-prof` can table how much traffic each solver hides.
+/// A fault-free overlapped run with rank 0's trace collected. Pinned by
+/// the host-clock benchmark (`hostbench/`), which calls it by this
+/// signature; new code calls [`run_distributed`].
 pub fn run_distributed_solver_traced(
     tiles_x: usize,
     tiles_y: usize,
@@ -221,35 +243,13 @@ pub fn run_distributed_solver_traced(
     ExchangeMetrics,
     Vec<Record>,
 ) {
-    let grid = Grid2d::new(tiles_x, tiles_y);
     let (sink, collector) = TelemetrySink::collecting();
-    let results = run_spmd(grid.ranks(), |rank| {
-        body(rank, grid, config, true, Some(&sink), None, None)
-    });
-    let (report, stats, metrics) = agree(results);
-    (report, stats, metrics, collector.records())
-}
-
-/// Solve the configured problem with CG across `ranks` tiles (the
-/// deck's `tl_tiles_x`/`tl_tiles_y` grid, or a 1-D strip when unset);
-/// returns the global report (identical on every rank).
-pub fn run_distributed_cg(ranks: usize, config: &TeaConfig) -> DistributedReport {
-    let grid = grid_for(ranks, config);
-    run_distributed_solver(grid.tiles_x(), grid.tiles_y(), &cg_config(config))
-}
-
-/// Same as [`run_distributed_cg`] but over a fault-injected message
-/// layer. The reliable transport must make the run **bit-identical** to
-/// the fault-free one, or abort with a [`FaultDiagnostic`] when its
-/// recovery deadline expires — never return a silently wrong answer
-/// (asserted by the conformance fault matrix).
-pub fn run_distributed_cg_faulty(
-    ranks: usize,
-    config: &TeaConfig,
-    spec: FaultSpec,
-) -> Result<DistributedReport, FaultDiagnostic> {
-    let grid = grid_for(ranks, config);
-    run_distributed_solver_faulty(grid.tiles_x(), grid.tiles_y(), &cg_config(config), spec)
+    let spec = DistributedSpec {
+        sink,
+        ..DistributedSpec::new(tiles_x, tiles_y)
+    };
+    let run = run_distributed(config, &spec).expect("a fault-free run cannot abort");
+    (run.report, run.overlap, run.exchange, collector.records())
 }
 
 // ---------------------------------------------------------------------------
@@ -490,8 +490,9 @@ fn degrade(grid: Grid2d) -> Grid2d {
     }
 }
 
-/// What one resilient distributed run did to stay alive: the recovery
-/// timeline plus the counters `tea-prof --recovery` tables.
+/// What one faulty distributed run did to stay alive: the recovery
+/// timeline plus the counters `tea-prof --recovery` tables. A
+/// fault-free run's log is empty apart from `final_grid`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RecoveryLog {
     /// Every restart and regrid, in order, stamped with the timestep of
@@ -511,31 +512,28 @@ pub struct RecoveryLog {
     pub final_grid: (usize, usize),
 }
 
-/// The self-healing driver behind every resilient entry point: restart
-/// the world from the latest consistent cut up to `restart_budget` times
-/// per grid level; when a level's budget is exhausted (a rank that stays
-/// dead — e.g. a permanent [`mpisim::KillSpec`]), optionally gather the
-/// surviving tile state and re-tile onto a smaller grid. Transient kills
-/// are dropped after they fire (the node comes back); permanent kills
-/// re-arm on every same-grid restart and only go away when a regrid
-/// removes the dead rank from the world. Fault seeds are remixed
-/// deterministically per attempt; none of this affects numerics, so any
-/// recovered report is **bit-identical** to the clean run's.
-#[allow(clippy::too_many_arguments)]
+/// The self-healing driver behind every faulty run: restart the world
+/// from the latest consistent cut up to `tl_max_recoveries` times per
+/// grid level; when a level's budget is exhausted (a rank that stays
+/// dead — e.g. a permanent [`mpisim::KillSpec`]), and `tl_elastic_regrid`
+/// allows, gather the surviving tile state and re-tile onto a smaller
+/// grid. Transient kills are dropped after they fire (the node comes
+/// back); permanent kills re-arm on every same-grid restart and only go
+/// away when a regrid removes the dead rank from the world. Fault seeds
+/// are remixed deterministically per attempt; none of this affects
+/// numerics, so any recovered report is **bit-identical** to the clean
+/// run's.
 fn resilient_core(
-    tiles_x: usize,
-    tiles_y: usize,
+    mut grid: Grid2d,
     config: &TeaConfig,
+    run: &DistributedSpec,
     spec: FaultSpec,
-    restart_budget: usize,
-    allow_regrid: bool,
-    tel: &TelemetrySink,
-) -> Result<(DistributedReport, RecoveryLog), FaultDiagnostic> {
-    let mut grid = Grid2d::new(tiles_x, tiles_y);
+) -> Result<DistributedRun, FaultDiagnostic> {
+    let tel = &run.sink;
     let mut carried: Option<Vec<TileCheckpoint>> = None;
     let mut armed_kill = spec.kill_rank;
     let mut log = RecoveryLog {
-        final_grid: (tiles_x, tiles_y),
+        final_grid: run.tiles,
         ..RecoveryLog::default()
     };
     let mut attempt = 0u64; // across grid levels, for seed remixing
@@ -565,11 +563,11 @@ fn resilient_core(
                 .sum::<u64>();
             let result = run_spmd_faulty(grid.ranks(), attempt_spec, |rank| {
                 let resume = resumes[rank.id()].as_ref();
-                body(rank, grid, config, true, Some(tel), Some(&store), resume)
+                body(rank, grid, config, run.overlap, tel, Some(&store), resume)
             });
             attempt += 1;
             match result {
-                Ok(results) => break Ok(agree(results).0),
+                Ok(results) => break Ok(agree(results)),
                 Err(diag) => {
                     log.ranks_lost += 1;
                     tel.event("resilience", format_args!("world died: {diag}"), tick);
@@ -579,7 +577,7 @@ fn resilient_core(
                             armed_kill = None; // transient crash: the node comes back
                         }
                     }
-                    if level_restarts >= restart_budget {
+                    if level_restarts >= config.tl_max_recoveries {
                         break Err(diag);
                     }
                     level_restarts += 1;
@@ -611,12 +609,17 @@ fn resilient_core(
         };
         log.checkpoints_taken += store.saves();
         match outcome {
-            Ok(report) => {
+            Ok((report, overlap, exchange)) => {
                 log.final_grid = (grid.tiles_x(), grid.tiles_y());
-                return Ok((report, log));
+                return Ok(DistributedRun {
+                    report,
+                    overlap,
+                    exchange,
+                    recovery: log,
+                });
             }
             Err(diag) => {
-                if !(allow_regrid && grid.ranks() > 1) {
+                if !(config.tl_elastic_regrid && grid.ranks() > 1) {
                     return Err(diag);
                 }
                 let to = degrade(grid);
@@ -659,129 +662,87 @@ fn resilient_core(
     }
 }
 
-/// Self-healing distributed solve of the deck's solver on a
-/// `tiles_x × tiles_y` grid over the fault-injected transport:
-/// checkpoint rings every `tl_checkpoint_interval` iterations, world
-/// restarts from the latest consistent cut (`tl_max_recoveries` per grid
-/// level), and — when `tl_elastic_regrid` allows — re-decomposition onto
-/// a smaller grid when a rank stays dead. Either the returned report is
-/// bit-identical to the clean run's, or the run aborts loudly with a
-/// [`FaultDiagnostic`] — never a silently wrong answer.
-pub fn run_distributed_solver_resilient(
-    tiles_x: usize,
-    tiles_y: usize,
-    config: &TeaConfig,
-    spec: FaultSpec,
-) -> Result<(DistributedReport, RecoveryLog), FaultDiagnostic> {
-    resilient_core(
-        tiles_x,
-        tiles_y,
-        config,
-        spec,
-        config.tl_max_recoveries,
-        config.tl_elastic_regrid,
-        &TelemetrySink::disabled(),
-    )
-}
-
-/// [`run_distributed_solver_resilient`] with the resilience timeline
-/// traced: rank 0 emits its spans and checkpoint events on the logical
-/// clock and the driver emits restart/regrid events, so
-/// `tea-prof --recovery` can table the recovery story.
-pub fn run_distributed_solver_resilient_traced(
-    tiles_x: usize,
-    tiles_y: usize,
-    config: &TeaConfig,
-    spec: FaultSpec,
-) -> Result<(DistributedReport, RecoveryLog, Vec<Record>), FaultDiagnostic> {
-    let (sink, collector) = TelemetrySink::collecting();
-    let (report, log) = resilient_core(
-        tiles_x,
-        tiles_y,
-        config,
-        spec,
-        config.tl_max_recoveries,
-        config.tl_elastic_regrid,
-        &sink,
-    )?;
-    Ok((report, log, collector.records()))
-}
-
-/// Checkpoint-restarting distributed CG: run under the fault-injected
-/// transport, checkpointing every `tl_checkpoint_interval` CG iterations
-/// into a [`CheckpointStore`]; when the world dies (e.g. an injected
-/// [`mpisim::KillSpec`] rank loss), relaunch it up to `max_restarts`
-/// times, resuming every rank from the latest checkpoint present on
-/// *all* ranks. Returns the report and the number of restarts used.
-/// (The legacy fixed-grid entry point: no elastic re-decomposition.)
-pub fn run_distributed_cg_resilient(
-    ranks: usize,
-    config: &TeaConfig,
-    spec: FaultSpec,
-    max_restarts: usize,
-) -> Result<(DistributedReport, usize), FaultDiagnostic> {
-    let grid = grid_for(ranks, config);
-    let (report, log) = resilient_core(
-        grid.tiles_x(),
-        grid.tiles_y(),
-        &cg_config(config),
-        spec,
-        max_restarts,
-        false,
-        &TelemetrySink::disabled(),
-    )?;
-    Ok((report, log.restarts))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tea_core::config::SolverKind;
 
-    #[test]
-    fn stripe_partition_covers_all_rows() {
-        for y in [7usize, 16, 33] {
-            for size in 1..=4 {
-                let mut covered = 0;
-                for rank in 0..size {
-                    let (r0, r1) = stripe_rows(y, rank, size);
-                    assert!(r0 <= r1);
-                    covered += r1 - r0;
-                    if rank > 0 {
-                        assert_eq!(r0, stripe_rows(y, rank - 1, size).1, "contiguous stripes");
-                    }
-                }
-                assert_eq!(covered, y);
-            }
+    const SOLVERS: [SolverKind; 4] = [
+        SolverKind::ConjugateGradient,
+        SolverKind::Chebyshev,
+        SolverKind::Ppcg,
+        SolverKind::Jacobi,
+    ];
+
+    fn small_config() -> TeaConfig {
+        let mut cfg = TeaConfig::paper_problem(16);
+        cfg.end_step = 1;
+        cfg.tl_eps = 1.0e-10;
+        cfg
+    }
+
+    /// The deck forced onto CG.
+    fn cg(mut cfg: TeaConfig) -> TeaConfig {
+        cfg.solver = SolverKind::ConjugateGradient;
+        cfg
+    }
+
+    /// A fault-free run on `tiles`, overlapped or blocking.
+    fn plain(cfg: &TeaConfig, tiles: (usize, usize), overlap: bool) -> DistributedRun {
+        let spec = DistributedSpec {
+            overlap,
+            ..DistributedSpec::new(tiles.0, tiles.1)
+        };
+        run_distributed(cfg, &spec).expect("a fault-free run cannot abort")
+    }
+
+    fn faulty(
+        cfg: &TeaConfig,
+        tiles: (usize, usize),
+        faults: FaultSpec,
+    ) -> Result<DistributedRun, FaultDiagnostic> {
+        let spec = DistributedSpec {
+            faults: Some(faults),
+            ..DistributedSpec::new(tiles.0, tiles.1)
+        };
+        run_distributed(cfg, &spec)
+    }
+
+    /// A deck whose faulty runs get one attempt: no restarts, no regrid.
+    fn one_attempt(mut cfg: TeaConfig) -> TeaConfig {
+        cfg.tl_max_recoveries = 0;
+        cfg.tl_elastic_regrid = false;
+        cfg
+    }
+
+    /// A kill-row transport: short quiet period and deadline so a lost
+    /// rank is detected inside test budgets.
+    fn kill_spec(seed: u64, kill: mpisim::KillSpec) -> FaultSpec {
+        FaultSpec {
+            quiet: std::time::Duration::from_millis(2),
+            deadline: std::time::Duration::from_millis(250),
+            kill_rank: Some(kill),
+            ..FaultSpec::clean(seed)
         }
     }
 
     #[test]
     fn one_rank_runs() {
-        let mut cfg = TeaConfig::paper_problem(16);
-        cfg.end_step = 1;
-        cfg.tl_eps = 1.0e-10;
-        let report = run_distributed_cg(1, &cfg);
+        let report = plain(&cg(small_config()), (1, 1), true).report;
         assert!(report.converged);
         assert_eq!(report.ranks, 1);
     }
 
     #[test]
     fn all_solvers_agree_across_grids_and_overlap_modes() {
-        let mut cfg = TeaConfig::paper_problem(16);
-        cfg.end_step = 1;
-        cfg.tl_eps = 1.0e-10;
-        for solver in [
-            SolverKind::ConjugateGradient,
-            SolverKind::Chebyshev,
-            SolverKind::Ppcg,
-            SolverKind::Jacobi,
-        ] {
+        let mut cfg = small_config();
+        for solver in SOLVERS {
             cfg.solver = solver;
-            let reference = run_distributed_solver(1, 1, &cfg);
+            let reference = plain(&cfg, (1, 1), true).report;
             assert!(reference.converged, "{solver:?} must converge");
             for (gx, gy) in [(1usize, 2usize), (2, 1), (2, 2)] {
-                let overlapped = run_distributed_solver(gx, gy, &cfg);
-                let blocking = run_distributed_solver_blocking(gx, gy, &cfg);
+                let overlapped = plain(&cfg, (gx, gy), true).report;
+                let blocking = plain(&cfg, (gx, gy), false).report;
                 assert_eq!(
                     overlapped.summary, reference.summary,
                     "{solver:?} on {gx}x{gy} must be bit-identical to 1 rank"
@@ -799,10 +760,9 @@ mod tests {
 
     #[test]
     fn overlapped_windows_hide_traffic_and_cross_corners() {
-        let mut cfg = TeaConfig::paper_problem(16);
-        cfg.end_step = 1;
-        cfg.tl_eps = 1.0e-10;
-        let (_, stats, metrics) = run_distributed_solver_instrumented(2, 2, &cfg, true);
+        let cfg = small_config();
+        let run = plain(&cfg, (2, 2), true);
+        let (stats, metrics) = (run.overlap, run.exchange);
         assert!(stats.windows > 0);
         assert!(stats.hidden_elements > 0, "overlap must hide some traffic");
         assert!(stats.overlap_efficiency() > 0.0);
@@ -811,33 +771,22 @@ mod tests {
             "a 2x2 grid must exchange corner blocks"
         );
         assert!(metrics.edge_elements() > metrics.corner_elements());
-        let (_, blocking_stats, _) = run_distributed_solver_instrumented(2, 2, &cfg, false);
+        let blocking_stats = plain(&cfg, (2, 2), false).overlap;
         assert_eq!(blocking_stats.hidden_elements, 0);
         assert_eq!(blocking_stats.overlap_efficiency(), 0.0);
     }
 
     #[test]
-    fn deck_tile_keys_steer_the_legacy_entry_point() {
-        let mut cfg = TeaConfig::paper_problem(16);
-        cfg.end_step = 1;
-        cfg.tl_eps = 1.0e-10;
-        let strips = run_distributed_cg(2, &cfg);
-        // Splitting columns instead of rows exercises the E/W exchange
-        // and the carry pipeline — the bits must not move.
-        cfg.tl_tiles_x = 2;
-        cfg.tl_tiles_y = 1;
-        let columns = run_distributed_cg(2, &cfg);
-        assert_eq!(columns, strips);
-    }
-
-    #[test]
     fn traced_run_emits_phase_spans() {
-        let mut cfg = TeaConfig::paper_problem(16);
-        cfg.end_step = 1;
-        cfg.tl_eps = 1.0e-10;
-        let (report, stats, _, records) = run_distributed_solver_traced(2, 1, &cfg);
-        assert!(report.converged);
-        assert!(stats.windows > 0);
+        let (sink, collector) = TelemetrySink::collecting();
+        let spec = DistributedSpec {
+            sink,
+            ..DistributedSpec::new(2, 1)
+        };
+        let run = run_distributed(&small_config(), &spec).expect("fault-free");
+        assert!(run.report.converged);
+        assert!(run.overlap.windows > 0);
+        let records = collector.records();
         let cat_count = |want: &str| {
             records
                 .iter()
@@ -851,98 +800,97 @@ mod tests {
 
     #[test]
     fn faulty_world_reproduces_plain_distributed_run() {
-        let mut cfg = TeaConfig::paper_problem(16);
-        cfg.end_step = 1;
-        cfg.tl_eps = 1.0e-10;
-        let plain = run_distributed_cg(2, &cfg);
-        let clean =
-            run_distributed_cg_faulty(2, &cfg, FaultSpec::clean(11)).expect("clean transport");
-        assert_eq!(clean, plain);
+        let cfg = one_attempt(cg(small_config()));
+        let plain = plain(&cfg, (1, 2), true).report;
+        let clean = faulty(&cfg, (1, 2), FaultSpec::clean(11)).expect("clean transport");
+        assert_eq!(clean.report, plain);
         let mut spec = FaultSpec::lossy(11);
         spec.quiet = std::time::Duration::from_millis(2);
-        let lossy = run_distributed_cg_faulty(2, &cfg, spec).expect("recoverable network");
-        assert_eq!(lossy, plain, "recovered run must be bit-identical");
+        let lossy = faulty(&cfg, (1, 2), spec).expect("recoverable network");
+        assert_eq!(lossy.report, plain, "recovered run must be bit-identical");
+    }
+
+    #[test]
+    fn resilient_clean_run_keeps_the_plain_run_instrumentation() {
+        let mut cfg = small_config();
+        cfg.tl_checkpoint_interval = 2;
+        for solver in [SolverKind::ConjugateGradient, SolverKind::Jacobi] {
+            cfg.solver = solver;
+            let plain = plain(&cfg, (2, 2), true);
+            let resilient = faulty(&cfg, (2, 2), FaultSpec::clean(29)).expect("clean world");
+            assert_eq!(resilient.report, plain.report, "{solver:?}");
+            assert_eq!(resilient.overlap, plain.overlap, "{solver:?}");
+            assert_eq!(resilient.exchange, plain.exchange, "{solver:?}");
+            assert!(resilient.recovery.checkpoints_taken > 0, "{solver:?}");
+        }
     }
 
     #[test]
     fn resilient_run_without_faults_uses_no_restarts() {
-        let mut cfg = TeaConfig::paper_problem(16);
-        cfg.end_step = 1;
-        cfg.tl_eps = 1.0e-10;
+        let mut cfg = cg(small_config());
         cfg.tl_checkpoint_interval = 5;
-        let plain = run_distributed_cg(2, &cfg);
-        let (report, restarts) =
-            run_distributed_cg_resilient(2, &cfg, FaultSpec::clean(31), 2).expect("clean world");
-        assert_eq!(restarts, 0);
-        assert_eq!(report, plain, "checkpointing must be numerically inert");
+        cfg.tl_max_recoveries = 2;
+        cfg.tl_elastic_regrid = false;
+        let plain = plain(&cfg, (1, 2), true).report;
+        let run = faulty(&cfg, (1, 2), FaultSpec::clean(31)).expect("clean world");
+        assert_eq!(run.recovery.restarts, 0);
+        assert_eq!(run.report, plain, "checkpointing must be numerically inert");
     }
 
     #[test]
     fn killed_rank_replays_from_checkpoint_bit_identically() {
-        let mut cfg = TeaConfig::paper_problem(16);
+        let mut cfg = cg(small_config());
         cfg.end_step = 2;
         cfg.tl_eps = 1.0e-12;
         cfg.tl_checkpoint_interval = 2;
-        let plain = run_distributed_cg(2, &cfg);
+        let plain = plain(&cfg, (1, 2), true).report;
 
-        let mut spec = FaultSpec::clean(37);
-        spec.quiet = std::time::Duration::from_millis(2);
-        spec.deadline = std::time::Duration::from_millis(250);
         // Kill rank 1 deep enough into its send schedule that both ranks
         // are mid-CG with checkpoints behind them.
-        spec.kill_rank = Some(mpisim::KillSpec::transient(1, 25));
+        let spec = kill_spec(37, mpisim::KillSpec::transient(1, 25));
         // Without restart, the world must die loudly...
-        run_distributed_cg_faulty(2, &cfg, spec).expect_err("a dead rank cannot finish");
+        faulty(&one_attempt(cfg.clone()), (1, 2), spec).expect_err("a dead rank cannot finish");
         // ...with restart, it must finish bit-identical to the clean run.
-        let (report, restarts) =
-            run_distributed_cg_resilient(2, &cfg, spec, 2).expect("restart must recover");
-        assert!(restarts >= 1, "the kill must have forced a restart");
+        cfg.tl_max_recoveries = 2;
+        cfg.tl_elastic_regrid = false;
+        let run = faulty(&cfg, (1, 2), spec).expect("restart must recover");
+        assert!(
+            run.recovery.restarts >= 1,
+            "the kill must have forced a restart"
+        );
         assert_eq!(
-            report, plain,
+            run.report, plain,
             "replay from checkpoint must be bit-identical"
         );
     }
 
     #[test]
     fn kill_before_any_checkpoint_restarts_from_scratch() {
-        let mut cfg = TeaConfig::paper_problem(16);
-        cfg.end_step = 1;
-        cfg.tl_eps = 1.0e-10;
+        let mut cfg = cg(small_config());
         // Interval larger than the iteration count: only the iteration-0
         // checkpoint exists, so the restart is effectively from scratch —
         // still bit-identical.
         cfg.tl_checkpoint_interval = 10_000;
-        let plain = run_distributed_cg(2, &cfg);
-        let mut spec = FaultSpec::clean(41);
-        spec.quiet = std::time::Duration::from_millis(2);
-        spec.deadline = std::time::Duration::from_millis(250);
-        spec.kill_rank = Some(mpisim::KillSpec::transient(0, 2));
-        let (report, restarts) =
-            run_distributed_cg_resilient(2, &cfg, spec, 2).expect("restart must recover");
-        assert!(restarts >= 1);
-        assert_eq!(report, plain);
+        cfg.tl_max_recoveries = 2;
+        cfg.tl_elastic_regrid = false;
+        let plain = plain(&cfg, (1, 2), true).report;
+        let spec = kill_spec(41, mpisim::KillSpec::transient(0, 2));
+        let run = faulty(&cfg, (1, 2), spec).expect("restart must recover");
+        assert!(run.recovery.restarts >= 1);
+        assert_eq!(run.report, plain);
     }
 
     #[test]
     fn all_solvers_replay_transient_kill_bit_identically() {
-        let mut cfg = TeaConfig::paper_problem(16);
-        cfg.end_step = 1;
-        cfg.tl_eps = 1.0e-10;
+        let mut cfg = small_config();
         cfg.tl_checkpoint_interval = 2;
-        for solver in [
-            SolverKind::ConjugateGradient,
-            SolverKind::Chebyshev,
-            SolverKind::Ppcg,
-            SolverKind::Jacobi,
-        ] {
+        for solver in SOLVERS {
             cfg.solver = solver;
-            let plain = run_distributed_solver(2, 2, &cfg);
-            let mut spec = FaultSpec::clean(43);
-            spec.quiet = std::time::Duration::from_millis(2);
-            spec.deadline = std::time::Duration::from_millis(250);
-            spec.kill_rank = Some(mpisim::KillSpec::transient(1, 25));
-            let (report, log) = run_distributed_solver_resilient(2, 2, &cfg, spec)
+            let plain = plain(&cfg, (2, 2), true).report;
+            let spec = kill_spec(43, mpisim::KillSpec::transient(1, 25));
+            let run = faulty(&cfg, (2, 2), spec)
                 .unwrap_or_else(|d| panic!("{solver:?} must recover, got {d}"));
+            let log = &run.recovery;
             assert!(log.restarts >= 1, "{solver:?}: kill must force a restart");
             assert_eq!(log.regrids, 0, "{solver:?}: a transient kill never regrids");
             assert_eq!(log.final_grid, (2, 2));
@@ -954,7 +902,7 @@ mod tests {
                 log.events
             );
             assert_eq!(
-                report, plain,
+                run.report, plain,
                 "{solver:?}: replay from checkpoint must be bit-identical"
             );
         }
@@ -962,7 +910,7 @@ mod tests {
 
     #[test]
     fn permanent_kill_regrids_onto_survivors_bit_identically() {
-        let mut cfg = TeaConfig::paper_problem(16);
+        let mut cfg = small_config();
         // Two tighter steps: long enough that the re-armed kill fires
         // again in every same-grid restart (a resumed world replays only
         // the tail, so a short deck would finish under the kill's send
@@ -971,15 +919,12 @@ mod tests {
         cfg.tl_eps = 1.0e-12;
         cfg.tl_checkpoint_interval = 2;
         cfg.tl_max_recoveries = 1;
-        let plain = run_distributed_solver(2, 2, &cfg);
-        let mut spec = FaultSpec::clean(47);
-        spec.quiet = std::time::Duration::from_millis(2);
-        spec.deadline = std::time::Duration::from_millis(250);
+        let plain = plain(&cfg, (2, 2), true).report;
         // Rank 3 never comes back: same-grid restarts keep dying until
         // the budget forces an elastic re-decomposition.
-        spec.kill_rank = Some(mpisim::KillSpec::permanent(3, 25));
-        let (report, log) =
-            run_distributed_solver_resilient(2, 2, &cfg, spec).expect("regrid must recover");
+        let spec = kill_spec(47, mpisim::KillSpec::permanent(3, 25));
+        let run = faulty(&cfg, (2, 2), spec).expect("regrid must recover");
+        let (report, log) = (&run.report, &run.recovery);
         assert!(log.regrids >= 1, "budget exhaustion must regrid: {log:?}");
         assert!(log.restarts >= 1);
         assert!(log.ranks_lost >= 2, "initial attempt plus restart died");
@@ -1008,17 +953,14 @@ mod tests {
 
     #[test]
     fn permanent_kill_without_elastic_regrid_aborts_loudly() {
-        let mut cfg = TeaConfig::paper_problem(16);
+        let mut cfg = small_config();
         cfg.end_step = 2;
         cfg.tl_eps = 1.0e-12;
         cfg.tl_checkpoint_interval = 2;
         cfg.tl_max_recoveries = 1;
         cfg.tl_elastic_regrid = false;
-        let mut spec = FaultSpec::clean(47);
-        spec.quiet = std::time::Duration::from_millis(2);
-        spec.deadline = std::time::Duration::from_millis(250);
-        spec.kill_rank = Some(mpisim::KillSpec::permanent(3, 25));
-        let diag = run_distributed_solver_resilient(2, 2, &cfg, spec)
+        let spec = kill_spec(47, mpisim::KillSpec::permanent(3, 25));
+        let diag = faulty(&cfg, (2, 2), spec)
             .expect_err("a permanently dead rank with regrid off cannot finish");
         // The surfaced diagnostic is the first rank's in rank order:
         // either the kill itself or a survivor's starved deadline.
@@ -1027,15 +969,13 @@ mod tests {
 
     #[test]
     fn resilient_solver_clean_run_has_inert_log() {
-        let mut cfg = TeaConfig::paper_problem(16);
-        cfg.end_step = 1;
-        cfg.tl_eps = 1.0e-10;
+        let mut cfg = small_config();
         cfg.tl_checkpoint_interval = 3;
         cfg.solver = SolverKind::Ppcg;
-        let plain = run_distributed_solver(2, 1, &cfg);
-        let (report, log) = run_distributed_solver_resilient(2, 1, &cfg, FaultSpec::clean(53))
-            .expect("clean world");
-        assert_eq!(report, plain, "checkpointing must be numerically inert");
+        let plain = plain(&cfg, (2, 1), true).report;
+        let run = faulty(&cfg, (2, 1), FaultSpec::clean(53)).expect("clean world");
+        let log = &run.recovery;
+        assert_eq!(run.report, plain, "checkpointing must be numerically inert");
         assert_eq!(log.restarts, 0);
         assert_eq!(log.regrids, 0);
         assert_eq!(log.ranks_lost, 0);
@@ -1055,11 +995,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "cannot carry a depth-2 halo")]
     fn too_many_ranks_rejected() {
-        // 8 rows across 8 ranks → 1-row stripes < halo depth 2
+        // 8 rows across 8 ranks → 1-row tiles < halo depth 2. The message
+        // proves the check ran on the calling thread: a rank-thread panic
+        // would surface as "a rank panicked".
         let mut cfg = TeaConfig::paper_problem(8);
         cfg.end_step = 1;
-        let _ = run_distributed_cg(8, &cfg);
+        let _ = run_distributed(&cfg, &DistributedSpec::new(1, 8));
     }
 }

@@ -22,11 +22,7 @@ pub fn run_simulation_seeded(
     config: &TeaConfig,
     seed: u64,
 ) -> Result<RunReport, PortError> {
-    let problem = Problem::from_config(config)?;
-    let device = powered_device(device, config);
-    let mut port = make_port(model, device.clone(), &problem, seed)?;
-    let report = drive(port.as_mut(), &problem, &device, config);
-    Ok(report)
+    run_simulation_traced(model, device, config, seed, TelemetrySink::disabled())
 }
 
 /// Apply the deck's power-model settings to `device`: `tl_power_model off`
@@ -207,17 +203,6 @@ pub(crate) fn run_steps(
     steps
 }
 
-/// Back-compat alias used by examples: run one solve only (single step).
-pub fn run_solve(
-    model: ModelId,
-    device: &DeviceSpec,
-    config: &TeaConfig,
-) -> Result<RunReport, PortError> {
-    let mut single = config.clone();
-    single.end_step = 1;
-    run_simulation(model, device, &single)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,14 +221,6 @@ mod tests {
     fn unsupported_pair_is_an_error() {
         let err = run_simulation(ModelId::Cuda, &devices::cpu_xeon_e5_2670_x2(), &config());
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn run_solve_is_single_step() {
-        let report =
-            run_solve(ModelId::Serial, &devices::cpu_xeon_e5_2670_x2(), &config()).unwrap();
-        assert_eq!(report.steps, 1);
-        assert!(report.converged);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod solver;
 pub mod tile;
 pub mod tune;
 
-pub use driver::{run_simulation, run_simulation_seeded, run_simulation_traced, run_solve};
+pub use driver::{run_simulation, run_simulation_seeded, run_simulation_traced};
 pub use kernels::{traced_halo, NormField, TeaLeafPort};
 pub use model_id::ModelId;
 pub use problem::Problem;

@@ -1,18 +1,18 @@
 //! Distributed TeaLeaf: the inter-node layer the paper notes is "handled
 //! with MPI in TeaLeaf" (§3), over the mpisim message-passing world.
 //!
-//! Decomposes the mesh into row stripes across ranks (each a real
-//! thread), exchanges halos every iteration, reduces dot products with
-//! exactly-ordered allreduces — and proves the decomposition is a pure
-//! implementation detail by comparing against the single-chunk serial
-//! reference bit-for-bit.
+//! Decomposes the mesh into tiles across ranks (each a real thread) —
+//! row strips, column strips and 2-D grids — exchanges halos every
+//! iteration, reduces dot products with exactly-ordered allreduces — and
+//! proves the decomposition is a pure implementation detail by comparing
+//! against the single-chunk serial reference bit-for-bit.
 //!
 //! ```sh
 //! cargo run --release --example distributed
 //! ```
 
 use simdev::devices;
-use tealeaf::distributed::run_distributed_cg;
+use tealeaf::distributed::{run_distributed, DistributedSpec};
 use tealeaf_repro::prelude::*;
 
 fn main() {
@@ -28,11 +28,13 @@ fn main() {
         serial.total_iterations, serial.summary.temperature
     );
 
-    for ranks in [2, 3, 4, 6] {
-        let dist = run_distributed_cg(ranks, &config);
+    for (gx, gy) in [(1, 2), (1, 3), (1, 4), (1, 6), (2, 1), (2, 2), (3, 2)] {
+        let dist = run_distributed(&config, &DistributedSpec::new(gx, gy))
+            .expect("a fault-free run cannot abort")
+            .report;
         let diff = dist.summary.max_abs_diff(&serial.summary);
         println!(
-            "{ranks} ranks      : {} iterations, temperature integral {:.12}  (max |Δ| vs serial = {diff:e})",
+            "{gx}x{gy} tiles    : {} iterations, temperature integral {:.12}  (max |Δ| vs serial = {diff:e})",
             dist.total_iterations, dist.summary.temperature
         );
         assert_eq!(diff, 0.0, "the decomposition must be exact");

@@ -5,9 +5,7 @@
 
 use simdev::devices;
 use tea_core::config::{SolverKind, TeaConfig};
-use tealeaf::distributed::{
-    run_distributed_cg, run_distributed_solver, run_distributed_solver_blocking,
-};
+use tealeaf::distributed::{run_distributed, DistributedReport, DistributedSpec};
 use tealeaf::{run_simulation, ModelId};
 
 fn config(cells: usize) -> TeaConfig {
@@ -19,13 +17,24 @@ fn config(cells: usize) -> TeaConfig {
     cfg
 }
 
+/// A fault-free run of `cfg` on a `tiles` grid, overlapped or blocking.
+fn distributed(cfg: &TeaConfig, tiles: (usize, usize), overlap: bool) -> DistributedReport {
+    let spec = DistributedSpec {
+        overlap,
+        ..DistributedSpec::new(tiles.0, tiles.1)
+    };
+    run_distributed(cfg, &spec)
+        .expect("a fault-free run cannot abort")
+        .report
+}
+
 #[test]
 fn distributed_cg_bit_identical_to_serial() {
     let cfg = config(48);
     let serial = run_simulation(ModelId::Serial, &devices::cpu_xeon_e5_2670_x2(), &cfg).unwrap();
     assert!(serial.converged);
     for ranks in [1, 2, 3, 4] {
-        let dist = run_distributed_cg(ranks, &cfg);
+        let dist = distributed(&cfg, (1, ranks), true);
         assert!(dist.converged, "{ranks} ranks must converge");
         assert_eq!(
             dist.total_iterations, serial.total_iterations,
@@ -41,7 +50,7 @@ fn uneven_stripes_still_exact() {
     // 50 rows across 3 ranks → stripes of 16/17/17
     let cfg = config(50);
     let serial = run_simulation(ModelId::Serial, &devices::cpu_xeon_e5_2670_x2(), &cfg).unwrap();
-    let dist = run_distributed_cg(3, &cfg);
+    let dist = distributed(&cfg, (1, 3), true);
     assert_eq!(dist.summary.max_abs_diff(&serial.summary), 0.0);
     assert_eq!(dist.total_iterations, serial.total_iterations);
 }
@@ -61,8 +70,8 @@ fn all_solvers_on_2d_grids_bit_identical_to_serial() {
         let serial =
             run_simulation(ModelId::Serial, &devices::cpu_xeon_e5_2670_x2(), &cfg).unwrap();
         for (gx, gy) in [(2usize, 2usize), (3, 1), (1, 3)] {
-            let overlapped = run_distributed_solver(gx, gy, &cfg);
-            let blocking = run_distributed_solver_blocking(gx, gy, &cfg);
+            let overlapped = distributed(&cfg, (gx, gy), true);
+            let blocking = distributed(&cfg, (gx, gy), false);
             assert_eq!(
                 overlapped.total_iterations, serial.total_iterations,
                 "{solver:?} on {gx}x{gy}: iteration count drifted"
@@ -85,8 +94,8 @@ fn all_solvers_on_2d_grids_bit_identical_to_serial() {
 #[test]
 fn rank_scaling_changes_nothing_numerically() {
     let cfg = config(40);
-    let two = run_distributed_cg(2, &cfg);
-    let five = run_distributed_cg(5, &cfg);
+    let two = distributed(&cfg, (1, 2), true);
+    let five = distributed(&cfg, (1, 5), true);
     assert_eq!(two.summary, five.summary);
     assert_eq!(two.total_iterations, five.total_iterations);
 }

@@ -16,9 +16,7 @@ use std::time::Duration;
 use mpisim::{FaultSpec, KillSpec};
 use proptest::prelude::*;
 use tea_core::config::{SolverKind, TeaConfig};
-use tealeaf::distributed::{
-    latest_common_key, run_distributed_solver, run_distributed_solver_resilient, CkptKey,
-};
+use tealeaf::distributed::{latest_common_key, run_distributed, CkptKey, DistributedSpec};
 
 /// One checkpoint key in the shape the drivers emit: a small timestep,
 /// a two-valued phase, a bounded iteration.
@@ -112,16 +110,22 @@ proptest! {
         cfg.tl_eps = 1.0e-10;
         cfg.tl_checkpoint_interval = interval;
         cfg.solver = solver;
-        let baseline = run_distributed_solver(gx, gy, &cfg);
+        let baseline = run_distributed(&cfg, &DistributedSpec::new(gx, gy))
+            .expect("a fault-free run cannot abort")
+            .report;
         let spec = FaultSpec {
             quiet: Duration::from_millis(2),
             deadline: Duration::from_millis(200),
             kill_rank: Some(KillSpec::transient(victim % (gx * gy), after_sends)),
             ..FaultSpec::clean(seed)
         };
-        let (recovered, log) = run_distributed_solver_resilient(gx, gy, &cfg, spec)
-            .unwrap_or_else(|d| panic!("unrecovered: {d}"));
-        prop_assert_eq!(recovered, baseline, "replay diverged (log {:?})", log);
+        let faulty = DistributedSpec {
+            faults: Some(spec),
+            ..DistributedSpec::new(gx, gy)
+        };
+        let run = run_distributed(&cfg, &faulty).unwrap_or_else(|d| panic!("unrecovered: {d}"));
+        let log = run.recovery;
+        prop_assert_eq!(run.report, baseline, "replay diverged (log {:?})", log);
         prop_assert_eq!(log.regrids, 0, "a transient kill must never regrid");
     }
 }

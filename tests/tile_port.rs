@@ -13,7 +13,7 @@ use mpisim::{run_spmd, Grid2d};
 use simdev::devices;
 use tea_core::config::{SolverKind, TeaConfig};
 use tea_core::halo::FieldId;
-use tealeaf::distributed::{run_distributed_solver, run_distributed_solver_instrumented};
+use tealeaf::distributed::{run_distributed, DistributedRun, DistributedSpec};
 use tealeaf::ports::serial::SerialPort;
 use tealeaf::ports::tile::TilePort;
 use tealeaf::{run_simulation, Problem, TeaLeafPort};
@@ -25,7 +25,7 @@ const SOLVERS: [SolverKind; 4] = [
     SolverKind::Jacobi,
 ];
 
-/// `run_distributed_solver_instrumented` on the pinned deck, recorded
+/// Fault-free [`run_distributed`] runs on the pinned deck, recorded
 /// from the per-solver distributed loops this port replaced.
 const PINNED: [&str; 24] = [
         "cg 2x1 overlap iters=20 conv=true windows=44 interior=10100 boundary=2720 exchanged=1232 hidden=1232 messages=[0, 0, 26, 26, 0, 0, 0, 0] elements=[0, 0, 784, 784, 0, 0, 0, 0]",
@@ -56,6 +56,15 @@ const PINNED: [&str; 24] = [
 
 /// Two steps at 24², presteps short enough that Chebyshev and PPCG reach
 /// their main loops.
+/// A fault-free run of `cfg` on `gx × gy` tiles, overlapped or blocking.
+fn distributed(cfg: &TeaConfig, gx: usize, gy: usize, overlap: bool) -> DistributedRun {
+    let spec = DistributedSpec {
+        overlap,
+        ..DistributedSpec::new(gx, gy)
+    };
+    run_distributed(cfg, &spec).expect("a fault-free run cannot abort")
+}
+
 fn pinned_deck(solver: SolverKind) -> TeaConfig {
     let mut cfg = TeaConfig::paper_problem(24);
     cfg.end_step = 2;
@@ -72,7 +81,12 @@ fn lowering_keeps_the_pinned_schedule() {
         let cfg = pinned_deck(solver);
         for (gx, gy) in [(2usize, 1usize), (1, 2), (2, 2)] {
             for overlap in [true, false] {
-                let (r, s, m) = run_distributed_solver_instrumented(gx, gy, &cfg, overlap);
+                let DistributedRun {
+                    report: r,
+                    overlap: s,
+                    exchange: m,
+                    ..
+                } = distributed(&cfg, gx, gy, overlap);
                 rows.push(format!(
                     "{} {gx}x{gy} {} iters={} conv={} windows={} interior={} boundary={} \
                      exchanged={} hidden={} messages={:?} elements={:?}",
@@ -113,7 +127,7 @@ fn distributed_sentinels_trip_like_serial() {
     assert!(!serial.converged, "the sentinel must stop the serial solve");
     assert!(!serial.health.is_empty());
     for (gx, gy) in [(1usize, 1usize), (2, 1), (2, 2)] {
-        let dist = run_distributed_solver(gx, gy, &cfg);
+        let dist = distributed(&cfg, gx, gy, true).report;
         assert!(
             !dist.converged,
             "{gx}x{gy}: the sentinel must stop the solve"
