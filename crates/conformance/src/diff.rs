@@ -1,10 +1,10 @@
 //! The differential executor: two ports in lock-step, with kernel-level
 //! divergence bisection.
 //!
-//! [`LockstepPort`] implements [`TeaLeafPort`] over a *reference* and a
-//! *candidate* port. Every kernel invocation is forwarded to both (each
-//! wrapped in a [`RecordingPort`] so the call sequence is indexed), then
-//! the scalar results and the full solver field state are compared
+//! A [`LockstepPort`] is a [`RecordingPort`] over a *reference* port with
+//! the [`Lockstep`] hook: every kernel call the reference runs is
+//! replayed on a *candidate* port ([`KernelCall::apply`]), then the
+//! scalar results and the full solver field state are compared
 //! bit-for-bit. The first mismatch is frozen as a [`DivergenceReport`]
 //! naming the kernel, its invocation number, the solver iteration, the
 //! field and the first differing cell with its ULP distance — the
@@ -14,17 +14,20 @@
 //! scalars drive the solver on both ports, so the candidate sees exactly
 //! the reference's control flow and the report stays a pure function of
 //! the first fault rather than of error propagation.
+//!
+//! A [`SabotagedPort`] is the same wrapper with the [`Sabotage`] hook,
+//! which plants one known fault — the answer the harness must find.
 
 use std::fmt;
 
-use simdev::{DeviceSpec, SimContext};
+use simdev::DeviceSpec;
 use tea_core::compare::{first_divergence, hex_bits, ulp_distance, Divergence};
-use tea_core::config::{Coefficient, SolverKind, TeaConfig};
+use tea_core::config::{SolverKind, TeaConfig};
 use tea_core::halo::FieldId;
 use tea_core::summary::Summary;
-use tealeaf::kernels::NormField;
+use tealeaf::ir::LoweringCaps;
 use tealeaf::ports::{make_port, PortError};
-use tealeaf::recorder::{KernelCall, RecordingPort};
+use tealeaf::recorder::{CallHook, KernelCall, RecordingPort};
 use tealeaf::{driver, ModelId, Problem, TeaLeafPort};
 
 use crate::matrix::natural_device;
@@ -136,18 +139,40 @@ impl fmt::Display for DivergenceReport {
     }
 }
 
-/// Two ports run in lock-step with per-kernel comparison.
-pub struct LockstepPort {
-    reference: RecordingPort,
-    candidate: RecordingPort,
+impl DivergenceReport {
+    /// The report for a mismatch on the last call of `log`.
+    fn at(log: &[KernelCall], mismatch: Mismatch) -> Self {
+        let count = |names: &[&str]| {
+            log.iter()
+                .filter(|c| names.contains(&c.kernel_name()))
+                .count()
+        };
+        let kernel = log.last().expect("a call was logged").kernel_name();
+        DivergenceReport {
+            kernel,
+            call_index: log.len() - 1,
+            invocation: count(&[kernel]),
+            iteration: count(&ITERATION_MARKS),
+            mismatch,
+        }
+    }
+}
+
+/// Two ports in lock-step: a [`RecordingPort`] over the reference port
+/// whose [`Lockstep`] hook replays every call on the candidate.
+pub type LockstepPort = RecordingPort<Lockstep>;
+
+/// The lock-step hook: replays each call the reference just ran on the
+/// candidate port and compares the two; the first mismatch is frozen.
+pub struct Lockstep {
+    candidate: Box<dyn TeaLeafPort>,
     divergence: Option<DivergenceReport>,
 }
 
-impl LockstepPort {
-    pub fn new(reference: Box<dyn TeaLeafPort>, candidate: Box<dyn TeaLeafPort>) -> Self {
-        LockstepPort {
-            reference: RecordingPort::new(reference),
-            candidate: RecordingPort::new(candidate),
+impl Lockstep {
+    pub fn new(candidate: Box<dyn TeaLeafPort>) -> Self {
+        Lockstep {
+            candidate,
             divergence: None,
         }
     }
@@ -157,41 +182,21 @@ impl LockstepPort {
         self.divergence.as_ref()
     }
 
-    /// Total kernel calls executed so far.
-    pub fn calls(&self) -> usize {
-        self.reference.seq()
-    }
-
-    /// Compare scalars, summary components and all solver fields after
-    /// the call both recorders just logged; freeze the first mismatch.
-    fn check(&mut self) {
-        if self.divergence.is_some() {
-            return;
-        }
-        let log = self.reference.log();
-        let call = log.last().expect("check runs after a call").clone();
-        let cand_call = self
-            .candidate
-            .log()
-            .last()
-            .expect("candidate in lock-step")
-            .clone();
-
-        let mismatch = Self::compare_scalars(&call, &cand_call).or_else(|| self.compare_fields());
-        if let Some(mismatch) = mismatch {
-            let kernel = call.kernel_name();
-            let log = self.reference.log();
-            self.divergence = Some(DivergenceReport {
-                kernel,
-                call_index: log.len() - 1,
-                invocation: log.iter().filter(|c| c.kernel_name() == kernel).count(),
-                iteration: log
-                    .iter()
-                    .filter(|c| ITERATION_MARKS.contains(&c.kernel_name()))
-                    .count(),
-                mismatch,
+    /// Compare the two calls' results, then every solver field — except
+    /// after `read_u`, whose output is itself the field compared.
+    fn compare(
+        &self,
+        reference: &dyn TeaLeafPort,
+        expected: &KernelCall,
+        actual: &KernelCall,
+    ) -> Option<Mismatch> {
+        if let (KernelCall::ReadU { u: e }, KernelCall::ReadU { u: a }) = (expected, actual) {
+            return first_divergence(e, a).map(|divergence| Mismatch::Field {
+                field: FieldId::U,
+                divergence,
             });
         }
+        Self::compare_scalars(expected, actual).or_else(|| self.compare_fields(reference))
     }
 
     fn compare_scalars(expected: &KernelCall, actual: &KernelCall) -> Option<Mismatch> {
@@ -225,10 +230,10 @@ impl LockstepPort {
         })
     }
 
-    fn compare_fields(&self) -> Option<Mismatch> {
+    fn compare_fields(&self, reference: &dyn TeaLeafPort) -> Option<Mismatch> {
         for field in CHECKED_FIELDS {
             let (Some(e), Some(a)) = (
-                self.reference.inspect_field(field),
+                reference.inspect_field(field),
                 self.candidate.inspect_field(field),
             ) else {
                 continue;
@@ -242,56 +247,21 @@ impl LockstepPort {
     }
 }
 
-impl TeaLeafPort for LockstepPort {
-    fn model(&self) -> ModelId {
-        self.candidate.model()
-    }
-
-    fn context(&self) -> &SimContext {
-        self.reference.context()
-    }
-
-    fn context_mut(&mut self) -> &mut SimContext {
-        self.reference.context_mut()
-    }
-
-    fn init_fields(&mut self, coefficient: Coefficient, rx: f64, ry: f64) {
-        self.reference.init_fields(coefficient, rx, ry);
-        self.candidate.init_fields(coefficient, rx, ry);
-        self.check();
-    }
-
-    fn halo_update(&mut self, fields: &[FieldId], depth: usize) {
-        self.reference.halo_update(fields, depth);
-        self.candidate.halo_update(fields, depth);
-        self.check();
-    }
-
-    fn cg_init(&mut self, preconditioner: bool) -> f64 {
-        let rro = self.reference.cg_init(preconditioner);
-        let _ = self.candidate.cg_init(preconditioner);
-        self.check();
-        rro
-    }
-
-    fn cg_calc_w(&mut self) -> f64 {
-        let pw = self.reference.cg_calc_w();
-        let _ = self.candidate.cg_calc_w();
-        self.check();
-        pw
-    }
-
-    fn cg_calc_ur(&mut self, alpha: f64, preconditioner: bool) -> f64 {
-        let rrn = self.reference.cg_calc_ur(alpha, preconditioner);
-        let _ = self.candidate.cg_calc_ur(alpha, preconditioner);
-        self.check();
-        rrn
-    }
-
-    fn cg_calc_p(&mut self, beta: f64, preconditioner: bool) {
-        self.reference.cg_calc_p(beta, preconditioner);
-        self.candidate.cg_calc_p(beta, preconditioner);
-        self.check();
+impl CallHook for Lockstep {
+    fn after_call(
+        &mut self,
+        reference: &mut dyn TeaLeafPort,
+        log: &[KernelCall],
+        scalar: Option<f64>,
+    ) -> Option<f64> {
+        let call = log.last().expect("the hook runs after a call");
+        let replayed = call.clone().apply(self.candidate.as_mut());
+        if self.divergence.is_none() {
+            self.divergence = self
+                .compare(reference, call, &replayed)
+                .map(|mismatch| DivergenceReport::at(log, mismatch));
+        }
+        scalar
     }
 
     // Deliberately default caps (no fused launches): both ports then run
@@ -299,97 +269,11 @@ impl TeaLeafPort for LockstepPort {
     // comparison points per CG tail instead of one. The fused and unfused
     // schedules are bit-identical by the determinism contract, so this
     // costs nothing but localization precision gained.
-    fn lowering_caps(&self) -> tealeaf::ir::LoweringCaps {
-        tealeaf::ir::LoweringCaps::default()
+    fn lowering_caps(&self, _inner: LoweringCaps) -> LoweringCaps {
+        LoweringCaps::default()
     }
 
-    fn cheby_init(&mut self, theta: f64) {
-        self.reference.cheby_init(theta);
-        self.candidate.cheby_init(theta);
-        self.check();
-    }
-
-    fn cheby_iterate(&mut self, alpha: f64, beta: f64) {
-        self.reference.cheby_iterate(alpha, beta);
-        self.candidate.cheby_iterate(alpha, beta);
-        self.check();
-    }
-
-    fn ppcg_init_sd(&mut self, theta: f64) {
-        self.reference.ppcg_init_sd(theta);
-        self.candidate.ppcg_init_sd(theta);
-        self.check();
-    }
-
-    fn ppcg_inner(&mut self, alpha: f64, beta: f64) {
-        self.reference.ppcg_inner(alpha, beta);
-        self.candidate.ppcg_inner(alpha, beta);
-        self.check();
-    }
-
-    fn jacobi_iterate(&mut self) -> f64 {
-        let err = self.reference.jacobi_iterate();
-        let _ = self.candidate.jacobi_iterate();
-        self.check();
-        err
-    }
-
-    fn residual(&mut self) {
-        self.reference.residual();
-        self.candidate.residual();
-        self.check();
-    }
-
-    fn calc_2norm(&mut self, field: NormField) -> f64 {
-        let norm = self.reference.calc_2norm(field);
-        let _ = self.candidate.calc_2norm(field);
-        self.check();
-        norm
-    }
-
-    fn finalise(&mut self) {
-        self.reference.finalise();
-        self.candidate.finalise();
-        self.check();
-    }
-
-    fn field_summary(&mut self) -> Summary {
-        let summary = self.reference.field_summary();
-        let _ = self.candidate.field_summary();
-        self.check();
-        summary
-    }
-
-    fn read_u(&mut self) -> Vec<f64> {
-        let u = self.reference.read_u();
-        let cand = self.candidate.read_u();
-        if self.divergence.is_none() {
-            if let Some(divergence) = first_divergence(&u, &cand) {
-                let log = self.reference.log();
-                self.divergence = Some(DivergenceReport {
-                    kernel: "read_u",
-                    call_index: log.len() - 1,
-                    invocation: log.iter().filter(|c| c.kernel_name() == "read_u").count(),
-                    iteration: log
-                        .iter()
-                        .filter(|c| ITERATION_MARKS.contains(&c.kernel_name()))
-                        .count(),
-                    mismatch: Mismatch::Field {
-                        field: FieldId::U,
-                        divergence,
-                    },
-                });
-            }
-        }
-        u
-    }
-
-    fn inspect_field(&self, id: FieldId) -> Option<Vec<f64>> {
-        self.reference.inspect_field(id)
-    }
-
-    fn poke_field(&mut self, id: FieldId, k: usize, value: f64) {
-        self.reference.poke_field(id, k, value);
+    fn poke(&mut self, id: FieldId, k: usize, value: f64) {
         self.candidate.poke_field(id, k, value);
     }
 }
@@ -437,17 +321,17 @@ pub fn diff_ports(
     config: &TeaConfig,
 ) -> DiffOutcome {
     let (ref_model, cand_model) = (reference.model(), candidate.model());
-    let mut lockstep = LockstepPort::new(reference, candidate);
+    let mut lockstep = RecordingPort::with_hook(reference, Lockstep::new(candidate));
     let report = driver::drive(&mut lockstep, problem, device, config);
     DiffOutcome {
         reference: ref_model,
         candidate: cand_model,
         solver: config.solver,
-        calls: lockstep.calls(),
+        calls: lockstep.seq(),
         iterations: report.total_iterations,
         converged: report.converged,
         summary: report.summary,
-        divergence: lockstep.divergence,
+        divergence: lockstep.hook().divergence().cloned(),
     }
 }
 
@@ -502,192 +386,59 @@ pub struct SabotagePlan {
 
 /// A port wrapper that executes a [`SabotagePlan`] — the known-answer
 /// fault the harness must localize exactly (kernel, invocation, field,
-/// index, 1 ulp).
-pub struct SabotagedPort {
-    inner: RecordingPort,
+/// index, 1 ulp): a [`RecordingPort`] with the [`Sabotage`] hook.
+pub type SabotagedPort = RecordingPort<Sabotage>;
+
+/// The hook that fires a [`SabotagePlan`] once, right after the planned
+/// call. The log keeps the call's true result.
+pub struct Sabotage {
     plan: SabotagePlan,
     fired: bool,
 }
 
-impl SabotagedPort {
-    pub fn new(inner: Box<dyn TeaLeafPort>, plan: SabotagePlan) -> Self {
-        SabotagedPort {
-            inner: RecordingPort::new(inner),
-            plan,
-            fired: false,
-        }
+impl Sabotage {
+    pub fn new(plan: SabotagePlan) -> Self {
+        Sabotage { plan, fired: false }
     }
 
     /// Whether the planted fault has been injected yet.
     pub fn fired(&self) -> bool {
         self.fired
     }
+}
 
-    /// True when the call the recorder just logged is the planned one.
-    fn plan_matches_last(&self) -> bool {
-        if self.fired {
-            return false;
+impl CallHook for Sabotage {
+    fn after_call(
+        &mut self,
+        inner: &mut dyn TeaLeafPort,
+        log: &[KernelCall],
+        scalar: Option<f64>,
+    ) -> Option<f64> {
+        let plan = self.plan;
+        let planned = |c: &KernelCall| c.kernel_name() == plan.kernel;
+        if self.fired
+            || !log.last().is_some_and(planned)
+            || log.iter().filter(|c| planned(c)).count() != plan.invocation
+        {
+            return scalar;
         }
-        let log = self.inner.log();
-        let Some(last) = log.last() else {
-            return false;
-        };
-        if last.kernel_name() != self.plan.kernel {
-            return false;
-        }
-        log.iter()
-            .filter(|c| c.kernel_name() == self.plan.kernel)
-            .count()
-            == self.plan.invocation
-    }
-
-    fn after_call(&mut self) {
-        if !self.plan_matches_last() {
-            return;
-        }
-        let poison = match self.plan.mode {
-            // Scalar sabotage happens on the return path, not in fields.
-            SabotageMode::NegateScalar => return,
+        let poison = match plan.mode {
+            // Scalar sabotage rewrites the return value, not a field; a
+            // call that returns no scalar cannot fire it.
+            SabotageMode::NegateScalar => {
+                self.fired = scalar.is_some();
+                return scalar.map(|v| -v);
+            }
             SabotageMode::UlpFlip => {
-                let current = self
-                    .inner
-                    .inspect_field(self.plan.field)
-                    .expect("sabotaged field must be inspectable")[self.plan.index];
+                let current = inner
+                    .inspect_field(plan.field)
+                    .expect("sabotaged field must be inspectable")[plan.index];
                 f64::from_bits(current.to_bits() ^ 1)
             }
             SabotageMode::PlantNan => f64::NAN,
         };
-        self.inner
-            .poke_field(self.plan.field, self.plan.index, poison);
+        inner.poke_field(plan.field, plan.index, poison);
         self.fired = true;
-    }
-
-    /// Applied to every scalar a kernel returns: negates the planned
-    /// invocation's result under [`SabotageMode::NegateScalar`].
-    fn sabotage_scalar(&mut self, value: f64) -> f64 {
-        if self.plan.mode == SabotageMode::NegateScalar && self.plan_matches_last() {
-            self.fired = true;
-            return -value;
-        }
-        value
-    }
-}
-
-impl TeaLeafPort for SabotagedPort {
-    fn model(&self) -> ModelId {
-        self.inner.model()
-    }
-
-    fn context(&self) -> &SimContext {
-        self.inner.context()
-    }
-
-    fn context_mut(&mut self) -> &mut SimContext {
-        self.inner.context_mut()
-    }
-
-    fn init_fields(&mut self, coefficient: Coefficient, rx: f64, ry: f64) {
-        self.inner.init_fields(coefficient, rx, ry);
-        self.after_call();
-    }
-
-    fn halo_update(&mut self, fields: &[FieldId], depth: usize) {
-        self.inner.halo_update(fields, depth);
-        self.after_call();
-    }
-
-    fn cg_init(&mut self, preconditioner: bool) -> f64 {
-        let rro = self.inner.cg_init(preconditioner);
-        self.after_call();
-        self.sabotage_scalar(rro)
-    }
-
-    fn cg_calc_w(&mut self) -> f64 {
-        let pw = self.inner.cg_calc_w();
-        self.after_call();
-        self.sabotage_scalar(pw)
-    }
-
-    fn cg_calc_ur(&mut self, alpha: f64, preconditioner: bool) -> f64 {
-        let rrn = self.inner.cg_calc_ur(alpha, preconditioner);
-        self.after_call();
-        self.sabotage_scalar(rrn)
-    }
-
-    fn cg_calc_p(&mut self, beta: f64, preconditioner: bool) {
-        self.inner.cg_calc_p(beta, preconditioner);
-        self.after_call();
-    }
-
-    fn lowering_caps(&self) -> tealeaf::ir::LoweringCaps {
-        self.inner.lowering_caps()
-    }
-
-    fn cg_fused_ur_p(&mut self, alpha: f64, rro: f64, preconditioner: bool) -> (f64, f64) {
-        let (rrn, beta) = self.inner.cg_fused_ur_p(alpha, rro, preconditioner);
-        self.after_call();
-        (self.sabotage_scalar(rrn), beta)
-    }
-
-    fn cheby_init(&mut self, theta: f64) {
-        self.inner.cheby_init(theta);
-        self.after_call();
-    }
-
-    fn cheby_iterate(&mut self, alpha: f64, beta: f64) {
-        self.inner.cheby_iterate(alpha, beta);
-        self.after_call();
-    }
-
-    fn ppcg_init_sd(&mut self, theta: f64) {
-        self.inner.ppcg_init_sd(theta);
-        self.after_call();
-    }
-
-    fn ppcg_inner(&mut self, alpha: f64, beta: f64) {
-        self.inner.ppcg_inner(alpha, beta);
-        self.after_call();
-    }
-
-    fn jacobi_iterate(&mut self) -> f64 {
-        let err = self.inner.jacobi_iterate();
-        self.after_call();
-        self.sabotage_scalar(err)
-    }
-
-    fn residual(&mut self) {
-        self.inner.residual();
-        self.after_call();
-    }
-
-    fn calc_2norm(&mut self, field: NormField) -> f64 {
-        let norm = self.inner.calc_2norm(field);
-        self.after_call();
-        self.sabotage_scalar(norm)
-    }
-
-    fn finalise(&mut self) {
-        self.inner.finalise();
-        self.after_call();
-    }
-
-    fn field_summary(&mut self) -> Summary {
-        let summary = self.inner.field_summary();
-        self.after_call();
-        summary
-    }
-
-    fn read_u(&mut self) -> Vec<f64> {
-        let u = self.inner.read_u();
-        self.after_call();
-        u
-    }
-
-    fn inspect_field(&self, id: FieldId) -> Option<Vec<f64>> {
-        self.inner.inspect_field(id)
-    }
-
-    fn poke_field(&mut self, id: FieldId, k: usize, value: f64) {
-        self.inner.poke_field(id, k, value);
+        scalar
     }
 }

@@ -39,8 +39,8 @@ pub mod golden;
 pub mod matrix;
 
 pub use diff::{
-    diff_models, diff_ports, DiffOutcome, DivergenceReport, LockstepPort, Mismatch, SabotageMode,
-    SabotagePlan, SabotagedPort,
+    diff_models, diff_ports, DiffOutcome, DivergenceReport, Lockstep, LockstepPort, Mismatch,
+    Sabotage, SabotageMode, SabotagePlan, SabotagedPort,
 };
 pub use faults::{
     chaos_rows, fault_spec_for, kill_rows, lossy_rows, run_fault_matrix, FaultRow, FaultTally,

@@ -7,12 +7,13 @@
 
 use tea_conformance::{
     builtin_decks, chaos_rows, diff_models, diff_ports, kill_rows, lossy_rows, run_fault_matrix,
-    run_schedule_fuzz, Mismatch, SabotageMode, SabotagePlan, SabotagedPort,
+    run_schedule_fuzz, Lockstep, Mismatch, Sabotage, SabotageMode, SabotagePlan, GOLDEN_PORTS,
 };
 use tea_core::config::{SolverKind, TeaConfig};
 use tea_core::halo::FieldId;
 use tealeaf::ports::{common, make_port};
-use tealeaf::{ModelId, Problem};
+use tealeaf::recorder::RecordingPort;
+use tealeaf::{driver, ModelId, NormField, Problem, TeaLeafPort};
 
 fn config(solver: SolverKind, cells: usize) -> TeaConfig {
     let mut cfg = TeaConfig::paper_problem(cells);
@@ -79,7 +80,7 @@ fn planted_fault_is_localised_to_kernel_invocation_field_and_cell() {
     let device = tea_conformance::natural_device(ModelId::Serial);
     let reference = make_port(ModelId::Serial, device.clone(), &problem, 1).unwrap();
     let victim = make_port(ModelId::Serial, device.clone(), &problem, 1).unwrap();
-    let candidate = Box::new(SabotagedPort::new(victim, plan));
+    let candidate = Box::new(RecordingPort::with_hook(victim, Sabotage::new(plan)));
 
     let outcome = diff_ports(reference, candidate, &problem, &device, &cfg);
     let report = outcome.divergence.expect("planted fault must be caught");
@@ -117,7 +118,7 @@ fn planted_fault_in_chebyshev_names_the_iterate_kernel() {
     let victim = make_port(ModelId::Serial, device.clone(), &problem, 1).unwrap();
     let outcome = diff_ports(
         reference,
-        Box::new(SabotagedPort::new(victim, plan)),
+        Box::new(RecordingPort::with_hook(victim, Sabotage::new(plan))),
         &problem,
         &device,
         &cfg,
@@ -160,7 +161,7 @@ fn control_flow_stays_reference_driven_after_divergence() {
     let victim = make_port(ModelId::Serial, device.clone(), &problem, 1).unwrap();
     let outcome = diff_ports(
         reference,
-        Box::new(SabotagedPort::new(victim, plan)),
+        Box::new(RecordingPort::with_hook(victim, Sabotage::new(plan))),
         &problem,
         &device,
         &cfg,
@@ -198,6 +199,109 @@ fn clean_cross_port_pairs_show_no_divergence_on_any_solver() {
         let outcome = diff_models(ModelId::Serial, candidate, &cfg, 1).unwrap();
         assert!(outcome.divergence.is_none(), "{}", outcome);
     }
+    // Preconditioned CG: the replay must carry the preconditioner flag.
+    let cfg = TeaConfig {
+        tl_preconditioner: true,
+        ..cfg
+    };
+    let outcome = diff_models(ModelId::Serial, ModelId::Cuda, &cfg, 1).unwrap();
+    assert!(outcome.divergence.is_none(), "preconditioned: {}", outcome);
+    assert!(outcome.converged);
+}
+
+/// Recording, and a sabotage plan that never fires, must leave every
+/// port's run bit-identical on the simulated clock too: same summary,
+/// iterations, simulated seconds and per-kernel profile (so the wrapper
+/// neither adds a charge nor un-fuses a fused launch).
+#[test]
+fn wrappers_are_transparent_on_every_port_solver_and_preconditioner() {
+    let never = SabotagePlan {
+        kernel: "no_such_kernel",
+        invocation: 1,
+        field: FieldId::U,
+        index: 0,
+        mode: SabotageMode::UlpFlip,
+    };
+    for model in GOLDEN_PORTS {
+        let device = tea_conformance::natural_device(model);
+        for solver in SOLVERS {
+            for tl_preconditioner in [false, true] {
+                let cfg = TeaConfig {
+                    tl_preconditioner,
+                    ..config(solver, 16)
+                };
+                let problem = Problem::from_config(&cfg).expect("valid config");
+                let port = || make_port(model, device.clone(), &problem, 1).unwrap();
+                let bare = driver::drive(port().as_mut(), &problem, &device, &cfg);
+                let mut recorded = RecordingPort::new(port());
+                let mut sabotaged = RecordingPort::with_hook(port(), Sabotage::new(never));
+                let runs = [
+                    driver::drive(&mut recorded, &problem, &device, &cfg),
+                    driver::drive(&mut sabotaged, &problem, &device, &cfg),
+                ];
+                assert!(!sabotaged.hook().fired());
+                for run in runs {
+                    let at = format!("{model:?}/{solver}/precond={tl_preconditioner}");
+                    assert_eq!(run.summary, bare.summary, "{at}");
+                    assert_eq!(run.total_iterations, bare.total_iterations, "{at}");
+                    assert_eq!(
+                        run.sim.seconds.to_bits(),
+                        bare.sim.seconds.to_bits(),
+                        "{at}"
+                    );
+                    assert_eq!(run.sim.kernel_profile, bare.sim.kernel_profile, "{at}");
+                }
+            }
+        }
+    }
+}
+
+/// The hooks' side channels: pokes reach both lock-stepped ports, a
+/// `read_u` mismatch is reported, and a scalar sabotage rewrites only
+/// the value the caller sees — the log keeps the true one.
+#[test]
+fn lockstep_sees_pokes_and_read_u_and_sabotage_spares_the_log() {
+    let cfg = config(SolverKind::ConjugateGradient, 16);
+    let mesh = cfg.mesh();
+    let index = common::idx(mesh.width(), mesh.i0() + 2, mesh.i0() + 5);
+    let problem = Problem::from_config(&cfg).expect("valid config");
+    let device = tea_conformance::natural_device(ModelId::Serial);
+    let port = || make_port(ModelId::Serial, device.clone(), &problem, 1).unwrap();
+
+    let mut lockstep = RecordingPort::with_hook(port(), Lockstep::new(port()));
+    lockstep.poke_field(FieldId::U, index, 1.0);
+    assert_eq!(lockstep.read_u()[index], 1.0);
+    assert_eq!(lockstep.hook().divergence(), None, "the poke reached both");
+
+    let mut candidate = port();
+    candidate.poke_field(FieldId::U, index, 1.0);
+    let mut lockstep = RecordingPort::with_hook(port(), Lockstep::new(candidate));
+    assert_eq!(
+        lockstep.read_u()[index],
+        0.0,
+        "the reference's u is returned"
+    );
+    let report = lockstep.hook().divergence().expect("read_u compared");
+    assert_eq!((report.kernel, report.invocation), ("read_u", 1));
+    let Mismatch::Field { field, divergence } = &report.mismatch else {
+        panic!("expected a field mismatch, got {:?}", report.mismatch)
+    };
+    assert_eq!((*field, divergence.index), (FieldId::U, index));
+
+    let plan = SabotagePlan {
+        kernel: "calc_2norm",
+        invocation: 1,
+        field: FieldId::U,
+        index: 0,
+        mode: SabotageMode::NegateScalar,
+    };
+    let mut sabotaged = RecordingPort::with_hook(port(), Sabotage::new(plan));
+    let (rx, ry) = problem.rx_ry();
+    sabotaged.init_fields(cfg.coefficient, rx, ry);
+    let seen = sabotaged.calc_2norm(NormField::U0);
+    assert!(sabotaged.hook().fired());
+    assert!(seen < 0.0, "the caller sees the negated norm");
+    assert_eq!(sabotaged.log()[1].scalar_result(), Some(-seen));
 }
 
 /// Distributed CG must agree with the single-chunk serial port

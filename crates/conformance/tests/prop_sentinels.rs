@@ -17,12 +17,13 @@
 use proptest::prelude::*;
 
 use tea_conformance::{
-    builtin_decks, natural_device, SabotageMode, SabotagePlan, SabotagedPort, GOLDEN_PORTS,
-    GOLDEN_SOLVERS,
+    builtin_decks, natural_device, Sabotage, SabotageMode, SabotagePlan, SabotagedPort,
+    GOLDEN_PORTS, GOLDEN_SOLVERS,
 };
 use tea_core::config::{SolverKind, TeaConfig};
 use tea_core::halo::FieldId;
 use tealeaf::ports::{common, make_port};
+use tealeaf::recorder::RecordingPort;
 use tealeaf::{driver, ModelId, Problem, RunReport, SolverHealth};
 
 /// Drive `model` through the full timestep loop on `cfg`, no sabotage.
@@ -39,9 +40,9 @@ fn drive_sabotaged(cfg: &TeaConfig, model: ModelId, plan: SabotagePlan) -> (RunR
     let problem = Problem::from_config(cfg).expect("valid config");
     let device = natural_device(model);
     let port = make_port(model, device.clone(), &problem, 1).expect("port builds");
-    let mut sabotaged = SabotagedPort::new(port, plan);
+    let mut sabotaged: SabotagedPort = RecordingPort::with_hook(port, Sabotage::new(plan));
     let report = driver::drive(&mut sabotaged, &problem, &device, cfg);
-    (report, sabotaged.fired())
+    (report, sabotaged.hook().fired())
 }
 
 /// Every sentinel trip a run surfaced: recovery triggers plus the health

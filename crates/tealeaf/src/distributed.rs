@@ -56,6 +56,13 @@ pub struct DistributedReport {
     pub total_iterations: usize,
     pub converged: bool,
     pub summary: Summary,
+    /// Eigenvalue estimate from the last step (Chebyshev/PPCG).
+    pub eigenvalues: Option<(f64, f64)>,
+    /// Every sentinel trip, as `(step, event)` (empty on healthy runs).
+    pub health: Vec<(usize, SolverHealth)>,
+    /// The step an unrecoverable solve died on; `None` when the run
+    /// completed every step.
+    pub failed_step: Option<usize>,
 }
 
 /// How to run one distributed solve of a deck.
@@ -154,6 +161,9 @@ fn body(
         total_iterations: steps.total_iterations,
         converged: steps.converged,
         summary,
+        eigenvalues: steps.eigenvalues,
+        health: steps.health,
+        failed_step: steps.failed_step,
     };
     (report, stats, metrics)
 }

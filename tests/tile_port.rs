@@ -134,6 +134,8 @@ fn distributed_sentinels_trip_like_serial() {
         );
         assert_eq!(dist.total_iterations, serial.total_iterations, "{gx}x{gy}");
         assert_eq!(dist.summary, serial.summary, "{gx}x{gy}: summary bits");
+        assert_eq!(dist.health, serial.health, "{gx}x{gy}: sentinel trips");
+        assert_eq!(dist.failed_step, serial.failed_step, "{gx}x{gy}");
     }
 }
 
