@@ -8,13 +8,20 @@
 //! (§4.1 — the source of the OpenCL CPU variance). This crate provides
 //! faithful Rust counterparts of both:
 //!
-//! * [`StaticPool`] — persistent workers, contiguous per-worker index
+//! * [`StaticPool`] — persistent workers, contiguous per-thread index
 //!   ranges, barrier per parallel region. Models OpenMP
 //!   `schedule(static)` with pinned threads.
 //! * [`StealPool`] — persistent workers over a [`crossbeam_deque`] injector
-//!   with random stealing, fine-grained blocks, and a steal counter so the
-//!   scheduling noise can be observed. Models TBB.
+//!   with random stealing, a few tasks per thread, and a steal counter so
+//!   the scheduling noise can be observed. Models TBB.
 //! * [`SerialExec`] — inline execution, the determinism reference.
+//!
+//! In both pools the posting thread is one of the `n` threads a pool is
+//! created with, and only `n − 1` workers are spawned. It publishes the
+//! region and then works its own share before joining: block 0 of the
+//! static schedule, like the OpenMP master thread, or the region's first
+//! task and then whatever it can take, like the TBB calling thread. A
+//! one-thread pool spawns nothing and runs every region inline.
 //!
 //! All three implement [`Executor`]. Reductions are **deterministic by
 //! construction**: every executor computes one partial per index and the
@@ -51,9 +58,10 @@ pub use tiled::TiledExec;
 
 use std::sync::OnceLock;
 
-/// Default worker count: `PARPOOL_THREADS` when set (how the conformance
-/// golden matrix pins 1/2/4-thread runs — the analogue of
-/// `OMP_NUM_THREADS`), otherwise the machine's available parallelism.
+/// Default thread count, posting thread included: `PARPOOL_THREADS` when
+/// set (how the conformance golden matrix pins 1/2/4-thread runs — the
+/// analogue of `OMP_NUM_THREADS`), otherwise the machine's available
+/// parallelism.
 pub fn default_threads() -> usize {
     if let Ok(v) = std::env::var("PARPOOL_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {

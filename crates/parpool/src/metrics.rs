@@ -76,7 +76,9 @@ pub struct PoolMetrics {
     /// Successful work steals ([`crate::StealPool`] only; 0 for the
     /// static pool, whose schedule has nothing to steal).
     pub steals: u64,
-    /// Per-worker spin→park transitions while waiting for work.
+    /// Per-thread spin→park transitions while waiting for work. Slot 0
+    /// is the posting thread, whose parks are `poster_parks`, so it
+    /// stays 0.
     pub worker_parks: Vec<u64>,
 }
 

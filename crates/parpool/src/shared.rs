@@ -117,6 +117,16 @@ impl<T> std::ops::DerefMut for CachePadded<T> {
     }
 }
 
+/// Thread that ran each index of one `n`-index region on `exec`.
+#[cfg(test)]
+pub(crate) fn runner_per_index(exec: &dyn crate::Executor, n: usize) -> Vec<std::thread::ThreadId> {
+    let mut ids = vec![std::thread::current().id(); n];
+    let slot = UnsafeSlice::new(&mut ids);
+    // SAFETY: each index is visited once → disjoint writes.
+    exec.run(n, &|i| unsafe { slot.set(i, std::thread::current().id()) });
+    ids
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,18 +1,21 @@
 //! A persistent fork-join pool with OpenMP-style static scheduling.
 //!
-//! Workers are spawned once and wait for work on a **generation barrier**:
-//! the poster publishes a job, then bumps an atomic generation counter;
-//! workers spin on the counter for a few microseconds (the common case in a
+//! A pool of `W` threads is the posting thread plus `W − 1` workers
+//! spawned once. Workers wait for work on a **generation barrier**: the
+//! poster publishes a job, then bumps an atomic generation counter;
+//! workers spin on the counter for a bounded budget (the common case in a
 //! solver inner loop, where the next region arrives almost immediately) and
 //! only park on a condvar when no work shows up. This replaces the earlier
 //! mutex+condvar handshake, which paid two lock round-trips per worker per
 //! region and dominated the cost of dispatch-bound kernels on small meshes.
 //!
-//! Each parallel region (`run`) assigns worker `w` the contiguous index
+//! Each parallel region (`run`) assigns thread `w` the contiguous index
 //! block `[w·n/W, (w+1)·n/W)` — the analogue of `#pragma omp parallel for
 //! schedule(static)` with `OMP_PROC_BIND=close`, which is how the paper ran
 //! its CPU and KNC experiments (§4.1, §4.3: "thread affinity set to
-//! compact").
+//! compact"). As with the OpenMP master thread, the poster is thread 0: it
+//! runs block 0 itself between publishing the job and joining, so a region
+//! never has an idle thread spinning while the others work.
 //!
 //! ## Determinism of reductions
 //!
@@ -54,9 +57,13 @@ unsafe impl Send for JobFn {}
 unsafe impl Sync for JobFn {}
 
 /// Spin iterations before a waiter parks (workers) or blocks (poster).
-/// Roughly a few microseconds on current hardware — comparable to OpenMP's
-/// default `OMP_WAIT_POLICY=passive` grace spin, and far longer than the
-/// gap between back-to-back regions in a solver inner loop.
+/// Each iteration is one counter load and one `spin_loop` hint (`PAUSE`
+/// on x86-64, ≈20 ns on recent Intel cores), so the whole budget measures
+/// ≈70–90 µs (median of 200 timed budgets, idle 2-vCPU Intel Xeon VM) —
+/// tens of times the "few microseconds" of OpenMP's
+/// `OMP_WAIT_POLICY=passive` grace spin. It does outlast the gap between
+/// back-to-back regions in a solver inner loop, which is what keeps the
+/// workers off the futex path there.
 const SPIN_ITERS: u32 = 4096;
 
 /// Barrier state shared between the poster and the workers.
@@ -65,9 +72,10 @@ const SPIN_ITERS: u32 = 4096;
 /// 1. poster writes `job` and resets `done`, then bumps `generation`
 ///    (Release) — the bump *publishes* the job;
 /// 2. workers observe the bump (Acquire), read `job`, execute their static
-///    block, then increment `done` (AcqRel);
+///    block, then increment `done` (AcqRel); meanwhile the poster executes
+///    block 0;
 /// 3. the last worker to finish notifies `done_cv` in case the poster gave
-///    up spinning; the poster returns once `done == n_threads`.
+///    up spinning; the poster returns once `done == n_threads − 1`.
 ///
 /// `generation` and `done` live on separate cache lines: workers hammer
 /// `generation` while spinning and `done` while finishing, and the poster
@@ -76,7 +84,7 @@ struct Barrier {
     /// Monotonic epoch counter. Odd/even sense is not needed — workers
     /// remember the last generation they executed and react to any change.
     generation: CachePadded<AtomicU64>,
-    /// Workers that have finished the current region.
+    /// Spawned workers that have finished the current region.
     done: CachePadded<AtomicUsize>,
     /// Job published before the `generation` bump. Only valid for workers
     /// that observed a generation they have not yet executed.
@@ -117,7 +125,9 @@ pub struct StaticPool {
 }
 
 impl StaticPool {
-    /// Spawn a pool with `n_threads` workers.
+    /// Create a pool of `n_threads` threads: the posting thread plus
+    /// `n_threads − 1` spawned workers (none for `n_threads == 1`, which
+    /// runs every region inline).
     ///
     /// # Panics
     /// Panics if `n_threads == 0`.
@@ -135,7 +145,7 @@ impl StaticPool {
             done_cv: Condvar::new(),
             metrics: Counters::new(n_threads),
         });
-        let workers = (0..n_threads)
+        let workers = (1..n_threads)
             .map(|w| {
                 let barrier = Arc::clone(&barrier);
                 std::thread::Builder::new()
@@ -155,8 +165,9 @@ impl StaticPool {
         }
     }
 
-    /// Publish a region and block until every worker has executed its
-    /// block. Caller must hold the poster lock (single-poster protocol).
+    /// Publish a region, run block 0 on the calling thread, and block until
+    /// every worker has executed its block. Caller must hold the poster
+    /// lock (single-poster protocol).
     fn post_and_wait(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
         // Erase the caller lifetime. SAFETY: we do not return until every
         // worker has finished executing the job, so the borrow stays live
@@ -180,17 +191,22 @@ impl StaticPool {
                 b.idle_cv.notify_all();
             }
         }
+        // The poster is thread 0: run its block while the workers run
+        // theirs. A panic is recorded, not raised, until every worker is
+        // done with the borrowed closure.
+        run_block(b, f, 0..n / self.n_threads);
         // Wait for completion: spin first (regions are usually short),
         // then park on `done_cv`.
+        let workers = self.n_threads - 1;
         let mut spins = 0u32;
-        while b.done.load(Ordering::Acquire) < self.n_threads {
+        while b.done.load(Ordering::Acquire) < workers {
             if spins < SPIN_ITERS {
                 spins += 1;
                 std::hint::spin_loop();
             } else {
                 b.metrics.poster_parks.fetch_add(1, Ordering::Relaxed);
                 let mut guard = b.done_lock.lock();
-                while b.done.load(Ordering::Acquire) < self.n_threads {
+                while b.done.load(Ordering::Acquire) < workers {
                     b.done_cv.wait(&mut guard);
                 }
                 break;
@@ -237,6 +253,14 @@ fn wait_for_generation(b: &Barrier, worker: usize, seen: u64) -> u64 {
     }
 }
 
+/// Run `f` over one static block, recording (not raising) a panic so the
+/// region still joins before the poster reports it.
+fn run_block(b: &Barrier, f: &(dyn Fn(usize) + Sync), block: std::ops::Range<usize>) {
+    if catch_unwind(AssertUnwindSafe(|| block.for_each(f))).is_err() {
+        b.panicked.store(true, Ordering::SeqCst);
+    }
+}
+
 fn worker_loop(worker: usize, n_threads: usize, barrier: Arc<Barrier>) {
     let mut seen = 0u64;
     loop {
@@ -247,24 +271,17 @@ fn worker_loop(worker: usize, n_threads: usize, barrier: Arc<Barrier>) {
         // SAFETY: the generation bump (Acquire-observed above) was
         // published after the poster wrote `job`.
         let (job, n) = unsafe { (*barrier.job.get()).expect("job published with generation") };
+        // SAFETY: the posting thread keeps the closure alive until all
+        // workers report done (see `post_and_wait`).
+        let f = unsafe { &*job.ptr };
         // Static contiguous block for this worker.
-        let start = worker * n / n_threads;
-        let end = (worker + 1) * n / n_threads;
-        if start < end {
-            // SAFETY: the posting thread keeps the closure alive until all
-            // workers report done (see `post_and_wait`).
-            let f = unsafe { &*job.ptr };
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                for i in start..end {
-                    f(i);
-                }
-            }));
-            if result.is_err() {
-                barrier.panicked.store(true, Ordering::SeqCst);
-            }
-        }
+        run_block(
+            &barrier,
+            f,
+            worker * n / n_threads..(worker + 1) * n / n_threads,
+        );
         // Signal completion; the last worker wakes the poster if it parked.
-        if barrier.done.fetch_add(1, Ordering::AcqRel) + 1 == n_threads {
+        if barrier.done.fetch_add(1, Ordering::AcqRel) + 1 == n_threads - 1 {
             let _guard = barrier.done_lock.lock();
             barrier.done_cv.notify_one();
         }
@@ -385,6 +402,7 @@ impl Drop for StaticPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shared::runner_per_index;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -503,17 +521,46 @@ mod tests {
     #[test]
     fn worker_panic_propagates() {
         let pool = StaticPool::new(2);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run(8, &|i| {
-                if i == 5 {
-                    panic!("boom");
-                }
-            });
-        }));
-        assert!(result.is_err());
-        // pool must still be usable afterwards
-        let s = pool.run_sum(10, &|i| i as f64);
-        assert_eq!(s, 45.0);
+        // Index 1 is in the poster's block 0, index 5 in worker 1's.
+        for bad in [1, 5] {
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.run(8, &|i| {
+                    if i == bad {
+                        panic!("boom");
+                    }
+                });
+            }));
+            assert!(result.is_err(), "panic at index {bad} was lost");
+            // pool must still be usable afterwards
+            let s = pool.run_sum(10, &|i| i as f64);
+            assert_eq!(s, 45.0);
+        }
+        assert_eq!(pool.metrics().regions, 4);
+    }
+
+    #[test]
+    fn poster_runs_block_zero_itself() {
+        let pool = StaticPool::new(3);
+        let me = std::thread::current().id();
+        for n in [3, 10, 300, 1001] {
+            let ids = runner_per_index(&pool, n);
+            for (i, id) in ids.iter().enumerate() {
+                assert_eq!(*id == me, i < n / 3, "n = {n}, index {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_thread_pool_spawns_nothing_and_runs_inline() {
+        let pool = StaticPool::new(1);
+        assert!(pool.workers.is_empty());
+        assert_eq!(pool.threads(), 1);
+        let me = std::thread::current().id();
+        assert!(runner_per_index(&pool, 1000).iter().all(|&id| id == me));
+        assert_eq!(pool.run_sum(10, &|i| i as f64), 45.0);
+        let m = pool.metrics();
+        assert_eq!((m.regions, m.inline_runs), (0, 2));
+        assert_eq!(m.worker_parks, vec![0]);
     }
 
     #[test]

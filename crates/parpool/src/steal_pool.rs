@@ -9,6 +9,14 @@
 //! idle workers steal from the injector or from random victims. A steal
 //! counter exposes how much scheduling imbalance each region experienced.
 //!
+//! As in TBB, the calling thread takes part: a pool of `W` threads is the
+//! poster plus `W − 1` spawned workers. The poster keeps the region's
+//! first task for itself, runs it once the region is published, and then
+//! competes for the rest through its own deque (slot 0) like any worker
+//! before it waits for the join. A region is cut into about `16·W` tasks
+//! (never smaller than [`GRAIN`] indices), the way TBB's range
+//! partitioner splits a `parallel_for` range into a few chunks per thread.
+//!
 //! Results remain bit-deterministic (writes are disjoint, reductions are
 //! index-ordered); only the *schedule* is non-deterministic, as with TBB.
 
@@ -23,9 +31,11 @@ use parking_lot::{Condvar, Mutex};
 use crate::executor::Executor;
 use crate::metrics::{Counters, PoolMetrics};
 
-/// Index block granularity: how many consecutive indices one stolen task
-/// covers. TBB similarly auto-partitions ranges into grains.
+/// Minimum task size in indices, and the largest region run inline.
 const GRAIN: usize = 4;
+
+/// Tasks per thread a region is cut into (see the module docs).
+const TASKS_PER_THREAD: usize = 16;
 
 #[derive(Clone, Copy)]
 struct JobFn {
@@ -69,15 +79,19 @@ pub struct StealPool {
     shared: Arc<Shared>,
     /// Serialises parallel regions: `remaining`, the injector and the
     /// job slot describe one region at a time, so a second poster must
-    /// wait for the first region to drain.
-    poster: Mutex<()>,
+    /// wait for the first region to drain. Owns the local deque of
+    /// whichever thread is posting (thread 0).
+    poster: Mutex<Worker<Task>>,
+    /// Every thread's steal handle; slot 0 is the poster's deque.
     stealers: Vec<Stealer<Task>>,
     workers: Vec<JoinHandle<()>>,
     n_threads: usize,
 }
 
 impl StealPool {
-    /// Spawn a pool with `n_threads` workers.
+    /// Create a pool of `n_threads` threads: the posting thread plus
+    /// `n_threads − 1` spawned workers (none for `n_threads == 1`, which
+    /// runs every region inline).
     pub fn new(n_threads: usize) -> Self {
         assert!(n_threads > 0, "pool needs at least one worker");
         let shared = Arc::new(Shared {
@@ -96,9 +110,9 @@ impl StealPool {
         });
         let locals: Vec<Worker<Task>> = (0..n_threads).map(|_| Worker::new_lifo()).collect();
         let stealers: Vec<Stealer<Task>> = locals.iter().map(|w| w.stealer()).collect();
+        let mut locals = locals.into_iter().enumerate();
+        let (_, poster_local) = locals.next().expect("n_threads > 0");
         let workers = locals
-            .into_iter()
-            .enumerate()
             .map(|(w, local)| {
                 let shared = Arc::clone(&shared);
                 let victims = stealers.clone();
@@ -110,7 +124,7 @@ impl StealPool {
             .collect();
         StealPool {
             shared,
-            poster: Mutex::new(()),
+            poster: Mutex::new(poster_local),
             stealers,
             workers,
             n_threads,
@@ -157,19 +171,8 @@ fn worker_loop(
         // SAFETY: poster keeps the closure alive until `remaining` is 0 and
         // it has re-acquired the lock; we only dereference before that.
         let f = unsafe { &*job.ptr };
-        loop {
-            let task = find_task(worker, &local, &victims, &shared);
-            let Some(task) = task else { break };
-            let count = task.end - task.start;
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                for i in task.start..task.end {
-                    f(i);
-                }
-            }));
-            if result.is_err() {
-                shared.panicked.store(true, Ordering::SeqCst);
-            }
-            shared.remaining.fetch_sub(count, Ordering::AcqRel);
+        while let Some(task) = find_task(worker, &local, &victims, &shared) {
+            run_task(&shared, f, task);
         }
         // Left the task loop: deregister and wake the poster if the region
         // is fully drained.
@@ -179,6 +182,17 @@ fn worker_loop(
             shared.done_cv.notify_all();
         }
     }
+}
+
+/// Run one task, recording (not raising) a panic so the region still
+/// drains before the poster reports it.
+fn run_task(shared: &Shared, f: &(dyn Fn(usize) + Sync), task: Task) {
+    if catch_unwind(AssertUnwindSafe(|| (task.start..task.end).for_each(f))).is_err() {
+        shared.panicked.store(true, Ordering::SeqCst);
+    }
+    shared
+        .remaining
+        .fetch_sub(task.end - task.start, Ordering::AcqRel);
 }
 
 fn find_task(
@@ -239,11 +253,16 @@ impl Executor for StealPool {
             }
             return;
         }
-        let _poster = self.poster.lock();
-        // Fill the injector with grained tasks.
-        let mut start = 0;
+        let local = self.poster.lock();
+        // Keep the first task for this thread; the rest go to the injector.
+        let len = GRAIN.max(n.div_ceil(self.n_threads * TASKS_PER_THREAD));
+        let first = Task {
+            start: 0,
+            end: len.min(n),
+        };
+        let mut start = first.end;
         while start < n {
-            let end = (start + GRAIN).min(n);
+            let end = (start + len).min(n);
             self.shared.injector.push(Task { start, end });
             start = end;
         }
@@ -259,6 +278,15 @@ impl Executor for StealPool {
         slot.generation += 1;
         slot.job = Some(job);
         self.shared.work_cv.notify_all();
+        drop(slot);
+        // Work alongside the workers: the kept task, then whatever is left
+        // in the injector or in another thread's deque.
+        let mut task = Some(first);
+        while let Some(t) = task {
+            run_task(&self.shared, f, t);
+            task = find_task(0, &local, &self.stealers, &self.shared);
+        }
+        let mut slot = self.shared.slot.lock();
         let mut parked = false;
         while self.shared.remaining.load(Ordering::Acquire) > 0 || slot.active > 0 {
             if !parked {
@@ -295,6 +323,7 @@ impl Drop for StealPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shared::runner_per_index;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -310,14 +339,29 @@ mod tests {
 
     #[test]
     fn sum_matches_serial_bitwise() {
-        let pool = StealPool::new(5);
+        // Ordered reductions must be bit-identical even with stealing, for
+        // trip counts on both sides of every task-size boundary.
         let f = |i: usize| ((i as f64) * 0.37).cos() * (i as f64 + 0.5);
-        let par = pool.run_sum(30_000, &f);
-        let ser = crate::SerialExec.run_sum(30_000, &f);
-        assert_eq!(
-            par, ser,
-            "ordered reduction must be bit-identical even with stealing"
-        );
+        let f4 = |i: usize| [f(i), 2.0 * f(i), -f(i), f(i) * f(i)];
+        let bits = |v: [f64; 4]| v.map(f64::to_bits);
+        for w in [2, 3, 4, 5] {
+            let pool = StealPool::new(w);
+            let edge = TASKS_PER_THREAD * w * GRAIN;
+            for n in [
+                GRAIN,
+                GRAIN + 1,
+                edge - 1,
+                edge,
+                edge + 1,
+                132 * 132,
+                30_000,
+            ] {
+                let (par, ser) = (pool.run_sum(n, &f), crate::SerialExec.run_sum(n, &f));
+                assert_eq!(par.to_bits(), ser.to_bits(), "W = {w}, n = {n}");
+                let (par4, ser4) = (pool.run_sum4(n, &f4), crate::SerialExec.run_sum4(n, &f4));
+                assert_eq!(bits(par4), bits(ser4), "W = {w}, n = {n}: run_sum4");
+            }
+        }
     }
 
     #[test]
@@ -392,16 +436,44 @@ mod tests {
     }
 
     #[test]
+    fn caller_runs_at_least_one_task() {
+        let pool = StealPool::new(4);
+        let me = std::thread::current().id();
+        for n in [8 * GRAIN, 1000, 17_424] {
+            let ids = runner_per_index(&pool, n);
+            assert!(ids.contains(&me), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn one_thread_pool_spawns_nothing_and_runs_inline() {
+        let pool = StealPool::new(1);
+        assert!(pool.workers.is_empty());
+        assert_eq!(pool.threads(), 1);
+        let me = std::thread::current().id();
+        assert!(runner_per_index(&pool, 1000).iter().all(|&id| id == me));
+        assert_eq!(pool.run_sum(10, &|i| i as f64), 45.0);
+        let m = pool.metrics();
+        assert_eq!((m.regions, m.inline_runs), (0, 2));
+        assert_eq!(m.worker_parks, vec![0]);
+    }
+
+    #[test]
     fn panic_propagates_and_pool_survives() {
         let pool = StealPool::new(2);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run(64, &|i| {
-                if i == 33 {
-                    panic!("kernel fault");
-                }
-            });
-        }));
-        assert!(result.is_err());
-        assert_eq!(pool.run_sum(10, &|i| i as f64), 45.0);
+        // Index 0 is in the task the poster keeps; 33 may run anywhere.
+        for bad in [0, 33] {
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.run(64, &|i| {
+                    if i == bad {
+                        panic!("kernel fault");
+                    }
+                });
+            }));
+            assert!(result.is_err(), "panic at index {bad} was lost");
+            // pool must still be usable afterwards, on the pooled path too
+            assert_eq!(pool.run_sum(64, &|i| i as f64), 2016.0);
+        }
+        assert_eq!(pool.metrics().regions, 4);
     }
 }
