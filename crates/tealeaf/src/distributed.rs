@@ -8,8 +8,9 @@
 //! the same solvers ([`crate::solver`]) a serial port runs — Jacobi, CG,
 //! Chebyshev and PPCG, sentinels included. The port exchanges halos with
 //! up to eight neighbours (four edges, four corners) per stencil pass,
-//! overlapping each exchange with the pass's interior, and combines
-//! reductions with the exactly-ordered carry pipeline in [`crate::tile`].
+//! charging each exchange as overlapped with the pass's interior on the
+//! logical clock, and combines reductions with the exactly-ordered carry
+//! pipeline in [`crate::tile`].
 //!
 //! This module owns what is specific to a world of ranks: setting the
 //! world up, checking that every rank agrees on the result, the
@@ -25,8 +26,8 @@
 //! padded-mesh values after every exchange — so a distributed run on any
 //! `tiles_x × tiles_y` grid is bit-identical to the serial reference
 //! (asserted by the integration tests and the conformance goldens).
-//! With [`DistributedSpec::overlap`] off every exchange runs before its
-//! stencil pass, so tests can assert the overlap changes no bit, and
+//! With [`DistributedSpec::overlap`] off every exchange is charged before
+//! its stencil pass, so tests can assert the overlap changes no bit, and
 //! [`OverlapStats`] reports what each window hid in deterministic logical
 //! units.
 
@@ -70,9 +71,10 @@ pub struct DistributedReport {
 pub struct DistributedSpec {
     /// `(tiles_x, tiles_y)`: the rank grid, ranks numbered row-major.
     pub tiles: (usize, usize),
-    /// Overlap each halo exchange with its pass's interior. Off runs
-    /// every exchange before its stencil pass — bit-identical by
-    /// construction, so tests and benchmarks can assert and measure it.
+    /// Charge each halo exchange as overlapped with its pass's interior
+    /// on the logical clock. Off charges every exchange before its
+    /// stencil pass — bit-identical by construction, so tests and
+    /// benchmarks can assert and measure it.
     pub overlap: bool,
     /// `None` runs the reliable world with no checkpoint store. `Some`
     /// runs over the fault-injected transport under the self-healing

@@ -10,18 +10,26 @@
 //! * **Halo windows.** `halo_update` of a field a stencil kernel reads
 //!   next (`u`, `p`, `sd`) only *opens* the exchange window: the
 //!   reflective refresh and the sends happen now, the receives wait. The
-//!   next stencil kernel runs its interior ([`Span::Inner`]) while the
-//!   messages are in flight, completes the window, then runs the
-//!   boundary ring ([`Span::Ring`]); with overlap off it completes the
-//!   window first and runs one monolithic pass. No kernel writes a field
-//!   its stencil reads, so both schedules write identical bits. When the
-//!   IR proves the ring safe to batch ([`ir::concurrent_ring`]) the ring
-//!   is charged behind the drain rather than behind the interior. The
-//!   coefficient build of `init_fields` reads only density and writes
-//!   only `kx`/`ky`, so it is charged as riding the `u` window that
-//!   follows it.
+//!   next stencil kernel drains the window, then runs once over the whole
+//!   tile, row by row, through the serial port's row bodies. The overlap
+//!   schedule lives on the logical clock: with overlap on, the pass is
+//!   charged as an interior ([`Span::Inner`]) running from the window's
+//!   start beside the exchange, then the boundary ring ([`Span::Ring`]);
+//!   with overlap off, as one monolithic pass after the exchange. No
+//!   kernel writes a field its stencil reads, so the split schedule and
+//!   the one pass write identical bits (`tests/prop_tile_split.rs`), and
+//!   the drain moves no message: no send sits between it and the split
+//!   schedule's receive. When the IR proves the ring safe to batch
+//!   ([`ir::concurrent_ring`]) the ring is charged behind the drain
+//!   rather than behind the interior. The coefficient build of
+//!   `init_fields` reads only density and writes only `kx`/`ky`, so it
+//!   is charged as riding the `u` window that follows it.
 //! * **Reductions** return the carry-pipelined global sum of
-//!   [`tile::ordered_reduce`] — bit-equal to the serial row fold.
+//!   [`tile::ordered_reduce`] — bit-equal to the serial row fold. The
+//!   row bodies return their row partials folded from 0.0; a tile with
+//!   no west neighbour sends those as its carries, fusing the fold into
+//!   the kernel pass. Other tiles continue the carries they receive over
+//!   their cells in a second fold.
 //! * **Jacobi's scratch** (the previous iterate, kept in `r`) is
 //!   exchanged raw inside `jacobi_iterate`: the serial sweep reads 0.0
 //!   in its physical ghosts, so no reflective refresh.
@@ -38,6 +46,7 @@ use mpisim::{ExchangeMetrics, Grid2d, Rank, Tag};
 use simdev::SimContext;
 use tea_core::config::{Coefficient, TeaConfig};
 use tea_core::halo::FieldId;
+use tea_core::mesh::Mesh2d;
 use tea_core::summary::Summary;
 
 use crate::distributed::{CheckpointStore, CkptKey, TileCheckpoint};
@@ -78,6 +87,12 @@ struct Window {
     field: FieldId,
     depth: usize,
     t0: f64,
+}
+
+/// Run `row` over the tile's interior rows in order, collecting what each
+/// call returns (the row partials of a reducing kernel).
+fn rows<R>(mesh: &Mesh2d, row: impl FnMut(usize) -> R) -> Vec<R> {
+    (mesh.i0()..mesh.j1()).map(row).collect()
 }
 
 /// The world-restart checkpointing of a resilient run.
@@ -262,21 +277,27 @@ impl<'a> TilePort<'a> {
         }
     }
 
-    /// One stencil pass around the open window (see the module docs);
-    /// a plain monolithic pass when no window is open.
-    fn pass(&mut self, kernel: KernelId, label: &str, mut run: impl FnMut(&mut PortFields, Span)) {
+    /// One stencil pass around the open window (see the module docs):
+    /// drain the window, run `run` once over the whole tile, then charge
+    /// the schedule on the logical clock. A plain pass when no window is
+    /// open.
+    fn pass<R>(
+        &mut self,
+        kernel: KernelId,
+        label: &str,
+        run: impl FnOnce(&mut PortFields) -> R,
+    ) -> R {
         let Some(Window { field, depth, t0 }) = self.window.take() else {
-            run(&mut self.t.f, Span::All);
-            return;
+            return run(&mut self.t.f);
         };
+        let got = self.drain(field, depth, t0);
+        let out = run(&mut self.t.f);
         let mesh = &self.t.geom.mesh;
         if self.overlap {
             let (interior, ring) = (
                 tile::span_cells(mesh, Span::Inner),
                 tile::span_cells(mesh, Span::Ring),
             );
-            run(&mut self.t.f, Span::Inner);
-            let got = self.drain(field, depth, t0);
             // Logical timeline: the exchange and the interior pass share
             // the window's start; the window closes when both are done.
             let t_interior = t0 + interior as f64;
@@ -290,7 +311,6 @@ impl<'a> TilePort<'a> {
                 // A self-clobbering kernel would have to wait for both.
                 t_interior.max(t_exchange)
             };
-            run(&mut self.t.f, Span::Ring);
             self.advance_to(t_interior.max(tb + ring as f64));
             self.span(
                 "boundary",
@@ -301,57 +321,68 @@ impl<'a> TilePort<'a> {
             self.stats.absorb_window(interior, ring, got);
         } else {
             let all = tile::span_cells(mesh, Span::All);
-            let got = self.drain(field, depth, t0);
             let ta = t0 + got as f64;
+            // Two charges, not one: the clock's bits are pinned to the
+            // drain and the pass each charging their own step.
             self.advance_to(ta);
-            run(&mut self.t.f, Span::All);
             self.advance_to(ta + all as f64);
             self.span("boundary", format_args!("{label}"), ta, ta + all as f64);
             self.stats.absorb_window(0, all, got);
         }
+        out
     }
 
-    /// Exactly-ordered global reduction of a per-cell contribution.
-    fn reduce(&self, contribution: impl Fn(&PortFields, usize) -> f64) -> f64 {
-        tile::ordered_reduce(self.rank, &self.t.geom, |k| contribution(&self.t.f, k))
+    /// Exactly-ordered global reduction: `partials` are the kernel's row
+    /// partials, `contribution` one cell's term (see
+    /// [`tile::ordered_reduce`]).
+    fn reduce(&self, partials: Vec<f64>, contribution: impl Fn(&PortFields, usize) -> f64) -> f64 {
+        tile::ordered_reduce(
+            self.rank,
+            &self.t.geom,
+            || partials,
+            |k| contribution(&self.t.f, k),
+        )
     }
 
     // --- kernel bodies ---
     //
-    // The serial port's per-cell arithmetic over the same field storage.
-    // Each body binds the fields it reads as slices before its loop: read
-    // through the field struct, the loop would reload every field's
-    // pointer after each store, as the stores could alias it.
-    // SAFETY throughout: single-threaded within the rank, each cell
-    // written by exactly one call per pass.
+    // The serial port's row bodies over the same field storage, one row
+    // loop per kernel. SAFETY throughout: single-threaded within the
+    // rank, each row written by exactly one call per pass.
 
-    fn update_ur(&mut self, alpha: f64, preconditioner: bool) {
+    fn update_ur(&mut self, alpha: f64, preconditioner: bool) -> Vec<f64> {
         let f = &mut self.t.f;
-        let width = f.mesh.width();
-        let (p, w, kx, ky) = (&f.p[..], &f.w[..], &f.kx[..], &f.ky[..]);
         let (u, r, z) = (Us::new(&mut f.u), Us::new(&mut f.r), Us::new(&mut f.z));
-        tile::for_cells(&f.mesh, Span::All, |k| {
-            let _ = unsafe {
-                common::cell_cg_calc_ur(width, k, alpha, preconditioner, p, w, kx, ky, &u, &r, &z)
-            };
-        });
+        rows(&f.mesh, |j| unsafe {
+            common::row_cg_calc_ur(
+                &f.mesh,
+                j,
+                alpha,
+                preconditioner,
+                &f.p,
+                &f.w,
+                &f.kx,
+                &f.ky,
+                &u,
+                &r,
+                &z,
+            )
+        })
     }
 
     fn cheby_step(&mut self, first: bool, theta: f64, alpha: f64, beta: f64) {
-        self.pass(KernelId::ChebyCalcP, "cheby_calc_p", |f, span| {
-            let width = f.mesh.width();
-            let (u, u0, kx, ky) = (&f.u[..], &f.u0[..], &f.kx[..], &f.ky[..]);
+        self.pass(KernelId::ChebyCalcP, "cheby_calc_p", |f| {
             let (w, r, p) = (Us::new(&mut f.w), Us::new(&mut f.r), Us::new(&mut f.p));
-            tile::for_cells(&f.mesh, span, |k| unsafe {
-                common::cell_cheby_calc_p(
-                    width, k, first, theta, alpha, beta, u, u0, kx, ky, &w, &r, &p,
+            rows(&f.mesh, |j| unsafe {
+                common::row_cheby_calc_p(
+                    &f.mesh, j, first, theta, alpha, beta, &f.u, &f.u0, &f.kx, &f.ky, &w, &r, &p,
                 )
             });
         });
         let f = &mut self.t.f;
-        let (p, u) = (&f.p[..], Us::new(&mut f.u));
-        tile::for_cells(&f.mesh, Span::All, |k| unsafe {
-            common::cell_add_p_to_u(k, p, &u)
+        let u = Us::new(&mut f.u);
+        rows(&f.mesh, |j| unsafe {
+            common::row_add_p_to_u(&f.mesh, j, &f.p, &u)
         });
     }
 
@@ -422,35 +453,42 @@ impl TeaLeafPort for TilePort<'_> {
         // A stencil run as one pass: its ghosts must have landed.
         self.settle();
         let f = &mut self.t.f;
-        let width = f.mesh.width();
-        let (u, u0, kx, ky) = (&f.u[..], &f.u0[..], &f.kx[..], &f.ky[..]);
         let (w, r) = (Us::new(&mut f.w), Us::new(&mut f.r));
         let (p, z) = (Us::new(&mut f.p), Us::new(&mut f.z));
-        tile::for_cells(&f.mesh, Span::All, |k| {
-            let _ = unsafe {
-                common::cell_cg_init(width, k, preconditioner, u, u0, kx, ky, &w, &r, &p, &z)
-            };
+        let rro = rows(&f.mesh, |j| unsafe {
+            common::row_cg_init(
+                &f.mesh,
+                j,
+                preconditioner,
+                &f.u,
+                &f.u0,
+                &f.kx,
+                &f.ky,
+                &w,
+                &r,
+                &p,
+                &z,
+            )
         });
-        self.reduce(|f, k| f.r[k] * f.p[k])
+        self.reduce(rro, |f, k| f.r[k] * f.p[k])
     }
 
     fn cg_calc_w(&mut self) -> f64 {
-        self.pass(KernelId::CgCalcW, "cg_calc_w", |f, span| {
-            let (width, p, kx, ky) = (f.mesh.width(), &f.p[..], &f.kx[..], &f.ky[..]);
+        let pw = self.pass(KernelId::CgCalcW, "cg_calc_w", |f| {
             let w = Us::new(&mut f.w);
-            tile::for_cells(&f.mesh, span, |k| {
-                let _ = unsafe { common::cell_cg_calc_w(width, k, p, kx, ky, &w) };
-            });
+            rows(&f.mesh, |j| unsafe {
+                common::row_cg_calc_w(&f.mesh, j, &f.p, &f.kx, &f.ky, &w)
+            })
         });
-        self.reduce(|f, k| f.p[k] * f.w[k])
+        self.reduce(pw, |f, k| f.p[k] * f.w[k])
     }
 
     fn cg_calc_ur(&mut self, alpha: f64, preconditioner: bool) -> f64 {
-        self.update_ur(alpha, preconditioner);
+        let rrn = self.update_ur(alpha, preconditioner);
         if preconditioner {
-            self.reduce(|f, k| f.r[k] * f.z[k])
+            self.reduce(rrn, |f, k| f.r[k] * f.z[k])
         } else {
-            self.reduce(|f, k| common::cell_norm(k, &f.r))
+            self.reduce(rrn, |f, k| common::cell_norm(k, &f.r))
         }
     }
 
@@ -462,9 +500,9 @@ impl TeaLeafPort for TilePort<'_> {
 
     fn cg_calc_p(&mut self, beta: f64, preconditioner: bool) {
         let f = &mut self.t.f;
-        let (r, z, p) = (&f.r[..], &f.z[..], Us::new(&mut f.p));
-        tile::for_cells(&f.mesh, Span::All, |k| unsafe {
-            common::cell_cg_calc_p(k, beta, preconditioner, r, z, &p)
+        let p = Us::new(&mut f.p);
+        rows(&f.mesh, |j| unsafe {
+            common::row_cg_calc_p(&f.mesh, j, beta, preconditioner, &f.r, &f.z, &p)
         });
     }
 
@@ -478,69 +516,74 @@ impl TeaLeafPort for TilePort<'_> {
 
     fn ppcg_init_sd(&mut self, theta: f64) {
         let f = &mut self.t.f;
-        let (r, sd) = (&f.r[..], Us::new(&mut f.sd));
-        tile::for_cells(&f.mesh, Span::All, |k| unsafe {
-            common::cell_sd_init(k, theta, r, &sd)
+        let sd = Us::new(&mut f.sd);
+        rows(&f.mesh, |j| unsafe {
+            common::row_sd_init(&f.mesh, j, theta, &f.r, &sd)
         });
     }
 
     fn ppcg_inner(&mut self, alpha: f64, beta: f64) {
-        self.pass(KernelId::PpcgCalcW, "ppcg_w", |f, span| {
-            let (width, sd, kx, ky) = (f.mesh.width(), &f.sd[..], &f.kx[..], &f.ky[..]);
+        self.pass(KernelId::PpcgCalcW, "ppcg_w", |f| {
             let w = Us::new(&mut f.w);
-            tile::for_cells(&f.mesh, span, |k| unsafe {
-                common::cell_ppcg_w(width, k, sd, kx, ky, &w)
+            rows(&f.mesh, |j| unsafe {
+                common::row_ppcg_w(&f.mesh, j, &f.sd, &f.kx, &f.ky, &w)
             });
         });
         let f = &mut self.t.f;
-        let w = &f.w[..];
         let (u, r, sd) = (Us::new(&mut f.u), Us::new(&mut f.r), Us::new(&mut f.sd));
-        tile::for_cells(&f.mesh, Span::All, |k| unsafe {
-            common::cell_ppcg_update(k, alpha, beta, w, &u, &r, &sd)
+        rows(&f.mesh, |j| unsafe {
+            common::row_ppcg_update(&f.mesh, j, alpha, beta, &f.w, &u, &r, &sd)
         });
     }
 
-    /// Double overlap: the `u → r` copy rides the reflective `u` window,
-    /// then the sweep rides the raw exchange of the copy. The scratch's
-    /// physical ghosts stay untouched (0.0, as in serial).
+    /// Double window: the `u → r` copy consumes the reflective `u`
+    /// window, then the sweep consumes the raw exchange of the copy. The
+    /// scratch's physical ghosts stay untouched (0.0, as in serial).
     fn jacobi_iterate(&mut self) -> f64 {
-        self.pass(KernelId::JacobiCopy, "jacobi_copy", |f, span| {
-            let (u, r) = (&f.u[..], &mut f.r[..]);
-            tile::for_cells(&f.mesh, span, |k| r[k] = u[k]);
-        });
-        self.open(FieldId::R, 1);
-        self.pass(KernelId::JacobiSolve, "jacobi_sweep", |f, span| {
-            let (width, u0, r) = (f.mesh.width(), &f.u0[..], &f.r[..]);
-            let (kx, ky, u) = (&f.kx[..], &f.ky[..], Us::new(&mut f.u));
-            tile::for_cells(&f.mesh, span, |k| {
-                let _ = unsafe { common::cell_jacobi_iterate(width, k, u0, r, kx, ky, &u) };
+        self.pass(KernelId::JacobiCopy, "jacobi_copy", |f| {
+            let r = Us::new(&mut f.r);
+            rows(&f.mesh, |j| unsafe {
+                common::row_jacobi_copy(&f.mesh, j, &f.u, &r)
             });
         });
-        self.reduce(|f, k| (f.u[k] - f.r[k]).abs())
+        self.open(FieldId::R, 1);
+        let err = self.pass(KernelId::JacobiSolve, "jacobi_sweep", |f| {
+            let u = Us::new(&mut f.u);
+            rows(&f.mesh, |j| unsafe {
+                common::row_jacobi_iterate(&f.mesh, j, &f.u0, &f.r, &f.kx, &f.ky, &u)
+            })
+        });
+        self.reduce(err, |f, k| (f.u[k] - f.r[k]).abs())
     }
 
     fn residual(&mut self) {
         self.settle();
         let f = &mut self.t.f;
-        let (width, u, u0) = (f.mesh.width(), &f.u[..], &f.u0[..]);
-        let (kx, ky, r) = (&f.kx[..], &f.ky[..], Us::new(&mut f.r));
-        tile::for_cells(&f.mesh, Span::All, |k| unsafe {
-            common::cell_residual(width, k, u, u0, kx, ky, &r)
+        let r = Us::new(&mut f.r);
+        rows(&f.mesh, |j| unsafe {
+            common::row_residual(&f.mesh, j, &f.u, &f.u0, &f.kx, &f.ky, &r)
         });
     }
 
     fn calc_2norm(&mut self, field: NormField) -> f64 {
-        match field {
-            NormField::U0 => self.reduce(|f, k| common::cell_norm(k, &f.u0)),
-            NormField::R => self.reduce(|f, k| common::cell_norm(k, &f.r)),
-        }
+        let Tile { geom, f } = &self.t;
+        let x = match field {
+            NormField::U0 => &f.u0,
+            NormField::R => &f.r,
+        };
+        tile::ordered_reduce(
+            self.rank,
+            geom,
+            || rows(&f.mesh, |j| common::row_norm(&f.mesh, j, x)),
+            |k| common::cell_norm(k, x),
+        )
     }
 
     fn finalise(&mut self) {
         let f = &mut self.t.f;
-        let (u, density, energy) = (&f.u[..], &f.density[..], Us::new(&mut f.energy));
-        tile::for_cells(&f.mesh, Span::All, |k| unsafe {
-            common::cell_finalise(k, u, density, &energy)
+        let energy = Us::new(&mut f.energy);
+        rows(&f.mesh, |j| unsafe {
+            common::row_finalise(&f.mesh, j, &f.u, &f.density, &energy)
         });
     }
 
@@ -548,9 +591,16 @@ impl TeaLeafPort for TilePort<'_> {
         self.settle();
         let Tile { geom, f } = &self.t;
         let vol = geom.mesh.cell_volume();
-        let global = tile::ordered_reduce4(self.rank, geom, |k| {
-            common::cell_summary(k, &f.density, &f.energy, &f.u, vol)
-        });
+        let global = tile::ordered_reduce4(
+            self.rank,
+            geom,
+            || {
+                rows(&f.mesh, |j| {
+                    common::row_summary(&f.mesh, j, &f.density, &f.energy, &f.u, vol)
+                })
+            },
+            |k| common::cell_summary(k, &f.density, &f.energy, &f.u, vol),
+        );
         Summary {
             volume: global[0],
             mass: global[1],

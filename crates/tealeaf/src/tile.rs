@@ -14,10 +14,12 @@
 //!   payloads put in the ghost corners. After completion, every ghost
 //!   cell a kernel reads holds exactly the value the serial padded mesh
 //!   holds at the same global coordinate.
-//! * **Interior/boundary split** ([`Span`]): a stencil pass is run as an
-//!   interior pass (cells whose 5-point stencil reads no ghost cell)
-//!   while the exchange is in flight, then a boundary ring pass after it
-//!   completes. No TeaLeaf kernel writes a field its stencil reads, so
+//! * **Interior/boundary split** ([`Span`]): the schedule an overlapped
+//!   stencil pass is charged on the logical clock — an interior pass
+//!   (cells whose 5-point stencil reads no ghost cell) beside the
+//!   exchange, then a boundary ring pass after it completes. The tile
+//!   port drains the exchange first and runs one row pass over the
+//!   whole tile. No TeaLeaf kernel writes a field its stencil reads, so
 //!   cell update order is irrelevant and the split is bit-identical to
 //!   the monolithic sweep by construction (property-tested in
 //!   `tests/prop_tile_split.rs`).
@@ -27,10 +29,12 @@
 //!   in-row fold (f64 addition is not associative), so the row fold is
 //!   *pipelined*: each tile receives the running sums for its rows from
 //!   its west neighbour in one batched message, continues the fold cell
-//!   by cell, and forwards east. East-most tiles hold exact serial row
-//!   partials and are the only ranks contributing to the rank-ordered
-//!   allreduce; row-major rank numbering makes their rank order the
-//!   global row order, so the global fold bit-equals the serial one.
+//!   by cell, and forwards east. A west-most tile's running sums are its
+//!   kernel's own row partials, so it forwards those with no second
+//!   pass. East-most tiles hold exact serial row partials and are the
+//!   only ranks contributing to the rank-ordered allreduce; row-major
+//!   rank numbering makes their rank order the global row order, so the
+//!   global fold bit-equals the serial one.
 
 use mpisim::topology::{dir_tag, Dir, Grid2d};
 use mpisim::{ExchangeMetrics, Rank, Tag};
@@ -327,31 +331,38 @@ pub fn complete_halo(
 // ---------------------------------------------------------------------------
 
 /// The carry pipeline behind [`ordered_reduce`], for `K`-component
-/// contributions: continue the running row sums received from the west
-/// over this tile's cells, then forward them east. Only an east-most
-/// tile holds complete row partials; it gets them back, flattened.
+/// contributions. `rows` yields this tile's row partials, each folded
+/// from 0.0 in cell order and flattened `K` wide: on a tile with no west
+/// neighbour they *are* the running row sums, so it forwards them as
+/// they are. Any other tile continues the sums received from the west
+/// over its cells with `contribution`. Only an east-most tile holds
+/// complete row partials; it gets them back, flattened.
 fn carry_rows<const K: usize>(
     rank: &Rank,
     geom: &TileGeom,
+    rows: impl FnOnce() -> Vec<f64>,
     contribution: impl Fn(usize) -> [f64; K],
 ) -> Option<Vec<f64>> {
     let m = &geom.mesh;
     let (i0, i1, w, j1) = (m.i0(), m.i1(), m.width(), m.j1());
-    let mut carries = match geom.neighbor(Dir::W) {
-        Some(west) => rank.recv(west, dir_tag(TAG_CARRY, Dir::E)),
-        None => vec![0.0; (j1 - i0) * K],
+    let carries = match geom.neighbor(Dir::W) {
+        None => rows(),
+        Some(west) => {
+            let mut carries = rank.recv(west, dir_tag(TAG_CARRY, Dir::E));
+            for (slot, j) in carries.chunks_exact_mut(K).zip(i0..j1) {
+                let mut acc: [f64; K] = slot.try_into().expect("K-wide slot");
+                for i in i0..i1 {
+                    let c = contribution(j * w + i);
+                    for q in 0..K {
+                        acc[q] += c[q];
+                    }
+                }
+                slot.copy_from_slice(&acc);
+            }
+            carries
+        }
     };
     debug_assert_eq!(carries.len(), (j1 - i0) * K);
-    for (slot, j) in carries.chunks_exact_mut(K).zip(i0..j1) {
-        let mut acc: [f64; K] = slot.try_into().expect("K-wide slot");
-        for i in i0..i1 {
-            let c = contribution(j * w + i);
-            for q in 0..K {
-                acc[q] += c[q];
-            }
-        }
-        slot.copy_from_slice(&acc);
-    }
     match geom.neighbor(Dir::E) {
         Some(east) => {
             rank.send(east, dir_tag(TAG_CARRY, Dir::E), carries);
@@ -361,13 +372,21 @@ fn carry_rows<const K: usize>(
     }
 }
 
-/// Exactly-ordered global reduction of a per-cell contribution: the
-/// carry-pipelined row fold described in the module docs. Bit-equal to
-/// the serial row-ordered reduction for any tile grid.
-pub fn ordered_reduce(rank: &Rank, geom: &TileGeom, contribution: impl Fn(usize) -> f64) -> f64 {
+/// Exactly-ordered global reduction: the carry-pipelined row fold
+/// described in the module docs. `rows` yields the tile's row partials
+/// folded from 0.0 (what the serial port's `row_*` bodies return); only
+/// a west-most tile calls it. `contribution` is one cell's term, which
+/// every other tile folds onto the carries it receives. Bit-equal to the
+/// serial row-ordered reduction for any tile grid.
+pub fn ordered_reduce(
+    rank: &Rank,
+    geom: &TileGeom,
+    rows: impl FnOnce() -> Vec<f64>,
+    contribution: impl Fn(usize) -> f64,
+) -> f64 {
     // Non-last-column ranks hold incomplete row folds; they contribute
     // nothing to the global fold.
-    let rows = carry_rows(rank, geom, |k| [contribution(k)]);
+    let rows = carry_rows(rank, geom, rows, |k| [contribution(k)]);
     rank.allreduce_ordered(rows.as_deref().unwrap_or(&[]))
 }
 
@@ -375,9 +394,10 @@ pub fn ordered_reduce(rank: &Rank, geom: &TileGeom, contribution: impl Fn(usize)
 pub fn ordered_reduce4(
     rank: &Rank,
     geom: &TileGeom,
+    rows: impl FnOnce() -> Vec<[f64; 4]>,
     contribution: impl Fn(usize) -> [f64; 4],
 ) -> [f64; 4] {
-    let rows = carry_rows(rank, geom, contribution).unwrap_or_default();
+    let rows = carry_rows(rank, geom, || rows().concat(), contribution).unwrap_or_default();
     let parts: Vec<[f64; 4]> = rows
         .chunks_exact(4)
         .map(|c| [c[0], c[1], c[2], c[3]])

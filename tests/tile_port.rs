@@ -1,22 +1,31 @@
 //! The tile port ([`tealeaf::ports::tile::TilePort`]) against the serial
 //! reference, and the schedule it lowers the shared solver loop to.
 //!
-//! Three claims. The lowering is pinned: the overlap accounting, the
+//! Four claims. The lowering is pinned: the overlap accounting, the
 //! per-direction message counters and the iteration counts of every
 //! solver on three grids, with overlap on and off, equal the values the
 //! hand-written distributed solver loops produced before the ranks ran
-//! the shared loop. The sentinels now guard distributed solves exactly as
-//! they guard serial ones. And a one-tile port is the serial port kernel
-//! for kernel: every field agrees after every call.
+//! the shared loop. The logical clock is pinned too: rank 0's trace
+//! digests equal those of the split interior/ring lowering, recorded
+//! before the port drained first and ran one row pass. The sentinels
+//! guard distributed solves exactly as they guard serial ones. And every
+//! tile port is the serial port kernel for kernel: a one-tile port
+//! agrees on every field after every call of a CG and a Jacobi step,
+//! and on 1×1, 2×1 and 3×1 grids every tile interior agrees with its
+//! serial sub-block and every reduction with the serial bits after every
+//! kernel the port lowers — on west-most tiles that fuse their folds, on
+//! tiles that carry them through, and on east-most tiles.
 
 use mpisim::{run_spmd, Grid2d};
 use simdev::devices;
 use tea_core::config::{SolverKind, TeaConfig};
 use tea_core::halo::FieldId;
+use tea_telemetry::Record;
 use tealeaf::distributed::{run_distributed, DistributedRun, DistributedSpec};
 use tealeaf::ports::serial::SerialPort;
 use tealeaf::ports::tile::TilePort;
-use tealeaf::{run_simulation, Problem, TeaLeafPort};
+use tealeaf::tile::tile_span;
+use tealeaf::{run_simulation, NormField, Problem, TeaLeafPort, TelemetrySink};
 
 const SOLVERS: [SolverKind; 4] = [
     SolverKind::ConjugateGradient,
@@ -200,4 +209,240 @@ fn one_tile_port_matches_serial_kernel_by_kernel() {
         let (a, b) = both!(field_summary());
         assert_eq!(a, b);
     });
+}
+
+/// FNV-1a digests of rank 0's trace — every record's category, name and
+/// timestamp bits — for each pinned-deck run, recorded from the split
+/// interior/ring lowering.
+const TRACE_DIGESTS: [&str; 24] = [
+    "cg 2x1 overlap records=141 digest=0x22d3a3d8a695cca9",
+    "cg 2x1 blocking records=121 digest=0x308b9f4b96872b02",
+    "cg 1x2 overlap records=141 digest=0x22d3a3d8a695cca9",
+    "cg 1x2 blocking records=121 digest=0x308b9f4b96872b02",
+    "cg 2x2 overlap records=141 digest=0x6a0d62360c0c4184",
+    "cg 2x2 blocking records=121 digest=0x099a971bf213f821",
+    "chebyshev 2x1 overlap records=233 digest=0xa30a0484a3dede07",
+    "chebyshev 2x1 blocking records=197 digest=0x6fd066d776ee26f4",
+    "chebyshev 1x2 overlap records=233 digest=0xa30a0484a3dede07",
+    "chebyshev 1x2 blocking records=197 digest=0x6fd066d776ee26f4",
+    "chebyshev 2x2 overlap records=233 digest=0x77cec7435540ae2a",
+    "chebyshev 2x2 blocking records=197 digest=0x6df37d7f2fec903c",
+    "ppcg 2x1 overlap records=209 digest=0x39b855d65f098bc3",
+    "ppcg 2x1 blocking records=171 digest=0xed38ed41b6084794",
+    "ppcg 1x2 overlap records=209 digest=0x39b855d65f098bc3",
+    "ppcg 1x2 blocking records=171 digest=0xed38ed41b6084794",
+    "ppcg 2x2 overlap records=209 digest=0x8bed6567751b9e13",
+    "ppcg 2x2 blocking records=171 digest=0x6037b346b76f1f6d",
+    "jacobi 2x1 overlap records=579 digest=0x4c4fa0dea163e7c7",
+    "jacobi 2x1 blocking records=455 digest=0x79a16df4760d1af7",
+    "jacobi 1x2 overlap records=579 digest=0x4c4fa0dea163e7c7",
+    "jacobi 1x2 blocking records=455 digest=0x79a16df4760d1af7",
+    "jacobi 2x2 overlap records=579 digest=0xf4093cb19417f7a5",
+    "jacobi 2x2 blocking records=455 digest=0x0ac2c37b16908178",
+];
+
+/// FNV-1a over `bytes`, folded into `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The digest of one trace: category, name and the `t0`/`t1` bits of
+/// every record, in record order.
+fn trace_digest(records: &[Record]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for r in records {
+        let (t0, t1) = match *r {
+            Record::Open { t, .. } | Record::Close { t, .. } | Record::Instant { t, .. } => (t, t),
+            Record::Complete { t0, t1, .. } => (t0, t1),
+        };
+        h = fnv1a(h, r.cat().as_bytes());
+        h = fnv1a(h, &[0]);
+        h = fnv1a(h, r.name().as_bytes());
+        h = fnv1a(h, &[0]);
+        h = fnv1a(h, &t0.to_bits().to_le_bytes());
+        h = fnv1a(h, &t1.to_bits().to_le_bytes());
+    }
+    h
+}
+
+#[test]
+fn lowering_keeps_the_logical_clock() {
+    let mut rows = Vec::new();
+    for solver in SOLVERS {
+        let cfg = pinned_deck(solver);
+        for (gx, gy) in [(2usize, 1usize), (1, 2), (2, 2)] {
+            for overlap in [true, false] {
+                let (sink, collector) = TelemetrySink::collecting();
+                let spec = DistributedSpec {
+                    overlap,
+                    sink,
+                    ..DistributedSpec::new(gx, gy)
+                };
+                run_distributed(&cfg, &spec).expect("a fault-free run cannot abort");
+                let records = collector.records();
+                rows.push(format!(
+                    "{} {gx}x{gy} {} records={} digest={:#018x}",
+                    solver.name(),
+                    if overlap { "overlap" } else { "blocking" },
+                    records.len(),
+                    trace_digest(&records)
+                ));
+            }
+        }
+    }
+    assert_eq!(rows, TRACE_DIGESTS);
+}
+
+/// The first cell, over every field, where the tile port and the serial
+/// port disagree; `cells` pairs a tile index with its serial index.
+fn first_mismatch(
+    t: &dyn TeaLeafPort,
+    s: &dyn TeaLeafPort,
+    cells: &[(usize, usize)],
+) -> Option<String> {
+    for id in FieldId::ALL {
+        let a = t.inspect_field(id).expect("tile field");
+        let b = s.inspect_field(id).expect("serial field");
+        if let Some(&(k, g)) = cells
+            .iter()
+            .find(|&&(k, g)| a[k].to_bits() != b[g].to_bits())
+        {
+            return Some(format!(
+                "{}[{k}] = {:e}, serial [{g}] = {:e}",
+                id.name(),
+                a[k],
+                b[g]
+            ));
+        }
+    }
+    None
+}
+
+/// Drive `t` and `s` through every kernel the tile port lowers, as the
+/// step loop and the solvers call them, comparing every reduction's bits
+/// and the fields at `cells` after every call. Mismatches are returned,
+/// not raised: a rank that panicked would leave its neighbours blocked
+/// on messages it never sends.
+fn drive_every_kernel(
+    t: &mut dyn TeaLeafPort,
+    s: &mut dyn TeaLeafPort,
+    cfg: &TeaConfig,
+    (rx, ry): (f64, f64),
+    cells: &[(usize, usize)],
+) -> Vec<String> {
+    let mut errors = Vec::new();
+    macro_rules! both {
+        ($call:ident ( $($arg:expr),* )) => {{
+            let a = t.$call($($arg),*);
+            let b = s.$call($($arg),*);
+            if let Some(m) = first_mismatch(&*t, &*s, cells) {
+                errors.push(format!("after {}: {m}", stringify!($call)));
+            }
+            (a, b)
+        }};
+    }
+    macro_rules! reduced {
+        ($call:ident ( $($arg:expr),* )) => {{
+            let (a, b): (f64, f64) = both!($call($($arg),*));
+            if a.to_bits() != b.to_bits() {
+                errors.push(format!("{} returned {a:e}, serial {b:e}", stringify!($call)));
+            }
+            a
+        }};
+    }
+    both!(halo_update(&[FieldId::Density, FieldId::Energy0], 2));
+    both!(init_fields(cfg.coefficient, rx, ry));
+    reduced!(calc_2norm(NormField::U0));
+    // CG, unpreconditioned then preconditioned.
+    for precond in [false, true] {
+        both!(halo_update(&[FieldId::U], 1));
+        let mut rro = reduced!(cg_init(precond));
+        for _ in 0..2 {
+            both!(halo_update(&[FieldId::P], 1));
+            let pw = reduced!(cg_calc_w());
+            let rrn = reduced!(cg_calc_ur(rro / pw, precond));
+            both!(cg_calc_p(rrn / rro, precond));
+            rro = rrn;
+        }
+    }
+    // PPCG's outer step: the discarded reduction, then the inner loop.
+    both!(halo_update(&[FieldId::P], 1));
+    let pw = reduced!(cg_calc_w());
+    both!(cg_update_ur(0.5 / pw, false));
+    both!(ppcg_init_sd(1.7));
+    for (alpha, beta) in [(0.6, 0.3), (0.7, 0.2)] {
+        both!(halo_update(&[FieldId::Sd], 1));
+        both!(ppcg_inner(alpha, beta));
+    }
+    reduced!(calc_2norm(NormField::R));
+    // Chebyshev.
+    both!(halo_update(&[FieldId::U], 1));
+    both!(cheby_init(1.3));
+    for (alpha, beta) in [(0.8, 0.4), (0.9, 0.35)] {
+        both!(halo_update(&[FieldId::U], 1));
+        both!(cheby_iterate(alpha, beta));
+    }
+    both!(halo_update(&[FieldId::U], 1));
+    both!(residual());
+    reduced!(calc_2norm(NormField::R));
+    // Jacobi.
+    for _ in 0..2 {
+        both!(halo_update(&[FieldId::U], 1));
+        reduced!(jacobi_iterate());
+    }
+    both!(finalise());
+    both!(halo_update(&[FieldId::Energy1], 1));
+    let (a, b) = both!(field_summary());
+    if a != b {
+        errors.push(format!("field_summary {a:?}, serial {b:?}"));
+    }
+    errors
+}
+
+#[test]
+fn tile_ports_match_serial_sub_blocks_kernel_by_kernel() {
+    // 32 columns split two and three ways give every tile the global
+    // mesh's `rx`/`ry` bits; 24 split three ways would not.
+    let cfg = TeaConfig::paper_problem(32);
+    let problem = Problem::from_config(&cfg).expect("valid deck");
+    let global = &problem.mesh;
+    for gx in [1usize, 2, 3] {
+        for overlap in [true, false] {
+            let errors = run_spmd(gx, |rank| {
+                let mut tile = TilePort::new(rank, &cfg, Grid2d::new(gx, 1), overlap);
+                let mut serial = SerialPort::new(devices::cpu_xeon_e5_2670_x2(), &problem, 1);
+                let local = tile.tile().geom.mesh.clone();
+                // Local padded column `i` is global padded column `c0 + i`:
+                // both meshes pad by the same halo depth.
+                let (c0, _) = tile_span(cfg.x_cells, rank.id(), gx);
+                let cells: Vec<_> = (local.i0()..local.j1())
+                    .flat_map(|j| (local.i0()..local.i1()).map(move |i| (j, i)))
+                    .map(|(j, i)| (j * local.width() + i, j * global.width() + c0 + i))
+                    .collect();
+                let mut errors = Vec::new();
+                if local.rx_ry(cfg.initial_timestep) != problem.rx_ry() {
+                    errors.push("the tile's rx/ry differ from the serial mesh's".to_string());
+                }
+                errors.extend(drive_every_kernel(
+                    &mut tile,
+                    &mut serial,
+                    &cfg,
+                    problem.rx_ry(),
+                    &cells,
+                ));
+                errors
+            });
+            for (rank, errors) in errors.iter().enumerate() {
+                let what = if overlap { "overlap" } else { "blocking" };
+                assert!(
+                    errors.is_empty(),
+                    "rank {rank} of {gx}x1 {what}: {errors:#?}"
+                );
+            }
+        }
+    }
 }
