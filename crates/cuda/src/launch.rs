@@ -48,14 +48,23 @@ impl<'a> CudaStream<'a> {
 /// Launch `kernel(tid)` over every thread of `cfg`. The kernel body is
 /// responsible for the overspill guard (`if tid >= n return`), exactly as
 /// in CUDA C.
-pub fn launch(
+///
+/// Each thread block is one executor item that runs its `block` threads
+/// in a loop, so the body inlines into that loop instead of costing a
+/// dynamic call per thread. Overspill threads of the last block still run.
+pub fn launch<F: Fn(usize) + Sync + ?Sized>(
     stream: &CudaStream<'_>,
     cfg: LaunchConfig,
     profile: &KernelProfile,
-    kernel: &(dyn Fn(usize) + Sync),
+    kernel: &F,
 ) {
     stream.ctx.launch(profile);
-    stream.exec.run(cfg.threads(), kernel);
+    let block = cfg.block;
+    stream.exec.run(cfg.grid, &|b| {
+        for tid in b * block..(b + 1) * block {
+            kernel(tid);
+        }
+    });
 }
 
 /// The hand-written CUDA reduction of §3.5: pass 1 computes one partial

@@ -13,6 +13,9 @@ use simdev::{KernelProfile, SimContext};
 
 use crate::reducer::{Functor, ReduceFunctor, Reducer};
 
+/// Indices per executor item of a flat [`ExecutionSpace::parallel_for`].
+const CHUNK: usize = 256;
+
 /// Flat 1-D iteration range `[start, end)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RangePolicy {
@@ -95,16 +98,21 @@ impl<'a> ExecutionSpace<'a> {
         self.ctx
     }
 
-    /// `Kokkos::parallel_for` over a flat range.
-    pub fn parallel_for(
+    /// `Kokkos::parallel_for` over a flat range. Each `CHUNK` indices
+    /// are one executor item, so `f` inlines into the chunk's loop.
+    pub fn parallel_for<F: Fn(usize) + Sync + ?Sized>(
         &self,
         profile: &KernelProfile,
         policy: RangePolicy,
-        f: &(dyn Fn(usize) + Sync),
+        f: &F,
     ) {
         self.ctx.launch(profile);
-        let start = policy.start;
-        self.exec.run(policy.len(), &|k| f(start + k));
+        let (start, end) = (policy.start, policy.end);
+        self.exec.run(policy.len().div_ceil(CHUNK), &|c| {
+            for i in start + c * CHUNK..(start + (c + 1) * CHUNK).min(end) {
+                f(i);
+            }
+        });
     }
 
     /// `Kokkos::parallel_reduce` with the default sum semantics.

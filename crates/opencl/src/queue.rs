@@ -9,6 +9,10 @@ use simdev::{KernelProfile, KernelTraits, SimContext};
 use crate::buffer::Buffer;
 use crate::platform::Context;
 
+/// Work-group size the implementation picks when a launch leaves the
+/// local size to it.
+const DEFAULT_WORK_GROUP: usize = 256;
+
 /// Global/local work sizes for a 1-D launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NdRange {
@@ -152,15 +156,19 @@ impl<'a> CommandQueue<'a> {
     /// `clEnqueueNDRangeKernel`: launch `kernel` over `range`, executing
     /// `f(global_id)` for every work item.
     ///
+    /// Each work-group (the explicit local size, or
+    /// `DEFAULT_WORK_GROUP` items) is one executor item that runs its
+    /// work items in a loop, so `f` inlines into that loop.
+    ///
     /// # Panics
     /// Panics if any declared argument is unset, or if an explicit local
     /// size does not divide the global size (OpenCL 1.x rule).
-    pub fn enqueue_nd_range(
+    pub fn enqueue_nd_range<F: Fn(usize) + Sync + ?Sized>(
         &self,
         kernel: &Kernel,
         profile: &KernelProfile,
         range: NdRange,
-        f: &(dyn Fn(usize) + Sync),
+        f: &F,
     ) -> Event {
         kernel.assert_ready();
         if let Some(local) = range.local {
@@ -171,7 +179,12 @@ impl<'a> CommandQueue<'a> {
         }
         let start = self.sim.clock.seconds();
         let duration = self.sim.launch(profile);
-        self.exec.run(range.global, f);
+        let (global, group) = (range.global, range.local.unwrap_or(DEFAULT_WORK_GROUP));
+        self.exec.run(global.div_ceil(group), &|g| {
+            for id in g * group..((g + 1) * group).min(global) {
+                f(id);
+            }
+        });
         Event { start, duration }
     }
 

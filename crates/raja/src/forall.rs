@@ -35,18 +35,26 @@ fn profile_for(seg: &Segment, profile: &KernelProfile) -> KernelProfile {
     }
 }
 
+/// Iteration positions per executor item of a parallel [`forall`].
+const CHUNK: usize = 256;
+
 /// `RAJA::forall<P>(segment, lambda)` — execute `f` over every index the
-/// segment yields.
+/// segment yields. A parallel policy posts one executor item per
+/// `CHUNK` positions, so `f` inlines into the chunk's loop.
 pub fn forall<P: ExecPolicy>(
     rt: &RajaRuntime<'_>,
     seg: &Segment,
     profile: &KernelProfile,
-    f: &(dyn Fn(usize) + Sync),
+    f: &(impl Fn(usize) + Sync + ?Sized),
 ) {
     rt.ctx.launch(&profile_for(seg, profile));
     let n = seg.len();
     if P::PARALLEL {
-        rt.exec.run(n, &|k| f(seg.at(k)));
+        rt.exec.run(n.div_ceil(CHUNK), &|c| {
+            for k in c * CHUNK..((c + 1) * CHUNK).min(n) {
+                f(seg.at(k));
+            }
+        });
     } else {
         for k in 0..n {
             f(seg.at(k));
@@ -104,7 +112,7 @@ pub fn forall_set<P: ExecPolicy>(
     rt: &RajaRuntime<'_>,
     set: &IndexSet,
     profile: &KernelProfile,
-    f: &(dyn Fn(usize) + Sync),
+    f: &(impl Fn(usize) + Sync + ?Sized),
 ) {
     for seg in set.segments() {
         forall::<P>(rt, seg, profile, f);

@@ -154,7 +154,7 @@ fn body(
             .map_or((1, 0, true), |r| (r.step, r.total_iterations, r.converged));
         port.keep_cuts(store, config.tl_checkpoint_interval, step);
     }
-    let (rx, ry) = port.tile().geom.mesh.rx_ry(config.initial_timestep);
+    let (rx, ry) = port.tile().geom.rx_ry;
     let steps = run_steps(&mut port, config, rx, ry, at, solver::solve_once);
     let summary = port.field_summary();
     let (stats, metrics) = port.instrumentation();

@@ -388,11 +388,125 @@ pub unsafe fn cell_finalise(k: usize, u: &[f64], density: &[f64], energy: &Us) {
 // ---------------------------------------------------------------------------
 // per-row bodies (row-dispatch ports, and all reductions)
 // ---------------------------------------------------------------------------
+//
+// Each body works on row slices: it reborrows its own interior row of every
+// output field once (`Us::slice_mut`) and reads its inputs through
+// sub-slices sized to the row, so the loops carry no per-cell bounds checks
+// and no branch on a loop-invariant flag (`first`, `precond` select one loop
+// each). The stencil is one shared loop, [`RowStencil::each`]: it reads the
+// centre row `[b−1, b+len+1)`, the north and south rows, `kx[b..b+len+1]`
+// and `ky` of this row and the north row, and it vectorises as long as its
+// per-cell tail only stores. So the stencil-bearing bodies take one of two
+// shapes:
+//
+// 1. **No fold** (`cheby_calc_p`, `residual`, `ppcg_w`): the tail
+//    (`res = u0 − A·u`, the p update) rides the stencil loop.
+// 2. **Fold** (`cg_init`, `cg_calc_w`, `jacobi_iterate`): a stencil pass
+//    writes the row (`w`, or the new `u`), then a tail pass over the still
+//    L1-resident row does the rest and the fold, which is strictly ordered
+//    and so cannot vectorise.
+//
+// Both shapes are bit-identical to the per-cell bodies above: every cell
+// evaluates the same `physics` expression on the same operands (Rust never
+// contracts `a*b + c` to an FMA), and every fold still runs left to right
+// from `0.0` within the row, so row partials — and the row-order sums the
+// ports build from them — keep their bits. Streaming bodies stay one pass:
+// splitting an update from its fold only re-reads the row.
 
 /// Interior row bounds for `mesh`: `(i0, i1, width)`.
 #[inline(always)]
 pub fn row_bounds(mesh: &Mesh2d) -> (usize, usize, usize) {
     (mesh.i0(), mesh.i1(), mesh.width())
+}
+
+/// Row `j`'s interior: flat index `b` of its first cell, its length and the
+/// padded width.
+#[inline(always)]
+fn row_span(mesh: &Mesh2d, j: usize) -> (usize, usize, usize) {
+    let (i0, i1, width) = row_bounds(mesh);
+    (idx(width, i0, j), i1 - i0, width)
+}
+
+/// The face coefficients of one interior row: `kx` on its `len + 1` west
+/// faces (the last is the east face of the last cell), `ky` on its south
+/// and north faces.
+struct RowCoeffs<'a> {
+    kx: &'a [f64],
+    ky_s: &'a [f64],
+    ky_n: &'a [f64],
+}
+
+impl<'a> RowCoeffs<'a> {
+    #[inline(always)]
+    fn new(b: usize, len: usize, width: usize, kx: &'a [f64], ky: &'a [f64]) -> Self {
+        RowCoeffs {
+            kx: &kx[b..b + len + 1],
+            ky_s: &ky[b..b + len],
+            ky_n: &ky[b + width..b + width + len],
+        }
+    }
+
+    /// Diagonal of `A` at row cell `i` ([`diag_a`]).
+    #[inline(always)]
+    fn diag(&self, i: usize) -> f64 {
+        physics::diagonal(self.kx[i], self.kx[i + 1], self.ky_s[i], self.ky_n[i])
+    }
+}
+
+/// One interior row's 5-point neighbourhood of `x` as row slices: the
+/// centre row with one cell either side, the south and north rows, and the
+/// row's face coefficients.
+struct RowStencil<'a> {
+    c: &'a [f64],
+    s: &'a [f64],
+    n: &'a [f64],
+    k: RowCoeffs<'a>,
+}
+
+impl<'a> RowStencil<'a> {
+    #[inline(always)]
+    fn new(b: usize, len: usize, width: usize, x: &'a [f64], kx: &'a [f64], ky: &'a [f64]) -> Self {
+        RowStencil {
+            c: &x[b - 1..b + len + 1],
+            s: &x[b - width..b - width + len],
+            n: &x[b + width..b + width + len],
+            k: RowCoeffs::new(b, len, width, kx, ky),
+        }
+    }
+
+    /// Hand `(A·x)` at every cell of the row, in order, to `tail(i, ax)`
+    /// ([`apply_a`]). A tail that only stores keeps the loop vectorised.
+    #[inline(always)]
+    fn each(&self, len: usize, mut tail: impl FnMut(usize, f64)) {
+        let (c, s, n) = (&self.c[..len + 2], &self.s[..len], &self.n[..len]);
+        let (kx, ky_s, ky_n) = (
+            &self.k.kx[..len + 1],
+            &self.k.ky_s[..len],
+            &self.k.ky_n[..len],
+        );
+        for i in 0..len {
+            tail(
+                i,
+                physics::apply_stencil(
+                    c[i + 1],
+                    c[i],
+                    c[i + 2],
+                    s[i],
+                    n[i],
+                    kx[i],
+                    kx[i + 1],
+                    ky_s[i],
+                    ky_n[i],
+                ),
+            );
+        }
+    }
+
+    /// `out[i] = (A·x)` at every cell of the row.
+    #[inline(always)]
+    fn apply(&self, out: &mut [f64]) {
+        self.each(out.len(), move |i, ax| out[i] = ax);
+    }
 }
 
 /// Row form of [`cell_init_u0`].
@@ -407,9 +521,14 @@ pub unsafe fn row_init_u0(
     u0: &Us,
     u: &Us,
 ) {
-    let (i0, i1, width) = row_bounds(mesh);
-    for i in i0..i1 {
-        unsafe { cell_init_u0(idx(width, i, j), density, energy, u0, u) };
+    let (b, len, _) = row_span(mesh, j);
+    // SAFETY: row `j` is this caller's alone (# Safety).
+    let (u0, u) = unsafe { (u0.slice_mut(b, b + len), u.slice_mut(b, b + len)) };
+    let (d, e) = (&density[b..b + len], &energy[b..b + len]);
+    for i in 0..len {
+        let v = d[i] * e[i];
+        u0[i] = v;
+        u[i] = v;
     }
 }
 
@@ -465,10 +584,37 @@ pub unsafe fn row_cg_init(
     p: &Us,
     z: &Us,
 ) -> f64 {
-    let (i0, i1, width) = row_bounds(mesh);
+    let (b, len, width) = row_span(mesh, j);
+    // SAFETY: row `j` is this caller's alone (# Safety).
+    let (w, r, p) = unsafe {
+        (
+            w.slice_mut(b, b + len),
+            r.slice_mut(b, b + len),
+            p.slice_mut(b, b + len),
+        )
+    };
+    let st = RowStencil::new(b, len, width, u, kx, ky);
+    st.apply(w);
+    let u0 = &u0[b..b + len];
     let mut rro = 0.0;
-    for i in i0..i1 {
-        rro += unsafe { cell_cg_init(width, idx(width, i, j), precond, u, u0, kx, ky, w, r, p, z) };
+    if precond {
+        // SAFETY: row `j` is this caller's alone (# Safety).
+        let z = unsafe { z.slice_mut(b, b + len) };
+        for i in 0..len {
+            let res = u0[i] - w[i];
+            r[i] = res;
+            let zv = res / st.k.diag(i);
+            z[i] = zv;
+            p[i] = zv;
+            rro += res * zv;
+        }
+    } else {
+        for i in 0..len {
+            let res = u0[i] - w[i];
+            r[i] = res;
+            p[i] = res;
+            rro += res * res;
+        }
     }
     rro
 }
@@ -485,10 +631,14 @@ pub unsafe fn row_cg_calc_w(
     ky: &[f64],
     w: &Us,
 ) -> f64 {
-    let (i0, i1, width) = row_bounds(mesh);
+    let (b, len, width) = row_span(mesh, j);
+    // SAFETY: row `j` is this caller's alone (# Safety).
+    let w = unsafe { w.slice_mut(b, b + len) };
+    RowStencil::new(b, len, width, p, kx, ky).apply(w);
+    let p = &p[b..b + len];
     let mut pw = 0.0;
-    for i in i0..i1 {
-        pw += unsafe { cell_cg_calc_w(width, idx(width, i, j), p, kx, ky, w) };
+    for i in 0..len {
+        pw += p[i] * w[i];
     }
     pw
 }
@@ -512,24 +662,30 @@ pub unsafe fn row_cg_calc_ur(
     r: &Us,
     z: &Us,
 ) -> f64 {
-    let (i0, i1, width) = row_bounds(mesh);
+    let (b, len, width) = row_span(mesh, j);
+    // SAFETY: row `j` is this caller's alone (# Safety).
+    let (u, r) = unsafe { (u.slice_mut(b, b + len), r.slice_mut(b, b + len)) };
+    let (p, w) = (&p[b..b + len], &w[b..b + len]);
     let mut rrn = 0.0;
-    for i in i0..i1 {
-        rrn += unsafe {
-            cell_cg_calc_ur(
-                width,
-                idx(width, i, j),
-                alpha,
-                precond,
-                p,
-                w,
-                kx,
-                ky,
-                u,
-                r,
-                z,
-            )
-        };
+    if precond {
+        // SAFETY: row `j` is this caller's alone (# Safety).
+        let z = unsafe { z.slice_mut(b, b + len) };
+        let k = RowCoeffs::new(b, len, width, kx, ky);
+        for i in 0..len {
+            u[i] += alpha * p[i];
+            let rv = r[i] - alpha * w[i];
+            r[i] = rv;
+            let zv = rv / k.diag(i);
+            z[i] = zv;
+            rrn += rv * zv;
+        }
+    } else {
+        for i in 0..len {
+            u[i] += alpha * p[i];
+            let rv = r[i] - alpha * w[i];
+            r[i] = rv;
+            rrn += rv * rv;
+        }
     }
     rrn
 }
@@ -547,9 +703,16 @@ pub unsafe fn row_cg_calc_p(
     z: &[f64],
     p: &Us,
 ) {
-    let (i0, i1, width) = row_bounds(mesh);
-    for i in i0..i1 {
-        unsafe { cell_cg_calc_p(idx(width, i, j), beta, precond, r, z, p) };
+    let (b, len, _) = row_span(mesh, j);
+    // SAFETY: row `j` is this caller's alone (# Safety).
+    let p = unsafe { p.slice_mut(b, b + len) };
+    let base = if precond {
+        &z[b..b + len]
+    } else {
+        &r[b..b + len]
+    };
+    for i in 0..len {
+        p[i] = base[i] + beta * p[i];
     }
 }
 
@@ -573,25 +736,31 @@ pub unsafe fn row_cheby_calc_p(
     r: &Us,
     p: &Us,
 ) {
-    let (i0, i1, width) = row_bounds(mesh);
-    for i in i0..i1 {
-        unsafe {
-            cell_cheby_calc_p(
-                width,
-                idx(width, i, j),
-                first,
-                theta,
-                alpha,
-                beta,
-                u,
-                u0,
-                kx,
-                ky,
-                w,
-                r,
-                p,
-            )
-        };
+    let (b, len, width) = row_span(mesh, j);
+    // SAFETY: row `j` is this caller's alone (# Safety).
+    let (w, r, p) = unsafe {
+        (
+            w.slice_mut(b, b + len),
+            r.slice_mut(b, b + len),
+            p.slice_mut(b, b + len),
+        )
+    };
+    let st = RowStencil::new(b, len, width, u, kx, ky);
+    let u0 = &u0[b..b + len];
+    if first {
+        st.each(len, move |i, au| {
+            let res = u0[i] - au;
+            w[i] = au;
+            r[i] = res;
+            p[i] = res / theta;
+        });
+    } else {
+        st.each(len, move |i, au| {
+            let res = u0[i] - au;
+            w[i] = au;
+            r[i] = res;
+            p[i] = alpha * p[i] + beta * res;
+        });
     }
 }
 
@@ -600,9 +769,12 @@ pub unsafe fn row_cheby_calc_p(
 /// # Safety
 /// As [`row_init_u0`].
 pub unsafe fn row_add_p_to_u(mesh: &Mesh2d, j: usize, p: &[f64], u: &Us) {
-    let (i0, i1, width) = row_bounds(mesh);
-    for i in i0..i1 {
-        unsafe { cell_add_p_to_u(idx(width, i, j), p, u) };
+    let (b, len, _) = row_span(mesh, j);
+    // SAFETY: row `j` is this caller's alone (# Safety).
+    let u = unsafe { u.slice_mut(b, b + len) };
+    let p = &p[b..b + len];
+    for i in 0..len {
+        u[i] += p[i];
     }
 }
 
@@ -611,9 +783,12 @@ pub unsafe fn row_add_p_to_u(mesh: &Mesh2d, j: usize, p: &[f64], u: &Us) {
 /// # Safety
 /// As [`row_init_u0`].
 pub unsafe fn row_sd_init(mesh: &Mesh2d, j: usize, theta: f64, r: &[f64], sd: &Us) {
-    let (i0, i1, width) = row_bounds(mesh);
-    for i in i0..i1 {
-        unsafe { cell_sd_init(idx(width, i, j), theta, r, sd) };
+    let (b, len, _) = row_span(mesh, j);
+    // SAFETY: row `j` is this caller's alone (# Safety).
+    let sd = unsafe { sd.slice_mut(b, b + len) };
+    let r = &r[b..b + len];
+    for i in 0..len {
+        sd[i] = r[i] / theta;
     }
 }
 
@@ -622,10 +797,10 @@ pub unsafe fn row_sd_init(mesh: &Mesh2d, j: usize, theta: f64, r: &[f64], sd: &U
 /// # Safety
 /// As [`row_init_u0`].
 pub unsafe fn row_ppcg_w(mesh: &Mesh2d, j: usize, sd: &[f64], kx: &[f64], ky: &[f64], w: &Us) {
-    let (i0, i1, width) = row_bounds(mesh);
-    for i in i0..i1 {
-        unsafe { cell_ppcg_w(width, idx(width, i, j), sd, kx, ky, w) };
-    }
+    let (b, len, width) = row_span(mesh, j);
+    // SAFETY: row `j` is this caller's alone (# Safety).
+    let w = unsafe { w.slice_mut(b, b + len) };
+    RowStencil::new(b, len, width, sd, kx, ky).apply(w);
 }
 
 /// Row form of [`cell_ppcg_update`].
@@ -643,9 +818,22 @@ pub unsafe fn row_ppcg_update(
     r: &Us,
     sd: &Us,
 ) {
-    let (i0, i1, width) = row_bounds(mesh);
-    for i in i0..i1 {
-        unsafe { cell_ppcg_update(idx(width, i, j), alpha, beta, w, u, r, sd) };
+    let (b, len, _) = row_span(mesh, j);
+    // SAFETY: row `j` is this caller's alone (# Safety).
+    let (u, r, sd) = unsafe {
+        (
+            u.slice_mut(b, b + len),
+            r.slice_mut(b, b + len),
+            sd.slice_mut(b, b + len),
+        )
+    };
+    let w = &w[b..b + len];
+    for i in 0..len {
+        let rn = r[i] - w[i];
+        r[i] = rn;
+        let sv = sd[i];
+        u[i] += sv;
+        sd[i] = alpha * sv + beta * rn;
     }
 }
 
@@ -662,10 +850,11 @@ pub unsafe fn row_residual(
     ky: &[f64],
     r: &Us,
 ) {
-    let (i0, i1, width) = row_bounds(mesh);
-    for i in i0..i1 {
-        unsafe { cell_residual(width, idx(width, i, j), u, u0, kx, ky, r) };
-    }
+    let (b, len, width) = row_span(mesh, j);
+    // SAFETY: row `j` is this caller's alone (# Safety).
+    let r = unsafe { r.slice_mut(b, b + len) };
+    let u0 = &u0[b..b + len];
+    RowStencil::new(b, len, width, u, kx, ky).each(len, move |i, au| r[i] = u0[i] - au);
 }
 
 /// Jacobi: save the previous `u` row into `r` (scratch).
@@ -673,14 +862,15 @@ pub unsafe fn row_residual(
 /// # Safety
 /// As [`row_init_u0`].
 pub unsafe fn row_jacobi_copy(mesh: &Mesh2d, j: usize, u: &[f64], r: &Us) {
-    let (i0, i1, width) = row_bounds(mesh);
-    for i in i0..i1 {
-        unsafe { r.set(idx(width, i, j), u[idx(width, i, j)]) };
-    }
+    let (b, len, _) = row_span(mesh, j);
+    // SAFETY: row `j` is this caller's alone (# Safety).
+    unsafe { r.slice_mut(b, b + len) }.copy_from_slice(&u[b..b + len]);
 }
 
 /// Jacobi sweep row: `u = (u0 + Σ k·u_old_neighbours)/diag`; returns the
-/// row's `Σ|Δu|` partial. `r` holds the previous iterate.
+/// row's `Σ|Δu|` partial. `r` holds the previous iterate. The sweep reads
+/// the same row slices as [`RowStencil::each`] with its own update, then
+/// folds `|Δu|` in a second pass.
 ///
 /// # Safety
 /// As [`row_init_u0`].
@@ -693,20 +883,39 @@ pub unsafe fn row_jacobi_iterate(
     ky: &[f64],
     u: &Us,
 ) -> f64 {
-    let (i0, i1, width) = row_bounds(mesh);
+    let (b, len, width) = row_span(mesh, j);
+    // SAFETY: row `j` is this caller's alone (# Safety).
+    let u = unsafe { u.slice_mut(b, b + len) };
+    let st = RowStencil::new(b, len, width, r, kx, ky);
+    let (c, s, n) = (&st.c[..len + 2], &st.s[..len], &st.n[..len]);
+    let (kx, ky_s, ky_n) = (&st.k.kx[..len + 1], &st.k.ky_s[..len], &st.k.ky_n[..len]);
+    let u0 = &u0[b..b + len];
+    for i in 0..len {
+        u[i] = physics::jacobi_update(
+            u0[i],
+            c[i],
+            c[i + 2],
+            s[i],
+            n[i],
+            kx[i],
+            kx[i + 1],
+            ky_s[i],
+            ky_n[i],
+        );
+    }
     let mut err = 0.0;
-    for i in i0..i1 {
-        err += unsafe { cell_jacobi_iterate(width, idx(width, i, j), u0, r, kx, ky, u) };
+    for i in 0..len {
+        err += (u[i] - c[i + 1]).abs();
     }
     err
 }
 
 /// Row `Σ x²` partial.
 pub fn row_norm(mesh: &Mesh2d, j: usize, x: &[f64]) -> f64 {
-    let (i0, i1, width) = row_bounds(mesh);
+    let (b, len, _) = row_span(mesh, j);
     let mut n = 0.0;
-    for i in i0..i1 {
-        n += cell_norm(idx(width, i, j), x);
+    for &v in &x[b..b + len] {
+        n += v * v;
     }
     n
 }
@@ -721,13 +930,14 @@ pub fn row_summary(
     u: &[f64],
     cell_vol: f64,
 ) -> [f64; 4] {
-    let (i0, i1, width) = row_bounds(mesh);
+    let (b, len, _) = row_span(mesh, j);
+    let (d, e, u) = (&density[b..b + len], &energy[b..b + len], &u[b..b + len]);
     let mut acc = [0.0; 4];
-    for i in i0..i1 {
-        let c = cell_summary(idx(width, i, j), density, energy, u, cell_vol);
-        for q in 0..4 {
-            acc[q] += c[q];
-        }
+    for i in 0..len {
+        acc[0] += cell_vol;
+        acc[1] += d[i] * cell_vol;
+        acc[2] += d[i] * e[i] * cell_vol;
+        acc[3] += u[i] * cell_vol;
     }
     acc
 }
@@ -737,9 +947,12 @@ pub fn row_summary(
 /// # Safety
 /// As [`row_init_u0`].
 pub unsafe fn row_finalise(mesh: &Mesh2d, j: usize, u: &[f64], density: &[f64], energy: &Us) {
-    let (i0, i1, width) = row_bounds(mesh);
-    for i in i0..i1 {
-        unsafe { cell_finalise(idx(width, i, j), u, density, energy) };
+    let (b, len, _) = row_span(mesh, j);
+    // SAFETY: row `j` is this caller's alone (# Safety).
+    let energy = unsafe { energy.slice_mut(b, b + len) };
+    let (u, d) = (&u[b..b + len], &density[b..b + len]);
+    for i in 0..len {
+        energy[i] = u[i] / d[i];
     }
 }
 
@@ -1110,43 +1323,306 @@ mod tests {
         }
     }
 
-    #[test]
-    fn row_cg_init_consistent_with_cells() {
-        let m = mesh();
-        let u = seq(&m, 0.2);
-        let u0 = seq(&m, 0.4);
-        let kx = seq(&m, 0.01);
-        let ky = seq(&m, 0.03);
-        let mut w = vec![0.0; m.len()];
-        let mut r = vec![0.0; m.len()];
-        let mut p = vec![0.0; m.len()];
-        let mut z = vec![0.0; m.len()];
-        let rro = {
-            let (wv, rv, pv, zv) = (
-                Us::new(&mut w),
-                Us::new(&mut r),
-                Us::new(&mut p),
-                Us::new(&mut z),
-            );
-            let mut acc = 0.0;
-            for j in m.i0()..m.j1() {
-                acc += unsafe { row_cg_init(&m, j, false, &u, &u0, &kx, &ky, &wv, &rv, &pv, &zv) };
-            }
-            acc
-        };
-        // r = u0 - A u, p = r, rro = Σ r²
-        let width = m.width();
-        let mut expect = 0.0;
-        for j in m.i0()..m.j1() {
-            for i in m.i0()..m.i1() {
-                let k = idx(width, i, j);
-                let res = u0[k] - apply_a(width, k, &u, &kx, &ky);
-                assert_eq!(r[k], res);
-                assert_eq!(p[k], res);
-                expect += res * res;
+    /// Every field a row body reads or writes, each filled with its own
+    /// irregular positive values.
+    #[derive(Clone)]
+    struct Fields {
+        density: Vec<f64>,
+        energy: Vec<f64>,
+        u: Vec<f64>,
+        u0: Vec<f64>,
+        p: Vec<f64>,
+        r: Vec<f64>,
+        w: Vec<f64>,
+        z: Vec<f64>,
+        kx: Vec<f64>,
+        ky: Vec<f64>,
+        sd: Vec<f64>,
+    }
+
+    /// Shared-write views of the fields a kernel writes.
+    struct Outs<'a> {
+        energy: Us<'a>,
+        u: Us<'a>,
+        u0: Us<'a>,
+        p: Us<'a>,
+        r: Us<'a>,
+        w: Us<'a>,
+        z: Us<'a>,
+        sd: Us<'a>,
+    }
+
+    impl Fields {
+        fn new(mesh: &Mesh2d) -> Self {
+            let f = |salt: usize, scale: f64| -> Vec<f64> {
+                (0..mesh.len())
+                    .map(|k| 1.0 + scale * ((k * 7 + salt) as f64).sin().abs())
+                    .collect()
+            };
+            Fields {
+                density: f(1, 0.9),
+                energy: f(2, 0.7),
+                u: f(3, 0.5),
+                u0: f(4, 0.6),
+                p: f(5, 0.4),
+                r: f(6, 0.3),
+                w: f(7, 0.8),
+                z: f(8, 0.2),
+                kx: f(9, 0.05),
+                ky: f(10, 0.07),
+                sd: f(11, 0.35),
             }
         }
-        assert!((rro - expect).abs() < 1e-12 * expect.abs().max(1.0));
+
+        fn outs(&mut self) -> Outs<'_> {
+            Outs {
+                energy: Us::new(&mut self.energy),
+                u: Us::new(&mut self.u),
+                u0: Us::new(&mut self.u0),
+                p: Us::new(&mut self.p),
+                r: Us::new(&mut self.r),
+                w: Us::new(&mut self.w),
+                z: Us::new(&mut self.z),
+                sd: Us::new(&mut self.sd),
+            }
+        }
+
+        fn all(&self) -> [(&str, &Vec<f64>); 11] {
+            [
+                ("density", &self.density),
+                ("energy", &self.energy),
+                ("u", &self.u),
+                ("u0", &self.u0),
+                ("p", &self.p),
+                ("r", &self.r),
+                ("w", &self.w),
+                ("z", &self.z),
+                ("kx", &self.kx),
+                ("ky", &self.ky),
+                ("sd", &self.sd),
+            ]
+        }
+    }
+
+    /// A row body or a cell body: reads `inputs` (no kernel writes a field
+    /// it reads through a slice), writes through the views, returns its
+    /// reduction terms.
+    type Body<'b> = &'b dyn Fn(&Fields, &Outs, usize) -> [f64; 4];
+
+    /// Run `row` over every interior row and, on a copy of the same
+    /// fields, `cell` over every interior cell with each row's terms
+    /// folded left to right from `0.0`, as the per-cell bodies did; the
+    /// row partials and every field must agree bit for bit.
+    fn rows_match_cells(mesh: &Mesh2d, what: &str, row: Body, cell: Body) {
+        let inputs = Fields::new(mesh);
+        let (mut a, mut b) = (inputs.clone(), inputs.clone());
+        {
+            let (oa, ob) = (a.outs(), b.outs());
+            let (i0, i1, width) = row_bounds(mesh);
+            for j in mesh.i0()..mesh.j1() {
+                let mut acc = [0.0; 4];
+                for i in i0..i1 {
+                    let c = cell(&inputs, &ob, idx(width, i, j));
+                    for q in 0..4 {
+                        acc[q] += c[q];
+                    }
+                }
+                let got = row(&inputs, &oa, j);
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    acc.map(f64::to_bits),
+                    "{what}: row {j} partial"
+                );
+            }
+        }
+        for ((name, x), (_, y)) in a.all().into_iter().zip(b.all()) {
+            for (k, (x, y)) in x.iter().zip(y).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "{what}: {name}[{k}]");
+            }
+        }
+    }
+
+    #[test]
+    fn row_bodies_match_cell_bodies_bit_for_bit() {
+        let (alpha, beta, theta) = (0.37, 0.61, 1.7);
+        let one = |x: f64| [x, 0.0, 0.0, 0.0];
+        let none = [0.0; 4];
+        for (nx, ny) in [(1, 3), (7, 5), (13, 2)] {
+            let m = &Mesh2d::new(nx, ny, 2, (0.0, nx as f64), (0.0, ny as f64));
+            let wd = m.width();
+            let check = |what: &str, row: Body, cell: Body| {
+                rows_match_cells(m, &format!("{what} on {nx}x{ny}"), row, cell)
+            };
+            // SAFETY throughout: single-threaded, every row and cell is
+            // written by one call.
+            unsafe {
+                check(
+                    "init_u0",
+                    &|i, o, j| {
+                        row_init_u0(m, j, &i.density, &i.energy, &o.u0, &o.u);
+                        none
+                    },
+                    &|i, o, k| {
+                        cell_init_u0(k, &i.density, &i.energy, &o.u0, &o.u);
+                        none
+                    },
+                );
+                for pre in [false, true] {
+                    check(
+                        &format!("cg_init precond={pre}"),
+                        &|i, o, j| {
+                            one(row_cg_init(
+                                m, j, pre, &i.u, &i.u0, &i.kx, &i.ky, &o.w, &o.r, &o.p, &o.z,
+                            ))
+                        },
+                        &|i, o, k| {
+                            one(cell_cg_init(
+                                wd, k, pre, &i.u, &i.u0, &i.kx, &i.ky, &o.w, &o.r, &o.p, &o.z,
+                            ))
+                        },
+                    );
+                    check(
+                        &format!("cg_calc_ur precond={pre}"),
+                        &|i, o, j| {
+                            one(row_cg_calc_ur(
+                                m, j, alpha, pre, &i.p, &i.w, &i.kx, &i.ky, &o.u, &o.r, &o.z,
+                            ))
+                        },
+                        &|i, o, k| {
+                            one(cell_cg_calc_ur(
+                                wd, k, alpha, pre, &i.p, &i.w, &i.kx, &i.ky, &o.u, &o.r, &o.z,
+                            ))
+                        },
+                    );
+                    check(
+                        &format!("cg_calc_p precond={pre}"),
+                        &|i, o, j| {
+                            row_cg_calc_p(m, j, beta, pre, &i.r, &i.z, &o.p);
+                            none
+                        },
+                        &|i, o, k| {
+                            cell_cg_calc_p(k, beta, pre, &i.r, &i.z, &o.p);
+                            none
+                        },
+                    );
+                }
+                check(
+                    "cg_calc_w",
+                    &|i, o, j| one(row_cg_calc_w(m, j, &i.p, &i.kx, &i.ky, &o.w)),
+                    &|i, o, k| one(cell_cg_calc_w(wd, k, &i.p, &i.kx, &i.ky, &o.w)),
+                );
+                for first in [true, false] {
+                    check(
+                        &format!("cheby_calc_p first={first}"),
+                        &|i, o, j| {
+                            let (u, u0, kx, ky) = (&i.u, &i.u0, &i.kx, &i.ky);
+                            row_cheby_calc_p(
+                                m, j, first, theta, alpha, beta, u, u0, kx, ky, &o.w, &o.r, &o.p,
+                            );
+                            none
+                        },
+                        &|i, o, k| {
+                            let (u, u0, kx, ky) = (&i.u, &i.u0, &i.kx, &i.ky);
+                            cell_cheby_calc_p(
+                                wd, k, first, theta, alpha, beta, u, u0, kx, ky, &o.w, &o.r, &o.p,
+                            );
+                            none
+                        },
+                    );
+                }
+                check(
+                    "add_p_to_u",
+                    &|i, o, j| {
+                        row_add_p_to_u(m, j, &i.p, &o.u);
+                        none
+                    },
+                    &|i, o, k| {
+                        cell_add_p_to_u(k, &i.p, &o.u);
+                        none
+                    },
+                );
+                check(
+                    "sd_init",
+                    &|i, o, j| {
+                        row_sd_init(m, j, theta, &i.r, &o.sd);
+                        none
+                    },
+                    &|i, o, k| {
+                        cell_sd_init(k, theta, &i.r, &o.sd);
+                        none
+                    },
+                );
+                check(
+                    "ppcg_w",
+                    &|i, o, j| {
+                        row_ppcg_w(m, j, &i.sd, &i.kx, &i.ky, &o.w);
+                        none
+                    },
+                    &|i, o, k| {
+                        cell_ppcg_w(wd, k, &i.sd, &i.kx, &i.ky, &o.w);
+                        none
+                    },
+                );
+                check(
+                    "ppcg_update",
+                    &|i, o, j| {
+                        row_ppcg_update(m, j, alpha, beta, &i.w, &o.u, &o.r, &o.sd);
+                        none
+                    },
+                    &|i, o, k| {
+                        cell_ppcg_update(k, alpha, beta, &i.w, &o.u, &o.r, &o.sd);
+                        none
+                    },
+                );
+                check(
+                    "residual",
+                    &|i, o, j| {
+                        row_residual(m, j, &i.u, &i.u0, &i.kx, &i.ky, &o.r);
+                        none
+                    },
+                    &|i, o, k| {
+                        cell_residual(wd, k, &i.u, &i.u0, &i.kx, &i.ky, &o.r);
+                        none
+                    },
+                );
+                check(
+                    "jacobi_copy",
+                    &|i, o, j| {
+                        row_jacobi_copy(m, j, &i.u, &o.r);
+                        none
+                    },
+                    &|i, o, k| {
+                        o.r.set(k, i.u[k]);
+                        none
+                    },
+                );
+                check(
+                    "jacobi_iterate",
+                    &|i, o, j| one(row_jacobi_iterate(m, j, &i.u0, &i.r, &i.kx, &i.ky, &o.u)),
+                    &|i, o, k| one(cell_jacobi_iterate(wd, k, &i.u0, &i.r, &i.kx, &i.ky, &o.u)),
+                );
+                check(
+                    "finalise",
+                    &|i, o, j| {
+                        row_finalise(m, j, &i.u, &i.density, &o.energy);
+                        none
+                    },
+                    &|i, o, k| {
+                        cell_finalise(k, &i.u, &i.density, &o.energy);
+                        none
+                    },
+                );
+            }
+            let vol = m.cell_volume();
+            check("norm", &|i, _, j| one(row_norm(m, j, &i.r)), &|i, _, k| {
+                one(cell_norm(k, &i.r))
+            });
+            check(
+                "summary",
+                &|i, _, j| row_summary(m, j, &i.density, &i.energy, &i.u, vol),
+                &|i, _, k| cell_summary(k, &i.density, &i.energy, &i.u, vol),
+            );
+        }
     }
 
     #[test]

@@ -228,8 +228,7 @@ impl TeaLeafPort for CudaPort {
         let cfg = self.reduce_cfg();
         let profile = profiles::cg_init(self.n(), preconditioner);
         let stream = CudaStream::new(&self.ctx, parpool::global_static());
-        let width = mesh.width();
-        let (i0, i1) = (mesh.i0(), mesh.i1());
+        let i0 = mesh.i0();
         let (u, u0, kx, ky) = (
             self.u.device(),
             self.u0.device(),
@@ -240,28 +239,21 @@ impl TeaLeafPort for CudaPort {
         let r = Us::new(self.r.device_mut());
         let p = Us::new(self.p.device_mut());
         let z = Us::new(self.z.device_mut());
-        launch_reduce(&stream, cfg, &profile, &|block| {
-            let j = i0 + block;
-            let mut acc = 0.0;
-            for i in i0..i1 {
-                // SAFETY: blocks own disjoint rows.
-                acc += unsafe {
-                    common::cell_cg_init(
-                        width,
-                        common::idx(width, i, j),
-                        preconditioner,
-                        u,
-                        u0,
-                        kx,
-                        ky,
-                        &w,
-                        &r,
-                        &p,
-                        &z,
-                    )
-                };
-            }
-            acc
+        // SAFETY: blocks own disjoint rows.
+        launch_reduce(&stream, cfg, &profile, &|block| unsafe {
+            common::row_cg_init(
+                mesh,
+                i0 + block,
+                preconditioner,
+                u,
+                u0,
+                kx,
+                ky,
+                &w,
+                &r,
+                &p,
+                &z,
+            )
         })
     }
 
@@ -270,20 +262,12 @@ impl TeaLeafPort for CudaPort {
         let cfg = self.reduce_cfg();
         let profile = profiles::cg_calc_w(self.n());
         let stream = CudaStream::new(&self.ctx, parpool::global_static());
-        let width = mesh.width();
-        let (i0, i1) = (mesh.i0(), mesh.i1());
+        let i0 = mesh.i0();
         let (p, kx, ky) = (self.p.device(), self.kx.device(), self.ky.device());
         let w = Us::new(self.w.device_mut());
-        launch_reduce(&stream, cfg, &profile, &|block| {
-            let j = i0 + block;
-            let mut acc = 0.0;
-            for i in i0..i1 {
-                // SAFETY: blocks own disjoint rows.
-                acc += unsafe {
-                    common::cell_cg_calc_w(width, common::idx(width, i, j), p, kx, ky, &w)
-                };
-            }
-            acc
+        // SAFETY: blocks own disjoint rows.
+        launch_reduce(&stream, cfg, &profile, &|block| unsafe {
+            common::row_cg_calc_w(mesh, i0 + block, p, kx, ky, &w)
         })
     }
 
@@ -292,8 +276,7 @@ impl TeaLeafPort for CudaPort {
         let cfg = self.reduce_cfg();
         let profile = profiles::cg_calc_ur(self.n(), preconditioner);
         let stream = CudaStream::new(&self.ctx, parpool::global_static());
-        let width = mesh.width();
-        let (i0, i1) = (mesh.i0(), mesh.i1());
+        let i0 = mesh.i0();
         let (p, w, kx, ky) = (
             self.p.device(),
             self.w.device(),
@@ -303,28 +286,21 @@ impl TeaLeafPort for CudaPort {
         let u = Us::new(self.u.device_mut());
         let r = Us::new(self.r.device_mut());
         let z = Us::new(self.z.device_mut());
-        launch_reduce(&stream, cfg, &profile, &|block| {
-            let j = i0 + block;
-            let mut acc = 0.0;
-            for i in i0..i1 {
-                // SAFETY: blocks own disjoint rows.
-                acc += unsafe {
-                    common::cell_cg_calc_ur(
-                        width,
-                        common::idx(width, i, j),
-                        alpha,
-                        preconditioner,
-                        p,
-                        w,
-                        kx,
-                        ky,
-                        &u,
-                        &r,
-                        &z,
-                    )
-                };
-            }
-            acc
+        // SAFETY: blocks own disjoint rows.
+        launch_reduce(&stream, cfg, &profile, &|block| unsafe {
+            common::row_cg_calc_ur(
+                mesh,
+                i0 + block,
+                alpha,
+                preconditioner,
+                p,
+                w,
+                kx,
+                ky,
+                &u,
+                &r,
+                &z,
+            )
         })
     }
 
@@ -363,8 +339,7 @@ impl TeaLeafPort for CudaPort {
         );
         self.ctx.launch(&p_ur);
         self.ctx.launch(&p_tail);
-        let width = mesh.width();
-        let (i0, i1) = (mesh.i0(), mesh.i1());
+        let i0 = mesh.i0();
         let rrn = {
             let (p, w, kx, ky) = (
                 self.p.device(),
@@ -375,41 +350,29 @@ impl TeaLeafPort for CudaPort {
             let u = Us::new(self.u.device_mut());
             let r = Us::new(self.r.device_mut());
             let z = Us::new(self.z.device_mut());
-            pool.run_sum(cfg.grid, &|block| {
-                let j = i0 + block;
-                let mut acc = 0.0;
-                for i in i0..i1 {
-                    // SAFETY: blocks own disjoint rows.
-                    acc += unsafe {
-                        common::cell_cg_calc_ur(
-                            width,
-                            common::idx(width, i, j),
-                            alpha,
-                            preconditioner,
-                            p,
-                            w,
-                            kx,
-                            ky,
-                            &u,
-                            &r,
-                            &z,
-                        )
-                    };
-                }
-                acc
+            // SAFETY: blocks own disjoint rows.
+            pool.run_sum(cfg.grid, &|block| unsafe {
+                common::row_cg_calc_ur(
+                    mesh,
+                    i0 + block,
+                    alpha,
+                    preconditioner,
+                    p,
+                    w,
+                    kx,
+                    ky,
+                    &u,
+                    &r,
+                    &z,
+                )
             })
         };
         let beta = rrn / rro;
         let (r, z) = (self.r.device(), self.z.device());
         let p = Us::new(self.p.device_mut());
-        pool.run(cfg.grid, &|block| {
-            let j = i0 + block;
-            for i in i0..i1 {
-                // SAFETY: cells disjoint.
-                unsafe {
-                    common::cell_cg_calc_p(common::idx(width, i, j), beta, preconditioner, r, z, &p)
-                };
-            }
+        // SAFETY: blocks own disjoint rows.
+        pool.run(cfg.grid, &|block| unsafe {
+            common::row_cg_calc_p(mesh, i0 + block, beta, preconditioner, r, z, &p)
         });
         (rrn, beta)
     }
@@ -479,7 +442,6 @@ impl TeaLeafPort for CudaPort {
     fn jacobi_iterate(&mut self) -> f64 {
         let mesh = &self.mesh;
         let cfg = self.cfg();
-        let width = mesh.width();
         let pool = self.pool();
         {
             let profile = profiles::jacobi_copy(self.n());
@@ -496,7 +458,7 @@ impl TeaLeafPort for CudaPort {
         let profile = profiles::jacobi_iterate(self.n());
         let rcfg = self.reduce_cfg();
         let stream = CudaStream::new(&self.ctx, pool);
-        let (i0, i1) = (mesh.i0(), mesh.i1());
+        let i0 = mesh.i0();
         let (u0, r, kx, ky) = (
             self.u0.device(),
             self.r.device(),
@@ -504,16 +466,9 @@ impl TeaLeafPort for CudaPort {
             self.ky.device(),
         );
         let u = Us::new(self.u.device_mut());
-        launch_reduce(&stream, rcfg, &profile, &|block| {
-            let j = i0 + block;
-            let mut acc = 0.0;
-            for i in i0..i1 {
-                // SAFETY: blocks own disjoint rows.
-                acc += unsafe {
-                    common::cell_jacobi_iterate(width, common::idx(width, i, j), u0, r, kx, ky, &u)
-                };
-            }
-            acc
+        // SAFETY: blocks own disjoint rows.
+        launch_reduce(&stream, rcfg, &profile, &|block| unsafe {
+            common::row_jacobi_iterate(mesh, i0 + block, u0, r, kx, ky, &u)
         })
     }
 
@@ -543,19 +498,13 @@ impl TeaLeafPort for CudaPort {
         let cfg = self.reduce_cfg();
         let profile = profiles::norm(self.n());
         let stream = CudaStream::new(&self.ctx, parpool::global_static());
-        let width = mesh.width();
-        let (i0, i1) = (mesh.i0(), mesh.i1());
+        let i0 = mesh.i0();
         let x = match field {
             NormField::U0 => self.u0.device(),
             NormField::R => self.r.device(),
         };
         launch_reduce(&stream, cfg, &profile, &|block| {
-            let j = i0 + block;
-            let mut acc = 0.0;
-            for i in i0..i1 {
-                acc += common::cell_norm(common::idx(width, i, j), x);
-            }
-            acc
+            common::row_norm(mesh, i0 + block, x)
         })
     }
 
@@ -584,21 +533,12 @@ impl TeaLeafPort for CudaPort {
         let cfg = self.reduce_cfg();
         let profile = profiles::field_summary(self.n());
         let pool = self.pool();
-        let width = mesh.width();
-        let (i0, i1) = (mesh.i0(), mesh.i1());
+        let i0 = mesh.i0();
         let vol = mesh.cell_volume();
         let (density, energy, u) = (self.density.device(), self.energy.device(), self.u.device());
         self.ctx.launch(&profile);
         let acc = pool.run_sum4(cfg.grid, &|block| {
-            let j = i0 + block;
-            let mut row = [0.0; 4];
-            for i in i0..i1 {
-                let c = common::cell_summary(common::idx(width, i, j), density, energy, u, vol);
-                for q in 0..4 {
-                    row[q] += c[q];
-                }
-            }
-            row
+            common::row_summary(mesh, i0 + block, density, energy, u, vol)
         });
         Summary {
             volume: acc[0],

@@ -63,7 +63,7 @@ fn grid_for(
     mesh: &Mesh2d,
     space: &ExecutionSpace<'_>,
     profile: &KernelProfile,
-    f: &(dyn Fn(usize) + Sync),
+    f: &(impl Fn(usize) + Sync),
 ) {
     if hp {
         let (i0, i1) = (mesh.i0(), mesh.i1());
@@ -96,7 +96,7 @@ fn grid_reduce(
     mesh: &Mesh2d,
     space: &ExecutionSpace<'_>,
     profile: &KernelProfile,
-    f: &(dyn Fn(usize) -> f64 + Sync),
+    f: &(impl Fn(usize) -> f64 + Sync),
 ) -> f64 {
     let (i0, i1) = (mesh.i0(), mesh.i1());
     let width = mesh.width();

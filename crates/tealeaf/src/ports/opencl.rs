@@ -295,9 +295,8 @@ impl TeaLeafPort for OpenClPort {
     fn cg_init(&mut self, preconditioner: bool) -> f64 {
         let mesh = &self.mesh;
         let exec = self.exec_static_or_steal();
-        let width = mesh.width();
         let profile = profiles::cg_init(self.n(), preconditioner);
-        let (i0, i1) = (mesh.i0(), mesh.i1());
+        let i0 = mesh.i0();
         let (u, u0, kx, ky) = (
             self.u.arg_view(),
             self.u0.arg_view(),
@@ -310,28 +309,21 @@ impl TeaLeafPort for OpenClPort {
         let z = Us::new(self.z.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
         let (value, _e) =
-            queue.enqueue_reduce(&self.kernels.cg_init, &profile, mesh.y_cells, &|jj| {
-                let j = i0 + jj;
-                let mut acc = 0.0;
-                for i in i0..i1 {
-                    // SAFETY: rows disjoint.
-                    acc += unsafe {
-                        common::cell_cg_init(
-                            width,
-                            common::idx(width, i, j),
-                            preconditioner,
-                            u,
-                            u0,
-                            kx,
-                            ky,
-                            &w,
-                            &r,
-                            &p,
-                            &z,
-                        )
-                    };
-                }
-                acc
+            // SAFETY: rows disjoint.
+            queue.enqueue_reduce(&self.kernels.cg_init, &profile, mesh.y_cells, &|jj| unsafe {
+                common::row_cg_init(
+                    mesh,
+                    i0 + jj,
+                    preconditioner,
+                    u,
+                    u0,
+                    kx,
+                    ky,
+                    &w,
+                    &r,
+                    &p,
+                    &z,
+                )
             });
         value
     }
@@ -339,23 +331,15 @@ impl TeaLeafPort for OpenClPort {
     fn cg_calc_w(&mut self) -> f64 {
         let mesh = &self.mesh;
         let exec = self.exec_static_or_steal();
-        let width = mesh.width();
         let profile = profiles::cg_calc_w(self.n());
-        let (i0, i1) = (mesh.i0(), mesh.i1());
+        let i0 = mesh.i0();
         let (p, kx, ky) = (self.p.arg_view(), self.kx.arg_view(), self.ky.arg_view());
         let w = Us::new(self.w.arg_view_mut());
         let kernel = &self.kernels.cg_calc_w;
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-        let (value, _e) = queue.enqueue_reduce(kernel, &profile, mesh.y_cells, &|jj| {
-            let j = i0 + jj;
-            let mut acc = 0.0;
-            for i in i0..i1 {
-                // SAFETY: rows disjoint.
-                acc += unsafe {
-                    common::cell_cg_calc_w(width, common::idx(width, i, j), p, kx, ky, &w)
-                };
-            }
-            acc
+        // SAFETY: rows disjoint.
+        let (value, _e) = queue.enqueue_reduce(kernel, &profile, mesh.y_cells, &|jj| unsafe {
+            common::row_cg_calc_w(mesh, i0 + jj, p, kx, ky, &w)
         });
         value
     }
@@ -363,9 +347,8 @@ impl TeaLeafPort for OpenClPort {
     fn cg_calc_ur(&mut self, alpha: f64, preconditioner: bool) -> f64 {
         let mesh = &self.mesh;
         let exec = self.exec_static_or_steal();
-        let width = mesh.width();
         let profile = profiles::cg_calc_ur(self.n(), preconditioner);
-        let (i0, i1) = (mesh.i0(), mesh.i1());
+        let i0 = mesh.i0();
         let (p, w, kx, ky) = (
             self.p.arg_view(),
             self.w.arg_view(),
@@ -377,28 +360,21 @@ impl TeaLeafPort for OpenClPort {
         let z = Us::new(self.z.arg_view_mut());
         let kernel = &self.kernels.cg_calc_ur;
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-        let (value, _e) = queue.enqueue_reduce(kernel, &profile, mesh.y_cells, &|jj| {
-            let j = i0 + jj;
-            let mut acc = 0.0;
-            for i in i0..i1 {
-                // SAFETY: rows disjoint.
-                acc += unsafe {
-                    common::cell_cg_calc_ur(
-                        width,
-                        common::idx(width, i, j),
-                        alpha,
-                        preconditioner,
-                        p,
-                        w,
-                        kx,
-                        ky,
-                        &u,
-                        &r,
-                        &z,
-                    )
-                };
-            }
-            acc
+        // SAFETY: rows disjoint.
+        let (value, _e) = queue.enqueue_reduce(kernel, &profile, mesh.y_cells, &|jj| unsafe {
+            common::row_cg_calc_ur(
+                mesh,
+                i0 + jj,
+                alpha,
+                preconditioner,
+                p,
+                w,
+                kx,
+                ky,
+                &u,
+                &r,
+                &z,
+            )
         });
         value
     }
@@ -426,8 +402,7 @@ impl TeaLeafPort for OpenClPort {
     fn cg_fused_ur_p(&mut self, alpha: f64, rro: f64, preconditioner: bool) -> (f64, f64) {
         let mesh = &self.mesh;
         let exec = self.exec_static_or_steal();
-        let width = mesh.width();
-        let (i0, i1) = (mesh.i0(), mesh.i1());
+        let i0 = mesh.i0();
         // One enqueue charge covers the two-pass reduction and the β·p
         // update chained behind it as a zero-overhead tail; per-row
         // partials fold in row order on the same scheduler
@@ -451,41 +426,29 @@ impl TeaLeafPort for OpenClPort {
             let u = Us::new(self.u.arg_view_mut());
             let r = Us::new(self.r.arg_view_mut());
             let z = Us::new(self.z.arg_view_mut());
-            exec.run_sum(mesh.y_cells, &|jj| {
-                let j = i0 + jj;
-                let mut acc = 0.0;
-                for i in i0..i1 {
-                    // SAFETY: rows disjoint.
-                    acc += unsafe {
-                        common::cell_cg_calc_ur(
-                            width,
-                            common::idx(width, i, j),
-                            alpha,
-                            preconditioner,
-                            p,
-                            w,
-                            kx,
-                            ky,
-                            &u,
-                            &r,
-                            &z,
-                        )
-                    };
-                }
-                acc
+            // SAFETY: rows disjoint.
+            exec.run_sum(mesh.y_cells, &|jj| unsafe {
+                common::row_cg_calc_ur(
+                    mesh,
+                    i0 + jj,
+                    alpha,
+                    preconditioner,
+                    p,
+                    w,
+                    kx,
+                    ky,
+                    &u,
+                    &r,
+                    &z,
+                )
             })
         };
         let beta = rrn / rro;
         let (r, z) = (self.r.arg_view(), self.z.arg_view());
         let p = Us::new(self.p.arg_view_mut());
-        exec.run(mesh.y_cells, &|jj| {
-            let j = i0 + jj;
-            for i in i0..i1 {
-                // SAFETY: cells disjoint.
-                unsafe {
-                    common::cell_cg_calc_p(common::idx(width, i, j), beta, preconditioner, r, z, &p)
-                };
-            }
+        // SAFETY: rows disjoint.
+        exec.run(mesh.y_cells, &|jj| unsafe {
+            common::row_cg_calc_p(mesh, i0 + jj, beta, preconditioner, r, z, &p)
         });
         (rrn, beta)
     }
@@ -557,7 +520,6 @@ impl TeaLeafPort for OpenClPort {
         let mesh = &self.mesh;
         let exec = self.exec_static_or_steal();
         let range = self.nd_range();
-        let width = mesh.width();
         {
             let profile = profiles::jacobi_copy(self.n());
             let u = self.u.arg_view();
@@ -571,7 +533,7 @@ impl TeaLeafPort for OpenClPort {
             });
         }
         let profile = profiles::jacobi_iterate(self.n());
-        let (i0, i1) = (mesh.i0(), mesh.i1());
+        let i0 = mesh.i0();
         let (u0, r, kx, ky) = (
             self.u0.arg_view(),
             self.r.arg_view(),
@@ -581,24 +543,9 @@ impl TeaLeafPort for OpenClPort {
         let u = Us::new(self.u.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
         let (value, _e) =
-            queue.enqueue_reduce(&self.kernels.jacobi_solve, &profile, mesh.y_cells, &|jj| {
-                let j = i0 + jj;
-                let mut acc = 0.0;
-                for i in i0..i1 {
-                    // SAFETY: rows disjoint.
-                    acc += unsafe {
-                        common::cell_jacobi_iterate(
-                            width,
-                            common::idx(width, i, j),
-                            u0,
-                            r,
-                            kx,
-                            ky,
-                            &u,
-                        )
-                    };
-                }
-                acc
+            // SAFETY: rows disjoint.
+            queue.enqueue_reduce(&self.kernels.jacobi_solve, &profile, mesh.y_cells, &|jj| unsafe {
+                common::row_jacobi_iterate(mesh, i0 + jj, u0, r, kx, ky, &u)
             });
         value
     }
@@ -629,20 +576,14 @@ impl TeaLeafPort for OpenClPort {
         let mesh = &self.mesh;
         let exec = self.exec_static_or_steal();
         let profile = profiles::norm(self.n());
-        let (i0, i1) = (mesh.i0(), mesh.i1());
-        let width = mesh.width();
+        let i0 = mesh.i0();
         let x = match field {
             NormField::U0 => self.u0.arg_view(),
             NormField::R => self.r.arg_view(),
         };
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
         let (value, _e) = queue.enqueue_reduce(&self.kernels.norm, &profile, mesh.y_cells, &|jj| {
-            let j = i0 + jj;
-            let mut acc = 0.0;
-            for i in i0..i1 {
-                acc += common::cell_norm(common::idx(width, i, j), x);
-            }
-            acc
+            common::row_norm(mesh, i0 + jj, x)
         });
         value
     }
@@ -670,8 +611,7 @@ impl TeaLeafPort for OpenClPort {
         let mesh = &self.mesh;
         let exec = self.exec_static_or_steal();
         let profile = profiles::field_summary(self.n());
-        let (i0, i1) = (mesh.i0(), mesh.i1());
-        let width = mesh.width();
+        let i0 = mesh.i0();
         let vol = mesh.cell_volume();
         let (density, energy, u) = (
             self.density.arg_view(),
@@ -684,14 +624,7 @@ impl TeaLeafPort for OpenClPort {
             let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
             let (value, _e) =
                 queue.enqueue_reduce(&self.kernels.summary, &profile, mesh.y_cells, &|jj| {
-                    let j = i0 + jj;
-                    let mut row = 0.0;
-                    for i in i0..i1 {
-                        row +=
-                            common::cell_summary(common::idx(width, i, j), density, energy, u, vol)
-                                [comp];
-                    }
-                    row
+                    common::row_summary(mesh, i0 + jj, density, energy, u, vol)[comp]
                 });
             *slot = value;
         }

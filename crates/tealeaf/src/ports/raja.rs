@@ -102,7 +102,7 @@ fn dispatch_cells(
     rows: &Segment,
     mesh: &tea_core::mesh::Mesh2d,
     profile: &KernelProfile,
-    f: &(dyn Fn(usize) + Sync),
+    f: &(impl Fn(usize) + Sync),
 ) {
     if port_simd {
         let (i0, i1, width) = (mesh.i0(), mesh.i1(), mesh.width());

@@ -82,6 +82,11 @@ pub struct TileGeom {
     pub tx: usize,
     pub ty: usize,
     pub mesh: Mesh2d,
+    /// The global mesh's `(rx, ry)` at the deck's timestep. Every rank
+    /// scales its face coefficients by these bits: the local mesh
+    /// re-derives `dx` from its sub-extent, which can land one ulp off
+    /// (24 columns split three ways).
+    pub rx_ry: (f64, f64),
 }
 
 impl TileGeom {
@@ -89,8 +94,8 @@ impl TileGeom {
     ///
     /// The local extents reuse the stripe formula on both axes
     /// (`min + d·span_start`), so a `1×ranks` grid reproduces the 1-D
-    /// stripe meshes bit-for-bit; bit-identity of the derived `dx`/`dy`
-    /// against the global mesh is pinned by the conformance goldens.
+    /// stripe meshes bit-for-bit. The diffusion numbers do not come from
+    /// the local mesh but from the global one ([`TileGeom::rx_ry`]).
     pub fn build(config: &TeaConfig, grid: Grid2d, rank: usize) -> TileGeom {
         let (tx, ty) = grid.coords(rank);
         let (c0, c1) = tile_span(config.x_cells, tx, grid.tiles_x());
@@ -114,6 +119,7 @@ impl TileGeom {
             tx,
             ty,
             mesh: Mesh2d::new(cols, rows, config.halo_depth, x, y),
+            rx_ry: config.mesh().rx_ry(config.initial_timestep),
         }
     }
 

@@ -148,6 +148,44 @@ fn distributed_sentinels_trip_like_serial() {
     }
 }
 
+#[test]
+fn tiles_take_rx_ry_from_the_global_mesh() {
+    // 24 columns split three ways: the east tile's own mesh derives
+    // rx = 0.023040000000000005 against the global 0.023039999999999998.
+    let cfg = pinned_deck(SolverKind::ConjugateGradient);
+    let global = Problem::from_config(&cfg).expect("valid deck").rx_ry();
+    let bits = |(rx, ry): (f64, f64)| (rx.to_bits(), ry.to_bits());
+    for (gx, gy) in [(3usize, 1usize), (3, 2)] {
+        let per_rank = run_spmd(gx * gy, |rank| {
+            let tile = TilePort::new(rank, &cfg, Grid2d::new(gx, gy), true);
+            let geom = &tile.tile().geom;
+            (geom.rx_ry, geom.mesh.rx_ry(cfg.initial_timestep))
+        });
+        for (rank, (rx_ry, _)) in per_rank.iter().enumerate() {
+            assert_eq!(bits(*rx_ry), bits(global), "rank {rank} of {gx}x{gy}");
+        }
+        assert!(
+            per_rank
+                .iter()
+                .any(|(_, local)| bits(*local) != bits(global)),
+            "{gx}x{gy}: some tile mesh must be an ulp off, or this case tests nothing"
+        );
+        for solver in SOLVERS {
+            let cfg = pinned_deck(solver);
+            let serial = run_simulation(
+                tealeaf::ModelId::Serial,
+                &devices::cpu_xeon_e5_2670_x2(),
+                &cfg,
+            )
+            .expect("serial run");
+            let dist = distributed(&cfg, gx, gy, true).report;
+            let what = format!("{} {gx}x{gy}", solver.name());
+            assert_eq!(dist.total_iterations, serial.total_iterations, "{what}");
+            assert_eq!(dist.summary, serial.summary, "{what}: summary bits");
+        }
+    }
+}
+
 /// Assert every field of the two ports holds the same bits.
 fn same_fields(tile: &dyn TeaLeafPort, serial: &dyn TeaLeafPort, after: &str) {
     for id in FieldId::ALL {
