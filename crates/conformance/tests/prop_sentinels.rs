@@ -24,7 +24,7 @@ use tea_core::config::{SolverKind, TeaConfig};
 use tea_core::halo::FieldId;
 use tealeaf::ports::{common, make_port};
 use tealeaf::recorder::RecordingPort;
-use tealeaf::{driver, ModelId, Problem, RunReport, SolverHealth};
+use tealeaf::{driver, ModelId, Problem, RecoveryAction, RecoveryEvent, RunReport, SolverHealth};
 
 /// Drive `model` through the full timestep loop on `cfg`, no sabotage.
 fn drive_clean(cfg: &TeaConfig, model: ModelId) -> RunReport {
@@ -233,4 +233,78 @@ fn jacobi_sentinel_catches_planted_nan_and_retry_restores_clean_bits() {
         report.summary, clean.summary,
         "retry bits differ from clean"
     );
+}
+
+/// Snapshot buffers are recycled per thread, across meshes: planted-NaN
+/// recoveries on a larger, a smaller and again the larger mesh run back
+/// to back on one thread, so each run's checkpoints copy into buffers a
+/// run on another mesh left behind. Each recovered run must match its
+/// clean run, and the same recovery alone on a fresh thread, bit for bit.
+#[test]
+fn recoveries_on_different_meshes_back_to_back_are_bit_exact() {
+    let runs: Vec<(usize, TeaConfig, SabotagePlan, RunReport)> = [40, 24, 40]
+        .into_iter()
+        .map(|cells| {
+            let mut cfg = cg_config(cells);
+            // Two steps, and cuts often enough that the second step's
+            // solve recaptures its phase snapshot in place before the plant.
+            cfg.end_step = 2;
+            cfg.tl_checkpoint_interval = 4;
+            let clean = drive_clean(&cfg, ModelId::Serial);
+            let mesh = cfg.mesh();
+            let plan = SabotagePlan {
+                kernel: "cg_calc_w",
+                invocation: clean.total_iterations - 2,
+                field: FieldId::P,
+                index: common::idx(mesh.width(), mesh.i0() + 2, mesh.i0() + 3),
+                mode: SabotageMode::PlantNan,
+            };
+            (cells, cfg, plan, clean)
+        })
+        .collect();
+    let recover = |cfg: &TeaConfig, plan: &SabotagePlan| {
+        let (report, fired) = drive_sabotaged(cfg, ModelId::Serial, *plan);
+        assert!(fired, "{}²: sabotage never fired", cfg.x_cells);
+        report
+    };
+    let key = |r: &RunReport| {
+        (
+            r.converged,
+            r.total_iterations,
+            r.summary,
+            r.sim.clone(),
+            r.recoveries.clone(),
+            r.health.clone(),
+        )
+    };
+
+    for (cells, cfg, plan, clean) in &runs {
+        let recovered = recover(cfg, plan);
+        let alone = std::thread::scope(|s| s.spawn(|| recover(cfg, plan)).join().unwrap());
+        let [RecoveryEvent {
+            step: 2,
+            action: RecoveryAction::Rollback { to_iteration },
+            ..
+        }] = recovered.recoveries[..]
+        else {
+            panic!(
+                "{cells}²: one rollback in step 2: {:?}",
+                recovered.recoveries
+            );
+        };
+        assert!(
+            to_iteration > 0,
+            "{cells}²: rolled back to a recaptured cut"
+        );
+        assert!(
+            recovered.converged,
+            "{cells}²: recovery must finish the solve"
+        );
+        assert_eq!(
+            recovered.total_iterations, clean.total_iterations,
+            "{cells}²"
+        );
+        assert_eq!(recovered.summary, clean.summary, "{cells}²: recovered bits");
+        assert_eq!(key(&recovered), key(&alone), "{cells}²: recycled buffers");
+    }
 }

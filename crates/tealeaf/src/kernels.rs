@@ -165,6 +165,23 @@ pub trait TeaLeafPort {
     /// separately (e.g. `Mi` aliases `Z` on the host ports).
     fn inspect_field(&self, id: FieldId) -> Option<Vec<f64>>;
 
+    /// [`inspect_field`](TeaLeafPort::inspect_field) into a buffer the
+    /// caller owns: on `true`, `out` holds exactly the field's padded
+    /// storage; on `false` (a field the port does not store) its
+    /// contents are unspecified. Ports override it with
+    /// `out.clear(); out.extend_from_slice(..)`, so a checkpoint that
+    /// recycles its buffers copies into memory that is already
+    /// resident; the default allocates through `inspect_field`.
+    fn inspect_field_into(&self, id: FieldId, out: &mut Vec<f64>) -> bool {
+        match self.inspect_field(id) {
+            Some(data) => {
+                *out = data;
+                true
+            }
+            None => false,
+        }
+    }
+
     /// Cost-free debug mutation of one cell of a solver field (padded
     /// row-major flat index `k`). Exists so the conformance suite can
     /// *plant* a fault in an otherwise-correct port and assert the

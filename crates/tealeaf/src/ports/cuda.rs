@@ -558,6 +558,12 @@ impl TeaLeafPort for CudaPort {
         Some(self.buf_for(id).device().to_vec())
     }
 
+    fn inspect_field_into(&self, id: FieldId, out: &mut Vec<f64>) -> bool {
+        out.clear();
+        out.extend_from_slice(self.buf_for(id).device());
+        true
+    }
+
     fn poke_field(&mut self, id: FieldId, k: usize, value: f64) {
         self.buf_for_mut(id).device_mut()[k] = value;
     }

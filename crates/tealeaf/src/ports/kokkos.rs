@@ -637,6 +637,12 @@ impl TeaLeafPort for KokkosPort {
         Some(self.view_for(id).raw().to_vec())
     }
 
+    fn inspect_field_into(&self, id: FieldId, out: &mut Vec<f64>) -> bool {
+        out.clear();
+        out.extend_from_slice(self.view_for(id).raw());
+        true
+    }
+
     fn poke_field(&mut self, id: FieldId, k: usize, value: f64) {
         self.view_for_mut(id).raw_mut()[k] = value;
     }

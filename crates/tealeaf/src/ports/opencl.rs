@@ -648,6 +648,12 @@ impl TeaLeafPort for OpenClPort {
         Some(self.buf_for(id).arg_view().to_vec())
     }
 
+    fn inspect_field_into(&self, id: FieldId, out: &mut Vec<f64>) -> bool {
+        out.clear();
+        out.extend_from_slice(self.buf_for(id).arg_view());
+        true
+    }
+
     fn poke_field(&mut self, id: FieldId, k: usize, value: f64) {
         self.buf_for_mut(id).arg_view_mut()[k] = value;
     }

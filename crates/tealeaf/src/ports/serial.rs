@@ -300,6 +300,12 @@ impl TeaLeafPort for SerialPort {
         Some(self.f.field(id).to_vec())
     }
 
+    fn inspect_field_into(&self, id: FieldId, out: &mut Vec<f64>) -> bool {
+        out.clear();
+        out.extend_from_slice(self.f.field(id));
+        true
+    }
+
     fn poke_field(&mut self, id: FieldId, k: usize, value: f64) {
         self.f.field_mut(id)[k] = value;
     }

@@ -617,6 +617,12 @@ impl TeaLeafPort for TilePort<'_> {
         Some(self.t.f.field(id).to_vec())
     }
 
+    fn inspect_field_into(&self, id: FieldId, out: &mut Vec<f64>) -> bool {
+        out.clear();
+        out.extend_from_slice(self.t.f.field(id));
+        true
+    }
+
     fn poke_field(&mut self, id: FieldId, k: usize, value: f64) {
         self.t.f.field_mut(id)[k] = value;
     }

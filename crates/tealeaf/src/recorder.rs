@@ -376,6 +376,10 @@ impl<H: CallHook> TeaLeafPort for RecordingPort<H> {
         self.inner.inspect_field(id)
     }
 
+    fn inspect_field_into(&self, id: FieldId, out: &mut Vec<f64>) -> bool {
+        self.inner.inspect_field_into(id, out)
+    }
+
     fn poke_field(&mut self, id: FieldId, k: usize, value: f64) {
         self.inner.poke_field(id, k, value);
         self.hook.poke(id, k, value);

@@ -15,7 +15,15 @@
 //!   [`inspect_field`](TeaLeafPort::inspect_field) /
 //!   [`poke_field`](TeaLeafPort::poke_field) hooks, so checkpointing is
 //!   invisible to the simulated cost stream and a rolled-back replay is
-//!   bit-identical to a run that never faulted.
+//!   bit-identical to a run that never faulted. Snapshots own their
+//!   memory and copy into it through
+//!   [`inspect_field_into`](TeaLeafPort::inspect_field_into): a
+//!   [`PhaseGuard`] recaptures its one snapshot in place, and a dropped
+//!   snapshot leaves its buffers on a per-thread spare list for the next
+//!   capture. A thread therefore holds at most two snapshot sets, live
+//!   or spare (the solve-start baseline and the phase snapshot), and
+//!   keeps the spare ones, sized for the largest mesh it captured, until
+//!   it exits.
 //! * [`run_with_recovery`] — the fallback-chain harness wrapped around
 //!   [`crate::solver::solve`]: on a sentinel trip it restores the
 //!   solve-start checkpoint and degrades along a configurable chain
@@ -28,6 +36,7 @@
 //! actions replay the same arithmetic — so a *recovered* run of a
 //! transient fault finishes bit-identical to the clean run.
 
+use std::cell::RefCell;
 use std::fmt;
 
 use tea_core::config::{SolverKind, TeaConfig};
@@ -255,20 +264,78 @@ pub const SOLVE_FIELDS: [FieldId; 9] = [
 /// A bit-exact snapshot of solver fields, captured and restored through
 /// the cost-free observation hooks so it never perturbs the simulated
 /// cost stream.
-#[derive(Debug, Clone)]
+///
+/// Snapshot memory is recycled: a [`PhaseGuard`] recaptures its snapshot
+/// into the snapshot's own buffers, and a dropped snapshot hands
+/// its buffers to a per-thread spare list that the next capture draws
+/// from. Every copy after the first on a thread therefore lands in pages
+/// that are already resident.
+#[derive(Debug, Clone, Default)]
 pub struct FieldCheckpoint {
     fields: Vec<(FieldId, Vec<f64>)>,
+}
+
+/// Most buffers a thread keeps for reuse: one solve-start baseline plus
+/// one phase snapshot, the two sets [`run_with_recovery`] and its
+/// [`PhaseGuard`] hold at once.
+const SPARE_BUFFERS: usize = 2 * SOLVE_FIELDS.len();
+
+thread_local! {
+    static SPARE: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A buffer from this thread's spare list, if it holds one.
+fn take_spare() -> Option<Vec<f64>> {
+    SPARE
+        .try_with(|spare| spare.borrow_mut().pop())
+        .ok()
+        .flatten()
+}
+
+/// Return `data` to this thread's spare list, or free it when the list
+/// is full or the thread is being torn down.
+fn give_spare(data: Vec<f64>) {
+    let _ = SPARE.try_with(move |spare| {
+        let mut spare = spare.borrow_mut();
+        if spare.len() < SPARE_BUFFERS {
+            spare.push(data);
+        }
+    });
 }
 
 impl FieldCheckpoint {
     /// Snapshot every inspectable field in `ids`.
     pub fn capture(port: &dyn TeaLeafPort, ids: &[FieldId]) -> Self {
-        FieldCheckpoint {
-            fields: ids
-                .iter()
-                .filter_map(|&id| port.inspect_field(id).map(|data| (id, data)))
-                .collect(),
+        let mut checkpoint = FieldCheckpoint::default();
+        checkpoint.recapture(port, ids);
+        checkpoint
+    }
+
+    /// Snapshot `ids` again, into this snapshot's own buffers (topped up
+    /// from the spare list). A buffer from a different mesh is cleared
+    /// and refilled to the field's length.
+    fn recapture(&mut self, port: &dyn TeaLeafPort, ids: &[FieldId]) {
+        self.recapture_with(ids, |id, out| port.inspect_field_into(id, out));
+    }
+
+    /// [`recapture`](FieldCheckpoint::recapture) over any field reader,
+    /// so a test can stand in for a port's hook.
+    fn recapture_with(
+        &mut self,
+        ids: &[FieldId],
+        mut inspect: impl FnMut(FieldId, &mut Vec<f64>) -> bool,
+    ) {
+        let old = std::mem::replace(&mut self.fields, Vec::with_capacity(ids.len()));
+        let mut own = old.into_iter().map(|(_, data)| data);
+        for &id in ids {
+            let mut data = own.next().or_else(take_spare).unwrap_or_default();
+            if inspect(id, &mut data) {
+                self.fields.push((id, data));
+            } else {
+                give_spare(data);
+            }
         }
+        own.for_each(give_spare);
     }
 
     /// Write every captured cell back, restoring the exact bits.
@@ -278,6 +345,12 @@ impl FieldCheckpoint {
                 port.poke_field(*id, k, value);
             }
         }
+    }
+}
+
+impl Drop for FieldCheckpoint {
+    fn drop(&mut self) {
+        self.fields.drain(..).for_each(|(_, data)| give_spare(data));
     }
 }
 
@@ -411,7 +484,17 @@ impl PhaseGuard {
             return;
         }
         let fields = match snapshot {
-            CutSnapshot::Fields => Some(FieldCheckpoint::capture(port, &SOLVE_FIELDS)),
+            CutSnapshot::Fields => {
+                // Recapture over the previous snapshot, so a guard never
+                // holds more than one set.
+                let mut fields = self
+                    .checkpoint
+                    .take()
+                    .and_then(|ck| ck.fields)
+                    .unwrap_or_default();
+                fields.recapture(port, &SOLVE_FIELDS);
+                Some(fields)
+            }
             CutSnapshot::Port => None,
             CutSnapshot::Off => {
                 self.checkpoint = None;
@@ -706,6 +789,127 @@ mod tests {
             rrn *= 0.999;
             assert_eq!(s.observe(i, rrn), None, "iteration {i}");
         }
+    }
+
+    fn serial_port(cells: usize) -> crate::ports::serial::SerialPort {
+        let problem = crate::Problem::from_config(&TeaConfig::paper_problem(cells)).unwrap();
+        crate::ports::serial::SerialPort::new(simdev::devices::cpu_xeon_e5_2670_x2(), &problem, 1)
+    }
+
+    fn snapshot(port: &dyn TeaLeafPort) -> Vec<Vec<f64>> {
+        SOLVE_FIELDS
+            .iter()
+            .map(|&id| port.inspect_field(id).unwrap())
+            .collect()
+    }
+
+    /// Overwrite every cell of every solve field.
+    fn scramble(port: &mut dyn TeaLeafPort, salt: f64) {
+        for (&id, data) in SOLVE_FIELDS.iter().zip(snapshot(port)) {
+            for k in 0..data.len() {
+                port.poke_field(id, k, salt - k as f64);
+            }
+        }
+    }
+
+    /// This thread's spare list, emptied so a test starts from nothing.
+    fn clear_spares() {
+        SPARE.with(|spare| spare.borrow_mut().clear());
+    }
+
+    fn spare_len() -> usize {
+        SPARE.with(|spare| spare.borrow().len())
+    }
+
+    #[test]
+    fn recycled_buffers_from_a_larger_mesh_restore_the_smaller_mesh() {
+        clear_spares();
+        let large = serial_port(24);
+        let ck = FieldCheckpoint::capture(&large, &SOLVE_FIELDS);
+        drop(ck);
+        assert_eq!(spare_len(), SOLVE_FIELDS.len());
+
+        let mut small = serial_port(12);
+        let want = snapshot(&small);
+        let ck = FieldCheckpoint::capture(&small, &SOLVE_FIELDS);
+        assert_eq!(spare_len(), 0, "the capture drew every spare buffer");
+        scramble(&mut small, 7.0);
+        ck.restore(&mut small);
+        for ((&id, got), want) in SOLVE_FIELDS.iter().zip(snapshot(&small)).zip(&want) {
+            assert_eq!(got.len(), want.len(), "{id:?} length");
+            assert!(
+                got.iter()
+                    .zip(want)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{id:?} bits"
+            );
+        }
+        for (_, data) in &ck.fields {
+            assert_eq!(
+                data.len(),
+                want[0].len(),
+                "buffer refilled to the new length"
+            );
+        }
+
+        // Three live sets drop back into a list bounded at two.
+        let extra = [
+            FieldCheckpoint::capture(&small, &SOLVE_FIELDS),
+            FieldCheckpoint::capture(&small, &SOLVE_FIELDS),
+        ];
+        drop(ck);
+        drop(extra);
+        assert_eq!(spare_len(), SPARE_BUFFERS);
+    }
+
+    #[test]
+    fn recapture_in_place_restores_the_new_bits() {
+        clear_spares();
+        let mut port = serial_port(16);
+        let mut ck = FieldCheckpoint::capture(&port, &SOLVE_FIELDS);
+        let buffers: Vec<*const f64> = ck.fields.iter().map(|(_, d)| d.as_ptr()).collect();
+
+        scramble(&mut port, 3.0);
+        let want = snapshot(&port);
+        ck.recapture(&port, &SOLVE_FIELDS);
+        let reused: Vec<*const f64> = ck.fields.iter().map(|(_, d)| d.as_ptr()).collect();
+        assert_eq!(reused, buffers, "recapture copies into its own buffers");
+        assert_eq!(spare_len(), 0);
+
+        scramble(&mut port, -5.0);
+        ck.restore(&mut port);
+        let got = snapshot(&port);
+        for ((&id, got), want) in SOLVE_FIELDS.iter().zip(&got).zip(&want) {
+            assert!(
+                got.iter()
+                    .zip(want)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{id:?} restored the old bits"
+            );
+        }
+    }
+
+    #[test]
+    fn an_uninspectable_field_is_omitted_and_its_buffer_spared() {
+        clear_spares();
+        let fill = |id: FieldId, out: &mut Vec<f64>| {
+            out.clear();
+            out.extend(std::iter::repeat_n(id as usize as f64, 8));
+            true
+        };
+        let mut ck = FieldCheckpoint::default();
+        ck.recapture_with(&SOLVE_FIELDS, fill);
+        assert_eq!(ck.fields.len(), SOLVE_FIELDS.len());
+
+        ck.recapture_with(&SOLVE_FIELDS, |id, out| id != FieldId::Z && fill(id, out));
+        let ids: Vec<FieldId> = ck.fields.iter().map(|(id, _)| *id).collect();
+        let mut want = SOLVE_FIELDS.to_vec();
+        want.retain(|&id| id != FieldId::Z);
+        assert_eq!(ids, want);
+        assert_eq!(spare_len(), 1, "the omitted field's buffer is spared");
+
+        drop(ck);
+        assert_eq!(spare_len(), SOLVE_FIELDS.len());
     }
 
     #[test]
