@@ -90,17 +90,23 @@ pub fn update_halo_exec(
     update_halo_batch(mesh, &mut [data], depth, exec);
 }
 
+/// Rows per executor item in the left/right phase of [`update_halo_batch`].
+const ROW_BLOCK: usize = 64;
+
 /// Apply a reflective halo update of `depth` to several fields at once, as
 /// **two** parallel regions on `exec` (instead of two per field).
 ///
-/// Phase 1 writes the bottom/top ghost rows (one item per field-column
-/// pair); phase 2 writes the left/right ghost columns over the full padded
-/// height, filling corners (one item per field-row pair). The phases must
-/// stay sequenced — phase 2 reads the ghost rows phase 1 wrote — and `run`
-/// blocking until the region completes provides exactly that barrier.
-/// Within a phase every item writes a disjoint set of elements, so the
-/// result is independent of scheduling and bit-identical to the serial
-/// ordering for any executor.
+/// Phase 1 writes the bottom/top ghost rows over the interior columns, one
+/// row-slice copy per ghost row (one item per field, layers in order: on a
+/// mesh thinner than the halo a deeper layer mirrors a ghost row a
+/// shallower one just wrote). Phase 2 writes the left/right ghost columns
+/// over the full padded height, filling corners (one item per field and
+/// block of `ROW_BLOCK` rows). The phases must stay sequenced — phase 2
+/// reads the ghost rows phase 1 wrote — and `run` blocking until the
+/// region completes provides exactly that barrier. Within a phase every
+/// item writes a disjoint set of elements and reads only what no other
+/// item writes, so the result is independent of scheduling and
+/// bit-identical to the serial ordering for any executor.
 ///
 /// # Panics
 /// Panics if `depth` exceeds the mesh halo, any field is mis-sized, or the
@@ -131,33 +137,36 @@ pub fn update_halo_batch(
         .collect();
 
     // Phase 1 — bottom and top edges: mirror interior rows outward over
-    // interior columns. Item = (field, interior column).
-    let cols = i1 - i0;
-    exec.run(slices.len() * cols, &|item| {
-        let f = &slices[item / cols];
-        let i = i0 + item % cols;
+    // interior columns. Item = field.
+    exec.run(slices.len(), &|item| {
+        let f = &slices[item];
         for k in 1..=depth {
-            // SAFETY: this item writes only ghost rows (j0-k and j1+k-1)
-            // in its own column `i` of its own field, and reads only
-            // interior rows, which no item writes in this phase.
-            unsafe {
-                f.set((j0 - k) * w + i, f.get((j0 + k - 1) * w + i));
-                f.set((j1 + k - 1) * w + i, f.get((j1 - k) * w + i));
+            for (dst, src) in [(j0 - k, j0 + k - 1), (j1 + k - 1, j1 - k)] {
+                // SAFETY: this item alone touches its field in this phase,
+                // and the ghost row `dst` is never the row `src` it mirrors.
+                unsafe {
+                    f.slice_mut(dst * w + i0, dst * w + i1)
+                        .copy_from_slice(f.slice(src * w + i0, src * w + i1));
+                }
             }
         }
     });
     // Phase 2 — left and right edges over the full padded height (fills
-    // corners using the ghost rows written in phase 1). Item = (field, row).
-    exec.run(slices.len() * h, &|item| {
-        let f = &slices[item / h];
-        let j = item % h;
-        for k in 1..=depth {
-            // SAFETY: this item writes only ghost columns (i0-k and
-            // i1+k-1) in its own row `j` of its own field, and reads only
-            // interior columns, which no item writes in this phase.
-            unsafe {
-                f.set(j * w + (i0 - k), f.get(j * w + (i0 + k - 1)));
-                f.set(j * w + (i1 + k - 1), f.get(j * w + (i1 - k)));
+    // corners using the ghost rows written in phase 1). Item = (field,
+    // block of rows).
+    let blocks = h.div_ceil(ROW_BLOCK);
+    exec.run(slices.len() * blocks, &|item| {
+        let f = &slices[item / blocks];
+        let rows = item % blocks * ROW_BLOCK..((item % blocks + 1) * ROW_BLOCK).min(h);
+        for j in rows {
+            for k in 1..=depth {
+                // SAFETY: this item writes only ghost columns (i0-k and
+                // i1+k-1) in its own rows of its own field, and reads only
+                // those rows.
+                unsafe {
+                    f.set(j * w + (i0 - k), f.get(j * w + (i0 + k - 1)));
+                    f.set(j * w + (i1 + k - 1), f.get(j * w + (i1 - k)));
+                }
             }
         }
     });
@@ -294,6 +303,36 @@ mod tests {
             update_halo(&m, f.as_mut_slice(), depth);
             update_halo_exec(&m, g.as_mut_slice(), depth, &pool);
             assert_eq!(f, g, "depth {depth}: pooled halo diverged from serial");
+        }
+    }
+
+    #[test]
+    fn thin_meshes_match_elementwise_reflection() {
+        // Meshes thinner than the halo mirror ghost cells into deeper
+        // ghost cells; the row copies must keep the element-wise order.
+        let pool = parpool::StaticPool::new(3);
+        for (nx, ny) in [(1, 1), (1, 9), (9, 1), (2, 70), (3, 130)] {
+            let m = Mesh2d::new(nx, ny, 2, (0.0, 1.0), (0.0, 1.0));
+            let (w, h) = (m.width(), m.height());
+            let (i0, i1, j0, j1) = (m.i0(), m.i1(), m.i0(), m.j1());
+            for depth in 1..=2 {
+                let mut want = filled_interior(&m).as_slice().to_vec();
+                for i in i0..i1 {
+                    for k in 1..=depth {
+                        want[(j0 - k) * w + i] = want[(j0 + k - 1) * w + i];
+                        want[(j1 + k - 1) * w + i] = want[(j1 - k) * w + i];
+                    }
+                }
+                for j in 0..h {
+                    for k in 1..=depth {
+                        want[j * w + i0 - k] = want[j * w + i0 + k - 1];
+                        want[j * w + i1 + k - 1] = want[j * w + i1 - k];
+                    }
+                }
+                let mut got = filled_interior(&m);
+                update_halo_exec(&m, got.as_mut_slice(), depth, &pool);
+                assert_eq!(got.as_slice(), &want[..], "{nx}x{ny} depth {depth}");
+            }
         }
     }
 

@@ -1,5 +1,7 @@
 //! Kernel launches and manual reductions.
 
+use std::ops::Range;
+
 use parpool::Executor;
 use simdev::{KernelProfile, KernelTraits, SimContext};
 
@@ -47,24 +49,33 @@ impl<'a> CudaStream<'a> {
 
 /// Launch `kernel(tid)` over every thread of `cfg`. The kernel body is
 /// responsible for the overspill guard (`if tid >= n return`), exactly as
-/// in CUDA C.
-///
-/// Each thread block is one executor item that runs its `block` threads
-/// in a loop, so the body inlines into that loop instead of costing a
-/// dynamic call per thread. Overspill threads of the last block still run.
+/// in CUDA C. A thin wrapper over [`launch_blocks`], so overspill threads
+/// of the last block still run.
 pub fn launch<F: Fn(usize) + Sync + ?Sized>(
     stream: &CudaStream<'_>,
     cfg: LaunchConfig,
     profile: &KernelProfile,
     kernel: &F,
 ) {
+    launch_blocks(stream, cfg, profile, &|tids| tids.for_each(kernel));
+}
+
+/// Launch `cfg` one thread block at a time: `block(tids)` receives the
+/// thread ids of each block, `b·block .. (b+1)·block`. The last block's
+/// range runs past the work as far as the grid does, so a block body
+/// guards its overspill once per block instead of once per thread. Each
+/// block is one executor item; charges exactly what [`launch`] charges.
+pub fn launch_blocks<F: Fn(Range<usize>) + Sync + ?Sized>(
+    stream: &CudaStream<'_>,
+    cfg: LaunchConfig,
+    profile: &KernelProfile,
+    block: &F,
+) {
     stream.ctx.launch(profile);
-    let block = cfg.block;
-    stream.exec.run(cfg.grid, &|b| {
-        for tid in b * block..(b + 1) * block {
-            kernel(tid);
-        }
-    });
+    let size = cfg.block;
+    stream
+        .exec
+        .run(cfg.grid, &|b| block(b * size..(b + 1) * size));
 }
 
 /// The hand-written CUDA reduction of §3.5: pass 1 computes one partial
@@ -141,6 +152,26 @@ mod tests {
             1000,
             "guard trims overspill"
         );
+    }
+
+    #[test]
+    fn last_block_hands_over_its_overspill_range() {
+        let ctx = ctx();
+        let stream = CudaStream::new(&ctx, &SerialExec);
+        let cfg = LaunchConfig::for_n(1000, 256);
+        let blocks = std::sync::Mutex::new(Vec::new());
+        launch_blocks(
+            &stream,
+            cfg,
+            &KernelProfile::streaming("k", 1000, 1, 1, 1),
+            &|tids| blocks.lock().unwrap().push(tids),
+        );
+        assert_eq!(
+            blocks.into_inner().unwrap(),
+            vec![0..256, 256..512, 512..768, 768..1024],
+            "one range per block, overspill included"
+        );
+        assert_eq!(ctx.clock.snapshot().kernels, 1);
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //!
 //! The launch really iterates `grid × block` threads and each kernel body
 //! must bounds-check its thread id, exactly as CUDA kernels do; forgetting
-//! the guard corrupts memory in CUDA and panics here.
+//! the guard corrupts memory in CUDA and panics here. [`launch_blocks`] is
+//! the block-granular form every launch goes through: it hands a body each
+//! block's thread range, overspill included, so the guard can run once
+//! per block.
 //!
 //! ## Example
 //!
@@ -41,4 +44,4 @@ pub mod buffer;
 pub mod launch;
 
 pub use buffer::DeviceBuffer;
-pub use launch::{launch, launch_reduce, CudaStream, LaunchConfig};
+pub use launch::{launch, launch_blocks, launch_reduce, CudaStream, LaunchConfig};

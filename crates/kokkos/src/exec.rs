@@ -8,6 +8,8 @@
 //! team's threads map to columns, re-encoding the halo exclusion into the
 //! iteration space instead of a branch.
 
+use std::ops::Range;
+
 use parpool::Executor;
 use simdev::{KernelProfile, SimContext};
 
@@ -61,11 +63,17 @@ impl TeamMember {
     ///
     /// Functionally the loop is sequential within the team, which keeps
     /// per-team partial sums deterministic; concurrency across teams is
-    /// provided by the league dispatch.
-    pub fn team_thread_range(&self, n: usize, mut f: impl FnMut(usize)) {
-        for i in 0..n {
-            f(i);
-        }
+    /// provided by the league dispatch. A thin wrapper over
+    /// [`TeamMember::team_span`].
+    pub fn team_thread_range(&self, n: usize, f: impl FnMut(usize)) {
+        self.team_span(n).for_each(f);
+    }
+
+    /// The index range `[0, n)` the team's threads split, handed over
+    /// whole: with one team per row, a kernel body receives the team's
+    /// row at once.
+    pub fn team_span(&self, n: usize) -> Range<usize> {
+        0..n
     }
 
     /// `team_thread_range` with a per-thread sum reduced into one value —
@@ -98,20 +106,31 @@ impl<'a> ExecutionSpace<'a> {
         self.ctx
     }
 
-    /// `Kokkos::parallel_for` over a flat range. Each `CHUNK` indices
-    /// are one executor item, so `f` inlines into the chunk's loop.
+    /// `Kokkos::parallel_for` over a flat range. A thin wrapper over
+    /// [`ExecutionSpace::parallel_for_chunks`].
     pub fn parallel_for<F: Fn(usize) + Sync + ?Sized>(
         &self,
         profile: &KernelProfile,
         policy: RangePolicy,
         f: &F,
     ) {
+        self.parallel_for_chunks(profile, policy, &|ids| ids.for_each(f));
+    }
+
+    /// `Kokkos::parallel_for` one chunk at a time: `chunk(ids)` receives
+    /// each `CHUNK` consecutive indices of the policy (the last chunk
+    /// stops at its end). Each chunk is one executor item; charges
+    /// exactly what [`ExecutionSpace::parallel_for`] charges.
+    pub fn parallel_for_chunks<F: Fn(Range<usize>) + Sync + ?Sized>(
+        &self,
+        profile: &KernelProfile,
+        policy: RangePolicy,
+        chunk: &F,
+    ) {
         self.ctx.launch(profile);
         let (start, end) = (policy.start, policy.end);
         self.exec.run(policy.len().div_ceil(CHUNK), &|c| {
-            for i in start + c * CHUNK..(start + (c + 1) * CHUNK).min(end) {
-                f(i);
-            }
+            chunk(start + c * CHUNK..(start + (c + 1) * CHUNK).min(end))
         });
     }
 
@@ -158,13 +177,14 @@ impl<'a> ExecutionSpace<'a> {
 
     /// `Kokkos::parallel_for` with a functor instead of a lambda — the
     /// verbose pre-CUDA-7.5 style the paper's port had to use (§3.3).
+    /// Each chunk goes to [`Functor::operator_range`].
     pub fn parallel_for_functor<F: Functor>(
         &self,
         profile: &KernelProfile,
         policy: RangePolicy,
         functor: &F,
     ) {
-        self.parallel_for(profile, policy, &|i| functor.operator(i));
+        self.parallel_for_chunks(profile, policy, &|ids| functor.operator_range(ids));
     }
 
     /// `Kokkos::parallel_reduce` with a reducing functor.
@@ -293,6 +313,49 @@ mod tests {
             );
         }
         assert!(grid.iter().all(|&v| v == 1.0));
+    }
+
+    #[test]
+    fn chunks_partition_the_policy_in_order() {
+        let ctx = ctx();
+        let space = ExecutionSpace::new(&ctx, &SerialExec);
+        let chunks = std::sync::Mutex::new(Vec::new());
+        space.parallel_for_chunks(&profile(600), RangePolicy::new(10, 610), &|ids| {
+            chunks.lock().unwrap().push(ids)
+        });
+        assert_eq!(
+            chunks.into_inner().unwrap(),
+            vec![10..266, 266..522, 522..610]
+        );
+        assert_eq!(ctx.clock.snapshot().kernels, 1);
+    }
+
+    #[test]
+    fn hp_teams_hand_over_one_row_each() {
+        let ctx = ctx();
+        let space = ExecutionSpace::new(&ctx, &SerialExec);
+        let (rows, cols) = (5, 9);
+        let spans = std::sync::Mutex::new(Vec::new());
+        space.team_parallel_for(
+            &profile((rows * cols) as u64),
+            TeamPolicy {
+                league_size: rows,
+                team_size: 8,
+            },
+            &|m| {
+                let span = m.team_span(cols);
+                spans
+                    .lock()
+                    .unwrap()
+                    .push(m.league_rank * cols + span.start..m.league_rank * cols + span.end);
+            },
+        );
+        let want: Vec<_> = (0..rows).map(|r| r * cols..(r + 1) * cols).collect();
+        assert_eq!(
+            spans.into_inner().unwrap(),
+            want,
+            "team r covers row r whole"
+        );
     }
 
     #[test]

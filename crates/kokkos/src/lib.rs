@@ -8,6 +8,11 @@
 //! `TeamPolicy` hierarchical parallelism that Sandia proposed to remove the
 //! flat-index halo guard (Figure 7 of the paper).
 //!
+//! Flat dispatches run one chunk of indices at a time
+//! ([`ExecutionSpace::parallel_for_chunks`]) and team dispatches one team
+//! at a time ([`TeamMember::team_span`]), so a kernel body can take a
+//! whole chunk or row; the per-index forms are wrappers over them.
+//!
 //! Execution is functional on the host through a [`parpool::Executor`];
 //! simulated device time is charged per dispatch through a
 //! [`simdev::SimContext`], exactly as the real framework would lower to

@@ -62,6 +62,13 @@ impl<const K: usize> Reducer for ArraySumReducer<K> {
 pub trait Functor: Sync {
     /// `KOKKOS_INLINE_FUNCTION void operator()(const int i) const`.
     fn operator(&self, i: usize);
+
+    /// The operator over one chunk of consecutive indices; by default one
+    /// call per index. A functor whose body works on contiguous runs
+    /// overrides it.
+    fn operator_range(&self, ids: std::ops::Range<usize>) {
+        ids.for_each(|i| self.operator(i));
+    }
 }
 
 /// A reducing functor: `operator()(const int i, double& sum)`.

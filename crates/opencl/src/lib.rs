@@ -6,7 +6,10 @@
 //! that boilerplate is reproduced deliberately: platforms must be queried,
 //! a context created, a command queue built, buffers allocated against the
 //! context, kernels created with a declared argument count and every
-//! argument set before an `enqueue_nd_range` will accept them.
+//! argument set before an `enqueue_nd_range` will accept them. Every
+//! NDRange launch runs one work-group at a time through
+//! [`queue::CommandQueue::enqueue_work_groups`], which hands a kernel body
+//! each work-group's id range.
 //!
 //! Reductions follow §3.6: "they have to be manually written" — the
 //! [`queue::CommandQueue::enqueue_reduce`] helper is a two-pass

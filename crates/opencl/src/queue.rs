@@ -2,6 +2,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashSet;
+use std::ops::Range;
 
 use parpool::Executor;
 use simdev::{KernelProfile, KernelTraits, SimContext};
@@ -154,11 +155,8 @@ impl<'a> CommandQueue<'a> {
     }
 
     /// `clEnqueueNDRangeKernel`: launch `kernel` over `range`, executing
-    /// `f(global_id)` for every work item.
-    ///
-    /// Each work-group (the explicit local size, or
-    /// `DEFAULT_WORK_GROUP` items) is one executor item that runs its
-    /// work items in a loop, so `f` inlines into that loop.
+    /// `f(global_id)` for every work item. A thin wrapper over
+    /// [`CommandQueue::enqueue_work_groups`].
     ///
     /// # Panics
     /// Panics if any declared argument is unset, or if an explicit local
@@ -170,6 +168,24 @@ impl<'a> CommandQueue<'a> {
         range: NdRange,
         f: &F,
     ) -> Event {
+        self.enqueue_work_groups(kernel, profile, range, &|ids| ids.for_each(f))
+    }
+
+    /// `clEnqueueNDRangeKernel` one work-group at a time: `group(ids)`
+    /// receives the global ids of each work-group (the explicit local
+    /// size, or `DEFAULT_WORK_GROUP` items; the last group stops at the
+    /// global size). Each work-group is one executor item; charges
+    /// exactly what [`CommandQueue::enqueue_nd_range`] charges.
+    ///
+    /// # Panics
+    /// As [`CommandQueue::enqueue_nd_range`].
+    pub fn enqueue_work_groups<F: Fn(Range<usize>) + Sync + ?Sized>(
+        &self,
+        kernel: &Kernel,
+        profile: &KernelProfile,
+        range: NdRange,
+        group: &F,
+    ) -> Event {
         kernel.assert_ready();
         if let Some(local) = range.local {
             assert!(
@@ -179,11 +195,9 @@ impl<'a> CommandQueue<'a> {
         }
         let start = self.sim.clock.seconds();
         let duration = self.sim.launch(profile);
-        let (global, group) = (range.global, range.local.unwrap_or(DEFAULT_WORK_GROUP));
-        self.exec.run(global.div_ceil(group), &|g| {
-            for id in g * group..((g + 1) * group).min(global) {
-                f(id);
-            }
+        let (global, size) = (range.global, range.local.unwrap_or(DEFAULT_WORK_GROUP));
+        self.exec.run(global.div_ceil(size), &|g| {
+            group(g * size..((g + 1) * size).min(global))
         });
         Event { start, duration }
     }
@@ -319,6 +333,27 @@ mod tests {
         }));
         assert!(bad.is_err());
         q.enqueue_nd_range(&k, &p, NdRange::d1_local(10, 5), &|_| {});
+    }
+
+    #[test]
+    fn work_groups_partition_the_range_in_order() {
+        let (cl, sim) = setup();
+        let q = CommandQueue::new(&cl, &sim, &SerialExec);
+        let k = Kernel::create("k", 0);
+        let p = KernelProfile::streaming("k", 640, 1, 1, 1);
+        let groups = std::sync::Mutex::new(Vec::new());
+        q.enqueue_work_groups(&k, &p, NdRange::d1_local(640, 128), &|ids| {
+            groups.lock().unwrap().push(ids)
+        });
+        let want: Vec<_> = (0..5).map(|g| g * 128..(g + 1) * 128).collect();
+        assert_eq!(groups.into_inner().unwrap(), want);
+        // implementation-chosen groups stop at the global size
+        let groups = std::sync::Mutex::new(Vec::new());
+        q.enqueue_work_groups(&k, &p, NdRange::d1(300), &|ids| {
+            groups.lock().unwrap().push(ids)
+        });
+        assert_eq!(groups.into_inner().unwrap(), vec![0..256, 256..300]);
+        assert_eq!(sim.clock.snapshot().kernels, 2);
     }
 
     #[test]

@@ -74,6 +74,17 @@ impl<'a, T> UnsafeSlice<'a, T> {
         unsafe { self.ptr.add(index).read() }
     }
 
+    /// Reborrow a sub-range as a shared slice.
+    ///
+    /// # Safety
+    /// The range must be in bounds and no thread may write any index
+    /// inside it while the returned borrow lives.
+    #[inline]
+    pub unsafe fn slice(&self, start: usize, end: usize) -> &'a [T] {
+        debug_assert!(start <= end && end <= self.len);
+        unsafe { std::slice::from_raw_parts(self.ptr.add(start), end - start) }
+    }
+
     /// Reborrow a sub-range as a mutable slice.
     ///
     /// # Safety

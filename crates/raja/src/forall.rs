@@ -1,5 +1,7 @@
 //! `forall` dispatch: the recoupling of loop body to traversal.
 
+use std::ops::Range;
+
 use parpool::Executor;
 use simdev::{KernelProfile, SimContext};
 
@@ -39,25 +41,57 @@ fn profile_for(seg: &Segment, profile: &KernelProfile) -> KernelProfile {
 const CHUNK: usize = 256;
 
 /// `RAJA::forall<P>(segment, lambda)` — execute `f` over every index the
-/// segment yields. A parallel policy posts one executor item per
-/// `CHUNK` positions, so `f` inlines into the chunk's loop.
+/// segment yields, in segment order. A thin wrapper over [`forall_runs`].
 pub fn forall<P: ExecPolicy>(
     rt: &RajaRuntime<'_>,
     seg: &Segment,
     profile: &KernelProfile,
     f: &(impl Fn(usize) + Sync + ?Sized),
 ) {
+    forall_runs::<P>(rt, seg, profile, &|ids| ids.for_each(f));
+}
+
+/// `RAJA::forall<P>` one chunk at a time: each `CHUNK` iteration
+/// positions (the whole segment under a sequential policy) reach `f` as
+/// the contiguous index runs they name, in segment order — one run for a
+/// range segment, and for a list segment one per stretch of consecutive
+/// entries. A parallel policy posts one executor item per chunk. Charges
+/// exactly what [`forall`] charges, indirection included.
+pub fn forall_runs<P: ExecPolicy>(
+    rt: &RajaRuntime<'_>,
+    seg: &Segment,
+    profile: &KernelProfile,
+    f: &(impl Fn(Range<usize>) + Sync + ?Sized),
+) {
     rt.ctx.launch(&profile_for(seg, profile));
     let n = seg.len();
     if P::PARALLEL {
         rt.exec.run(n.div_ceil(CHUNK), &|c| {
-            for k in c * CHUNK..((c + 1) * CHUNK).min(n) {
-                f(seg.at(k));
-            }
+            seg_runs(seg, c * CHUNK..((c + 1) * CHUNK).min(n), f)
         });
     } else {
-        for k in 0..n {
-            f(seg.at(k));
+        seg_runs(seg, 0..n, f);
+    }
+}
+
+/// Hand `f` the index runs that iteration positions `pos` of `seg` name.
+#[inline(always)]
+fn seg_runs(seg: &Segment, pos: Range<usize>, f: &(impl Fn(Range<usize>) + ?Sized)) {
+    match seg {
+        Segment::Range(r) => {
+            if !pos.is_empty() {
+                f(r.begin + pos.start..r.begin + pos.end)
+            }
+        }
+        Segment::List(l) => {
+            let ix = &l.indices()[pos];
+            let mut start = 0;
+            for k in 1..=ix.len() {
+                if k == ix.len() || ix[k] != ix[k - 1] + 1 {
+                    f(ix[start]..ix[k - 1] + 1);
+                    start = k;
+                }
+            }
         }
     }
 }
@@ -164,6 +198,46 @@ mod tests {
         let order = std::sync::Mutex::new(Vec::new());
         forall::<SeqExec>(&rt, &seg, &profile(), &|i| order.lock().unwrap().push(i));
         assert_eq!(*order.lock().unwrap(), vec![2, 7, 3]);
+    }
+
+    #[test]
+    fn list_runs_rebuild_the_interior_list_in_order() {
+        let ctx = ctx();
+        let rt = RajaRuntime::new(&ctx, &SerialExec);
+        for (width, height, halo) in [(6, 5, 1), (40, 30, 2), (3, 300, 1), (300, 3, 1)] {
+            let list = ListSegment::interior_2d(width, height, halo);
+            let seg = Segment::List(list.clone());
+            let runs = std::sync::Mutex::new(Vec::new());
+            forall_runs::<OmpParallelForExec>(&rt, &seg, &profile(), &|ids| {
+                runs.lock().unwrap().push(ids)
+            });
+            let runs = runs.into_inner().unwrap();
+            for r in &runs {
+                assert!(!r.is_empty());
+                assert_eq!(r.start / width, (r.end - 1) / width, "{r:?} leaves its row");
+            }
+            let flat: Vec<usize> = runs.into_iter().flatten().collect();
+            assert_eq!(flat, list.indices(), "{width}x{height} halo {halo}");
+        }
+        let seg = Segment::List(ListSegment::new(vec![4, 5, 9]));
+        let (by_runs, by_index) = (self::ctx(), self::ctx());
+        forall_runs::<SeqExec>(
+            &RajaRuntime::new(&by_runs, &SerialExec),
+            &seg,
+            &profile(),
+            &|_| {},
+        );
+        forall::<SeqExec>(
+            &RajaRuntime::new(&by_index, &SerialExec),
+            &seg,
+            &profile(),
+            &|_| {},
+        );
+        assert_eq!(
+            by_runs.clock.snapshot().seconds,
+            by_index.clock.snapshot().seconds,
+            "same indirection charge as forall"
+        );
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //!   calculations in the loop body", at the cost of precluding
 //!   vectorization (§4.1) — list-segment dispatch carries the
 //!   `indirection` kernel trait, which is exactly that cost.
+//!   Dispatch runs one chunk of iteration positions at a time
+//!   ([`forall::forall_runs`]), handing the body the contiguous index runs
+//!   the chunk names; `forall` is the per-index wrapper over it.
 //! * **IndexSets** — ordered collections of segments dispatched as a unit.
 //! * **Execution policies** — [`policy::SeqExec`], [`policy::OmpParallelForExec`],
 //!   [`policy::SimdExec`] (the paper's proof-of-concept `RAJA SIMD`
@@ -39,6 +42,6 @@ pub mod forall;
 pub mod indexset;
 pub mod policy;
 
-pub use forall::{forall, forall_sum, RajaRuntime};
+pub use forall::{forall, forall_runs, forall_sum, RajaRuntime};
 pub use indexset::{IndexSet, ListSegment, RangeSegment, Segment};
 pub use policy::{ExecPolicy, OmpParallelForExec, SeqExec, SimdExec};

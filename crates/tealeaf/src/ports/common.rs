@@ -1,16 +1,24 @@
 //! Shared kernel bodies and launch profiles.
 //!
-//! Every port performs *identical per-cell arithmetic* by calling the cell
-//! and row helpers here (which in turn use [`tea_core::physics`]); what
-//! differs between ports is dispatch, data containers, transfers and cost
-//! profiles. This is the reproduction of the paper's methodology:
-//! "TeaLeaf's core solver logic and parameters were kept consistent
-//! between ports to ensure that each of the programming models were
-//! objectively compared" (§3).
+//! Every port performs *identical per-cell arithmetic* by calling the run
+//! bodies here (which in turn use [`tea_core::physics`]); what differs
+//! between ports is dispatch, data containers, transfers and cost profiles.
+//! This is the reproduction of the paper's methodology: "TeaLeaf's core
+//! solver logic and parameters were kept consistent between ports to
+//! ensure that each of the programming models were objectively compared"
+//! (§3).
+//!
+//! A body works on a [`Run`], a contiguous stretch of cells within one
+//! row. Row-dispatch ports hand it whole rows (the `row_*` forms); the
+//! flat-index models (Kokkos, RAJA, OpenCL, CUDA) hand it each block,
+//! work-group or chunk cut into runs by [`RunBox::clip`], which is their
+//! in-kernel halo guard evaluated once per run.
 //!
 //! The `unsafe` functions write through [`parpool::UnsafeSlice`]; their
-//! safety contract is always the same: **each output index is written by
-//! exactly one concurrent caller** (ports dispatch disjoint rows/cells).
+//! safety contract is always the same: **each output cell is written by
+//! exactly one concurrent caller** (ports dispatch disjoint runs).
+
+use std::ops::Range;
 
 use parpool::UnsafeSlice;
 use simdev::KernelProfile;
@@ -65,353 +73,145 @@ pub fn apply_a(width: usize, k: usize, x: &[f64], kx: &[f64], ky: &[f64]) -> f64
     )
 }
 
-/// Diagonal of `A` at flat index `k` (for the Jacobi preconditioner).
-#[inline(always)]
-pub fn diag_a(width: usize, k: usize, kx: &[f64], ky: &[f64]) -> f64 {
-    physics::diagonal(kx[k], kx[k + 1], ky[k], ky[k + width])
-}
-
 // ---------------------------------------------------------------------------
-// per-cell bodies (flat-index ports: Kokkos, CUDA, OpenCL, OpenACC collapse)
+// runs: the unit every kernel body works on
 // ---------------------------------------------------------------------------
 
-/// `u0[k] = density[k]·energy[k]; u[k] = u0[k]`.
-///
-/// # Safety
-/// `k` must be written by exactly one concurrent caller and in bounds.
-#[inline(always)]
-pub unsafe fn cell_init_u0(k: usize, density: &[f64], energy: &[f64], u0: &Us, u: &Us) {
-    let v = density[k] * energy[k];
-    unsafe {
-        u0.set(k, v);
-        u.set(k, v);
+/// `len` contiguous cells of one padded row, starting at flat index `b`, in
+/// a field `width` cells wide. A whole interior row is one run
+/// ([`Run::row`]); the model shims hand each block, work-group or chunk to
+/// the bodies as the runs [`RunBox::clip`] cuts from its index range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    pub b: usize,
+    pub len: usize,
+    pub width: usize,
+}
+
+impl Run {
+    /// Interior row `j` of `mesh`.
+    #[inline(always)]
+    pub fn row(mesh: &Mesh2d, j: usize) -> Run {
+        RunBox::interior(mesh).row(j)
+    }
+
+    /// The run's cells of `x`.
+    #[inline(always)]
+    fn of(self, x: &[f64]) -> &[f64] {
+        &x[self.b..self.b + self.len]
+    }
+
+    /// The run's cells of `x`, writable.
+    ///
+    /// # Safety
+    /// No other concurrent caller may touch the run's cells of `x`.
+    #[inline(always)]
+    unsafe fn out<'a>(self, x: &Us<'a>) -> &'a mut [f64] {
+        unsafe { x.slice_mut(self.b, self.b + self.len) }
     }
 }
 
-/// Scaled face coefficients at `k`: `kx[k] = rx·f(w[k-1],w[k])`,
-/// `ky[k] = ry·f(w[k-width],w[k])`.
-///
-/// # Safety
-/// As [`cell_init_u0`]; additionally `k` must have west/south neighbours.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn cell_init_coeffs(
+/// The box of cells a grid kernel writes, `[i0, i1) × [j0, j1)` of a
+/// padded field `width` cells wide.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunBox {
     width: usize,
-    k: usize,
-    coefficient: Coefficient,
-    rx: f64,
-    ry: f64,
-    density: &[f64],
-    kx: &Us,
-    ky: &Us,
-) {
-    let w_c = physics::cell_weight(coefficient, density[k]);
-    let w_w = physics::cell_weight(coefficient, density[k - 1]);
-    let w_s = physics::cell_weight(coefficient, density[k - width]);
-    unsafe {
-        kx.set(k, rx * physics::face_coefficient(w_w, w_c));
-        ky.set(k, ry * physics::face_coefficient(w_s, w_c));
-    }
+    i0: usize,
+    i1: usize,
+    j0: usize,
+    j1: usize,
 }
 
-/// `p[k] = (z|r)[k] + β·p[k]`.
-///
-/// # Safety
-/// As [`cell_init_u0`].
-#[inline(always)]
-pub unsafe fn cell_cg_calc_p(k: usize, beta: f64, precond: bool, r: &[f64], z: &[f64], p: &Us) {
-    let base = if precond { z[k] } else { r[k] };
-    unsafe {
-        let old = p.get(k);
-        p.set(k, base + beta * old);
+impl RunBox {
+    /// The interior cells: every kernel but `init_coeffs`.
+    pub fn interior(mesh: &Mesh2d) -> Self {
+        let (i0, i1, width) = row_bounds(mesh);
+        RunBox {
+            width,
+            i0,
+            i1,
+            j0: mesh.i0(),
+            j1: mesh.j1(),
+        }
     }
-}
 
-/// Chebyshev p-update at `k`: `w = A·u`, `r = u0 − w`, and either
-/// `p = r/θ` (first step) or `p = α·p + β·r`.
-///
-/// # Safety
-/// As [`cell_init_u0`]; `k` must have all four neighbours.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn cell_cheby_calc_p(
-    width: usize,
-    k: usize,
-    first: bool,
-    theta: f64,
-    alpha: f64,
-    beta: f64,
-    u: &[f64],
-    u0: &[f64],
-    kx: &[f64],
-    ky: &[f64],
-    w: &Us,
-    r: &Us,
-    p: &Us,
-) {
-    let au = apply_a(width, k, u, kx, ky);
-    let res = u0[k] - au;
-    unsafe {
-        w.set(k, au);
-        r.set(k, res);
-        if first {
-            p.set(k, res / theta);
-        } else {
-            let old = p.get(k);
-            p.set(k, alpha * old + beta * res);
+    /// `init_coeffs`' inclusive box `[i0, i1] × [j0, j1]`, one cell past
+    /// the interior on the high sides so the east and north faces of the
+    /// last interior cells exist.
+    pub fn coeffs(mesh: &Mesh2d) -> Self {
+        let b = Self::interior(mesh);
+        RunBox {
+            i1: b.i1 + 1,
+            j1: b.j1 + 1,
+            ..b
+        }
+    }
+
+    /// The box's run on row `j`.
+    #[inline(always)]
+    pub fn row(&self, j: usize) -> Run {
+        Run {
+            b: idx(self.width, self.i0, j),
+            len: self.i1 - self.i0,
+            width: self.width,
+        }
+    }
+
+    /// Hand `f`, in order, every run of box cells inside the flat range
+    /// `ids`. This is the models' in-kernel guard evaluated once per run:
+    /// halo cells, cells past the box and a launch's overspill past the
+    /// field never reach a body.
+    #[inline(always)]
+    pub fn clip(&self, ids: Range<usize>, mut f: impl FnMut(Run)) {
+        let w = self.width;
+        let lo = ids.start.max(idx(w, self.i0, self.j0));
+        let hi = ids.end.min(idx(w, self.i1, self.j1 - 1));
+        if lo >= hi {
+            return;
+        }
+        for j in lo / w..=(hi - 1) / w {
+            let (a, e) = (lo.max(idx(w, self.i0, j)), hi.min(idx(w, self.i1, j)));
+            if a < e {
+                f(Run {
+                    b: a,
+                    len: e - a,
+                    width: w,
+                });
+            }
         }
     }
 }
 
-/// `u[k] += p[k]`.
-///
-/// # Safety
-/// As [`cell_init_u0`].
-#[inline(always)]
-pub unsafe fn cell_add_p_to_u(k: usize, p: &[f64], u: &Us) {
-    unsafe {
-        let v = u.get(k) + p[k];
-        u.set(k, v);
-    }
-}
-
-/// `sd[k] = r[k]/θ`.
-///
-/// # Safety
-/// As [`cell_init_u0`].
-#[inline(always)]
-pub unsafe fn cell_sd_init(k: usize, theta: f64, r: &[f64], sd: &Us) {
-    unsafe { sd.set(k, r[k] / theta) };
-}
-
-/// `w[k] = A·sd` (PPCG inner stencil pass).
-///
-/// # Safety
-/// As [`cell_init_u0`]; `k` must have all four neighbours.
-#[inline(always)]
-pub unsafe fn cell_ppcg_w(width: usize, k: usize, sd: &[f64], kx: &[f64], ky: &[f64], w: &Us) {
-    unsafe { w.set(k, apply_a(width, k, sd, kx, ky)) };
-}
-
-/// PPCG inner local update: `r[k] −= w[k]`, `u[k] += sd[k]`,
-/// `sd[k] = α·sd[k] + β·r[k]` (with the *new* `r`).
-///
-/// # Safety
-/// As [`cell_init_u0`].
-#[inline(always)]
-pub unsafe fn cell_ppcg_update(
-    k: usize,
-    alpha: f64,
-    beta: f64,
-    w: &[f64],
-    u: &Us,
-    r: &Us,
-    sd: &Us,
-) {
-    unsafe {
-        let rn = r.get(k) - w[k];
-        r.set(k, rn);
-        let sv = sd.get(k);
-        u.set(k, u.get(k) + sv);
-        sd.set(k, alpha * sv + beta * rn);
-    }
-}
-
-/// Fused CG-init at one cell: `w = A·u`, `r = u0 − w`, `p = (M⁻¹r | r)`;
-/// returns the cell's `r·p` contribution.
-///
-/// # Safety
-/// As [`cell_init_u0`]; `k` must have all four neighbours.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-pub unsafe fn cell_cg_init(
-    width: usize,
-    k: usize,
-    precond: bool,
-    u: &[f64],
-    u0: &[f64],
-    kx: &[f64],
-    ky: &[f64],
-    w: &Us,
-    r: &Us,
-    p: &Us,
-    z: &Us,
-) -> f64 {
-    let au = apply_a(width, k, u, kx, ky);
-    let res = u0[k] - au;
-    unsafe {
-        w.set(k, au);
-        r.set(k, res);
-        let dir = if precond {
-            let zv = res / diag_a(width, k, kx, ky);
-            z.set(k, zv);
-            zv
-        } else {
-            res
-        };
-        p.set(k, dir);
-        res * dir
-    }
-}
-
-/// Fused CG `w = A·p` at one cell; returns the `p·w` contribution.
-///
-/// # Safety
-/// As [`cell_init_u0`]; `k` must have all four neighbours.
-#[inline(always)]
-pub unsafe fn cell_cg_calc_w(
-    width: usize,
-    k: usize,
-    p: &[f64],
-    kx: &[f64],
-    ky: &[f64],
-    w: &Us,
-) -> f64 {
-    let ap = apply_a(width, k, p, kx, ky);
-    unsafe { w.set(k, ap) };
-    p[k] * ap
-}
-
-/// Fused CG update at one cell: `u += α·p`, `r −= α·w`, optionally
-/// `z = M⁻¹r`; returns the `r·r` (or `r·z`) contribution.
-///
-/// # Safety
-/// As [`cell_init_u0`].
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-pub unsafe fn cell_cg_calc_ur(
-    width: usize,
-    k: usize,
-    alpha: f64,
-    precond: bool,
-    p: &[f64],
-    w: &[f64],
-    kx: &[f64],
-    ky: &[f64],
-    u: &Us,
-    r: &Us,
-    z: &Us,
-) -> f64 {
-    unsafe {
-        u.set(k, u.get(k) + alpha * p[k]);
-        let rv = r.get(k) - alpha * w[k];
-        r.set(k, rv);
-        if precond {
-            let zv = rv / diag_a(width, k, kx, ky);
-            z.set(k, zv);
-            rv * zv
-        } else {
-            rv * rv
-        }
-    }
-}
-
-/// One Jacobi-sweep cell; returns the `|Δu|` contribution. `r` holds the
-/// previous iterate.
-///
-/// # Safety
-/// As [`cell_init_u0`]; `k` must have all four neighbours.
-#[inline(always)]
-pub unsafe fn cell_jacobi_iterate(
-    width: usize,
-    k: usize,
-    u0: &[f64],
-    r: &[f64],
-    kx: &[f64],
-    ky: &[f64],
-    u: &Us,
-) -> f64 {
-    let new = physics::jacobi_update(
-        u0[k],
-        r[k - 1],
-        r[k + 1],
-        r[k - width],
-        r[k + width],
-        kx[k],
-        kx[k + 1],
-        ky[k],
-        ky[k + width],
-    );
-    unsafe { u.set(k, new) };
-    (new - r[k]).abs()
-}
-
-/// `x[k]²` — the norm contribution of one cell.
-#[inline(always)]
-pub fn cell_norm(k: usize, x: &[f64]) -> f64 {
-    x[k] * x[k]
-}
-
-/// One cell's `[volume, mass, internal energy, temperature]` contribution.
-#[inline(always)]
-pub fn cell_summary(
-    k: usize,
-    density: &[f64],
-    energy: &[f64],
-    u: &[f64],
-    cell_vol: f64,
-) -> [f64; 4] {
-    [
-        cell_vol,
-        density[k] * cell_vol,
-        density[k] * energy[k] * cell_vol,
-        u[k] * cell_vol,
-    ]
-}
-
-/// `r[k] = u0[k] − A·u` (residual).
-///
-/// # Safety
-/// As [`cell_init_u0`]; `k` must have all four neighbours.
-#[inline(always)]
-pub unsafe fn cell_residual(
-    width: usize,
-    k: usize,
-    u: &[f64],
-    u0: &[f64],
-    kx: &[f64],
-    ky: &[f64],
-    r: &Us,
-) {
-    unsafe { r.set(k, u0[k] - apply_a(width, k, u, kx, ky)) };
-}
-
-/// `energy[k] = u[k]/density[k]`.
-///
-/// # Safety
-/// As [`cell_init_u0`].
-#[inline(always)]
-pub unsafe fn cell_finalise(k: usize, u: &[f64], density: &[f64], energy: &Us) {
-    unsafe { energy.set(k, u[k] / density[k]) };
-}
-
 // ---------------------------------------------------------------------------
-// per-row bodies (row-dispatch ports, and all reductions)
+// run bodies (every port; whole rows are one case)
 // ---------------------------------------------------------------------------
 //
-// Each body works on row slices: it reborrows its own interior row of every
-// output field once (`Us::slice_mut`) and reads its inputs through
-// sub-slices sized to the row, so the loops carry no per-cell bounds checks
-// and no branch on a loop-invariant flag (`first`, `precond` select one loop
-// each). The stencil is one shared loop, [`RowStencil::each`]: it reads the
-// centre row `[b−1, b+len+1)`, the north and south rows, `kx[b..b+len+1]`
-// and `ky` of this row and the north row, and it vectorises as long as its
-// per-cell tail only stores. So the stencil-bearing bodies take one of two
-// shapes:
+// Each body works on run slices: it reborrows its own cells of every output
+// field once ([`Run::out`]) and reads its inputs through sub-slices sized to
+// the run, so the loops carry no per-cell bounds checks and no branch on a
+// loop-invariant flag (`first`, `precond` select one loop each). The stencil
+// is one shared loop, [`RowStencil::each`]: it reads the centre row
+// `[b−1, b+len+1)`, the north and south rows, `kx[b..b+len+1]` and `ky` of
+// this row and the north row, and it vectorises as long as its per-cell
+// tail only stores. So the stencil-bearing bodies take one of two shapes:
 //
 // 1. **No fold** (`cheby_calc_p`, `residual`, `ppcg_w`): the tail
 //    (`res = u0 − A·u`, the p update) rides the stencil loop.
 // 2. **Fold** (`cg_init`, `cg_calc_w`, `jacobi_iterate`): a stencil pass
-//    writes the row (`w`, or the new `u`), then a tail pass over the still
-//    L1-resident row does the rest and the fold, which is strictly ordered
+//    writes the run (`w`, or the new `u`), then a tail pass over the still
+//    L1-resident run does the rest and the fold, which is strictly ordered
 //    and so cannot vectorise.
 //
-// Both shapes are bit-identical to the per-cell bodies above: every cell
-// evaluates the same `physics` expression on the same operands (Rust never
-// contracts `a*b + c` to an FMA), and every fold still runs left to right
-// from `0.0` within the row, so row partials — and the row-order sums the
-// ports build from them — keep their bits. Streaming bodies stay one pass:
-// splitting an update from its fold only re-reads the row.
+// Both shapes are bit-identical to evaluating each cell on its own: every
+// cell evaluates the same `physics` expression on the same operands (Rust
+// never contracts `a*b + c` to an FMA), and every fold still runs left to
+// right from `0.0` within the run, so row partials — and the row-order sums
+// the ports build from them — keep their bits. Streaming bodies stay one
+// pass: splitting an update from its fold only re-reads the run.
+//
+// Every body's `# Safety` contract is the same: **the run's cells of every
+// output field are written by this caller alone**. Its reads may reach the
+// run's neighbours; no kernel writes a field it reads.
 
 /// Interior row bounds for `mesh`: `(i0, i1, width)`.
 #[inline(always)]
@@ -419,17 +219,9 @@ pub fn row_bounds(mesh: &Mesh2d) -> (usize, usize, usize) {
     (mesh.i0(), mesh.i1(), mesh.width())
 }
 
-/// Row `j`'s interior: flat index `b` of its first cell, its length and the
-/// padded width.
-#[inline(always)]
-fn row_span(mesh: &Mesh2d, j: usize) -> (usize, usize, usize) {
-    let (i0, i1, width) = row_bounds(mesh);
-    (idx(width, i0, j), i1 - i0, width)
-}
-
-/// The face coefficients of one interior row: `kx` on its `len + 1` west
-/// faces (the last is the east face of the last cell), `ky` on its south
-/// and north faces.
+/// The face coefficients of one run: `kx` on its `len + 1` west faces (the
+/// last is the east face of the last cell), `ky` on its south and north
+/// faces.
 struct RowCoeffs<'a> {
     kx: &'a [f64],
     ky_s: &'a [f64],
@@ -438,7 +230,8 @@ struct RowCoeffs<'a> {
 
 impl<'a> RowCoeffs<'a> {
     #[inline(always)]
-    fn new(b: usize, len: usize, width: usize, kx: &'a [f64], ky: &'a [f64]) -> Self {
+    fn new(run: Run, kx: &'a [f64], ky: &'a [f64]) -> Self {
+        let Run { b, len, width } = run;
         RowCoeffs {
             kx: &kx[b..b + len + 1],
             ky_s: &ky[b..b + len],
@@ -446,16 +239,16 @@ impl<'a> RowCoeffs<'a> {
         }
     }
 
-    /// Diagonal of `A` at row cell `i` ([`diag_a`]).
+    /// Diagonal of `A` at run cell `i`.
     #[inline(always)]
     fn diag(&self, i: usize) -> f64 {
         physics::diagonal(self.kx[i], self.kx[i + 1], self.ky_s[i], self.ky_n[i])
     }
 }
 
-/// One interior row's 5-point neighbourhood of `x` as row slices: the
-/// centre row with one cell either side, the south and north rows, and the
-/// row's face coefficients.
+/// One run's 5-point neighbourhood of `x` as row slices: the centre row
+/// with one cell either side, the south and north rows, and the run's face
+/// coefficients.
 struct RowStencil<'a> {
     c: &'a [f64],
     s: &'a [f64],
@@ -465,16 +258,17 @@ struct RowStencil<'a> {
 
 impl<'a> RowStencil<'a> {
     #[inline(always)]
-    fn new(b: usize, len: usize, width: usize, x: &'a [f64], kx: &'a [f64], ky: &'a [f64]) -> Self {
+    fn new(run: Run, x: &'a [f64], kx: &'a [f64], ky: &'a [f64]) -> Self {
+        let Run { b, len, width } = run;
         RowStencil {
             c: &x[b - 1..b + len + 1],
             s: &x[b - width..b - width + len],
             n: &x[b + width..b + width + len],
-            k: RowCoeffs::new(b, len, width, kx, ky),
+            k: RowCoeffs::new(run, kx, ky),
         }
     }
 
-    /// Hand `(A·x)` at every cell of the row, in order, to `tail(i, ax)`
+    /// Hand `(A·x)` at every cell of the run, in order, to `tail(i, ax)`
     /// ([`apply_a`]). A tail that only stores keeps the loop vectorised.
     #[inline(always)]
     fn each(&self, len: usize, mut tail: impl FnMut(usize, f64)) {
@@ -502,45 +296,37 @@ impl<'a> RowStencil<'a> {
         }
     }
 
-    /// `out[i] = (A·x)` at every cell of the row.
+    /// `out[i] = (A·x)` at every cell of the run.
     #[inline(always)]
     fn apply(&self, out: &mut [f64]) {
         self.each(out.len(), move |i, ax| out[i] = ax);
     }
 }
 
-/// Row form of [`cell_init_u0`].
+/// `u0 = density·energy; u = u0`.
 ///
 /// # Safety
-/// Row `j` must be written by exactly one concurrent caller.
-pub unsafe fn row_init_u0(
-    mesh: &Mesh2d,
-    j: usize,
-    density: &[f64],
-    energy: &[f64],
-    u0: &Us,
-    u: &Us,
-) {
-    let (b, len, _) = row_span(mesh, j);
-    // SAFETY: row `j` is this caller's alone (# Safety).
-    let (u0, u) = unsafe { (u0.slice_mut(b, b + len), u.slice_mut(b, b + len)) };
-    let (d, e) = (&density[b..b + len], &energy[b..b + len]);
-    for i in 0..len {
+/// The run's cells of every output are this caller's alone.
+pub unsafe fn run_init_u0(run: Run, density: &[f64], energy: &[f64], u0: &Us, u: &Us) {
+    // SAFETY: the run is this caller's alone (# Safety).
+    let (u0, u) = unsafe { (run.out(u0), run.out(u)) };
+    let (d, e) = (run.of(density), run.of(energy));
+    for i in 0..run.len {
         let v = d[i] * e[i];
         u0[i] = v;
         u[i] = v;
     }
 }
 
-/// Row form of [`cell_init_coeffs`], covering `i0..=i1` so the east face
-/// of the last interior cell exists. Call for `j` in `i0..=j1`.
+/// Scaled face coefficients: `kx = rx·f(w_west, w)`, `ky = ry·f(w_south,
+/// w)`, with `w` the cell weight of `density`. Runs come from
+/// [`RunBox::coeffs`].
 ///
 /// # Safety
-/// As [`row_init_u0`].
+/// As [`run_init_u0`].
 #[allow(clippy::too_many_arguments)]
-pub unsafe fn row_init_coeffs(
-    mesh: &Mesh2d,
-    j: usize,
+pub unsafe fn run_init_coeffs(
+    run: Run,
     coefficient: Coefficient,
     rx: f64,
     ry: f64,
@@ -548,32 +334,29 @@ pub unsafe fn row_init_coeffs(
     kx: &Us,
     ky: &Us,
 ) {
-    let (i0, i1, width) = row_bounds(mesh);
-    for i in i0..=i1 {
-        unsafe {
-            cell_init_coeffs(
-                width,
-                idx(width, i, j),
-                coefficient,
-                rx,
-                ry,
-                density,
-                kx,
-                ky,
-            )
-        };
+    let Run { b, len, width } = run;
+    // SAFETY: the run is this caller's alone (# Safety).
+    let (kx, ky) = unsafe { (run.out(kx), run.out(ky)) };
+    let (c, s) = (
+        &density[b - 1..b + len],
+        &density[b - width..b - width + len],
+    );
+    let weight = |d| physics::cell_weight(coefficient, d);
+    for i in 0..len {
+        let w_c = weight(c[i + 1]);
+        kx[i] = rx * physics::face_coefficient(weight(c[i]), w_c);
+        ky[i] = ry * physics::face_coefficient(weight(s[i]), w_c);
     }
 }
 
-/// CG init row: `w = A·u`, `r = u0 − w`, `p = (M⁻¹r | r)`; returns the
-/// row's `r·p` partial.
+/// CG init: `w = A·u`, `r = u0 − w`, `p = (M⁻¹r | r)`; returns the run's
+/// `r·p` partial.
 ///
 /// # Safety
-/// As [`row_init_u0`].
+/// As [`run_init_u0`].
 #[allow(clippy::too_many_arguments)]
-pub unsafe fn row_cg_init(
-    mesh: &Mesh2d,
-    j: usize,
+pub unsafe fn run_cg_init(
+    run: Run,
     precond: bool,
     u: &[f64],
     u0: &[f64],
@@ -584,22 +367,16 @@ pub unsafe fn row_cg_init(
     p: &Us,
     z: &Us,
 ) -> f64 {
-    let (b, len, width) = row_span(mesh, j);
-    // SAFETY: row `j` is this caller's alone (# Safety).
-    let (w, r, p) = unsafe {
-        (
-            w.slice_mut(b, b + len),
-            r.slice_mut(b, b + len),
-            p.slice_mut(b, b + len),
-        )
-    };
-    let st = RowStencil::new(b, len, width, u, kx, ky);
+    let len = run.len;
+    // SAFETY: the run is this caller's alone (# Safety).
+    let (w, r, p) = unsafe { (run.out(w), run.out(r), run.out(p)) };
+    let st = RowStencil::new(run, u, kx, ky);
     st.apply(w);
-    let u0 = &u0[b..b + len];
+    let u0 = run.of(u0);
     let mut rro = 0.0;
     if precond {
-        // SAFETY: row `j` is this caller's alone (# Safety).
-        let z = unsafe { z.slice_mut(b, b + len) };
+        // SAFETY: the run is this caller's alone (# Safety).
+        let z = unsafe { run.out(z) };
         for i in 0..len {
             let res = u0[i] - w[i];
             r[i] = res;
@@ -619,39 +396,30 @@ pub unsafe fn row_cg_init(
     rro
 }
 
-/// CG `w = A·p` row; returns the row's `p·w` partial.
+/// CG `w = A·p`; returns the run's `p·w` partial.
 ///
 /// # Safety
-/// As [`row_init_u0`].
-pub unsafe fn row_cg_calc_w(
-    mesh: &Mesh2d,
-    j: usize,
-    p: &[f64],
-    kx: &[f64],
-    ky: &[f64],
-    w: &Us,
-) -> f64 {
-    let (b, len, width) = row_span(mesh, j);
-    // SAFETY: row `j` is this caller's alone (# Safety).
-    let w = unsafe { w.slice_mut(b, b + len) };
-    RowStencil::new(b, len, width, p, kx, ky).apply(w);
-    let p = &p[b..b + len];
+/// As [`run_init_u0`].
+pub unsafe fn run_cg_calc_w(run: Run, p: &[f64], kx: &[f64], ky: &[f64], w: &Us) -> f64 {
+    // SAFETY: the run is this caller's alone (# Safety).
+    let w = unsafe { run.out(w) };
+    RowStencil::new(run, p, kx, ky).apply(w);
+    let p = run.of(p);
     let mut pw = 0.0;
-    for i in 0..len {
+    for i in 0..run.len {
         pw += p[i] * w[i];
     }
     pw
 }
 
-/// CG update row: `u += α·p`, `r −= α·w`, optionally `z = M⁻¹r`; returns
-/// the row's `r·r` (or `r·z`) partial.
+/// CG update: `u += α·p`, `r −= α·w`, optionally `z = M⁻¹r`; returns the
+/// run's `r·r` (or `r·z`) partial.
 ///
 /// # Safety
-/// As [`row_init_u0`].
+/// As [`run_init_u0`].
 #[allow(clippy::too_many_arguments)]
-pub unsafe fn row_cg_calc_ur(
-    mesh: &Mesh2d,
-    j: usize,
+pub unsafe fn run_cg_calc_ur(
+    run: Run,
     alpha: f64,
     precond: bool,
     p: &[f64],
@@ -662,15 +430,15 @@ pub unsafe fn row_cg_calc_ur(
     r: &Us,
     z: &Us,
 ) -> f64 {
-    let (b, len, width) = row_span(mesh, j);
-    // SAFETY: row `j` is this caller's alone (# Safety).
-    let (u, r) = unsafe { (u.slice_mut(b, b + len), r.slice_mut(b, b + len)) };
-    let (p, w) = (&p[b..b + len], &w[b..b + len]);
+    let len = run.len;
+    // SAFETY: the run is this caller's alone (# Safety).
+    let (u, r) = unsafe { (run.out(u), run.out(r)) };
+    let (p, w) = (run.of(p), run.of(w));
     let mut rrn = 0.0;
     if precond {
-        // SAFETY: row `j` is this caller's alone (# Safety).
-        let z = unsafe { z.slice_mut(b, b + len) };
-        let k = RowCoeffs::new(b, len, width, kx, ky);
+        // SAFETY: the run is this caller's alone (# Safety).
+        let z = unsafe { run.out(z) };
+        let k = RowCoeffs::new(run, kx, ky);
         for i in 0..len {
             u[i] += alpha * p[i];
             let rv = r[i] - alpha * w[i];
@@ -690,40 +458,27 @@ pub unsafe fn row_cg_calc_ur(
     rrn
 }
 
-/// Row form of [`cell_cg_calc_p`].
+/// `p = (z|r) + β·p`.
 ///
 /// # Safety
-/// As [`row_init_u0`].
-pub unsafe fn row_cg_calc_p(
-    mesh: &Mesh2d,
-    j: usize,
-    beta: f64,
-    precond: bool,
-    r: &[f64],
-    z: &[f64],
-    p: &Us,
-) {
-    let (b, len, _) = row_span(mesh, j);
-    // SAFETY: row `j` is this caller's alone (# Safety).
-    let p = unsafe { p.slice_mut(b, b + len) };
-    let base = if precond {
-        &z[b..b + len]
-    } else {
-        &r[b..b + len]
-    };
-    for i in 0..len {
+/// As [`run_init_u0`].
+pub unsafe fn run_cg_calc_p(run: Run, beta: f64, precond: bool, r: &[f64], z: &[f64], p: &Us) {
+    // SAFETY: the run is this caller's alone (# Safety).
+    let p = unsafe { run.out(p) };
+    let base = run.of(if precond { z } else { r });
+    for i in 0..run.len {
         p[i] = base[i] + beta * p[i];
     }
 }
 
-/// Row form of [`cell_cheby_calc_p`].
+/// Chebyshev p-update: `w = A·u`, `r = u0 − w`, and either `p = r/θ`
+/// (first step) or `p = α·p + β·r`.
 ///
 /// # Safety
-/// As [`row_init_u0`].
+/// As [`run_init_u0`].
 #[allow(clippy::too_many_arguments)]
-pub unsafe fn row_cheby_calc_p(
-    mesh: &Mesh2d,
-    j: usize,
+pub unsafe fn run_cheby_calc_p(
+    run: Run,
     first: bool,
     theta: f64,
     alpha: f64,
@@ -736,26 +491,19 @@ pub unsafe fn row_cheby_calc_p(
     r: &Us,
     p: &Us,
 ) {
-    let (b, len, width) = row_span(mesh, j);
-    // SAFETY: row `j` is this caller's alone (# Safety).
-    let (w, r, p) = unsafe {
-        (
-            w.slice_mut(b, b + len),
-            r.slice_mut(b, b + len),
-            p.slice_mut(b, b + len),
-        )
-    };
-    let st = RowStencil::new(b, len, width, u, kx, ky);
-    let u0 = &u0[b..b + len];
+    // SAFETY: the run is this caller's alone (# Safety).
+    let (w, r, p) = unsafe { (run.out(w), run.out(r), run.out(p)) };
+    let st = RowStencil::new(run, u, kx, ky);
+    let u0 = run.of(u0);
     if first {
-        st.each(len, move |i, au| {
+        st.each(run.len, move |i, au| {
             let res = u0[i] - au;
             w[i] = au;
             r[i] = res;
             p[i] = res / theta;
         });
     } else {
-        st.each(len, move |i, au| {
+        st.each(run.len, move |i, au| {
             let res = u0[i] - au;
             w[i] = au;
             r[i] = res;
@@ -764,71 +512,53 @@ pub unsafe fn row_cheby_calc_p(
     }
 }
 
-/// Row form of [`cell_add_p_to_u`].
+/// `u += p` (Chebyshev `calc_u`; PPCG's `u += sd`).
 ///
 /// # Safety
-/// As [`row_init_u0`].
-pub unsafe fn row_add_p_to_u(mesh: &Mesh2d, j: usize, p: &[f64], u: &Us) {
-    let (b, len, _) = row_span(mesh, j);
-    // SAFETY: row `j` is this caller's alone (# Safety).
-    let u = unsafe { u.slice_mut(b, b + len) };
-    let p = &p[b..b + len];
-    for i in 0..len {
+/// As [`run_init_u0`].
+pub unsafe fn run_add_p_to_u(run: Run, p: &[f64], u: &Us) {
+    // SAFETY: the run is this caller's alone (# Safety).
+    let u = unsafe { run.out(u) };
+    let p = run.of(p);
+    for i in 0..run.len {
         u[i] += p[i];
     }
 }
 
-/// Row form of [`cell_sd_init`].
+/// `sd = r/θ`.
 ///
 /// # Safety
-/// As [`row_init_u0`].
-pub unsafe fn row_sd_init(mesh: &Mesh2d, j: usize, theta: f64, r: &[f64], sd: &Us) {
-    let (b, len, _) = row_span(mesh, j);
-    // SAFETY: row `j` is this caller's alone (# Safety).
-    let sd = unsafe { sd.slice_mut(b, b + len) };
-    let r = &r[b..b + len];
-    for i in 0..len {
+/// As [`run_init_u0`].
+pub unsafe fn run_sd_init(run: Run, theta: f64, r: &[f64], sd: &Us) {
+    // SAFETY: the run is this caller's alone (# Safety).
+    let sd = unsafe { run.out(sd) };
+    let r = run.of(r);
+    for i in 0..run.len {
         sd[i] = r[i] / theta;
     }
 }
 
-/// Row form of [`cell_ppcg_w`].
+/// `w = A·sd` (PPCG inner stencil pass).
 ///
 /// # Safety
-/// As [`row_init_u0`].
-pub unsafe fn row_ppcg_w(mesh: &Mesh2d, j: usize, sd: &[f64], kx: &[f64], ky: &[f64], w: &Us) {
-    let (b, len, width) = row_span(mesh, j);
-    // SAFETY: row `j` is this caller's alone (# Safety).
-    let w = unsafe { w.slice_mut(b, b + len) };
-    RowStencil::new(b, len, width, sd, kx, ky).apply(w);
+/// As [`run_init_u0`].
+pub unsafe fn run_ppcg_w(run: Run, sd: &[f64], kx: &[f64], ky: &[f64], w: &Us) {
+    // SAFETY: the run is this caller's alone (# Safety).
+    let w = unsafe { run.out(w) };
+    RowStencil::new(run, sd, kx, ky).apply(w);
 }
 
-/// Row form of [`cell_ppcg_update`].
+/// PPCG inner local update: `r −= w`, `u += sd`, `sd = α·sd + β·r` (with
+/// the *new* `r`).
 ///
 /// # Safety
-/// As [`row_init_u0`].
+/// As [`run_init_u0`].
 #[allow(clippy::too_many_arguments)]
-pub unsafe fn row_ppcg_update(
-    mesh: &Mesh2d,
-    j: usize,
-    alpha: f64,
-    beta: f64,
-    w: &[f64],
-    u: &Us,
-    r: &Us,
-    sd: &Us,
-) {
-    let (b, len, _) = row_span(mesh, j);
-    // SAFETY: row `j` is this caller's alone (# Safety).
-    let (u, r, sd) = unsafe {
-        (
-            u.slice_mut(b, b + len),
-            r.slice_mut(b, b + len),
-            sd.slice_mut(b, b + len),
-        )
-    };
-    let w = &w[b..b + len];
-    for i in 0..len {
+pub unsafe fn run_ppcg_update(run: Run, alpha: f64, beta: f64, w: &[f64], u: &Us, r: &Us, sd: &Us) {
+    // SAFETY: the run is this caller's alone (# Safety).
+    let (u, r, sd) = unsafe { (run.out(u), run.out(r), run.out(sd)) };
+    let w = run.of(w);
+    for i in 0..run.len {
         let rn = r[i] - w[i];
         r[i] = rn;
         let sv = sd[i];
@@ -837,59 +567,48 @@ pub unsafe fn row_ppcg_update(
     }
 }
 
-/// Row form of [`cell_residual`].
+/// `r = u0 − A·u` (residual).
 ///
 /// # Safety
-/// As [`row_init_u0`].
-pub unsafe fn row_residual(
-    mesh: &Mesh2d,
-    j: usize,
-    u: &[f64],
-    u0: &[f64],
-    kx: &[f64],
-    ky: &[f64],
-    r: &Us,
-) {
-    let (b, len, width) = row_span(mesh, j);
-    // SAFETY: row `j` is this caller's alone (# Safety).
-    let r = unsafe { r.slice_mut(b, b + len) };
-    let u0 = &u0[b..b + len];
-    RowStencil::new(b, len, width, u, kx, ky).each(len, move |i, au| r[i] = u0[i] - au);
+/// As [`run_init_u0`].
+pub unsafe fn run_residual(run: Run, u: &[f64], u0: &[f64], kx: &[f64], ky: &[f64], r: &Us) {
+    // SAFETY: the run is this caller's alone (# Safety).
+    let r = unsafe { run.out(r) };
+    let u0 = run.of(u0);
+    RowStencil::new(run, u, kx, ky).each(run.len, move |i, au| r[i] = u0[i] - au);
 }
 
-/// Jacobi: save the previous `u` row into `r` (scratch).
+/// Jacobi: save the previous `u` into `r` (scratch).
 ///
 /// # Safety
-/// As [`row_init_u0`].
-pub unsafe fn row_jacobi_copy(mesh: &Mesh2d, j: usize, u: &[f64], r: &Us) {
-    let (b, len, _) = row_span(mesh, j);
-    // SAFETY: row `j` is this caller's alone (# Safety).
-    unsafe { r.slice_mut(b, b + len) }.copy_from_slice(&u[b..b + len]);
+/// As [`run_init_u0`].
+pub unsafe fn run_jacobi_copy(run: Run, u: &[f64], r: &Us) {
+    // SAFETY: the run is this caller's alone (# Safety).
+    unsafe { run.out(r) }.copy_from_slice(run.of(u));
 }
 
-/// Jacobi sweep row: `u = (u0 + Σ k·u_old_neighbours)/diag`; returns the
-/// row's `Σ|Δu|` partial. `r` holds the previous iterate. The sweep reads
-/// the same row slices as [`RowStencil::each`] with its own update, then
-/// folds `|Δu|` in a second pass.
+/// Jacobi sweep: `u = (u0 + Σ k·u_old_neighbours)/diag`; returns the run's
+/// `Σ|Δu|` partial. `r` holds the previous iterate. The sweep reads the
+/// same row slices as [`RowStencil::each`] with its own update, then folds
+/// `|Δu|` in a second pass.
 ///
 /// # Safety
-/// As [`row_init_u0`].
-pub unsafe fn row_jacobi_iterate(
-    mesh: &Mesh2d,
-    j: usize,
+/// As [`run_init_u0`].
+pub unsafe fn run_jacobi_iterate(
+    run: Run,
     u0: &[f64],
     r: &[f64],
     kx: &[f64],
     ky: &[f64],
     u: &Us,
 ) -> f64 {
-    let (b, len, width) = row_span(mesh, j);
-    // SAFETY: row `j` is this caller's alone (# Safety).
-    let u = unsafe { u.slice_mut(b, b + len) };
-    let st = RowStencil::new(b, len, width, r, kx, ky);
+    let len = run.len;
+    // SAFETY: the run is this caller's alone (# Safety).
+    let u = unsafe { run.out(u) };
+    let st = RowStencil::new(run, r, kx, ky);
     let (c, s, n) = (&st.c[..len + 2], &st.s[..len], &st.n[..len]);
     let (kx, ky_s, ky_n) = (&st.k.kx[..len + 1], &st.k.ky_s[..len], &st.k.ky_n[..len]);
-    let u0 = &u0[b..b + len];
+    let u0 = run.of(u0);
     for i in 0..len {
         u[i] = physics::jacobi_update(
             u0[i],
@@ -910,30 +629,27 @@ pub unsafe fn row_jacobi_iterate(
     err
 }
 
-/// Row `Σ x²` partial.
-pub fn row_norm(mesh: &Mesh2d, j: usize, x: &[f64]) -> f64 {
-    let (b, len, _) = row_span(mesh, j);
+/// The run's `Σ x²` partial.
+pub fn run_norm(run: Run, x: &[f64]) -> f64 {
     let mut n = 0.0;
-    for &v in &x[b..b + len] {
+    for &v in run.of(x) {
         n += v * v;
     }
     n
 }
 
-/// Row partial of the 4-component field summary
+/// The run's partial of the 4-component field summary
 /// `[volume, mass, internal energy, temperature]`.
-pub fn row_summary(
-    mesh: &Mesh2d,
-    j: usize,
+pub fn run_summary(
+    run: Run,
     density: &[f64],
     energy: &[f64],
     u: &[f64],
     cell_vol: f64,
 ) -> [f64; 4] {
-    let (b, len, _) = row_span(mesh, j);
-    let (d, e, u) = (&density[b..b + len], &energy[b..b + len], &u[b..b + len]);
+    let (d, e, u) = (run.of(density), run.of(energy), run.of(u));
     let mut acc = [0.0; 4];
-    for i in 0..len {
+    for i in 0..run.len {
         acc[0] += cell_vol;
         acc[1] += d[i] * cell_vol;
         acc[2] += d[i] * e[i] * cell_vol;
@@ -942,18 +658,127 @@ pub fn row_summary(
     acc
 }
 
-/// Row form of [`cell_finalise`].
+/// `energy = u/density`.
 ///
 /// # Safety
-/// As [`row_init_u0`].
-pub unsafe fn row_finalise(mesh: &Mesh2d, j: usize, u: &[f64], density: &[f64], energy: &Us) {
-    let (b, len, _) = row_span(mesh, j);
-    // SAFETY: row `j` is this caller's alone (# Safety).
-    let energy = unsafe { energy.slice_mut(b, b + len) };
-    let (u, d) = (&u[b..b + len], &density[b..b + len]);
-    for i in 0..len {
+/// As [`run_init_u0`].
+pub unsafe fn run_finalise(run: Run, u: &[f64], density: &[f64], energy: &Us) {
+    // SAFETY: the run is this caller's alone (# Safety).
+    let energy = unsafe { run.out(energy) };
+    let (u, d) = (run.of(u), run.of(density));
+    for i in 0..run.len {
         energy[i] = u[i] / d[i];
     }
+}
+
+// ---------------------------------------------------------------------------
+// row forms (row-dispatch ports, and all reductions)
+// ---------------------------------------------------------------------------
+
+/// `row_*`: the `run_*` body over interior row `j` — the whole-row entry the
+/// row-dispatch ports and every row-ordered reduction call.
+macro_rules! row_forms {
+    ($($row:ident => $run:ident($($a:ident: $t:ty),*) $(-> $ret:ty)?;)*) => {$(
+        #[doc = concat!("[`", stringify!($run), "`] over interior row `j`.")]
+        ///
+        /// # Safety
+        /// Row `j` of every output is this caller's alone.
+        #[allow(clippy::too_many_arguments)]
+        pub unsafe fn $row(mesh: &Mesh2d, j: usize, $($a: $t),*) $(-> $ret)? {
+            // SAFETY: forwarded (# Safety).
+            unsafe { $run(Run::row(mesh, j), $($a),*) }
+        }
+    )*};
+}
+
+row_forms! {
+    row_init_u0 => run_init_u0(density: &[f64], energy: &[f64], u0: &Us, u: &Us);
+    row_cg_init => run_cg_init(
+        precond: bool, u: &[f64], u0: &[f64], kx: &[f64], ky: &[f64],
+        w: &Us, r: &Us, p: &Us, z: &Us
+    ) -> f64;
+    row_cg_calc_w => run_cg_calc_w(p: &[f64], kx: &[f64], ky: &[f64], w: &Us) -> f64;
+    row_cg_calc_ur => run_cg_calc_ur(
+        alpha: f64, precond: bool, p: &[f64], w: &[f64], kx: &[f64], ky: &[f64],
+        u: &Us, r: &Us, z: &Us
+    ) -> f64;
+    row_cg_calc_p => run_cg_calc_p(beta: f64, precond: bool, r: &[f64], z: &[f64], p: &Us);
+    row_cheby_calc_p => run_cheby_calc_p(
+        first: bool, theta: f64, alpha: f64, beta: f64, u: &[f64], u0: &[f64],
+        kx: &[f64], ky: &[f64], w: &Us, r: &Us, p: &Us
+    );
+    row_add_p_to_u => run_add_p_to_u(p: &[f64], u: &Us);
+    row_sd_init => run_sd_init(theta: f64, r: &[f64], sd: &Us);
+    row_ppcg_w => run_ppcg_w(sd: &[f64], kx: &[f64], ky: &[f64], w: &Us);
+    row_ppcg_update => run_ppcg_update(alpha: f64, beta: f64, w: &[f64], u: &Us, r: &Us, sd: &Us);
+    row_residual => run_residual(u: &[f64], u0: &[f64], kx: &[f64], ky: &[f64], r: &Us);
+    row_jacobi_copy => run_jacobi_copy(u: &[f64], r: &Us);
+    row_jacobi_iterate => run_jacobi_iterate(
+        u0: &[f64], r: &[f64], kx: &[f64], ky: &[f64], u: &Us
+    ) -> f64;
+    row_finalise => run_finalise(u: &[f64], density: &[f64], energy: &Us);
+}
+
+/// [`run_init_coeffs`] over row `j` of [`RunBox::coeffs`], covering
+/// `i0..=i1`. Call for `j` in `i0..=j1`.
+///
+/// # Safety
+/// Row `j` of every output is this caller's alone.
+#[allow(clippy::too_many_arguments)]
+pub unsafe fn row_init_coeffs(
+    mesh: &Mesh2d,
+    j: usize,
+    coefficient: Coefficient,
+    rx: f64,
+    ry: f64,
+    density: &[f64],
+    kx: &Us,
+    ky: &Us,
+) {
+    let run = RunBox::coeffs(mesh).row(j);
+    // SAFETY: forwarded (# Safety).
+    unsafe { run_init_coeffs(run, coefficient, rx, ry, density, kx, ky) }
+}
+
+/// [`run_norm`] over interior row `j`.
+pub fn row_norm(mesh: &Mesh2d, j: usize, x: &[f64]) -> f64 {
+    run_norm(Run::row(mesh, j), x)
+}
+
+/// [`run_summary`] over interior row `j`.
+pub fn row_summary(
+    mesh: &Mesh2d,
+    j: usize,
+    density: &[f64],
+    energy: &[f64],
+    u: &[f64],
+    cell_vol: f64,
+) -> [f64; 4] {
+    run_summary(Run::row(mesh, j), density, energy, u, cell_vol)
+}
+
+/// `x[k]²` — one cell's norm term, for the tile port's carry reductions.
+#[inline(always)]
+pub fn cell_norm(k: usize, x: &[f64]) -> f64 {
+    x[k] * x[k]
+}
+
+/// One cell's `[volume, mass, internal energy, temperature]` term, for the
+/// tile port's carry reductions.
+#[inline(always)]
+pub fn cell_summary(
+    k: usize,
+    density: &[f64],
+    energy: &[f64],
+    u: &[f64],
+    cell_vol: f64,
+) -> [f64; 4] {
+    [
+        cell_vol,
+        density[k] * cell_vol,
+        density[k] * energy[k] * cell_vol,
+        u[k] * cell_vol,
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -1277,6 +1102,302 @@ impl PortFields {
 mod tests {
     use super::*;
 
+    // Per-cell bodies, one flat index each: the oracle every run body must
+    // match bit for bit.
+
+    /// Diagonal of `A` at flat index `k` (for the Jacobi preconditioner).
+    #[inline(always)]
+    fn diag_a(width: usize, k: usize, kx: &[f64], ky: &[f64]) -> f64 {
+        physics::diagonal(kx[k], kx[k + 1], ky[k], ky[k + width])
+    }
+
+    /// `u0[k] = density[k]·energy[k]; u[k] = u0[k]`.
+    ///
+    /// # Safety
+    /// `k` must be written by exactly one concurrent caller and in bounds.
+    #[inline(always)]
+    unsafe fn cell_init_u0(k: usize, density: &[f64], energy: &[f64], u0: &Us, u: &Us) {
+        let v = density[k] * energy[k];
+        unsafe {
+            u0.set(k, v);
+            u.set(k, v);
+        }
+    }
+
+    /// Scaled face coefficients at `k`: `kx[k] = rx·f(w[k-1],w[k])`,
+    /// `ky[k] = ry·f(w[k-width],w[k])`.
+    ///
+    /// # Safety
+    /// As [`cell_init_u0`]; additionally `k` must have west/south neighbours.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn cell_init_coeffs(
+        width: usize,
+        k: usize,
+        coefficient: Coefficient,
+        rx: f64,
+        ry: f64,
+        density: &[f64],
+        kx: &Us,
+        ky: &Us,
+    ) {
+        let w_c = physics::cell_weight(coefficient, density[k]);
+        let w_w = physics::cell_weight(coefficient, density[k - 1]);
+        let w_s = physics::cell_weight(coefficient, density[k - width]);
+        unsafe {
+            kx.set(k, rx * physics::face_coefficient(w_w, w_c));
+            ky.set(k, ry * physics::face_coefficient(w_s, w_c));
+        }
+    }
+
+    /// `p[k] = (z|r)[k] + β·p[k]`.
+    ///
+    /// # Safety
+    /// As [`cell_init_u0`].
+    #[inline(always)]
+    unsafe fn cell_cg_calc_p(k: usize, beta: f64, precond: bool, r: &[f64], z: &[f64], p: &Us) {
+        let base = if precond { z[k] } else { r[k] };
+        unsafe {
+            let old = p.get(k);
+            p.set(k, base + beta * old);
+        }
+    }
+
+    /// Chebyshev p-update at `k`: `w = A·u`, `r = u0 − w`, and either
+    /// `p = r/θ` (first step) or `p = α·p + β·r`.
+    ///
+    /// # Safety
+    /// As [`cell_init_u0`]; `k` must have all four neighbours.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn cell_cheby_calc_p(
+        width: usize,
+        k: usize,
+        first: bool,
+        theta: f64,
+        alpha: f64,
+        beta: f64,
+        u: &[f64],
+        u0: &[f64],
+        kx: &[f64],
+        ky: &[f64],
+        w: &Us,
+        r: &Us,
+        p: &Us,
+    ) {
+        let au = apply_a(width, k, u, kx, ky);
+        let res = u0[k] - au;
+        unsafe {
+            w.set(k, au);
+            r.set(k, res);
+            if first {
+                p.set(k, res / theta);
+            } else {
+                let old = p.get(k);
+                p.set(k, alpha * old + beta * res);
+            }
+        }
+    }
+
+    /// `u[k] += p[k]`.
+    ///
+    /// # Safety
+    /// As [`cell_init_u0`].
+    #[inline(always)]
+    unsafe fn cell_add_p_to_u(k: usize, p: &[f64], u: &Us) {
+        unsafe {
+            let v = u.get(k) + p[k];
+            u.set(k, v);
+        }
+    }
+
+    /// `sd[k] = r[k]/θ`.
+    ///
+    /// # Safety
+    /// As [`cell_init_u0`].
+    #[inline(always)]
+    unsafe fn cell_sd_init(k: usize, theta: f64, r: &[f64], sd: &Us) {
+        unsafe { sd.set(k, r[k] / theta) };
+    }
+
+    /// `w[k] = A·sd` (PPCG inner stencil pass).
+    ///
+    /// # Safety
+    /// As [`cell_init_u0`]; `k` must have all four neighbours.
+    #[inline(always)]
+    unsafe fn cell_ppcg_w(width: usize, k: usize, sd: &[f64], kx: &[f64], ky: &[f64], w: &Us) {
+        unsafe { w.set(k, apply_a(width, k, sd, kx, ky)) };
+    }
+
+    /// PPCG inner local update: `r[k] −= w[k]`, `u[k] += sd[k]`,
+    /// `sd[k] = α·sd[k] + β·r[k]` (with the *new* `r`).
+    ///
+    /// # Safety
+    /// As [`cell_init_u0`].
+    #[inline(always)]
+    unsafe fn cell_ppcg_update(
+        k: usize,
+        alpha: f64,
+        beta: f64,
+        w: &[f64],
+        u: &Us,
+        r: &Us,
+        sd: &Us,
+    ) {
+        unsafe {
+            let rn = r.get(k) - w[k];
+            r.set(k, rn);
+            let sv = sd.get(k);
+            u.set(k, u.get(k) + sv);
+            sd.set(k, alpha * sv + beta * rn);
+        }
+    }
+
+    /// Fused CG-init at one cell: `w = A·u`, `r = u0 − w`, `p = (M⁻¹r | r)`;
+    /// returns the cell's `r·p` contribution.
+    ///
+    /// # Safety
+    /// As [`cell_init_u0`]; `k` must have all four neighbours.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    unsafe fn cell_cg_init(
+        width: usize,
+        k: usize,
+        precond: bool,
+        u: &[f64],
+        u0: &[f64],
+        kx: &[f64],
+        ky: &[f64],
+        w: &Us,
+        r: &Us,
+        p: &Us,
+        z: &Us,
+    ) -> f64 {
+        let au = apply_a(width, k, u, kx, ky);
+        let res = u0[k] - au;
+        unsafe {
+            w.set(k, au);
+            r.set(k, res);
+            let dir = if precond {
+                let zv = res / diag_a(width, k, kx, ky);
+                z.set(k, zv);
+                zv
+            } else {
+                res
+            };
+            p.set(k, dir);
+            res * dir
+        }
+    }
+
+    /// Fused CG `w = A·p` at one cell; returns the `p·w` contribution.
+    ///
+    /// # Safety
+    /// As [`cell_init_u0`]; `k` must have all four neighbours.
+    #[inline(always)]
+    unsafe fn cell_cg_calc_w(
+        width: usize,
+        k: usize,
+        p: &[f64],
+        kx: &[f64],
+        ky: &[f64],
+        w: &Us,
+    ) -> f64 {
+        let ap = apply_a(width, k, p, kx, ky);
+        unsafe { w.set(k, ap) };
+        p[k] * ap
+    }
+
+    /// Fused CG update at one cell: `u += α·p`, `r −= α·w`, optionally
+    /// `z = M⁻¹r`; returns the `r·r` (or `r·z`) contribution.
+    ///
+    /// # Safety
+    /// As [`cell_init_u0`].
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    unsafe fn cell_cg_calc_ur(
+        width: usize,
+        k: usize,
+        alpha: f64,
+        precond: bool,
+        p: &[f64],
+        w: &[f64],
+        kx: &[f64],
+        ky: &[f64],
+        u: &Us,
+        r: &Us,
+        z: &Us,
+    ) -> f64 {
+        unsafe {
+            u.set(k, u.get(k) + alpha * p[k]);
+            let rv = r.get(k) - alpha * w[k];
+            r.set(k, rv);
+            if precond {
+                let zv = rv / diag_a(width, k, kx, ky);
+                z.set(k, zv);
+                rv * zv
+            } else {
+                rv * rv
+            }
+        }
+    }
+
+    /// One Jacobi-sweep cell; returns the `|Δu|` contribution. `r` holds the
+    /// previous iterate.
+    ///
+    /// # Safety
+    /// As [`cell_init_u0`]; `k` must have all four neighbours.
+    #[inline(always)]
+    unsafe fn cell_jacobi_iterate(
+        width: usize,
+        k: usize,
+        u0: &[f64],
+        r: &[f64],
+        kx: &[f64],
+        ky: &[f64],
+        u: &Us,
+    ) -> f64 {
+        let new = physics::jacobi_update(
+            u0[k],
+            r[k - 1],
+            r[k + 1],
+            r[k - width],
+            r[k + width],
+            kx[k],
+            kx[k + 1],
+            ky[k],
+            ky[k + width],
+        );
+        unsafe { u.set(k, new) };
+        (new - r[k]).abs()
+    }
+
+    /// `r[k] = u0[k] − A·u` (residual).
+    ///
+    /// # Safety
+    /// As [`cell_init_u0`]; `k` must have all four neighbours.
+    #[inline(always)]
+    unsafe fn cell_residual(
+        width: usize,
+        k: usize,
+        u: &[f64],
+        u0: &[f64],
+        kx: &[f64],
+        ky: &[f64],
+        r: &Us,
+    ) {
+        unsafe { r.set(k, u0[k] - apply_a(width, k, u, kx, ky)) };
+    }
+
+    /// `energy[k] = u[k]/density[k]`.
+    ///
+    /// # Safety
+    /// As [`cell_init_u0`].
+    #[inline(always)]
+    unsafe fn cell_finalise(k: usize, u: &[f64], density: &[f64], energy: &Us) {
+        unsafe { energy.set(k, u[k] / density[k]) };
+    }
+
     fn mesh() -> Mesh2d {
         Mesh2d::square(8)
     }
@@ -1404,40 +1525,64 @@ mod tests {
         }
     }
 
-    /// A row body or a cell body: reads `inputs` (no kernel writes a field
-    /// it reads through a slice), writes through the views, returns its
-    /// reduction terms.
-    type Body<'b> = &'b dyn Fn(&Fields, &Outs, usize) -> [f64; 4];
+    /// A cell body: reads `inputs` (no kernel writes a field it reads
+    /// through a slice), writes through the views at one flat index,
+    /// returns its reduction terms.
+    type Cell<'b> = &'b dyn Fn(&Fields, &Outs, usize) -> [f64; 4];
 
-    /// Run `row` over every interior row and, on a copy of the same
-    /// fields, `cell` over every interior cell with each row's terms
-    /// folded left to right from `0.0`, as the per-cell bodies did; the
-    /// row partials and every field must agree bit for bit.
-    fn rows_match_cells(mesh: &Mesh2d, what: &str, row: Body, cell: Body) {
+    /// A run body, likewise over one run.
+    type Body<'b> = &'b dyn Fn(&Fields, &Outs, Run) -> [f64; 4];
+
+    /// The ways a row is cut into runs: the whole row; one run per cell;
+    /// and, for rows of three or more cells, a length-1 run, a run that
+    /// starts and ends mid-row, and another length-1 run.
+    fn cuts(row: Run) -> Vec<Vec<Run>> {
+        let n = row.len;
+        let at = |s: usize, e: usize| Run {
+            b: row.b + s,
+            len: e - s,
+            width: row.width,
+        };
+        let mut cuts = vec![vec![row], (0..n).map(|i| at(i, i + 1)).collect()];
+        if n >= 3 {
+            cuts.push(vec![at(0, 1), at(1, n - 1), at(n - 1, n)]);
+        }
+        cuts
+    }
+
+    /// For each way of cutting the rows of `bx`, run `run` over every run
+    /// and, on a copy of the same fields, `cell` over each run's cells
+    /// with the run's terms folded left to right from `0.0`, as the
+    /// per-cell bodies did; the run partials and every field must agree
+    /// bit for bit.
+    fn runs_match_cells(mesh: &Mesh2d, bx: RunBox, what: &str, run: Body, cell: Cell) {
         let inputs = Fields::new(mesh);
-        let (mut a, mut b) = (inputs.clone(), inputs.clone());
-        {
-            let (oa, ob) = (a.outs(), b.outs());
-            let (i0, i1, width) = row_bounds(mesh);
-            for j in mesh.i0()..mesh.j1() {
-                let mut acc = [0.0; 4];
-                for i in i0..i1 {
-                    let c = cell(&inputs, &ob, idx(width, i, j));
-                    for q in 0..4 {
-                        acc[q] += c[q];
+        for cut in 0..cuts(bx.row(bx.j0)).len() {
+            let (mut a, mut b) = (inputs.clone(), inputs.clone());
+            {
+                let (oa, ob) = (a.outs(), b.outs());
+                for j in bx.j0..bx.j1 {
+                    for r in cuts(bx.row(j)).swap_remove(cut) {
+                        let mut acc = [0.0; 4];
+                        for k in r.b..r.b + r.len {
+                            let c = cell(&inputs, &ob, k);
+                            for q in 0..4 {
+                                acc[q] += c[q];
+                            }
+                        }
+                        let got = run(&inputs, &oa, r);
+                        assert_eq!(
+                            got.map(f64::to_bits),
+                            acc.map(f64::to_bits),
+                            "{what}: {r:?} partial"
+                        );
                     }
                 }
-                let got = row(&inputs, &oa, j);
-                assert_eq!(
-                    got.map(f64::to_bits),
-                    acc.map(f64::to_bits),
-                    "{what}: row {j} partial"
-                );
             }
-        }
-        for ((name, x), (_, y)) in a.all().into_iter().zip(b.all()) {
-            for (k, (x, y)) in x.iter().zip(y).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "{what}: {name}[{k}]");
+            for ((name, x), (_, y)) in a.all().into_iter().zip(b.all()) {
+                for (k, (x, y)) in x.iter().zip(y).enumerate() {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{what}, cut {cut}: {name}[{k}]");
+                }
             }
         }
     }
@@ -1450,16 +1595,17 @@ mod tests {
         for (nx, ny) in [(1, 3), (7, 5), (13, 2)] {
             let m = &Mesh2d::new(nx, ny, 2, (0.0, nx as f64), (0.0, ny as f64));
             let wd = m.width();
-            let check = |what: &str, row: Body, cell: Body| {
-                rows_match_cells(m, &format!("{what} on {nx}x{ny}"), row, cell)
+            let check = |what: &str, run: Body, cell: Cell| {
+                let what = format!("{what} on {nx}x{ny}");
+                runs_match_cells(m, RunBox::interior(m), &what, run, cell)
             };
-            // SAFETY throughout: single-threaded, every row and cell is
+            // SAFETY throughout: single-threaded, every run and cell is
             // written by one call.
             unsafe {
                 check(
                     "init_u0",
-                    &|i, o, j| {
-                        row_init_u0(m, j, &i.density, &i.energy, &o.u0, &o.u);
+                    &|i, o, r| {
+                        run_init_u0(r, &i.density, &i.energy, &o.u0, &o.u);
                         none
                     },
                     &|i, o, k| {
@@ -1467,12 +1613,27 @@ mod tests {
                         none
                     },
                 );
+                for coef in [Coefficient::Conductivity, Coefficient::RecipConductivity] {
+                    runs_match_cells(
+                        m,
+                        RunBox::coeffs(m),
+                        &format!("init_coeffs {coef:?} on {nx}x{ny}"),
+                        &|i, o, r| {
+                            run_init_coeffs(r, coef, alpha, beta, &i.density, &o.p, &o.w);
+                            none
+                        },
+                        &|i, o, k| {
+                            cell_init_coeffs(wd, k, coef, alpha, beta, &i.density, &o.p, &o.w);
+                            none
+                        },
+                    );
+                }
                 for pre in [false, true] {
                     check(
                         &format!("cg_init precond={pre}"),
-                        &|i, o, j| {
-                            one(row_cg_init(
-                                m, j, pre, &i.u, &i.u0, &i.kx, &i.ky, &o.w, &o.r, &o.p, &o.z,
+                        &|i, o, r| {
+                            one(run_cg_init(
+                                r, pre, &i.u, &i.u0, &i.kx, &i.ky, &o.w, &o.r, &o.p, &o.z,
                             ))
                         },
                         &|i, o, k| {
@@ -1483,9 +1644,9 @@ mod tests {
                     );
                     check(
                         &format!("cg_calc_ur precond={pre}"),
-                        &|i, o, j| {
-                            one(row_cg_calc_ur(
-                                m, j, alpha, pre, &i.p, &i.w, &i.kx, &i.ky, &o.u, &o.r, &o.z,
+                        &|i, o, r| {
+                            one(run_cg_calc_ur(
+                                r, alpha, pre, &i.p, &i.w, &i.kx, &i.ky, &o.u, &o.r, &o.z,
                             ))
                         },
                         &|i, o, k| {
@@ -1496,8 +1657,8 @@ mod tests {
                     );
                     check(
                         &format!("cg_calc_p precond={pre}"),
-                        &|i, o, j| {
-                            row_cg_calc_p(m, j, beta, pre, &i.r, &i.z, &o.p);
+                        &|i, o, r| {
+                            run_cg_calc_p(r, beta, pre, &i.r, &i.z, &o.p);
                             none
                         },
                         &|i, o, k| {
@@ -1508,16 +1669,16 @@ mod tests {
                 }
                 check(
                     "cg_calc_w",
-                    &|i, o, j| one(row_cg_calc_w(m, j, &i.p, &i.kx, &i.ky, &o.w)),
+                    &|i, o, r| one(run_cg_calc_w(r, &i.p, &i.kx, &i.ky, &o.w)),
                     &|i, o, k| one(cell_cg_calc_w(wd, k, &i.p, &i.kx, &i.ky, &o.w)),
                 );
                 for first in [true, false] {
                     check(
                         &format!("cheby_calc_p first={first}"),
-                        &|i, o, j| {
+                        &|i, o, r| {
                             let (u, u0, kx, ky) = (&i.u, &i.u0, &i.kx, &i.ky);
-                            row_cheby_calc_p(
-                                m, j, first, theta, alpha, beta, u, u0, kx, ky, &o.w, &o.r, &o.p,
+                            run_cheby_calc_p(
+                                r, first, theta, alpha, beta, u, u0, kx, ky, &o.w, &o.r, &o.p,
                             );
                             none
                         },
@@ -1532,8 +1693,8 @@ mod tests {
                 }
                 check(
                     "add_p_to_u",
-                    &|i, o, j| {
-                        row_add_p_to_u(m, j, &i.p, &o.u);
+                    &|i, o, r| {
+                        run_add_p_to_u(r, &i.p, &o.u);
                         none
                     },
                     &|i, o, k| {
@@ -1543,8 +1704,8 @@ mod tests {
                 );
                 check(
                     "sd_init",
-                    &|i, o, j| {
-                        row_sd_init(m, j, theta, &i.r, &o.sd);
+                    &|i, o, r| {
+                        run_sd_init(r, theta, &i.r, &o.sd);
                         none
                     },
                     &|i, o, k| {
@@ -1554,8 +1715,8 @@ mod tests {
                 );
                 check(
                     "ppcg_w",
-                    &|i, o, j| {
-                        row_ppcg_w(m, j, &i.sd, &i.kx, &i.ky, &o.w);
+                    &|i, o, r| {
+                        run_ppcg_w(r, &i.sd, &i.kx, &i.ky, &o.w);
                         none
                     },
                     &|i, o, k| {
@@ -1565,8 +1726,8 @@ mod tests {
                 );
                 check(
                     "ppcg_update",
-                    &|i, o, j| {
-                        row_ppcg_update(m, j, alpha, beta, &i.w, &o.u, &o.r, &o.sd);
+                    &|i, o, r| {
+                        run_ppcg_update(r, alpha, beta, &i.w, &o.u, &o.r, &o.sd);
                         none
                     },
                     &|i, o, k| {
@@ -1576,8 +1737,8 @@ mod tests {
                 );
                 check(
                     "residual",
-                    &|i, o, j| {
-                        row_residual(m, j, &i.u, &i.u0, &i.kx, &i.ky, &o.r);
+                    &|i, o, r| {
+                        run_residual(r, &i.u, &i.u0, &i.kx, &i.ky, &o.r);
                         none
                     },
                     &|i, o, k| {
@@ -1587,8 +1748,8 @@ mod tests {
                 );
                 check(
                     "jacobi_copy",
-                    &|i, o, j| {
-                        row_jacobi_copy(m, j, &i.u, &o.r);
+                    &|i, o, r| {
+                        run_jacobi_copy(r, &i.u, &o.r);
                         none
                     },
                     &|i, o, k| {
@@ -1598,13 +1759,13 @@ mod tests {
                 );
                 check(
                     "jacobi_iterate",
-                    &|i, o, j| one(row_jacobi_iterate(m, j, &i.u0, &i.r, &i.kx, &i.ky, &o.u)),
+                    &|i, o, r| one(run_jacobi_iterate(r, &i.u0, &i.r, &i.kx, &i.ky, &o.u)),
                     &|i, o, k| one(cell_jacobi_iterate(wd, k, &i.u0, &i.r, &i.kx, &i.ky, &o.u)),
                 );
                 check(
                     "finalise",
-                    &|i, o, j| {
-                        row_finalise(m, j, &i.u, &i.density, &o.energy);
+                    &|i, o, r| {
+                        run_finalise(r, &i.u, &i.density, &o.energy);
                         none
                     },
                     &|i, o, k| {
@@ -1614,14 +1775,55 @@ mod tests {
                 );
             }
             let vol = m.cell_volume();
-            check("norm", &|i, _, j| one(row_norm(m, j, &i.r)), &|i, _, k| {
+            check("norm", &|i, _, r| one(run_norm(r, &i.r)), &|i, _, k| {
                 one(cell_norm(k, &i.r))
             });
             check(
                 "summary",
-                &|i, _, j| row_summary(m, j, &i.density, &i.energy, &i.u, vol),
+                &|i, _, r| run_summary(r, &i.density, &i.energy, &i.u, vol),
                 &|i, _, k| cell_summary(k, &i.density, &i.energy, &i.u, vol),
             );
+        }
+    }
+
+    proptest::proptest! {
+        /// Any tiling of the padded flat range, overspill included, clips
+        /// to exactly the box's cells, each once, in row-major order, as
+        /// runs that never leave a row.
+        #[test]
+        fn clip_covers_each_box_cell_once_in_order(
+            shape in 0usize..3,
+            n in 1usize..12,
+            halo in 1usize..3,
+            coeffs in 0usize..2,
+            pick in 0usize..6,
+            cuts in proptest::collection::vec(0usize..4096, 0..8),
+        ) {
+            let (nx, ny) = match shape {
+                0 => (1, n),
+                1 => (n, 1),
+                _ => (n | 1, (n + 2) | 1),
+            };
+            let m = Mesh2d::new(nx, ny, halo, (0.0, 1.0), (0.0, 1.0));
+            let bx = if coeffs == 1 { RunBox::coeffs(&m) } else { RunBox::interior(&m) };
+            let (len, width) = (m.len(), m.width());
+            let chunk = [1, 7, 256, width - 1, width + 1, len + 5][pick];
+            let end = len.div_ceil(chunk) * chunk;
+            let mut bounds: Vec<usize> = (0..=end / chunk).map(|c| c * chunk).collect();
+            bounds.extend(cuts.iter().map(|c| c % end));
+            bounds.sort_unstable();
+            let mut got = Vec::new();
+            for w in bounds.windows(2) {
+                bx.clip(w[0]..w[1], |r| {
+                    assert!(r.len > 0 && r.width == width, "{r:?}");
+                    assert_eq!(r.b / width, (r.b + r.len - 1) / width, "{r:?} leaves its row");
+                    got.extend(r.b..r.b + r.len);
+                });
+            }
+            let want: Vec<usize> = (bx.j0..bx.j1)
+                .flat_map(|j| (bx.i0..bx.i1).map(move |i| idx(width, i, j)))
+                .collect();
+            assert_eq!(got, want, "{nx}x{ny} halo {halo}, chunk {chunk}");
         }
     }
 

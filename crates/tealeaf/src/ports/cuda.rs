@@ -8,11 +8,17 @@
 //! the custom two-pass block scheme ("it was necessary to create a custom
 //! GPU-specific reduction, including reduction code inside all of the
 //! individual reduction-based kernels").
+//!
+//! On the host each block of a grid kernel is one executor item
+//! ([`launch_blocks`]): its thread range, overspill included, reaches the
+//! shared run bodies as the interior runs [`RunBox::clip`] cuts from it —
+//! the in-kernel guard, evaluated once per run instead of once per thread.
+//! The simulated clock still charges the padded grid launch.
 
 use cuda_rs::buffer::{memcpy_dtoh, memcpy_htod};
-use cuda_rs::{launch, launch_reduce, CudaStream, DeviceBuffer, LaunchConfig};
+use cuda_rs::{launch_blocks, launch_reduce, CudaStream, DeviceBuffer, LaunchConfig};
 use parpool::{Executor, StaticPool};
-use simdev::{DeviceSpec, SimContext};
+use simdev::{DeviceSpec, KernelProfile, SimContext};
 use tea_core::config::Coefficient;
 use tea_core::halo::{update_halo_batch, FieldId};
 use tea_core::mesh::Mesh2d;
@@ -20,7 +26,7 @@ use tea_core::summary::Summary;
 
 use crate::kernels::{NormField, TeaLeafPort};
 use crate::model_id::ModelId;
-use crate::ports::common::{self, profiles, Us};
+use crate::ports::common::{self, profiles, Run, RunBox, Us};
 use crate::problem::Problem;
 
 /// Threads per block, as a typical K20X-tuned TeaLeaf port would pick.
@@ -43,15 +49,19 @@ pub struct CudaPort {
     sd: DeviceBuffer<f64>,
 }
 
-/// In-kernel guard: overspill check plus interior test.
-#[inline(always)]
-fn guard(mesh: &Mesh2d, tid: usize) -> bool {
-    if tid >= mesh.len() {
-        return false; // grid overspill
-    }
-    let width = mesh.width();
-    let (i, j) = (tid % width, tid / width);
-    i >= mesh.i0() && i < mesh.i1() && j >= mesh.i0() && j < mesh.j1()
+/// Launch a grid kernel over the padded flat range, one block at a time:
+/// each block's thread range, overspill included, reaches `body` as the
+/// runs of `cover` it holds.
+fn launch_runs(
+    ctx: &SimContext,
+    mesh: &Mesh2d,
+    cover: RunBox,
+    profile: &KernelProfile,
+    body: &(impl Fn(Run) + Sync),
+) {
+    let stream = CudaStream::new(ctx, parpool::global_static());
+    let cfg = LaunchConfig::for_n(mesh.len(), BLOCK);
+    launch_blocks(&stream, cfg, profile, &|tids| cover.clip(tids, body));
 }
 
 impl CudaPort {
@@ -86,11 +96,6 @@ impl CudaPort {
 
     fn n(&self) -> u64 {
         profiles::cells(&self.mesh)
-    }
-
-    /// Grid/block decomposition over the padded flat range.
-    fn cfg(&self) -> LaunchConfig {
-        LaunchConfig::for_n(self.mesh.len(), BLOCK)
     }
 
     /// Row-block decomposition for the custom reductions: one block per
@@ -174,40 +179,25 @@ impl TeaLeafPort for CudaPort {
     }
 
     fn init_fields(&mut self, coefficient: Coefficient, rx: f64, ry: f64) {
-        let mesh = &self.mesh;
-        let cfg = self.cfg();
         let n = self.n();
-        let pool = self.pool();
+        let (ctx, mesh) = (&self.ctx, &self.mesh);
         {
-            let stream = CudaStream::new(&self.ctx, pool);
             let (density, energy) = (self.density.device(), self.energy.device());
             let u0 = Us::new(self.u0.device_mut());
             let u = Us::new(self.u.device_mut());
-            launch(&stream, cfg, &profiles::init_u0(n), &|tid| {
-                if guard(mesh, tid) {
-                    // SAFETY: cells disjoint.
-                    unsafe { common::cell_init_u0(tid, density, energy, &u0, &u) };
-                }
+            let cover = RunBox::interior(mesh);
+            // SAFETY: blocks own disjoint runs.
+            launch_runs(ctx, mesh, cover, &profiles::init_u0(n), &|run| unsafe {
+                common::run_init_u0(run, density, energy, &u0, &u)
             });
         }
-        let stream = CudaStream::new(&self.ctx, pool);
-        let width = mesh.width();
-        let (lo, i1, j1) = (mesh.i0(), mesh.i1(), mesh.j1());
-        let len = mesh.len();
         let density = self.density.device();
         let kx = Us::new(self.kx.device_mut());
         let ky = Us::new(self.ky.device_mut());
-        launch(&stream, cfg, &profiles::init_coeffs(n), &|tid| {
-            if tid >= len {
-                return;
-            }
-            let (i, j) = (tid % width, tid / width);
-            if i >= lo && i <= i1 && j >= lo && j <= j1 {
-                // SAFETY: cells disjoint.
-                unsafe {
-                    common::cell_init_coeffs(width, tid, coefficient, rx, ry, density, &kx, &ky)
-                };
-            }
+        let cover = RunBox::coeffs(mesh);
+        // SAFETY: blocks own disjoint runs.
+        launch_runs(ctx, mesh, cover, &profiles::init_coeffs(n), &|run| unsafe {
+            common::run_init_coeffs(run, coefficient, rx, ry, density, &kx, &ky)
         });
     }
 
@@ -305,17 +295,13 @@ impl TeaLeafPort for CudaPort {
     }
 
     fn cg_calc_p(&mut self, beta: f64, preconditioner: bool) {
-        let mesh = &self.mesh;
-        let cfg = self.cfg();
         let profile = profiles::cg_calc_p(self.n());
-        let stream = CudaStream::new(&self.ctx, parpool::global_static());
+        let (ctx, mesh) = (&self.ctx, &self.mesh);
         let (r, z) = (self.r.device(), self.z.device());
         let p = Us::new(self.p.device_mut());
-        launch(&stream, cfg, &profile, &|tid| {
-            if guard(mesh, tid) {
-                // SAFETY: cells disjoint.
-                unsafe { common::cell_cg_calc_p(tid, beta, preconditioner, r, z, &p) };
-            }
+        // SAFETY: blocks own disjoint runs.
+        launch_runs(ctx, mesh, RunBox::interior(mesh), &profile, &|run| unsafe {
+            common::run_cg_calc_p(run, beta, preconditioner, r, z, &p)
         });
     }
 
@@ -386,25 +372,17 @@ impl TeaLeafPort for CudaPort {
     }
 
     fn ppcg_init_sd(&mut self, theta: f64) {
-        let mesh = &self.mesh;
-        let cfg = self.cfg();
         let profile = profiles::ppcg_init_sd(self.n());
-        let stream = CudaStream::new(&self.ctx, parpool::global_static());
+        let (ctx, mesh) = (&self.ctx, &self.mesh);
         let r = self.r.device();
         let sd = Us::new(self.sd.device_mut());
-        launch(&stream, cfg, &profile, &|tid| {
-            if guard(mesh, tid) {
-                // SAFETY: cells disjoint.
-                unsafe { common::cell_sd_init(tid, theta, r, &sd) };
-            }
+        // SAFETY: blocks own disjoint runs.
+        launch_runs(ctx, mesh, RunBox::interior(mesh), &profile, &|run| unsafe {
+            common::run_sd_init(run, theta, r, &sd)
         });
     }
 
     fn ppcg_inner(&mut self, alpha: f64, beta: f64) {
-        let mesh = &self.mesh;
-        let cfg = self.cfg();
-        let width = mesh.width();
-        let pool = self.pool();
         // The u/r/sd update rides the w-stencil's launch as a fused tail
         // (one kernel, head-then-tail per thread).
         let (p_head, p_tail) = profiles::fused_pair(
@@ -413,47 +391,41 @@ impl TeaLeafPort for CudaPort {
             false,
             self.lowering_caps(),
         );
+        let (ctx, mesh) = (&self.ctx, &self.mesh);
+        let cover = RunBox::interior(mesh);
         {
-            let profile = p_head;
-            let stream = CudaStream::new(&self.ctx, pool);
             let (sd, kx, ky) = (self.sd.device(), self.kx.device(), self.ky.device());
             let w = Us::new(self.w.device_mut());
-            launch(&stream, cfg, &profile, &|tid| {
-                if guard(mesh, tid) {
-                    // SAFETY: cells disjoint.
-                    unsafe { common::cell_ppcg_w(width, tid, sd, kx, ky, &w) };
-                }
+            // SAFETY: blocks own disjoint runs.
+            launch_runs(ctx, mesh, cover, &p_head, &|run| unsafe {
+                common::run_ppcg_w(run, sd, kx, ky, &w)
             });
         }
-        let profile = p_tail;
-        let stream = CudaStream::new(&self.ctx, pool);
         let w = self.w.device();
         let u = Us::new(self.u.device_mut());
         let r = Us::new(self.r.device_mut());
         let sd = Us::new(self.sd.device_mut());
-        launch(&stream, cfg, &profile, &|tid| {
-            if guard(mesh, tid) {
-                // SAFETY: cells disjoint.
-                unsafe { common::cell_ppcg_update(tid, alpha, beta, w, &u, &r, &sd) };
-            }
+        // SAFETY: blocks own disjoint runs.
+        launch_runs(ctx, mesh, cover, &p_tail, &|run| unsafe {
+            common::run_ppcg_update(run, alpha, beta, w, &u, &r, &sd)
         });
     }
 
     fn jacobi_iterate(&mut self) -> f64 {
         let mesh = &self.mesh;
-        let cfg = self.cfg();
         let pool = self.pool();
         {
             let profile = profiles::jacobi_copy(self.n());
-            let stream = CudaStream::new(&self.ctx, pool);
             let u = self.u.device();
             let r = Us::new(self.r.device_mut());
-            launch(&stream, cfg, &profile, &|tid| {
-                if guard(mesh, tid) {
-                    // SAFETY: cells disjoint.
-                    unsafe { r.set(tid, u[tid]) };
-                }
-            });
+            // SAFETY: blocks own disjoint runs.
+            launch_runs(
+                &self.ctx,
+                mesh,
+                RunBox::interior(mesh),
+                &profile,
+                &|run| unsafe { common::run_jacobi_copy(run, u, &r) },
+            );
         }
         let profile = profiles::jacobi_iterate(self.n());
         let rcfg = self.reduce_cfg();
@@ -473,11 +445,8 @@ impl TeaLeafPort for CudaPort {
     }
 
     fn residual(&mut self) {
-        let mesh = &self.mesh;
-        let cfg = self.cfg();
-        let width = mesh.width();
         let profile = profiles::residual(self.n());
-        let stream = CudaStream::new(&self.ctx, parpool::global_static());
+        let (ctx, mesh) = (&self.ctx, &self.mesh);
         let (u, u0, kx, ky) = (
             self.u.device(),
             self.u0.device(),
@@ -485,11 +454,9 @@ impl TeaLeafPort for CudaPort {
             self.ky.device(),
         );
         let r = Us::new(self.r.device_mut());
-        launch(&stream, cfg, &profile, &|tid| {
-            if guard(mesh, tid) {
-                // SAFETY: cells disjoint.
-                unsafe { common::cell_residual(width, tid, u, u0, kx, ky, &r) };
-            }
+        // SAFETY: blocks own disjoint runs.
+        launch_runs(ctx, mesh, RunBox::interior(mesh), &profile, &|run| unsafe {
+            common::run_residual(run, u, u0, kx, ky, &r)
         });
     }
 
@@ -509,17 +476,13 @@ impl TeaLeafPort for CudaPort {
     }
 
     fn finalise(&mut self) {
-        let mesh = &self.mesh;
-        let cfg = self.cfg();
         let profile = profiles::finalise(self.n());
-        let stream = CudaStream::new(&self.ctx, parpool::global_static());
+        let (ctx, mesh) = (&self.ctx, &self.mesh);
         let (u, density) = (self.u.device(), self.density.device());
         let energy = Us::new(self.energy.device_mut());
-        launch(&stream, cfg, &profile, &|tid| {
-            if guard(mesh, tid) {
-                // SAFETY: cells disjoint.
-                unsafe { common::cell_finalise(tid, u, density, &energy) };
-            }
+        // SAFETY: blocks own disjoint runs.
+        launch_runs(ctx, mesh, RunBox::interior(mesh), &profile, &|run| unsafe {
+            common::run_finalise(run, u, density, &energy)
         });
     }
 
@@ -605,10 +568,6 @@ impl CudaPort {
     }
 
     fn cheby_step(&mut self, first: bool, theta: f64, alpha: f64, beta: f64) {
-        let mesh = &self.mesh;
-        let cfg = self.cfg();
-        let width = mesh.width();
-        let pool = self.pool();
         // `u += p` rides the p-stencil's launch as a fused tail.
         let (p_head, p_tail) = profiles::fused_pair(
             crate::ir::FusionKind::ChebyStep,
@@ -616,9 +575,9 @@ impl CudaPort {
             false,
             self.lowering_caps(),
         );
+        let (ctx, mesh) = (&self.ctx, &self.mesh);
+        let cover = RunBox::interior(mesh);
         {
-            let profile = p_head;
-            let stream = CudaStream::new(&self.ctx, pool);
             let (u, u0, kx, ky) = (
                 self.u.device(),
                 self.u0.device(),
@@ -628,26 +587,16 @@ impl CudaPort {
             let w = Us::new(self.w.device_mut());
             let r = Us::new(self.r.device_mut());
             let p = Us::new(self.p.device_mut());
-            launch(&stream, cfg, &profile, &|tid| {
-                if guard(mesh, tid) {
-                    // SAFETY: cells disjoint.
-                    unsafe {
-                        common::cell_cheby_calc_p(
-                            width, tid, first, theta, alpha, beta, u, u0, kx, ky, &w, &r, &p,
-                        )
-                    };
-                }
+            // SAFETY: blocks own disjoint runs.
+            launch_runs(ctx, mesh, cover, &p_head, &|run| unsafe {
+                common::run_cheby_calc_p(run, first, theta, alpha, beta, u, u0, kx, ky, &w, &r, &p)
             });
         }
-        let profile = p_tail;
-        let stream = CudaStream::new(&self.ctx, pool);
         let p = self.p.device();
         let u = Us::new(self.u.device_mut());
-        launch(&stream, cfg, &profile, &|tid| {
-            if guard(mesh, tid) {
-                // SAFETY: cells disjoint.
-                unsafe { common::cell_add_p_to_u(tid, p, &u) };
-            }
+        // SAFETY: blocks own disjoint runs.
+        launch_runs(ctx, mesh, cover, &p_tail, &|run| unsafe {
+            common::run_add_p_to_u(run, p, &u)
         });
     }
 }

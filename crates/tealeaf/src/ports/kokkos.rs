@@ -8,6 +8,11 @@
 //! Intel's native KNC compilation handles badly, charged via the
 //! `interior_branch` kernel trait.
 //!
+//! On the host the flat range runs one `RangePolicy` chunk at a time
+//! (`parallel_for_chunks`): each chunk reaches the shared run bodies as the
+//! interior runs [`RunBox::clip`] cuts from it, so the guard is evaluated
+//! once per run while the simulated clock still charges the branch.
+//!
 //! The `Kokkos HP` variant is Sandia's fix (Figure 7): hierarchical
 //! parallelism with a league of teams over interior rows and
 //! `team_thread_range` over columns, which re-encodes the halo exclusion
@@ -15,7 +20,9 @@
 //! overhead — hurting the GPU Chebyshev/PPCG results by >20 % while
 //! roughly halving KNC CG/PPCG time (§4.2, §4.3).
 
-use kokkos_rs::{deep_copy, ExecutionSpace, Functor, RangePolicy, TeamPolicy, View};
+use std::ops::Range;
+
+use kokkos_rs::{deep_copy, ExecutionSpace, Functor, RangePolicy, TeamMember, TeamPolicy, View};
 use parpool::{Executor, StaticPool};
 use simdev::{DeviceSpec, KernelProfile, SimContext};
 use tea_core::config::Coefficient;
@@ -25,7 +32,7 @@ use tea_core::summary::Summary;
 
 use crate::kernels::{NormField, TeaLeafPort};
 use crate::model_id::ModelId;
-use crate::ports::common::{self, profiles, Us};
+use crate::ports::common::{self, profiles, Run, RunBox, Us};
 use crate::problem::Problem;
 
 /// Kokkos TeaLeaf (flat or hierarchical-parallelism).
@@ -47,45 +54,23 @@ pub struct KokkosPort {
     sd: View,
 }
 
-/// True when flat index `k` is an interior cell — the loop-body halo
-/// guard of the flat port.
-#[inline(always)]
-fn in_interior(mesh: &Mesh2d, k: usize) -> bool {
-    let width = mesh.width();
-    let (i, j) = (k % width, k / width);
-    i >= mesh.i0() && i < mesh.i1() && j >= mesh.i0() && j < mesh.j1()
-}
-
-/// Dispatch a non-reduction grid kernel: flat range plus body guard
-/// (`hp == false`) or a league of row teams (`hp == true`).
+/// Dispatch a non-reduction grid kernel: the flat padded range one chunk
+/// at a time, each chunk's interior runs handed to `f` — the loop-body
+/// halo guard evaluated once per run (`hp == false`) — or a league of row
+/// teams, each team's row one run (`hp == true`).
 fn grid_for(
     hp: bool,
     mesh: &Mesh2d,
     space: &ExecutionSpace<'_>,
     profile: &KernelProfile,
-    f: &(impl Fn(usize) + Sync),
+    f: &(impl Fn(Run) + Sync),
 ) {
     if hp {
-        let (i0, i1) = (mesh.i0(), mesh.i1());
-        let width = mesh.width();
-        let cols = i1 - i0;
-        space.team_parallel_for(
-            profile,
-            TeamPolicy {
-                league_size: mesh.y_cells,
-                team_size: 8,
-            },
-            &|member| {
-                let j = i0 + member.league_rank;
-                member.team_thread_range(cols, |ii| f(common::idx(width, i0 + ii, j)));
-            },
-        );
+        space.team_parallel_for(profile, row_teams(mesh), &|m| f(team_row(mesh, m)));
     } else {
-        space.parallel_for(profile, RangePolicy::new(0, mesh.len()), &|k| {
-            if in_interior(mesh, k) {
-                f(k);
-            }
-        });
+        let cover = RunBox::interior(mesh);
+        let policy = RangePolicy::new(0, mesh.len());
+        space.parallel_for_chunks(profile, policy, &|ids| cover.clip(ids, f));
     }
 }
 
@@ -96,32 +81,34 @@ fn grid_reduce(
     mesh: &Mesh2d,
     space: &ExecutionSpace<'_>,
     profile: &KernelProfile,
-    f: &(impl Fn(usize) -> f64 + Sync),
+    f: &(impl Fn(Run) -> f64 + Sync),
 ) -> f64 {
-    let (i0, i1) = (mesh.i0(), mesh.i1());
-    let width = mesh.width();
-    let cols = i1 - i0;
     if hp {
-        space.team_parallel_reduce(
-            profile,
-            TeamPolicy {
-                league_size: mesh.y_cells,
-                team_size: 8,
-            },
-            &|member| {
-                let j = i0 + member.league_rank;
-                member.team_thread_reduce(cols, |ii| f(common::idx(width, i0 + ii, j)))
-            },
-        )
+        space.team_parallel_reduce(profile, row_teams(mesh), &|m| f(team_row(mesh, m)))
     } else {
-        space.parallel_reduce(profile, RangePolicy::new(0, mesh.y_cells), &|jj| {
-            let j = i0 + jj;
-            let mut acc = 0.0;
-            for ii in 0..cols {
-                acc += f(common::idx(width, i0 + ii, j));
-            }
-            acc
-        })
+        let i0 = mesh.i0();
+        let policy = RangePolicy::new(0, mesh.y_cells);
+        space.parallel_reduce(profile, policy, &|jj| f(Run::row(mesh, i0 + jj)))
+    }
+}
+
+/// The HP variant's league: one team per interior row.
+fn row_teams(mesh: &Mesh2d) -> TeamPolicy {
+    TeamPolicy {
+        league_size: mesh.y_cells,
+        team_size: 8,
+    }
+}
+
+/// Team `m`'s row, its `team_thread_range` over the columns handed over
+/// whole.
+fn team_row(mesh: &Mesh2d, m: TeamMember) -> Run {
+    let cols = m.team_span(mesh.x_cells);
+    let row = Run::row(mesh, mesh.i0() + m.league_rank);
+    Run {
+        b: row.b + cols.start,
+        len: cols.len(),
+        ..row
     }
 }
 
@@ -129,9 +116,10 @@ fn grid_reduce(
 /// function operator is overloaded and encapsulates the core functional
 /// logic … Views are declared as local variables inside the class") —
 /// including the §3.3 halo-exclusion conditional in the functor body that
-/// the flat port is charged for. The other kernels use the succinct
-/// lambda style the paper could not (CUDA 7.0); keeping one functor
-/// exhibits the verbosity difference the paper discusses.
+/// the flat port is charged for, here evaluated once per run of each
+/// chunk. The other kernels use the succinct lambda style the paper could
+/// not (CUDA 7.0); keeping one functor exhibits the verbosity difference
+/// the paper discusses.
 struct InitU0Functor<'a> {
     mesh: &'a Mesh2d,
     density: &'a [f64],
@@ -142,10 +130,14 @@ struct InitU0Functor<'a> {
 
 impl Functor for InitU0Functor<'_> {
     fn operator(&self, k: usize) {
-        if in_interior(self.mesh, k) {
-            // SAFETY: cells disjoint.
-            unsafe { common::cell_init_u0(k, self.density, self.energy, &self.u0, &self.u) };
-        }
+        self.operator_range(k..k + 1);
+    }
+
+    fn operator_range(&self, ids: Range<usize>) {
+        RunBox::interior(self.mesh).clip(ids, |run| {
+            // SAFETY: chunks own disjoint runs.
+            unsafe { common::run_init_u0(run, self.density, self.energy, &self.u0, &self.u) }
+        });
     }
 }
 
@@ -287,9 +279,9 @@ impl TeaLeafPort for KokkosPort {
             let u0 = Us::new(self.u0.raw_mut());
             let u = Us::new(self.u.raw_mut());
             if hp {
-                grid_for(hp, mesh, &space, &p_u0, &|k| {
-                    // SAFETY: cells disjoint.
-                    unsafe { common::cell_init_u0(k, density, energy, &u0, &u) };
+                // SAFETY: teams own disjoint rows.
+                grid_for(hp, mesh, &space, &p_u0, &|run| unsafe {
+                    common::run_init_u0(run, density, energy, &u0, &u)
                 });
             } else {
                 // functor style over the flat padded range, guard inside
@@ -304,22 +296,17 @@ impl TeaLeafPort for KokkosPort {
             }
         }
         // Coefficients cover i0..=i1 / i0..=j1 — one cell beyond the
-        // interior on the high sides, expressed as an extended-range
-        // functor.
+        // interior on the high sides, the runs of `RunBox::coeffs`.
         let space = ExecutionSpace::new(&self.ctx, pool);
-        let width = mesh.width();
-        let (lo, i1, j1) = (mesh.i0(), mesh.i1(), mesh.j1());
         let density = self.density.raw();
         let kx = Us::new(self.kx.raw_mut());
         let ky = Us::new(self.ky.raw_mut());
-        space.parallel_for(&p_k, RangePolicy::new(0, mesh.len()), &|k| {
-            let (i, j) = (k % width, k / width);
-            if i >= lo && i <= i1 && j >= lo && j <= j1 {
-                // SAFETY: cells disjoint.
-                unsafe {
-                    common::cell_init_coeffs(width, k, coefficient, rx, ry, density, &kx, &ky)
-                };
-            }
+        let cover = RunBox::coeffs(mesh);
+        space.parallel_for_chunks(&p_k, RangePolicy::new(0, mesh.len()), &|ids| {
+            cover.clip(ids, |run| {
+                // SAFETY: chunks own disjoint runs.
+                unsafe { common::run_init_coeffs(run, coefficient, rx, ry, density, &kx, &ky) }
+            })
         });
     }
 
@@ -341,15 +328,14 @@ impl TeaLeafPort for KokkosPort {
         let profile = self.grid_profile(profiles::cg_init(self.n(), preconditioner));
         let pool = self.pool();
         let space = ExecutionSpace::new(&self.ctx, pool);
-        let width = mesh.width();
         let (u, u0, kx, ky) = (self.u.raw(), self.u0.raw(), self.kx.raw(), self.ky.raw());
         let w = Us::new(self.w.raw_mut());
         let r = Us::new(self.r.raw_mut());
         let p = Us::new(self.p.raw_mut());
         let z = Us::new(self.z.raw_mut());
-        grid_reduce(hp, mesh, &space, &profile, &|k| {
-            // SAFETY: cells disjoint.
-            unsafe { common::cell_cg_init(width, k, preconditioner, u, u0, kx, ky, &w, &r, &p, &z) }
+        // SAFETY: rows disjoint (one per team or reduction item).
+        grid_reduce(hp, mesh, &space, &profile, &|run| unsafe {
+            common::run_cg_init(run, preconditioner, u, u0, kx, ky, &w, &r, &p, &z)
         })
     }
 
@@ -358,12 +344,11 @@ impl TeaLeafPort for KokkosPort {
         let hp = self.hp;
         let profile = self.grid_profile(profiles::cg_calc_w(self.n()));
         let space = ExecutionSpace::new(&self.ctx, self.pool());
-        let width = mesh.width();
         let (p, kx, ky) = (self.p.raw(), self.kx.raw(), self.ky.raw());
         let w = Us::new(self.w.raw_mut());
-        grid_reduce(hp, mesh, &space, &profile, &|k| {
-            // SAFETY: cells disjoint.
-            unsafe { common::cell_cg_calc_w(width, k, p, kx, ky, &w) }
+        // SAFETY: rows disjoint (one per team or reduction item).
+        grid_reduce(hp, mesh, &space, &profile, &|run| unsafe {
+            common::run_cg_calc_w(run, p, kx, ky, &w)
         })
     }
 
@@ -372,16 +357,13 @@ impl TeaLeafPort for KokkosPort {
         let hp = self.hp;
         let profile = self.grid_profile(profiles::cg_calc_ur(self.n(), preconditioner));
         let space = ExecutionSpace::new(&self.ctx, self.pool());
-        let width = mesh.width();
         let (p, w, kx, ky) = (self.p.raw(), self.w.raw(), self.kx.raw(), self.ky.raw());
         let u = Us::new(self.u.raw_mut());
         let r = Us::new(self.r.raw_mut());
         let z = Us::new(self.z.raw_mut());
-        grid_reduce(hp, mesh, &space, &profile, &|k| {
-            // SAFETY: cells disjoint.
-            unsafe {
-                common::cell_cg_calc_ur(width, k, alpha, preconditioner, p, w, kx, ky, &u, &r, &z)
-            }
+        // SAFETY: rows disjoint (one per team or reduction item).
+        grid_reduce(hp, mesh, &space, &profile, &|run| unsafe {
+            common::run_cg_calc_ur(run, alpha, preconditioner, p, w, kx, ky, &u, &r, &z)
         })
     }
 
@@ -392,9 +374,9 @@ impl TeaLeafPort for KokkosPort {
         let space = ExecutionSpace::new(&self.ctx, self.pool());
         let (r, z) = (self.r.raw(), self.z.raw());
         let p = Us::new(self.p.raw_mut());
-        grid_for(hp, mesh, &space, &profile, &|k| {
-            // SAFETY: cells disjoint.
-            unsafe { common::cell_cg_calc_p(k, beta, preconditioner, r, z, &p) };
+        // SAFETY: chunks and teams own disjoint runs.
+        grid_for(hp, mesh, &space, &profile, &|run| unsafe {
+            common::run_cg_calc_p(run, beta, preconditioner, r, z, &p)
         });
     }
 
@@ -420,48 +402,35 @@ impl TeaLeafPort for KokkosPort {
         // per-row partials in row order).
         self.ctx.launch(&p_ur);
         self.ctx.launch(&p_tail);
-        let width = mesh.width();
-        let (i0, i1) = (mesh.i0(), mesh.i1());
+        let i0 = mesh.i0();
         let rrn = {
             let (p, w, kx, ky) = (self.p.raw(), self.w.raw(), self.kx.raw(), self.ky.raw());
             let u = Us::new(self.u.raw_mut());
             let r = Us::new(self.r.raw_mut());
             let z = Us::new(self.z.raw_mut());
-            pool.run_sum(mesh.y_cells, &|jj| {
-                let j = i0 + jj;
-                let mut acc = 0.0;
-                for i in i0..i1 {
-                    // SAFETY: cells disjoint.
-                    acc += unsafe {
-                        common::cell_cg_calc_ur(
-                            width,
-                            common::idx(width, i, j),
-                            alpha,
-                            preconditioner,
-                            p,
-                            w,
-                            kx,
-                            ky,
-                            &u,
-                            &r,
-                            &z,
-                        )
-                    };
-                }
-                acc
+            // SAFETY: rows disjoint.
+            pool.run_sum(mesh.y_cells, &|jj| unsafe {
+                common::row_cg_calc_ur(
+                    mesh,
+                    i0 + jj,
+                    alpha,
+                    preconditioner,
+                    p,
+                    w,
+                    kx,
+                    ky,
+                    &u,
+                    &r,
+                    &z,
+                )
             })
         };
         let beta = rrn / rro;
         let (r, z) = (self.r.raw(), self.z.raw());
         let p = Us::new(self.p.raw_mut());
-        pool.run(mesh.y_cells, &|jj| {
-            let j = i0 + jj;
-            for i in i0..i1 {
-                // SAFETY: cells disjoint.
-                unsafe {
-                    common::cell_cg_calc_p(common::idx(width, i, j), beta, preconditioner, r, z, &p)
-                };
-            }
+        // SAFETY: rows disjoint.
+        pool.run(mesh.y_cells, &|jj| unsafe {
+            common::row_cg_calc_p(mesh, i0 + jj, beta, preconditioner, r, z, &p)
         });
         (rrn, beta)
     }
@@ -481,9 +450,9 @@ impl TeaLeafPort for KokkosPort {
         let space = ExecutionSpace::new(&self.ctx, self.pool());
         let r = self.r.raw();
         let sd = Us::new(self.sd.raw_mut());
-        grid_for(hp, mesh, &space, &profile, &|k| {
-            // SAFETY: cells disjoint.
-            unsafe { common::cell_sd_init(k, theta, r, &sd) };
+        // SAFETY: chunks and teams own disjoint runs.
+        grid_for(hp, mesh, &space, &profile, &|run| unsafe {
+            common::run_sd_init(run, theta, r, &sd)
         });
     }
 
@@ -499,14 +468,13 @@ impl TeaLeafPort for KokkosPort {
         let p_w = self.grid_profile(h);
         let p_up = self.grid_profile(t);
         let pool = self.pool();
-        let width = mesh.width();
         {
             let space = ExecutionSpace::new(&self.ctx, pool);
             let (sd, kx, ky) = (self.sd.raw(), self.kx.raw(), self.ky.raw());
             let w = Us::new(self.w.raw_mut());
-            grid_for(hp, mesh, &space, &p_w, &|k| {
-                // SAFETY: cells disjoint.
-                unsafe { common::cell_ppcg_w(width, k, sd, kx, ky, &w) };
+            // SAFETY: chunks and teams own disjoint runs.
+            grid_for(hp, mesh, &space, &p_w, &|run| unsafe {
+                common::run_ppcg_w(run, sd, kx, ky, &w)
             });
         }
         let space = ExecutionSpace::new(&self.ctx, pool);
@@ -514,9 +482,9 @@ impl TeaLeafPort for KokkosPort {
         let u = Us::new(self.u.raw_mut());
         let r = Us::new(self.r.raw_mut());
         let sd = Us::new(self.sd.raw_mut());
-        grid_for(hp, mesh, &space, &p_up, &|k| {
-            // SAFETY: cells disjoint.
-            unsafe { common::cell_ppcg_update(k, alpha, beta, w, &u, &r, &sd) };
+        // SAFETY: chunks and teams own disjoint runs.
+        grid_for(hp, mesh, &space, &p_up, &|run| unsafe {
+            common::run_ppcg_update(run, alpha, beta, w, &u, &r, &sd)
         });
     }
 
@@ -526,22 +494,21 @@ impl TeaLeafPort for KokkosPort {
         let p_copy = self.grid_profile(profiles::jacobi_copy(self.n()));
         let p_it = self.grid_profile(profiles::jacobi_iterate(self.n()));
         let pool = self.pool();
-        let width = mesh.width();
         {
             let space = ExecutionSpace::new(&self.ctx, pool);
             let u = self.u.raw();
             let r = Us::new(self.r.raw_mut());
-            grid_for(hp, mesh, &space, &p_copy, &|k| {
-                // SAFETY: cells disjoint.
-                unsafe { r.set(k, u[k]) };
+            // SAFETY: chunks and teams own disjoint runs.
+            grid_for(hp, mesh, &space, &p_copy, &|run| unsafe {
+                common::run_jacobi_copy(run, u, &r)
             });
         }
         let space = ExecutionSpace::new(&self.ctx, pool);
         let (u0, r, kx, ky) = (self.u0.raw(), self.r.raw(), self.kx.raw(), self.ky.raw());
         let u = Us::new(self.u.raw_mut());
-        grid_reduce(hp, mesh, &space, &p_it, &|k| {
-            // SAFETY: cells disjoint.
-            unsafe { common::cell_jacobi_iterate(width, k, u0, r, kx, ky, &u) }
+        // SAFETY: rows disjoint (one per team or reduction item).
+        grid_reduce(hp, mesh, &space, &p_it, &|run| unsafe {
+            common::run_jacobi_iterate(run, u0, r, kx, ky, &u)
         })
     }
 
@@ -550,12 +517,11 @@ impl TeaLeafPort for KokkosPort {
         let hp = self.hp;
         let profile = self.grid_profile(profiles::residual(self.n()));
         let space = ExecutionSpace::new(&self.ctx, self.pool());
-        let width = mesh.width();
         let (u, u0, kx, ky) = (self.u.raw(), self.u0.raw(), self.kx.raw(), self.ky.raw());
         let r = Us::new(self.r.raw_mut());
-        grid_for(hp, mesh, &space, &profile, &|k| {
-            // SAFETY: cells disjoint.
-            unsafe { common::cell_residual(width, k, u, u0, kx, ky, &r) };
+        // SAFETY: chunks and teams own disjoint runs.
+        grid_for(hp, mesh, &space, &profile, &|run| unsafe {
+            common::run_residual(run, u, u0, kx, ky, &r)
         });
     }
 
@@ -568,7 +534,7 @@ impl TeaLeafPort for KokkosPort {
             NormField::U0 => self.u0.raw(),
             NormField::R => self.r.raw(),
         };
-        grid_reduce(hp, mesh, &space, &profile, &|k| common::cell_norm(k, x))
+        grid_reduce(hp, mesh, &space, &profile, &|run| common::run_norm(run, x))
     }
 
     fn finalise(&mut self) {
@@ -578,9 +544,9 @@ impl TeaLeafPort for KokkosPort {
         let space = ExecutionSpace::new(&self.ctx, self.pool());
         let (u, density) = (self.u.raw(), self.density.raw());
         let energy = Us::new(self.energy.raw_mut());
-        grid_for(hp, mesh, &space, &profile, &|k| {
-            // SAFETY: cells disjoint.
-            unsafe { common::cell_finalise(k, u, density, &energy) };
+        // SAFETY: chunks and teams own disjoint runs.
+        grid_for(hp, mesh, &space, &profile, &|run| unsafe {
+            common::run_finalise(run, u, density, &energy)
         });
     }
 
@@ -592,32 +558,14 @@ impl TeaLeafPort for KokkosPort {
         let mesh = &self.mesh;
         let profile = self.grid_profile(profiles::field_summary(self.n()));
         let space = ExecutionSpace::new(&self.ctx, self.pool());
-        let (i0, i1) = (mesh.i0(), mesh.i1());
-        let width = mesh.width();
-        let cols = i1 - i0;
+        let i0 = mesh.i0();
         let vol = mesh.cell_volume();
         let (density, energy, u) = (self.density.raw(), self.energy.raw(), self.u.raw());
         let acc = space.parallel_reduce_custom(
             &profile,
             RangePolicy::new(0, mesh.y_cells),
             &kokkos_rs::reducer::ArraySumReducer::<4>,
-            &|jj| {
-                let j = i0 + jj;
-                let mut row = [0.0; 4];
-                for ii in 0..cols {
-                    let c = common::cell_summary(
-                        common::idx(width, i0 + ii, j),
-                        density,
-                        energy,
-                        u,
-                        vol,
-                    );
-                    for q in 0..4 {
-                        row[q] += c[q];
-                    }
-                }
-                row
-            },
+            &|jj| common::row_summary(mesh, i0 + jj, density, energy, u, vol),
         );
         Summary {
             volume: acc[0],
@@ -695,28 +643,23 @@ impl KokkosPort {
         let p_p = self.grid_profile(h);
         let p_u = self.grid_profile(t);
         let pool = self.pool();
-        let width = mesh.width();
         {
             let space = ExecutionSpace::new(&self.ctx, pool);
             let (u, u0, kx, ky) = (self.u.raw(), self.u0.raw(), self.kx.raw(), self.ky.raw());
             let w = Us::new(self.w.raw_mut());
             let r = Us::new(self.r.raw_mut());
             let p = Us::new(self.p.raw_mut());
-            grid_for(hp, mesh, &space, &p_p, &|k| {
-                // SAFETY: cells disjoint.
-                unsafe {
-                    common::cell_cheby_calc_p(
-                        width, k, first, theta, alpha, beta, u, u0, kx, ky, &w, &r, &p,
-                    )
-                };
+            // SAFETY: chunks and teams own disjoint runs.
+            grid_for(hp, mesh, &space, &p_p, &|run| unsafe {
+                common::run_cheby_calc_p(run, first, theta, alpha, beta, u, u0, kx, ky, &w, &r, &p)
             });
         }
         let space = ExecutionSpace::new(&self.ctx, pool);
         let p = self.p.raw();
         let u = Us::new(self.u.raw_mut());
-        grid_for(hp, mesh, &space, &p_u, &|k| {
-            // SAFETY: cells disjoint.
-            unsafe { common::cell_add_p_to_u(k, p, &u) };
+        // SAFETY: chunks and teams own disjoint runs.
+        grid_for(hp, mesh, &space, &p_u, &|run| unsafe {
+            common::run_add_p_to_u(run, p, &u)
         });
     }
 }

@@ -7,6 +7,12 @@
 //! an in-kernel guard, and **manually written two-pass reductions**
 //! (`enqueue_reduce`).
 //!
+//! On the host each work-group of a flat launch is one executor item
+//! (`enqueue_work_groups`): its ids reach the shared run bodies as the
+//! interior runs [`RunBox::clip`] cuts from them — the in-kernel guard,
+//! evaluated once per run instead of once per work item. The simulated
+//! clock still charges the padded NDRange launch.
+//!
 //! On the CPU the kernels execute on the process-wide work-stealing pool
 //! — the Intel OpenCL implementation "uniquely doesn't use OpenMP …
 //! instead using Intel Thread Building Blocks", whose non-deterministic
@@ -15,7 +21,7 @@
 
 use opencl_rs::{Buffer, ClDevice, CommandQueue, Context, Kernel, NdRange, Platform};
 use parpool::Executor;
-use simdev::{DeviceKind, DeviceSpec, SimContext};
+use simdev::{DeviceKind, DeviceSpec, KernelProfile, SimContext};
 use tea_core::config::Coefficient;
 use tea_core::halo::{update_halo_batch, FieldId};
 use tea_core::mesh::Mesh2d;
@@ -23,7 +29,7 @@ use tea_core::summary::Summary;
 
 use crate::kernels::{NormField, TeaLeafPort};
 use crate::model_id::ModelId;
-use crate::ports::common::{self, profiles, Us};
+use crate::ports::common::{self, profiles, Run, RunBox, Us};
 use crate::problem::Problem;
 
 /// Work-group size for the flat launches.
@@ -146,13 +152,6 @@ impl OpenClPort {
         profiles::cells(&self.mesh)
     }
 
-    /// Flat NDRange covering the padded grid, rounded up to the
-    /// work-group size (kernels guard the overspill).
-    fn nd_range(&self) -> NdRange {
-        let len = self.mesh.len();
-        NdRange::d1_local(len.div_ceil(WG) * WG, WG)
-    }
-
     /// Borrow the mesh alongside the device storage of each listed
     /// field, for the batched halo update. Panics if a buffer is listed
     /// twice.
@@ -211,15 +210,25 @@ impl OpenClPort {
     }
 }
 
-/// True when flat index `k` is interior — the in-kernel guard.
-#[inline(always)]
-fn guard(mesh: &Mesh2d, k: usize) -> bool {
-    if k >= mesh.len() {
-        return false; // NDRange overspill
-    }
-    let width = mesh.width();
-    let (i, j) = (k % width, k / width);
-    i >= mesh.i0() && i < mesh.i1() && j >= mesh.i0() && j < mesh.j1()
+/// Flat NDRange covering the padded grid, rounded up to the work-group
+/// size; `RunBox::clip` trims the overspill.
+fn nd_range(mesh: &Mesh2d) -> NdRange {
+    NdRange::d1_local(mesh.len().div_ceil(WG) * WG, WG)
+}
+
+/// Enqueue a grid kernel over the padded NDRange, one work-group at a
+/// time: each group's ids reach `body` as the interior runs they hold.
+fn enqueue_runs(
+    queue: &CommandQueue<'_>,
+    kernel: &Kernel,
+    profile: &KernelProfile,
+    mesh: &Mesh2d,
+    body: &(impl Fn(Run) + Sync),
+) {
+    let cover = RunBox::interior(mesh);
+    queue.enqueue_work_groups(kernel, profile, nd_range(mesh), &|ids| {
+        cover.clip(ids, body)
+    });
 }
 
 impl TeaLeafPort for OpenClPort {
@@ -238,44 +247,33 @@ impl TeaLeafPort for OpenClPort {
     fn init_fields(&mut self, coefficient: Coefficient, rx: f64, ry: f64) {
         let mesh = &self.mesh;
         let exec = self.exec_static_or_steal();
-        let range = self.nd_range();
         let n = self.n();
         {
             let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
             let (density, energy) = (self.density.arg_view(), self.energy.arg_view());
             let u0 = Us::new(self.u0.arg_view_mut());
             let u = Us::new(self.u.arg_view_mut());
-            queue.enqueue_nd_range(&self.kernels.init_u0, &profiles::init_u0(n), range, &|k| {
-                if guard(mesh, k) {
-                    // SAFETY: cells disjoint.
-                    unsafe { common::cell_init_u0(k, density, energy, &u0, &u) };
-                }
-            });
+            // SAFETY: work-groups own disjoint runs.
+            enqueue_runs(
+                &queue,
+                &self.kernels.init_u0,
+                &profiles::init_u0(n),
+                mesh,
+                &|run| unsafe { common::run_init_u0(run, density, energy, &u0, &u) },
+            );
         }
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-        let width = mesh.width();
-        let (lo, i1, j1) = (mesh.i0(), mesh.i1(), mesh.j1());
-        let len = mesh.len();
         let density = self.density.arg_view();
         let kx = Us::new(self.kx.arg_view_mut());
         let ky = Us::new(self.ky.arg_view_mut());
-        queue.enqueue_nd_range(
-            &self.kernels.init_coeffs,
-            &profiles::init_coeffs(n),
-            range,
-            &|k| {
-                if k >= len {
-                    return;
-                }
-                let (i, j) = (k % width, k / width);
-                if i >= lo && i <= i1 && j >= lo && j <= j1 {
-                    // SAFETY: cells disjoint.
-                    unsafe {
-                        common::cell_init_coeffs(width, k, coefficient, rx, ry, density, &kx, &ky)
-                    };
-                }
-            },
-        );
+        let cover = RunBox::coeffs(mesh);
+        let (kernel, profile) = (&self.kernels.init_coeffs, profiles::init_coeffs(n));
+        queue.enqueue_work_groups(kernel, &profile, nd_range(mesh), &|ids| {
+            cover.clip(ids, |run| {
+                // SAFETY: work-groups own disjoint runs.
+                unsafe { common::run_init_coeffs(run, coefficient, rx, ry, density, &kx, &ky) }
+            })
+        });
     }
 
     fn halo_update(&mut self, fields: &[FieldId], depth: usize) {
@@ -382,17 +380,18 @@ impl TeaLeafPort for OpenClPort {
     fn cg_calc_p(&mut self, beta: f64, preconditioner: bool) {
         let mesh = &self.mesh;
         let exec = self.exec_static_or_steal();
-        let range = self.nd_range();
         let profile = profiles::cg_calc_p(self.n());
         let (r, z) = (self.r.arg_view(), self.z.arg_view());
         let p = Us::new(self.p.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-        queue.enqueue_nd_range(&self.kernels.cg_calc_p, &profile, range, &|k| {
-            if guard(mesh, k) {
-                // SAFETY: cells disjoint.
-                unsafe { common::cell_cg_calc_p(k, beta, preconditioner, r, z, &p) };
-            }
-        });
+        // SAFETY: work-groups own disjoint runs.
+        enqueue_runs(
+            &queue,
+            &self.kernels.cg_calc_p,
+            &profile,
+            mesh,
+            &|run| unsafe { common::run_cg_calc_p(run, beta, preconditioner, r, z, &p) },
+        );
     }
 
     fn lowering_caps(&self) -> crate::ir::LoweringCaps {
@@ -464,24 +463,23 @@ impl TeaLeafPort for OpenClPort {
     fn ppcg_init_sd(&mut self, theta: f64) {
         let mesh = &self.mesh;
         let exec = self.exec_static_or_steal();
-        let range = self.nd_range();
         let profile = profiles::ppcg_init_sd(self.n());
         let r = self.r.arg_view();
         let sd = Us::new(self.sd.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-        queue.enqueue_nd_range(&self.kernels.ppcg_init_sd, &profile, range, &|k| {
-            if guard(mesh, k) {
-                // SAFETY: cells disjoint.
-                unsafe { common::cell_sd_init(k, theta, r, &sd) };
-            }
-        });
+        // SAFETY: work-groups own disjoint runs.
+        enqueue_runs(
+            &queue,
+            &self.kernels.ppcg_init_sd,
+            &profile,
+            mesh,
+            &|run| unsafe { common::run_sd_init(run, theta, r, &sd) },
+        );
     }
 
     fn ppcg_inner(&mut self, alpha: f64, beta: f64) {
         let mesh = &self.mesh;
         let exec = self.exec_static_or_steal();
-        let range = self.nd_range();
-        let width = mesh.width();
         // The u/r/sd update is chained behind the w-stencil's enqueue as
         // a zero-overhead tail (one clEnqueueNDRangeKernel, fused body).
         let (p_head, p_tail) = profiles::fused_pair(
@@ -495,12 +493,14 @@ impl TeaLeafPort for OpenClPort {
             let (sd, kx, ky) = (self.sd.arg_view(), self.kx.arg_view(), self.ky.arg_view());
             let w = Us::new(self.w.arg_view_mut());
             let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-            queue.enqueue_nd_range(&self.kernels.ppcg_calc_w, &profile, range, &|k| {
-                if guard(mesh, k) {
-                    // SAFETY: cells disjoint.
-                    unsafe { common::cell_ppcg_w(width, k, sd, kx, ky, &w) };
-                }
-            });
+            // SAFETY: work-groups own disjoint runs.
+            enqueue_runs(
+                &queue,
+                &self.kernels.ppcg_calc_w,
+                &profile,
+                mesh,
+                &|run| unsafe { common::run_ppcg_w(run, sd, kx, ky, &w) },
+            );
         }
         let profile = p_tail;
         let w = self.w.arg_view();
@@ -508,29 +508,32 @@ impl TeaLeafPort for OpenClPort {
         let r = Us::new(self.r.arg_view_mut());
         let sd = Us::new(self.sd.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-        queue.enqueue_nd_range(&self.kernels.ppcg_update, &profile, range, &|k| {
-            if guard(mesh, k) {
-                // SAFETY: cells disjoint.
-                unsafe { common::cell_ppcg_update(k, alpha, beta, w, &u, &r, &sd) };
-            }
-        });
+        // SAFETY: work-groups own disjoint runs.
+        enqueue_runs(
+            &queue,
+            &self.kernels.ppcg_update,
+            &profile,
+            mesh,
+            &|run| unsafe { common::run_ppcg_update(run, alpha, beta, w, &u, &r, &sd) },
+        );
     }
 
     fn jacobi_iterate(&mut self) -> f64 {
         let mesh = &self.mesh;
         let exec = self.exec_static_or_steal();
-        let range = self.nd_range();
         {
             let profile = profiles::jacobi_copy(self.n());
             let u = self.u.arg_view();
             let r = Us::new(self.r.arg_view_mut());
             let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-            queue.enqueue_nd_range(&self.kernels.jacobi_copy, &profile, range, &|k| {
-                if guard(mesh, k) {
-                    // SAFETY: cells disjoint.
-                    unsafe { r.set(k, u[k]) };
-                }
-            });
+            // SAFETY: work-groups own disjoint runs.
+            enqueue_runs(
+                &queue,
+                &self.kernels.jacobi_copy,
+                &profile,
+                mesh,
+                &|run| unsafe { common::run_jacobi_copy(run, u, &r) },
+            );
         }
         let profile = profiles::jacobi_iterate(self.n());
         let i0 = mesh.i0();
@@ -553,8 +556,6 @@ impl TeaLeafPort for OpenClPort {
     fn residual(&mut self) {
         let mesh = &self.mesh;
         let exec = self.exec_static_or_steal();
-        let range = self.nd_range();
-        let width = mesh.width();
         let profile = profiles::residual(self.n());
         let (u, u0, kx, ky) = (
             self.u.arg_view(),
@@ -564,12 +565,14 @@ impl TeaLeafPort for OpenClPort {
         );
         let r = Us::new(self.r.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-        queue.enqueue_nd_range(&self.kernels.residual, &profile, range, &|k| {
-            if guard(mesh, k) {
-                // SAFETY: cells disjoint.
-                unsafe { common::cell_residual(width, k, u, u0, kx, ky, &r) };
-            }
-        });
+        // SAFETY: work-groups own disjoint runs.
+        enqueue_runs(
+            &queue,
+            &self.kernels.residual,
+            &profile,
+            mesh,
+            &|run| unsafe { common::run_residual(run, u, u0, kx, ky, &r) },
+        );
     }
 
     fn calc_2norm(&mut self, field: NormField) -> f64 {
@@ -591,17 +594,18 @@ impl TeaLeafPort for OpenClPort {
     fn finalise(&mut self) {
         let mesh = &self.mesh;
         let exec = self.exec_static_or_steal();
-        let range = self.nd_range();
         let profile = profiles::finalise(self.n());
         let (u, density) = (self.u.arg_view(), self.density.arg_view());
         let energy = Us::new(self.energy.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-        queue.enqueue_nd_range(&self.kernels.finalise, &profile, range, &|k| {
-            if guard(mesh, k) {
-                // SAFETY: cells disjoint.
-                unsafe { common::cell_finalise(k, u, density, &energy) };
-            }
-        });
+        // SAFETY: work-groups own disjoint runs.
+        enqueue_runs(
+            &queue,
+            &self.kernels.finalise,
+            &profile,
+            mesh,
+            &|run| unsafe { common::run_finalise(run, u, density, &energy) },
+        );
     }
 
     fn field_summary(&mut self) -> Summary {
@@ -706,8 +710,6 @@ impl OpenClPort {
     fn cheby_step(&mut self, first: bool, theta: f64, alpha: f64, beta: f64) {
         let mesh = &self.mesh;
         let exec = self.exec_static_or_steal();
-        let range = self.nd_range();
-        let width = mesh.width();
         // `u += p` rides the p-stencil's enqueue as a fused tail.
         let (p_head, p_tail) = profiles::fused_pair(
             crate::ir::FusionKind::ChebyStep,
@@ -727,26 +729,30 @@ impl OpenClPort {
             let r = Us::new(self.r.arg_view_mut());
             let p = Us::new(self.p.arg_view_mut());
             let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-            queue.enqueue_nd_range(&self.kernels.cheby_calc_p, &profile, range, &|k| {
-                if guard(mesh, k) {
-                    // SAFETY: cells disjoint.
-                    unsafe {
-                        common::cell_cheby_calc_p(
-                            width, k, first, theta, alpha, beta, u, u0, kx, ky, &w, &r, &p,
-                        )
-                    };
-                }
-            });
+            // SAFETY: work-groups own disjoint runs.
+            enqueue_runs(
+                &queue,
+                &self.kernels.cheby_calc_p,
+                &profile,
+                mesh,
+                &|run| unsafe {
+                    common::run_cheby_calc_p(
+                        run, first, theta, alpha, beta, u, u0, kx, ky, &w, &r, &p,
+                    )
+                },
+            );
         }
         let profile = p_tail;
         let p = self.p.arg_view();
         let u = Us::new(self.u.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-        queue.enqueue_nd_range(&self.kernels.cheby_calc_u, &profile, range, &|k| {
-            if guard(mesh, k) {
-                // SAFETY: cells disjoint.
-                unsafe { common::cell_add_p_to_u(k, p, &u) };
-            }
-        });
+        // SAFETY: work-groups own disjoint runs.
+        enqueue_runs(
+            &queue,
+            &self.kernels.cheby_calc_u,
+            &profile,
+            mesh,
+            &|run| unsafe { common::run_add_p_to_u(run, p, &u) },
+        );
     }
 }

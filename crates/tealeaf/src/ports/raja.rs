@@ -15,13 +15,19 @@
 //! dispatch functions, to handle situations where we had multiple
 //! reduction variables, and for multiple indexing").
 //!
+//! On the host each list-segment chunk reaches the shared run bodies as
+//! the contiguous runs its indirection entries name (`forall_runs`); the
+//! interior list never crosses a halo cell within a run, so no guard is
+//! needed, and the simulated clock still charges the indirection.
+//!
 //! The `RAJA SIMD` variant replaces the list segments with row ranges
 //! whose bodies are `omp simd` loops (the paper's proof of concept that
 //! recovered ~20 % on the Chebyshev solver).
 
 use parpool::StaticPool;
 use raja_rs::{
-    forall, forall_sum, ListSegment, OmpParallelForExec, RajaRuntime, RangeSegment, Segment,
+    forall, forall_runs, forall_sum, ListSegment, OmpParallelForExec, RajaRuntime, RangeSegment,
+    Segment,
 };
 use simdev::{DeviceSpec, KernelProfile, SimContext};
 use tea_core::config::Coefficient;
@@ -30,7 +36,7 @@ use tea_core::summary::Summary;
 
 use crate::kernels::{NormField, TeaLeafPort};
 use crate::model_id::ModelId;
-use crate::ports::common::{self, profiles, PortFields, Us};
+use crate::ports::common::{self, profiles, PortFields, Run, Us};
 use crate::problem::Problem;
 
 /// RAJA TeaLeaf (list-segment or SIMD row-range flavour).
@@ -92,28 +98,31 @@ impl RajaPort {
     }
 }
 
-/// Run a per-cell kernel in the port's flavour: `forall` over the
-/// interior list (base) or a row-range custom dispatch with an inner simd
-/// loop (SIMD variant).
-fn dispatch_cells(
+/// Run a grid kernel in the port's flavour: `forall_runs` over the
+/// interior list, each chunk handed to `f` as the runs of consecutive
+/// indices its entries name (base), or a row-range custom dispatch with
+/// one row per run (SIMD variant).
+fn dispatch_runs(
     port_simd: bool,
     rt: &RajaRuntime<'_>,
     interior: &Segment,
     rows: &Segment,
     mesh: &tea_core::mesh::Mesh2d,
     profile: &KernelProfile,
-    f: &(impl Fn(usize) + Sync),
+    f: &(impl Fn(Run) + Sync),
 ) {
     if port_simd {
-        let (i0, i1, width) = (mesh.i0(), mesh.i1(), mesh.width());
-        forall::<raja_rs::SimdExec>(rt, rows, profile, &|jj| {
-            let j = i0 + jj;
-            for i in i0..i1 {
-                f(common::idx(width, i, j));
-            }
-        });
+        let i0 = mesh.i0();
+        forall::<raja_rs::SimdExec>(rt, rows, profile, &|jj| f(Run::row(mesh, i0 + jj)));
     } else {
-        forall::<OmpParallelForExec>(rt, interior, profile, f);
+        let width = mesh.width();
+        forall_runs::<OmpParallelForExec>(rt, interior, profile, &|ids| {
+            f(Run {
+                b: ids.start,
+                len: ids.len(),
+                width,
+            })
+        });
     }
 }
 
@@ -141,17 +150,15 @@ impl TeaLeafPort for RajaPort {
             let rt = RajaRuntime::new(&self.ctx, pool);
             let (density, energy) = (&self.f.density, &self.f.energy);
             let (u0, u) = (Us::new(&mut self.f.u0), Us::new(&mut self.f.u));
-            dispatch_cells(
+            // SAFETY: chunks and rows own disjoint runs.
+            dispatch_runs(
                 simd,
                 &rt,
                 &self.interior,
                 &self.row_range,
                 mesh,
                 &p_u0,
-                &|k| {
-                    // SAFETY: cells disjoint.
-                    unsafe { common::cell_init_u0(k, density, energy, &u0, &u) };
-                },
+                &|run| unsafe { common::run_init_u0(run, density, energy, &u0, &u) },
             );
         }
         // Coefficients need the extended range: a custom row dispatch
@@ -249,17 +256,15 @@ impl TeaLeafPort for RajaPort {
         let rt = RajaRuntime::new(&self.ctx, self.pool());
         let (r, z) = (&self.f.r, &self.f.z);
         let p = Us::new(&mut self.f.p);
-        dispatch_cells(
+        // SAFETY: chunks and rows own disjoint runs.
+        dispatch_runs(
             simd,
             &rt,
             &self.interior,
             &self.row_range,
             mesh,
             &profile,
-            &|k| {
-                // SAFETY: cells disjoint.
-                unsafe { common::cell_cg_calc_p(k, beta, preconditioner, r, z, &p) };
-            },
+            &|run| unsafe { common::run_cg_calc_p(run, beta, preconditioner, r, z, &p) },
         );
     }
 
@@ -278,24 +283,21 @@ impl TeaLeafPort for RajaPort {
         let rt = RajaRuntime::new(&self.ctx, self.pool());
         let r = &self.f.r;
         let sd = Us::new(&mut self.f.sd);
-        dispatch_cells(
+        // SAFETY: chunks and rows own disjoint runs.
+        dispatch_runs(
             simd,
             &rt,
             &self.interior,
             &self.row_range,
             mesh,
             &profile,
-            &|k| {
-                // SAFETY: cells disjoint.
-                unsafe { common::cell_sd_init(k, theta, r, &sd) };
-            },
+            &|run| unsafe { common::run_sd_init(run, theta, r, &sd) },
         );
     }
 
     fn ppcg_inner(&mut self, alpha: f64, beta: f64) {
         let mesh = &self.f.mesh;
         let simd = self.simd;
-        let width = mesh.width();
         let (h, t) = profiles::fused_pair(
             crate::ir::FusionKind::PpcgInner,
             self.n(),
@@ -309,17 +311,15 @@ impl TeaLeafPort for RajaPort {
             let rt = RajaRuntime::new(&self.ctx, pool);
             let (sd, kx, ky) = (&self.f.sd, &self.f.kx, &self.f.ky);
             let w = Us::new(&mut self.f.w);
-            dispatch_cells(
+            // SAFETY: chunks and rows own disjoint runs.
+            dispatch_runs(
                 simd,
                 &rt,
                 &self.interior,
                 &self.row_range,
                 mesh,
                 &p_w,
-                &|k| {
-                    // SAFETY: cells disjoint.
-                    unsafe { common::cell_ppcg_w(width, k, sd, kx, ky, &w) };
-                },
+                &|run| unsafe { common::run_ppcg_w(run, sd, kx, ky, &w) },
             );
         }
         let rt = RajaRuntime::new(&self.ctx, pool);
@@ -329,17 +329,15 @@ impl TeaLeafPort for RajaPort {
             Us::new(&mut self.f.r),
             Us::new(&mut self.f.sd),
         );
-        dispatch_cells(
+        // SAFETY: chunks and rows own disjoint runs.
+        dispatch_runs(
             simd,
             &rt,
             &self.interior,
             &self.row_range,
             mesh,
             &p_up,
-            &|k| {
-                // SAFETY: cells disjoint.
-                unsafe { common::cell_ppcg_update(k, alpha, beta, w, &u, &r, &sd) };
-            },
+            &|run| unsafe { common::run_ppcg_update(run, alpha, beta, w, &u, &r, &sd) },
         );
     }
 
@@ -354,17 +352,15 @@ impl TeaLeafPort for RajaPort {
             let rt = RajaRuntime::new(&self.ctx, pool);
             let u = &self.f.u;
             let r = Us::new(&mut self.f.r);
-            dispatch_cells(
+            // SAFETY: chunks and rows own disjoint runs.
+            dispatch_runs(
                 simd,
                 &rt,
                 &self.interior,
                 &self.row_range,
                 mesh,
                 &p_copy,
-                &|k| {
-                    // SAFETY: cells disjoint.
-                    unsafe { r.set(k, u[k]) };
-                },
+                &|run| unsafe { common::run_jacobi_copy(run, u, &r) },
             );
         }
         let rt = RajaRuntime::new(&self.ctx, pool);
@@ -379,22 +375,19 @@ impl TeaLeafPort for RajaPort {
     fn residual(&mut self) {
         let mesh = &self.f.mesh;
         let simd = self.simd;
-        let width = mesh.width();
         let profile = self.row_profile(profiles::residual(self.n()));
         let rt = RajaRuntime::new(&self.ctx, self.pool());
         let (u, u0, kx, ky) = (&self.f.u, &self.f.u0, &self.f.kx, &self.f.ky);
         let r = Us::new(&mut self.f.r);
-        dispatch_cells(
+        // SAFETY: chunks and rows own disjoint runs.
+        dispatch_runs(
             simd,
             &rt,
             &self.interior,
             &self.row_range,
             mesh,
             &profile,
-            &|k| {
-                // SAFETY: cells disjoint.
-                unsafe { common::cell_residual(width, k, u, u0, kx, ky, &r) };
-            },
+            &|run| unsafe { common::run_residual(run, u, u0, kx, ky, &r) },
         );
     }
 
@@ -419,17 +412,15 @@ impl TeaLeafPort for RajaPort {
         let rt = RajaRuntime::new(&self.ctx, self.pool());
         let (u, density) = (&self.f.u, &self.f.density);
         let energy = Us::new(&mut self.f.energy);
-        dispatch_cells(
+        // SAFETY: chunks and rows own disjoint runs.
+        dispatch_runs(
             simd,
             &rt,
             &self.interior,
             &self.row_range,
             mesh,
             &profile,
-            &|k| {
-                // SAFETY: cells disjoint.
-                unsafe { common::cell_finalise(k, u, density, &energy) };
-            },
+            &|run| unsafe { common::run_finalise(run, u, density, &energy) },
         );
     }
 
@@ -478,7 +469,6 @@ impl RajaPort {
     fn cheby_step(&mut self, first: bool, theta: f64, alpha: f64, beta: f64) {
         let mesh = &self.f.mesh;
         let simd = self.simd;
-        let width = mesh.width();
         let (h, t) = profiles::fused_pair(
             crate::ir::FusionKind::ChebyStep,
             self.n(),
@@ -496,37 +486,33 @@ impl RajaPort {
                 Us::new(&mut self.f.r),
                 Us::new(&mut self.f.p),
             );
-            dispatch_cells(
+            // SAFETY: chunks and rows own disjoint runs.
+            dispatch_runs(
                 simd,
                 &rt,
                 &self.interior,
                 &self.row_range,
                 mesh,
                 &p_p,
-                &|k| {
-                    // SAFETY: cells disjoint.
-                    unsafe {
-                        common::cell_cheby_calc_p(
-                            width, k, first, theta, alpha, beta, u, u0, kx, ky, &w, &r, &p,
-                        )
-                    };
+                &|run| unsafe {
+                    common::run_cheby_calc_p(
+                        run, first, theta, alpha, beta, u, u0, kx, ky, &w, &r, &p,
+                    )
                 },
             );
         }
         let rt = RajaRuntime::new(&self.ctx, pool);
         let p = &self.f.p;
         let u = Us::new(&mut self.f.u);
-        dispatch_cells(
+        // SAFETY: chunks and rows own disjoint runs.
+        dispatch_runs(
             simd,
             &rt,
             &self.interior,
             &self.row_range,
             mesh,
             &p_u,
-            &|k| {
-                // SAFETY: cells disjoint.
-                unsafe { common::cell_add_p_to_u(k, p, &u) };
-            },
+            &|run| unsafe { common::run_add_p_to_u(run, p, &u) },
         );
     }
 }

@@ -22,7 +22,7 @@ use std::sync::OnceLock;
 use parpool::{Executor, PermutedExec, SerialExec, StaticPool, StealPool};
 use proptest::prelude::*;
 use tea_core::mesh::Mesh2d;
-use tealeaf::ports::common::{self, Us};
+use tealeaf::ports::common::{self, Run, Us};
 use tealeaf::tile::{for_cells, span_cells, Span};
 
 /// Every solver field a split kernel touches, with fuzzed contents.
@@ -88,6 +88,12 @@ fn run_kernel(
         kx,
         ky,
     } = m;
+    // Each cell is a length-1 run, dispatched on its own.
+    let cell = |k: usize| Run {
+        b: k,
+        len: 1,
+        width,
+    };
     for &span in spans {
         let mut idxs = Vec::new();
         for_cells(mesh, span, |k| idxs.push(k));
@@ -97,23 +103,31 @@ fn run_kernel(
                 let (w, r, p, z) = (Us::new(w), Us::new(r), Us::new(p), Us::new(z));
                 exec.run(idxs.len(), &|i| {
                     let _ = unsafe {
-                        common::cell_cg_init(
-                            width, idxs[i], s.precond, u, u0, kx, ky, &w, &r, &p, &z,
-                        )
+                        common::run_cg_init(cell(idxs[i]), s.precond, u, u0, kx, ky, &w, &r, &p, &z)
                     };
                 });
             }
             "cg_calc_w" => {
                 let w = Us::new(w);
                 exec.run(idxs.len(), &|i| {
-                    let _ = unsafe { common::cell_cg_calc_w(width, idxs[i], p, kx, ky, &w) };
+                    let _ = unsafe { common::run_cg_calc_w(cell(idxs[i]), p, kx, ky, &w) };
                 });
             }
             "cheby_calc_p" => {
                 let (w, r, p) = (Us::new(w), Us::new(r), Us::new(p));
                 exec.run(idxs.len(), &|i| unsafe {
-                    common::cell_cheby_calc_p(
-                        width, idxs[i], s.first, s.theta, s.alpha, s.beta, u, u0, kx, ky, &w, &r,
+                    common::run_cheby_calc_p(
+                        cell(idxs[i]),
+                        s.first,
+                        s.theta,
+                        s.alpha,
+                        s.beta,
+                        u,
+                        u0,
+                        kx,
+                        ky,
+                        &w,
+                        &r,
                         &p,
                     );
                 });
@@ -121,22 +135,30 @@ fn run_kernel(
             "ppcg_w" => {
                 let w = Us::new(w);
                 exec.run(idxs.len(), &|i| unsafe {
-                    common::cell_ppcg_w(width, idxs[i], sd, kx, ky, &w);
+                    common::run_ppcg_w(cell(idxs[i]), sd, kx, ky, &w);
                 });
             }
             "jacobi_iterate" => {
                 let u = Us::new(u);
                 exec.run(idxs.len(), &|i| {
-                    let _ =
-                        unsafe { common::cell_jacobi_iterate(width, idxs[i], u0, r, kx, ky, &u) };
+                    let _ = unsafe { common::run_jacobi_iterate(cell(idxs[i]), u0, r, kx, ky, &u) };
                 });
             }
             "cg_calc_ur" => {
                 let (u, r, z) = (Us::new(u), Us::new(r), Us::new(z));
                 exec.run(idxs.len(), &|i| {
                     let _ = unsafe {
-                        common::cell_cg_calc_ur(
-                            width, idxs[i], s.alpha, s.precond, p, w, kx, ky, &u, &r, &z,
+                        common::run_cg_calc_ur(
+                            cell(idxs[i]),
+                            s.alpha,
+                            s.precond,
+                            p,
+                            w,
+                            kx,
+                            ky,
+                            &u,
+                            &r,
+                            &z,
                         )
                     };
                 });
@@ -144,13 +166,13 @@ fn run_kernel(
             "cg_calc_p" => {
                 let p = Us::new(p);
                 exec.run(idxs.len(), &|i| unsafe {
-                    common::cell_cg_calc_p(idxs[i], s.beta, s.precond, r, z, &p);
+                    common::run_cg_calc_p(cell(idxs[i]), s.beta, s.precond, r, z, &p);
                 });
             }
             "ppcg_update" => {
                 let (u, r, sd) = (Us::new(u), Us::new(r), Us::new(sd));
                 exec.run(idxs.len(), &|i| unsafe {
-                    common::cell_ppcg_update(idxs[i], s.alpha, s.beta, w, &u, &r, &sd);
+                    common::run_ppcg_update(cell(idxs[i]), s.alpha, s.beta, w, &u, &r, &sd);
                 });
             }
             other => panic!("unknown kernel {other}"),
