@@ -124,20 +124,18 @@ fn bench_reduction_determinism_cost(c: &mut Criterion) {
     group.sample_size(20);
     group.throughput(Throughput::Elements(mesh.interior_len() as u64));
     group.bench_function("row_ordered_serial", |b| {
-        let j0 = mesh.i0();
         b.iter(|| {
-            let mut acc = 0.0;
-            for jj in 0..mesh.y_cells {
-                acc += common::row_norm(&mesh, j0 + jj, &x);
-            }
-            black_box(acc)
+            black_box(SerialExec.run_sum_blocks(mesh.y_cells, &|rows, out| {
+                common::block_norm(&mesh, rows, common::Pass::Reduce(out), &x)
+            }))
         });
     });
     let static_pool = StaticPool::new(parpool::default_threads());
     group.bench_function("row_ordered_pool", |b| {
-        let j0 = mesh.i0();
         b.iter(|| {
-            black_box(static_pool.run_sum(mesh.y_cells, &|jj| common::row_norm(&mesh, j0 + jj, &x)))
+            black_box(static_pool.run_sum_blocks(mesh.y_cells, &|rows, out| {
+                common::block_norm(&mesh, rows, common::Pass::Reduce(out), &x)
+            }))
         });
     });
     group.finish();

@@ -119,7 +119,8 @@ impl BaselinePool {
     }
 
     /// The seed's `run_sum`: a fresh `Vec<f64>` partial buffer per call,
-    /// per-index partials combined in index order.
+    /// per-index partials combined in index order (from `+0.0`, as every
+    /// ordered fold in the workspace starts).
     pub fn run_sum(&self, n: usize, f: &(dyn Fn(usize) -> f64 + Sync)) -> f64 {
         let mut partials = vec![0.0f64; n];
         {
@@ -129,7 +130,11 @@ impl BaselinePool {
                 unsafe { slot.set(i, f(i)) };
             });
         }
-        partials.iter().sum()
+        let mut acc = 0.0;
+        for p in &partials {
+            acc += p;
+        }
+        acc
     }
 
     /// The seed's `run_sum_many::<4>`: a fresh `Vec<[f64; 4]>` per call.

@@ -81,7 +81,9 @@ impl Workload {
     fn reduce(&self, exec: &dyn Executor) -> (f64, [f64; 4], f64, Vec<f64>) {
         let (mesh, i0) = (&self.mesh, self.mesh.i0());
         let n = self.rows();
-        let norm = exec.run_sum(n, &|j| common::row_norm(mesh, i0 + j, &self.u));
+        let norm = exec.run_sum_blocks(n, &|rows, out| {
+            common::block_norm(mesh, rows, common::Pass::Reduce(out), &self.u)
+        });
         let vol = mesh.cell_volume();
         let summary = exec.run_sum4(n, &|j| {
             common::row_summary(mesh, i0 + j, &self.density, &self.energy, &self.u, vol)

@@ -81,15 +81,34 @@ pub fn launch_blocks<F: Fn(Range<usize>) + Sync + ?Sized>(
 /// The hand-written CUDA reduction of §3.5: pass 1 computes one partial
 /// per block (`block_partial(block_id)`), pass 2 reduces the partials on
 /// the device. Charges two launches; partials join in block order so the
-/// value is deterministic.
+/// value is deterministic. A thin per-block wrapper over
+/// [`launch_reduce_blocks`].
 pub fn launch_reduce(
     stream: &CudaStream<'_>,
     cfg: LaunchConfig,
     profile: &KernelProfile,
     block_partial: &(dyn Fn(usize) -> f64 + Sync),
 ) -> f64 {
+    launch_reduce_blocks(stream, cfg, profile, &|blocks, out| {
+        for (o, b) in out.iter_mut().zip(blocks) {
+            *o = block_partial(b);
+        }
+    })
+}
+
+/// [`launch_reduce`] with pass 1 run several thread blocks per executor
+/// item ([`parpool::Executor::run_sum_blocks`]): `partials(blocks, out)`
+/// writes the partials of thread blocks `blocks` into `out`. The partials
+/// join in block order from `+0.0`; charges exactly what
+/// [`launch_reduce`] charges.
+pub fn launch_reduce_blocks(
+    stream: &CudaStream<'_>,
+    cfg: LaunchConfig,
+    profile: &KernelProfile,
+    partials: &(dyn Fn(Range<usize>, &mut [f64]) + Sync),
+) -> f64 {
     stream.ctx.launch(profile);
-    let value = stream.exec.run_sum(cfg.grid, block_partial);
+    let value = stream.exec.run_sum_blocks(cfg.grid, partials);
     let final_profile = KernelProfile::new(
         "block_reduce_final",
         cfg.grid as u64,

@@ -44,4 +44,6 @@ pub mod buffer;
 pub mod launch;
 
 pub use buffer::DeviceBuffer;
-pub use launch::{launch, launch_blocks, launch_reduce, CudaStream, LaunchConfig};
+pub use launch::{
+    launch, launch_blocks, launch_reduce, launch_reduce_blocks, CudaStream, LaunchConfig,
+};

@@ -100,8 +100,26 @@ impl<'a> DeviceEnv<'a> {
         n: usize,
         f: &(dyn Fn(usize) -> f64 + Sync),
     ) -> f64 {
+        self.target_reduce_blocks(profile, n, &|ids, out| {
+            for (o, i) in out.iter_mut().zip(ids) {
+                *o = f(i);
+            }
+        })
+    }
+
+    /// [`DeviceEnv::target_reduce`] one block of iterations at a time
+    /// ([`parpool::Executor::run_sum_blocks`]): `f(ids, out)` writes the
+    /// partials of iterations `ids` into `out`, and the partials join in
+    /// iteration order from `+0.0`. Charges exactly what `target_reduce`
+    /// charges.
+    pub fn target_reduce_blocks(
+        &self,
+        profile: &KernelProfile,
+        n: usize,
+        f: &(dyn Fn(std::ops::Range<usize>, &mut [f64]) + Sync),
+    ) -> f64 {
         self.ctx.launch(profile);
-        self.exec.run_sum(n, f)
+        self.exec.run_sum_blocks(n, f)
     }
 
     /// Offloaded multi-scalar reduction against unstructured mappings.

@@ -134,16 +134,37 @@ impl<'a> ExecutionSpace<'a> {
         });
     }
 
-    /// `Kokkos::parallel_reduce` with the default sum semantics.
+    /// `Kokkos::parallel_reduce` with the default sum semantics. A thin
+    /// per-index wrapper over [`ExecutionSpace::parallel_reduce_blocks`].
     pub fn parallel_reduce(
         &self,
         profile: &KernelProfile,
         policy: RangePolicy,
         f: &(dyn Fn(usize) -> f64 + Sync),
     ) -> f64 {
+        self.parallel_reduce_blocks(profile, policy, &|ids, out| {
+            for (o, i) in out.iter_mut().zip(ids) {
+                *o = f(i);
+            }
+        })
+    }
+
+    /// `Kokkos::parallel_reduce` one block of the policy at a time
+    /// ([`parpool::Executor::run_sum_blocks`]): `f(ids, out)` writes the
+    /// partials of indices `ids` into `out`, and the partials join in
+    /// index order from `+0.0`. Charges exactly what
+    /// [`ExecutionSpace::parallel_reduce`] charges.
+    pub fn parallel_reduce_blocks(
+        &self,
+        profile: &KernelProfile,
+        policy: RangePolicy,
+        f: &(dyn Fn(Range<usize>, &mut [f64]) + Sync),
+    ) -> f64 {
         self.ctx.launch(profile);
         let start = policy.start;
-        self.exec.run_sum(policy.len(), &|k| f(start + k))
+        self.exec.run_sum_blocks(policy.len(), &|ids, out| {
+            f(start + ids.start..start + ids.end, out)
+        })
     }
 
     /// `Kokkos::parallel_reduce` with a custom [`Reducer`].

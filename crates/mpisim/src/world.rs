@@ -691,27 +691,25 @@ impl Rank {
     pub fn allreduce_ordered(&self, parts: &[f64]) -> f64 {
         const REDUCE_TAG: Tag = u32::MAX - 4;
         const BCAST_TAG: Tag = u32::MAX - 5;
-        if self.size == 1 {
-            return parts.iter().sum();
+        if self.id != 0 {
+            self.send(0, REDUCE_TAG, parts.to_vec());
+            return self.recv(0, BCAST_TAG)[0];
         }
-        if self.id == 0 {
-            let mut acc = 0.0;
-            for p in parts {
+        // One fold from +0.0 at any world size (`Iterator::sum` starts
+        // from −0.0, so a lone rank would return −0.0 for all-−0.0 parts).
+        let mut acc = 0.0;
+        for p in parts {
+            acc += p;
+        }
+        for from in 1..self.size {
+            for p in self.recv(from, REDUCE_TAG) {
                 acc += p;
             }
-            for from in 1..self.size {
-                for p in self.recv(from, REDUCE_TAG) {
-                    acc += p;
-                }
-            }
-            for to in 1..self.size {
-                self.send(to, BCAST_TAG, vec![acc]);
-            }
-            acc
-        } else {
-            self.send(0, REDUCE_TAG, parts.to_vec());
-            self.recv(0, BCAST_TAG)[0]
         }
+        for to in 1..self.size {
+            self.send(to, BCAST_TAG, vec![acc]);
+        }
+        acc
     }
 
     /// Component-wise exactly-ordered allreduce over `K`-tuples of
@@ -939,6 +937,16 @@ mod tests {
             rank.id()
         });
         assert_eq!(out, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn ordered_allreduce_of_negative_zeros_is_positive_zero() {
+        for size in [1, 2] {
+            let out = run_spmd(size, |rank| rank.allreduce_ordered(&[-0.0, -0.0]));
+            for v in out {
+                assert_eq!(v.to_bits(), 0.0f64.to_bits(), "{size} ranks");
+            }
+        }
     }
 }
 

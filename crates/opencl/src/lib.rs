@@ -37,7 +37,7 @@
 //! let profile = KernelProfile::reduction("dot", 64, 1, 1);
 //! let data = buf.arg_view().to_vec();
 //! let (sum, _event) = queue.enqueue_reduce(&kernel, &profile, 8, &|g| {
-//!     data[g * 8..(g + 1) * 8].iter().sum()
+//!     data[g * 8..(g + 1) * 8].iter().fold(0.0, |acc, x| acc + x)
 //! });
 //! assert_eq!(sum, 192.0);
 //! ```

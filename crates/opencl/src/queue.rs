@@ -206,6 +206,8 @@ impl<'a> CommandQueue<'a> {
     /// one partial per work-group (`f(group_id)`), pass 2 reduces the
     /// partials. Charges **two** kernel launches. Partials join in group
     /// order, so the value is deterministic.
+    ///
+    /// A thin per-group wrapper over [`CommandQueue::enqueue_reduce_blocks`].
     pub fn enqueue_reduce(
         &self,
         kernel: &Kernel,
@@ -213,10 +215,29 @@ impl<'a> CommandQueue<'a> {
         n_groups: usize,
         f: &(dyn Fn(usize) -> f64 + Sync),
     ) -> (f64, Event) {
+        self.enqueue_reduce_blocks(kernel, profile, n_groups, &|groups, out| {
+            for (o, g) in out.iter_mut().zip(groups) {
+                *o = f(g);
+            }
+        })
+    }
+
+    /// [`CommandQueue::enqueue_reduce`] with pass 1 run one block of
+    /// work-groups at a time ([`parpool::Executor::run_sum_blocks`]):
+    /// `f(groups, out)` writes the partials of work-groups `groups` into
+    /// `out`. The partials join in group order from `+0.0`; charges
+    /// exactly what [`CommandQueue::enqueue_reduce`] charges.
+    pub fn enqueue_reduce_blocks(
+        &self,
+        kernel: &Kernel,
+        profile: &KernelProfile,
+        n_groups: usize,
+        f: &(dyn Fn(Range<usize>, &mut [f64]) + Sync),
+    ) -> (f64, Event) {
         kernel.assert_ready();
         let start = self.sim.clock.seconds();
         let d1 = self.sim.launch(profile);
-        let value = self.exec.run_sum(n_groups, f);
+        let value = self.exec.run_sum_blocks(n_groups, f);
         // final pass over the work-group partials
         let final_profile = KernelProfile::new(
             "reduce_final_pass",

@@ -1,5 +1,47 @@
 //! The [`Executor`] abstraction and the serial reference implementation.
 
+use std::ops::Range;
+
+/// Indices per item of [`Executor::run_sum_blocks`].
+pub const SUM_BLOCK: usize = 8;
+
+/// Block `b` of `0..n` in [`SUM_BLOCK`]s.
+#[inline(always)]
+pub(crate) fn block(b: usize, n: usize) -> Range<usize> {
+    b * SUM_BLOCK..(b * SUM_BLOCK + SUM_BLOCK).min(n)
+}
+
+/// The ordered fold every reduction ends in: left to right from `+0.0`.
+/// (`Iterator::sum` starts from `−0.0`, which would turn a sum of
+/// `−0.0` partials into `−0.0` on some paths and `+0.0` on others.)
+#[inline]
+pub(crate) fn fold(partials: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for p in partials {
+        acc += p;
+    }
+    acc
+}
+
+/// The inline block sum: each block's partials into a stack buffer, then
+/// folded on. Same blocks and same fold as the pooled paths.
+pub(crate) fn run_sum_blocks_inline(
+    n: usize,
+    f: &(dyn Fn(Range<usize>, &mut [f64]) + Sync),
+) -> f64 {
+    let mut acc = 0.0;
+    for b in 0..n.div_ceil(SUM_BLOCK) {
+        let ids = block(b, n);
+        let mut out = [0.0; SUM_BLOCK];
+        let out = &mut out[..ids.len()];
+        f(ids, out);
+        for p in out.iter() {
+            acc += p;
+        }
+    }
+    acc
+}
+
 /// A parallel-for runtime over an index space `0..n`.
 ///
 /// The programming-model crates (Kokkos/RAJA/directive/OpenCL/CUDA
@@ -14,21 +56,37 @@ pub trait Executor: Send + Sync {
     /// writes are disjoint per item (TeaLeaf kernels write disjoint rows).
     fn run(&self, n: usize, f: &(dyn Fn(usize) + Sync));
 
-    /// Deterministic parallel sum: computes `f(i)` for every index into a
-    /// per-index partial buffer and sums the partials **in index order**.
+    /// Deterministic parallel sum: `f(i)` is index `i`'s partial, and
+    /// the partials are summed **in index order** from `+0.0`. A thin
+    /// per-index wrapper over [`Executor::run_sum_blocks`].
     ///
     /// The result is bit-identical across executors and thread counts.
     fn run_sum(&self, n: usize, f: &(dyn Fn(usize) -> f64 + Sync)) -> f64 {
+        self.run_sum_blocks(n, &|ids, out| {
+            for (o, i) in out.iter_mut().zip(ids) {
+                *o = f(i);
+            }
+        })
+    }
+
+    /// Deterministic block sum: each item is a contiguous block of
+    /// [`SUM_BLOCK`] indices (the last may be shorter), and `f(ids, out)`
+    /// writes the partials of `ids` into `out` (`out.len() == ids.len()`,
+    /// every entry `+0.0` on entry). The partials are then summed in index
+    /// order from `+0.0`, exactly as [`Executor::run_sum`] sums per-index
+    /// partials, so a block body that computes the same partials gets the
+    /// same bits — whatever order it computes them in.
+    fn run_sum_blocks(&self, n: usize, f: &(dyn Fn(Range<usize>, &mut [f64]) + Sync)) -> f64 {
         let mut partials = vec![0.0f64; n];
         {
             let slot = crate::shared::UnsafeSlice::new(&mut partials);
-            self.run(n, &|i| {
-                // SAFETY: each index `i` is visited exactly once, so every
-                // write targets a distinct element.
-                unsafe { slot.set(i, f(i)) };
+            self.run(n.div_ceil(SUM_BLOCK), &|b| {
+                let ids = block(b, n);
+                // SAFETY: blocks are disjoint, and each runs exactly once.
+                f(ids.clone(), unsafe { slot.slice_mut(ids.start, ids.end) });
             });
         }
-        partials.iter().sum()
+        fold(&partials)
     }
 
     /// Deterministic 4-component sum (the TeaLeaf field summary computes
@@ -110,6 +168,10 @@ impl Executor for SerialExec {
             f(i);
         }
     }
+
+    fn run_sum_blocks(&self, n: usize, f: &(dyn Fn(Range<usize>, &mut [f64]) + Sync)) -> f64 {
+        run_sum_blocks_inline(n, f)
+    }
 }
 
 #[cfg(test)]
@@ -127,7 +189,10 @@ mod tests {
     #[test]
     fn serial_sum_matches_direct() {
         let s = SerialExec.run_sum(100, &|i| (i as f64).sqrt());
-        let direct: f64 = (0..100).map(|i| (i as f64).sqrt()).sum();
+        let mut direct = 0.0;
+        for i in 0..100 {
+            direct += (i as f64).sqrt();
+        }
         assert_eq!(s, direct);
     }
 
@@ -136,6 +201,52 @@ mod tests {
         let [a, b] = run_sum_many(&SerialExec, 10, &|i| [i as f64, 2.0 * i as f64]);
         assert_eq!(a, 45.0);
         assert_eq!(b, 90.0);
+    }
+
+    #[test]
+    fn negative_zero_partials_fold_to_positive_zero_everywhere() {
+        for t in [1, 2, 4] {
+            let static_pool = crate::StaticPool::new(t);
+            let steal_pool = crate::StealPool::new(t);
+            let execs: [&dyn Executor; 5] = [
+                &SerialExec,
+                &static_pool,
+                &steal_pool,
+                &crate::PermutedExec::new(&static_pool, 3),
+                &crate::TiledExec::new(&steal_pool, 4, 2),
+            ];
+            for (k, exec) in execs.iter().enumerate() {
+                for n in [1, 3, 8, 100, 1000] {
+                    let got = exec.run_sum(n, &|_| -0.0);
+                    assert_eq!(
+                        got.to_bits(),
+                        0.0f64.to_bits(),
+                        "exec #{k}, {t} threads, n {n}"
+                    );
+                    let got = exec.run_sum_blocks(n, &|_, out| out.fill(-0.0));
+                    assert_eq!(
+                        got.to_bits(),
+                        0.0f64.to_bits(),
+                        "exec #{k}, {t} threads, n {n}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blocks_hand_over_eight_indices_and_zeroed_partials() {
+        let seen = std::sync::Mutex::new(Vec::new());
+        let s = SerialExec.run_sum_blocks(19, &|ids, out| {
+            assert!(out.iter().all(|p| p.to_bits() == 0));
+            assert_eq!(out.len(), ids.len());
+            for (o, i) in out.iter_mut().zip(ids.clone()) {
+                *o = i as f64;
+            }
+            seen.lock().unwrap().push(ids);
+        });
+        assert_eq!(s, 171.0);
+        assert_eq!(*seen.lock().unwrap(), vec![0..8, 8..16, 16..19]);
     }
 
     #[test]

@@ -25,9 +25,13 @@
 //!
 //! All three implement [`Executor`]. Reductions are **deterministic by
 //! construction**: every executor computes one partial per index and the
-//! partials are summed in index order, so any thread count, any scheduler
-//! and any executor produce bit-identical results — the property the
-//! cross-port consistency tests rely on.
+//! partials are summed in index order from `+0.0`, so any thread count,
+//! any scheduler and any executor produce bit-identical results — the
+//! property the cross-port consistency tests rely on. The one fold path is
+//! [`Executor::run_sum_blocks`]: each item is a block of [`SUM_BLOCK`]
+//! indices that writes its own partials, which lets a kernel body compute
+//! several rows' partials side by side; `run_sum` is its per-index
+//! wrapper.
 //!
 //! ## Example
 //!
@@ -48,7 +52,7 @@ pub mod static_pool;
 pub mod steal_pool;
 pub mod tiled;
 
-pub use executor::{run_sum_many, Executor, SerialExec};
+pub use executor::{run_sum_many, Executor, SerialExec, SUM_BLOCK};
 pub use metrics::PoolMetrics;
 pub use permute::PermutedExec;
 pub use shared::UnsafeSlice;

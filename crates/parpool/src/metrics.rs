@@ -70,8 +70,9 @@ pub struct PoolMetrics {
     /// Regions executed inline on the posting thread (n too small to
     /// amortise the barrier).
     pub inline_runs: u64,
-    /// Times the poster exhausted its spin budget and parked waiting for
-    /// region completion.
+    /// Joins that outlasted the poster's spin budget, after which it
+    /// yields until the region completes (a poster never parks; the name
+    /// keeps the counter's place in reports).
     pub poster_parks: u64,
     /// Successful work steals ([`crate::StealPool`] only; 0 for the
     /// static pool, whose schedule has nothing to steal).

@@ -5,7 +5,8 @@
 //! poster publishes a job, then bumps an atomic generation counter;
 //! workers spin on the counter for a bounded budget (the common case in a
 //! solver inner loop, where the next region arrives almost immediately) and
-//! only park on a condvar when no work shows up. This replaces the earlier
+//! only park on a condvar when no work shows up. The poster spins at the
+//! join, then yields; it never parks (see `shared::join_wait`). This replaces the earlier
 //! mutex+condvar handshake, which paid two lock round-trips per worker per
 //! region and dominated the cost of dispatch-bound kernels on small meshes.
 //!
@@ -19,18 +20,20 @@
 //!
 //! ## Determinism of reductions
 //!
-//! [`StaticPool::run_sum`] (and `run_sum4`) keep the crate-wide contract:
-//! one partial **per index**, folded sequentially in index order. Per-worker
-//! block pre-summation would be cheaper but regroups the floating-point
-//! additions — `(a₀+a₁)+(a₂+a₃)` is not `((a₀+a₁)+a₂)+a₃` — and so would
-//! break bit-identity with [`SerialExec`](crate::SerialExec) and with other
-//! thread counts. What the rework removes instead is the *allocation*: the
-//! pool owns grow-only scratch buffers behind the poster lock, so
-//! steady-state reductions never touch the heap. Writes to the scratch are
-//! per-index and thus disjoint; only the handful of indices at block
+//! [`Executor::run_sum_blocks`] (under `run_sum`) and `run_sum4` keep the
+//! crate-wide contract: one partial **per index**, folded sequentially in
+//! index order from `+0.0`. Per-worker block pre-summation would be
+//! cheaper but regroups the floating-point additions — `(a₀+a₁)+(a₂+a₃)`
+//! is not `((a₀+a₁)+a₂)+a₃` — and so would break bit-identity with
+//! [`SerialExec`](crate::SerialExec) and with other thread counts. What
+//! the pool removes instead is the *allocation*: it owns grow-only
+//! scratch buffers behind the poster lock, so steady-state reductions
+//! never touch the heap. Writes to the scratch are per block of
+//! [`SUM_BLOCK`] indices and thus disjoint; only the blocks at worker
 //! boundaries ever share a cache line.
 
 use std::cell::UnsafeCell;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -38,9 +41,9 @@ use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::executor::Executor;
+use crate::executor::{block, fold, run_sum_blocks_inline, Executor, SUM_BLOCK};
 use crate::metrics::{Counters, PoolMetrics};
-use crate::shared::{CachePadded, UnsafeSlice};
+use crate::shared::{join_wait, spin_until, CachePadded, UnsafeSlice};
 
 /// Type-erased pointer to the parallel-region body.
 ///
@@ -56,16 +59,6 @@ struct JobFn {
 unsafe impl Send for JobFn {}
 unsafe impl Sync for JobFn {}
 
-/// Spin iterations before a waiter parks (workers) or blocks (poster).
-/// Each iteration is one counter load and one `spin_loop` hint (`PAUSE`
-/// on x86-64, ≈20 ns on recent Intel cores), so the whole budget measures
-/// ≈70–90 µs (median of 200 timed budgets, idle 2-vCPU Intel Xeon VM) —
-/// tens of times the "few microseconds" of OpenMP's
-/// `OMP_WAIT_POLICY=passive` grace spin. It does outlast the gap between
-/// back-to-back regions in a solver inner loop, which is what keeps the
-/// workers off the futex path there.
-const SPIN_ITERS: u32 = 4096;
-
 /// Barrier state shared between the poster and the workers.
 ///
 /// The handshake per region is:
@@ -74,8 +67,8 @@ const SPIN_ITERS: u32 = 4096;
 /// 2. workers observe the bump (Acquire), read `job`, execute their static
 ///    block, then increment `done` (AcqRel); meanwhile the poster executes
 ///    block 0;
-/// 3. the last worker to finish notifies `done_cv` in case the poster gave
-///    up spinning; the poster returns once `done == n_threads − 1`.
+/// 3. the poster returns once `done == n_threads − 1`, spinning and then
+///    yielding until it does ([`join_wait`]; a poster never parks).
 ///
 /// `generation` and `done` live on separate cache lines: workers hammer
 /// `generation` while spinning and `done` while finishing, and the poster
@@ -94,9 +87,6 @@ struct Barrier {
     /// Count of parked workers, guarded by the mutex `idle_cv` waits on.
     idle: Mutex<usize>,
     idle_cv: Condvar,
-    /// Poster parking for long regions (taken only after the spin budget).
-    done_lock: Mutex<()>,
-    done_cv: Condvar,
     /// Scheduler counters (regions, parks); always on, relaxed atomics.
     metrics: Counters,
 }
@@ -141,8 +131,6 @@ impl StaticPool {
             panicked: AtomicBool::new(false),
             idle: Mutex::new(0),
             idle_cv: Condvar::new(),
-            done_lock: Mutex::new(()),
-            done_cv: Condvar::new(),
             metrics: Counters::new(n_threads),
         });
         let workers = (1..n_threads)
@@ -196,21 +184,10 @@ impl StaticPool {
         // done with the borrowed closure.
         run_block(b, f, 0..n / self.n_threads);
         // Wait for completion: spin first (regions are usually short),
-        // then park on `done_cv`.
+        // then yield.
         let workers = self.n_threads - 1;
-        let mut spins = 0u32;
-        while b.done.load(Ordering::Acquire) < workers {
-            if spins < SPIN_ITERS {
-                spins += 1;
-                std::hint::spin_loop();
-            } else {
-                b.metrics.poster_parks.fetch_add(1, Ordering::Relaxed);
-                let mut guard = b.done_lock.lock();
-                while b.done.load(Ordering::Acquire) < workers {
-                    b.done_cv.wait(&mut guard);
-                }
-                break;
-            }
+        if join_wait(|| b.done.load(Ordering::Acquire) >= workers) {
+            b.metrics.poster_parks.fetch_add(1, Ordering::Relaxed);
         }
         if b.panicked.swap(false, Ordering::SeqCst) {
             panic!("a parpool worker panicked while executing a parallel region");
@@ -225,31 +202,23 @@ impl StaticPool {
 
 /// Wait until `generation` moves past `seen`; spin briefly, then park.
 fn wait_for_generation(b: &Barrier, worker: usize, seen: u64) -> u64 {
-    let mut spins = 0u32;
     loop {
+        if spin_until(|| b.generation.load(Ordering::Acquire) != seen) {
+            return b.generation.load(Ordering::Acquire);
+        }
+        let mut idle = b.idle.lock();
+        // Re-check under the lock: the poster bumps the generation
+        // *before* taking this lock to notify, so either we see the
+        // bump here or the poster's notify can only happen after we
+        // are registered as a sleeper and inside `wait`.
         let g = b.generation.load(Ordering::Acquire);
         if g != seen {
             return g;
         }
-        if spins < SPIN_ITERS {
-            spins += 1;
-            std::hint::spin_loop();
-        } else {
-            let mut idle = b.idle.lock();
-            // Re-check under the lock: the poster bumps the generation
-            // *before* taking this lock to notify, so either we see the
-            // bump here or the poster's notify can only happen after we
-            // are registered as a sleeper and inside `wait`.
-            let g = b.generation.load(Ordering::Acquire);
-            if g != seen {
-                return g;
-            }
-            b.metrics.worker_parked(worker);
-            *idle += 1;
-            b.idle_cv.wait(&mut idle);
-            *idle -= 1;
-            spins = 0;
-        }
+        b.metrics.worker_parked(worker);
+        *idle += 1;
+        b.idle_cv.wait(&mut idle);
+        *idle -= 1;
     }
 }
 
@@ -280,11 +249,8 @@ fn worker_loop(worker: usize, n_threads: usize, barrier: Arc<Barrier>) {
             f,
             worker * n / n_threads..(worker + 1) * n / n_threads,
         );
-        // Signal completion; the last worker wakes the poster if it parked.
-        if barrier.done.fetch_add(1, Ordering::AcqRel) + 1 == n_threads - 1 {
-            let _guard = barrier.done_lock.lock();
-            barrier.done_cv.notify_one();
-        }
+        // Signal completion to the (never parked) poster.
+        barrier.done.fetch_add(1, Ordering::AcqRel);
     }
 }
 
@@ -315,34 +281,35 @@ impl Executor for StaticPool {
         self.post_and_wait(n, f);
     }
 
-    fn run_sum(&self, n: usize, f: &(dyn Fn(usize) -> f64 + Sync)) -> f64 {
-        if n == 0 {
+    fn run_sum_blocks(&self, n: usize, f: &(dyn Fn(Range<usize>, &mut [f64]) + Sync)) -> f64 {
+        let blocks = n.div_ceil(SUM_BLOCK);
+        if blocks == 0 {
             return 0.0;
         }
-        if n < self.n_threads || self.n_threads == 1 {
-            // Left fold from 0.0 in index order — exactly the fold the
-            // partial-buffer path below performs, so the inline shortcut
-            // cannot change the result.
+        if blocks < self.n_threads || self.n_threads == 1 {
+            // The same blocks and the same fold as the pooled path below,
+            // so the inline shortcut cannot change the result.
             self.barrier
                 .metrics
                 .inline_runs
                 .fetch_add(1, Ordering::Relaxed);
-            let mut acc = 0.0f64;
-            for i in 0..n {
-                acc += f(i);
-            }
-            return acc;
+            return run_sum_blocks_inline(n, f);
         }
         let mut scratch = self.poster.lock();
         if scratch.partials.len() < n {
             scratch.partials.resize(n, 0.0);
         }
+        let partials = &mut scratch.partials[..n];
+        partials.fill(0.0);
         {
-            let slot = UnsafeSlice::new(&mut scratch.partials[..n]);
-            // SAFETY: each index is visited exactly once → disjoint writes.
-            self.post_and_wait(n, &|i| unsafe { slot.set(i, f(i)) });
+            let slot = UnsafeSlice::new(partials);
+            // SAFETY: blocks are disjoint, and each runs exactly once.
+            self.post_and_wait(blocks, &|b| {
+                let ids = block(b, n);
+                f(ids.clone(), unsafe { slot.slice_mut(ids.start, ids.end) })
+            });
         }
-        scratch.partials[..n].iter().sum()
+        fold(&scratch.partials[..n])
     }
 
     fn run_sum4(&self, n: usize, f: &(dyn Fn(usize) -> [f64; 4] + Sync)) -> [f64; 4] {

@@ -17,19 +17,32 @@
 //! (never smaller than [`GRAIN`] indices), the way TBB's range
 //! partitioner splits a `parallel_for` range into a few chunks per thread.
 //!
+//! Waiting follows the static pool: a worker spins on an atomic copy of
+//! the region generation for the shared spin budget before it parks on
+//! the slot's condvar, and the poster notifies only when some worker is
+//! parked. The poster's join spins on the remaining-item and
+//! active-worker counts, then yields; it never parks (see
+//! `shared::join_wait`). Spinning is what keeps a dispatch-bound pool
+//! off the futex path: with every worker and the poster parking on
+//! condvars each region, the OpenCL port at 128² ran its three
+//! `small_sweep` solves slower on two threads than on one.
+//!
 //! Results remain bit-deterministic (writes are disjoint, reductions are
-//! index-ordered); only the *schedule* is non-deterministic, as with TBB.
+//! index-ordered from `+0.0`, the block-sum partials in pool-owned
+//! scratch); only the *schedule* is non-deterministic, as with TBB.
 
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam_deque::{Injector, Steal, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
 
-use crate::executor::Executor;
+use crate::executor::{block, fold, run_sum_blocks_inline, Executor, SUM_BLOCK};
 use crate::metrics::{Counters, PoolMetrics};
+use crate::shared::{join_wait, spin_until, CachePadded, UnsafeSlice};
 
 /// Minimum task size in indices, and the largest region run inline.
 const GRAIN: usize = 4;
@@ -54,24 +67,37 @@ struct Task {
 struct Slot {
     generation: u64,
     job: Option<JobFn>,
-    /// Workers currently inside the region's task loop. The poster waits
-    /// for this to reach zero so no worker can observe the next region's
-    /// tasks while still holding the previous (stale) closure pointer.
-    active: usize,
+    /// Workers parked on `work_cv`: the poster notifies only when some
+    /// worker actually sleeps.
+    sleepers: usize,
     shutdown: bool,
 }
 
 struct Shared {
     injector: Injector<Task>,
     slot: Mutex<Slot>,
+    /// `slot.generation`, readable without the lock: what spinning
+    /// workers watch for the next region (or shutdown).
+    generation: CachePadded<AtomicU64>,
+    /// Workers inside the current region's task loop. The poster waits
+    /// for this to reach zero after retiring the job, so no worker can
+    /// observe the next region's tasks while still holding the previous
+    /// (stale) closure pointer. Registration happens under the slot lock
+    /// while the job is published.
+    active: CachePadded<AtomicUsize>,
+    /// Items remaining in the current region.
+    remaining: CachePadded<AtomicUsize>,
     work_cv: Condvar,
-    done_cv: Condvar,
-    /// Items remaining in the current region; completion is signalled when
-    /// this reaches zero.
-    remaining: AtomicUsize,
     panicked: AtomicBool,
     /// Scheduler counters (regions, steals, parks); always on.
     metrics: Counters,
+}
+
+/// What the posting thread owns while it posts: its deque (slot 0) and
+/// the block-sum scratch, reused across regions.
+struct Poster {
+    local: Worker<Task>,
+    partials: Vec<f64>,
 }
 
 /// Persistent work-stealing thread pool. See module docs.
@@ -79,9 +105,8 @@ pub struct StealPool {
     shared: Arc<Shared>,
     /// Serialises parallel regions: `remaining`, the injector and the
     /// job slot describe one region at a time, so a second poster must
-    /// wait for the first region to drain. Owns the local deque of
-    /// whichever thread is posting (thread 0).
-    poster: Mutex<Worker<Task>>,
+    /// wait for the first region to drain.
+    poster: Mutex<Poster>,
     /// Every thread's steal handle; slot 0 is the poster's deque.
     stealers: Vec<Stealer<Task>>,
     workers: Vec<JoinHandle<()>>,
@@ -99,12 +124,13 @@ impl StealPool {
             slot: Mutex::new(Slot {
                 generation: 0,
                 job: None,
-                active: 0,
+                sleepers: 0,
                 shutdown: false,
             }),
+            generation: CachePadded::new(AtomicU64::new(0)),
+            active: CachePadded::new(AtomicUsize::new(0)),
+            remaining: CachePadded::new(AtomicUsize::new(0)),
             work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            remaining: AtomicUsize::new(0),
             panicked: AtomicBool::new(false),
             metrics: Counters::new(n_threads),
         });
@@ -124,7 +150,10 @@ impl StealPool {
             .collect();
         StealPool {
             shared,
-            poster: Mutex::new(poster_local),
+            poster: Mutex::new(Poster {
+                local: poster_local,
+                partials: Vec::new(),
+            }),
             stealers,
             workers,
             n_threads,
@@ -140,6 +169,91 @@ impl StealPool {
     pub fn metrics(&self) -> PoolMetrics {
         self.shared.metrics.snapshot()
     }
+
+    /// Post one region of `n > GRAIN` items, work alongside the workers
+    /// and join. Caller holds the poster lock and passes its deque.
+    fn post_and_wait(&self, local: &Worker<Task>, n: usize, f: &(dyn Fn(usize) + Sync)) {
+        let sh = &*self.shared;
+        // Keep the first task for this thread; the rest go to the injector.
+        let len = GRAIN.max(n.div_ceil(self.n_threads * TASKS_PER_THREAD));
+        let first = Task {
+            start: 0,
+            end: len.min(n),
+        };
+        let mut start = first.end;
+        while start < n {
+            let end = (start + len).min(n);
+            sh.injector.push(Task { start, end });
+            start = end;
+        }
+        sh.remaining.store(n, Ordering::Release);
+        // Erase the caller lifetime. SAFETY: `run` blocks until `remaining`
+        // is zero, the job is retired *and* no worker is active, so the
+        // borrow outlives every dereference (see the worker loop).
+        let job = JobFn {
+            ptr: unsafe { std::mem::transmute::<_, *const (dyn Fn(usize) + Sync)>(f) },
+        };
+        {
+            let mut slot = sh.slot.lock();
+            sh.metrics.regions.fetch_add(1, Ordering::Relaxed);
+            slot.generation += 1;
+            slot.job = Some(job);
+            sh.generation.store(slot.generation, Ordering::Release);
+            if slot.sleepers > 0 {
+                sh.work_cv.notify_all();
+            }
+        }
+        // Work alongside the workers: the kept task, then whatever is left
+        // in the injector or in another thread's deque.
+        let mut task = Some(first);
+        while let Some(t) = task {
+            run_task(sh, f, t);
+            task = find_task(0, local, &self.stealers, sh);
+        }
+        let mut waited = join_wait(|| {
+            sh.remaining.load(Ordering::Acquire) == 0 && sh.active.load(Ordering::Acquire) == 0
+        });
+        // Retire the job: no worker can register after this, and one that
+        // registered since the check above leaves once it finds no task.
+        sh.slot.lock().job = None;
+        waited |= join_wait(|| sh.active.load(Ordering::Acquire) == 0);
+        if waited {
+            sh.metrics.poster_parks.fetch_add(1, Ordering::Relaxed);
+        }
+        debug_assert!(self.stealers.iter().all(|s| s.is_empty()));
+        if sh.panicked.swap(false, Ordering::SeqCst) {
+            panic!("a parpool worker panicked while executing a parallel region");
+        }
+    }
+}
+
+/// Wait for a region newer than `seen` and register for it; `None` on
+/// shutdown. Spins on the shared budget first, then parks on `work_cv`.
+fn next_job(worker: usize, shared: &Shared, seen: &mut u64) -> Option<JobFn> {
+    loop {
+        spin_until(|| shared.generation.load(Ordering::Acquire) != *seen);
+        let mut slot = shared.slot.lock();
+        loop {
+            if slot.shutdown {
+                return None;
+            }
+            if slot.generation != *seen {
+                *seen = slot.generation;
+                match slot.job {
+                    Some(job) => {
+                        shared.active.fetch_add(1, Ordering::AcqRel);
+                        return Some(job);
+                    }
+                    // That region already joined: spin for the next one.
+                    None => break,
+                }
+            }
+            shared.metrics.worker_parked(worker);
+            slot.sleepers += 1;
+            shared.work_cv.wait(&mut slot);
+            slot.sleepers -= 1;
+        }
+    }
 }
 
 fn worker_loop(
@@ -148,39 +262,16 @@ fn worker_loop(
     victims: Vec<Stealer<Task>>,
     shared: Arc<Shared>,
 ) {
-    let mut seen_generation = 0u64;
-    loop {
-        // Wait for a new region (or shutdown).
-        let job = {
-            let mut slot = shared.slot.lock();
-            loop {
-                if slot.shutdown {
-                    return;
-                }
-                if slot.generation > seen_generation {
-                    if let Some(job) = slot.job {
-                        seen_generation = slot.generation;
-                        slot.active += 1;
-                        break job;
-                    }
-                }
-                shared.metrics.worker_parked(worker);
-                shared.work_cv.wait(&mut slot);
-            }
-        };
-        // SAFETY: poster keeps the closure alive until `remaining` is 0 and
-        // it has re-acquired the lock; we only dereference before that.
+    let mut seen = 0u64;
+    while let Some(job) = next_job(worker, &shared, &mut seen) {
+        // SAFETY: the poster keeps the closure alive until it has retired
+        // the job and `active` is back to zero; we only dereference it
+        // before deregistering below.
         let f = unsafe { &*job.ptr };
         while let Some(task) = find_task(worker, &local, &victims, &shared) {
             run_task(&shared, f, task);
         }
-        // Left the task loop: deregister and wake the poster if the region
-        // is fully drained.
-        let mut slot = shared.slot.lock();
-        slot.active -= 1;
-        if slot.active == 0 && shared.remaining.load(Ordering::Acquire) == 0 {
-            shared.done_cv.notify_all();
-        }
+        shared.active.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -253,57 +344,38 @@ impl Executor for StealPool {
             }
             return;
         }
-        let local = self.poster.lock();
-        // Keep the first task for this thread; the rest go to the injector.
-        let len = GRAIN.max(n.div_ceil(self.n_threads * TASKS_PER_THREAD));
-        let first = Task {
-            start: 0,
-            end: len.min(n),
-        };
-        let mut start = first.end;
-        while start < n {
-            let end = (start + len).min(n);
-            self.shared.injector.push(Task { start, end });
-            start = end;
+        let poster = self.poster.lock();
+        self.post_and_wait(&poster.local, n, f);
+    }
+
+    fn run_sum_blocks(&self, n: usize, f: &(dyn Fn(Range<usize>, &mut [f64]) + Sync)) -> f64 {
+        let blocks = n.div_ceil(SUM_BLOCK);
+        if blocks == 0 {
+            return 0.0;
         }
-        self.shared.remaining.store(n, Ordering::Release);
-        // Erase the caller lifetime. SAFETY: `run` blocks until `remaining`
-        // is zero *and* no worker is active, so the borrow outlives every
-        // dereference (see the worker loop).
-        let job = JobFn {
-            ptr: unsafe { std::mem::transmute::<_, *const (dyn Fn(usize) + Sync)>(f) },
-        };
-        let mut slot = self.shared.slot.lock();
-        self.shared.metrics.regions.fetch_add(1, Ordering::Relaxed);
-        slot.generation += 1;
-        slot.job = Some(job);
-        self.shared.work_cv.notify_all();
-        drop(slot);
-        // Work alongside the workers: the kept task, then whatever is left
-        // in the injector or in another thread's deque.
-        let mut task = Some(first);
-        while let Some(t) = task {
-            run_task(&self.shared, f, t);
-            task = find_task(0, &local, &self.stealers, &self.shared);
+        if blocks <= GRAIN || self.n_threads == 1 {
+            self.shared
+                .metrics
+                .inline_runs
+                .fetch_add(1, Ordering::Relaxed);
+            return run_sum_blocks_inline(n, f);
         }
-        let mut slot = self.shared.slot.lock();
-        let mut parked = false;
-        while self.shared.remaining.load(Ordering::Acquire) > 0 || slot.active > 0 {
-            if !parked {
-                parked = true;
-                self.shared
-                    .metrics
-                    .poster_parks
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            self.shared.done_cv.wait(&mut slot);
+        let mut poster = self.poster.lock();
+        let Poster { local, partials } = &mut *poster;
+        if partials.len() < n {
+            partials.resize(n, 0.0);
         }
-        slot.job = None;
-        drop(slot);
-        debug_assert!(self.stealers.iter().all(|s| s.is_empty()));
-        if self.shared.panicked.swap(false, Ordering::SeqCst) {
-            panic!("a parpool worker panicked while executing a parallel region");
+        let partials = &mut partials[..n];
+        partials.fill(0.0);
+        {
+            let slot = UnsafeSlice::new(partials);
+            // SAFETY: blocks are disjoint, and each runs exactly once.
+            self.post_and_wait(local, blocks, &|b| {
+                let ids = block(b, n);
+                f(ids.clone(), unsafe { slot.slice_mut(ids.start, ids.end) })
+            });
         }
+        fold(partials)
     }
 }
 
@@ -312,6 +384,11 @@ impl Drop for StealPool {
         {
             let mut slot = self.shared.slot.lock();
             slot.shutdown = true;
+            // The bump ends any worker's spin; the notify wakes the parked.
+            slot.generation += 1;
+            self.shared
+                .generation
+                .store(slot.generation, Ordering::Release);
             self.shared.work_cv.notify_all();
         }
         for handle in self.workers.drain(..) {
@@ -456,6 +533,34 @@ mod tests {
         let m = pool.metrics();
         assert_eq!((m.regions, m.inline_runs), (0, 2));
         assert_eq!(m.worker_parks, vec![0]);
+    }
+
+    #[test]
+    fn region_after_every_worker_parked_runs() {
+        let pool = StealPool::new(4);
+        pool.run(64, &|_| {});
+        // Long enough for every worker to blow its spin budget and park.
+        let parks = |p: &StealPool| p.metrics().worker_parks[1..].iter().all(|&n| n > 0);
+        let t0 = std::time::Instant::now();
+        while !parks(&pool) {
+            assert!(t0.elapsed().as_secs() < 10, "workers never parked");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
+        pool.run(1000, &|i| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        assert_eq!(pool.run_sum(1000, &|i| i as f64), 499_500.0);
+    }
+
+    #[test]
+    fn shutdown_while_workers_spin() {
+        for _ in 0..50 {
+            let pool = StealPool::new(3);
+            pool.run(64, &|_| {});
+            drop(pool); // workers are still inside their spin budget
+        }
     }
 
     #[test]

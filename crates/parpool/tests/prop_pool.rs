@@ -5,7 +5,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
-use parpool::{run_sum_many, Executor, SerialExec, StaticPool, StealPool};
+use parpool::{
+    run_sum_many, Executor, PermutedExec, SerialExec, StaticPool, StealPool, TiledExec, SUM_BLOCK,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -55,6 +57,42 @@ proptest! {
         let q = pool.run_sum(n, &|i| values[i] * values[i]);
         prop_assert_eq!(sum, s);
         prop_assert_eq!(sum_sq, q);
+    }
+
+    /// A block body that folds its partials row-interleaved (as the
+    /// kernel block bodies do) sums to `run_sum`'s bits on every
+    /// executor, for block counts around every multiple of the block.
+    #[test]
+    fn block_sums_match_per_index_sums_on_every_executor(
+        values in proptest::collection::vec(-1.0e9..1.0e9f64, 0..40),
+        blocks in 0usize..20,
+        threads in 1usize..5,
+        seed in 0u64..1000,
+    ) {
+        let n = (blocks * SUM_BLOCK + values.len() % 3).saturating_sub(1);
+        let f = |i: usize| values.get(i % values.len().max(1)).copied().unwrap_or(0.0) + (i as f64).cos();
+        let static_pool = StaticPool::new(threads);
+        let steal_pool = StealPool::new(threads);
+        let execs: [&dyn Executor; 6] = [
+            &SerialExec,
+            &static_pool,
+            &steal_pool,
+            &PermutedExec::new(&static_pool, seed),
+            &PermutedExec::new(&steal_pool, seed),
+            &TiledExec::new(&static_pool, 3, 2),
+        ];
+        let reference = SerialExec.run_sum(n, &f);
+        for (k, exec) in execs.iter().enumerate() {
+            let by_block = exec.run_sum_blocks(n, &|ids, out| {
+                // Fill back to front: the order a block computes its
+                // partials in must not matter.
+                for (o, i) in out.iter_mut().zip(ids).rev() {
+                    *o += f(i);
+                }
+            });
+            prop_assert_eq!(by_block.to_bits(), reference.to_bits(), "exec #{} n {}", k, n);
+            prop_assert_eq!(exec.run_sum(n, &f).to_bits(), reference.to_bits(), "exec #{} n {}", k, n);
+        }
     }
 
     #[test]

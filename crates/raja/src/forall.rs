@@ -2,7 +2,7 @@
 
 use std::ops::Range;
 
-use parpool::Executor;
+use parpool::{Executor, SerialExec};
 use simdev::{KernelProfile, SimContext};
 
 use crate::indexset::{IndexSet, Segment};
@@ -67,50 +67,67 @@ pub fn forall_runs<P: ExecPolicy>(
     let n = seg.len();
     if P::PARALLEL {
         rt.exec.run(n.div_ceil(CHUNK), &|c| {
-            seg_runs(seg, c * CHUNK..((c + 1) * CHUNK).min(n), f)
+            seg_runs(seg, c * CHUNK..((c + 1) * CHUNK).min(n), |_, ids| f(ids))
         });
     } else {
-        seg_runs(seg, 0..n, f);
+        seg_runs(seg, 0..n, |_, ids| f(ids));
     }
 }
 
-/// Hand `f` the index runs that iteration positions `pos` of `seg` name.
+/// Hand `f(p, ids)` the index runs that iteration positions `pos` of
+/// `seg` name, `p` being each run's first position: one run for a range
+/// segment, the list's cached runs clipped to `pos` for a list segment.
 #[inline(always)]
-fn seg_runs(seg: &Segment, pos: Range<usize>, f: &(impl Fn(Range<usize>) + ?Sized)) {
+fn seg_runs(seg: &Segment, pos: Range<usize>, mut f: impl FnMut(usize, Range<usize>)) {
     match seg {
         Segment::Range(r) => {
             if !pos.is_empty() {
-                f(r.begin + pos.start..r.begin + pos.end)
+                f(pos.start, r.begin + pos.start..r.begin + pos.end)
             }
         }
-        Segment::List(l) => {
-            let ix = &l.indices()[pos];
-            let mut start = 0;
-            for k in 1..=ix.len() {
-                if k == ix.len() || ix[k] != ix[k - 1] + 1 {
-                    f(ix[start]..ix[k - 1] + 1);
-                    start = k;
-                }
-            }
-        }
+        Segment::List(l) => l.runs_in(pos, f),
     }
 }
 
 /// `RAJA::forall` with a `ReduceSum`: one partial per iteration position,
-/// joined in position order (deterministic for any executor).
+/// joined in position order (deterministic for any executor). A thin
+/// per-index wrapper over [`forall_sum_blocks`].
 pub fn forall_sum<P: ExecPolicy>(
     rt: &RajaRuntime<'_>,
     seg: &Segment,
     profile: &KernelProfile,
     f: &(dyn Fn(usize) -> f64 + Sync),
 ) -> f64 {
+    forall_sum_blocks::<P>(rt, seg, profile, &|ids, out| {
+        for (o, k) in out.iter_mut().zip(ids) {
+            *o = f(k);
+        }
+    })
+}
+
+/// `RAJA::forall` with a `ReduceSum`, one block of iteration positions
+/// at a time ([`parpool::Executor::run_sum_blocks`]; inline under a
+/// sequential policy): `f(ids, out)` writes the partials of each run of
+/// consecutive indices a block names into `out`, the block's partials at
+/// those positions. Partials join in position order from `+0.0`, so a
+/// body that computes [`forall_sum`]'s partials gets its bits. Charges
+/// exactly what [`forall_sum`] charges, indirection included.
+pub fn forall_sum_blocks<P: ExecPolicy>(
+    rt: &RajaRuntime<'_>,
+    seg: &Segment,
+    profile: &KernelProfile,
+    f: &(dyn Fn(Range<usize>, &mut [f64]) + Sync),
+) -> f64 {
     rt.ctx.launch(&profile_for(seg, profile));
-    let n = seg.len();
-    if P::PARALLEL {
-        rt.exec.run_sum(n, &|k| f(seg.at(k)))
-    } else {
-        (0..n).map(|k| f(seg.at(k))).sum()
-    }
+    let block = |pos: Range<usize>, out: &mut [f64]| {
+        let p0 = pos.start;
+        seg_runs(seg, pos, |p, ids| {
+            let at = p - p0;
+            f(ids.clone(), &mut out[at..at + ids.len()])
+        });
+    };
+    let exec: &dyn Executor = if P::PARALLEL { rt.exec } else { &SerialExec };
+    exec.run_sum_blocks(seg.len(), &block)
 }
 
 /// Multi-variable reduction — the paper's port had to write "our own
@@ -158,7 +175,6 @@ mod tests {
     use super::*;
     use crate::indexset::{IndexSet, ListSegment, RangeSegment};
     use crate::policy::{OmpParallelForExec, SeqExec};
-    use parpool::SerialExec;
     use simdev::{devices, ModelProfile};
     use std::sync::atomic::{AtomicUsize, Ordering};
 

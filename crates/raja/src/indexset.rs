@@ -25,16 +25,38 @@ impl RangeSegment {
     }
 }
 
-/// An explicit list of indices (the indirection array of §3.4).
+/// A maximal stretch of consecutive entries of a [`ListSegment`]:
+/// iteration positions `pos..pos + len` hold indices `first..first + len`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ListRun {
+    pos: usize,
+    first: usize,
+    len: usize,
+}
+
+/// An explicit list of indices (the indirection array of §3.4), with its
+/// maximal runs of consecutive entries found once, at construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ListSegment {
     indices: Vec<usize>,
+    runs: Vec<ListRun>,
 }
 
 impl ListSegment {
     /// Wrap a pre-computed indirection list.
     pub fn new(indices: Vec<usize>) -> Self {
-        ListSegment { indices }
+        let mut runs: Vec<ListRun> = Vec::new();
+        for (pos, &k) in indices.iter().enumerate() {
+            match runs.last_mut() {
+                Some(r) if r.first + r.len == k => r.len += 1,
+                _ => runs.push(ListRun {
+                    pos,
+                    first: k,
+                    len: 1,
+                }),
+            }
+        }
+        ListSegment { indices, runs }
     }
 
     /// Build the interior-cell list for a padded `width × height` grid
@@ -47,12 +69,31 @@ impl ListSegment {
                 indices.push(j * width + i);
             }
         }
-        ListSegment { indices }
+        Self::new(indices)
     }
 
     /// The raw index list.
     pub fn indices(&self) -> &[usize] {
         &self.indices
+    }
+
+    /// Hand `f(p, ids)`, in list order, each run of consecutive entries
+    /// that iteration positions `pos` hold — the cached runs clipped to
+    /// `pos`, found by lookup; `p` is the run's first position.
+    #[inline]
+    pub fn runs_in(
+        &self,
+        pos: std::ops::Range<usize>,
+        mut f: impl FnMut(usize, std::ops::Range<usize>),
+    ) {
+        let from = self.runs.partition_point(|r| r.pos + r.len <= pos.start);
+        for r in &self.runs[from..] {
+            if r.pos >= pos.end {
+                break;
+            }
+            let (a, e) = (r.pos.max(pos.start), (r.pos + r.len).min(pos.end));
+            f(a, r.first + (a - r.pos)..r.first + (e - r.pos));
+        }
     }
 
     /// Iteration count.

@@ -13,13 +13,18 @@
 //!   `indirection` kernel trait, which is exactly that cost.
 //!   Dispatch runs one chunk of iteration positions at a time
 //!   ([`forall::forall_runs`]), handing the body the contiguous index runs
-//!   the chunk names; `forall` is the per-index wrapper over it.
+//!   the chunk names; `forall` is the per-index wrapper over it. A list
+//!   segment finds its maximal runs of consecutive entries once, at
+//!   construction ([`ListSegment::runs_in`]), so a chunk's runs are a lookup,
+//!   not a rescan of the list on every launch.
 //! * **IndexSets** — ordered collections of segments dispatched as a unit.
 //! * **Execution policies** — [`policy::SeqExec`], [`policy::OmpParallelForExec`],
 //!   [`policy::SimdExec`] (the paper's proof-of-concept `RAJA SIMD`
 //!   variant that re-enables vectorization on range segments).
 //! * **Reductions** — `forall_sum`, the analogue of `RAJA::ReduceSum`,
-//!   with index-ordered deterministic joins.
+//!   with index-ordered deterministic joins from `+0.0`, is the per-index
+//!   wrapper over [`forall::forall_sum_blocks`], which hands the body a
+//!   block of positions' index runs and the matching partials to write.
 //!
 //! ## Example
 //!
@@ -42,6 +47,6 @@ pub mod forall;
 pub mod indexset;
 pub mod policy;
 
-pub use forall::{forall, forall_runs, forall_sum, RajaRuntime};
+pub use forall::{forall, forall_runs, forall_sum, forall_sum_blocks, RajaRuntime};
 pub use indexset::{IndexSet, ListSegment, RangeSegment, Segment};
 pub use policy::{ExecPolicy, OmpParallelForExec, SeqExec, SimdExec};

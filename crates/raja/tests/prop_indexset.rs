@@ -59,6 +59,38 @@ proptest! {
         }
     }
 
+    /// The runs cached at construction, clipped to any position range,
+    /// equal a fresh walk of that range's entries.
+    #[test]
+    fn cached_runs_equal_the_walk(
+        steps in proptest::collection::vec(1usize..4, 0..300),
+        a in 0usize..320,
+        b in 0usize..320,
+    ) {
+        // Strictly increasing entries with random gaps (step 1 = consecutive).
+        let indices: Vec<usize> = steps
+            .iter()
+            .scan(0, |k, &s| {
+                *k += s;
+                Some(*k)
+            })
+            .collect();
+        let list = ListSegment::new(indices.clone());
+        let (lo, hi) = (a.min(b).min(indices.len()), a.max(b).min(indices.len()));
+        let mut walk = Vec::new();
+        let ix = &indices[lo..hi];
+        let mut start = 0;
+        for k in 1..=ix.len() {
+            if k == ix.len() || ix[k] != ix[k - 1] + 1 {
+                walk.push((lo + start, ix[start]..ix[k - 1] + 1));
+                start = k;
+            }
+        }
+        let mut cached = Vec::new();
+        list.runs_in(lo..hi, |p, ids| cached.push((p, ids)));
+        prop_assert_eq!(cached, walk);
+    }
+
     #[test]
     fn segment_at_enumerates_in_order(begin in 0usize..1000, len in 1usize..500) {
         let seg = Segment::Range(RangeSegment::new(begin, begin + len));

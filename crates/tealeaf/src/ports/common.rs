@@ -101,6 +101,15 @@ impl Run {
         &x[self.b..self.b + self.len]
     }
 
+    /// The run's cells of a shared-write field, for reading.
+    ///
+    /// # Safety
+    /// No other concurrent caller may write the run's cells of `x`.
+    #[inline(always)]
+    unsafe fn view<'a>(self, x: &Us<'a>) -> &'a [f64] {
+        unsafe { x.slice(self.b, self.b + self.len) }
+    }
+
     /// The run's cells of `x`, writable.
     ///
     /// # Safety
@@ -197,17 +206,15 @@ impl RunBox {
 //
 // 1. **No fold** (`cheby_calc_p`, `residual`, `ppcg_w`): the tail
 //    (`res = u0 − A·u`, the p update) rides the stencil loop.
-// 2. **Fold** (`cg_init`, `cg_calc_w`, `jacobi_iterate`): a stencil pass
-//    writes the run (`w`, or the new `u`), then a tail pass over the still
-//    L1-resident run does the rest and the fold, which is strictly ordered
-//    and so cannot vectorise.
+// 2. **Update before a fold** (`cg_init`, `jacobi_iterate`): a stencil
+//    pass writes the run (`w`, or the new `u`), then an elementwise pass
+//    over the still L1-resident run does the rest. The reducing kernels'
+//    run bodies are update passes only; their folds are the row-block
+//    tail below ([`fold_rows`]).
 //
 // Both shapes are bit-identical to evaluating each cell on its own: every
 // cell evaluates the same `physics` expression on the same operands (Rust
-// never contracts `a*b + c` to an FMA), and every fold still runs left to
-// right from `0.0` within the run, so row partials — and the row-order sums
-// the ports build from them — keep their bits. Streaming bodies stay one
-// pass: splitting an update from its fold only re-reads the run.
+// never contracts `a*b + c` to an FMA).
 //
 // Every body's `# Safety` contract is the same: **the run's cells of every
 // output field are written by this caller alone**. Its reads may reach the
@@ -349,8 +356,8 @@ pub unsafe fn run_init_coeffs(
     }
 }
 
-/// CG init: `w = A·u`, `r = u0 − w`, `p = (M⁻¹r | r)`; returns the run's
-/// `r·p` partial.
+/// CG init's update pass: `w = A·u`, `r = u0 − w`, `p = (M⁻¹r | r)`
+/// (its fold is `r·p`, [`block_cg_init`]).
 ///
 /// # Safety
 /// As [`run_init_u0`].
@@ -366,14 +373,13 @@ pub unsafe fn run_cg_init(
     r: &Us,
     p: &Us,
     z: &Us,
-) -> f64 {
+) {
     let len = run.len;
     // SAFETY: the run is this caller's alone (# Safety).
     let (w, r, p) = unsafe { (run.out(w), run.out(r), run.out(p)) };
     let st = RowStencil::new(run, u, kx, ky);
     st.apply(w);
     let u0 = run.of(u0);
-    let mut rro = 0.0;
     if precond {
         // SAFETY: the run is this caller's alone (# Safety).
         let z = unsafe { run.out(z) };
@@ -383,37 +389,29 @@ pub unsafe fn run_cg_init(
             let zv = res / st.k.diag(i);
             z[i] = zv;
             p[i] = zv;
-            rro += res * zv;
         }
     } else {
         for i in 0..len {
             let res = u0[i] - w[i];
             r[i] = res;
             p[i] = res;
-            rro += res * res;
         }
     }
-    rro
 }
 
-/// CG `w = A·p`; returns the run's `p·w` partial.
+/// CG `w = A·p`, the update pass of `cg_calc_w` (its fold is `p·w`,
+/// [`block_cg_calc_w`]).
 ///
 /// # Safety
 /// As [`run_init_u0`].
-pub unsafe fn run_cg_calc_w(run: Run, p: &[f64], kx: &[f64], ky: &[f64], w: &Us) -> f64 {
+pub unsafe fn run_cg_calc_w(run: Run, p: &[f64], kx: &[f64], ky: &[f64], w: &Us) {
     // SAFETY: the run is this caller's alone (# Safety).
     let w = unsafe { run.out(w) };
     RowStencil::new(run, p, kx, ky).apply(w);
-    let p = run.of(p);
-    let mut pw = 0.0;
-    for i in 0..run.len {
-        pw += p[i] * w[i];
-    }
-    pw
 }
 
-/// CG update: `u += α·p`, `r −= α·w`, optionally `z = M⁻¹r`; returns the
-/// run's `r·r` (or `r·z`) partial.
+/// CG update pass: `u += α·p`, `r −= α·w`, optionally `z = M⁻¹r` (its
+/// fold is `r·r` or `r·z`, [`block_cg_calc_ur`]).
 ///
 /// # Safety
 /// As [`run_init_u0`].
@@ -429,33 +427,23 @@ pub unsafe fn run_cg_calc_ur(
     u: &Us,
     r: &Us,
     z: &Us,
-) -> f64 {
+) {
     let len = run.len;
     // SAFETY: the run is this caller's alone (# Safety).
     let (u, r) = unsafe { (run.out(u), run.out(r)) };
     let (p, w) = (run.of(p), run.of(w));
-    let mut rrn = 0.0;
+    for i in 0..len {
+        u[i] += alpha * p[i];
+        r[i] -= alpha * w[i];
+    }
     if precond {
         // SAFETY: the run is this caller's alone (# Safety).
         let z = unsafe { run.out(z) };
         let k = RowCoeffs::new(run, kx, ky);
         for i in 0..len {
-            u[i] += alpha * p[i];
-            let rv = r[i] - alpha * w[i];
-            r[i] = rv;
-            let zv = rv / k.diag(i);
-            z[i] = zv;
-            rrn += rv * zv;
-        }
-    } else {
-        for i in 0..len {
-            u[i] += alpha * p[i];
-            let rv = r[i] - alpha * w[i];
-            r[i] = rv;
-            rrn += rv * rv;
+            z[i] = r[i] / k.diag(i);
         }
     }
-    rrn
 }
 
 /// `p = (z|r) + β·p`.
@@ -587,21 +575,14 @@ pub unsafe fn run_jacobi_copy(run: Run, u: &[f64], r: &Us) {
     unsafe { run.out(r) }.copy_from_slice(run.of(u));
 }
 
-/// Jacobi sweep: `u = (u0 + Σ k·u_old_neighbours)/diag`; returns the run's
-/// `Σ|Δu|` partial. `r` holds the previous iterate. The sweep reads the
-/// same row slices as [`RowStencil::each`] with its own update, then folds
-/// `|Δu|` in a second pass.
+/// Jacobi sweep's update pass: `u = (u0 + Σ k·u_old_neighbours)/diag`,
+/// with `r` holding the previous iterate (its fold is `Σ|u − r|`,
+/// [`block_jacobi_iterate`]). The sweep reads the same row slices as
+/// [`RowStencil::each`] with its own update.
 ///
 /// # Safety
 /// As [`run_init_u0`].
-pub unsafe fn run_jacobi_iterate(
-    run: Run,
-    u0: &[f64],
-    r: &[f64],
-    kx: &[f64],
-    ky: &[f64],
-    u: &Us,
-) -> f64 {
+pub unsafe fn run_jacobi_iterate(run: Run, u0: &[f64], r: &[f64], kx: &[f64], ky: &[f64], u: &Us) {
     let len = run.len;
     // SAFETY: the run is this caller's alone (# Safety).
     let u = unsafe { run.out(u) };
@@ -622,40 +603,26 @@ pub unsafe fn run_jacobi_iterate(
             ky_n[i],
         );
     }
-    let mut err = 0.0;
-    for i in 0..len {
-        err += (u[i] - c[i + 1]).abs();
-    }
-    err
-}
-
-/// The run's `Σ x²` partial.
-pub fn run_norm(run: Run, x: &[f64]) -> f64 {
-    let mut n = 0.0;
-    for &v in run.of(x) {
-        n += v * v;
-    }
-    n
 }
 
 /// The run's partial of the 4-component field summary
-/// `[volume, mass, internal energy, temperature]`.
+/// `[volume, mass, internal energy, temperature]`, continued from `acc`
+/// (`[0.0; 4]` for a fresh partial).
 pub fn run_summary(
     run: Run,
     density: &[f64],
     energy: &[f64],
     u: &[f64],
     cell_vol: f64,
-) -> [f64; 4] {
+    acc: &mut [f64; 4],
+) {
     let (d, e, u) = (run.of(density), run.of(energy), run.of(u));
-    let mut acc = [0.0; 4];
     for i in 0..run.len {
         acc[0] += cell_vol;
         acc[1] += d[i] * cell_vol;
         acc[2] += d[i] * e[i] * cell_vol;
         acc[3] += u[i] * cell_vol;
     }
-    acc
 }
 
 /// `energy = u/density`.
@@ -672,11 +639,243 @@ pub unsafe fn run_finalise(run: Run, u: &[f64], density: &[f64], energy: &Us) {
 }
 
 // ---------------------------------------------------------------------------
-// row forms (row-dispatch ports, and all reductions)
+// row-block reductions (every reducing kernel, every port)
+// ---------------------------------------------------------------------------
+//
+// A reducing kernel's row partial is a left-to-right fold from `0.0` over
+// its row's terms, and the ports sum the partials in row order. One fold
+// per row is one serial chain of floating-point adds, so a row's fold runs
+// at the add latency however well its update pass vectorises. The block
+// bodies below run the update pass over a block of rows and then fold
+// [`FOLD_ROWS`] rows side by side ([`fold_rows`]): each row keeps its own
+// accumulator and folds its own terms in its own order, so every row
+// partial — and every sum built from them — keeps its bits; only chains
+// that never meet interleave. A block arrives as the interior rows `rows`
+// (0 is the first interior row) and, per [`Pass`], the accumulators of
+// those rows: `+0.0` for a fresh partial, or the running sums a tile
+// receives from its west neighbour.
+
+/// Rows a block reduction folds side by side, one accumulator each. Four
+/// chains already keep the adds of one row busy with the loads of the
+/// others, and their eight operand rows and four sums stay in registers:
+/// at 128 and 1024 cells a row, eight interleaved chains (sixteen operand
+/// rows, spilled) folded `p·w` in 0.64 and 0.53 ns/cell against 0.47 and
+/// 0.39 for two rounds of four, and 0.65 and 0.73 for one row at a time
+/// (2-vCPU Xeon VM, best of 15 timed batches).
+pub const FOLD_ROWS: usize = 4;
+
+/// What a reducing block body runs over its rows.
+pub enum Pass<'a> {
+    /// The update pass alone: the fold is not wanted (a tile's
+    /// `cg_update_ur`, whose reduction PPCG discards), or comes later (a
+    /// tile waiting for its carries).
+    Update,
+    /// The update pass, then the fold onto `acc[r]` for row
+    /// `rows.start + r`, [`FOLD_ROWS`] rows at a time.
+    Reduce(&'a mut [f64]),
+    /// The fold alone onto `acc`, over fields an earlier [`Pass::Update`]
+    /// wrote.
+    Fold(&'a mut [f64]),
+}
+
+/// The fold tail of every reducing kernel: `acc[r] += term(a[i], b[i])`
+/// for every cell `i` of row `r`, left to right, where `(a, b) =
+/// ops(r)` are the row's operand cells. Full blocks of [`FOLD_ROWS`] rows
+/// (all of one length) interleave their chains; the rest fold row by row
+/// in the same order.
+#[inline(always)]
+fn fold_rows<'a>(
+    acc: &mut [f64],
+    ops: impl Fn(usize) -> (&'a [f64], &'a [f64]),
+    term: impl Fn(f64, f64) -> f64,
+) {
+    for (k, acc) in acc.chunks_mut(FOLD_ROWS).enumerate() {
+        let first = k * FOLD_ROWS;
+        if let Ok(acc) = <&mut [f64; FOLD_ROWS]>::try_from(&mut *acc) {
+            let rows: [(&[f64], &[f64]); FOLD_ROWS] = std::array::from_fn(|r| ops(first + r));
+            let len = rows[0].0.len();
+            let rows = rows.map(|(a, b)| (&a[..len], &b[..len]));
+            let mut s = *acc;
+            for i in 0..len {
+                for r in 0..FOLD_ROWS {
+                    s[r] += term(rows[r].0[i], rows[r].1[i]);
+                }
+            }
+            *acc = s;
+        } else {
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let (a, b) = ops(first + r);
+                for (&x, &y) in a.iter().zip(b) {
+                    *acc += term(x, y);
+                }
+            }
+        }
+    }
+}
+
+/// `a·b`, the dot-product term.
+#[inline(always)]
+fn dot(a: f64, b: f64) -> f64 {
+    a * b
+}
+
+/// Run a reducing kernel's [`Pass`] over interior rows `rows`: `update`
+/// on each row's run, and [`fold_rows`] of `term` over `ops` of each run.
+/// [`Pass::Reduce`] folds each block of [`FOLD_ROWS`] rows right after
+/// updating it, while the block is still in cache.
+#[inline(always)]
+fn block<'a>(
+    mesh: &Mesh2d,
+    rows: Range<usize>,
+    pass: Pass<'_>,
+    update: impl Fn(Run),
+    ops: impl Fn(Run) -> (&'a [f64], &'a [f64]),
+    term: impl Fn(f64, f64) -> f64 + Copy,
+) {
+    let bx = RunBox::interior(mesh);
+    let run = |jj: usize| bx.row(mesh.i0() + jj);
+    match pass {
+        Pass::Update => rows.for_each(|jj| update(run(jj))),
+        Pass::Reduce(acc) => {
+            debug_assert_eq!(acc.len(), rows.len());
+            for (k, acc) in acc.chunks_mut(FOLD_ROWS).enumerate() {
+                let first = rows.start + k * FOLD_ROWS;
+                (first..first + acc.len()).for_each(|jj| update(run(jj)));
+                fold_rows(acc, |r| ops(run(first + r)), term);
+            }
+        }
+        Pass::Fold(acc) => {
+            debug_assert_eq!(acc.len(), rows.len());
+            fold_rows(acc, |r| ops(run(rows.start + r)), term);
+        }
+    }
+}
+
+/// [`run_cg_init`] over interior rows `rows`, folding `r·p`.
+///
+/// # Safety
+/// Rows `rows` of every output are this caller's alone.
+#[allow(clippy::too_many_arguments)]
+pub unsafe fn block_cg_init(
+    mesh: &Mesh2d,
+    rows: Range<usize>,
+    pass: Pass<'_>,
+    precond: bool,
+    u: &[f64],
+    u0: &[f64],
+    kx: &[f64],
+    ky: &[f64],
+    w: &Us,
+    r: &Us,
+    p: &Us,
+    z: &Us,
+) {
+    // SAFETY throughout: the rows are this caller's alone (# Safety).
+    block(
+        mesh,
+        rows,
+        pass,
+        |run| unsafe { run_cg_init(run, precond, u, u0, kx, ky, w, r, p, z) },
+        |run| unsafe { (run.view(r), run.view(p)) },
+        dot,
+    )
+}
+
+/// [`run_cg_calc_w`] over interior rows `rows`, folding `p·w`.
+///
+/// # Safety
+/// As [`block_cg_init`].
+pub unsafe fn block_cg_calc_w(
+    mesh: &Mesh2d,
+    rows: Range<usize>,
+    pass: Pass<'_>,
+    p: &[f64],
+    kx: &[f64],
+    ky: &[f64],
+    w: &Us,
+) {
+    // SAFETY throughout: the rows are this caller's alone (# Safety).
+    block(
+        mesh,
+        rows,
+        pass,
+        |run| unsafe { run_cg_calc_w(run, p, kx, ky, w) },
+        |run| (run.of(p), unsafe { run.view(w) }),
+        dot,
+    )
+}
+
+/// [`run_cg_calc_ur`] over interior rows `rows`, folding `r·z`
+/// (preconditioned) or `r·r`.
+///
+/// # Safety
+/// As [`block_cg_init`].
+#[allow(clippy::too_many_arguments)]
+pub unsafe fn block_cg_calc_ur(
+    mesh: &Mesh2d,
+    rows: Range<usize>,
+    pass: Pass<'_>,
+    alpha: f64,
+    precond: bool,
+    p: &[f64],
+    w: &[f64],
+    kx: &[f64],
+    ky: &[f64],
+    u: &Us,
+    r: &Us,
+    z: &Us,
+) {
+    let by = if precond { z } else { r };
+    // SAFETY throughout: the rows are this caller's alone (# Safety).
+    block(
+        mesh,
+        rows,
+        pass,
+        |run| unsafe { run_cg_calc_ur(run, alpha, precond, p, w, kx, ky, u, r, z) },
+        |run| unsafe { (run.view(r), run.view(by)) },
+        dot,
+    )
+}
+
+/// [`run_jacobi_iterate`] over interior rows `rows`, folding `|u − r|`
+/// (`r` holds the previous iterate).
+///
+/// # Safety
+/// As [`block_cg_init`].
+#[allow(clippy::too_many_arguments)]
+pub unsafe fn block_jacobi_iterate(
+    mesh: &Mesh2d,
+    rows: Range<usize>,
+    pass: Pass<'_>,
+    u0: &[f64],
+    r: &[f64],
+    kx: &[f64],
+    ky: &[f64],
+    u: &Us,
+) {
+    // SAFETY throughout: the rows are this caller's alone (# Safety).
+    block(
+        mesh,
+        rows,
+        pass,
+        |run| unsafe { run_jacobi_iterate(run, u0, r, kx, ky, u) },
+        |run| (unsafe { run.view(u) }, run.of(r)),
+        |new, old| (new - old).abs(),
+    )
+}
+
+/// `calc_2norm` over interior rows `rows`, folding `x²`. It has no update
+/// pass, so [`Pass::Reduce`] and [`Pass::Fold`] are the same fold.
+pub fn block_norm(mesh: &Mesh2d, rows: Range<usize>, pass: Pass<'_>, x: &[f64]) {
+    block(mesh, rows, pass, |_| {}, |run| (run.of(x), run.of(x)), dot)
+}
+
+// ---------------------------------------------------------------------------
+// row forms (row-dispatch ports)
 // ---------------------------------------------------------------------------
 
 /// `row_*`: the `run_*` body over interior row `j` — the whole-row entry the
-/// row-dispatch ports and every row-ordered reduction call.
+/// row-dispatch ports call.
 macro_rules! row_forms {
     ($($row:ident => $run:ident($($a:ident: $t:ty),*) $(-> $ret:ty)?;)*) => {$(
         #[doc = concat!("[`", stringify!($run), "`] over interior row `j`.")]
@@ -693,15 +892,6 @@ macro_rules! row_forms {
 
 row_forms! {
     row_init_u0 => run_init_u0(density: &[f64], energy: &[f64], u0: &Us, u: &Us);
-    row_cg_init => run_cg_init(
-        precond: bool, u: &[f64], u0: &[f64], kx: &[f64], ky: &[f64],
-        w: &Us, r: &Us, p: &Us, z: &Us
-    ) -> f64;
-    row_cg_calc_w => run_cg_calc_w(p: &[f64], kx: &[f64], ky: &[f64], w: &Us) -> f64;
-    row_cg_calc_ur => run_cg_calc_ur(
-        alpha: f64, precond: bool, p: &[f64], w: &[f64], kx: &[f64], ky: &[f64],
-        u: &Us, r: &Us, z: &Us
-    ) -> f64;
     row_cg_calc_p => run_cg_calc_p(beta: f64, precond: bool, r: &[f64], z: &[f64], p: &Us);
     row_cheby_calc_p => run_cheby_calc_p(
         first: bool, theta: f64, alpha: f64, beta: f64, u: &[f64], u0: &[f64],
@@ -713,9 +903,6 @@ row_forms! {
     row_ppcg_update => run_ppcg_update(alpha: f64, beta: f64, w: &[f64], u: &Us, r: &Us, sd: &Us);
     row_residual => run_residual(u: &[f64], u0: &[f64], kx: &[f64], ky: &[f64], r: &Us);
     row_jacobi_copy => run_jacobi_copy(u: &[f64], r: &Us);
-    row_jacobi_iterate => run_jacobi_iterate(
-        u0: &[f64], r: &[f64], kx: &[f64], ky: &[f64], u: &Us
-    ) -> f64;
     row_finalise => run_finalise(u: &[f64], density: &[f64], energy: &Us);
 }
 
@@ -740,12 +927,69 @@ pub unsafe fn row_init_coeffs(
     unsafe { run_init_coeffs(run, coefficient, rx, ry, density, kx, ky) }
 }
 
-/// [`run_norm`] over interior row `j`.
-pub fn row_norm(mesh: &Mesh2d, j: usize, x: &[f64]) -> f64 {
-    run_norm(Run::row(mesh, j), x)
+/// [`block_cg_calc_w`] over interior row `j` alone; returns its `p·w`
+/// partial.
+///
+/// # Safety
+/// Row `j` of every output is this caller's alone.
+pub unsafe fn row_cg_calc_w(
+    mesh: &Mesh2d,
+    j: usize,
+    p: &[f64],
+    kx: &[f64],
+    ky: &[f64],
+    w: &Us,
+) -> f64 {
+    let mut acc = [0.0];
+    let jj = j - mesh.i0();
+    // SAFETY: forwarded (# Safety).
+    unsafe { block_cg_calc_w(mesh, jj..jj + 1, Pass::Reduce(&mut acc), p, kx, ky, w) };
+    acc[0]
 }
 
-/// [`run_summary`] over interior row `j`.
+/// [`block_cg_calc_ur`] over interior row `j` alone; returns its `r·r`
+/// (or `r·z`) partial.
+///
+/// # Safety
+/// Row `j` of every output is this caller's alone.
+#[allow(clippy::too_many_arguments)]
+pub unsafe fn row_cg_calc_ur(
+    mesh: &Mesh2d,
+    j: usize,
+    alpha: f64,
+    precond: bool,
+    p: &[f64],
+    w: &[f64],
+    kx: &[f64],
+    ky: &[f64],
+    u: &Us,
+    r: &Us,
+    z: &Us,
+) -> f64 {
+    let mut acc = [0.0];
+    let jj = j - mesh.i0();
+    let pass = Pass::Reduce(&mut acc);
+    // SAFETY: forwarded (# Safety).
+    unsafe {
+        block_cg_calc_ur(
+            mesh,
+            jj..jj + 1,
+            pass,
+            alpha,
+            precond,
+            p,
+            w,
+            kx,
+            ky,
+            u,
+            r,
+            z,
+        )
+    };
+    acc[0]
+}
+
+/// [`run_summary`] over interior row `j`, from `[0.0; 4]`.
 pub fn row_summary(
     mesh: &Mesh2d,
     j: usize,
@@ -754,31 +998,9 @@ pub fn row_summary(
     u: &[f64],
     cell_vol: f64,
 ) -> [f64; 4] {
-    run_summary(Run::row(mesh, j), density, energy, u, cell_vol)
-}
-
-/// `x[k]²` — one cell's norm term, for the tile port's carry reductions.
-#[inline(always)]
-pub fn cell_norm(k: usize, x: &[f64]) -> f64 {
-    x[k] * x[k]
-}
-
-/// One cell's `[volume, mass, internal energy, temperature]` term, for the
-/// tile port's carry reductions.
-#[inline(always)]
-pub fn cell_summary(
-    k: usize,
-    density: &[f64],
-    energy: &[f64],
-    u: &[f64],
-    cell_vol: f64,
-) -> [f64; 4] {
-    [
-        cell_vol,
-        density[k] * cell_vol,
-        density[k] * energy[k] * cell_vol,
-        u[k] * cell_vol,
-    ]
+    let mut acc = [0.0; 4];
+    run_summary(Run::row(mesh, j), density, energy, u, cell_vol, &mut acc);
+    acc
 }
 
 // ---------------------------------------------------------------------------
@@ -1448,6 +1670,7 @@ mod tests {
     /// irregular positive values.
     #[derive(Clone)]
     struct Fields {
+        width: usize,
         density: Vec<f64>,
         energy: Vec<f64>,
         u: Vec<f64>,
@@ -1481,6 +1704,7 @@ mod tests {
                     .collect()
             };
             Fields {
+                width: mesh.width(),
                 density: f(1, 0.9),
                 energy: f(2, 0.7),
                 u: f(3, 0.5),
@@ -1587,10 +1811,101 @@ mod tests {
         }
     }
 
+    /// A block body: updates and/or folds interior rows `rows` as `pass`
+    /// asks, reading `inputs` and writing through the views.
+    type BlockBody<'b> = &'b dyn Fn(&Fields, &Outs, Range<usize>, Pass<'_>);
+
+    /// The reducing kernels' cell oracles, as [`Cell`]s returning the
+    /// cell's term (the test meshes' width is the width of `inputs`).
+    fn cg_init(pre: bool) -> impl Fn(&Fields, &Outs, usize) -> [f64; 4] {
+        move |i, o, k| unsafe {
+            let (u, u0, kx, ky) = (&i.u, &i.u0, &i.kx, &i.ky);
+            let t = cell_cg_init(i.width, k, pre, u, u0, kx, ky, &o.w, &o.r, &o.p, &o.z);
+            [t, 0.0, 0.0, 0.0]
+        }
+    }
+
+    fn cg_calc_ur(pre: bool, alpha: f64) -> impl Fn(&Fields, &Outs, usize) -> [f64; 4] {
+        move |i, o, k| unsafe {
+            let (p, w, kx, ky) = (&i.p, &i.w, &i.kx, &i.ky);
+            let t = cell_cg_calc_ur(i.width, k, alpha, pre, p, w, kx, ky, &o.u, &o.r, &o.z);
+            [t, 0.0, 0.0, 0.0]
+        }
+    }
+
+    fn cg_calc_w(i: &Fields, o: &Outs, k: usize) -> [f64; 4] {
+        let t = unsafe { cell_cg_calc_w(i.width, k, &i.p, &i.kx, &i.ky, &o.w) };
+        [t, 0.0, 0.0, 0.0]
+    }
+
+    fn jacobi_iterate(i: &Fields, o: &Outs, k: usize) -> [f64; 4] {
+        let t = unsafe { cell_jacobi_iterate(i.width, k, &i.u0, &i.r, &i.kx, &i.ky, &o.u) };
+        [t, 0.0, 0.0, 0.0]
+    }
+
+    /// A cell oracle's update alone (its term dropped).
+    fn update(_term: [f64; 4]) -> [f64; 4] {
+        [0.0; 4]
+    }
+
+    /// For every block `a..b` of the mesh's interior rows: the block body
+    /// with [`Pass::Reduce`] from `+0.0`, and with [`Pass::Update`] then
+    /// [`Pass::Fold`] seeded with irregular carries (the tile port's
+    /// continuation), against `cell` over each row's cells with the row's
+    /// terms folded left to right from the same start. Row partials and
+    /// every field must agree bit for bit.
+    fn blocks_match_cells(mesh: &Mesh2d, what: &str, block: BlockBody, cell: Cell) {
+        let inputs = Fields::new(mesh);
+        let ny = mesh.y_cells;
+        let oracle = |rows: Range<usize>, seeds: &[f64]| {
+            let mut f = inputs.clone();
+            let mut acc = seeds.to_vec();
+            {
+                let o = f.outs();
+                for (s, jj) in acc.iter_mut().zip(rows) {
+                    let run = Run::row(mesh, mesh.i0() + jj);
+                    for k in run.b..run.b + run.len {
+                        *s += cell(&inputs, &o, k)[0];
+                    }
+                }
+            }
+            (f, acc)
+        };
+        let same = |got: &Fields, want: &Fields, acc: &[f64], want_acc: &[f64], how: &str| {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(acc), bits(want_acc), "{what}, {how}: row partials");
+            for ((name, x), (_, y)) in got.all().into_iter().zip(want.all()) {
+                assert_eq!(bits(x), bits(y), "{what}, {how}: {name}");
+            }
+        };
+        for a in 0..ny {
+            for b in a + 1..=ny {
+                let how = format!("rows {a}..{b}");
+                let zeros = vec![0.0; b - a];
+                let (want, want_acc) = oracle(a..b, &zeros);
+                let (mut got, mut acc) = (inputs.clone(), zeros.clone());
+                block(&inputs, &got.outs(), a..b, Pass::Reduce(&mut acc));
+                same(&got, &want, &acc, &want_acc, &format!("{how}, reduce"));
+
+                let seeds: Vec<f64> = (a..b).map(|jj| (jj as f64 + 0.3).sin() * 7.0).collect();
+                let (want, want_acc) = oracle(a..b, &seeds);
+                let (mut got, mut acc) = (inputs.clone(), seeds.clone());
+                block(&inputs, &got.outs(), a..b, Pass::Update);
+                block(&inputs, &got.outs(), a..b, Pass::Fold(&mut acc));
+                same(
+                    &got,
+                    &want,
+                    &acc,
+                    &want_acc,
+                    &format!("{how}, update then seeded fold"),
+                );
+            }
+        }
+    }
+
     #[test]
     fn row_bodies_match_cell_bodies_bit_for_bit() {
         let (alpha, beta, theta) = (0.37, 0.61, 1.7);
-        let one = |x: f64| [x, 0.0, 0.0, 0.0];
         let none = [0.0; 4];
         for (nx, ny) in [(1, 3), (7, 5), (13, 2)] {
             let m = &Mesh2d::new(nx, ny, 2, (0.0, nx as f64), (0.0, ny as f64));
@@ -1632,28 +1947,19 @@ mod tests {
                     check(
                         &format!("cg_init precond={pre}"),
                         &|i, o, r| {
-                            one(run_cg_init(
-                                r, pre, &i.u, &i.u0, &i.kx, &i.ky, &o.w, &o.r, &o.p, &o.z,
-                            ))
+                            run_cg_init(r, pre, &i.u, &i.u0, &i.kx, &i.ky, &o.w, &o.r, &o.p, &o.z);
+                            none
                         },
-                        &|i, o, k| {
-                            one(cell_cg_init(
-                                wd, k, pre, &i.u, &i.u0, &i.kx, &i.ky, &o.w, &o.r, &o.p, &o.z,
-                            ))
-                        },
+                        &|i, o, k| update(cg_init(pre)(i, o, k)),
                     );
                     check(
                         &format!("cg_calc_ur precond={pre}"),
                         &|i, o, r| {
-                            one(run_cg_calc_ur(
-                                r, alpha, pre, &i.p, &i.w, &i.kx, &i.ky, &o.u, &o.r, &o.z,
-                            ))
+                            let (p, w, kx, ky) = (&i.p, &i.w, &i.kx, &i.ky);
+                            run_cg_calc_ur(r, alpha, pre, p, w, kx, ky, &o.u, &o.r, &o.z);
+                            none
                         },
-                        &|i, o, k| {
-                            one(cell_cg_calc_ur(
-                                wd, k, alpha, pre, &i.p, &i.w, &i.kx, &i.ky, &o.u, &o.r, &o.z,
-                            ))
-                        },
+                        &|i, o, k| update(cg_calc_ur(pre, alpha)(i, o, k)),
                     );
                     check(
                         &format!("cg_calc_p precond={pre}"),
@@ -1669,8 +1975,11 @@ mod tests {
                 }
                 check(
                     "cg_calc_w",
-                    &|i, o, r| one(run_cg_calc_w(r, &i.p, &i.kx, &i.ky, &o.w)),
-                    &|i, o, k| one(cell_cg_calc_w(wd, k, &i.p, &i.kx, &i.ky, &o.w)),
+                    &|i, o, r| {
+                        run_cg_calc_w(r, &i.p, &i.kx, &i.ky, &o.w);
+                        none
+                    },
+                    &|i, o, k| update(cg_calc_w(i, o, k)),
                 );
                 for first in [true, false] {
                     check(
@@ -1759,8 +2068,11 @@ mod tests {
                 );
                 check(
                     "jacobi_iterate",
-                    &|i, o, r| one(run_jacobi_iterate(r, &i.u0, &i.r, &i.kx, &i.ky, &o.u)),
-                    &|i, o, k| one(cell_jacobi_iterate(wd, k, &i.u0, &i.r, &i.kx, &i.ky, &o.u)),
+                    &|i, o, r| {
+                        run_jacobi_iterate(r, &i.u0, &i.r, &i.kx, &i.ky, &o.u);
+                        none
+                    },
+                    &|i, o, k| update(jacobi_iterate(i, o, k)),
                 );
                 check(
                     "finalise",
@@ -1775,14 +2087,69 @@ mod tests {
                 );
             }
             let vol = m.cell_volume();
-            check("norm", &|i, _, r| one(run_norm(r, &i.r)), &|i, _, k| {
-                one(cell_norm(k, &i.r))
-            });
             check(
                 "summary",
-                &|i, _, r| run_summary(r, &i.density, &i.energy, &i.u, vol),
-                &|i, _, k| cell_summary(k, &i.density, &i.energy, &i.u, vol),
+                &|i, _, r| {
+                    let mut acc = [0.0; 4];
+                    run_summary(r, &i.density, &i.energy, &i.u, vol, &mut acc);
+                    acc
+                },
+                &|i, _, k| {
+                    let (d, e, u) = (i.density[k], i.energy[k], i.u[k]);
+                    [vol, d * vol, d * e * vol, u * vol]
+                },
             );
+        }
+        // The reducing kernels' block bodies (update pass and row-block
+        // fold) against the same cells, on blocks of 1 to 9 rows of
+        // meshes 1, 7 and 128 cells wide.
+        for nx in [1, 7, 128] {
+            for ny in 1..=9 {
+                let m = &Mesh2d::new(nx, ny, 2, (0.0, nx as f64), (0.0, ny as f64));
+                let check = |what: &str, block: BlockBody, cell: Cell| {
+                    blocks_match_cells(m, &format!("{what} on {nx}x{ny}"), block, cell)
+                };
+                // SAFETY throughout: single-threaded, every row written by
+                // one call.
+                for pre in [false, true] {
+                    check(
+                        &format!("cg_init precond={pre}"),
+                        &|i, o, rows, pass| unsafe {
+                            let (u, u0, kx, ky) = (&i.u, &i.u0, &i.kx, &i.ky);
+                            block_cg_init(m, rows, pass, pre, u, u0, kx, ky, &o.w, &o.r, &o.p, &o.z)
+                        },
+                        &cg_init(pre),
+                    );
+                    check(
+                        &format!("cg_calc_ur precond={pre}"),
+                        &|i, o, rows, pass| unsafe {
+                            let (p, w, kx, ky) = (&i.p, &i.w, &i.kx, &i.ky);
+                            let (u, r, z) = (&o.u, &o.r, &o.z);
+                            block_cg_calc_ur(m, rows, pass, alpha, pre, p, w, kx, ky, u, r, z)
+                        },
+                        &cg_calc_ur(pre, alpha),
+                    );
+                }
+                check(
+                    "cg_calc_w",
+                    &|i, o, rows, pass| unsafe {
+                        block_cg_calc_w(m, rows, pass, &i.p, &i.kx, &i.ky, &o.w)
+                    },
+                    &cg_calc_w,
+                );
+                check(
+                    "jacobi_iterate",
+                    &|i, o, rows, pass| unsafe {
+                        block_jacobi_iterate(m, rows, pass, &i.u0, &i.r, &i.kx, &i.ky, &o.u)
+                    },
+                    &jacobi_iterate,
+                );
+                check(
+                    "norm",
+                    &|i, _, rows, pass| block_norm(m, rows, pass, &i.r),
+                    &|i, _, k| [i.r[k] * i.r[k], 0.0, 0.0, 0.0],
+                );
+            }
         }
     }
 
@@ -1844,11 +2211,10 @@ mod tests {
         let mut u_new = u.clone();
         let err = {
             let uv = Us::new(&mut u_new);
-            let mut e = 0.0;
-            for j in m.i0()..m.j1() {
-                e += unsafe { row_jacobi_iterate(&m, j, &u0, &r, &kx, &ky, &uv) };
-            }
-            e
+            let mut rows = vec![0.0; m.y_cells];
+            let pass = Pass::Reduce(&mut rows);
+            unsafe { block_jacobi_iterate(&m, 0..m.y_cells, pass, &u0, &r, &kx, &ky, &uv) };
+            rows.iter().sum::<f64>()
         };
         assert!(err < 1e-10, "err={err}");
     }

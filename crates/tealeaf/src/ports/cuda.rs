@@ -16,7 +16,7 @@
 //! The simulated clock still charges the padded grid launch.
 
 use cuda_rs::buffer::{memcpy_dtoh, memcpy_htod};
-use cuda_rs::{launch_blocks, launch_reduce, CudaStream, DeviceBuffer, LaunchConfig};
+use cuda_rs::{launch_blocks, launch_reduce_blocks, CudaStream, DeviceBuffer, LaunchConfig};
 use parpool::{Executor, StaticPool};
 use simdev::{DeviceSpec, KernelProfile, SimContext};
 use tea_core::config::Coefficient;
@@ -26,7 +26,7 @@ use tea_core::summary::Summary;
 
 use crate::kernels::{NormField, TeaLeafPort};
 use crate::model_id::ModelId;
-use crate::ports::common::{self, profiles, Run, RunBox, Us};
+use crate::ports::common::{self, profiles, Pass, Run, RunBox, Us};
 use crate::problem::Problem;
 
 /// Threads per block, as a typical K20X-tuned TeaLeaf port would pick.
@@ -218,7 +218,6 @@ impl TeaLeafPort for CudaPort {
         let cfg = self.reduce_cfg();
         let profile = profiles::cg_init(self.n(), preconditioner);
         let stream = CudaStream::new(&self.ctx, parpool::global_static());
-        let i0 = mesh.i0();
         let (u, u0, kx, ky) = (
             self.u.device(),
             self.u0.device(),
@@ -229,11 +228,12 @@ impl TeaLeafPort for CudaPort {
         let r = Us::new(self.r.device_mut());
         let p = Us::new(self.p.device_mut());
         let z = Us::new(self.z.device_mut());
-        // SAFETY: blocks own disjoint rows.
-        launch_reduce(&stream, cfg, &profile, &|block| unsafe {
-            common::row_cg_init(
+        // SAFETY: thread blocks own disjoint rows.
+        launch_reduce_blocks(&stream, cfg, &profile, &|blocks, out| unsafe {
+            common::block_cg_init(
                 mesh,
-                i0 + block,
+                blocks,
+                Pass::Reduce(out),
                 preconditioner,
                 u,
                 u0,
@@ -252,12 +252,11 @@ impl TeaLeafPort for CudaPort {
         let cfg = self.reduce_cfg();
         let profile = profiles::cg_calc_w(self.n());
         let stream = CudaStream::new(&self.ctx, parpool::global_static());
-        let i0 = mesh.i0();
         let (p, kx, ky) = (self.p.device(), self.kx.device(), self.ky.device());
         let w = Us::new(self.w.device_mut());
-        // SAFETY: blocks own disjoint rows.
-        launch_reduce(&stream, cfg, &profile, &|block| unsafe {
-            common::row_cg_calc_w(mesh, i0 + block, p, kx, ky, &w)
+        // SAFETY: thread blocks own disjoint rows.
+        launch_reduce_blocks(&stream, cfg, &profile, &|blocks, out| unsafe {
+            common::block_cg_calc_w(mesh, blocks, Pass::Reduce(out), p, kx, ky, &w)
         })
     }
 
@@ -266,7 +265,6 @@ impl TeaLeafPort for CudaPort {
         let cfg = self.reduce_cfg();
         let profile = profiles::cg_calc_ur(self.n(), preconditioner);
         let stream = CudaStream::new(&self.ctx, parpool::global_static());
-        let i0 = mesh.i0();
         let (p, w, kx, ky) = (
             self.p.device(),
             self.w.device(),
@@ -276,11 +274,12 @@ impl TeaLeafPort for CudaPort {
         let u = Us::new(self.u.device_mut());
         let r = Us::new(self.r.device_mut());
         let z = Us::new(self.z.device_mut());
-        // SAFETY: blocks own disjoint rows.
-        launch_reduce(&stream, cfg, &profile, &|block| unsafe {
-            common::row_cg_calc_ur(
+        // SAFETY: thread blocks own disjoint rows.
+        launch_reduce_blocks(&stream, cfg, &profile, &|blocks, out| unsafe {
+            common::block_cg_calc_ur(
                 mesh,
-                i0 + block,
+                blocks,
+                Pass::Reduce(out),
                 alpha,
                 preconditioner,
                 p,
@@ -336,11 +335,12 @@ impl TeaLeafPort for CudaPort {
             let u = Us::new(self.u.device_mut());
             let r = Us::new(self.r.device_mut());
             let z = Us::new(self.z.device_mut());
-            // SAFETY: blocks own disjoint rows.
-            pool.run_sum(cfg.grid, &|block| unsafe {
-                common::row_cg_calc_ur(
+            // SAFETY: thread blocks own disjoint rows.
+            pool.run_sum_blocks(cfg.grid, &|blocks, out| unsafe {
+                common::block_cg_calc_ur(
                     mesh,
-                    i0 + block,
+                    blocks,
+                    Pass::Reduce(out),
                     alpha,
                     preconditioner,
                     p,
@@ -430,7 +430,6 @@ impl TeaLeafPort for CudaPort {
         let profile = profiles::jacobi_iterate(self.n());
         let rcfg = self.reduce_cfg();
         let stream = CudaStream::new(&self.ctx, pool);
-        let i0 = mesh.i0();
         let (u0, r, kx, ky) = (
             self.u0.device(),
             self.r.device(),
@@ -438,9 +437,9 @@ impl TeaLeafPort for CudaPort {
             self.ky.device(),
         );
         let u = Us::new(self.u.device_mut());
-        // SAFETY: blocks own disjoint rows.
-        launch_reduce(&stream, rcfg, &profile, &|block| unsafe {
-            common::row_jacobi_iterate(mesh, i0 + block, u0, r, kx, ky, &u)
+        // SAFETY: thread blocks own disjoint rows.
+        launch_reduce_blocks(&stream, rcfg, &profile, &|blocks, out| unsafe {
+            common::block_jacobi_iterate(mesh, blocks, Pass::Reduce(out), u0, r, kx, ky, &u)
         })
     }
 
@@ -465,13 +464,12 @@ impl TeaLeafPort for CudaPort {
         let cfg = self.reduce_cfg();
         let profile = profiles::norm(self.n());
         let stream = CudaStream::new(&self.ctx, parpool::global_static());
-        let i0 = mesh.i0();
         let x = match field {
             NormField::U0 => self.u0.device(),
             NormField::R => self.r.device(),
         };
-        launch_reduce(&stream, cfg, &profile, &|block| {
-            common::row_norm(mesh, i0 + block, x)
+        launch_reduce_blocks(&stream, cfg, &profile, &|blocks, out| {
+            common::block_norm(mesh, blocks, Pass::Reduce(out), x)
         })
     }
 

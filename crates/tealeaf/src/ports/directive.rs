@@ -22,7 +22,7 @@ use tea_core::summary::Summary;
 
 use crate::kernels::{NormField, TeaLeafPort};
 use crate::model_id::ModelId;
-use crate::ports::common::{self, profiles, PortFields, Us};
+use crate::ports::common::{self, profiles, Pass, PortFields, Us};
 use crate::problem::Problem;
 
 /// OpenMP 4.0 / OpenACC TeaLeaf.
@@ -139,7 +139,6 @@ impl TeaLeafPort for DirectivePort {
 
     fn cg_init(&mut self, preconditioner: bool) -> f64 {
         let mesh = &self.f.mesh;
-        let j0 = mesh.i0();
         let env = DeviceEnv::new(&self.ctx, self.pool(), self.flavor);
         let (u, u0, kx, ky) = (&self.f.u, &self.f.u0, &self.f.kx, &self.f.ky);
         let (w, r, p, z) = (
@@ -148,15 +147,16 @@ impl TeaLeafPort for DirectivePort {
             Us::new(&mut self.f.p),
             Us::new(&mut self.f.z),
         );
-        env.target_reduce(
+        env.target_reduce_blocks(
             &profiles::cg_init(profiles::cells(mesh), preconditioner),
             mesh.y_cells,
-            &|jj| {
-                // SAFETY: rows disjoint.
+            &|jj, out| {
+                // SAFETY: row blocks disjoint.
                 unsafe {
-                    common::row_cg_init(
+                    common::block_cg_init(
                         mesh,
-                        j0 + jj,
+                        jj,
+                        Pass::Reduce(out),
                         preconditioner,
                         u,
                         u0,
@@ -174,23 +174,21 @@ impl TeaLeafPort for DirectivePort {
 
     fn cg_calc_w(&mut self) -> f64 {
         let mesh = &self.f.mesh;
-        let j0 = mesh.i0();
         let env = DeviceEnv::new(&self.ctx, self.pool(), self.flavor);
         let (p, kx, ky) = (&self.f.p, &self.f.kx, &self.f.ky);
         let w = Us::new(&mut self.f.w);
-        env.target_reduce(
+        env.target_reduce_blocks(
             &profiles::cg_calc_w(profiles::cells(mesh)),
             mesh.y_cells,
-            &|jj| {
-                // SAFETY: rows disjoint.
-                unsafe { common::row_cg_calc_w(mesh, j0 + jj, p, kx, ky, &w) }
+            &|jj, out| {
+                // SAFETY: row blocks disjoint.
+                unsafe { common::block_cg_calc_w(mesh, jj, Pass::Reduce(out), p, kx, ky, &w) }
             },
         )
     }
 
     fn cg_calc_ur(&mut self, alpha: f64, preconditioner: bool) -> f64 {
         let mesh = &self.f.mesh;
-        let j0 = mesh.i0();
         let env = DeviceEnv::new(&self.ctx, self.pool(), self.flavor);
         let (p, w, kx, ky) = (&self.f.p, &self.f.w, &self.f.kx, &self.f.ky);
         let (u, r, z) = (
@@ -198,15 +196,16 @@ impl TeaLeafPort for DirectivePort {
             Us::new(&mut self.f.r),
             Us::new(&mut self.f.z),
         );
-        env.target_reduce(
+        env.target_reduce_blocks(
             &profiles::cg_calc_ur(profiles::cells(mesh), preconditioner),
             mesh.y_cells,
-            &|jj| {
-                // SAFETY: rows disjoint.
+            &|jj, out| {
+                // SAFETY: row blocks disjoint.
                 unsafe {
-                    common::row_cg_calc_ur(
+                    common::block_cg_calc_ur(
                         mesh,
-                        j0 + jj,
+                        jj,
+                        Pass::Reduce(out),
                         alpha,
                         preconditioner,
                         p,
@@ -314,12 +313,14 @@ impl TeaLeafPort for DirectivePort {
         let env = DeviceEnv::new(&self.ctx, pool, self.flavor);
         let (u0, r, kx, ky) = (&self.f.u0, &self.f.r, &self.f.kx, &self.f.ky);
         let u = Us::new(&mut self.f.u);
-        env.target_reduce(
+        env.target_reduce_blocks(
             &profiles::jacobi_iterate(profiles::cells(mesh)),
             mesh.y_cells,
-            &|jj| {
-                // SAFETY: rows disjoint.
-                unsafe { common::row_jacobi_iterate(mesh, j0 + jj, u0, r, kx, ky, &u) }
+            &|jj, out| {
+                // SAFETY: row blocks disjoint.
+                unsafe {
+                    common::block_jacobi_iterate(mesh, jj, Pass::Reduce(out), u0, r, kx, ky, &u)
+                }
             },
         )
     }
@@ -342,16 +343,15 @@ impl TeaLeafPort for DirectivePort {
 
     fn calc_2norm(&mut self, field: NormField) -> f64 {
         let mesh = &self.f.mesh;
-        let j0 = mesh.i0();
         let env = DeviceEnv::new(&self.ctx, self.pool(), self.flavor);
         let x = match field {
             NormField::U0 => &self.f.u0,
             NormField::R => &self.f.r,
         };
-        env.target_reduce(
+        env.target_reduce_blocks(
             &profiles::norm(profiles::cells(mesh)),
             mesh.y_cells,
-            &|jj| common::row_norm(mesh, j0 + jj, x),
+            &|jj, out| common::block_norm(mesh, jj, Pass::Reduce(out), x),
         )
     }
 

@@ -32,7 +32,7 @@ use tea_core::summary::Summary;
 
 use crate::kernels::{NormField, TeaLeafPort};
 use crate::model_id::ModelId;
-use crate::ports::common::{self, profiles, Run, RunBox, Us};
+use crate::ports::common::{self, profiles, Pass, Run, RunBox, Us};
 use crate::problem::Problem;
 
 /// Kokkos TeaLeaf (flat or hierarchical-parallelism).
@@ -74,21 +74,26 @@ fn grid_for(
     }
 }
 
-/// Dispatch a fused reduction kernel: per-row partials in row order for
-/// both variants, so results match every other port bit-for-bit.
+/// Dispatch a reducing kernel's block body over the interior rows: a
+/// `parallel_reduce` over blocks of rows (`hp == false`), or one team per
+/// row, each a one-row block (`hp == true`). Both fold the row partials in
+/// row order, so results match every other port bit for bit.
 fn grid_reduce(
     hp: bool,
     mesh: &Mesh2d,
     space: &ExecutionSpace<'_>,
     profile: &KernelProfile,
-    f: &(impl Fn(Run) -> f64 + Sync),
+    f: &(impl Fn(Range<usize>, &mut [f64]) + Sync),
 ) -> f64 {
     if hp {
-        space.team_parallel_reduce(profile, row_teams(mesh), &|m| f(team_row(mesh, m)))
+        space.team_parallel_reduce(profile, row_teams(mesh), &|m| {
+            let mut acc = [0.0];
+            f(m.league_rank..m.league_rank + 1, &mut acc);
+            acc[0]
+        })
     } else {
-        let i0 = mesh.i0();
         let policy = RangePolicy::new(0, mesh.y_cells);
-        space.parallel_reduce(profile, policy, &|jj| f(Run::row(mesh, i0 + jj)))
+        space.parallel_reduce_blocks(profile, policy, f)
     }
 }
 
@@ -333,9 +338,23 @@ impl TeaLeafPort for KokkosPort {
         let r = Us::new(self.r.raw_mut());
         let p = Us::new(self.p.raw_mut());
         let z = Us::new(self.z.raw_mut());
-        // SAFETY: rows disjoint (one per team or reduction item).
-        grid_reduce(hp, mesh, &space, &profile, &|run| unsafe {
-            common::run_cg_init(run, preconditioner, u, u0, kx, ky, &w, &r, &p, &z)
+        // SAFETY: row blocks disjoint (one row per team).
+        grid_reduce(hp, mesh, &space, &profile, &|jj, out| unsafe {
+            let pass = Pass::Reduce(out);
+            common::block_cg_init(
+                mesh,
+                jj,
+                pass,
+                preconditioner,
+                u,
+                u0,
+                kx,
+                ky,
+                &w,
+                &r,
+                &p,
+                &z,
+            )
         })
     }
 
@@ -346,9 +365,9 @@ impl TeaLeafPort for KokkosPort {
         let space = ExecutionSpace::new(&self.ctx, self.pool());
         let (p, kx, ky) = (self.p.raw(), self.kx.raw(), self.ky.raw());
         let w = Us::new(self.w.raw_mut());
-        // SAFETY: rows disjoint (one per team or reduction item).
-        grid_reduce(hp, mesh, &space, &profile, &|run| unsafe {
-            common::run_cg_calc_w(run, p, kx, ky, &w)
+        // SAFETY: row blocks disjoint (one row per team).
+        grid_reduce(hp, mesh, &space, &profile, &|jj, out| unsafe {
+            common::block_cg_calc_w(mesh, jj, Pass::Reduce(out), p, kx, ky, &w)
         })
     }
 
@@ -361,9 +380,23 @@ impl TeaLeafPort for KokkosPort {
         let u = Us::new(self.u.raw_mut());
         let r = Us::new(self.r.raw_mut());
         let z = Us::new(self.z.raw_mut());
-        // SAFETY: rows disjoint (one per team or reduction item).
-        grid_reduce(hp, mesh, &space, &profile, &|run| unsafe {
-            common::run_cg_calc_ur(run, alpha, preconditioner, p, w, kx, ky, &u, &r, &z)
+        // SAFETY: row blocks disjoint (one row per team).
+        grid_reduce(hp, mesh, &space, &profile, &|jj, out| unsafe {
+            let pass = Pass::Reduce(out);
+            common::block_cg_calc_ur(
+                mesh,
+                jj,
+                pass,
+                alpha,
+                preconditioner,
+                p,
+                w,
+                kx,
+                ky,
+                &u,
+                &r,
+                &z,
+            )
         })
     }
 
@@ -408,11 +441,12 @@ impl TeaLeafPort for KokkosPort {
             let u = Us::new(self.u.raw_mut());
             let r = Us::new(self.r.raw_mut());
             let z = Us::new(self.z.raw_mut());
-            // SAFETY: rows disjoint.
-            pool.run_sum(mesh.y_cells, &|jj| unsafe {
-                common::row_cg_calc_ur(
+            // SAFETY: row blocks disjoint.
+            pool.run_sum_blocks(mesh.y_cells, &|jj, out| unsafe {
+                common::block_cg_calc_ur(
                     mesh,
-                    i0 + jj,
+                    jj,
+                    Pass::Reduce(out),
                     alpha,
                     preconditioner,
                     p,
@@ -506,9 +540,9 @@ impl TeaLeafPort for KokkosPort {
         let space = ExecutionSpace::new(&self.ctx, pool);
         let (u0, r, kx, ky) = (self.u0.raw(), self.r.raw(), self.kx.raw(), self.ky.raw());
         let u = Us::new(self.u.raw_mut());
-        // SAFETY: rows disjoint (one per team or reduction item).
-        grid_reduce(hp, mesh, &space, &p_it, &|run| unsafe {
-            common::run_jacobi_iterate(run, u0, r, kx, ky, &u)
+        // SAFETY: row blocks disjoint (one row per team).
+        grid_reduce(hp, mesh, &space, &p_it, &|jj, out| unsafe {
+            common::block_jacobi_iterate(mesh, jj, Pass::Reduce(out), u0, r, kx, ky, &u)
         })
     }
 
@@ -534,7 +568,9 @@ impl TeaLeafPort for KokkosPort {
             NormField::U0 => self.u0.raw(),
             NormField::R => self.r.raw(),
         };
-        grid_reduce(hp, mesh, &space, &profile, &|run| common::run_norm(run, x))
+        grid_reduce(hp, mesh, &space, &profile, &|jj, out| {
+            common::block_norm(mesh, jj, Pass::Reduce(out), x)
+        })
     }
 
     fn finalise(&mut self) {

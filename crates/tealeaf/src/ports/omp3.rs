@@ -20,7 +20,7 @@ use tea_core::summary::Summary;
 
 use crate::kernels::{NormField, TeaLeafPort};
 use crate::model_id::ModelId;
-use crate::ports::common::{self, profiles, PortFields, Us};
+use crate::ports::common::{self, profiles, Pass, PortFields, Us};
 use crate::problem::Problem;
 
 /// OpenMP 3.0 TeaLeaf (F90 or C++ flavour).
@@ -104,7 +104,6 @@ impl TeaLeafPort for Omp3Port {
         let mesh = &self.f.mesh;
         let pool = self.pool();
         let rows = mesh.y_cells;
-        let j0 = mesh.i0();
         self.ctx
             .launch(&profiles::cg_init(self.n(), preconditioner));
         let (u, u0, kx, ky) = (&self.f.u, &self.f.u0, &self.f.kx, &self.f.ky);
@@ -114,10 +113,24 @@ impl TeaLeafPort for Omp3Port {
             Us::new(&mut self.f.p),
             Us::new(&mut self.f.z),
         );
-        pool.run_sum(rows, &|jj| {
-            // SAFETY: rows disjoint.
+        pool.run_sum_blocks(rows, &|jj, out| {
+            let pass = Pass::Reduce(out);
+            // SAFETY: row blocks disjoint.
             unsafe {
-                common::row_cg_init(mesh, j0 + jj, preconditioner, u, u0, kx, ky, &w, &r, &p, &z)
+                common::block_cg_init(
+                    mesh,
+                    jj,
+                    pass,
+                    preconditioner,
+                    u,
+                    u0,
+                    kx,
+                    ky,
+                    &w,
+                    &r,
+                    &p,
+                    &z,
+                )
             }
         })
     }
@@ -126,13 +139,12 @@ impl TeaLeafPort for Omp3Port {
         let mesh = &self.f.mesh;
         let pool = self.pool();
         let rows = mesh.y_cells;
-        let j0 = mesh.i0();
         self.ctx.launch(&profiles::cg_calc_w(self.n()));
         let (p, kx, ky) = (&self.f.p, &self.f.kx, &self.f.ky);
         let w = Us::new(&mut self.f.w);
-        pool.run_sum(rows, &|jj| {
-            // SAFETY: rows disjoint.
-            unsafe { common::row_cg_calc_w(mesh, j0 + jj, p, kx, ky, &w) }
+        pool.run_sum_blocks(rows, &|jj, out| {
+            // SAFETY: row blocks disjoint.
+            unsafe { common::block_cg_calc_w(mesh, jj, Pass::Reduce(out), p, kx, ky, &w) }
         })
     }
 
@@ -140,7 +152,6 @@ impl TeaLeafPort for Omp3Port {
         let mesh = &self.f.mesh;
         let pool = self.pool();
         let rows = mesh.y_cells;
-        let j0 = mesh.i0();
         self.ctx
             .launch(&profiles::cg_calc_ur(self.n(), preconditioner));
         let (p, w, kx, ky) = (&self.f.p, &self.f.w, &self.f.kx, &self.f.ky);
@@ -149,12 +160,13 @@ impl TeaLeafPort for Omp3Port {
             Us::new(&mut self.f.r),
             Us::new(&mut self.f.z),
         );
-        pool.run_sum(rows, &|jj| {
-            // SAFETY: rows disjoint.
+        pool.run_sum_blocks(rows, &|jj, out| {
+            // SAFETY: row blocks disjoint.
             unsafe {
-                common::row_cg_calc_ur(
+                common::block_cg_calc_ur(
                     mesh,
-                    j0 + jj,
+                    jj,
+                    Pass::Reduce(out),
                     alpha,
                     preconditioner,
                     p,
@@ -211,12 +223,13 @@ impl TeaLeafPort for Omp3Port {
                 Us::new(&mut self.f.r),
                 Us::new(&mut self.f.z),
             );
-            pool.run_sum(rows, &|jj| {
-                // SAFETY: rows disjoint.
+            pool.run_sum_blocks(rows, &|jj, out| {
+                // SAFETY: row blocks disjoint.
                 unsafe {
-                    common::row_cg_calc_ur(
+                    common::block_cg_calc_ur(
                         mesh,
-                        j0 + jj,
+                        jj,
+                        Pass::Reduce(out),
                         alpha,
                         preconditioner,
                         p,
@@ -314,9 +327,9 @@ impl TeaLeafPort for Omp3Port {
         self.ctx.launch(&profiles::jacobi_iterate(self.n()));
         let (u0, r, kx, ky) = (&self.f.u0, &self.f.r, &self.f.kx, &self.f.ky);
         let u = Us::new(&mut self.f.u);
-        pool.run_sum(rows, &|jj| {
-            // SAFETY: rows disjoint.
-            unsafe { common::row_jacobi_iterate(mesh, j0 + jj, u0, r, kx, ky, &u) }
+        pool.run_sum_blocks(rows, &|jj, out| {
+            // SAFETY: row blocks disjoint.
+            unsafe { common::block_jacobi_iterate(mesh, jj, Pass::Reduce(out), u0, r, kx, ky, &u) }
         })
     }
 
@@ -338,13 +351,14 @@ impl TeaLeafPort for Omp3Port {
         let mesh = &self.f.mesh;
         let pool = self.pool();
         let rows = mesh.y_cells;
-        let j0 = mesh.i0();
         self.ctx.launch(&profiles::norm(self.n()));
         let x = match field {
             NormField::U0 => &self.f.u0,
             NormField::R => &self.f.r,
         };
-        pool.run_sum(rows, &|jj| common::row_norm(mesh, j0 + jj, x))
+        pool.run_sum_blocks(rows, &|jj, out| {
+            common::block_norm(mesh, jj, Pass::Reduce(out), x)
+        })
     }
 
     fn finalise(&mut self) {

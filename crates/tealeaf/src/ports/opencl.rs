@@ -29,7 +29,7 @@ use tea_core::summary::Summary;
 
 use crate::kernels::{NormField, TeaLeafPort};
 use crate::model_id::ModelId;
-use crate::ports::common::{self, profiles, Run, RunBox, Us};
+use crate::ports::common::{self, profiles, Pass, Run, RunBox, Us};
 use crate::problem::Problem;
 
 /// Work-group size for the flat launches.
@@ -294,7 +294,6 @@ impl TeaLeafPort for OpenClPort {
         let mesh = &self.mesh;
         let exec = self.exec_static_or_steal();
         let profile = profiles::cg_init(self.n(), preconditioner);
-        let i0 = mesh.i0();
         let (u, u0, kx, ky) = (
             self.u.arg_view(),
             self.u0.arg_view(),
@@ -306,12 +305,14 @@ impl TeaLeafPort for OpenClPort {
         let p = Us::new(self.p.arg_view_mut());
         let z = Us::new(self.z.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
+        let kernel = &self.kernels.cg_init;
+        // SAFETY: row blocks disjoint.
         let (value, _e) =
-            // SAFETY: rows disjoint.
-            queue.enqueue_reduce(&self.kernels.cg_init, &profile, mesh.y_cells, &|jj| unsafe {
-                common::row_cg_init(
+            queue.enqueue_reduce_blocks(kernel, &profile, mesh.y_cells, &|jj, out| unsafe {
+                common::block_cg_init(
                     mesh,
-                    i0 + jj,
+                    jj,
+                    Pass::Reduce(out),
                     preconditioner,
                     u,
                     u0,
@@ -330,15 +331,15 @@ impl TeaLeafPort for OpenClPort {
         let mesh = &self.mesh;
         let exec = self.exec_static_or_steal();
         let profile = profiles::cg_calc_w(self.n());
-        let i0 = mesh.i0();
         let (p, kx, ky) = (self.p.arg_view(), self.kx.arg_view(), self.ky.arg_view());
         let w = Us::new(self.w.arg_view_mut());
         let kernel = &self.kernels.cg_calc_w;
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-        // SAFETY: rows disjoint.
-        let (value, _e) = queue.enqueue_reduce(kernel, &profile, mesh.y_cells, &|jj| unsafe {
-            common::row_cg_calc_w(mesh, i0 + jj, p, kx, ky, &w)
-        });
+        // SAFETY: row blocks disjoint.
+        let (value, _e) =
+            queue.enqueue_reduce_blocks(kernel, &profile, mesh.y_cells, &|jj, out| unsafe {
+                common::block_cg_calc_w(mesh, jj, Pass::Reduce(out), p, kx, ky, &w)
+            });
         value
     }
 
@@ -346,7 +347,6 @@ impl TeaLeafPort for OpenClPort {
         let mesh = &self.mesh;
         let exec = self.exec_static_or_steal();
         let profile = profiles::cg_calc_ur(self.n(), preconditioner);
-        let i0 = mesh.i0();
         let (p, w, kx, ky) = (
             self.p.arg_view(),
             self.w.arg_view(),
@@ -358,22 +358,24 @@ impl TeaLeafPort for OpenClPort {
         let z = Us::new(self.z.arg_view_mut());
         let kernel = &self.kernels.cg_calc_ur;
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-        // SAFETY: rows disjoint.
-        let (value, _e) = queue.enqueue_reduce(kernel, &profile, mesh.y_cells, &|jj| unsafe {
-            common::row_cg_calc_ur(
-                mesh,
-                i0 + jj,
-                alpha,
-                preconditioner,
-                p,
-                w,
-                kx,
-                ky,
-                &u,
-                &r,
-                &z,
-            )
-        });
+        // SAFETY: row blocks disjoint.
+        let (value, _e) =
+            queue.enqueue_reduce_blocks(kernel, &profile, mesh.y_cells, &|jj, out| unsafe {
+                common::block_cg_calc_ur(
+                    mesh,
+                    jj,
+                    Pass::Reduce(out),
+                    alpha,
+                    preconditioner,
+                    p,
+                    w,
+                    kx,
+                    ky,
+                    &u,
+                    &r,
+                    &z,
+                )
+            });
         value
     }
 
@@ -425,11 +427,12 @@ impl TeaLeafPort for OpenClPort {
             let u = Us::new(self.u.arg_view_mut());
             let r = Us::new(self.r.arg_view_mut());
             let z = Us::new(self.z.arg_view_mut());
-            // SAFETY: rows disjoint.
-            exec.run_sum(mesh.y_cells, &|jj| unsafe {
-                common::row_cg_calc_ur(
+            // SAFETY: row blocks disjoint.
+            exec.run_sum_blocks(mesh.y_cells, &|jj, out| unsafe {
+                common::block_cg_calc_ur(
                     mesh,
-                    i0 + jj,
+                    jj,
+                    Pass::Reduce(out),
                     alpha,
                     preconditioner,
                     p,
@@ -536,7 +539,6 @@ impl TeaLeafPort for OpenClPort {
             );
         }
         let profile = profiles::jacobi_iterate(self.n());
-        let i0 = mesh.i0();
         let (u0, r, kx, ky) = (
             self.u0.arg_view(),
             self.r.arg_view(),
@@ -545,10 +547,11 @@ impl TeaLeafPort for OpenClPort {
         );
         let u = Us::new(self.u.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
+        let kernel = &self.kernels.jacobi_solve;
+        // SAFETY: row blocks disjoint.
         let (value, _e) =
-            // SAFETY: rows disjoint.
-            queue.enqueue_reduce(&self.kernels.jacobi_solve, &profile, mesh.y_cells, &|jj| unsafe {
-                common::row_jacobi_iterate(mesh, i0 + jj, u0, r, kx, ky, &u)
+            queue.enqueue_reduce_blocks(kernel, &profile, mesh.y_cells, &|jj, out| unsafe {
+                common::block_jacobi_iterate(mesh, jj, Pass::Reduce(out), u0, r, kx, ky, &u)
             });
         value
     }
@@ -579,15 +582,15 @@ impl TeaLeafPort for OpenClPort {
         let mesh = &self.mesh;
         let exec = self.exec_static_or_steal();
         let profile = profiles::norm(self.n());
-        let i0 = mesh.i0();
         let x = match field {
             NormField::U0 => self.u0.arg_view(),
             NormField::R => self.r.arg_view(),
         };
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-        let (value, _e) = queue.enqueue_reduce(&self.kernels.norm, &profile, mesh.y_cells, &|jj| {
-            common::row_norm(mesh, i0 + jj, x)
-        });
+        let (value, _e) =
+            queue.enqueue_reduce_blocks(&self.kernels.norm, &profile, mesh.y_cells, &|jj, out| {
+                common::block_norm(mesh, jj, Pass::Reduce(out), x)
+            });
         value
     }
 

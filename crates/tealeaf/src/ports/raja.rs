@@ -26,8 +26,8 @@
 
 use parpool::StaticPool;
 use raja_rs::{
-    forall, forall_runs, forall_sum, ListSegment, OmpParallelForExec, RajaRuntime, RangeSegment,
-    Segment,
+    forall, forall_runs, forall_sum_blocks, ListSegment, OmpParallelForExec, RajaRuntime,
+    RangeSegment, Segment,
 };
 use simdev::{DeviceSpec, KernelProfile, SimContext};
 use tea_core::config::Coefficient;
@@ -36,7 +36,7 @@ use tea_core::summary::Summary;
 
 use crate::kernels::{NormField, TeaLeafPort};
 use crate::model_id::ModelId;
-use crate::ports::common::{self, profiles, PortFields, Run, Us};
+use crate::ports::common::{self, profiles, Pass, PortFields, Run, Us};
 use crate::problem::Problem;
 
 /// RAJA TeaLeaf (list-segment or SIMD row-range flavour).
@@ -187,7 +187,6 @@ impl TeaLeafPort for RajaPort {
 
     fn cg_init(&mut self, preconditioner: bool) -> f64 {
         let mesh = &self.f.mesh;
-        let j0 = mesh.i0();
         let profile = self.row_profile(profiles::cg_init(self.n(), preconditioner));
         let rt = RajaRuntime::new(&self.ctx, self.pool());
         let (u, u0, kx, ky) = (&self.f.u, &self.f.u0, &self.f.kx, &self.f.ky);
@@ -197,30 +196,42 @@ impl TeaLeafPort for RajaPort {
             Us::new(&mut self.f.p),
             Us::new(&mut self.f.z),
         );
-        forall_sum::<OmpParallelForExec>(&rt, &self.row_range, &profile, &|jj| {
-            // SAFETY: rows disjoint.
+        forall_sum_blocks::<OmpParallelForExec>(&rt, &self.row_range, &profile, &|jj, out| {
+            let pass = Pass::Reduce(out);
+            // SAFETY: row blocks disjoint.
             unsafe {
-                common::row_cg_init(mesh, j0 + jj, preconditioner, u, u0, kx, ky, &w, &r, &p, &z)
+                common::block_cg_init(
+                    mesh,
+                    jj,
+                    pass,
+                    preconditioner,
+                    u,
+                    u0,
+                    kx,
+                    ky,
+                    &w,
+                    &r,
+                    &p,
+                    &z,
+                )
             }
         })
     }
 
     fn cg_calc_w(&mut self) -> f64 {
         let mesh = &self.f.mesh;
-        let j0 = mesh.i0();
         let profile = self.row_profile(profiles::cg_calc_w(self.n()));
         let rt = RajaRuntime::new(&self.ctx, self.pool());
         let (p, kx, ky) = (&self.f.p, &self.f.kx, &self.f.ky);
         let w = Us::new(&mut self.f.w);
-        forall_sum::<OmpParallelForExec>(&rt, &self.row_range, &profile, &|jj| {
-            // SAFETY: rows disjoint.
-            unsafe { common::row_cg_calc_w(mesh, j0 + jj, p, kx, ky, &w) }
+        forall_sum_blocks::<OmpParallelForExec>(&rt, &self.row_range, &profile, &|jj, out| {
+            // SAFETY: row blocks disjoint.
+            unsafe { common::block_cg_calc_w(mesh, jj, Pass::Reduce(out), p, kx, ky, &w) }
         })
     }
 
     fn cg_calc_ur(&mut self, alpha: f64, preconditioner: bool) -> f64 {
         let mesh = &self.f.mesh;
-        let j0 = mesh.i0();
         let profile = self.row_profile(profiles::cg_calc_ur(self.n(), preconditioner));
         let rt = RajaRuntime::new(&self.ctx, self.pool());
         let (p, w, kx, ky) = (&self.f.p, &self.f.w, &self.f.kx, &self.f.ky);
@@ -229,12 +240,13 @@ impl TeaLeafPort for RajaPort {
             Us::new(&mut self.f.r),
             Us::new(&mut self.f.z),
         );
-        forall_sum::<OmpParallelForExec>(&rt, &self.row_range, &profile, &|jj| {
-            // SAFETY: rows disjoint.
+        forall_sum_blocks::<OmpParallelForExec>(&rt, &self.row_range, &profile, &|jj, out| {
+            // SAFETY: row blocks disjoint.
             unsafe {
-                common::row_cg_calc_ur(
+                common::block_cg_calc_ur(
                     mesh,
-                    j0 + jj,
+                    jj,
+                    Pass::Reduce(out),
                     alpha,
                     preconditioner,
                     p,
@@ -343,7 +355,6 @@ impl TeaLeafPort for RajaPort {
 
     fn jacobi_iterate(&mut self) -> f64 {
         let mesh = &self.f.mesh;
-        let j0 = mesh.i0();
         let simd = self.simd;
         let p_copy = self.row_profile(profiles::jacobi_copy(self.n()));
         let p_it = self.row_profile(profiles::jacobi_iterate(self.n()));
@@ -366,9 +377,9 @@ impl TeaLeafPort for RajaPort {
         let rt = RajaRuntime::new(&self.ctx, pool);
         let (u0, r, kx, ky) = (&self.f.u0, &self.f.r, &self.f.kx, &self.f.ky);
         let u = Us::new(&mut self.f.u);
-        forall_sum::<OmpParallelForExec>(&rt, &self.row_range, &p_it, &|jj| {
-            // SAFETY: rows disjoint.
-            unsafe { common::row_jacobi_iterate(mesh, j0 + jj, u0, r, kx, ky, &u) }
+        forall_sum_blocks::<OmpParallelForExec>(&rt, &self.row_range, &p_it, &|jj, out| {
+            // SAFETY: row blocks disjoint.
+            unsafe { common::block_jacobi_iterate(mesh, jj, Pass::Reduce(out), u0, r, kx, ky, &u) }
         })
     }
 
@@ -393,15 +404,14 @@ impl TeaLeafPort for RajaPort {
 
     fn calc_2norm(&mut self, field: NormField) -> f64 {
         let mesh = &self.f.mesh;
-        let j0 = mesh.i0();
         let profile = self.row_profile(profiles::norm(self.n()));
         let rt = RajaRuntime::new(&self.ctx, self.pool());
         let x = match field {
             NormField::U0 => &self.f.u0,
             NormField::R => &self.f.r,
         };
-        forall_sum::<OmpParallelForExec>(&rt, &self.row_range, &profile, &|jj| {
-            common::row_norm(mesh, j0 + jj, x)
+        forall_sum_blocks::<OmpParallelForExec>(&rt, &self.row_range, &profile, &|jj, out| {
+            common::block_norm(mesh, jj, Pass::Reduce(out), x)
         })
     }
 

@@ -6,6 +6,7 @@
 //! suite. Its simulated-time profile mirrors the OpenMP C implementation
 //! so its reports are still meaningful.
 
+use parpool::{Executor, SerialExec};
 use simdev::{DeviceSpec, SimContext};
 use tea_core::config::Coefficient;
 use tea_core::halo::FieldId;
@@ -13,7 +14,7 @@ use tea_core::summary::Summary;
 
 use crate::kernels::{NormField, TeaLeafPort};
 use crate::model_id::ModelId;
-use crate::ports::common::{self, profiles, PortFields, Us};
+use crate::ports::common::{self, profiles, Pass, PortFields, Us};
 use crate::problem::Problem;
 
 /// Serial reference implementation of every TeaLeaf kernel.
@@ -89,38 +90,35 @@ impl TeaLeafPort for SerialPort {
             Us::new(&mut self.f.p),
             Us::new(&mut self.f.z),
         );
-        let mut rro = 0.0;
-        for j in mesh.i0()..mesh.j1() {
+        let (u, u0, kx, ky) = (&self.f.u, &self.f.u0, &self.f.kx, &self.f.ky);
+        SerialExec.run_sum_blocks(mesh.y_cells, &|rows, out| unsafe {
             // SAFETY: single-threaded.
-            rro += unsafe {
-                common::row_cg_init(
-                    mesh,
-                    j,
-                    preconditioner,
-                    &self.f.u,
-                    &self.f.u0,
-                    &self.f.kx,
-                    &self.f.ky,
-                    &w,
-                    &r,
-                    &p,
-                    &z,
-                )
-            };
-        }
-        rro
+            common::block_cg_init(
+                mesh,
+                rows,
+                Pass::Reduce(out),
+                preconditioner,
+                u,
+                u0,
+                kx,
+                ky,
+                &w,
+                &r,
+                &p,
+                &z,
+            )
+        })
     }
 
     fn cg_calc_w(&mut self) -> f64 {
         let mesh = &self.f.mesh;
         self.ctx.launch(&profiles::cg_calc_w(self.n()));
         let w = Us::new(&mut self.f.w);
-        let mut pw = 0.0;
-        for j in mesh.i0()..mesh.j1() {
+        let (p, kx, ky) = (&self.f.p, &self.f.kx, &self.f.ky);
+        SerialExec.run_sum_blocks(mesh.y_cells, &|rows, out| unsafe {
             // SAFETY: single-threaded.
-            pw += unsafe { common::row_cg_calc_w(mesh, j, &self.f.p, &self.f.kx, &self.f.ky, &w) };
-        }
-        pw
+            common::block_cg_calc_w(mesh, rows, Pass::Reduce(out), p, kx, ky, &w)
+        })
     }
 
     fn cg_calc_ur(&mut self, alpha: f64, preconditioner: bool) -> f64 {
@@ -132,26 +130,24 @@ impl TeaLeafPort for SerialPort {
             Us::new(&mut self.f.r),
             Us::new(&mut self.f.z),
         );
-        let mut rrn = 0.0;
-        for j in mesh.i0()..mesh.j1() {
+        let (p, w, kx, ky) = (&self.f.p, &self.f.w, &self.f.kx, &self.f.ky);
+        SerialExec.run_sum_blocks(mesh.y_cells, &|rows, out| unsafe {
             // SAFETY: single-threaded.
-            rrn += unsafe {
-                common::row_cg_calc_ur(
-                    mesh,
-                    j,
-                    alpha,
-                    preconditioner,
-                    &self.f.p,
-                    &self.f.w,
-                    &self.f.kx,
-                    &self.f.ky,
-                    &u,
-                    &r,
-                    &z,
-                )
-            };
-        }
-        rrn
+            common::block_cg_calc_ur(
+                mesh,
+                rows,
+                Pass::Reduce(out),
+                alpha,
+                preconditioner,
+                p,
+                w,
+                kx,
+                ky,
+                &u,
+                &r,
+                &z,
+            )
+        })
     }
 
     fn cg_calc_p(&mut self, beta: f64, preconditioner: bool) {
@@ -224,16 +220,11 @@ impl TeaLeafPort for SerialPort {
         }
         self.ctx.launch(&profiles::jacobi_iterate(self.n()));
         let u = Us::new(&mut self.f.u);
-        let mut err = 0.0;
-        for j in mesh.i0()..mesh.j1() {
+        let (u0, r, kx, ky) = (&self.f.u0, &self.f.r, &self.f.kx, &self.f.ky);
+        SerialExec.run_sum_blocks(mesh.y_cells, &|rows, out| unsafe {
             // SAFETY: single-threaded.
-            err += unsafe {
-                common::row_jacobi_iterate(
-                    mesh, j, &self.f.u0, &self.f.r, &self.f.kx, &self.f.ky, &u,
-                )
-            };
-        }
-        err
+            common::block_jacobi_iterate(mesh, rows, Pass::Reduce(out), u0, r, kx, ky, &u)
+        })
     }
 
     fn residual(&mut self) {
@@ -255,11 +246,9 @@ impl TeaLeafPort for SerialPort {
             NormField::U0 => &self.f.u0,
             NormField::R => &self.f.r,
         };
-        let mut norm = 0.0;
-        for j in mesh.i0()..mesh.j1() {
-            norm += common::row_norm(mesh, j, x);
-        }
-        norm
+        SerialExec.run_sum_blocks(mesh.y_cells, &|rows, out| {
+            common::block_norm(mesh, rows, Pass::Reduce(out), x)
+        })
     }
 
     fn finalise(&mut self) {

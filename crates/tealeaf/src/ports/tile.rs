@@ -25,11 +25,11 @@
 //!   `init_fields` reads only density and writes only `kx`/`ky`, so it
 //!   is charged as riding the `u` window that follows it.
 //! * **Reductions** return the carry-pipelined global sum of
-//!   [`tile::ordered_reduce`] — bit-equal to the serial row fold. The
-//!   row bodies return their row partials folded from 0.0; a tile with
-//!   no west neighbour sends those as its carries, fusing the fold into
-//!   the kernel pass. Other tiles continue the carries they receive over
-//!   their cells in a second fold.
+//!   [`tile::ordered_reduce`] — bit-equal to the serial row fold. Every
+//!   reducing kernel runs the serial port's block body ([`Pass`]): a tile
+//!   with no west neighbour fuses the update with the fold from 0.0 and
+//!   sends its row partials as the carries; any other tile runs the
+//!   update, then the same fold tail seeded with the carries it receives.
 //! * **Jacobi's scratch** (the previous iterate, kept in `r`) is
 //!   exchanged raw inside `jacobi_iterate`: the serial sweep reads 0.0
 //!   in its physical ghosts, so no reflective refresh.
@@ -42,6 +42,7 @@
 //! Checkpoint cuts go into the world-restart rings of a resilient run
 //! ([`crate::distributed`]); a plain run keeps no snapshots at all.
 
+use mpisim::topology::Dir;
 use mpisim::{ExchangeMetrics, Grid2d, Rank, Tag};
 use simdev::SimContext;
 use tea_core::config::{Coefficient, TeaConfig};
@@ -53,7 +54,7 @@ use crate::distributed::{CheckpointStore, CkptKey, TileCheckpoint};
 use crate::ir::{self, KernelId};
 use crate::kernels::{NormField, TeaLeafPort};
 use crate::model_id::ModelId;
-use crate::ports::common::{self, PortFields, Us};
+use crate::ports::common::{self, Pass, PortFields, Run, Us};
 use crate::resilience::{CutSnapshot, PhaseStart};
 use crate::tile::{self, OverlapStats, Span, Tile};
 
@@ -89,10 +90,9 @@ struct Window {
     t0: f64,
 }
 
-/// Run `row` over the tile's interior rows in order, collecting what each
-/// call returns (the row partials of a reducing kernel).
-fn rows<R>(mesh: &Mesh2d, row: impl FnMut(usize) -> R) -> Vec<R> {
-    (mesh.i0()..mesh.j1()).map(row).collect()
+/// Run `row` over the tile's interior rows in order.
+fn rows(mesh: &Mesh2d, row: impl FnMut(usize)) {
+    (mesh.i0()..mesh.j1()).for_each(row)
 }
 
 /// The world-restart checkpointing of a resilient run.
@@ -332,42 +332,71 @@ impl<'a> TilePort<'a> {
         out
     }
 
-    /// Exactly-ordered global reduction: `partials` are the kernel's row
-    /// partials, `contribution` one cell's term (see
-    /// [`tile::ordered_reduce`]).
-    fn reduce(&self, partials: Vec<f64>, contribution: impl Fn(&PortFields, usize) -> f64) -> f64 {
-        tile::ordered_reduce(
-            self.rank,
-            &self.t.geom,
-            || partials,
-            |k| contribution(&self.t.f, k),
-        )
+    /// A reducing kernel on the tile, as one exactly-ordered global
+    /// reduction ([`tile::ordered_reduce`]). `body(fields, pass)` runs the
+    /// kernel's block body over every tile row. On a west-most tile the
+    /// kernel pass (around the open window of `stencil`, see
+    /// [`TilePort::pass`]) fuses the update with the fold from `+0.0`, and
+    /// those row partials are the carries it sends; any other tile runs
+    /// the update alone, then folds its cells onto the carries it
+    /// receives.
+    fn reduce(
+        &mut self,
+        stencil: Option<(KernelId, &str)>,
+        body: impl Fn(&mut PortFields, Pass<'_>),
+    ) -> f64 {
+        let west = self.t.geom.neighbor(Dir::W).is_none();
+        let mut partials = vec![0.0; if west { self.t.geom.mesh.y_cells } else { 0 }];
+        let mut run = |f: &mut PortFields| {
+            let pass = if west {
+                Pass::Reduce(&mut partials)
+            } else {
+                Pass::Update
+            };
+            body(f, pass)
+        };
+        match stencil {
+            Some((kernel, label)) => self.pass(kernel, label, run),
+            None => run(&mut self.t.f),
+        }
+        let Tile { geom, f } = &mut self.t;
+        tile::ordered_reduce(self.rank, geom, |received| match received {
+            None => partials,
+            Some(mut carries) => {
+                body(f, Pass::Fold(&mut carries));
+                carries
+            }
+        })
     }
 
     // --- kernel bodies ---
     //
-    // The serial port's row bodies over the same field storage, one row
-    // loop per kernel. SAFETY throughout: single-threaded within the
-    // rank, each row written by exactly one call per pass.
+    // The serial port's row and block bodies over the same field storage,
+    // one row loop or block call per kernel. SAFETY throughout:
+    // single-threaded within the rank, each row written by exactly one
+    // call per pass.
 
-    fn update_ur(&mut self, alpha: f64, preconditioner: bool) -> Vec<f64> {
-        let f = &mut self.t.f;
+    /// The CG update over every tile row, as the `pass` asks.
+    fn update_ur(f: &mut PortFields, pass: Pass<'_>, alpha: f64, preconditioner: bool) {
         let (u, r, z) = (Us::new(&mut f.u), Us::new(&mut f.r), Us::new(&mut f.z));
-        rows(&f.mesh, |j| unsafe {
-            common::row_cg_calc_ur(
+        let (p, w, kx, ky) = (&f.p, &f.w, &f.kx, &f.ky);
+        let rows = 0..f.mesh.y_cells;
+        unsafe {
+            common::block_cg_calc_ur(
                 &f.mesh,
-                j,
+                rows,
+                pass,
                 alpha,
                 preconditioner,
-                &f.p,
-                &f.w,
-                &f.kx,
-                &f.ky,
+                p,
+                w,
+                kx,
+                ky,
                 &u,
                 &r,
                 &z,
             )
-        })
+        }
     }
 
     fn cheby_step(&mut self, first: bool, theta: f64, alpha: f64, beta: f64) {
@@ -452,50 +481,48 @@ impl TeaLeafPort for TilePort<'_> {
     fn cg_init(&mut self, preconditioner: bool) -> f64 {
         // A stencil run as one pass: its ghosts must have landed.
         self.settle();
-        let f = &mut self.t.f;
-        let (w, r) = (Us::new(&mut f.w), Us::new(&mut f.r));
-        let (p, z) = (Us::new(&mut f.p), Us::new(&mut f.z));
-        let rro = rows(&f.mesh, |j| unsafe {
-            common::row_cg_init(
-                &f.mesh,
-                j,
-                preconditioner,
-                &f.u,
-                &f.u0,
-                &f.kx,
-                &f.ky,
-                &w,
-                &r,
-                &p,
-                &z,
-            )
-        });
-        self.reduce(rro, |f, k| f.r[k] * f.p[k])
+        self.reduce(None, |f, pass| {
+            let (w, r) = (Us::new(&mut f.w), Us::new(&mut f.r));
+            let (p, z) = (Us::new(&mut f.p), Us::new(&mut f.z));
+            let (u, u0, kx, ky) = (&f.u, &f.u0, &f.kx, &f.ky);
+            let rows = 0..f.mesh.y_cells;
+            unsafe {
+                common::block_cg_init(
+                    &f.mesh,
+                    rows,
+                    pass,
+                    preconditioner,
+                    u,
+                    u0,
+                    kx,
+                    ky,
+                    &w,
+                    &r,
+                    &p,
+                    &z,
+                )
+            }
+        })
     }
 
     fn cg_calc_w(&mut self) -> f64 {
-        let pw = self.pass(KernelId::CgCalcW, "cg_calc_w", |f| {
+        self.reduce(Some((KernelId::CgCalcW, "cg_calc_w")), |f, pass| {
             let w = Us::new(&mut f.w);
-            rows(&f.mesh, |j| unsafe {
-                common::row_cg_calc_w(&f.mesh, j, &f.p, &f.kx, &f.ky, &w)
-            })
-        });
-        self.reduce(pw, |f, k| f.p[k] * f.w[k])
+            let rows = 0..f.mesh.y_cells;
+            unsafe { common::block_cg_calc_w(&f.mesh, rows, pass, &f.p, &f.kx, &f.ky, &w) }
+        })
     }
 
     fn cg_calc_ur(&mut self, alpha: f64, preconditioner: bool) -> f64 {
-        let rrn = self.update_ur(alpha, preconditioner);
-        if preconditioner {
-            self.reduce(rrn, |f, k| f.r[k] * f.z[k])
-        } else {
-            self.reduce(rrn, |f, k| common::cell_norm(k, &f.r))
-        }
+        self.reduce(None, |f, pass| {
+            Self::update_ur(f, pass, alpha, preconditioner)
+        })
     }
 
-    /// No allreduce: the PPCG outer loop discards this reduction, and a
-    /// collective nobody reads would only add messages.
+    /// No allreduce and no fold: the PPCG outer loop discards this
+    /// reduction, and a collective nobody reads would only add messages.
     fn cg_update_ur(&mut self, alpha: f64, preconditioner: bool) {
-        self.update_ur(alpha, preconditioner);
+        Self::update_ur(&mut self.t.f, Pass::Update, alpha, preconditioner);
     }
 
     fn cg_calc_p(&mut self, beta: f64, preconditioner: bool) {
@@ -547,13 +574,12 @@ impl TeaLeafPort for TilePort<'_> {
             });
         });
         self.open(FieldId::R, 1);
-        let err = self.pass(KernelId::JacobiSolve, "jacobi_sweep", |f| {
+        self.reduce(Some((KernelId::JacobiSolve, "jacobi_sweep")), |f, pass| {
             let u = Us::new(&mut f.u);
-            rows(&f.mesh, |j| unsafe {
-                common::row_jacobi_iterate(&f.mesh, j, &f.u0, &f.r, &f.kx, &f.ky, &u)
-            })
-        });
-        self.reduce(err, |f, k| (f.u[k] - f.r[k]).abs())
+            let (u0, r, kx, ky) = (&f.u0, &f.r, &f.kx, &f.ky);
+            let rows = 0..f.mesh.y_cells;
+            unsafe { common::block_jacobi_iterate(&f.mesh, rows, pass, u0, r, kx, ky, &u) }
+        })
     }
 
     fn residual(&mut self) {
@@ -566,17 +592,13 @@ impl TeaLeafPort for TilePort<'_> {
     }
 
     fn calc_2norm(&mut self, field: NormField) -> f64 {
-        let Tile { geom, f } = &self.t;
-        let x = match field {
-            NormField::U0 => &f.u0,
-            NormField::R => &f.r,
-        };
-        tile::ordered_reduce(
-            self.rank,
-            geom,
-            || rows(&f.mesh, |j| common::row_norm(&f.mesh, j, x)),
-            |k| common::cell_norm(k, x),
-        )
+        self.reduce(None, |f, pass| {
+            let x = match field {
+                NormField::U0 => &f.u0,
+                NormField::R => &f.r,
+            };
+            common::block_norm(&f.mesh, 0..f.mesh.y_cells, pass, x)
+        })
     }
 
     fn finalise(&mut self) {
@@ -591,16 +613,14 @@ impl TeaLeafPort for TilePort<'_> {
         self.settle();
         let Tile { geom, f } = &self.t;
         let vol = geom.mesh.cell_volume();
-        let global = tile::ordered_reduce4(
-            self.rank,
-            geom,
-            || {
-                rows(&f.mesh, |j| {
-                    common::row_summary(&f.mesh, j, &f.density, &f.energy, &f.u, vol)
-                })
-            },
-            |k| common::cell_summary(k, &f.density, &f.energy, &f.u, vol),
-        );
+        let global = tile::ordered_reduce4(self.rank, geom, |received| {
+            let mut sums = received.unwrap_or_else(|| vec![0.0; 4 * f.mesh.y_cells]);
+            for (acc, j) in sums.chunks_exact_mut(4).zip(f.mesh.i0()..f.mesh.j1()) {
+                let acc: &mut [f64; 4] = acc.try_into().expect("four-wide row sums");
+                common::run_summary(Run::row(&f.mesh, j), &f.density, &f.energy, &f.u, vol, acc);
+            }
+            sums
+        });
         Summary {
             volume: global[0],
             mass: global[1],

@@ -28,13 +28,14 @@
 //!   in global row order. Splitting a mesh row across tiles breaks the
 //!   in-row fold (f64 addition is not associative), so the row fold is
 //!   *pipelined*: each tile receives the running sums for its rows from
-//!   its west neighbour in one batched message, continues the fold cell
-//!   by cell, and forwards east. A west-most tile's running sums are its
-//!   kernel's own row partials, so it forwards those with no second
-//!   pass. East-most tiles hold exact serial row partials and are the
-//!   only ranks contributing to the rank-ordered allreduce; row-major
-//!   rank numbering makes their rank order the global row order, so the
-//!   global fold bit-equals the serial one.
+//!   its west neighbour in one batched message, continues the fold over
+//!   its cells (the kernels' row-block fold tail seeded with those sums),
+//!   and forwards east. A west-most tile's running sums are its kernel's
+//!   own row partials, so it forwards those with no second pass.
+//!   East-most tiles hold exact serial row partials and are the only
+//!   ranks contributing to the rank-ordered allreduce; row-major rank
+//!   numbering makes their rank order the global row order, so the global
+//!   fold bit-equals the serial one.
 
 use mpisim::topology::{dir_tag, Dir, Grid2d};
 use mpisim::{ExchangeMetrics, Rank, Tag};
@@ -336,39 +337,24 @@ pub fn complete_halo(
 // exactly-ordered reductions
 // ---------------------------------------------------------------------------
 
-/// The carry pipeline behind [`ordered_reduce`], for `K`-component
-/// contributions. `rows` yields this tile's row partials, each folded
-/// from 0.0 in cell order and flattened `K` wide: on a tile with no west
-/// neighbour they *are* the running row sums, so it forwards them as
-/// they are. Any other tile continues the sums received from the west
-/// over its cells with `contribution`. Only an east-most tile holds
-/// complete row partials; it gets them back, flattened.
-fn carry_rows<const K: usize>(
+/// The carry pipeline behind [`ordered_reduce`], for `K`-component row
+/// sums flattened `K` wide. `sums` gets the running sums received from
+/// the west neighbour (`None` on a west-most tile) and returns this
+/// tile's: a west-most tile's are its kernel's own row partials, folded
+/// from `+0.0`, and any other tile continues the received sums over its
+/// cells. Only an east-most tile holds complete row partials; it gets
+/// them back.
+fn carry_rows(
     rank: &Rank,
     geom: &TileGeom,
-    rows: impl FnOnce() -> Vec<f64>,
-    contribution: impl Fn(usize) -> [f64; K],
+    k: usize,
+    sums: impl FnOnce(Option<Vec<f64>>) -> Vec<f64>,
 ) -> Option<Vec<f64>> {
-    let m = &geom.mesh;
-    let (i0, i1, w, j1) = (m.i0(), m.i1(), m.width(), m.j1());
-    let carries = match geom.neighbor(Dir::W) {
-        None => rows(),
-        Some(west) => {
-            let mut carries = rank.recv(west, dir_tag(TAG_CARRY, Dir::E));
-            for (slot, j) in carries.chunks_exact_mut(K).zip(i0..j1) {
-                let mut acc: [f64; K] = slot.try_into().expect("K-wide slot");
-                for i in i0..i1 {
-                    let c = contribution(j * w + i);
-                    for q in 0..K {
-                        acc[q] += c[q];
-                    }
-                }
-                slot.copy_from_slice(&acc);
-            }
-            carries
-        }
-    };
-    debug_assert_eq!(carries.len(), (j1 - i0) * K);
+    let received = geom
+        .neighbor(Dir::W)
+        .map(|west| rank.recv(west, dir_tag(TAG_CARRY, Dir::E)));
+    let carries = sums(received);
+    debug_assert_eq!(carries.len(), geom.mesh.y_cells * k);
     match geom.neighbor(Dir::E) {
         Some(east) => {
             rank.send(east, dir_tag(TAG_CARRY, Dir::E), carries);
@@ -379,31 +365,29 @@ fn carry_rows<const K: usize>(
 }
 
 /// Exactly-ordered global reduction: the carry-pipelined row fold
-/// described in the module docs. `rows` yields the tile's row partials
-/// folded from 0.0 (what the serial port's `row_*` bodies return); only
-/// a west-most tile calls it. `contribution` is one cell's term, which
-/// every other tile folds onto the carries it receives. Bit-equal to the
-/// serial row-ordered reduction for any tile grid.
+/// described in the module docs. `sums(received)` returns the tile's
+/// running row sums (see `carry_rows`): its row partials from `+0.0` on a
+/// west-most tile, the `received` carries continued over its cells on any
+/// other. Bit-equal to the serial row-ordered reduction for any tile grid.
 pub fn ordered_reduce(
     rank: &Rank,
     geom: &TileGeom,
-    rows: impl FnOnce() -> Vec<f64>,
-    contribution: impl Fn(usize) -> f64,
+    sums: impl FnOnce(Option<Vec<f64>>) -> Vec<f64>,
 ) -> f64 {
     // Non-last-column ranks hold incomplete row folds; they contribute
     // nothing to the global fold.
-    let rows = carry_rows(rank, geom, rows, |k| [contribution(k)]);
+    let rows = carry_rows(rank, geom, 1, sums);
     rank.allreduce_ordered(rows.as_deref().unwrap_or(&[]))
 }
 
-/// Four-component analogue of [`ordered_reduce`] (the field summary).
+/// Four-component analogue of [`ordered_reduce`] (the field summary),
+/// its row sums flattened four wide.
 pub fn ordered_reduce4(
     rank: &Rank,
     geom: &TileGeom,
-    rows: impl FnOnce() -> Vec<[f64; 4]>,
-    contribution: impl Fn(usize) -> [f64; 4],
+    sums: impl FnOnce(Option<Vec<f64>>) -> Vec<f64>,
 ) -> [f64; 4] {
-    let rows = carry_rows(rank, geom, || rows().concat(), contribution).unwrap_or_default();
+    let rows = carry_rows(rank, geom, 4, sums).unwrap_or_default();
     let parts: Vec<[f64; 4]> = rows
         .chunks_exact(4)
         .map(|c| [c[0], c[1], c[2], c[3]])

@@ -102,7 +102,7 @@ fn run_kernel(
             "cg_init" => {
                 let (w, r, p, z) = (Us::new(w), Us::new(r), Us::new(p), Us::new(z));
                 exec.run(idxs.len(), &|i| {
-                    let _ = unsafe {
+                    unsafe {
                         common::run_cg_init(cell(idxs[i]), s.precond, u, u0, kx, ky, &w, &r, &p, &z)
                     };
                 });
@@ -110,7 +110,7 @@ fn run_kernel(
             "cg_calc_w" => {
                 let w = Us::new(w);
                 exec.run(idxs.len(), &|i| {
-                    let _ = unsafe { common::run_cg_calc_w(cell(idxs[i]), p, kx, ky, &w) };
+                    unsafe { common::run_cg_calc_w(cell(idxs[i]), p, kx, ky, &w) };
                 });
             }
             "cheby_calc_p" => {
@@ -141,13 +141,13 @@ fn run_kernel(
             "jacobi_iterate" => {
                 let u = Us::new(u);
                 exec.run(idxs.len(), &|i| {
-                    let _ = unsafe { common::run_jacobi_iterate(cell(idxs[i]), u0, r, kx, ky, &u) };
+                    unsafe { common::run_jacobi_iterate(cell(idxs[i]), u0, r, kx, ky, &u) };
                 });
             }
             "cg_calc_ur" => {
                 let (u, r, z) = (Us::new(u), Us::new(r), Us::new(z));
                 exec.run(idxs.len(), &|i| {
-                    let _ = unsafe {
+                    unsafe {
                         common::run_cg_calc_ur(
                             cell(idxs[i]),
                             s.alpha,

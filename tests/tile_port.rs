@@ -441,46 +441,66 @@ fn drive_every_kernel(
     errors
 }
 
+/// Run every rank of a `gx`×1 grid of `cfg` beside a serial port, kernel
+/// by kernel (see [`drive_every_kernel`]), and assert no rank diverged.
+fn tiles_match_serial(cfg: &TeaConfig, gx: usize) {
+    let problem = Problem::from_config(cfg).expect("valid deck");
+    let global = &problem.mesh;
+    for overlap in [true, false] {
+        let errors = run_spmd(gx, |rank| {
+            let mut tile = TilePort::new(rank, cfg, Grid2d::new(gx, 1), overlap);
+            let mut serial = SerialPort::new(devices::cpu_xeon_e5_2670_x2(), &problem, 1);
+            let local = tile.tile().geom.mesh.clone();
+            // Local padded column `i` is global padded column `c0 + i`:
+            // both meshes pad by the same halo depth.
+            let (c0, _) = tile_span(cfg.x_cells, rank.id(), gx);
+            let cells: Vec<_> = (local.i0()..local.j1())
+                .flat_map(|j| (local.i0()..local.i1()).map(move |i| (j, i)))
+                .map(|(j, i)| (j * local.width() + i, j * global.width() + c0 + i))
+                .collect();
+            let mut errors = Vec::new();
+            if local.rx_ry(cfg.initial_timestep) != problem.rx_ry() {
+                errors.push("the tile's rx/ry differ from the serial mesh's".to_string());
+            }
+            errors.extend(drive_every_kernel(
+                &mut tile,
+                &mut serial,
+                cfg,
+                problem.rx_ry(),
+                &cells,
+            ));
+            errors
+        });
+        for (rank, errors) in errors.iter().enumerate() {
+            let what = if overlap { "overlap" } else { "blocking" };
+            assert!(
+                errors.is_empty(),
+                "rank {rank} of {gx}x1 {what}: {errors:#?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn tile_ports_match_serial_sub_blocks_kernel_by_kernel() {
     // 32 columns split two and three ways give every tile the global
     // mesh's `rx`/`ry` bits; 24 split three ways would not.
     let cfg = TeaConfig::paper_problem(32);
-    let problem = Problem::from_config(&cfg).expect("valid deck");
-    let global = &problem.mesh;
     for gx in [1usize, 2, 3] {
-        for overlap in [true, false] {
-            let errors = run_spmd(gx, |rank| {
-                let mut tile = TilePort::new(rank, &cfg, Grid2d::new(gx, 1), overlap);
-                let mut serial = SerialPort::new(devices::cpu_xeon_e5_2670_x2(), &problem, 1);
-                let local = tile.tile().geom.mesh.clone();
-                // Local padded column `i` is global padded column `c0 + i`:
-                // both meshes pad by the same halo depth.
-                let (c0, _) = tile_span(cfg.x_cells, rank.id(), gx);
-                let cells: Vec<_> = (local.i0()..local.j1())
-                    .flat_map(|j| (local.i0()..local.i1()).map(move |i| (j, i)))
-                    .map(|(j, i)| (j * local.width() + i, j * global.width() + c0 + i))
-                    .collect();
-                let mut errors = Vec::new();
-                if local.rx_ry(cfg.initial_timestep) != problem.rx_ry() {
-                    errors.push("the tile's rx/ry differ from the serial mesh's".to_string());
-                }
-                errors.extend(drive_every_kernel(
-                    &mut tile,
-                    &mut serial,
-                    &cfg,
-                    problem.rx_ry(),
-                    &cells,
-                ));
-                errors
-            });
-            for (rank, errors) in errors.iter().enumerate() {
-                let what = if overlap { "overlap" } else { "blocking" };
-                assert!(
-                    errors.is_empty(),
-                    "rank {rank} of {gx}x1 {what}: {errors:#?}"
-                );
-            }
-        }
+        tiles_match_serial(&cfg, gx);
     }
+}
+
+/// On a 3×1 grid the middle and east tiles fold their cells onto the
+/// carries they receive (the row-block fold tail seeded with them). 21
+/// rows are two full blocks of eight and a ragged block of five, so every
+/// reduction's seeded continuation runs both the interleaved and the
+/// row-by-row fold.
+#[test]
+fn seeded_carry_continuation_on_3x1_ragged_row_blocks() {
+    let cfg = TeaConfig {
+        y_cells: 21,
+        ..TeaConfig::paper_problem(32)
+    };
+    tiles_match_serial(&cfg, 3);
 }
