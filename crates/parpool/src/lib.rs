@@ -6,22 +6,24 @@
 //! OpenMP's fork-join pool with *static* chunk scheduling, and Intel's
 //! OpenCL CPU implementation built on TBB's *work-stealing* scheduler
 //! (§4.1 — the source of the OpenCL CPU variance). This crate provides
-//! faithful Rust counterparts of both:
+//! faithful Rust counterparts of both as two schedules over one region
+//! core, [`Pool`]:
 //!
-//! * [`StaticPool`] — persistent workers, contiguous per-thread index
-//!   ranges, barrier per parallel region. Models OpenMP
-//!   `schedule(static)` with pinned threads.
-//! * [`StealPool`] — persistent workers over a [`crossbeam_deque`] injector
-//!   with random stealing, a few tasks per thread, and a steal counter so
-//!   the scheduling noise can be observed. Models TBB.
+//! * [`StaticPool`] (`Pool<Static>`) — contiguous per-thread index
+//!   ranges. Models OpenMP `schedule(static)` with pinned threads.
+//! * [`StealPool`] (`Pool<Steal>`) — each thread starts from the same
+//!   range, cut into chunks on its own [`crossbeam_deque`] deque, and
+//!   steals other threads' chunks once its own run out, counting every
+//!   steal so the scheduling noise can be observed. Models TBB.
 //! * [`SerialExec`] — inline execution, the determinism reference.
 //!
-//! In both pools the posting thread is one of the `n` threads a pool is
-//! created with, and only `n − 1` workers are spawned. It publishes the
-//! region and then works its own share before joining: block 0 of the
-//! static schedule, like the OpenMP master thread, or the region's first
-//! task and then whatever it can take, like the TBB calling thread. A
-//! one-thread pool spawns nothing and runs every region inline.
+//! The core owns everything beneath a schedule once: persistent workers
+//! on a spin-then-park generation barrier, the posting thread as one of
+//! the `n` threads a pool is created with (only `n − 1` workers are
+//! spawned; it publishes the region, runs its own share, then joins, like
+//! the OpenMP master thread or TBB's calling thread), panic capture,
+//! shutdown and the reduction scratch. A one-thread pool spawns nothing
+//! and runs every region inline.
 //!
 //! All three implement [`Executor`]. Reductions are **deterministic by
 //! construction**: every executor computes one partial per index and the
@@ -47,6 +49,7 @@
 pub mod executor;
 pub mod metrics;
 pub mod permute;
+pub mod pool;
 pub mod shared;
 pub mod static_pool;
 pub mod steal_pool;
@@ -55,6 +58,7 @@ pub mod tiled;
 pub use executor::{run_sum_many, Executor, SerialExec, SUM_BLOCK};
 pub use metrics::PoolMetrics;
 pub use permute::PermutedExec;
+pub use pool::Pool;
 pub use shared::UnsafeSlice;
 pub use static_pool::StaticPool;
 pub use steal_pool::StealPool;

@@ -15,10 +15,11 @@ use crate::shared::CachePadded;
 
 /// Live counters embedded in a pool's shared state.
 ///
-/// Poster-side counters (`regions`, `inline_runs`, `poster_parks`) are
-/// bumped under the poster lock; worker-side counters (`steals`, the
-/// per-worker park slots) are relaxed atomics padded to their own cache
-/// lines so counting never induces sharing between workers.
+/// Poster-side counters are bumped by the posting thread: `regions` and
+/// `poster_parks` under the poster lock, `inline_runs` on the inline path,
+/// which never takes it. `steals` is bumped by any thread, and each
+/// per-worker park slot is padded to its own cache line so counting never
+/// induces sharing between workers.
 #[derive(Debug)]
 pub(crate) struct Counters {
     pub regions: AtomicU64,

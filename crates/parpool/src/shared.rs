@@ -97,52 +97,6 @@ impl<'a, T> UnsafeSlice<'a, T> {
     }
 }
 
-/// Spin iterations before a pool worker waiting for a region parks, or a
-/// poster waiting for its join starts yielding ([`join_wait`]), shared by
-/// both pools. Each
-/// iteration is one counter load and one `spin_loop` hint (`PAUSE` on
-/// x86-64, ≈20 ns on recent Intel cores), so the whole budget measures
-/// ≈70–90 µs (median of 200 timed budgets, idle 2-vCPU Intel Xeon VM) —
-/// tens of times the "few microseconds" of OpenMP's
-/// `OMP_WAIT_POLICY=passive` grace spin. It does outlast the gap between
-/// back-to-back regions in a solver inner loop, which is what keeps the
-/// workers off the futex path there.
-pub(crate) const SPIN_ITERS: u32 = 4096;
-
-/// Spin on `ready` for up to [`SPIN_ITERS`] iterations; `false` when the
-/// budget ran out first and the caller should park.
-#[inline]
-pub(crate) fn spin_until(mut ready: impl FnMut() -> bool) -> bool {
-    for _ in 0..SPIN_ITERS {
-        if ready() {
-            return true;
-        }
-        std::hint::spin_loop();
-    }
-    ready()
-}
-
-/// A poster's join: spin on `done` for the [`SPIN_ITERS`] budget, then
-/// yield until it holds; `true` when the budget ran out. The poster never
-/// parks. On a VM a futex wake-up can take longer than the whole spin
-/// budget, and a poster parked at the join would then post the next region
-/// only after the workers' budgets ran out: they park too, every region
-/// wakes a parked worker, the late worker makes the poster park again, and
-/// the pool settles into two wake-ups per region (a 128² CG solve on the
-/// OpenMP F90 port measured ≈80 ms in that state against ≈6 ms without).
-/// A yielding poster posts the next region as soon as it is ready, so a
-/// worker parks only across a real gap between regions.
-#[inline]
-pub(crate) fn join_wait(done: impl Fn() -> bool) -> bool {
-    if spin_until(&done) {
-        return false;
-    }
-    while !done() {
-        std::thread::yield_now();
-    }
-    true
-}
-
 /// Pads and aligns a value to a 64-byte cache line so hot atomics owned by
 /// different threads never share a line (the classic false-sharing fix;
 /// mirrors `crossbeam_utils::CachePadded`).

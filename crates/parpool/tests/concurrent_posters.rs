@@ -4,7 +4,7 @@
 //! that dispatches through `parpool::global_static()` or
 //! `parpool::global_steal()` posts to the same pool from each of them. A
 //! pool without a poster lock corrupts its region state under that load
-//! (lost indices, a stale injector, hangs). Here eight threads post
+//! (lost indices, a job or item count overwritten mid-region, hangs). Here eight threads post
 //! ordered reductions to both global pools at once; every result must
 //! stay bit-identical to the inline [`SerialExec`] fold.
 
