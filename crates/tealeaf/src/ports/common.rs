@@ -667,15 +667,11 @@ pub const FOLD_ROWS: usize = 4;
 /// What a reducing block body runs over its rows.
 pub enum Pass<'a> {
     /// The update pass alone: the fold is not wanted (a tile's
-    /// `cg_update_ur`, whose reduction PPCG discards), or comes later (a
-    /// tile waiting for its carries).
+    /// `cg_update_ur`, whose reduction PPCG discards).
     Update,
     /// The update pass, then the fold onto `acc[r]` for row
     /// `rows.start + r`, [`FOLD_ROWS`] rows at a time.
     Reduce(&'a mut [f64]),
-    /// The fold alone onto `acc`, over fields an earlier [`Pass::Update`]
-    /// wrote.
-    Fold(&'a mut [f64]),
 }
 
 /// The fold tail of every reducing kernel: `acc[r] += term(a[i], b[i])`
@@ -743,10 +739,6 @@ fn block<'a>(
                 (first..first + acc.len()).for_each(|jj| update(run(jj)));
                 fold_rows(acc, |r| ops(run(first + r)), term);
             }
-        }
-        Pass::Fold(acc) => {
-            debug_assert_eq!(acc.len(), rows.len());
-            fold_rows(acc, |r| ops(run(rows.start + r)), term);
         }
     }
 }
@@ -865,7 +857,7 @@ pub unsafe fn block_jacobi_iterate(
 }
 
 /// `calc_2norm` over interior rows `rows`, folding `x²`. It has no update
-/// pass, so [`Pass::Reduce`] and [`Pass::Fold`] are the same fold.
+/// pass.
 pub fn block_norm(mesh: &Mesh2d, rows: Range<usize>, pass: Pass<'_>, x: &[f64]) {
     block(mesh, rows, pass, |_| {}, |run| (run.of(x), run.of(x)), dot)
 }
@@ -1849,11 +1841,11 @@ mod tests {
     }
 
     /// For every block `a..b` of the mesh's interior rows: the block body
-    /// with [`Pass::Reduce`] from `+0.0`, and with [`Pass::Update`] then
-    /// [`Pass::Fold`] seeded with irregular carries (the tile port's
-    /// continuation), against `cell` over each row's cells with the row's
-    /// terms folded left to right from the same start. Row partials and
-    /// every field must agree bit for bit.
+    /// with [`Pass::Reduce`] from `+0.0`, and seeded with irregular carries
+    /// (the tile port's continuation), against `cell` over each row's cells
+    /// with the row's terms folded left to right from the same start. Row
+    /// partials and every field must agree bit for bit. [`Pass::Update`]
+    /// must write the same fields.
     fn blocks_match_cells(mesh: &Mesh2d, what: &str, block: BlockBody, cell: Cell) {
         let inputs = Fields::new(mesh);
         let ny = mesh.y_cells;
@@ -1890,15 +1882,12 @@ mod tests {
                 let seeds: Vec<f64> = (a..b).map(|jj| (jj as f64 + 0.3).sin() * 7.0).collect();
                 let (want, want_acc) = oracle(a..b, &seeds);
                 let (mut got, mut acc) = (inputs.clone(), seeds.clone());
+                block(&inputs, &got.outs(), a..b, Pass::Reduce(&mut acc));
+                same(&got, &want, &acc, &want_acc, &format!("{how}, seeded"));
+
+                let mut got = inputs.clone();
                 block(&inputs, &got.outs(), a..b, Pass::Update);
-                block(&inputs, &got.outs(), a..b, Pass::Fold(&mut acc));
-                same(
-                    &got,
-                    &want,
-                    &acc,
-                    &want_acc,
-                    &format!("{how}, update then seeded fold"),
-                );
+                same(&got, &want, &[], &[], &format!("{how}, update"));
             }
         }
     }

@@ -24,12 +24,13 @@
 //!   rather than behind the interior. The coefficient build of
 //!   `init_fields` reads only density and writes only `kx`/`ky`, so it
 //!   is charged as riding the `u` window that follows it.
-//! * **Reductions** return the carry-pipelined global sum of
-//!   [`tile::ordered_reduce`] — bit-equal to the serial row fold. Every
-//!   reducing kernel runs the serial port's block body ([`Pass`]): a tile
-//!   with no west neighbour fuses the update with the fold from 0.0 and
-//!   sends its row partials as the carries; any other tile runs the
-//!   update, then the same fold tail seeded with the carries it receives.
+//! * **Reductions** return the streamed carry pipeline's global sum,
+//!   [`tile::ordered_reduce`] — bit-equal to the serial row fold. The
+//!   whole stream is the kernel pass: every [`tile::CARRY_ROWS`] rows, the
+//!   serial port's block body runs once with [`Pass::Reduce`] seeded with
+//!   the carries the west tile sent for those rows (`+0.0` on a west-most
+//!   tile), and the block's sums go east. Each tile makes one fused pass,
+//!   and an east tile starts as soon as the first block arrives.
 //! * **Jacobi's scratch** (the previous iterate, kept in `r`) is
 //!   exchanged raw inside `jacobi_iterate`: the serial sweep reads 0.0
 //!   in its physical ghosts, so no reflective refresh.
@@ -42,7 +43,8 @@
 //! Checkpoint cuts go into the world-restart rings of a resilient run
 //! ([`crate::distributed`]); a plain run keeps no snapshots at all.
 
-use mpisim::topology::Dir;
+use std::ops::Range;
+
 use mpisim::{ExchangeMetrics, Grid2d, Rank, Tag};
 use simdev::SimContext;
 use tea_core::config::{Coefficient, TeaConfig};
@@ -333,40 +335,26 @@ impl<'a> TilePort<'a> {
     }
 
     /// A reducing kernel on the tile, as one exactly-ordered global
-    /// reduction ([`tile::ordered_reduce`]). `body(fields, pass)` runs the
-    /// kernel's block body over every tile row. On a west-most tile the
+    /// reduction ([`tile::ordered_reduce`]). `body(fields, rows, pass)`
+    /// runs the kernel's block body over the interior rows `rows`. The
     /// kernel pass (around the open window of `stencil`, see
-    /// [`TilePort::pass`]) fuses the update with the fold from `+0.0`, and
-    /// those row partials are the carries it sends; any other tile runs
-    /// the update alone, then folds its cells onto the carries it
-    /// receives.
+    /// [`TilePort::pass`]) is the streamed carry pipeline: block by block,
+    /// the fused update and fold ([`Pass::Reduce`]) seeded with the
+    /// carries from the west tile, or from `+0.0` on a west-most tile.
     fn reduce(
         &mut self,
         stencil: Option<(KernelId, &str)>,
-        body: impl Fn(&mut PortFields, Pass<'_>),
+        body: impl Fn(&mut PortFields, Range<usize>, Pass<'_>),
     ) -> f64 {
-        let west = self.t.geom.neighbor(Dir::W).is_none();
-        let mut partials = vec![0.0; if west { self.t.geom.mesh.y_cells } else { 0 }];
-        let mut run = |f: &mut PortFields| {
-            let pass = if west {
-                Pass::Reduce(&mut partials)
-            } else {
-                Pass::Update
-            };
-            body(f, pass)
+        let (rank, geom) = (self.rank, self.t.geom.clone());
+        let run = |f: &mut PortFields| {
+            let fold = |rows, acc: &mut [f64]| body(f, rows, Pass::Reduce(acc));
+            tile::ordered_reduce::<1>(rank, &geom, fold)[0]
         };
         match stencil {
             Some((kernel, label)) => self.pass(kernel, label, run),
             None => run(&mut self.t.f),
         }
-        let Tile { geom, f } = &mut self.t;
-        tile::ordered_reduce(self.rank, geom, |received| match received {
-            None => partials,
-            Some(mut carries) => {
-                body(f, Pass::Fold(&mut carries));
-                carries
-            }
-        })
     }
 
     // --- kernel bodies ---
@@ -376,11 +364,16 @@ impl<'a> TilePort<'a> {
     // single-threaded within the rank, each row written by exactly one
     // call per pass.
 
-    /// The CG update over every tile row, as the `pass` asks.
-    fn update_ur(f: &mut PortFields, pass: Pass<'_>, alpha: f64, preconditioner: bool) {
+    /// The CG update over the interior rows `rows`, as the `pass` asks.
+    fn update_ur(
+        f: &mut PortFields,
+        rows: Range<usize>,
+        pass: Pass<'_>,
+        alpha: f64,
+        preconditioner: bool,
+    ) {
         let (u, r, z) = (Us::new(&mut f.u), Us::new(&mut f.r), Us::new(&mut f.z));
         let (p, w, kx, ky) = (&f.p, &f.w, &f.kx, &f.ky);
-        let rows = 0..f.mesh.y_cells;
         unsafe {
             common::block_cg_calc_ur(
                 &f.mesh,
@@ -481,11 +474,10 @@ impl TeaLeafPort for TilePort<'_> {
     fn cg_init(&mut self, preconditioner: bool) -> f64 {
         // A stencil run as one pass: its ghosts must have landed.
         self.settle();
-        self.reduce(None, |f, pass| {
+        self.reduce(None, |f, rows, pass| {
             let (w, r) = (Us::new(&mut f.w), Us::new(&mut f.r));
             let (p, z) = (Us::new(&mut f.p), Us::new(&mut f.z));
             let (u, u0, kx, ky) = (&f.u, &f.u0, &f.kx, &f.ky);
-            let rows = 0..f.mesh.y_cells;
             unsafe {
                 common::block_cg_init(
                     &f.mesh,
@@ -506,23 +498,23 @@ impl TeaLeafPort for TilePort<'_> {
     }
 
     fn cg_calc_w(&mut self) -> f64 {
-        self.reduce(Some((KernelId::CgCalcW, "cg_calc_w")), |f, pass| {
+        self.reduce(Some((KernelId::CgCalcW, "cg_calc_w")), |f, rows, pass| {
             let w = Us::new(&mut f.w);
-            let rows = 0..f.mesh.y_cells;
             unsafe { common::block_cg_calc_w(&f.mesh, rows, pass, &f.p, &f.kx, &f.ky, &w) }
         })
     }
 
     fn cg_calc_ur(&mut self, alpha: f64, preconditioner: bool) -> f64 {
-        self.reduce(None, |f, pass| {
-            Self::update_ur(f, pass, alpha, preconditioner)
+        self.reduce(None, |f, rows, pass| {
+            Self::update_ur(f, rows, pass, alpha, preconditioner)
         })
     }
 
     /// No allreduce and no fold: the PPCG outer loop discards this
     /// reduction, and a collective nobody reads would only add messages.
     fn cg_update_ur(&mut self, alpha: f64, preconditioner: bool) {
-        Self::update_ur(&mut self.t.f, Pass::Update, alpha, preconditioner);
+        let rows = 0..self.t.f.mesh.y_cells;
+        Self::update_ur(&mut self.t.f, rows, Pass::Update, alpha, preconditioner);
     }
 
     fn cg_calc_p(&mut self, beta: f64, preconditioner: bool) {
@@ -574,10 +566,10 @@ impl TeaLeafPort for TilePort<'_> {
             });
         });
         self.open(FieldId::R, 1);
-        self.reduce(Some((KernelId::JacobiSolve, "jacobi_sweep")), |f, pass| {
+        let sweep = (KernelId::JacobiSolve, "jacobi_sweep");
+        self.reduce(Some(sweep), |f, rows, pass| {
             let u = Us::new(&mut f.u);
             let (u0, r, kx, ky) = (&f.u0, &f.r, &f.kx, &f.ky);
-            let rows = 0..f.mesh.y_cells;
             unsafe { common::block_jacobi_iterate(&f.mesh, rows, pass, u0, r, kx, ky, &u) }
         })
     }
@@ -592,12 +584,12 @@ impl TeaLeafPort for TilePort<'_> {
     }
 
     fn calc_2norm(&mut self, field: NormField) -> f64 {
-        self.reduce(None, |f, pass| {
+        self.reduce(None, |f, rows, pass| {
             let x = match field {
                 NormField::U0 => &f.u0,
                 NormField::R => &f.r,
             };
-            common::block_norm(&f.mesh, 0..f.mesh.y_cells, pass, x)
+            common::block_norm(&f.mesh, rows, pass, x)
         })
     }
 
@@ -613,13 +605,12 @@ impl TeaLeafPort for TilePort<'_> {
         self.settle();
         let Tile { geom, f } = &self.t;
         let vol = geom.mesh.cell_volume();
-        let global = tile::ordered_reduce4(self.rank, geom, |received| {
-            let mut sums = received.unwrap_or_else(|| vec![0.0; 4 * f.mesh.y_cells]);
-            for (acc, j) in sums.chunks_exact_mut(4).zip(f.mesh.i0()..f.mesh.j1()) {
+        let global = tile::ordered_reduce::<4>(self.rank, geom, |rows, sums| {
+            for (acc, jj) in sums.chunks_exact_mut(4).zip(rows) {
                 let acc: &mut [f64; 4] = acc.try_into().expect("four-wide row sums");
-                common::run_summary(Run::row(&f.mesh, j), &f.density, &f.energy, &f.u, vol, acc);
+                let row = Run::row(&f.mesh, f.mesh.i0() + jj);
+                common::run_summary(row, &f.density, &f.energy, &f.u, vol, acc);
             }
-            sums
         });
         Summary {
             volume: global[0],

@@ -27,15 +27,21 @@
 //!   interior row left-to-right from 0.0, then folds the per-row partials
 //!   in global row order. Splitting a mesh row across tiles breaks the
 //!   in-row fold (f64 addition is not associative), so the row fold is
-//!   *pipelined*: each tile receives the running sums for its rows from
-//!   its west neighbour in one batched message, continues the fold over
-//!   its cells (the kernels' row-block fold tail seeded with those sums),
-//!   and forwards east. A west-most tile's running sums are its kernel's
-//!   own row partials, so it forwards those with no second pass.
+//!   *pipelined* west→east and *streamed* in blocks of [`CARRY_ROWS`]
+//!   rows: for each block, a tile receives the running sums of those rows
+//!   from its west neighbour (a west-most tile starts from `+0.0`), runs
+//!   its kernel's fused update-and-fold over the block seeded with them,
+//!   and forwards the block's sums east. Each row is its own accumulator
+//!   chain, so the seeded fold continues the serial row fold exactly, and
+//!   an east tile works on one block while its west neighbour works on
+//!   the next. A reduction sends ⌈rows/32⌉ carry messages across each
+//!   column boundary (outside [`ExchangeMetrics`], which counts halos).
 //!   East-most tiles hold exact serial row partials and are the only
 //!   ranks contributing to the rank-ordered allreduce; row-major rank
 //!   numbering makes their rank order the global row order, so the global
 //!   fold bit-equals the serial one.
+
+use std::ops::Range;
 
 use mpisim::topology::{dir_tag, Dir, Grid2d};
 use mpisim::{ExchangeMetrics, Rank, Tag};
@@ -45,7 +51,7 @@ use tea_core::halo::update_halo;
 use tea_core::mesh::Mesh2d;
 use tea_core::state::generate_chunk;
 
-use crate::ports::common::PortFields;
+use crate::ports::common::{PortFields, FOLD_ROWS};
 
 /// Base tag of the reduction carry pipeline (flows west→east only).
 pub const TAG_CARRY: Tag = 15;
@@ -337,62 +343,46 @@ pub fn complete_halo(
 // exactly-ordered reductions
 // ---------------------------------------------------------------------------
 
-/// The carry pipeline behind [`ordered_reduce`], for `K`-component row
-/// sums flattened `K` wide. `sums` gets the running sums received from
-/// the west neighbour (`None` on a west-most tile) and returns this
-/// tile's: a west-most tile's are its kernel's own row partials, folded
-/// from `+0.0`, and any other tile continues the received sums over its
-/// cells. Only an east-most tile holds complete row partials; it gets
-/// them back.
-fn carry_rows(
+/// Interior rows per carry message: eight blocks of the kernels' row-block
+/// fold. An east tile starts a block as soon as its west neighbour has
+/// sent it, so adjacent tile columns lag by one block, not one tile. On a
+/// 2×1 grid at 512² (hostbench `tiled_2x1`, 2-vCPU Xeon VM) 16-row blocks
+/// read the same as 32 within noise, while 64, 128 and 256 rows read
+/// ≈4.8, ≈4.5 and ≈4.4 solves/s against ≈5.0: the larger the block, the
+/// longer the east tile waits for its first one.
+pub const CARRY_ROWS: usize = 8 * FOLD_ROWS;
+
+/// Exactly-ordered global reduction of `K`-component row sums, flattened
+/// `K` wide: the streamed carry pipeline described in the module docs.
+/// The tile walks its interior rows in blocks of [`CARRY_ROWS`];
+/// `fold(rows, acc)` continues `acc` over the tile's cells of the interior
+/// rows `rows`, where `acc` holds the carries received from the west
+/// neighbour (`+0.0` on a west-most tile). Bit-equal to the serial
+/// row-ordered reduction for any tile grid.
+pub fn ordered_reduce<const K: usize>(
     rank: &Rank,
     geom: &TileGeom,
-    k: usize,
-    sums: impl FnOnce(Option<Vec<f64>>) -> Vec<f64>,
-) -> Option<Vec<f64>> {
-    let received = geom
-        .neighbor(Dir::W)
-        .map(|west| rank.recv(west, dir_tag(TAG_CARRY, Dir::E)));
-    let carries = sums(received);
-    debug_assert_eq!(carries.len(), geom.mesh.y_cells * k);
-    match geom.neighbor(Dir::E) {
-        Some(east) => {
-            rank.send(east, dir_tag(TAG_CARRY, Dir::E), carries);
-            None
+    mut fold: impl FnMut(Range<usize>, &mut [f64]),
+) -> [f64; K] {
+    let (west, east) = (geom.neighbor(Dir::W), geom.neighbor(Dir::E));
+    let (tag, ny) = (dir_tag(TAG_CARRY, Dir::E), geom.mesh.y_cells);
+    // Only east-most tiles hold complete row partials; the others
+    // contribute nothing to the global fold.
+    let mut partials = vec![[0.0; K]; if east.is_none() { ny } else { 0 }];
+    for start in (0..ny).step_by(CARRY_ROWS) {
+        let block = start..ny.min(start + CARRY_ROWS);
+        let mut acc = match west {
+            Some(west) => rank.recv(west, tag),
+            None => vec![0.0; block.len() * K],
+        };
+        debug_assert_eq!(acc.len(), block.len() * K);
+        fold(block.clone(), &mut acc);
+        match east {
+            Some(east) => rank.send(east, tag, acc),
+            None => partials[block].as_flattened_mut().copy_from_slice(&acc),
         }
-        None => Some(carries),
     }
-}
-
-/// Exactly-ordered global reduction: the carry-pipelined row fold
-/// described in the module docs. `sums(received)` returns the tile's
-/// running row sums (see `carry_rows`): its row partials from `+0.0` on a
-/// west-most tile, the `received` carries continued over its cells on any
-/// other. Bit-equal to the serial row-ordered reduction for any tile grid.
-pub fn ordered_reduce(
-    rank: &Rank,
-    geom: &TileGeom,
-    sums: impl FnOnce(Option<Vec<f64>>) -> Vec<f64>,
-) -> f64 {
-    // Non-last-column ranks hold incomplete row folds; they contribute
-    // nothing to the global fold.
-    let rows = carry_rows(rank, geom, 1, sums);
-    rank.allreduce_ordered(rows.as_deref().unwrap_or(&[]))
-}
-
-/// Four-component analogue of [`ordered_reduce`] (the field summary),
-/// its row sums flattened four wide.
-pub fn ordered_reduce4(
-    rank: &Rank,
-    geom: &TileGeom,
-    sums: impl FnOnce(Option<Vec<f64>>) -> Vec<f64>,
-) -> [f64; 4] {
-    let rows = carry_rows(rank, geom, 4, sums).unwrap_or_default();
-    let parts: Vec<[f64; 4]> = rows
-        .chunks_exact(4)
-        .map(|c| [c[0], c[1], c[2], c[3]])
-        .collect();
-    rank.allreduce_ordered_components(&parts)
+    rank.allreduce_ordered_components(&partials)
 }
 
 // ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ use tea_telemetry::Record;
 use tealeaf::distributed::{run_distributed, DistributedRun, DistributedSpec};
 use tealeaf::ports::serial::SerialPort;
 use tealeaf::ports::tile::TilePort;
-use tealeaf::tile::tile_span;
+use tealeaf::tile::{tile_span, CARRY_ROWS};
 use tealeaf::{run_simulation, NormField, Problem, TeaLeafPort, TelemetrySink};
 
 const SOLVERS: [SolverKind; 4] = [
@@ -492,10 +492,10 @@ fn tile_ports_match_serial_sub_blocks_kernel_by_kernel() {
 }
 
 /// On a 3×1 grid the middle and east tiles fold their cells onto the
-/// carries they receive (the row-block fold tail seeded with them). 21
-/// rows are two full blocks of eight and a ragged block of five, so every
-/// reduction's seeded continuation runs both the interleaved and the
-/// row-by-row fold.
+/// carries they receive (the row-block fold seeded with them). 21 rows
+/// are five full fold blocks of four and a ragged row, all in one carry
+/// block, so every reduction's seeded continuation runs both the
+/// interleaved and the row-by-row fold.
 #[test]
 fn seeded_carry_continuation_on_3x1_ragged_row_blocks() {
     let cfg = TeaConfig {
@@ -503,4 +503,19 @@ fn seeded_carry_continuation_on_3x1_ragged_row_blocks() {
         ..TeaConfig::paper_problem(32)
     };
     tiles_match_serial(&cfg, 3);
+}
+
+/// Rows stream east in blocks of `CARRY_ROWS`. `2·CARRY_ROWS + 13` rows
+/// are two full blocks and a ragged third block that is no whole number
+/// of fold blocks; on 3×1 the middle tile receives and forwards every
+/// block. Overlap on and off.
+#[test]
+fn streamed_carries_over_several_row_blocks_on_2x1_and_3x1() {
+    let cfg = TeaConfig {
+        y_cells: 2 * CARRY_ROWS + 13,
+        ..TeaConfig::paper_problem(32)
+    };
+    for gx in [2usize, 3] {
+        tiles_match_serial(&cfg, gx);
+    }
 }
