@@ -249,7 +249,7 @@ fn per_kernel_fraction(report: &RunReport, device: &DeviceSpec) -> f64 {
 
 /// **Figure 12** — percentage of STREAM bandwidth achieved by each model,
 /// averaged over the three solvers, per device. Computed from the
-/// per-kernel bandwidth metrics (see [`per_kernel_fraction`]); the
+/// per-kernel bandwidth metrics (see `per_kernel_fraction`); the
 /// kernel-level breakdown the average hides is [`fig12_kernels`].
 pub fn fig12(scale: Scale) -> Table {
     let mut table = Table::new(

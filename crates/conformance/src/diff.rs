@@ -32,23 +32,6 @@ use tealeaf::{driver, ModelId, Problem, TeaLeafPort};
 
 use crate::matrix::natural_device;
 
-/// Canonical solver-field storage compared after every kernel call
-/// (`Energy1` aliases `Energy0` and `Mi` aliases `Z` in every port, so
-/// the aliases are skipped).
-pub const CHECKED_FIELDS: [FieldId; 11] = [
-    FieldId::Density,
-    FieldId::Energy0,
-    FieldId::U,
-    FieldId::U0,
-    FieldId::P,
-    FieldId::R,
-    FieldId::W,
-    FieldId::Z,
-    FieldId::Kx,
-    FieldId::Ky,
-    FieldId::Sd,
-];
-
 /// Kernels that mark the start of one solver iteration: `cg_calc_w`
 /// (CG, the Chebyshev/PPCG presteps and every PPCG outer iteration),
 /// `cheby_iterate` and `jacobi_iterate` — matching how
@@ -231,7 +214,7 @@ impl Lockstep {
     }
 
     fn compare_fields(&self, reference: &dyn TeaLeafPort) -> Option<Mismatch> {
-        for field in CHECKED_FIELDS {
+        for field in FieldId::STORED {
             let (Some(e), Some(a)) = (
                 reference.inspect_field(field),
                 self.candidate.inspect_field(field),

@@ -67,6 +67,42 @@ impl FieldId {
         FieldId::U0,
         FieldId::Mi,
     ];
+
+    /// The eleven arrays a port stores, one id each, in storage order.
+    /// Every id in [`FieldId::ALL`] names one of them (see
+    /// [`FieldId::slot`]).
+    pub const STORED: [FieldId; 11] = [
+        FieldId::Density,
+        FieldId::Energy0,
+        FieldId::U,
+        FieldId::U0,
+        FieldId::P,
+        FieldId::R,
+        FieldId::W,
+        FieldId::Z,
+        FieldId::Kx,
+        FieldId::Ky,
+        FieldId::Sd,
+    ];
+
+    /// Position in [`FieldId::STORED`] of the array this id names. The
+    /// one place the aliases live: `Energy1` is stored in `Energy0`'s
+    /// array and `Mi` in `Z`'s.
+    pub const fn slot(self) -> usize {
+        match self {
+            FieldId::Density => 0,
+            FieldId::Energy0 | FieldId::Energy1 => 1,
+            FieldId::U => 2,
+            FieldId::U0 => 3,
+            FieldId::P => 4,
+            FieldId::R => 5,
+            FieldId::W => 6,
+            FieldId::Z | FieldId::Mi => 7,
+            FieldId::Kx => 8,
+            FieldId::Ky => 9,
+            FieldId::Sd => 10,
+        }
+    }
 }
 
 /// Apply a reflective halo update of the given `depth` to `data`.
@@ -334,6 +370,15 @@ mod tests {
                 assert_eq!(got.as_slice(), &want[..], "{nx}x{ny} depth {depth}");
             }
         }
+    }
+
+    #[test]
+    fn every_id_names_a_stored_array() {
+        for (k, id) in FieldId::STORED.into_iter().enumerate() {
+            assert_eq!(id.slot(), k, "{} is stored in its own slot", id.name());
+        }
+        assert_eq!(FieldId::Energy1.slot(), FieldId::Energy0.slot());
+        assert_eq!(FieldId::Mi.slot(), FieldId::Z.slot());
     }
 
     #[test]

@@ -59,6 +59,19 @@ impl Summary {
     }
 }
 
+/// The four reduced components in field order — volume, mass, internal
+/// energy, temperature — as every port's `field_summary` folds them.
+impl From<[f64; 4]> for Summary {
+    fn from([volume, mass, internal_energy, temperature]: [f64; 4]) -> Self {
+        Summary {
+            volume,
+            mass,
+            internal_energy,
+            temperature,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

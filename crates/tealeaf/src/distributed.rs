@@ -305,7 +305,7 @@ impl TileCheckpoint {
 }
 
 /// Shared checkpoint registry for one resilient distributed run: one
-/// bounded ring of [`TileCheckpoint`]s per rank, written by the rank
+/// bounded ring of `TileCheckpoint`s per rank, written by the rank
 /// threads mid-solve and read by the restart loop after a world dies.
 pub struct CheckpointStore {
     slots: Vec<Mutex<VecDeque<TileCheckpoint>>>,
@@ -383,21 +383,6 @@ pub fn latest_common_key(rings: &[Vec<CkptKey>]) -> Option<CkptKey> {
 
 // ---------------------------------------------------------------------------
 
-/// Every array a tile stores, each named once.
-const TILE_FIELDS: [FieldId; 11] = [
-    FieldId::Density,
-    FieldId::Energy0,
-    FieldId::U,
-    FieldId::U0,
-    FieldId::P,
-    FieldId::R,
-    FieldId::W,
-    FieldId::Z,
-    FieldId::Sd,
-    FieldId::Kx,
-    FieldId::Ky,
-];
-
 /// Visit `geom`'s padded cells (only its interior with `interior_only`)
 /// as `(local, global)` flat-index pairs into a global padded canvas `gw`
 /// cells wide. A tile's local padded cell `(li, lj)` sits at global
@@ -429,7 +414,7 @@ fn tile_cells(
 /// coordinates.
 fn blit_into_global(config: &TeaConfig, global: &mut Tile, tile: &Tile, interior_only: bool) {
     let gw = global.geom.mesh.width();
-    for id in TILE_FIELDS {
+    for id in FieldId::STORED {
         let (src, dst) = (tile.f.field(id), global.f.field_mut(id));
         tile_cells(config, &tile.geom, gw, interior_only, |l, g| {
             dst[g] = src[l]
@@ -461,7 +446,7 @@ fn reassemble_global(config: &TeaConfig, tiles: &[&Tile]) -> Tile {
 fn carve_tile(config: &TeaConfig, global: &Tile, grid: Grid2d, rank: usize) -> Tile {
     let mut t = Tile::build(config, grid, rank);
     let gw = global.geom.mesh.width();
-    for id in TILE_FIELDS {
+    for id in FieldId::STORED {
         let (src, dst) = (global.f.field(id), t.f.field_mut(id));
         tile_cells(config, &t.geom, gw, false, |l, g| dst[l] = src[g]);
     }

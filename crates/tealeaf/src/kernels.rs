@@ -161,8 +161,8 @@ pub trait TeaLeafPort {
     /// (`tea-conformance`). Unlike [`read_u`](TeaLeafPort::read_u) this
     /// charges **nothing** to the simulated device, so a lock-step
     /// differential run observes exactly the same cost stream as a plain
-    /// run. Returns `None` for fields the port does not store
-    /// separately (e.g. `Mi` aliases `Z` on the host ports).
+    /// run. An alias reads the array it shares (`Mi` reads `Z`, see
+    /// [`FieldId::slot`]); `None` means the port cannot read back.
     fn inspect_field(&self, id: FieldId) -> Option<Vec<f64>>;
 
     /// [`inspect_field`](TeaLeafPort::inspect_field) into a buffer the

@@ -1,4 +1,4 @@
-//! Shared kernel bodies and launch profiles.
+//! Shared kernel bodies, launch profiles and the field set.
 //!
 //! Every port performs *identical per-cell arithmetic* by calling the run
 //! bodies here (which in turn use [`tea_core::physics`]); what differs
@@ -17,6 +17,13 @@
 //! The `unsafe` functions write through [`parpool::UnsafeSlice`]; their
 //! safety contract is always the same: **each output cell is written by
 //! exactly one concurrent caller** (ports dispatch disjoint runs).
+//!
+//! Every port also keeps its arrays in one [`Fields`], with its own
+//! model's container as the element type: `Vec<f64>` ([`PortFields`]) for
+//! the host ports and the tile, a `View` for Kokkos, a `Buffer` for
+//! OpenCL, a `DeviceBuffer` for CUDA. The containers differ; the map from
+//! a [`FieldId`] to its array (aliases included), the conformance
+//! read-back and poke, and the batched halo update are written once here.
 
 use std::ops::Range;
 
@@ -24,6 +31,7 @@ use parpool::UnsafeSlice;
 use simdev::KernelProfile;
 use tea_core::config::Coefficient;
 use tea_core::field::Field2d;
+use tea_core::halo::FieldId;
 use tea_core::mesh::Mesh2d;
 use tea_core::physics;
 
@@ -578,7 +586,7 @@ pub unsafe fn run_jacobi_copy(run: Run, u: &[f64], r: &Us) {
 /// Jacobi sweep's update pass: `u = (u0 + Σ k·u_old_neighbours)/diag`,
 /// with `r` holding the previous iterate (its fold is `Σ|u − r|`,
 /// [`block_jacobi_iterate`]). The sweep reads the same row slices as
-/// [`RowStencil::each`] with its own update.
+/// `RowStencil::each` with its own update.
 ///
 /// # Safety
 /// As [`run_init_u0`].
@@ -1137,7 +1145,7 @@ pub mod profiles {
     /// The head/tail launch-profile pair for one fusion site, written
     /// once for all eight ports. When the port's [`LoweringCaps`] admit a
     /// fused launch (and the IR says the pairing is legal), the tail is
-    /// charged as a dispatch-free [`fused_tail`]; otherwise both kernels
+    /// charged as a dispatch-free `fused_tail`; otherwise both kernels
     /// carry their own launch, exactly as the hand-written ports did.
     pub fn fused_pair(
         kind: FusionKind,
@@ -1156,26 +1164,78 @@ pub mod profiles {
 }
 
 // ---------------------------------------------------------------------------
-// host-style field storage shared by the plain-array ports
+// the field set every port stores its arrays in
 // ---------------------------------------------------------------------------
 
-/// Host-side field set used by the serial, OpenMP and directive-based
-/// ports (flat `Vec<f64>` per TeaLeaf array).
-#[derive(Debug, Clone)]
-pub struct PortFields {
-    pub mesh: Mesh2d,
-    pub density: Vec<f64>,
-    pub energy: Vec<f64>,
-    pub u: Vec<f64>,
-    pub u0: Vec<f64>,
-    pub p: Vec<f64>,
-    pub r: Vec<f64>,
-    pub w: Vec<f64>,
-    pub z: Vec<f64>,
-    pub kx: Vec<f64>,
-    pub ky: Vec<f64>,
-    pub sd: Vec<f64>,
+/// A container one TeaLeaf array lives in — a host `Vec`, a Kokkos
+/// `View`, an OpenCL `Buffer`, a CUDA `DeviceBuffer` — seen as the plain
+/// padded slice the shared field map hands out.
+pub trait FieldStore {
+    fn data(&self) -> &[f64];
+    fn data_mut(&mut self) -> &mut [f64];
 }
+
+impl FieldStore for Vec<f64> {
+    fn data(&self) -> &[f64] {
+        self
+    }
+    fn data_mut(&mut self) -> &mut [f64] {
+        self
+    }
+}
+
+impl FieldStore for kokkos_rs::View {
+    fn data(&self) -> &[f64] {
+        self.raw()
+    }
+    fn data_mut(&mut self) -> &mut [f64] {
+        self.raw_mut()
+    }
+}
+
+impl FieldStore for opencl_rs::Buffer<f64> {
+    fn data(&self) -> &[f64] {
+        self.arg_view()
+    }
+    fn data_mut(&mut self) -> &mut [f64] {
+        self.arg_view_mut()
+    }
+}
+
+impl FieldStore for cuda_rs::DeviceBuffer<f64> {
+    fn data(&self) -> &[f64] {
+        self.device()
+    }
+    fn data_mut(&mut self) -> &mut [f64] {
+        self.device_mut()
+    }
+}
+
+/// The mesh and the eleven TeaLeaf arrays of one port, each held in the
+/// port's own model container `S`. Kernels name the arrays directly
+/// (`f.u`, `f.kx`) and use the model's accessors; the conformance hooks
+/// and the batched halo update go through [`FieldId`], which resolves —
+/// aliases included — by [`FieldId::slot`] alone, the same for every
+/// port.
+#[derive(Debug, Clone)]
+pub struct Fields<S> {
+    pub mesh: Mesh2d,
+    pub density: S,
+    pub energy: S,
+    pub u: S,
+    pub u0: S,
+    pub p: S,
+    pub r: S,
+    pub w: S,
+    pub z: S,
+    pub kx: S,
+    pub ky: S,
+    pub sd: S,
+}
+
+/// The host field set of the serial, OpenMP, RAJA, directive and tile
+/// ports: one flat `Vec<f64>` per array.
+pub type PortFields = Fields<Vec<f64>>;
 
 impl PortFields {
     /// Allocate all arrays and copy in the initial density and energy.
@@ -1186,80 +1246,55 @@ impl PortFields {
     /// [`PortFields::new`] taking ownership of the initial state.
     pub fn from_state(mesh: &Mesh2d, density: Field2d, energy: Field2d) -> Self {
         let len = mesh.len();
-        PortFields {
+        Fields::with(mesh, density.into_vec(), energy.into_vec(), |_| {
+            vec![0.0; len]
+        })
+    }
+}
+
+impl<S: FieldStore> Fields<S> {
+    /// Assemble the set from the input `density` and `energy` arrays and
+    /// `alloc(id)` for each of the other nine, called in
+    /// [`FieldId::STORED`] order.
+    pub fn with(mesh: &Mesh2d, density: S, energy: S, mut alloc: impl FnMut(FieldId) -> S) -> Self {
+        Fields {
             mesh: mesh.clone(),
-            density: density.into_vec(),
-            energy: energy.into_vec(),
-            u: vec![0.0; len],
-            u0: vec![0.0; len],
-            p: vec![0.0; len],
-            r: vec![0.0; len],
-            w: vec![0.0; len],
-            z: vec![0.0; len],
-            kx: vec![0.0; len],
-            ky: vec![0.0; len],
-            sd: vec![0.0; len],
+            density,
+            energy,
+            u: alloc(FieldId::U),
+            u0: alloc(FieldId::U0),
+            p: alloc(FieldId::P),
+            r: alloc(FieldId::R),
+            w: alloc(FieldId::W),
+            z: alloc(FieldId::Z),
+            kx: alloc(FieldId::Kx),
+            ky: alloc(FieldId::Ky),
+            sd: alloc(FieldId::Sd),
         }
     }
 
-    /// Borrow the named field (shared) — the conformance read-back hook.
-    /// Aliases resolve exactly as in [`PortFields::field_mut`].
-    pub fn field(&self, id: tea_core::halo::FieldId) -> &[f64] {
-        use tea_core::halo::FieldId::*;
-        match id {
-            Density => &self.density,
-            Energy0 | Energy1 => &self.energy,
-            U => &self.u,
-            U0 => &self.u0,
-            P => &self.p,
-            R => &self.r,
-            W => &self.w,
-            Z | Mi => &self.z,
-            Kx => &self.kx,
-            Ky => &self.ky,
-            Sd => &self.sd,
-        }
+    /// The arrays in [`FieldId::STORED`] order.
+    fn stored(&self) -> [&S; 11] {
+        let Fields {
+            mesh: _,
+            density,
+            energy,
+            u,
+            u0,
+            p,
+            r,
+            w,
+            z,
+            kx,
+            ky,
+            sd,
+        } = self;
+        [density, energy, u, u0, p, r, w, z, kx, ky, sd]
     }
 
-    /// Borrow the named field mutably (for halo updates).
-    pub fn field_mut(&mut self, id: tea_core::halo::FieldId) -> &mut Vec<f64> {
-        use tea_core::halo::FieldId::*;
-        match id {
-            Density => &mut self.density,
-            Energy0 | Energy1 => &mut self.energy,
-            U => &mut self.u,
-            U0 => &mut self.u0,
-            P => &mut self.p,
-            R => &mut self.r,
-            W => &mut self.w,
-            Z | Mi => &mut self.z,
-            Kx => &mut self.kx,
-            Ky => &mut self.ky,
-            Sd => &mut self.sd,
-        }
-    }
-
-    /// Total bytes of the residency set a solver keeps on the device —
-    /// used as the transfer size for whole-problem maps.
-    pub fn resident_bytes(&self) -> u64 {
-        (self.mesh.len() * 8 * 11) as u64
-    }
-
-    /// Reflective halo update of several fields as **one** batched pair of
-    /// parallel regions on `exec` (instead of two regions per field). The
-    /// cost-model charges stay per-field and live with the caller.
-    ///
-    /// # Panics
-    /// Panics if two ids alias the same storage (`Energy0`/`Energy1`, or
-    /// `Z`/`Mi`) in one batch — the batched update needs disjoint slices.
-    pub fn halo_batch(
-        &mut self,
-        ids: &[tea_core::halo::FieldId],
-        depth: usize,
-        exec: &dyn parpool::Executor,
-    ) {
-        use tea_core::halo::FieldId::*;
-        let PortFields {
+    /// The mesh beside the arrays, mutable, in [`FieldId::STORED`] order.
+    fn stored_mut(&mut self) -> (&Mesh2d, [&mut S; 11]) {
+        let Fields {
             mesh,
             density,
             energy,
@@ -1273,39 +1308,55 @@ impl PortFields {
             ky,
             sd,
         } = self;
-        let mut slots = [
-            Some(density),
-            Some(energy),
-            Some(u),
-            Some(u0),
-            Some(p),
-            Some(r),
-            Some(w),
-            Some(z),
-            Some(kx),
-            Some(ky),
-            Some(sd),
-        ];
+        (mesh, [density, energy, u, u0, p, r, w, z, kx, ky, sd])
+    }
+
+    /// Borrow the array `id` names — the conformance read-back hook.
+    pub fn field(&self, id: FieldId) -> &[f64] {
+        self.stored()[id.slot()].data()
+    }
+
+    /// Borrow the array `id` names mutably.
+    pub fn field_mut(&mut self, id: FieldId) -> &mut [f64] {
+        let (_, stored) = self.stored_mut();
+        stored
+            .into_iter()
+            .nth(id.slot())
+            .expect("every slot indexes STORED")
+            .data_mut()
+    }
+
+    /// Copy the array `id` names into `out`, reusing its allocation —
+    /// every port's `inspect_field_into`.
+    pub fn copy_into(&self, id: FieldId, out: &mut Vec<f64>) -> bool {
+        out.clear();
+        out.extend_from_slice(self.field(id));
+        true
+    }
+
+    /// Total bytes of the residency set a solver keeps on the device —
+    /// used as the transfer size for whole-problem maps.
+    pub fn resident_bytes(&self) -> u64 {
+        (self.mesh.len() * 8 * FieldId::STORED.len()) as u64
+    }
+
+    /// Reflective halo update of several fields as **one** batched pair of
+    /// parallel regions on `exec` (instead of two regions per field). The
+    /// cost-model charges stay per-field and live with the caller.
+    ///
+    /// # Panics
+    /// Panics if two ids name the same array (`Energy0`/`Energy1`, or
+    /// `Z`/`Mi`) in one batch — the batched update needs disjoint slices.
+    pub fn halo_batch(&mut self, ids: &[FieldId], depth: usize, exec: &dyn parpool::Executor) {
+        let (mesh, stored) = self.stored_mut();
+        let mut slots = stored.map(Some);
         let mut fields: Vec<&mut [f64]> = ids
             .iter()
             .map(|&id| {
-                let slot = match id {
-                    Density => 0,
-                    Energy0 | Energy1 => 1,
-                    U => 2,
-                    U0 => 3,
-                    P => 4,
-                    R => 5,
-                    W => 6,
-                    Z | Mi => 7,
-                    Kx => 8,
-                    Ky => 9,
-                    Sd => 10,
-                };
-                slots[slot]
+                slots[id.slot()]
                     .take()
                     .unwrap_or_else(|| panic!("{} batched twice in one halo update", id.name()))
-                    .as_mut_slice()
+                    .data_mut()
             })
             .collect();
         tea_core::halo::update_halo_batch(mesh, &mut fields, depth, exec);
@@ -2241,5 +2292,17 @@ mod tests {
         assert_eq!(f.density[0], 2.0);
         assert_eq!(f.energy[5], 3.0);
         assert_eq!(f.resident_bytes(), (m.len() * 88) as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "energy1 batched twice")]
+    fn halo_batch_rejects_an_alias_of_a_batched_field() {
+        let m = mesh();
+        let mut f = PortFields::new(&m, &Field2d::filled(&m, 2.0), &Field2d::filled(&m, 3.0));
+        f.halo_batch(
+            &[FieldId::Energy0, FieldId::Energy1],
+            1,
+            &parpool::SerialExec,
+        );
     }
 }

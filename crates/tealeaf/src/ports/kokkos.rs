@@ -26,13 +26,13 @@ use kokkos_rs::{deep_copy, ExecutionSpace, Functor, RangePolicy, TeamMember, Tea
 use parpool::{Executor, StaticPool};
 use simdev::{DeviceSpec, KernelProfile, SimContext};
 use tea_core::config::Coefficient;
-use tea_core::halo::{update_halo_batch, FieldId};
+use tea_core::halo::FieldId;
 use tea_core::mesh::Mesh2d;
 use tea_core::summary::Summary;
 
 use crate::kernels::{NormField, TeaLeafPort};
 use crate::model_id::ModelId;
-use crate::ports::common::{self, profiles, Pass, Run, RunBox, Us};
+use crate::ports::common::{self, profiles, Fields, Pass, Run, RunBox, Us};
 use crate::problem::Problem;
 
 /// Kokkos TeaLeaf (flat or hierarchical-parallelism).
@@ -40,18 +40,7 @@ pub struct KokkosPort {
     model: ModelId,
     hp: bool,
     ctx: SimContext,
-    mesh: Mesh2d,
-    density: View,
-    energy: View,
-    u: View,
-    u0: View,
-    p: View,
-    r: View,
-    w: View,
-    z: View,
-    kx: View,
-    ky: View,
-    sd: View,
+    f: Fields<View>,
 }
 
 /// Dispatch a non-reduction grid kernel: the flat padded range one chunk
@@ -155,33 +144,17 @@ impl KokkosPort {
             other => panic!("KokkosPort cannot implement {other:?}"),
         };
         let ctx = common::make_context(model, device, problem, seed);
-        let mesh = problem.mesh.clone();
+        let mesh = &problem.mesh;
         let len = mesh.len();
         let dev = |label: &str| View::device(label, len, 1);
-        let mut port = KokkosPort {
-            model,
-            hp,
-            ctx,
-            mesh,
-            density: dev("density"),
-            energy: dev("energy"),
-            u: dev("u"),
-            u0: dev("u0"),
-            p: dev("p"),
-            r: dev("r"),
-            w: dev("w"),
-            z: dev("z"),
-            kx: dev("kx"),
-            ky: dev("ky"),
-            sd: dev("sd"),
-        };
+        let mut f = Fields::with(mesh, dev("density"), dev("energy"), |id| dev(id.name()));
         // create_mirror_view + deep_copy: host → device for the inputs.
         let mut h = View::host("h_mirror", len, 1);
         h.raw_mut().copy_from_slice(problem.density.as_slice());
-        deep_copy(&port.ctx, &mut port.density, &h);
+        deep_copy(&ctx, &mut f.density, &h);
         h.raw_mut().copy_from_slice(problem.energy.as_slice());
-        deep_copy(&port.ctx, &mut port.energy, &h);
-        port
+        deep_copy(&ctx, &mut f.energy, &h);
+        KokkosPort { model, hp, ctx, f }
     }
 
     fn pool(&self) -> &'static StaticPool {
@@ -189,7 +162,7 @@ impl KokkosPort {
     }
 
     fn n(&self) -> u64 {
-        profiles::cells(&self.mesh)
+        profiles::cells(&self.f.mesh)
     }
 
     /// Finalise a grid-kernel profile: the flat port's halo guard is a
@@ -200,62 +173,6 @@ impl KokkosPort {
         } else {
             p.with_interior_branch()
         }
-    }
-
-    /// Borrow the mesh alongside the raw storage of each listed field,
-    /// for the batched halo update. Panics if a `View` is listed twice.
-    fn halo_views(&mut self, ids: &[FieldId]) -> (&Mesh2d, Vec<&mut [f64]>) {
-        let KokkosPort {
-            mesh,
-            density,
-            energy,
-            u,
-            u0,
-            p,
-            r,
-            w,
-            z,
-            kx,
-            ky,
-            sd,
-            ..
-        } = self;
-        let mut slots = [
-            Some(density),
-            Some(energy),
-            Some(u),
-            Some(u0),
-            Some(p),
-            Some(r),
-            Some(w),
-            Some(z),
-            Some(kx),
-            Some(ky),
-            Some(sd),
-        ];
-        let views = ids
-            .iter()
-            .map(|&id| {
-                let slot = match id {
-                    FieldId::Density => 0,
-                    FieldId::Energy0 | FieldId::Energy1 => 1,
-                    FieldId::U => 2,
-                    FieldId::U0 => 3,
-                    FieldId::P => 4,
-                    FieldId::R => 5,
-                    FieldId::W => 6,
-                    FieldId::Z | FieldId::Mi => 7,
-                    FieldId::Kx => 8,
-                    FieldId::Ky => 9,
-                    FieldId::Sd => 10,
-                };
-                slots[slot]
-                    .take()
-                    .unwrap_or_else(|| panic!("{} batched twice in one halo update", id.name()))
-                    .raw_mut()
-            })
-            .collect();
-        (&*mesh, views)
     }
 }
 
@@ -273,16 +190,16 @@ impl TeaLeafPort for KokkosPort {
     }
 
     fn init_fields(&mut self, coefficient: Coefficient, rx: f64, ry: f64) {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let hp = self.hp;
         let p_u0 = self.grid_profile(profiles::init_u0(self.n()));
         let p_k = self.grid_profile(profiles::init_coeffs(self.n()));
         let pool = self.pool();
         {
             let space = ExecutionSpace::new(&self.ctx, pool);
-            let (density, energy) = (self.density.raw(), self.energy.raw());
-            let u0 = Us::new(self.u0.raw_mut());
-            let u = Us::new(self.u.raw_mut());
+            let (density, energy) = (self.f.density.raw(), self.f.energy.raw());
+            let u0 = Us::new(self.f.u0.raw_mut());
+            let u = Us::new(self.f.u.raw_mut());
             if hp {
                 // SAFETY: teams own disjoint rows.
                 grid_for(hp, mesh, &space, &p_u0, &|run| unsafe {
@@ -303,9 +220,9 @@ impl TeaLeafPort for KokkosPort {
         // Coefficients cover i0..=i1 / i0..=j1 — one cell beyond the
         // interior on the high sides, the runs of `RunBox::coeffs`.
         let space = ExecutionSpace::new(&self.ctx, pool);
-        let density = self.density.raw();
-        let kx = Us::new(self.kx.raw_mut());
-        let ky = Us::new(self.ky.raw_mut());
+        let density = self.f.density.raw();
+        let kx = Us::new(self.f.kx.raw_mut());
+        let ky = Us::new(self.f.ky.raw_mut());
         let cover = RunBox::coeffs(mesh);
         space.parallel_for_chunks(&p_k, RangePolicy::new(0, mesh.len()), &|ids| {
             cover.clip(ids, |run| {
@@ -318,26 +235,30 @@ impl TeaLeafPort for KokkosPort {
     fn halo_update(&mut self, fields: &[FieldId], depth: usize) {
         // One launch charge per field (unchanged), all ghost writes as one
         // batched dispatch on the execution space's pool.
-        let profile = profiles::halo(&self.mesh, depth);
+        let profile = profiles::halo(&self.f.mesh, depth);
         for _ in fields {
             self.ctx.launch(&profile);
         }
         let pool = self.pool();
-        let (mesh, mut slices) = self.halo_views(fields);
-        update_halo_batch(mesh, &mut slices, depth, pool);
+        self.f.halo_batch(fields, depth, pool);
     }
 
     fn cg_init(&mut self, preconditioner: bool) -> f64 {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let hp = self.hp;
         let profile = self.grid_profile(profiles::cg_init(self.n(), preconditioner));
         let pool = self.pool();
         let space = ExecutionSpace::new(&self.ctx, pool);
-        let (u, u0, kx, ky) = (self.u.raw(), self.u0.raw(), self.kx.raw(), self.ky.raw());
-        let w = Us::new(self.w.raw_mut());
-        let r = Us::new(self.r.raw_mut());
-        let p = Us::new(self.p.raw_mut());
-        let z = Us::new(self.z.raw_mut());
+        let (u, u0, kx, ky) = (
+            self.f.u.raw(),
+            self.f.u0.raw(),
+            self.f.kx.raw(),
+            self.f.ky.raw(),
+        );
+        let w = Us::new(self.f.w.raw_mut());
+        let r = Us::new(self.f.r.raw_mut());
+        let p = Us::new(self.f.p.raw_mut());
+        let z = Us::new(self.f.z.raw_mut());
         // SAFETY: row blocks disjoint (one row per team).
         grid_reduce(hp, mesh, &space, &profile, &|jj, out| unsafe {
             let pass = Pass::Reduce(out);
@@ -359,12 +280,12 @@ impl TeaLeafPort for KokkosPort {
     }
 
     fn cg_calc_w(&mut self) -> f64 {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let hp = self.hp;
         let profile = self.grid_profile(profiles::cg_calc_w(self.n()));
         let space = ExecutionSpace::new(&self.ctx, self.pool());
-        let (p, kx, ky) = (self.p.raw(), self.kx.raw(), self.ky.raw());
-        let w = Us::new(self.w.raw_mut());
+        let (p, kx, ky) = (self.f.p.raw(), self.f.kx.raw(), self.f.ky.raw());
+        let w = Us::new(self.f.w.raw_mut());
         // SAFETY: row blocks disjoint (one row per team).
         grid_reduce(hp, mesh, &space, &profile, &|jj, out| unsafe {
             common::block_cg_calc_w(mesh, jj, Pass::Reduce(out), p, kx, ky, &w)
@@ -372,14 +293,19 @@ impl TeaLeafPort for KokkosPort {
     }
 
     fn cg_calc_ur(&mut self, alpha: f64, preconditioner: bool) -> f64 {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let hp = self.hp;
         let profile = self.grid_profile(profiles::cg_calc_ur(self.n(), preconditioner));
         let space = ExecutionSpace::new(&self.ctx, self.pool());
-        let (p, w, kx, ky) = (self.p.raw(), self.w.raw(), self.kx.raw(), self.ky.raw());
-        let u = Us::new(self.u.raw_mut());
-        let r = Us::new(self.r.raw_mut());
-        let z = Us::new(self.z.raw_mut());
+        let (p, w, kx, ky) = (
+            self.f.p.raw(),
+            self.f.w.raw(),
+            self.f.kx.raw(),
+            self.f.ky.raw(),
+        );
+        let u = Us::new(self.f.u.raw_mut());
+        let r = Us::new(self.f.r.raw_mut());
+        let z = Us::new(self.f.z.raw_mut());
         // SAFETY: row blocks disjoint (one row per team).
         grid_reduce(hp, mesh, &space, &profile, &|jj, out| unsafe {
             let pass = Pass::Reduce(out);
@@ -401,12 +327,12 @@ impl TeaLeafPort for KokkosPort {
     }
 
     fn cg_calc_p(&mut self, beta: f64, preconditioner: bool) {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let hp = self.hp;
         let profile = self.grid_profile(profiles::cg_calc_p(self.n()));
         let space = ExecutionSpace::new(&self.ctx, self.pool());
-        let (r, z) = (self.r.raw(), self.z.raw());
-        let p = Us::new(self.p.raw_mut());
+        let (r, z) = (self.f.r.raw(), self.f.z.raw());
+        let p = Us::new(self.f.p.raw_mut());
         // SAFETY: chunks and teams own disjoint runs.
         grid_for(hp, mesh, &space, &profile, &|run| unsafe {
             common::run_cg_calc_p(run, beta, preconditioner, r, z, &p)
@@ -418,7 +344,7 @@ impl TeaLeafPort for KokkosPort {
     }
 
     fn cg_fused_ur_p(&mut self, alpha: f64, rro: f64, preconditioner: bool) -> (f64, f64) {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let (h, t) = profiles::fused_pair(
             crate::ir::FusionKind::CgTail,
             self.n(),
@@ -437,10 +363,15 @@ impl TeaLeafPort for KokkosPort {
         self.ctx.launch(&p_tail);
         let i0 = mesh.i0();
         let rrn = {
-            let (p, w, kx, ky) = (self.p.raw(), self.w.raw(), self.kx.raw(), self.ky.raw());
-            let u = Us::new(self.u.raw_mut());
-            let r = Us::new(self.r.raw_mut());
-            let z = Us::new(self.z.raw_mut());
+            let (p, w, kx, ky) = (
+                self.f.p.raw(),
+                self.f.w.raw(),
+                self.f.kx.raw(),
+                self.f.ky.raw(),
+            );
+            let u = Us::new(self.f.u.raw_mut());
+            let r = Us::new(self.f.r.raw_mut());
+            let z = Us::new(self.f.z.raw_mut());
             // SAFETY: row blocks disjoint.
             pool.run_sum_blocks(mesh.y_cells, &|jj, out| unsafe {
                 common::block_cg_calc_ur(
@@ -460,8 +391,8 @@ impl TeaLeafPort for KokkosPort {
             })
         };
         let beta = rrn / rro;
-        let (r, z) = (self.r.raw(), self.z.raw());
-        let p = Us::new(self.p.raw_mut());
+        let (r, z) = (self.f.r.raw(), self.f.z.raw());
+        let p = Us::new(self.f.p.raw_mut());
         // SAFETY: rows disjoint.
         pool.run(mesh.y_cells, &|jj| unsafe {
             common::row_cg_calc_p(mesh, i0 + jj, beta, preconditioner, r, z, &p)
@@ -478,12 +409,12 @@ impl TeaLeafPort for KokkosPort {
     }
 
     fn ppcg_init_sd(&mut self, theta: f64) {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let hp = self.hp;
         let profile = self.grid_profile(profiles::ppcg_init_sd(self.n()));
         let space = ExecutionSpace::new(&self.ctx, self.pool());
-        let r = self.r.raw();
-        let sd = Us::new(self.sd.raw_mut());
+        let r = self.f.r.raw();
+        let sd = Us::new(self.f.sd.raw_mut());
         // SAFETY: chunks and teams own disjoint runs.
         grid_for(hp, mesh, &space, &profile, &|run| unsafe {
             common::run_sd_init(run, theta, r, &sd)
@@ -491,7 +422,7 @@ impl TeaLeafPort for KokkosPort {
     }
 
     fn ppcg_inner(&mut self, alpha: f64, beta: f64) {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let hp = self.hp;
         let (h, t) = profiles::fused_pair(
             crate::ir::FusionKind::PpcgInner,
@@ -504,18 +435,18 @@ impl TeaLeafPort for KokkosPort {
         let pool = self.pool();
         {
             let space = ExecutionSpace::new(&self.ctx, pool);
-            let (sd, kx, ky) = (self.sd.raw(), self.kx.raw(), self.ky.raw());
-            let w = Us::new(self.w.raw_mut());
+            let (sd, kx, ky) = (self.f.sd.raw(), self.f.kx.raw(), self.f.ky.raw());
+            let w = Us::new(self.f.w.raw_mut());
             // SAFETY: chunks and teams own disjoint runs.
             grid_for(hp, mesh, &space, &p_w, &|run| unsafe {
                 common::run_ppcg_w(run, sd, kx, ky, &w)
             });
         }
         let space = ExecutionSpace::new(&self.ctx, pool);
-        let w = self.w.raw();
-        let u = Us::new(self.u.raw_mut());
-        let r = Us::new(self.r.raw_mut());
-        let sd = Us::new(self.sd.raw_mut());
+        let w = self.f.w.raw();
+        let u = Us::new(self.f.u.raw_mut());
+        let r = Us::new(self.f.r.raw_mut());
+        let sd = Us::new(self.f.sd.raw_mut());
         // SAFETY: chunks and teams own disjoint runs.
         grid_for(hp, mesh, &space, &p_up, &|run| unsafe {
             common::run_ppcg_update(run, alpha, beta, w, &u, &r, &sd)
@@ -523,23 +454,28 @@ impl TeaLeafPort for KokkosPort {
     }
 
     fn jacobi_iterate(&mut self) -> f64 {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let hp = self.hp;
         let p_copy = self.grid_profile(profiles::jacobi_copy(self.n()));
         let p_it = self.grid_profile(profiles::jacobi_iterate(self.n()));
         let pool = self.pool();
         {
             let space = ExecutionSpace::new(&self.ctx, pool);
-            let u = self.u.raw();
-            let r = Us::new(self.r.raw_mut());
+            let u = self.f.u.raw();
+            let r = Us::new(self.f.r.raw_mut());
             // SAFETY: chunks and teams own disjoint runs.
             grid_for(hp, mesh, &space, &p_copy, &|run| unsafe {
                 common::run_jacobi_copy(run, u, &r)
             });
         }
         let space = ExecutionSpace::new(&self.ctx, pool);
-        let (u0, r, kx, ky) = (self.u0.raw(), self.r.raw(), self.kx.raw(), self.ky.raw());
-        let u = Us::new(self.u.raw_mut());
+        let (u0, r, kx, ky) = (
+            self.f.u0.raw(),
+            self.f.r.raw(),
+            self.f.kx.raw(),
+            self.f.ky.raw(),
+        );
+        let u = Us::new(self.f.u.raw_mut());
         // SAFETY: row blocks disjoint (one row per team).
         grid_reduce(hp, mesh, &space, &p_it, &|jj, out| unsafe {
             common::block_jacobi_iterate(mesh, jj, Pass::Reduce(out), u0, r, kx, ky, &u)
@@ -547,12 +483,17 @@ impl TeaLeafPort for KokkosPort {
     }
 
     fn residual(&mut self) {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let hp = self.hp;
         let profile = self.grid_profile(profiles::residual(self.n()));
         let space = ExecutionSpace::new(&self.ctx, self.pool());
-        let (u, u0, kx, ky) = (self.u.raw(), self.u0.raw(), self.kx.raw(), self.ky.raw());
-        let r = Us::new(self.r.raw_mut());
+        let (u, u0, kx, ky) = (
+            self.f.u.raw(),
+            self.f.u0.raw(),
+            self.f.kx.raw(),
+            self.f.ky.raw(),
+        );
+        let r = Us::new(self.f.r.raw_mut());
         // SAFETY: chunks and teams own disjoint runs.
         grid_for(hp, mesh, &space, &profile, &|run| unsafe {
             common::run_residual(run, u, u0, kx, ky, &r)
@@ -560,13 +501,13 @@ impl TeaLeafPort for KokkosPort {
     }
 
     fn calc_2norm(&mut self, field: NormField) -> f64 {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let hp = self.hp;
         let profile = self.grid_profile(profiles::norm(self.n()));
         let space = ExecutionSpace::new(&self.ctx, self.pool());
         let x = match field {
-            NormField::U0 => self.u0.raw(),
-            NormField::R => self.r.raw(),
+            NormField::U0 => self.f.u0.raw(),
+            NormField::R => self.f.r.raw(),
         };
         grid_reduce(hp, mesh, &space, &profile, &|jj, out| {
             common::block_norm(mesh, jj, Pass::Reduce(out), x)
@@ -574,12 +515,12 @@ impl TeaLeafPort for KokkosPort {
     }
 
     fn finalise(&mut self) {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let hp = self.hp;
         let profile = self.grid_profile(profiles::finalise(self.n()));
         let space = ExecutionSpace::new(&self.ctx, self.pool());
-        let (u, density) = (self.u.raw(), self.density.raw());
-        let energy = Us::new(self.energy.raw_mut());
+        let (u, density) = (self.f.u.raw(), self.f.density.raw());
+        let energy = Us::new(self.f.energy.raw_mut());
         // SAFETY: chunks and teams own disjoint runs.
         grid_for(hp, mesh, &space, &profile, &|run| unsafe {
             common::run_finalise(run, u, density, &energy)
@@ -591,84 +532,43 @@ impl TeaLeafPort for KokkosPort {
         // paper's port (§3.3) — here via Kokkos' custom-reducer dispatch,
         // one component at a time would lose fusion, so use the array
         // reducer over rows.
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let profile = self.grid_profile(profiles::field_summary(self.n()));
         let space = ExecutionSpace::new(&self.ctx, self.pool());
         let i0 = mesh.i0();
         let vol = mesh.cell_volume();
-        let (density, energy, u) = (self.density.raw(), self.energy.raw(), self.u.raw());
+        let (density, energy, u) = (self.f.density.raw(), self.f.energy.raw(), self.f.u.raw());
         let acc = space.parallel_reduce_custom(
             &profile,
             RangePolicy::new(0, mesh.y_cells),
             &kokkos_rs::reducer::ArraySumReducer::<4>,
             &|jj| common::row_summary(mesh, i0 + jj, density, energy, u, vol),
         );
-        Summary {
-            volume: acc[0],
-            mass: acc[1],
-            internal_energy: acc[2],
-            temperature: acc[3],
-        }
+        Summary::from(acc)
     }
 
     fn read_u(&mut self) -> Vec<f64> {
-        let mut h = View::host("h_u", self.mesh.len(), 1);
-        deep_copy(&self.ctx, &mut h, &self.u);
+        let mut h = View::host("h_u", self.f.mesh.len(), 1);
+        deep_copy(&self.ctx, &mut h, &self.f.u);
         h.raw().to_vec()
     }
 
     fn inspect_field(&self, id: FieldId) -> Option<Vec<f64>> {
-        Some(self.view_for(id).raw().to_vec())
+        Some(self.f.field(id).to_vec())
     }
 
     fn inspect_field_into(&self, id: FieldId, out: &mut Vec<f64>) -> bool {
-        out.clear();
-        out.extend_from_slice(self.view_for(id).raw());
-        true
+        self.f.copy_into(id, out)
     }
 
     fn poke_field(&mut self, id: FieldId, k: usize, value: f64) {
-        self.view_for_mut(id).raw_mut()[k] = value;
+        self.f.field_mut(id)[k] = value;
     }
 }
 
 impl KokkosPort {
-    /// Resolve a field id to its device view — conformance hooks only;
-    /// aliases resolve as in the batched halo path.
-    fn view_for(&self, id: FieldId) -> &View {
-        match id {
-            FieldId::Density => &self.density,
-            FieldId::Energy0 | FieldId::Energy1 => &self.energy,
-            FieldId::U => &self.u,
-            FieldId::U0 => &self.u0,
-            FieldId::P => &self.p,
-            FieldId::R => &self.r,
-            FieldId::W => &self.w,
-            FieldId::Z | FieldId::Mi => &self.z,
-            FieldId::Kx => &self.kx,
-            FieldId::Ky => &self.ky,
-            FieldId::Sd => &self.sd,
-        }
-    }
-
-    fn view_for_mut(&mut self, id: FieldId) -> &mut View {
-        match id {
-            FieldId::Density => &mut self.density,
-            FieldId::Energy0 | FieldId::Energy1 => &mut self.energy,
-            FieldId::U => &mut self.u,
-            FieldId::U0 => &mut self.u0,
-            FieldId::P => &mut self.p,
-            FieldId::R => &mut self.r,
-            FieldId::W => &mut self.w,
-            FieldId::Z | FieldId::Mi => &mut self.z,
-            FieldId::Kx => &mut self.kx,
-            FieldId::Ky => &mut self.ky,
-            FieldId::Sd => &mut self.sd,
-        }
-    }
-
     fn cheby_step(&mut self, first: bool, theta: f64, alpha: f64, beta: f64) {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let hp = self.hp;
         let (h, t) = profiles::fused_pair(
             crate::ir::FusionKind::ChebyStep,
@@ -681,18 +581,23 @@ impl KokkosPort {
         let pool = self.pool();
         {
             let space = ExecutionSpace::new(&self.ctx, pool);
-            let (u, u0, kx, ky) = (self.u.raw(), self.u0.raw(), self.kx.raw(), self.ky.raw());
-            let w = Us::new(self.w.raw_mut());
-            let r = Us::new(self.r.raw_mut());
-            let p = Us::new(self.p.raw_mut());
+            let (u, u0, kx, ky) = (
+                self.f.u.raw(),
+                self.f.u0.raw(),
+                self.f.kx.raw(),
+                self.f.ky.raw(),
+            );
+            let w = Us::new(self.f.w.raw_mut());
+            let r = Us::new(self.f.r.raw_mut());
+            let p = Us::new(self.f.p.raw_mut());
             // SAFETY: chunks and teams own disjoint runs.
             grid_for(hp, mesh, &space, &p_p, &|run| unsafe {
                 common::run_cheby_calc_p(run, first, theta, alpha, beta, u, u0, kx, ky, &w, &r, &p)
             });
         }
         let space = ExecutionSpace::new(&self.ctx, pool);
-        let p = self.p.raw();
-        let u = Us::new(self.u.raw_mut());
+        let p = self.f.p.raw();
+        let u = Us::new(self.f.u.raw_mut());
         // SAFETY: chunks and teams own disjoint runs.
         grid_for(hp, mesh, &space, &p_u, &|run| unsafe {
             common::run_add_p_to_u(run, p, &u)

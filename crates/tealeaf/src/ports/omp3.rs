@@ -388,12 +388,7 @@ impl TeaLeafPort for Omp3Port {
         let acc = pool.run_sum4(rows, &|jj| {
             common::row_summary(mesh, j0 + jj, density, energy, u, vol)
         });
-        Summary {
-            volume: acc[0],
-            mass: acc[1],
-            internal_energy: acc[2],
-            temperature: acc[3],
-        }
+        Summary::from(acc)
     }
 
     fn read_u(&mut self) -> Vec<f64> {
@@ -406,9 +401,7 @@ impl TeaLeafPort for Omp3Port {
     }
 
     fn inspect_field_into(&self, id: FieldId, out: &mut Vec<f64>) -> bool {
-        out.clear();
-        out.extend_from_slice(self.f.field(id));
-        true
+        self.f.copy_into(id, out)
     }
 
     fn poke_field(&mut self, id: FieldId, k: usize, value: f64) {

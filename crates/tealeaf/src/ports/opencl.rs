@@ -23,13 +23,13 @@ use opencl_rs::{Buffer, ClDevice, CommandQueue, Context, Kernel, NdRange, Platfo
 use parpool::Executor;
 use simdev::{DeviceKind, DeviceSpec, KernelProfile, SimContext};
 use tea_core::config::Coefficient;
-use tea_core::halo::{update_halo_batch, FieldId};
+use tea_core::halo::FieldId;
 use tea_core::mesh::Mesh2d;
 use tea_core::summary::Summary;
 
 use crate::kernels::{NormField, TeaLeafPort};
 use crate::model_id::ModelId;
-use crate::ports::common::{self, profiles, Pass, Run, RunBox, Us};
+use crate::ports::common::{self, profiles, Fields, Pass, Run, RunBox, Us};
 use crate::problem::Problem;
 
 /// Work-group size for the flat launches.
@@ -92,19 +92,8 @@ impl ClKernels {
 pub struct OpenClPort {
     ctx: SimContext,
     cl_context: Context,
-    mesh: Mesh2d,
     kernels: ClKernels,
-    density: Buffer<f64>,
-    energy: Buffer<f64>,
-    u: Buffer<f64>,
-    u0: Buffer<f64>,
-    p: Buffer<f64>,
-    r: Buffer<f64>,
-    w: Buffer<f64>,
-    z: Buffer<f64>,
-    kx: Buffer<f64>,
-    ky: Buffer<f64>,
-    sd: Buffer<f64>,
+    f: Fields<Buffer<f64>>,
 }
 
 impl OpenClPort {
@@ -120,93 +109,26 @@ impl OpenClPort {
             .next()
             .expect("simulated platform always exposes the requested device");
         let cl_context = Context::new(cl_device);
-        let mesh = problem.mesh.clone();
-        let len = mesh.len();
+        let kernels = ClKernels::create();
+        let buf = || Buffer::new(&cl_context, problem.mesh.len());
+        let f = Fields::with(&problem.mesh, buf(), buf(), |_| buf());
         let mut port = OpenClPort {
             ctx,
-            mesh,
-            kernels: ClKernels::create(),
-            density: Buffer::new(&cl_context, len),
-            energy: Buffer::new(&cl_context, len),
-            u: Buffer::new(&cl_context, len),
-            u0: Buffer::new(&cl_context, len),
-            p: Buffer::new(&cl_context, len),
-            r: Buffer::new(&cl_context, len),
-            w: Buffer::new(&cl_context, len),
-            z: Buffer::new(&cl_context, len),
-            kx: Buffer::new(&cl_context, len),
-            ky: Buffer::new(&cl_context, len),
-            sd: Buffer::new(&cl_context, len),
             cl_context,
+            kernels,
+            f,
         };
         // blocking writes of the generated fields
         let exec = port.exec_static_or_steal();
         let queue = CommandQueue::new(&port.cl_context, &port.ctx, exec);
-        queue.enqueue_write_buffer(&mut port.density, problem.density.as_slice());
-        queue.enqueue_write_buffer(&mut port.energy, problem.energy.as_slice());
+        queue.enqueue_write_buffer(&mut port.f.density, problem.density.as_slice());
+        queue.enqueue_write_buffer(&mut port.f.energy, problem.energy.as_slice());
         queue.finish();
         port
     }
 
     fn n(&self) -> u64 {
-        profiles::cells(&self.mesh)
-    }
-
-    /// Borrow the mesh alongside the device storage of each listed
-    /// field, for the batched halo update. Panics if a buffer is listed
-    /// twice.
-    fn halo_buffers(&mut self, ids: &[FieldId]) -> (&Mesh2d, Vec<&mut [f64]>) {
-        let OpenClPort {
-            mesh,
-            density,
-            energy,
-            u,
-            u0,
-            p,
-            r,
-            w,
-            z,
-            kx,
-            ky,
-            sd,
-            ..
-        } = self;
-        let mut slots = [
-            Some(density),
-            Some(energy),
-            Some(u),
-            Some(u0),
-            Some(p),
-            Some(r),
-            Some(w),
-            Some(z),
-            Some(kx),
-            Some(ky),
-            Some(sd),
-        ];
-        let bufs = ids
-            .iter()
-            .map(|&id| {
-                let slot = match id {
-                    FieldId::Density => 0,
-                    FieldId::Energy0 | FieldId::Energy1 => 1,
-                    FieldId::U => 2,
-                    FieldId::U0 => 3,
-                    FieldId::P => 4,
-                    FieldId::R => 5,
-                    FieldId::W => 6,
-                    FieldId::Z | FieldId::Mi => 7,
-                    FieldId::Kx => 8,
-                    FieldId::Ky => 9,
-                    FieldId::Sd => 10,
-                };
-                slots[slot]
-                    .take()
-                    .unwrap_or_else(|| panic!("{} batched twice in one halo update", id.name()))
-                    .arg_view_mut()
-            })
-            .collect();
-        (&*mesh, bufs)
+        profiles::cells(&self.f.mesh)
     }
 }
 
@@ -245,14 +167,14 @@ impl TeaLeafPort for OpenClPort {
     }
 
     fn init_fields(&mut self, coefficient: Coefficient, rx: f64, ry: f64) {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let exec = self.exec_static_or_steal();
         let n = self.n();
         {
             let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-            let (density, energy) = (self.density.arg_view(), self.energy.arg_view());
-            let u0 = Us::new(self.u0.arg_view_mut());
-            let u = Us::new(self.u.arg_view_mut());
+            let (density, energy) = (self.f.density.arg_view(), self.f.energy.arg_view());
+            let u0 = Us::new(self.f.u0.arg_view_mut());
+            let u = Us::new(self.f.u.arg_view_mut());
             // SAFETY: work-groups own disjoint runs.
             enqueue_runs(
                 &queue,
@@ -263,9 +185,9 @@ impl TeaLeafPort for OpenClPort {
             );
         }
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-        let density = self.density.arg_view();
-        let kx = Us::new(self.kx.arg_view_mut());
-        let ky = Us::new(self.ky.arg_view_mut());
+        let density = self.f.density.arg_view();
+        let kx = Us::new(self.f.kx.arg_view_mut());
+        let ky = Us::new(self.f.ky.arg_view_mut());
         let cover = RunBox::coeffs(mesh);
         let (kernel, profile) = (&self.kernels.init_coeffs, profiles::init_coeffs(n));
         queue.enqueue_work_groups(kernel, &profile, nd_range(mesh), &|ids| {
@@ -280,30 +202,29 @@ impl TeaLeafPort for OpenClPort {
         // Each field's exchange is still one enqueue of the halo kernel
         // (arg rebind + launch charge per field); the ghost writes run as
         // one batched dispatch on the runtime's scheduler.
-        let profile = profiles::halo(&self.mesh, depth);
+        let profile = profiles::halo(&self.f.mesh, depth);
         for _ in fields {
             self.kernels.halo.set_all_args();
             self.ctx.launch(&profile);
         }
         let exec = self.exec_static_or_steal();
-        let (mesh, mut bufs) = self.halo_buffers(fields);
-        update_halo_batch(mesh, &mut bufs, depth, exec);
+        self.f.halo_batch(fields, depth, exec);
     }
 
     fn cg_init(&mut self, preconditioner: bool) -> f64 {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let exec = self.exec_static_or_steal();
         let profile = profiles::cg_init(self.n(), preconditioner);
         let (u, u0, kx, ky) = (
-            self.u.arg_view(),
-            self.u0.arg_view(),
-            self.kx.arg_view(),
-            self.ky.arg_view(),
+            self.f.u.arg_view(),
+            self.f.u0.arg_view(),
+            self.f.kx.arg_view(),
+            self.f.ky.arg_view(),
         );
-        let w = Us::new(self.w.arg_view_mut());
-        let r = Us::new(self.r.arg_view_mut());
-        let p = Us::new(self.p.arg_view_mut());
-        let z = Us::new(self.z.arg_view_mut());
+        let w = Us::new(self.f.w.arg_view_mut());
+        let r = Us::new(self.f.r.arg_view_mut());
+        let p = Us::new(self.f.p.arg_view_mut());
+        let z = Us::new(self.f.z.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
         let kernel = &self.kernels.cg_init;
         // SAFETY: row blocks disjoint.
@@ -328,11 +249,15 @@ impl TeaLeafPort for OpenClPort {
     }
 
     fn cg_calc_w(&mut self) -> f64 {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let exec = self.exec_static_or_steal();
         let profile = profiles::cg_calc_w(self.n());
-        let (p, kx, ky) = (self.p.arg_view(), self.kx.arg_view(), self.ky.arg_view());
-        let w = Us::new(self.w.arg_view_mut());
+        let (p, kx, ky) = (
+            self.f.p.arg_view(),
+            self.f.kx.arg_view(),
+            self.f.ky.arg_view(),
+        );
+        let w = Us::new(self.f.w.arg_view_mut());
         let kernel = &self.kernels.cg_calc_w;
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
         // SAFETY: row blocks disjoint.
@@ -344,18 +269,18 @@ impl TeaLeafPort for OpenClPort {
     }
 
     fn cg_calc_ur(&mut self, alpha: f64, preconditioner: bool) -> f64 {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let exec = self.exec_static_or_steal();
         let profile = profiles::cg_calc_ur(self.n(), preconditioner);
         let (p, w, kx, ky) = (
-            self.p.arg_view(),
-            self.w.arg_view(),
-            self.kx.arg_view(),
-            self.ky.arg_view(),
+            self.f.p.arg_view(),
+            self.f.w.arg_view(),
+            self.f.kx.arg_view(),
+            self.f.ky.arg_view(),
         );
-        let u = Us::new(self.u.arg_view_mut());
-        let r = Us::new(self.r.arg_view_mut());
-        let z = Us::new(self.z.arg_view_mut());
+        let u = Us::new(self.f.u.arg_view_mut());
+        let r = Us::new(self.f.r.arg_view_mut());
+        let z = Us::new(self.f.z.arg_view_mut());
         let kernel = &self.kernels.cg_calc_ur;
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
         // SAFETY: row blocks disjoint.
@@ -380,11 +305,11 @@ impl TeaLeafPort for OpenClPort {
     }
 
     fn cg_calc_p(&mut self, beta: f64, preconditioner: bool) {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let exec = self.exec_static_or_steal();
         let profile = profiles::cg_calc_p(self.n());
-        let (r, z) = (self.r.arg_view(), self.z.arg_view());
-        let p = Us::new(self.p.arg_view_mut());
+        let (r, z) = (self.f.r.arg_view(), self.f.z.arg_view());
+        let p = Us::new(self.f.p.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
         // SAFETY: work-groups own disjoint runs.
         enqueue_runs(
@@ -401,7 +326,7 @@ impl TeaLeafPort for OpenClPort {
     }
 
     fn cg_fused_ur_p(&mut self, alpha: f64, rro: f64, preconditioner: bool) -> (f64, f64) {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let exec = self.exec_static_or_steal();
         let i0 = mesh.i0();
         // One enqueue charge covers the two-pass reduction and the β·p
@@ -419,14 +344,14 @@ impl TeaLeafPort for OpenClPort {
         self.ctx.launch(&p_tail);
         let rrn = {
             let (p, w, kx, ky) = (
-                self.p.arg_view(),
-                self.w.arg_view(),
-                self.kx.arg_view(),
-                self.ky.arg_view(),
+                self.f.p.arg_view(),
+                self.f.w.arg_view(),
+                self.f.kx.arg_view(),
+                self.f.ky.arg_view(),
             );
-            let u = Us::new(self.u.arg_view_mut());
-            let r = Us::new(self.r.arg_view_mut());
-            let z = Us::new(self.z.arg_view_mut());
+            let u = Us::new(self.f.u.arg_view_mut());
+            let r = Us::new(self.f.r.arg_view_mut());
+            let z = Us::new(self.f.z.arg_view_mut());
             // SAFETY: row blocks disjoint.
             exec.run_sum_blocks(mesh.y_cells, &|jj, out| unsafe {
                 common::block_cg_calc_ur(
@@ -446,8 +371,8 @@ impl TeaLeafPort for OpenClPort {
             })
         };
         let beta = rrn / rro;
-        let (r, z) = (self.r.arg_view(), self.z.arg_view());
-        let p = Us::new(self.p.arg_view_mut());
+        let (r, z) = (self.f.r.arg_view(), self.f.z.arg_view());
+        let p = Us::new(self.f.p.arg_view_mut());
         // SAFETY: rows disjoint.
         exec.run(mesh.y_cells, &|jj| unsafe {
             common::row_cg_calc_p(mesh, i0 + jj, beta, preconditioner, r, z, &p)
@@ -464,11 +389,11 @@ impl TeaLeafPort for OpenClPort {
     }
 
     fn ppcg_init_sd(&mut self, theta: f64) {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let exec = self.exec_static_or_steal();
         let profile = profiles::ppcg_init_sd(self.n());
-        let r = self.r.arg_view();
-        let sd = Us::new(self.sd.arg_view_mut());
+        let r = self.f.r.arg_view();
+        let sd = Us::new(self.f.sd.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
         // SAFETY: work-groups own disjoint runs.
         enqueue_runs(
@@ -481,7 +406,7 @@ impl TeaLeafPort for OpenClPort {
     }
 
     fn ppcg_inner(&mut self, alpha: f64, beta: f64) {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let exec = self.exec_static_or_steal();
         // The u/r/sd update is chained behind the w-stencil's enqueue as
         // a zero-overhead tail (one clEnqueueNDRangeKernel, fused body).
@@ -493,8 +418,12 @@ impl TeaLeafPort for OpenClPort {
         );
         {
             let profile = p_head;
-            let (sd, kx, ky) = (self.sd.arg_view(), self.kx.arg_view(), self.ky.arg_view());
-            let w = Us::new(self.w.arg_view_mut());
+            let (sd, kx, ky) = (
+                self.f.sd.arg_view(),
+                self.f.kx.arg_view(),
+                self.f.ky.arg_view(),
+            );
+            let w = Us::new(self.f.w.arg_view_mut());
             let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
             // SAFETY: work-groups own disjoint runs.
             enqueue_runs(
@@ -506,10 +435,10 @@ impl TeaLeafPort for OpenClPort {
             );
         }
         let profile = p_tail;
-        let w = self.w.arg_view();
-        let u = Us::new(self.u.arg_view_mut());
-        let r = Us::new(self.r.arg_view_mut());
-        let sd = Us::new(self.sd.arg_view_mut());
+        let w = self.f.w.arg_view();
+        let u = Us::new(self.f.u.arg_view_mut());
+        let r = Us::new(self.f.r.arg_view_mut());
+        let sd = Us::new(self.f.sd.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
         // SAFETY: work-groups own disjoint runs.
         enqueue_runs(
@@ -522,12 +451,12 @@ impl TeaLeafPort for OpenClPort {
     }
 
     fn jacobi_iterate(&mut self) -> f64 {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let exec = self.exec_static_or_steal();
         {
             let profile = profiles::jacobi_copy(self.n());
-            let u = self.u.arg_view();
-            let r = Us::new(self.r.arg_view_mut());
+            let u = self.f.u.arg_view();
+            let r = Us::new(self.f.r.arg_view_mut());
             let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
             // SAFETY: work-groups own disjoint runs.
             enqueue_runs(
@@ -540,12 +469,12 @@ impl TeaLeafPort for OpenClPort {
         }
         let profile = profiles::jacobi_iterate(self.n());
         let (u0, r, kx, ky) = (
-            self.u0.arg_view(),
-            self.r.arg_view(),
-            self.kx.arg_view(),
-            self.ky.arg_view(),
+            self.f.u0.arg_view(),
+            self.f.r.arg_view(),
+            self.f.kx.arg_view(),
+            self.f.ky.arg_view(),
         );
-        let u = Us::new(self.u.arg_view_mut());
+        let u = Us::new(self.f.u.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
         let kernel = &self.kernels.jacobi_solve;
         // SAFETY: row blocks disjoint.
@@ -557,16 +486,16 @@ impl TeaLeafPort for OpenClPort {
     }
 
     fn residual(&mut self) {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let exec = self.exec_static_or_steal();
         let profile = profiles::residual(self.n());
         let (u, u0, kx, ky) = (
-            self.u.arg_view(),
-            self.u0.arg_view(),
-            self.kx.arg_view(),
-            self.ky.arg_view(),
+            self.f.u.arg_view(),
+            self.f.u0.arg_view(),
+            self.f.kx.arg_view(),
+            self.f.ky.arg_view(),
         );
-        let r = Us::new(self.r.arg_view_mut());
+        let r = Us::new(self.f.r.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
         // SAFETY: work-groups own disjoint runs.
         enqueue_runs(
@@ -579,12 +508,12 @@ impl TeaLeafPort for OpenClPort {
     }
 
     fn calc_2norm(&mut self, field: NormField) -> f64 {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let exec = self.exec_static_or_steal();
         let profile = profiles::norm(self.n());
         let x = match field {
-            NormField::U0 => self.u0.arg_view(),
-            NormField::R => self.r.arg_view(),
+            NormField::U0 => self.f.u0.arg_view(),
+            NormField::R => self.f.r.arg_view(),
         };
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
         let (value, _e) =
@@ -595,11 +524,11 @@ impl TeaLeafPort for OpenClPort {
     }
 
     fn finalise(&mut self) {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let exec = self.exec_static_or_steal();
         let profile = profiles::finalise(self.n());
-        let (u, density) = (self.u.arg_view(), self.density.arg_view());
-        let energy = Us::new(self.energy.arg_view_mut());
+        let (u, density) = (self.f.u.arg_view(), self.f.density.arg_view());
+        let energy = Us::new(self.f.energy.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
         // SAFETY: work-groups own disjoint runs.
         enqueue_runs(
@@ -615,15 +544,15 @@ impl TeaLeafPort for OpenClPort {
         // Four scalars from one pass: the port runs the two-pass reduction
         // once per component pair as real OpenCL TeaLeaf does with its
         // packed reduction buffers; here the packed form.
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let exec = self.exec_static_or_steal();
         let profile = profiles::field_summary(self.n());
         let i0 = mesh.i0();
         let vol = mesh.cell_volume();
         let (density, energy, u) = (
-            self.density.arg_view(),
-            self.energy.arg_view(),
-            self.u.arg_view(),
+            self.f.density.arg_view(),
+            self.f.energy.arg_view(),
+            self.f.u.arg_view(),
         );
         // pack the 4 components into sequential reduce passes over rows
         let mut acc = [0.0; 4];
@@ -635,72 +564,31 @@ impl TeaLeafPort for OpenClPort {
                 });
             *slot = value;
         }
-        Summary {
-            volume: acc[0],
-            mass: acc[1],
-            internal_energy: acc[2],
-            temperature: acc[3],
-        }
+        Summary::from(acc)
     }
 
     fn read_u(&mut self) -> Vec<f64> {
         let exec = self.exec_static_or_steal();
-        let mut out = vec![0.0; self.mesh.len()];
+        let mut out = vec![0.0; self.f.mesh.len()];
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-        queue.enqueue_read_buffer(&self.u, &mut out);
+        queue.enqueue_read_buffer(&self.f.u, &mut out);
         out
     }
 
     fn inspect_field(&self, id: FieldId) -> Option<Vec<f64>> {
-        Some(self.buf_for(id).arg_view().to_vec())
+        Some(self.f.field(id).to_vec())
     }
 
     fn inspect_field_into(&self, id: FieldId, out: &mut Vec<f64>) -> bool {
-        out.clear();
-        out.extend_from_slice(self.buf_for(id).arg_view());
-        true
+        self.f.copy_into(id, out)
     }
 
     fn poke_field(&mut self, id: FieldId, k: usize, value: f64) {
-        self.buf_for_mut(id).arg_view_mut()[k] = value;
+        self.f.field_mut(id)[k] = value;
     }
 }
 
 impl OpenClPort {
-    /// Resolve a field id to its device buffer — conformance hooks only;
-    /// aliases resolve as in the batched halo path.
-    fn buf_for(&self, id: FieldId) -> &Buffer<f64> {
-        match id {
-            FieldId::Density => &self.density,
-            FieldId::Energy0 | FieldId::Energy1 => &self.energy,
-            FieldId::U => &self.u,
-            FieldId::U0 => &self.u0,
-            FieldId::P => &self.p,
-            FieldId::R => &self.r,
-            FieldId::W => &self.w,
-            FieldId::Z | FieldId::Mi => &self.z,
-            FieldId::Kx => &self.kx,
-            FieldId::Ky => &self.ky,
-            FieldId::Sd => &self.sd,
-        }
-    }
-
-    fn buf_for_mut(&mut self, id: FieldId) -> &mut Buffer<f64> {
-        match id {
-            FieldId::Density => &mut self.density,
-            FieldId::Energy0 | FieldId::Energy1 => &mut self.energy,
-            FieldId::U => &mut self.u,
-            FieldId::U0 => &mut self.u0,
-            FieldId::P => &mut self.p,
-            FieldId::R => &mut self.r,
-            FieldId::W => &mut self.w,
-            FieldId::Z | FieldId::Mi => &mut self.z,
-            FieldId::Kx => &mut self.kx,
-            FieldId::Ky => &mut self.ky,
-            FieldId::Sd => &mut self.sd,
-        }
-    }
-
     /// The Intel CPU runtime schedules with TBB work stealing; device
     /// targets use their own hardware scheduler (static pool stands in).
     fn exec_static_or_steal(&self) -> &'static dyn Executor {
@@ -711,7 +599,7 @@ impl OpenClPort {
     }
 
     fn cheby_step(&mut self, first: bool, theta: f64, alpha: f64, beta: f64) {
-        let mesh = &self.mesh;
+        let mesh = &self.f.mesh;
         let exec = self.exec_static_or_steal();
         // `u += p` rides the p-stencil's enqueue as a fused tail.
         let (p_head, p_tail) = profiles::fused_pair(
@@ -723,14 +611,14 @@ impl OpenClPort {
         {
             let profile = p_head;
             let (u, u0, kx, ky) = (
-                self.u.arg_view(),
-                self.u0.arg_view(),
-                self.kx.arg_view(),
-                self.ky.arg_view(),
+                self.f.u.arg_view(),
+                self.f.u0.arg_view(),
+                self.f.kx.arg_view(),
+                self.f.ky.arg_view(),
             );
-            let w = Us::new(self.w.arg_view_mut());
-            let r = Us::new(self.r.arg_view_mut());
-            let p = Us::new(self.p.arg_view_mut());
+            let w = Us::new(self.f.w.arg_view_mut());
+            let r = Us::new(self.f.r.arg_view_mut());
+            let p = Us::new(self.f.p.arg_view_mut());
             let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
             // SAFETY: work-groups own disjoint runs.
             enqueue_runs(
@@ -746,8 +634,8 @@ impl OpenClPort {
             );
         }
         let profile = p_tail;
-        let p = self.p.arg_view();
-        let u = Us::new(self.u.arg_view_mut());
+        let p = self.f.p.arg_view();
+        let u = Us::new(self.f.u.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
         // SAFETY: work-groups own disjoint runs.
         enqueue_runs(

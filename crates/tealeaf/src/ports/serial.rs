@@ -272,12 +272,7 @@ impl TeaLeafPort for SerialPort {
                 acc[k] += row[k];
             }
         }
-        Summary {
-            volume: acc[0],
-            mass: acc[1],
-            internal_energy: acc[2],
-            temperature: acc[3],
-        }
+        Summary::from(acc)
     }
 
     fn read_u(&mut self) -> Vec<f64> {
@@ -290,9 +285,7 @@ impl TeaLeafPort for SerialPort {
     }
 
     fn inspect_field_into(&self, id: FieldId, out: &mut Vec<f64>) -> bool {
-        out.clear();
-        out.extend_from_slice(self.f.field(id));
-        true
+        self.f.copy_into(id, out)
     }
 
     fn poke_field(&mut self, id: FieldId, k: usize, value: f64) {

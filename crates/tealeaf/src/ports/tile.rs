@@ -612,12 +612,7 @@ impl TeaLeafPort for TilePort<'_> {
                 common::run_summary(row, &f.density, &f.energy, &f.u, vol, acc);
             }
         });
-        Summary {
-            volume: global[0],
-            mass: global[1],
-            internal_energy: global[2],
-            temperature: global[3],
-        }
+        Summary::from(global)
     }
 
     fn read_u(&mut self) -> Vec<f64> {
@@ -629,9 +624,7 @@ impl TeaLeafPort for TilePort<'_> {
     }
 
     fn inspect_field_into(&self, id: FieldId, out: &mut Vec<f64>) -> bool {
-        out.clear();
-        out.extend_from_slice(self.t.f.field(id));
-        true
+        self.t.f.copy_into(id, out)
     }
 
     fn poke_field(&mut self, id: FieldId, k: usize, value: f64) {

@@ -8,6 +8,7 @@
 
 use simdev::devices;
 use tea_core::config::{SolverKind, TeaConfig};
+use tea_core::halo::FieldId;
 use tealeaf::{run_simulation, ModelId};
 
 fn config(solver: SolverKind, cells: usize) -> TeaConfig {
@@ -133,5 +134,55 @@ fn temperature_field_identical_bitwise() {
             max_diff, 0.0,
             "{model:?} temperature field deviates by {max_diff:e}"
         );
+    }
+}
+
+#[test]
+fn field_map_resolves_aliases_and_keeps_arrays_apart_on_every_port() {
+    // Every port stores its arrays in one shared field set; check the map
+    // through each port's hooks, on the device each model targets.
+    let cfg = config(SolverKind::ConjugateGradient, 16);
+    let problem = tealeaf::Problem::from_config(&cfg).expect("valid config");
+    let k = problem.mesh.len() / 2;
+    for model in ModelId::ALL {
+        let device = match model {
+            ModelId::Cuda => devices::gpu_k20x(),
+            _ => devices::cpu_xeon_e5_2670_x2(),
+        };
+        let mut port = tealeaf::ports::make_port(model, device, &problem, 1).unwrap();
+        for (alias, stored) in [
+            (FieldId::Energy1, FieldId::Energy0),
+            (FieldId::Mi, FieldId::Z),
+        ] {
+            port.poke_field(alias, k, 7.25);
+            let seen = port.inspect_field(stored).expect("every port reads back");
+            assert_eq!(
+                seen[k], 7.25,
+                "{model:?}: {alias:?} poke not seen through {stored:?}"
+            );
+        }
+        let mut out = Vec::new();
+        for id in FieldId::ALL {
+            assert!(port.inspect_field_into(id, &mut out), "{model:?}: {id:?}");
+            assert_eq!(
+                Some(&out),
+                port.inspect_field(id).as_ref(),
+                "{model:?}: {id:?}"
+            );
+        }
+        for (n, target) in FieldId::STORED.into_iter().enumerate() {
+            let before = FieldId::STORED.map(|id| port.inspect_field(id).unwrap());
+            port.poke_field(target, k, 100.0 + n as f64);
+            for (id, old) in FieldId::STORED.into_iter().zip(before) {
+                let now = port.inspect_field(id).unwrap();
+                if id == target {
+                    assert_eq!(now[k], 100.0 + n as f64, "{model:?}: {id:?} poke lost");
+                    assert_eq!(now[..k], old[..k], "{model:?}: {id:?} poke spread");
+                    assert_eq!(now[k + 1..], old[k + 1..], "{model:?}: {id:?} poke spread");
+                } else {
+                    assert_eq!(now, old, "{model:?}: poking {target:?} changed {id:?}");
+                }
+            }
+        }
     }
 }
