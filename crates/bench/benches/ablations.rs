@@ -17,7 +17,7 @@ use simdev::{devices, DeviceSpec};
 use tea_bench::Scale;
 use tea_core::config::SolverKind;
 use tea_core::tablefmt::Table;
-use tealeaf::{run_simulation_seeded, ModelId};
+use tealeaf::{Exec, ModelId, RunSpec};
 
 fn scale() -> Scale {
     Scale {
@@ -30,9 +30,13 @@ fn scale() -> Scale {
 }
 
 fn run(model: ModelId, device: &DeviceSpec, solver: SolverKind) -> f64 {
-    run_simulation_seeded(model, device, &scale().config(solver), 0)
-        .expect("supported pair")
-        .sim_seconds()
+    tealeaf::run(&RunSpec::new(
+        &scale().config(solver),
+        Exec::port(model, device),
+    ))
+    .expect("supported pair")
+    .report
+    .sim_seconds()
 }
 
 fn ratio(model: ModelId, baseline: ModelId, device: &DeviceSpec, solver: SolverKind) -> f64 {
@@ -97,7 +101,9 @@ fn ablate_launch_overheads(table: &mut Table) {
     let sweep = |device: &DeviceSpec| {
         let mut cfg = tiny.config(SolverKind::ConjugateGradient);
         cfg.tl_eps = 1.0e-10;
-        let small = run_simulation_seeded(ModelId::Cuda, device, &cfg, 0).unwrap();
+        let small = tealeaf::run(&RunSpec::new(&cfg, Exec::port(ModelId::Cuda, device)))
+            .unwrap()
+            .report;
         // per-iteration cost at the tiny mesh ÷ the asymptotic per-byte
         // bound: >> 1 when overhead-dominated
         let per_iter = small.sim_seconds() / small.total_iterations as f64;
@@ -127,7 +133,9 @@ fn ablate_cache_plateau(table: &mut Table) {
             let mut cfg = Scale { cells, ..scale() }.config(SolverKind::ConjugateGradient);
             cfg.tl_eps = 1.0e-8;
             cfg.tl_max_iters = 20_000;
-            let r = run_simulation_seeded(ModelId::Omp3F90, device, &cfg, 0).unwrap();
+            let r = tealeaf::run(&RunSpec::new(&cfg, Exec::port(ModelId::Omp3F90, device)))
+                .unwrap()
+                .report;
             r.sim_seconds() / (r.cells() as f64 * r.total_iterations as f64)
         };
         unit(1250) / unit(625)

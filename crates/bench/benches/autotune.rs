@@ -24,7 +24,7 @@ use std::hint::black_box;
 use simdev::{devices, DeviceSpec};
 use tea_core::config::{SolverKind, TeaConfig};
 use tealeaf::ir::KERNELS;
-use tealeaf::{run_simulation, tune, ModelId};
+use tealeaf::{run, tune, Exec, ModelId, RunSpec};
 
 fn paper_devices() -> [(&'static str, DeviceSpec); 3] {
     [
@@ -77,7 +77,9 @@ fn bench_tuned_solve(c: &mut Criterion) {
             |b, cfg| {
                 b.iter(|| {
                     black_box(
-                        run_simulation(ModelId::Omp3F90, &device, cfg).expect("supported pair"),
+                        run(&RunSpec::new(cfg, Exec::port(ModelId::Omp3F90, &device)))
+                            .expect("supported pair")
+                            .report,
                     )
                 });
             },

@@ -26,8 +26,7 @@ use std::time::Instant;
 use simdev::devices;
 use tea_bench::Scale;
 use tea_core::config::SolverKind;
-use tealeaf::driver::TEA_DEFAULT_SEED;
-use tealeaf::{run_simulation, run_simulation_traced, ModelId, RunReport, TelemetrySink};
+use tealeaf::{run, Exec, ModelId, RunReport, RunSpec, TelemetrySink};
 
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).expect("finite measurements"));
@@ -108,14 +107,20 @@ fn main() {
     let mut traced_report = None;
     for _ in 0..runs {
         let t0 = Instant::now();
-        let r = run_simulation(ModelId::Serial, &device, &cfg).expect("plain run");
+        let r = run(&RunSpec::new(&cfg, Exec::port(ModelId::Serial, &device)))
+            .expect("plain run")
+            .report;
         plain_s.push(t0.elapsed().as_secs_f64());
         plain_report = Some(r);
 
         let (sink, _collector) = TelemetrySink::collecting();
         let t0 = Instant::now();
-        let r = run_simulation_traced(ModelId::Serial, &device, &cfg, TEA_DEFAULT_SEED, sink)
-            .expect("traced run");
+        let r = run(&RunSpec {
+            sink,
+            ..RunSpec::new(&cfg, Exec::port(ModelId::Serial, &device))
+        })
+        .expect("traced run")
+        .report;
         traced_s.push(t0.elapsed().as_secs_f64());
         traced_report = Some(r);
     }

@@ -23,7 +23,7 @@ use tea_core::config::SolverKind;
 use tealeaf::ir::{FusionKind, LoweringCaps};
 use tealeaf::ports::common::profiles;
 use tealeaf::profiles::{model_profile, model_quirks};
-use tealeaf::{run_simulation, ModelId};
+use tealeaf::{run, Exec, ModelId, RunSpec};
 
 /// One device × solver measurement.
 struct Row {
@@ -86,9 +86,13 @@ fn main() {
         for solver in solvers {
             let mut cfg = config(solver);
             cfg.tl_autotune = false;
-            let untuned = run_simulation(*model, device, &cfg).expect("untuned run failed");
+            let untuned = run(&RunSpec::new(&cfg, Exec::port(*model, device)))
+                .expect("untuned run failed")
+                .report;
             cfg.tl_autotune = true;
-            let tuned = run_simulation(*model, device, &cfg).expect("tuned run failed");
+            let tuned = run(&RunSpec::new(&cfg, Exec::port(*model, device)))
+                .expect("tuned run failed")
+                .report;
             assert_eq!(
                 untuned.total_iterations, tuned.total_iterations,
                 "launch configuration changed the numerics"

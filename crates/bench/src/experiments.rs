@@ -3,7 +3,7 @@
 use simdev::{devices, DeviceKind, DeviceSpec};
 use tea_core::config::SolverKind;
 use tea_core::tablefmt::{fmt_pct, fmt_secs, Table};
-use tealeaf::{run_simulation_seeded, ModelId, RunReport};
+use tealeaf::{run, ModelId, RunReport, RunSpec};
 
 use crate::scale::Scale;
 
@@ -62,9 +62,10 @@ pub fn runtime_figure(device: &DeviceSpec, scale: Scale) -> Vec<(ModelId, Vec<Ru
             let reports = SolverKind::PAPER
                 .iter()
                 .map(|&solver| {
-                    let report =
-                        run_simulation_seeded(model, &regime, &scale.config(solver), scale.seed)
-                            .expect("figure models are supported on their figure's device");
+                    let cfg = scale.config(solver);
+                    let report = run(&RunSpec::new(&cfg, scale.exec(model, &regime)))
+                        .expect("figure models are supported on their figure's device")
+                        .report;
                     assert!(
                         report.converged,
                         "{} / {} / {} did not converge — a figure over diverged runs is meaningless",
@@ -213,8 +214,9 @@ pub fn fig11(scale: Scale) -> (Table, Vec<Fig11Point>) {
                 // runtime *growth*, not convergence depth
                 cfg.tl_eps = scale.eps.max(1.0e-10);
                 cfg.tl_max_iters = 20_000;
-                let report = run_simulation_seeded(model, &device, &cfg, scale.seed)
-                    .expect("sweep models are supported on their device");
+                let report = run(&RunSpec::new(&cfg, scale.exec(model, &device)))
+                    .expect("sweep models are supported on their device")
+                    .report;
                 row.push(fmt_secs(report.sim_seconds()));
                 joules_cells.push(fmt_joules(report.joules_per_solve()));
                 points.push(Fig11Point {
@@ -337,8 +339,9 @@ pub fn fig12_kernels(device: &DeviceSpec, scale: Scale) -> Table {
         .into_iter()
         .map(|model| {
             let cfg = scale.config(SolverKind::ConjugateGradient);
-            let report = run_simulation_seeded(model, &regime, &cfg, scale.seed)
-                .expect("figure models are supported on their figure's device");
+            let report = run(&RunSpec::new(&cfg, scale.exec(model, &regime)))
+                .expect("figure models are supported on their figure's device")
+                .report;
             (model, report)
         })
         .collect();
@@ -440,13 +443,12 @@ mod tests {
             (ModelId::Kokkos, devices::knc_xeon_phi()),
         ] {
             let regime = scale.regime_device(&device);
-            let report = run_simulation_seeded(
-                model,
-                &regime,
+            let report = run(&RunSpec::new(
                 &scale.config(SolverKind::ConjugateGradient),
-                scale.seed,
-            )
-            .expect("figure models run on their devices");
+                scale.exec(model, &regime),
+            ))
+            .expect("figure models run on their devices")
+            .report;
             assert_eq!(
                 per_kernel_fraction(&report, &regime).to_bits(),
                 report.stream_fraction(&regime).to_bits(),

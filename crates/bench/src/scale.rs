@@ -1,7 +1,9 @@
 //! Experiment scale selection (environment-driven).
 
+use simdev::DeviceSpec;
 use tea_core::config::{SolverKind, TeaConfig};
 use tealeaf::driver::TEA_DEFAULT_SEED;
+use tealeaf::{Exec, ModelId};
 
 /// Mesh/step/tolerance scale for the experiments.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,6 +63,15 @@ impl Scale {
             eps: 1.0e-10,
             sweep_max: 250,
             seed: TEA_DEFAULT_SEED,
+        }
+    }
+
+    /// `model` on `device`, jittered under this scale's seed.
+    pub fn exec<'a>(&self, model: ModelId, device: &'a DeviceSpec) -> Exec<'a> {
+        Exec::Port {
+            model,
+            device,
+            seed: self.seed,
         }
     }
 

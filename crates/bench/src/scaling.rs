@@ -22,8 +22,9 @@
 
 use tea_core::config::{SolverKind, TeaConfig};
 use tea_core::tablefmt::Table;
-use tealeaf::distributed::{run_distributed, DistributedSpec};
+use tealeaf::distributed::DistributedSpec;
 use tealeaf::tile::OverlapStats;
+use tealeaf::{run, Exec, RunSpec};
 
 /// The four distributed solvers, in registry order.
 pub const SCALING_SOLVERS: [SolverKind; 4] = [
@@ -136,8 +137,11 @@ fn run_point(
     grid: (usize, usize),
 ) -> ScalingPoint {
     let cfg = scale.config(solver, edge);
-    let run = run_distributed(&cfg, &DistributedSpec::new(grid.0, grid.1))
-        .expect("a fault-free run cannot abort");
+    let run = run(&RunSpec::new(
+        &cfg,
+        Exec::Tiled(DistributedSpec::new(grid.0, grid.1)),
+    ))
+    .expect("a fault-free run cannot abort");
     ScalingPoint {
         solver,
         mesh_edge: edge,

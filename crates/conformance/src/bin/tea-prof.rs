@@ -47,9 +47,8 @@ use tea_core::config::SolverKind;
 use tea_core::tablefmt::{fmt_secs, Table};
 use tea_telemetry::export::{energy_to_chrome_events, energy_to_jsonl, to_chrome, to_jsonl};
 use tea_telemetry::{json, Record};
-use tealeaf::distributed::{run_distributed, DistributedRun, DistributedSpec};
-use tealeaf::driver::TEA_DEFAULT_SEED;
-use tealeaf::{run_simulation_traced, ModelId, RunReport, TelemetrySink};
+use tealeaf::distributed::DistributedSpec;
+use tealeaf::{run, Exec, ModelId, Run, RunReport, RunSpec, TelemetrySink};
 
 use simdev::{devices, DeviceSpec};
 
@@ -180,44 +179,27 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Run one traced simulation, returning the report and its records.
+/// Run one traced simulation, with the tuning registry forced on or off
+/// when `autotune` says so, returning the report and its records.
 fn run_traced(
     model: ModelId,
     device: &DeviceSpec,
     deck: &str,
     solver: Option<SolverKind>,
+    autotune: Option<bool>,
 ) -> Result<(RunReport, Vec<Record>), String> {
     let text = builtin_deck(deck)
         .ok_or_else(|| format!("no builtin deck '{deck}' (try conf_tiny or conf_small)"))?;
     let mut cfg = deck_config(deck, text);
-    if let Some(s) = solver {
-        cfg.solver = s;
-    }
+    cfg.solver = solver.unwrap_or(cfg.solver);
+    cfg.tl_autotune = autotune.unwrap_or(cfg.tl_autotune);
     let (sink, collector) = TelemetrySink::collecting();
-    let report = run_simulation_traced(model, device, &cfg, TEA_DEFAULT_SEED, sink)
-        .map_err(|e| format!("{} cannot run on {}: {e}", model_name(model), device.name))?;
-    let records = collector.records();
-    Ok((report, records))
-}
-
-/// Run the deck with the tuning registry forced on or off.
-fn run_with_autotune(
-    model: ModelId,
-    device: &DeviceSpec,
-    deck: &str,
-    solver: Option<SolverKind>,
-    autotune: bool,
-) -> Result<RunReport, String> {
-    let text = builtin_deck(deck)
-        .ok_or_else(|| format!("no builtin deck '{deck}' (try conf_tiny or conf_small)"))?;
-    let mut cfg = deck_config(deck, text);
-    if let Some(s) = solver {
-        cfg.solver = s;
-    }
-    cfg.tl_autotune = autotune;
-    let (sink, _collector) = TelemetrySink::collecting();
-    run_simulation_traced(model, device, &cfg, TEA_DEFAULT_SEED, sink)
-        .map_err(|e| format!("{} cannot run on {}: {e}", model_name(model), device.name))
+    let run = run(&RunSpec {
+        sink,
+        ..RunSpec::new(&cfg, Exec::port(model, device))
+    })
+    .map_err(|e| format!("{} cannot run on {}: {e}", model_name(model), device.name))?;
+    Ok((run.report, collector.records()))
 }
 
 /// The `--tuned` mode: per-kernel untuned-vs-tuned diff of simulated
@@ -226,8 +208,8 @@ fn run_with_autotune(
 /// than untuned — the registry's invariant is tuned ≥ default
 /// everywhere, so a regression means the committed registry is wrong).
 fn tuned_report(opts: &Options, device: &DeviceSpec) -> Result<(String, bool), String> {
-    let untuned = run_with_autotune(opts.model, device, &opts.deck, opts.solver, false)?;
-    let tuned = run_with_autotune(opts.model, device, &opts.deck, opts.solver, true)?;
+    let (untuned, _) = run_traced(opts.model, device, &opts.deck, opts.solver, Some(false))?;
+    let (tuned, _) = run_traced(opts.model, device, &opts.deck, opts.solver, Some(true))?;
     let rows_u = untuned.kernel_rows();
     let rows_t = tuned.kernel_rows();
     let joules_u = untuned.kernel_joules();
@@ -433,11 +415,12 @@ fn overlap_table(
         let mut cfg = deck_config(deck, text);
         cfg.solver = s;
         let (sink, collector) = TelemetrySink::collecting();
-        let spec = DistributedSpec {
+        let exec = Exec::Tiled(DistributedSpec::new(gx, gy));
+        let run = run(&RunSpec {
             sink,
-            ..DistributedSpec::new(gx, gy)
-        };
-        let run = run_distributed(&cfg, &spec).expect("a fault-free run cannot abort");
+            ..RunSpec::new(&cfg, exec)
+        })
+        .map_err(|e| e.to_string())?;
         let (report, stats, records) = (run.report, run.overlap, collector.records());
         // rank 0's phase spans, tallied by category off the logical clock
         let (mut ne, mut ni, mut nb) = (0u64, 0u64, 0u64);
@@ -506,16 +489,19 @@ fn recovery_report(
         spec.kill_rank = Some(KillSpec::transient(ranks - 1, 20 + cfg.tl_chaos_seed % 13));
     }
     let (sink, collector) = TelemetrySink::collecting();
-    let chaos = DistributedSpec {
+    let chaos = Exec::Tiled(DistributedSpec {
         faults: Some(spec),
-        sink,
         ..DistributedSpec::new(gx, gy)
-    };
-    let DistributedRun {
+    });
+    let Run {
         report,
         recovery: log,
         ..
-    } = run_distributed(&cfg, &chaos).map_err(|d| format!("unrecovered chaos run: {d}"))?;
+    } = run(&RunSpec {
+        sink,
+        ..RunSpec::new(&cfg, chaos)
+    })
+    .map_err(|d| format!("unrecovered chaos run: {d}"))?;
     let records = collector.records();
     if log.checkpoints_taken == 0 {
         return Err(format!(
@@ -852,7 +838,7 @@ fn main() -> ExitCode {
         };
     }
 
-    let (report, records) = match run_traced(opts.model, &device, &opts.deck, opts.solver) {
+    let (report, records) = match run_traced(opts.model, &device, &opts.deck, opts.solver, None) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{e}");
@@ -875,13 +861,14 @@ fn main() -> ExitCode {
 
     if let Some(other) = opts.diff {
         let other_device = opts.device.clone().unwrap_or_else(|| natural_device(other));
-        let (other_report, _) = match run_traced(other, &other_device, &opts.deck, opts.solver) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
-        };
+        let (other_report, _) =
+            match run_traced(other, &other_device, &opts.deck, opts.solver, None) {
+                Ok(r) => r,
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::from(2);
+                }
+            };
         if opts.energy {
             if opts.validate {
                 if let Err(e) = validate_energy_identity(&other_report) {

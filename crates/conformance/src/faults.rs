@@ -19,7 +19,8 @@ use std::time::Duration;
 
 use mpisim::{FaultSpec, KillSpec, PartitionSpec};
 use tea_core::config::{SolverKind, TeaConfig};
-use tealeaf::distributed::{run_distributed, DistributedReport, DistributedRun, DistributedSpec};
+use tealeaf::distributed::DistributedSpec;
+use tealeaf::{run, Exec, Run, RunError, RunReport, RunSpec};
 
 /// One matrix row: the fault family's name and the transport it runs
 /// over.
@@ -148,10 +149,10 @@ pub fn chaos_rows(config: &TeaConfig, ranks: usize, seeds: &[u64]) -> Vec<FaultR
 /// every numeric field must still match bit-for-bit. The self-healing
 /// driver logs exactly one event per restart and one per regrid, so any
 /// other event count is recovery off the timeline.
-fn row_violation(baseline: &DistributedReport, run: &DistributedRun) -> Option<&'static str> {
+fn row_violation(baseline: &RunReport, run: &Run) -> Option<&'static str> {
     let (report, log) = (&run.report, &run.recovery);
     let identical = if log.regrids == 0 {
-        report == baseline
+        report.without_clocks() == baseline.without_clocks()
     } else {
         report.ranks == log.final_grid.0 * log.final_grid.1
             && report.total_iterations == baseline.total_iterations
@@ -185,7 +186,7 @@ pub fn run_fault_matrix(
         };
         for &(gx, gy) in grids {
             let clean = DistributedSpec::new(gx, gy);
-            let baseline = run_distributed(&cfg, &clean)
+            let baseline = run(&RunSpec::new(&cfg, Exec::Tiled(clean)))
                 .expect("a fault-free run cannot abort")
                 .report;
             for (family, spec) in rows(&cfg, gx * gy) {
@@ -195,7 +196,7 @@ pub fn run_fault_matrix(
                     ..DistributedSpec::new(gx, gy)
                 };
                 let row = format!("family={family} solver={solver:?} grid={gx}x{gy} spec={spec:?}");
-                match run_distributed(&cfg, &faulty) {
+                match run(&RunSpec::new(&cfg, Exec::Tiled(faulty))) {
                     Ok(run) => {
                         if let Some(violation) = row_violation(&baseline, &run) {
                             return Err(format!(
@@ -214,7 +215,7 @@ pub fn run_fault_matrix(
                             tally.recovered += 1;
                         }
                     }
-                    Err(diagnostic) => {
+                    Err(RunError::Fault(diagnostic)) => {
                         // A loud abort is an acceptable outcome; tally it
                         // so callers can flag rows that must recover.
                         tally.aborted += 1;
@@ -222,6 +223,7 @@ pub fn run_fault_matrix(
                             .first_abort
                             .get_or_insert_with(|| format!("{row}: {diagnostic}"));
                     }
+                    Err(e) => return Err(format!("{row}: {e}")),
                 }
             }
         }
@@ -364,7 +366,7 @@ mod tests {
     #[test]
     fn a_restart_missing_from_the_timeline_is_a_silent_degrade() {
         let cfg = small_config();
-        let baseline = run_distributed(&cfg, &DistributedSpec::new(1, 1))
+        let baseline = run(&RunSpec::new(&cfg, Exec::Tiled(DistributedSpec::new(1, 1))))
             .expect("fault-free")
             .report;
         let event = RecoveryEvent {
@@ -375,7 +377,7 @@ mod tests {
                 iteration: 0,
             },
         };
-        let mut run = DistributedRun {
+        let mut run = Run {
             report: baseline.clone(),
             overlap: Default::default(),
             exchange: Default::default(),

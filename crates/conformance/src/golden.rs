@@ -20,8 +20,8 @@ use std::path::PathBuf;
 use tea_core::compare::hex_bits;
 use tea_core::config::SolverKind;
 use tea_core::summary::Summary;
-use tealeaf::distributed::{run_distributed, DistributedSpec};
-use tealeaf::run_simulation;
+use tealeaf::distributed::DistributedSpec;
+use tealeaf::{run, Exec, RunSpec};
 
 use crate::matrix::{
     deck_config, model_name, natural_device, GOLDEN_GRIDS, GOLDEN_PORTS, GOLDEN_RANKS,
@@ -88,7 +88,8 @@ pub fn compute_goldens(deck_name: &str, deck_text: &str) -> Vec<GoldenEntry> {
         let mut cfg = base.clone();
         cfg.solver = solver;
         for port in GOLDEN_PORTS {
-            let report = run_simulation(port, &natural_device(port), &cfg)
+            let report = run(&RunSpec::new(&cfg, Exec::port(port, &natural_device(port))))
+                .map(|r| r.report)
                 .unwrap_or_else(|e| panic!("{deck_name}/{solver}/{port:?}: {e}"));
             entries.push(GoldenEntry::from_run(
                 solver,
@@ -102,9 +103,12 @@ pub fn compute_goldens(deck_name: &str, deck_text: &str) -> Vec<GoldenEntry> {
     let mut cfg = base.clone();
     cfg.solver = SolverKind::ConjugateGradient;
     for ranks in GOLDEN_RANKS {
-        let report = run_distributed(&cfg, &DistributedSpec::new(1, ranks))
-            .expect("a fault-free run cannot abort")
-            .report;
+        let report = run(&RunSpec::new(
+            &cfg,
+            Exec::Tiled(DistributedSpec::new(1, ranks)),
+        ))
+        .expect("a fault-free run cannot abort")
+        .report;
         entries.push(GoldenEntry::from_run(
             SolverKind::ConjugateGradient,
             format!("mpisim-{ranks}"),
@@ -117,9 +121,12 @@ pub fn compute_goldens(deck_name: &str, deck_text: &str) -> Vec<GoldenEntry> {
         let mut cfg = base.clone();
         cfg.solver = solver;
         for (gx, gy) in GOLDEN_GRIDS {
-            let report = run_distributed(&cfg, &DistributedSpec::new(gx, gy))
-                .expect("a fault-free run cannot abort")
-                .report;
+            let report = run(&RunSpec::new(
+                &cfg,
+                Exec::Tiled(DistributedSpec::new(gx, gy)),
+            ))
+            .expect("a fault-free run cannot abort")
+            .report;
             entries.push(GoldenEntry::from_run(
                 solver,
                 format!("mpisim-{gx}x{gy}"),

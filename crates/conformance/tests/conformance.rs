@@ -11,9 +11,10 @@ use tea_conformance::{
 };
 use tea_core::config::{SolverKind, TeaConfig};
 use tea_core::halo::FieldId;
+use tealeaf::distributed::DistributedSpec;
 use tealeaf::ports::{common, make_port};
 use tealeaf::recorder::RecordingPort;
-use tealeaf::{driver, ModelId, NormField, Problem, TeaLeafPort};
+use tealeaf::{driver, run, Exec, ModelId, NormField, Problem, RunSpec, TeaLeafPort};
 
 fn config(solver: SolverKind, cells: usize) -> TeaConfig {
     let mut cfg = TeaConfig::paper_problem(cells);
@@ -146,7 +147,9 @@ fn planted_fault_in_chebyshev_names_the_iterate_kernel() {
 fn control_flow_stays_reference_driven_after_divergence() {
     let cfg = config(SolverKind::ConjugateGradient, 24);
     let device = tea_conformance::natural_device(ModelId::Serial);
-    let plain = tealeaf::run_simulation(ModelId::Serial, &device, &cfg).unwrap();
+    let plain = run(&RunSpec::new(&cfg, Exec::port(ModelId::Serial, &device)))
+        .unwrap()
+        .report;
 
     let mesh = cfg.mesh();
     let plan = SabotagePlan {
@@ -312,14 +315,16 @@ fn distributed_cg_matches_the_serial_port_bitwise() {
     let (name, text) = builtin_decks()[1]; // conf_tiny
     let cfg = tea_conformance::matrix::deck_config(name, text);
     let device = tea_conformance::natural_device(ModelId::Serial);
-    let serial = tealeaf::run_simulation(ModelId::Serial, &device, &cfg).unwrap();
+    let serial = run(&RunSpec::new(&cfg, Exec::port(ModelId::Serial, &device)))
+        .unwrap()
+        .report;
     let cfg = TeaConfig {
         solver: SolverKind::ConjugateGradient,
         ..cfg
     };
     for ranks in [1, 2, 4] {
-        let spec = tealeaf::distributed::DistributedSpec::new(1, ranks);
-        let dist = tealeaf::distributed::run_distributed(&cfg, &spec)
+        let spec = DistributedSpec::new(1, ranks);
+        let dist = run(&RunSpec::new(&cfg, Exec::Tiled(spec)))
             .expect("a fault-free run cannot abort")
             .report;
         assert_eq!(

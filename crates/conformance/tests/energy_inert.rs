@@ -14,7 +14,7 @@ use tea_conformance::{
     builtin_deck, deck_config, model_name, natural_device, GOLDEN_PORTS, GOLDEN_SOLVERS,
 };
 use tea_core::config::{SolverKind, TeaConfig};
-use tealeaf::{run_simulation, ModelId, RunReport};
+use tealeaf::{Exec, ModelId, RunReport, RunSpec};
 
 fn tiny_config(solver: SolverKind) -> TeaConfig {
     let mut cfg = deck_config("conf_tiny", builtin_deck("conf_tiny").expect("builtin"));
@@ -23,7 +23,12 @@ fn tiny_config(solver: SolverKind) -> TeaConfig {
 }
 
 fn run(model: ModelId, cfg: &TeaConfig) -> RunReport {
-    run_simulation(model, &natural_device(model), cfg).expect("run")
+    tealeaf::run(&RunSpec::new(
+        cfg,
+        Exec::port(model, &natural_device(model)),
+    ))
+    .expect("run")
+    .report
 }
 
 fn summary_bits(report: &RunReport) -> [u64; 4] {

@@ -14,8 +14,7 @@ use tea_conformance::{
 use tea_core::config::{SolverKind, TeaConfig};
 use tea_telemetry::export::to_jsonl;
 use tea_telemetry::Record;
-use tealeaf::driver::TEA_DEFAULT_SEED;
-use tealeaf::{run_simulation, run_simulation_traced, ModelId, RunReport, TelemetrySink};
+use tealeaf::{run, Exec, ModelId, RunReport, RunSpec, TelemetrySink};
 
 fn tiny_config(solver: SolverKind) -> TeaConfig {
     let mut cfg = deck_config("conf_tiny", builtin_deck("conf_tiny").expect("builtin"));
@@ -25,8 +24,12 @@ fn tiny_config(solver: SolverKind) -> TeaConfig {
 
 fn run_traced(model: ModelId, cfg: &TeaConfig) -> (RunReport, Vec<Record>) {
     let (sink, collector) = TelemetrySink::collecting();
-    let report = run_simulation_traced(model, &natural_device(model), cfg, TEA_DEFAULT_SEED, sink)
-        .expect("traced run");
+    let report = run(&RunSpec {
+        sink,
+        ..RunSpec::new(cfg, Exec::port(model, &natural_device(model)))
+    })
+    .expect("traced run")
+    .report;
     (report, collector.records())
 }
 
@@ -45,7 +48,12 @@ fn summary_bits(report: &RunReport) -> [u64; 4] {
 fn traced_runs_are_bit_identical_to_untraced() {
     let cfg = tiny_config(SolverKind::ConjugateGradient);
     for model in GOLDEN_PORTS {
-        let plain = run_simulation(model, &natural_device(model), &cfg).expect("untraced run");
+        let plain = run(&RunSpec::new(
+            &cfg,
+            Exec::port(model, &natural_device(model)),
+        ))
+        .expect("untraced run")
+        .report;
         let (traced, records) = run_traced(model, &cfg);
         assert!(
             !records.is_empty(),
@@ -201,8 +209,12 @@ fn trace_spans_nest_step_solve_iteration_kernel() {
 #[test]
 fn default_runs_carry_no_collector() {
     let cfg = tiny_config(SolverKind::Jacobi);
-    let report =
-        run_simulation(ModelId::Serial, &natural_device(ModelId::Serial), &cfg).expect("plain run");
+    let report = run(&RunSpec::new(
+        &cfg,
+        Exec::port(ModelId::Serial, &natural_device(ModelId::Serial)),
+    ))
+    .expect("plain run")
+    .report;
     let (traced, records) = run_traced(ModelId::Serial, &cfg);
     assert_eq!(summary_bits(&report), summary_bits(&traced));
     assert!(records.iter().any(|r| r.cat() == "iteration"));

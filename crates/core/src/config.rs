@@ -37,11 +37,12 @@ pub enum Coefficient {
 }
 
 /// Which of the iterative solvers drives the implicit solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum SolverKind {
     /// Pointwise Jacobi — the simple baseline solver in upstream TeaLeaf.
     Jacobi,
-    /// Conjugate Gradient (paper's `CG`).
+    /// Conjugate Gradient (paper's `CG`), the default.
+    #[default]
     ConjugateGradient,
     /// Chebyshev semi-iteration seeded by CG eigenvalue estimates.
     Chebyshev,

@@ -15,8 +15,8 @@
 //! This module owns what is specific to a world of ranks: setting the
 //! world up, checking that every rank agrees on the result, the
 //! checkpoint rings, and the restart/regrid ladder of faulty runs. Every
-//! run goes through [`run_distributed`], configured by one
-//! [`DistributedSpec`].
+//! run goes through [`crate::run`] with [`crate::Exec::Tiled`], configured
+//! by one [`DistributedSpec`].
 //!
 //! ## Bit-identity
 //!
@@ -35,38 +35,21 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use mpisim::{
-    run_spmd, run_spmd_faulty, ExchangeMetrics, FaultDiagnostic, FaultSpec, Grid2d, Rank,
-};
+use mpisim::{run_spmd, run_spmd_faulty, ExchangeMetrics, FaultSpec, Grid2d, Rank};
 use tea_core::config::TeaConfig;
 use tea_core::halo::FieldId;
-use tea_core::summary::Summary;
 use tea_telemetry::{Record, TelemetrySink};
 
-use crate::driver::{run_steps, StepResume};
+use crate::driver::{run, run_steps, Exec, Run, RunError, RunSpec, StepResume};
 use crate::kernels::TeaLeafPort;
 use crate::ports::tile::TilePort;
+use crate::report::RunReport;
 use crate::resilience::{PhaseStart, RecoveryAction, RecoveryEvent, SolverHealth};
 use crate::solver;
 use crate::tile::{self, OverlapStats, Tile, TileGeom};
 
-/// Result of a distributed run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DistributedReport {
-    pub ranks: usize,
-    pub total_iterations: usize,
-    pub converged: bool,
-    pub summary: Summary,
-    /// Eigenvalue estimate from the last step (Chebyshev/PPCG).
-    pub eigenvalues: Option<(f64, f64)>,
-    /// Every sentinel trip, as `(step, event)` (empty on healthy runs).
-    pub health: Vec<(usize, SolverHealth)>,
-    /// The step an unrecoverable solve died on; `None` when the run
-    /// completed every step.
-    pub failed_step: Option<usize>,
-}
-
-/// How to run one distributed solve of a deck.
+/// How to run one distributed solve of a deck: the tile grid and its
+/// transport.
 #[derive(Debug, Clone)]
 pub struct DistributedSpec {
     /// `(tiles_x, tiles_y)`: the rank grid, ranks numbered row-major.
@@ -85,35 +68,17 @@ pub struct DistributedSpec {
     /// budget and no regrid gets exactly one attempt under the spec's
     /// seed.
     pub faults: Option<FaultSpec>,
-    /// Rank 0 traces the shared solver loop's spans and an `exchange`,
-    /// `interior` and `boundary` span per halo window on the logical
-    /// clock; the driver adds restart and regrid events.
-    pub sink: TelemetrySink,
 }
 
 impl DistributedSpec {
-    /// A fault-free, overlapped, untraced run on `tiles_x × tiles_y`.
+    /// A fault-free, overlapped run on `tiles_x × tiles_y`.
     pub fn new(tiles_x: usize, tiles_y: usize) -> Self {
         DistributedSpec {
             tiles: (tiles_x, tiles_y),
             overlap: true,
             faults: None,
-            sink: TelemetrySink::disabled(),
         }
     }
-}
-
-/// What one distributed run produced: the global report (identical on
-/// every rank, and bit-identical to the serial reference), the merged
-/// overlap accounting and per-direction exchange counters of the
-/// attempt that finished, and the recovery log (empty for a fault-free
-/// run).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DistributedRun {
-    pub report: DistributedReport,
-    pub overlap: OverlapStats,
-    pub exchange: ExchangeMetrics,
-    pub recovery: RecoveryLog,
 }
 
 // ---------------------------------------------------------------------------
@@ -134,7 +99,7 @@ fn body(
     sink: &TelemetrySink,
     store: Option<&CheckpointStore>,
     resume: Option<&TileCheckpoint>,
-) -> (DistributedReport, OverlapStats, ExchangeMetrics) {
+) -> Run {
     let mut port = match resume {
         Some(ck) => TilePort::with_tile(rank, ck.tile.clone(), overlap),
         None => TilePort::new(rank, config, grid, overlap),
@@ -154,113 +119,96 @@ fn body(
             .map_or((1, 0, true), |r| (r.step, r.total_iterations, r.converged));
         port.keep_cuts(store, config.tl_checkpoint_interval, step);
     }
-    let (rx, ry) = port.tile().geom.rx_ry;
-    let steps = run_steps(&mut port, config, rx, ry, at, solver::solve_once);
-    let summary = port.field_summary();
-    let (stats, metrics) = port.instrumentation();
-    let report = DistributedReport {
-        ranks: rank.size(),
-        total_iterations: steps.total_iterations,
-        converged: steps.converged,
-        summary,
-        eigenvalues: steps.eigenvalues,
-        health: steps.health,
-        failed_step: steps.failed_step,
-    };
-    (report, stats, metrics)
+    let rx_ry = port.tile().geom.rx_ry;
+    let mut report = run_steps(&mut port, config, rx_ry, at, solver::solve_once);
+    report.ranks = rank.size();
+    let (overlap, exchange) = port.instrumentation();
+    Run {
+        report,
+        overlap,
+        exchange,
+        ..Run::default()
+    }
 }
 
 // ---------------------------------------------------------------------------
 // entry points
 // ---------------------------------------------------------------------------
 
-/// Every rank must report the same global result; merge the per-rank
-/// instrumentation.
-fn agree(
-    results: Vec<(DistributedReport, OverlapStats, ExchangeMetrics)>,
-) -> (DistributedReport, OverlapStats, ExchangeMetrics) {
-    let first = results[0].0.clone();
-    let mut stats = OverlapStats::default();
-    let mut metrics = ExchangeMetrics::default();
-    for (r, s, m) in &results {
-        assert_eq!(*r, first, "ranks must agree on the global result");
-        stats.merge(s);
-        metrics.merge(m);
+/// Every rank of `grid` must compute the same report up to its clocks;
+/// rank 0's run stands for the world, with every rank's instrumentation
+/// merged into it.
+fn agree(ranks: Vec<Run>, grid: Grid2d) -> Run {
+    let mut ranks = ranks.into_iter();
+    let mut run = ranks.next().expect("a world has ranks");
+    for r in ranks {
+        assert_eq!(
+            r.report.without_clocks(),
+            run.report.without_clocks(),
+            "ranks must agree on the global result"
+        );
+        run.overlap.merge(&r.overlap);
+        run.exchange.merge(&r.exchange);
     }
-    (first, stats, metrics)
+    run.recovery.final_grid = (grid.tiles_x(), grid.tiles_y());
+    run
 }
 
-/// Solve the configured problem with the deck's solver as `spec` says.
-///
-/// Without faults this always returns `Ok`. With faults, either the
-/// report is bit-identical to the fault-free run's (after an elastic
-/// regrid only `ranks` shrinks with the world), or the run aborts loudly
-/// with a [`FaultDiagnostic`] — never a silently wrong answer.
-///
-/// # Panics
-///
-/// On the calling thread, before any rank starts, if the grid's smallest
-/// tile cannot carry the deck's `halo_depth`.
-pub fn run_distributed(
+/// [`crate::run`] on a tile grid: the grid check on the calling thread,
+/// then one world, or the self-healing driver when `spec` has faults.
+pub(crate) fn run_tiled(
     config: &TeaConfig,
     spec: &DistributedSpec,
-) -> Result<DistributedRun, FaultDiagnostic> {
+    sink: &TelemetrySink,
+) -> Result<Run, RunError> {
+    let start = std::time::Instant::now();
     let grid = Grid2d::new(spec.tiles.0, spec.tiles.1);
-    tile::check_grid(config, grid);
-    let Some(faults) = spec.faults else {
-        let results = run_spmd(grid.ranks(), |rank| {
-            body(rank, grid, config, spec.overlap, &spec.sink, None, None)
-        });
-        let (report, overlap, exchange) = agree(results);
-        return Ok(DistributedRun {
-            report,
-            overlap,
-            exchange,
-            recovery: RecoveryLog {
-                final_grid: spec.tiles,
-                ..RecoveryLog::default()
-            },
-        });
+    tile::check_grid(config, grid).map_err(RunError::Grid)?;
+    let mut run = match spec.faults {
+        None => {
+            let results = run_spmd(grid.ranks(), |rank| {
+                body(rank, grid, config, spec.overlap, sink, None, None)
+            });
+            agree(results, grid)
+        }
+        Some(faults) => resilient_core(grid, config, spec, faults, sink)?,
     };
-    resilient_core(grid, config, spec, faults)
+    run.report.wall_seconds = start.elapsed().as_secs_f64();
+    Ok(run)
 }
 
 /// A fault-free run's report and instrumentation. Pinned by the
 /// host-clock benchmark (`hostbench/`), which calls it by this
-/// signature; new code calls [`run_distributed`].
+/// signature; it goes when the benchmark calls [`crate::run`].
 pub fn run_distributed_solver_instrumented(
     tiles_x: usize,
     tiles_y: usize,
     config: &TeaConfig,
     overlap: bool,
-) -> (DistributedReport, OverlapStats, ExchangeMetrics) {
-    let spec = DistributedSpec {
+) -> (RunReport, OverlapStats, ExchangeMetrics) {
+    let tiles = DistributedSpec {
         overlap,
         ..DistributedSpec::new(tiles_x, tiles_y)
     };
-    let run = run_distributed(config, &spec).expect("a fault-free run cannot abort");
+    let run = run(&RunSpec::new(config, Exec::Tiled(tiles))).expect("a fault-free run");
     (run.report, run.overlap, run.exchange)
 }
 
 /// A fault-free overlapped run with rank 0's trace collected. Pinned by
 /// the host-clock benchmark (`hostbench/`), which calls it by this
-/// signature; new code calls [`run_distributed`].
+/// signature; it goes when the benchmark calls [`crate::run`].
 pub fn run_distributed_solver_traced(
     tiles_x: usize,
     tiles_y: usize,
     config: &TeaConfig,
-) -> (
-    DistributedReport,
-    OverlapStats,
-    ExchangeMetrics,
-    Vec<Record>,
-) {
+) -> (RunReport, OverlapStats, ExchangeMetrics, Vec<Record>) {
     let (sink, collector) = TelemetrySink::collecting();
-    let spec = DistributedSpec {
+    let exec = Exec::Tiled(DistributedSpec::new(tiles_x, tiles_y));
+    let spec = RunSpec {
         sink,
-        ..DistributedSpec::new(tiles_x, tiles_y)
+        ..RunSpec::new(config, exec)
     };
-    let run = run_distributed(config, &spec).expect("a fault-free run cannot abort");
+    let run = run(&spec).expect("a fault-free run");
     (run.report, run.overlap, run.exchange, collector.records())
 }
 
@@ -525,14 +473,11 @@ fn resilient_core(
     config: &TeaConfig,
     run: &DistributedSpec,
     spec: FaultSpec,
-) -> Result<DistributedRun, FaultDiagnostic> {
-    let tel = &run.sink;
+    tel: &TelemetrySink,
+) -> Result<Run, RunError> {
     let mut carried: Option<Vec<TileCheckpoint>> = None;
     let mut armed_kill = spec.kill_rank;
-    let mut log = RecoveryLog {
-        final_grid: run.tiles,
-        ..RecoveryLog::default()
-    };
+    let mut log = RecoveryLog::default();
     let mut attempt = 0u64; // across grid levels, for seed remixing
     let mut tick = 0.0; // driver-side event clock
     loop {
@@ -564,7 +509,7 @@ fn resilient_core(
             });
             attempt += 1;
             match result {
-                Ok(results) => break Ok(agree(results)),
+                Ok(results) => break Ok(agree(results, grid)),
                 Err(diag) => {
                     log.ranks_lost += 1;
                     tel.event("resilience", format_args!("world died: {diag}"), tick);
@@ -606,18 +551,14 @@ fn resilient_core(
         };
         log.checkpoints_taken += store.saves();
         match outcome {
-            Ok((report, overlap, exchange)) => {
-                log.final_grid = (grid.tiles_x(), grid.tiles_y());
-                return Ok(DistributedRun {
-                    report,
-                    overlap,
-                    exchange,
-                    recovery: log,
-                });
+            Ok(mut finished) => {
+                log.final_grid = finished.recovery.final_grid;
+                finished.recovery = log;
+                return Ok(finished);
             }
             Err(diag) => {
                 if !(config.tl_elastic_regrid && grid.ranks() > 1) {
-                    return Err(diag);
+                    return Err(RunError::Fault(diag));
                 }
                 let to = degrade(grid);
                 let source: Option<Vec<TileCheckpoint>> = match store.latest_common() {
@@ -662,6 +603,7 @@ fn resilient_core(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpisim::FaultDiagnostic;
     use tea_core::config::SolverKind;
 
     const SOLVERS: [SolverKind; 4] = [
@@ -685,24 +627,27 @@ mod tests {
     }
 
     /// A fault-free run on `tiles`, overlapped or blocking.
-    fn plain(cfg: &TeaConfig, tiles: (usize, usize), overlap: bool) -> DistributedRun {
+    fn plain(cfg: &TeaConfig, tiles: (usize, usize), overlap: bool) -> Run {
         let spec = DistributedSpec {
             overlap,
             ..DistributedSpec::new(tiles.0, tiles.1)
         };
-        run_distributed(cfg, &spec).expect("a fault-free run cannot abort")
+        run(&RunSpec::new(cfg, Exec::Tiled(spec))).expect("a fault-free run cannot abort")
     }
 
     fn faulty(
         cfg: &TeaConfig,
         tiles: (usize, usize),
         faults: FaultSpec,
-    ) -> Result<DistributedRun, FaultDiagnostic> {
+    ) -> Result<Run, FaultDiagnostic> {
         let spec = DistributedSpec {
             faults: Some(faults),
             ..DistributedSpec::new(tiles.0, tiles.1)
         };
-        run_distributed(cfg, &spec)
+        run(&RunSpec::new(cfg, Exec::Tiled(spec))).map_err(|e| match e {
+            RunError::Fault(diag) => diag,
+            e => panic!("only a fault ends a faulty run early: {e}"),
+        })
     }
 
     /// A deck whose faulty runs get one attempt: no restarts, no regrid.
@@ -776,11 +721,12 @@ mod tests {
     #[test]
     fn traced_run_emits_phase_spans() {
         let (sink, collector) = TelemetrySink::collecting();
-        let spec = DistributedSpec {
+        let cfg = small_config();
+        let spec = RunSpec {
             sink,
-            ..DistributedSpec::new(2, 1)
+            ..RunSpec::new(&cfg, Exec::Tiled(DistributedSpec::new(2, 1)))
         };
-        let run = run_distributed(&small_config(), &spec).expect("fault-free");
+        let run = run(&spec).expect("fault-free");
         assert!(run.report.converged);
         assert!(run.overlap.windows > 0);
         let records = collector.records();
@@ -800,11 +746,15 @@ mod tests {
         let cfg = one_attempt(cg(small_config()));
         let plain = plain(&cfg, (1, 2), true).report;
         let clean = faulty(&cfg, (1, 2), FaultSpec::clean(11)).expect("clean transport");
-        assert_eq!(clean.report, plain);
+        assert_eq!(clean.report.without_clocks(), plain.without_clocks());
         let mut spec = FaultSpec::lossy(11);
         spec.quiet = std::time::Duration::from_millis(2);
         let lossy = faulty(&cfg, (1, 2), spec).expect("recoverable network");
-        assert_eq!(lossy.report, plain, "recovered run must be bit-identical");
+        assert_eq!(
+            lossy.report.without_clocks(),
+            plain.without_clocks(),
+            "recovered run must be bit-identical"
+        );
     }
 
     #[test]
@@ -815,7 +765,11 @@ mod tests {
             cfg.solver = solver;
             let plain = plain(&cfg, (2, 2), true);
             let resilient = faulty(&cfg, (2, 2), FaultSpec::clean(29)).expect("clean world");
-            assert_eq!(resilient.report, plain.report, "{solver:?}");
+            assert_eq!(
+                resilient.report.without_clocks(),
+                plain.report.without_clocks(),
+                "{solver:?}"
+            );
             assert_eq!(resilient.overlap, plain.overlap, "{solver:?}");
             assert_eq!(resilient.exchange, plain.exchange, "{solver:?}");
             assert!(resilient.recovery.checkpoints_taken > 0, "{solver:?}");
@@ -831,7 +785,11 @@ mod tests {
         let plain = plain(&cfg, (1, 2), true).report;
         let run = faulty(&cfg, (1, 2), FaultSpec::clean(31)).expect("clean world");
         assert_eq!(run.recovery.restarts, 0);
-        assert_eq!(run.report, plain, "checkpointing must be numerically inert");
+        assert_eq!(
+            run.report.without_clocks(),
+            plain.without_clocks(),
+            "checkpointing must be numerically inert"
+        );
     }
 
     #[test]
@@ -856,7 +814,8 @@ mod tests {
             "the kill must have forced a restart"
         );
         assert_eq!(
-            run.report, plain,
+            run.report.without_clocks(),
+            plain.without_clocks(),
             "replay from checkpoint must be bit-identical"
         );
     }
@@ -874,7 +833,7 @@ mod tests {
         let spec = kill_spec(41, mpisim::KillSpec::transient(0, 2));
         let run = faulty(&cfg, (1, 2), spec).expect("restart must recover");
         assert!(run.recovery.restarts >= 1);
-        assert_eq!(run.report, plain);
+        assert_eq!(run.report.without_clocks(), plain.without_clocks());
     }
 
     #[test]
@@ -899,7 +858,8 @@ mod tests {
                 log.events
             );
             assert_eq!(
-                run.report, plain,
+                run.report.without_clocks(),
+                plain.without_clocks(),
                 "{solver:?}: replay from checkpoint must be bit-identical"
             );
         }
@@ -972,7 +932,11 @@ mod tests {
         let plain = plain(&cfg, (2, 1), true).report;
         let run = faulty(&cfg, (2, 1), FaultSpec::clean(53)).expect("clean world");
         let log = &run.recovery;
-        assert_eq!(run.report, plain, "checkpointing must be numerically inert");
+        assert_eq!(
+            run.report.without_clocks(),
+            plain.without_clocks(),
+            "checkpointing must be numerically inert"
+        );
         assert_eq!(log.restarts, 0);
         assert_eq!(log.regrids, 0);
         assert_eq!(log.ranks_lost, 0);
@@ -992,13 +956,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot carry a depth-2 halo")]
     fn too_many_ranks_rejected() {
-        // 8 rows across 8 ranks → 1-row tiles < halo depth 2. The message
-        // proves the check ran on the calling thread: a rank-thread panic
-        // would surface as "a rank panicked".
+        // 8 rows across 8 ranks → 1-row tiles < halo depth 2. An error
+        // rather than a panic proves the check ran before any rank
+        // started: a rank-thread panic would surface as "a rank panicked".
         let mut cfg = TeaConfig::paper_problem(8);
         cfg.end_step = 1;
-        let _ = run_distributed(&cfg, &DistributedSpec::new(1, 8));
+        let err = run(&RunSpec::new(&cfg, Exec::Tiled(DistributedSpec::new(1, 8))));
+        let halo = |msg: &str| msg.contains("cannot carry a depth-2 halo");
+        assert!(
+            matches!(&err, Err(RunError::Grid(msg)) if halo(msg)),
+            "{err:?}"
+        );
     }
 }

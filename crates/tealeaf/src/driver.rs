@@ -1,28 +1,139 @@
-//! The timestep driver: the `tea_leaf` main loop.
+//! The timestep driver: [`run`], the one entry point that runs a deck on
+//! a port or on a tile grid, [`drive`] for callers that own a port, and
+//! the `tea_leaf` main loop both share.
 
+use std::fmt;
 use std::time::Instant;
 
+use mpisim::{ExchangeMetrics, FaultDiagnostic};
 use simdev::{DeviceSpec, TelemetrySink};
 use tea_core::config::TeaConfig;
 use tea_core::halo::FieldId;
 
+use crate::distributed::{self, DistributedSpec, RecoveryLog};
 use crate::kernels::{traced_halo, TeaLeafPort};
 use crate::model_id::ModelId;
 use crate::ports::{make_port, PortError};
 use crate::problem::Problem;
 use crate::report::RunReport;
-use crate::resilience::{PhaseStart, RecoveryEvent, SolverHealth};
+use crate::resilience::PhaseStart;
 use crate::solver::{self, SolveOutcome};
+use crate::tile::OverlapStats;
 
-/// Run the full simulation for `config` with `model` on `device`,
-/// seeding any stochastic cost terms (the OpenCL CPU jitter) from `seed`.
-pub fn run_simulation_seeded(
-    model: ModelId,
-    device: &DeviceSpec,
-    config: &TeaConfig,
-    seed: u64,
-) -> Result<RunReport, PortError> {
-    run_simulation_traced(model, device, config, seed, TelemetrySink::disabled())
+/// What executes a deck.
+#[derive(Debug, Clone)]
+pub enum Exec<'a> {
+    /// One port of `model` on `device` (with the deck's power settings
+    /// applied, see [`powered_device`]); `seed` seeds the stochastic cost
+    /// terms (the OpenCL CPU jitter).
+    Port {
+        model: ModelId,
+        device: &'a DeviceSpec,
+        seed: u64,
+    },
+    /// The deck decomposed over a grid of `mpisim` ranks, one tile port
+    /// each (see [`crate::distributed`]).
+    Tiled(DistributedSpec),
+}
+
+impl<'a> Exec<'a> {
+    /// `model` on `device` under [`TEA_DEFAULT_SEED`].
+    pub fn port(model: ModelId, device: &'a DeviceSpec) -> Self {
+        Exec::Port {
+            model,
+            device,
+            seed: TEA_DEFAULT_SEED,
+        }
+    }
+}
+
+/// One run: the deck, what executes it, and where its trace goes.
+#[derive(Debug, Clone)]
+pub struct RunSpec<'a> {
+    pub config: &'a TeaConfig,
+    pub exec: Exec<'a>,
+    /// Installed before the first kernel. A port run traces everything —
+    /// step spans, solve attempts, iterations, kernels, halos, recovery
+    /// events — stamped with simulated time. A tiled run traces rank 0's
+    /// step loop and an `exchange`, `interior` and `boundary` span per
+    /// halo window on the logical clock, plus the driver's restart and
+    /// regrid events. Tracing is numerically inert.
+    pub sink: TelemetrySink,
+}
+
+impl<'a> RunSpec<'a> {
+    /// An untraced run of `config` on `exec`.
+    pub fn new(config: &'a TeaConfig, exec: Exec<'a>) -> Self {
+        RunSpec {
+            config,
+            exec,
+            sink: TelemetrySink::disabled(),
+        }
+    }
+}
+
+/// What one run produced.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Run {
+    pub report: RunReport,
+    /// What a tiled run's exchange windows hid, merged over the ranks of
+    /// the attempt that finished (zero for a port run).
+    pub overlap: OverlapStats,
+    /// A tiled run's per-direction message counters, merged the same way
+    /// (zero for a port run).
+    pub exchange: ExchangeMetrics,
+    /// A tiled run's restarts and regrids (empty for a port run).
+    pub recovery: RecoveryLog,
+}
+
+/// Why a run did not finish.
+#[derive(Debug)]
+pub enum RunError {
+    /// The model has no port for the device (Table 1), or the deck is
+    /// invalid.
+    Port(PortError),
+    /// The tile grid is too fine for the deck's halo; no rank started.
+    Grid(String),
+    /// A faulty tiled run used up its restarts and regrids.
+    Fault(FaultDiagnostic),
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::Port(e) => e.fmt(f),
+            RunError::Grid(msg) => f.write_str(msg),
+            RunError::Fault(diag) => diag.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+/// Run `spec` to completion.
+///
+/// A port run builds the port and drives it through [`drive`]. A tiled
+/// run is bit-identical to the serial port's (`ranks` aside); with
+/// faults it either recovers to that same result or fails loudly with
+/// [`RunError::Fault`] — never a silently wrong answer.
+pub fn run(spec: &RunSpec) -> Result<Run, RunError> {
+    let config = spec.config;
+    let (model, device, seed) = match &spec.exec {
+        &Exec::Port {
+            model,
+            device,
+            seed,
+        } => (model, device, seed),
+        Exec::Tiled(tiles) => return distributed::run_tiled(config, tiles, &spec.sink),
+    };
+    let problem = Problem::from_config(config).map_err(|e| RunError::Port(e.into()))?;
+    let device = powered_device(device, config);
+    let mut port = make_port(model, device.clone(), &problem, seed).map_err(RunError::Port)?;
+    port.context_mut().set_telemetry(spec.sink.clone());
+    Ok(Run {
+        report: drive(port.as_mut(), &problem, &device, config),
+        ..Run::default()
+    })
 }
 
 /// Apply the deck's power-model settings to `device`: `tl_power_model off`
@@ -46,36 +157,9 @@ pub fn powered_device(device: &DeviceSpec, config: &TeaConfig) -> DeviceSpec {
 /// Default seed for reproducible runs.
 pub const TEA_DEFAULT_SEED: u64 = 0x7EA1EAF;
 
-/// [`run_simulation_seeded`] with a fixed default seed.
-pub fn run_simulation(
-    model: ModelId,
-    device: &DeviceSpec,
-    config: &TeaConfig,
-) -> Result<RunReport, PortError> {
-    run_simulation_seeded(model, device, config, TEA_DEFAULT_SEED)
-}
-
-/// [`run_simulation_seeded`] with a telemetry sink installed on the
-/// port before the first kernel: the whole run — step spans, solve
-/// attempts, iterations, kernels, halos, recovery events — lands in the
-/// sink's collector, stamped with simulated time. The instrumentation
-/// is numerically inert: the report is bit-identical to an untraced run.
-pub fn run_simulation_traced(
-    model: ModelId,
-    device: &DeviceSpec,
-    config: &TeaConfig,
-    seed: u64,
-    sink: TelemetrySink,
-) -> Result<RunReport, PortError> {
-    let problem = Problem::from_config(config)?;
-    let device = powered_device(device, config);
-    let mut port = make_port(model, device.clone(), &problem, seed)?;
-    port.context_mut().set_telemetry(sink);
-    Ok(drive(port.as_mut(), &problem, &device, config))
-}
-
-/// Run one already-constructed port through the timestep loop. Exposed so
-/// benchmarks can reuse a port or inspect it mid-run.
+/// Run one already-constructed port through the timestep loop — the one
+/// port-level entry, for callers that own a port (a benchmark reusing
+/// it, a wrapper observing it mid-run).
 pub fn drive(
     port: &mut dyn TeaLeafPort,
     problem: &Problem,
@@ -83,28 +167,11 @@ pub fn drive(
     config: &TeaConfig,
 ) -> RunReport {
     let start = Instant::now();
-    let (rx, ry) = problem.rx_ry();
-    let steps = run_steps(port, config, rx, ry, None, |port, config, _| {
-        solver::solve(port, config)
-    });
-    let summary = port.field_summary();
-    RunReport {
-        model: port.model(),
-        device: device.name.clone(),
-        solver: config.solver,
-        x_cells: config.x_cells,
-        y_cells: config.y_cells,
-        steps: config.end_step,
-        total_iterations: steps.total_iterations,
-        converged: steps.converged,
-        summary,
-        sim: port.context().clock.snapshot(),
-        wall_seconds: start.elapsed().as_secs_f64(),
-        eigenvalues: steps.eigenvalues,
-        recoveries: steps.recoveries,
-        health: steps.health,
-        failed_step: steps.failed_step,
-    }
+    let solve: SolveFn = |port, config, _| solver::solve(port, config);
+    let mut report = run_steps(port, config, problem.rx_ry(), None, solve);
+    report.device = device.name.clone();
+    report.wall_seconds = start.elapsed().as_secs_f64();
+    report
 }
 
 /// Where a resumed step loop picks up: the run totals at the top of
@@ -117,41 +184,39 @@ pub(crate) struct StepResume {
     pub phase: Option<PhaseStart>,
 }
 
-/// What the step loop accumulated over the run.
-pub(crate) struct Steps {
-    pub total_iterations: usize,
-    pub converged: bool,
-    pub eigenvalues: Option<(f64, f64)>,
-    pub recoveries: Vec<RecoveryEvent>,
-    pub health: Vec<(usize, SolverHealth)>,
-    pub failed_step: Option<usize>,
-}
+/// The per-step solve of [`run_steps`]: [`solver::solve`] (with the
+/// fallback chain) for [`drive`], [`solver::solve_once`] for ranks.
+pub(crate) type SolveFn = fn(&mut dyn TeaLeafPort, &TeaConfig, Option<PhaseStart>) -> SolveOutcome;
 
 /// The timestep loop every executor runs — serial ports through
-/// [`drive`], each distributed rank through its tile port. `solve` is
-/// the per-step solve: [`solver::solve`] (with the fallback chain) for
-/// `drive`, [`solver::solve_once`] for ranks.
+/// [`drive`], each distributed rank through its tile port. Returns the
+/// run's report for one rank, with `device` and `wall_seconds` left for
+/// the caller to fill. Ranks must not name a device: a string a rank
+/// thread allocates early in the run and its caller frees later pins
+/// that thread's malloc arena, and peak RSS creeps up (by 2 MB over a
+/// 30 s `tiled_2x1` hostbench run on a 2-vCPU Xeon).
 pub(crate) fn run_steps(
     port: &mut dyn TeaLeafPort,
     config: &TeaConfig,
-    rx: f64,
-    ry: f64,
+    (rx, ry): (f64, f64),
     resume: Option<StepResume>,
-    solve: fn(&mut dyn TeaLeafPort, &TeaConfig, Option<PhaseStart>) -> SolveOutcome,
-) -> Steps {
+    solve: SolveFn,
+) -> RunReport {
     let tel = port.context().telemetry().clone();
-    let mut steps = Steps {
-        total_iterations: 0,
+    let mut report = RunReport {
+        model: port.model(),
+        solver: config.solver,
+        x_cells: config.x_cells,
+        y_cells: config.y_cells,
+        steps: config.end_step,
+        ranks: 1,
         converged: true,
-        eigenvalues: None,
-        recoveries: Vec::new(),
-        health: Vec::new(),
-        failed_step: None,
+        ..RunReport::default()
     };
     let (first_step, mut phase) = match resume {
         Some(r) => {
-            steps.total_iterations = r.total_iterations;
-            steps.converged = r.converged;
+            report.total_iterations = r.total_iterations;
+            report.converged = r.converged;
             (r.step, r.phase)
         }
         None => {
@@ -169,30 +234,30 @@ pub(crate) fn run_steps(
         );
         let resume = phase.take();
         if resume.is_none() {
-            port.step_cut(step, steps.total_iterations, steps.converged);
+            port.step_cut(step, report.total_iterations, report.converged);
             port.init_fields(config.coefficient, rx, ry);
             traced_halo(port, &[FieldId::U], 1);
         }
         let outcome = solve(port, config, resume);
-        steps.total_iterations += outcome.iterations;
-        steps.converged &= outcome.converged;
+        report.total_iterations += outcome.iterations;
+        report.converged &= outcome.converged;
         if outcome.eigenvalues.is_some() {
-            steps.eigenvalues = outcome.eigenvalues;
+            report.eigenvalues = outcome.eigenvalues;
         }
         let fatal = outcome.health.iter().any(|h| h.is_fatal());
         for mut event in outcome.recoveries {
             event.step = step;
-            steps.recoveries.push(event);
+            report.recoveries.push(event);
         }
         for event in outcome.health {
-            steps.health.push((step, event));
+            report.health.push((step, event));
         }
         if fatal {
             // The recovery chain is exhausted: every later step would
             // solve on garbage state and accumulate garbage iterations.
             // Stop here and report the step the run died on.
-            steps.failed_step = Some(step);
-            steps.converged = false;
+            report.failed_step = Some(step);
+            report.converged = false;
             tel.close_span(step_span, port.context().clock.seconds());
             break;
         }
@@ -200,7 +265,9 @@ pub(crate) fn run_steps(
         traced_halo(port, &[FieldId::Energy1], 1);
         tel.close_span(step_span, port.context().clock.seconds());
     }
-    steps
+    report.summary = port.field_summary();
+    report.sim = port.context().clock.snapshot();
+    report
 }
 
 #[cfg(test)]
@@ -208,6 +275,12 @@ mod tests {
     use super::*;
     use simdev::devices;
     use tea_core::config::SolverKind;
+
+    fn run_port(model: ModelId, device: &DeviceSpec, cfg: &TeaConfig) -> RunReport {
+        run(&RunSpec::new(cfg, Exec::port(model, device)))
+            .unwrap()
+            .report
+    }
 
     fn config() -> TeaConfig {
         let mut cfg = TeaConfig::paper_problem(24);
@@ -219,18 +292,20 @@ mod tests {
 
     #[test]
     fn unsupported_pair_is_an_error() {
-        let err = run_simulation(ModelId::Cuda, &devices::cpu_xeon_e5_2670_x2(), &config());
-        assert!(err.is_err());
+        let cpu = devices::cpu_xeon_e5_2670_x2();
+        let err = run(&RunSpec::new(&config(), Exec::port(ModelId::Cuda, &cpu)));
+        assert!(matches!(err, Err(RunError::Port(_))));
     }
 
     #[test]
     fn report_carries_run_metadata() {
         let device = devices::gpu_k20x();
-        let report = run_simulation(ModelId::Cuda, &device, &config()).unwrap();
+        let report = run_port(ModelId::Cuda, &device, &config());
         assert_eq!(report.model, ModelId::Cuda);
         assert_eq!(report.device, device.name);
         assert_eq!(report.solver, SolverKind::ConjugateGradient);
         assert_eq!(report.x_cells, 24);
+        assert_eq!(report.ranks, 1);
         assert!(report.sim.kernels > 0);
         assert!(report.sim.transfers >= 2, "install memcpys recorded");
         assert!(report.wall_seconds > 0.0);
@@ -238,12 +313,19 @@ mod tests {
 
     #[test]
     fn same_seed_reproduces_jittered_runs_exactly() {
-        let device = devices::cpu_xeon_e5_2670_x2();
-        let a = run_simulation_seeded(ModelId::OpenCl, &device, &config(), 99).unwrap();
-        let b = run_simulation_seeded(ModelId::OpenCl, &device, &config(), 99).unwrap();
+        let (device, cfg) = (devices::cpu_xeon_e5_2670_x2(), config());
+        let seeded = |seed| {
+            let exec = Exec::Port {
+                model: ModelId::OpenCl,
+                device: &device,
+                seed,
+            };
+            run(&RunSpec::new(&cfg, exec)).unwrap().report
+        };
+        let (a, b) = (seeded(99), seeded(99));
         assert_eq!(a.sim.seconds, b.sim.seconds);
         assert_eq!(a.summary, b.summary);
-        let c = run_simulation_seeded(ModelId::OpenCl, &device, &config(), 100).unwrap();
+        let c = seeded(100);
         assert_ne!(
             a.sim.seconds, c.sim.seconds,
             "different seed, different jitter"
@@ -254,7 +336,7 @@ mod tests {
     #[test]
     fn runs_report_positive_energy_by_default() {
         let device = devices::gpu_k20x();
-        let report = run_simulation(ModelId::Cuda, &device, &config()).unwrap();
+        let report = run_port(ModelId::Cuda, &device, &config());
         assert!(report.joules_per_solve() > 0.0);
         assert!(report.avg_watts() > device.idle_watts);
         assert!(report.avg_watts() <= device.active_watts + 1e-9);
@@ -267,10 +349,10 @@ mod tests {
     #[test]
     fn power_model_off_zeroes_energy_and_nothing_else() {
         let device = devices::gpu_k20x();
-        let on = run_simulation(ModelId::Cuda, &device, &config()).unwrap();
+        let on = run_port(ModelId::Cuda, &device, &config());
         let mut cfg = config();
         cfg.tl_power_model = false;
-        let off = run_simulation(ModelId::Cuda, &device, &cfg).unwrap();
+        let off = run_port(ModelId::Cuda, &device, &cfg);
         assert_eq!(off.joules_per_solve(), 0.0);
         assert!(on.joules_per_solve() > 0.0);
         // energy is inert: identical times, iterations and numerics
@@ -285,10 +367,10 @@ mod tests {
         let mut cfg = config();
         cfg.tl_idle_watts = Some(10.0);
         cfg.tl_active_watts = Some(20.0);
-        let low = run_simulation(ModelId::Serial, &device, &cfg).unwrap();
+        let low = run_port(ModelId::Serial, &device, &cfg);
         cfg.tl_idle_watts = Some(100.0);
         cfg.tl_active_watts = Some(200.0);
-        let high = run_simulation(ModelId::Serial, &device, &cfg).unwrap();
+        let high = run_port(ModelId::Serial, &device, &cfg);
         // watts scaled ×10 on identical runs ⇒ joules scale ×10
         let ratio = high.joules_per_solve() / low.joules_per_solve();
         assert!((ratio - 10.0).abs() < 1e-9, "ratio={ratio}");
@@ -299,14 +381,14 @@ mod tests {
     fn eigenvalues_reported_only_for_chebyshev_family() {
         let device = devices::cpu_xeon_e5_2670_x2();
         let mut cfg = config();
-        let cg = run_simulation(ModelId::Serial, &device, &cfg).unwrap();
+        let cg = run_port(ModelId::Serial, &device, &cfg);
         assert!(cg.eigenvalues.is_none());
         cfg.solver = SolverKind::Chebyshev;
         cfg.x_cells = 48;
         cfg.y_cells = 48;
         cfg.tl_eps = 1.0e-13; // hard enough that CG does not finish in the presteps
         cfg.tl_ch_cg_presteps = 8;
-        let cheby = run_simulation(ModelId::Serial, &device, &cfg).unwrap();
+        let cheby = run_port(ModelId::Serial, &device, &cfg);
         let (lo, hi) = cheby.eigenvalues.expect("chebyshev estimates eigenvalues");
         assert!(lo > 0.0 && hi > lo);
     }

@@ -16,8 +16,10 @@
 //!   parallelism), RAJA (list-segment and SIMD), OpenCL and CUDA.
 //! * [`profiles`] — each model's calibrated [`simdev::ModelProfile`] and
 //!   named quirks, with the paper observation justifying every number.
-//! * [`driver`] — the timestep loop: [`run_simulation`] takes a model, a
-//!   device and a [`tea_core::TeaConfig`] and returns a [`RunReport`].
+//! * [`driver`] — the timestep loop and the one run API: [`run`] takes a
+//!   [`RunSpec`] (a [`tea_core::TeaConfig`] plus an [`Exec`]: a model on
+//!   a device, or a tile grid of [`distributed`] ranks) and returns a
+//!   [`Run`] around one [`RunReport`].
 //! * [`resilience`] — numerical-health sentinels on every solver's
 //!   residual stream, bit-exact checkpoint/rollback through the
 //!   cost-free observation hooks, and configurable fallback chains; a
@@ -40,7 +42,7 @@ pub mod solver;
 pub mod tile;
 pub mod tune;
 
-pub use driver::{run_simulation, run_simulation_seeded, run_simulation_traced};
+pub use driver::{run, Exec, Run, RunError, RunSpec};
 pub use kernels::{traced_halo, NormField, TeaLeafPort};
 pub use model_id::ModelId;
 pub use problem::Problem;

@@ -5,10 +5,11 @@ use simdev::DeviceKind;
 /// One of the programming-model ports, including the paper's tuning
 /// variants (Kokkos HP, RAJA SIMD) and the two OpenMP 3.0 language
 /// flavours distinguished in Figure 8.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ModelId {
     /// Serial reference implementation (testing baseline, not a paper
-    /// model).
+    /// model), the default.
+    #[default]
     Serial,
     /// OpenMP 3.0, the original Fortran 90 codebase (device-tuned
     /// CPU/KNC-native baseline).

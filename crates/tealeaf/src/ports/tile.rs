@@ -38,7 +38,7 @@
 //! Logical units — one per cell update and per exchanged element — are
 //! charged as host time on the port's [`SimContext`], so solver spans
 //! and exchange spans share one deterministic clock. The port keeps
-//! [`OverlapStats`] and [`ExchangeMetrics`] for [`crate::distributed::run_distributed`].
+//! [`OverlapStats`] and [`ExchangeMetrics`] for [`crate::run`].
 //!
 //! Checkpoint cuts go into the world-restart rings of a resilient run
 //! ([`crate::distributed`]); a plain run keeps no snapshots at all.

@@ -1,4 +1,5 @@
-//! Run reports: what one (model, device, solver, mesh) execution produced.
+//! Run reports: what one (model, device, solver, mesh) execution
+//! produced, on one port or on a tile grid.
 
 use simdev::{ClockSnapshot, DeviceSpec, KernelStats};
 use tea_core::config::SolverKind;
@@ -9,29 +10,40 @@ use crate::model_id::ModelId;
 use crate::resilience::{RecoveryAction, RecoveryEvent, SolverHealth};
 
 /// The result of one full simulation run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
+    /// A tiled run reports `Serial`: every rank runs the serial port's
+    /// row bodies.
     pub model: ModelId,
+    /// Empty for a tiled run: its ranks charge logical clocks, not a
+    /// device.
     pub device: String,
     pub solver: SolverKind,
     /// Interior mesh extent (square meshes: the side length).
     pub x_cells: usize,
     pub y_cells: usize,
     pub steps: usize,
+    /// Ranks that computed the result: 1 for a port run, the final tile
+    /// grid's size for a tiled run (it shrinks after an elastic regrid).
+    pub ranks: usize,
     /// Sum of solver iterations over all steps.
     pub total_iterations: usize,
     /// Did every step's solve converge?
     pub converged: bool,
     /// Final field summary (the cross-port correctness fingerprint).
     pub summary: Summary,
-    /// Simulated device-time counters.
+    /// Simulated device-time counters. A tiled run holds rank 0's logical
+    /// clock over the attempt that finished.
     pub sim: ClockSnapshot,
-    /// Host wall-clock seconds for the functional execution.
+    /// Host wall-clock seconds for the functional execution. A tiled run
+    /// counts the whole run: rank spawns, and every restart and regrid.
     pub wall_seconds: f64,
     /// Eigenvalue estimate from the last step (Chebyshev/PPCG).
     pub eigenvalues: Option<(f64, f64)>,
     /// Every recovery action the resilience layer took, stamped with the
-    /// timestep it happened in (empty on healthy runs).
+    /// timestep it happened in (empty on healthy runs). A tiled run holds
+    /// rank 0's in-solve rollbacks; its restarts and regrids are in
+    /// [`Run::recovery`](crate::driver::Run::recovery).
     pub recoveries: Vec<RecoveryEvent>,
     /// Every sentinel trip, as `(step, event)` (empty on healthy runs).
     pub health: Vec<(usize, SolverHealth)>,
@@ -41,6 +53,17 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// This report with its clocks zeroed: the global result, which
+    /// every rank of a tiled run computes alike and a run that recovered
+    /// from faults reproduces bit for bit.
+    pub fn without_clocks(&self) -> RunReport {
+        RunReport {
+            sim: ClockSnapshot::default(),
+            wall_seconds: 0.0,
+            ..self.clone()
+        }
+    }
+
     /// Simulated runtime in seconds — the quantity Figures 8–11 plot.
     pub fn sim_seconds(&self) -> f64 {
         self.sim.seconds
@@ -188,6 +211,7 @@ mod tests {
             x_cells: 128,
             y_cells: 128,
             steps: 2,
+            ranks: 1,
             total_iterations: 100,
             converged: true,
             summary: Summary::default(),

@@ -62,24 +62,27 @@ pub fn tile_span(cells: usize, index: usize, count: usize) -> (usize, usize) {
     (index * cells / count, (index + 1) * cells / count)
 }
 
-/// Panic unless a `cols × rows` tile can carry the deck's halo.
-fn assert_carries_halo(config: &TeaConfig, cols: usize, rows: usize) {
-    assert!(
-        cols >= config.halo_depth && rows >= config.halo_depth,
+/// `Err` with the reason unless a `cols × rows` tile can carry the
+/// deck's halo.
+fn carries_halo(config: &TeaConfig, cols: usize, rows: usize) -> Result<(), String> {
+    if cols >= config.halo_depth && rows >= config.halo_depth {
+        return Ok(());
+    }
+    Err(format!(
         "tile of {cols}x{rows} cells cannot carry a depth-{} halo; use a coarser tile grid",
         config.halo_depth
-    );
+    ))
 }
 
-/// Panic unless every tile of `grid` can carry the deck's halo. The
+/// `Err` unless every tile of `grid` can carry the deck's halo. The
 /// spans split with floor division, so the smallest tile holds
 /// `cells / tiles` cells on each axis.
-pub(crate) fn check_grid(config: &TeaConfig, grid: Grid2d) {
-    assert_carries_halo(
+pub(crate) fn check_grid(config: &TeaConfig, grid: Grid2d) -> Result<(), String> {
+    carries_halo(
         config,
         config.x_cells / grid.tiles_x(),
         config.y_cells / grid.tiles_y(),
-    );
+    )
 }
 
 /// Placement of one rank's tile: its grid coordinates and local mesh.
@@ -108,7 +111,7 @@ impl TileGeom {
         let (c0, c1) = tile_span(config.x_cells, tx, grid.tiles_x());
         let (r0, r1) = tile_span(config.y_cells, ty, grid.tiles_y());
         let (cols, rows) = (c1 - c0, r1 - r0);
-        assert_carries_halo(config, cols, rows);
+        carries_halo(config, cols, rows).unwrap_or_else(|why| panic!("{why}"));
         let dx = (config.xmax - config.xmin) / config.x_cells as f64;
         let dy = (config.ymax - config.ymin) / config.y_cells as f64;
         let x = if grid.tiles_x() == 1 {

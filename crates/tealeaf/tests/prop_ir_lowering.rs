@@ -28,7 +28,7 @@ use tea_core::mesh::Mesh2d;
 use tea_core::state::{Geometry, State};
 use tealeaf::ir::{KernelId, KERNELS};
 use tealeaf::ports::common;
-use tealeaf::{run_simulation, tune, ModelId};
+use tealeaf::{run, tune, Exec, ModelId, RunSpec};
 
 /// Deterministic pseudo-random positive field from a seed.
 fn field(len: usize, seed: u64, lo: f64, span: f64) -> Vec<f64> {
@@ -169,7 +169,7 @@ proptest! {
         // Fused ports must match the serial (unfused) lowering bitwise,
         // so fusion is numerics-inert; use one device every model runs on.
         let device = devices::cpu_xeon_e5_2670_x2();
-        let reference = run_simulation(ModelId::Serial, &device, &cfg).unwrap();
+        let reference = run(&RunSpec::new(&cfg, Exec::port(ModelId::Serial, &device))).unwrap().report;
         prop_assert!(reference.converged, "{solver} diverged");
         let want = reference.summary.temperature.to_bits();
 
@@ -179,7 +179,7 @@ proptest! {
             }
             for autotune in [true, false] {
                 cfg.tl_autotune = autotune;
-                let r = run_simulation(model, &device, &cfg).unwrap();
+                let r = run(&RunSpec::new(&cfg, Exec::port(model, &device))).unwrap().report;
                 prop_assert_eq!(
                     want,
                     r.summary.temperature.to_bits(),
@@ -203,7 +203,7 @@ proptest! {
         let gpu = devices::gpu_k20x();
         for autotune in [true, false] {
             cfg.tl_autotune = autotune;
-            let r = run_simulation(ModelId::Cuda, &gpu, &cfg).unwrap();
+            let r = run(&RunSpec::new(&cfg, Exec::port(ModelId::Cuda, &gpu))).unwrap().report;
             prop_assert_eq!(
                 want,
                 r.summary.temperature.to_bits(),

@@ -12,7 +12,7 @@ use tea_core::physics;
 use tea_core::state::{Geometry, State};
 use tealeaf::eigen::tqli;
 use tealeaf::ports::common;
-use tealeaf::{run_simulation, ModelId};
+use tealeaf::{run, Exec, ModelId, RunSpec};
 
 /// Build scaled face coefficients from a random positive density field.
 fn coefficients(mesh: &Mesh2d, density: &[f64], rx: f64, ry: f64) -> (Vec<f64>, Vec<f64>) {
@@ -109,7 +109,7 @@ proptest! {
         cfg.end_step = 1;
         cfg.tl_eps = 1.0e-10;
         cfg.tl_max_iters = 5_000;
-        let report = run_simulation(ModelId::Serial, &devices::cpu_xeon_e5_2670_x2(), &cfg).unwrap();
+        let report = run(&RunSpec::new(&cfg, Exec::port(ModelId::Serial, &devices::cpu_xeon_e5_2670_x2()))).unwrap().report;
         prop_assert!(report.converged, "CG must converge on any SPD problem");
         // conservation: the solve redistributes u but conserves its integral
         prop_assert!(report.summary.temperature > 0.0);
@@ -138,7 +138,7 @@ proptest! {
         let mut temps = Vec::new();
         for solver in [SolverKind::ConjugateGradient, SolverKind::Chebyshev, SolverKind::Ppcg] {
             cfg.solver = solver;
-            let r = run_simulation(ModelId::Serial, &device, &cfg).unwrap();
+            let r = run(&RunSpec::new(&cfg, Exec::port(ModelId::Serial, &device))).unwrap().report;
             prop_assert!(r.converged, "{solver} diverged");
             temps.push(r.summary.temperature);
         }

@@ -3,7 +3,7 @@
 
 use simdev::devices;
 use tea_core::config::{SolverKind, TeaConfig};
-use tealeaf::{run_simulation, ModelId};
+use tealeaf::{run, Exec, ModelId, RunSpec};
 
 fn config(solver: SolverKind) -> TeaConfig {
     let mut cfg = TeaConfig::paper_problem(64);
@@ -24,7 +24,12 @@ fn all_solvers_converge_serially() {
         SolverKind::Ppcg,
         SolverKind::Jacobi,
     ] {
-        let report = run_simulation(ModelId::Serial, &device, &config(solver)).unwrap();
+        let report = run(&RunSpec::new(
+            &config(solver),
+            Exec::port(ModelId::Serial, &device),
+        ))
+        .unwrap()
+        .report;
         assert!(report.converged, "{solver} must converge");
         assert!(report.total_iterations > 0);
         assert!(report.sim.seconds > 0.0);
@@ -44,15 +49,20 @@ fn all_solvers_converge_serially() {
 #[test]
 fn preconditioned_cg_converges_in_fewer_iterations() {
     let device = devices::cpu_xeon_e5_2670_x2();
-    let plain = run_simulation(
-        ModelId::Serial,
-        &device,
+    let plain = run(&RunSpec::new(
         &config(SolverKind::ConjugateGradient),
-    )
-    .unwrap();
+        Exec::port(ModelId::Serial, &device),
+    ))
+    .unwrap()
+    .report;
     let mut pre_cfg = config(SolverKind::ConjugateGradient);
     pre_cfg.tl_preconditioner = true;
-    let pre = run_simulation(ModelId::Serial, &device, &pre_cfg).unwrap();
+    let pre = run(&RunSpec::new(
+        &pre_cfg,
+        Exec::port(ModelId::Serial, &device),
+    ))
+    .unwrap()
+    .report;
     assert!(pre.converged);
     assert!(
         pre.total_iterations <= plain.total_iterations,
@@ -65,13 +75,18 @@ fn preconditioned_cg_converges_in_fewer_iterations() {
 #[test]
 fn ppcg_uses_fewer_outer_iterations_than_cg() {
     let device = devices::cpu_xeon_e5_2670_x2();
-    let cg = run_simulation(
-        ModelId::Serial,
-        &device,
+    let cg = run(&RunSpec::new(
         &config(SolverKind::ConjugateGradient),
-    )
-    .unwrap();
-    let ppcg = run_simulation(ModelId::Serial, &device, &config(SolverKind::Ppcg)).unwrap();
+        Exec::port(ModelId::Serial, &device),
+    ))
+    .unwrap()
+    .report;
+    let ppcg = run(&RunSpec::new(
+        &config(SolverKind::Ppcg),
+        Exec::port(ModelId::Serial, &device),
+    ))
+    .unwrap()
+    .report;
     assert!(ppcg.converged && cg.converged);
     assert!(
         ppcg.total_iterations < cg.total_iterations,

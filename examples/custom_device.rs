@@ -52,8 +52,12 @@ fn main() {
         ModelId::KokkosHP,
         ModelId::Raja,
     ] {
-        let on_knc = run_simulation(model, &knc, &cfg).unwrap();
-        let on_knl = run_simulation(model, &knl, &cfg).unwrap();
+        let on_knc = run(&RunSpec::new(&cfg, Exec::port(model, &knc)))
+            .unwrap()
+            .report;
+        let on_knl = run(&RunSpec::new(&cfg, Exec::port(model, &knl)))
+            .unwrap()
+            .report;
         table.row(&[
             model.label().to_string(),
             fmt_secs(on_knc.sim_seconds()),

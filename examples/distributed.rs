@@ -12,7 +12,6 @@
 //! ```
 
 use simdev::devices;
-use tealeaf::distributed::{run_distributed, DistributedSpec};
 use tealeaf_repro::prelude::*;
 
 fn main() {
@@ -21,17 +20,24 @@ fn main() {
     config.end_step = 2;
     config.tl_eps = 1.0e-12;
 
-    let serial = run_simulation(ModelId::Serial, &devices::cpu_xeon_e5_2670_x2(), &config)
-        .expect("serial reference");
+    let serial = run(&RunSpec::new(
+        &config,
+        Exec::port(ModelId::Serial, &devices::cpu_xeon_e5_2670_x2()),
+    ))
+    .expect("serial reference")
+    .report;
     println!(
         "single chunk : {} iterations, temperature integral {:.12}",
         serial.total_iterations, serial.summary.temperature
     );
 
     for (gx, gy) in [(1, 2), (1, 3), (1, 4), (1, 6), (2, 1), (2, 2), (3, 2)] {
-        let dist = run_distributed(&config, &DistributedSpec::new(gx, gy))
-            .expect("a fault-free run cannot abort")
-            .report;
+        let dist = run(&RunSpec::new(
+            &config,
+            Exec::Tiled(DistributedSpec::new(gx, gy)),
+        ))
+        .expect("a fault-free run cannot abort")
+        .report;
         let diff = dist.summary.max_abs_diff(&serial.summary);
         println!(
             "{gx}x{gy} tiles    : {} iterations, temperature integral {:.12}  (max |Δ| vs serial = {diff:e})",

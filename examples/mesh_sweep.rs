@@ -38,7 +38,9 @@ fn main() {
             cfg.end_step = 1;
             cfg.tl_eps = 1.0e-10;
             cfg.tl_max_iters = 20_000;
-            let report = run_simulation(*model, device, &cfg).unwrap();
+            let report = run(&RunSpec::new(&cfg, Exec::port(*model, device)))
+                .unwrap()
+                .report;
             row.push(fmt_secs(report.sim_seconds()));
         }
         table.row(&row);

@@ -17,8 +17,9 @@ fn main() {
 
     // Pick a device (Table 2) and a programming model to port with.
     let device = devices::gpu_k20x();
-    let report =
-        run_simulation(ModelId::Cuda, &device, &config).expect("CUDA supports the K20X (Table 1)");
+    let report = run(&RunSpec::new(&config, Exec::port(ModelId::Cuda, &device)))
+        .expect("CUDA supports the K20X (Table 1)")
+        .report;
 
     println!("TeaLeaf {} on {}", report.model.label(), report.device);
     println!(
@@ -48,7 +49,9 @@ fn main() {
 
     // The same problem through a different model must produce the same
     // physics (bit-for-bit — the reproduction's consistency guarantee).
-    let kokkos = run_simulation(ModelId::Kokkos, &device, &config).unwrap();
+    let kokkos = run(&RunSpec::new(&config, Exec::port(ModelId::Kokkos, &device)))
+        .unwrap()
+        .report;
     assert_eq!(kokkos.summary, report.summary, "ports are bit-identical");
     println!(
         "\nKokkos solves the identical problem in {:.4} s ({:+.1} % vs CUDA)",

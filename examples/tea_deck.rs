@@ -81,7 +81,9 @@ fn main() {
         model.label(),
         device.name
     );
-    let report = run_simulation(model, &device, &config).expect("supported model/device pair");
+    let report = run(&RunSpec::new(&config, Exec::port(model, &device)))
+        .expect("supported model/device pair")
+        .report;
     let s = report.summary;
     println!(
         "\n Time {:.6}",

@@ -10,7 +10,9 @@
 //! NVIDIA K20X, Xeon Phi KNC).
 //!
 //! This crate re-exports the public API of every workspace member so
-//! examples and downstream users can depend on a single crate:
+//! examples and downstream users can depend on a single crate. Every run
+//! is one call, [`tealeaf::run`], on a [`tealeaf::RunSpec`]: a deck plus
+//! what executes it, a model on a device or a tile grid of ranks.
 //!
 //! ```
 //! use tealeaf_repro::prelude::*;
@@ -19,8 +21,13 @@
 //! config.end_step = 1;
 //! config.tl_eps = 1.0e-10;
 //! let device = devices::gpu_k20x();
-//! let report = run_simulation(ModelId::Cuda, &device, &config).unwrap();
+//! let report = run(&RunSpec::new(&config, Exec::port(ModelId::Cuda, &device)))
+//!     .unwrap()
+//!     .report;
 //! assert!(report.converged);
+//!
+//! let tiled = run(&RunSpec::new(&config, Exec::Tiled(DistributedSpec::new(2, 1)))).unwrap();
+//! assert_eq!(tiled.report.summary, report.summary); // bit-identical on 2 ranks
 //! ```
 
 pub use cuda_rs as cuda;
@@ -39,5 +46,6 @@ pub mod prelude {
     pub use simdev::devices;
     pub use simdev::{DeviceKind, DeviceSpec};
     pub use tea_core::{Coefficient, Field2d, Mesh2d, SolverKind, Summary, TeaConfig};
-    pub use tealeaf::{run_simulation, ModelId, RunReport};
+    pub use tealeaf::distributed::DistributedSpec;
+    pub use tealeaf::{run, Exec, ModelId, Run, RunError, RunReport, RunSpec};
 }

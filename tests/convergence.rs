@@ -5,7 +5,7 @@
 use simdev::devices;
 use tea_core::config::{SolverKind, TeaConfig};
 use tea_core::state::{Geometry, State};
-use tealeaf::{driver, ports::make_port, run_simulation, ModelId, Problem};
+use tealeaf::{driver, ports::make_port, run, Exec, ModelId, Problem, RunSpec};
 
 fn hot_block(cells: usize) -> TeaConfig {
     let mut cfg = TeaConfig::paper_problem(cells);
@@ -24,7 +24,9 @@ fn energy_is_conserved_across_steps() {
     for steps in [1usize, 4, 8] {
         let mut cfg = hot_block(24);
         cfg.end_step = steps;
-        let report = run_simulation(ModelId::Serial, &device, &cfg).unwrap();
+        let report = run(&RunSpec::new(&cfg, Exec::port(ModelId::Serial, &device)))
+            .unwrap()
+            .report;
         assert!(report.converged);
         let temp = report.summary.temperature;
         let baseline = *reference.get_or_insert(temp);
@@ -171,10 +173,14 @@ fn recip_conductivity_mode_also_converges() {
     let mut cfg = hot_block(24);
     cfg.coefficient = tea_core::Coefficient::RecipConductivity;
     cfg.end_step = 2;
-    let report = run_simulation(ModelId::Serial, &device, &cfg).unwrap();
+    let report = run(&RunSpec::new(&cfg, Exec::port(ModelId::Serial, &device)))
+        .unwrap()
+        .report;
     assert!(report.converged);
     assert!(report.summary.temperature.is_finite());
     // and all ports still agree under the alternate coefficient
-    let kokkos = run_simulation(ModelId::Kokkos, &device, &cfg).unwrap();
+    let kokkos = run(&RunSpec::new(&cfg, Exec::port(ModelId::Kokkos, &device)))
+        .unwrap()
+        .report;
     assert_eq!(kokkos.summary, report.summary);
 }

@@ -9,7 +9,7 @@
 use simdev::devices;
 use tea_core::config::{SolverKind, TeaConfig};
 use tea_core::halo::FieldId;
-use tealeaf::{run_simulation, ModelId};
+use tealeaf::{run, Exec, ModelId, RunSpec};
 
 fn config(solver: SolverKind, cells: usize) -> TeaConfig {
     let mut cfg = TeaConfig::paper_problem(cells);
@@ -24,7 +24,9 @@ fn config(solver: SolverKind, cells: usize) -> TeaConfig {
 fn check_solver(solver: SolverKind) {
     let cpu = devices::cpu_xeon_e5_2670_x2();
     let cfg = config(solver, 48);
-    let reference = run_simulation(ModelId::Serial, &cpu, &cfg).expect("serial runs on cpu");
+    let reference = run(&RunSpec::new(&cfg, Exec::port(ModelId::Serial, &cpu)))
+        .expect("serial runs on cpu")
+        .report;
     assert!(reference.converged, "reference must converge for {solver}");
 
     for device in devices::paper_devices() {
@@ -32,7 +34,8 @@ fn check_solver(solver: SolverKind) {
             if model == ModelId::Serial || model.supports(device.kind).is_none() {
                 continue;
             }
-            let report = run_simulation(model, &device, &cfg)
+            let report = run(&RunSpec::new(&cfg, Exec::port(model, &device)))
+                .map(|r| r.report)
                 .unwrap_or_else(|e| panic!("{model:?} on {}: {e}", device.name));
             assert!(
                 report.converged,
@@ -79,14 +82,18 @@ fn preconditioned_cg_identical_across_ports() {
     let cpu = devices::cpu_xeon_e5_2670_x2();
     let mut cfg = config(SolverKind::ConjugateGradient, 48);
     cfg.tl_preconditioner = true;
-    let reference = run_simulation(ModelId::Serial, &cpu, &cfg).unwrap();
+    let reference = run(&RunSpec::new(&cfg, Exec::port(ModelId::Serial, &cpu)))
+        .unwrap()
+        .report;
     for model in [
         ModelId::Omp3F90,
         ModelId::Kokkos,
         ModelId::Raja,
         ModelId::OpenCl,
     ] {
-        let report = run_simulation(model, &cpu, &cfg).unwrap();
+        let report = run(&RunSpec::new(&cfg, Exec::port(model, &cpu)))
+            .unwrap()
+            .report;
         assert_eq!(
             report.summary.max_abs_diff(&reference.summary),
             0.0,

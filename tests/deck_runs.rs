@@ -2,7 +2,7 @@
 
 use simdev::devices;
 use tea_core::config::{SolverKind, TeaConfig};
-use tealeaf::{run_simulation, ModelId};
+use tealeaf::{run, Exec, ModelId, RunSpec};
 
 fn load(name: &str) -> TeaConfig {
     let path = format!("{}/decks/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -16,7 +16,12 @@ fn bm1_cg_deck_runs() {
     assert_eq!(cfg.solver, SolverKind::ConjugateGradient);
     assert_eq!(cfg.x_cells, 64);
     cfg.end_step = 2; // keep the test fast
-    let report = run_simulation(ModelId::Omp3F90, &devices::cpu_xeon_e5_2670_x2(), &cfg).unwrap();
+    let report = run(&RunSpec::new(
+        &cfg,
+        Exec::port(ModelId::Omp3F90, &devices::cpu_xeon_e5_2670_x2()),
+    ))
+    .unwrap()
+    .report;
     assert!(report.converged);
 }
 
@@ -26,7 +31,12 @@ fn bm2_chebyshev_deck_runs() {
     assert_eq!(cfg.solver, SolverKind::Chebyshev);
     assert_eq!(cfg.tl_ch_cg_presteps, 30);
     cfg.end_step = 1;
-    let report = run_simulation(ModelId::Kokkos, &devices::gpu_k20x(), &cfg).unwrap();
+    let report = run(&RunSpec::new(
+        &cfg,
+        Exec::port(ModelId::Kokkos, &devices::gpu_k20x()),
+    ))
+    .unwrap()
+    .report;
     assert!(report.converged);
     assert!(
         report.eigenvalues.is_some(),
@@ -40,7 +50,12 @@ fn bm3_ppcg_deck_runs() {
     assert_eq!(cfg.solver, SolverKind::Ppcg);
     assert_eq!(cfg.tl_ppcg_inner_steps, 10);
     cfg.end_step = 1;
-    let report = run_simulation(ModelId::Cuda, &devices::gpu_k20x(), &cfg).unwrap();
+    let report = run(&RunSpec::new(
+        &cfg,
+        Exec::port(ModelId::Cuda, &devices::gpu_k20x()),
+    ))
+    .unwrap()
+    .report;
     assert!(report.converged);
 }
 

@@ -5,8 +5,8 @@
 
 use simdev::devices;
 use tea_core::config::{SolverKind, TeaConfig};
-use tealeaf::distributed::{run_distributed, DistributedReport, DistributedSpec};
-use tealeaf::{run_simulation, ModelId};
+use tealeaf::distributed::DistributedSpec;
+use tealeaf::{run, Exec, ModelId, RunReport, RunSpec};
 
 fn config(cells: usize) -> TeaConfig {
     let mut cfg = TeaConfig::paper_problem(cells);
@@ -18,12 +18,12 @@ fn config(cells: usize) -> TeaConfig {
 }
 
 /// A fault-free run of `cfg` on a `tiles` grid, overlapped or blocking.
-fn distributed(cfg: &TeaConfig, tiles: (usize, usize), overlap: bool) -> DistributedReport {
+fn distributed(cfg: &TeaConfig, tiles: (usize, usize), overlap: bool) -> RunReport {
     let spec = DistributedSpec {
         overlap,
         ..DistributedSpec::new(tiles.0, tiles.1)
     };
-    run_distributed(cfg, &spec)
+    run(&RunSpec::new(cfg, Exec::Tiled(spec)))
         .expect("a fault-free run cannot abort")
         .report
 }
@@ -31,7 +31,12 @@ fn distributed(cfg: &TeaConfig, tiles: (usize, usize), overlap: bool) -> Distrib
 #[test]
 fn distributed_cg_bit_identical_to_serial() {
     let cfg = config(48);
-    let serial = run_simulation(ModelId::Serial, &devices::cpu_xeon_e5_2670_x2(), &cfg).unwrap();
+    let serial = run(&RunSpec::new(
+        &cfg,
+        Exec::port(ModelId::Serial, &devices::cpu_xeon_e5_2670_x2()),
+    ))
+    .unwrap()
+    .report;
     assert!(serial.converged);
     for ranks in [1, 2, 3, 4] {
         let dist = distributed(&cfg, (1, ranks), true);
@@ -49,7 +54,12 @@ fn distributed_cg_bit_identical_to_serial() {
 fn uneven_stripes_still_exact() {
     // 50 rows across 3 ranks → stripes of 16/17/17
     let cfg = config(50);
-    let serial = run_simulation(ModelId::Serial, &devices::cpu_xeon_e5_2670_x2(), &cfg).unwrap();
+    let serial = run(&RunSpec::new(
+        &cfg,
+        Exec::port(ModelId::Serial, &devices::cpu_xeon_e5_2670_x2()),
+    ))
+    .unwrap()
+    .report;
     let dist = distributed(&cfg, (1, 3), true);
     assert_eq!(dist.summary.max_abs_diff(&serial.summary), 0.0);
     assert_eq!(dist.total_iterations, serial.total_iterations);
@@ -67,8 +77,12 @@ fn all_solvers_on_2d_grids_bit_identical_to_serial() {
         SolverKind::Ppcg,
     ] {
         cfg.solver = solver;
-        let serial =
-            run_simulation(ModelId::Serial, &devices::cpu_xeon_e5_2670_x2(), &cfg).unwrap();
+        let serial = run(&RunSpec::new(
+            &cfg,
+            Exec::port(ModelId::Serial, &devices::cpu_xeon_e5_2670_x2()),
+        ))
+        .unwrap()
+        .report;
         for (gx, gy) in [(2usize, 2usize), (3, 1), (1, 3)] {
             let overlapped = distributed(&cfg, (gx, gy), true);
             let blocking = distributed(&cfg, (gx, gy), false);

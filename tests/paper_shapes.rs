@@ -10,7 +10,7 @@
 use simdev::devices;
 use tea_bench::{figure_models, runtime_figure, Scale};
 use tea_core::config::SolverKind;
-use tealeaf::{run_simulation_seeded, ModelId};
+use tealeaf::{run, Exec, ModelId, RunSpec};
 
 fn scale() -> Scale {
     Scale {
@@ -20,6 +20,18 @@ fn scale() -> Scale {
         sweep_max: 250,
         seed: tealeaf::driver::TEA_DEFAULT_SEED,
     }
+}
+
+/// `model` on `device` under the default seed (only the OpenCL CPU
+/// jitter reads the seed).
+fn port_run(
+    model: ModelId,
+    device: &simdev::DeviceSpec,
+    cfg: &tea_core::config::TeaConfig,
+) -> tealeaf::RunReport {
+    run(&RunSpec::new(cfg, Exec::port(model, device)))
+        .unwrap()
+        .report
 }
 
 /// sim seconds per solver for `model` in a completed figure run.
@@ -122,9 +134,17 @@ fn figure8_opencl_cpu_variance() {
     let cpu = scale().regime_device(&devices::cpu_xeon_e5_2670_x2());
     let runs: Vec<f64> = (0..15)
         .map(|seed| {
-            run_simulation_seeded(ModelId::OpenCl, &cpu, &cfg, seed)
-                .unwrap()
-                .sim_seconds()
+            run(&RunSpec::new(
+                &cfg,
+                Exec::Port {
+                    model: ModelId::OpenCl,
+                    device: &cpu,
+                    seed,
+                },
+            ))
+            .unwrap()
+            .report
+            .sim_seconds()
         })
         .collect();
     let (min, max) = runs.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &t| {
@@ -139,9 +159,17 @@ fn figure8_opencl_cpu_variance() {
     let gpu = scale().regime_device(&devices::gpu_k20x());
     let g: Vec<f64> = (0..5)
         .map(|seed| {
-            run_simulation_seeded(ModelId::OpenCl, &gpu, &cfg, seed)
-                .unwrap()
-                .sim_seconds()
+            run(&RunSpec::new(
+                &cfg,
+                Exec::Port {
+                    model: ModelId::OpenCl,
+                    device: &gpu,
+                    seed,
+                },
+            ))
+            .unwrap()
+            .report
+            .sim_seconds()
         })
         .collect();
     let gpu_spread =
@@ -221,8 +249,8 @@ fn figure9_gpu_shape() {
     let mut cheby_cfg = big.config(SolverKind::Chebyshev);
     cheby_cfg.tl_eps = 1.0e-10;
     let regime = big.regime_device(&devices::gpu_k20x());
-    let flat = run_simulation_seeded(ModelId::Kokkos, &regime, &cheby_cfg, 0).unwrap();
-    let hp = run_simulation_seeded(ModelId::KokkosHP, &regime, &cheby_cfg, 0).unwrap();
+    let flat = port_run(ModelId::Kokkos, &regime, &cheby_cfg);
+    let hp = port_run(ModelId::KokkosHP, &regime, &cheby_cfg);
     let hp_cheby = hp.sim_seconds() / flat.sim_seconds();
     assert!(
         hp_cheby > 1.05,
@@ -318,8 +346,8 @@ fn figure11_growth_shape() {
     // intercept: at a tiny mesh the offloaded CUDA run must be far slower
     // than the host OpenMP run; at a large mesh the gap must shrink below
     // the bandwidth ratio.
-    let small_cuda = run_simulation_seeded(ModelId::Cuda, &gpu, &cfg_of(64), 0).unwrap();
-    let small_omp = run_simulation_seeded(ModelId::Omp3F90, &cpu, &cfg_of(64), 0).unwrap();
+    let small_cuda = port_run(ModelId::Cuda, &gpu, &cfg_of(64));
+    let small_omp = port_run(ModelId::Omp3F90, &cpu, &cfg_of(64));
     assert!(
         small_cuda.sim_seconds() > 3.0 * small_omp.sim_seconds(),
         "offload overheads must dominate tiny meshes ({} vs {})",
@@ -329,8 +357,8 @@ fn figure11_growth_shape() {
     // §5: "the OpenMP Fortran 90 implementation achieves the best
     // performance up to 9×10⁵ cells" — the CPU is cache-resident below
     // the knee and must still beat the overhead-laden GPU there…
-    let mid_cuda = run_simulation_seeded(ModelId::Cuda, &gpu, &cfg_of(500), 0).unwrap();
-    let mid_omp = run_simulation_seeded(ModelId::Omp3F90, &cpu, &cfg_of(500), 0).unwrap();
+    let mid_cuda = port_run(ModelId::Cuda, &gpu, &cfg_of(500));
+    let mid_omp = port_run(ModelId::Omp3F90, &cpu, &cfg_of(500));
     assert!(
         mid_omp.sim_seconds() < mid_cuda.sim_seconds(),
         "below the cache knee the tuned CPU must lead ({} vs {})",
@@ -340,8 +368,8 @@ fn figure11_growth_shape() {
     // …while past the knee (the paper's crossover) the GPU pulls ahead.
     let mut big = cfg_of(1225);
     big.tl_eps = 1.0e-8; // growth comparison, not convergence depth
-    let big_cuda = run_simulation_seeded(ModelId::Cuda, &gpu, &big, 0).unwrap();
-    let big_omp = run_simulation_seeded(ModelId::Omp3F90, &cpu, &big, 0).unwrap();
+    let big_cuda = port_run(ModelId::Cuda, &gpu, &big);
+    let big_omp = port_run(ModelId::Omp3F90, &cpu, &big);
     assert!(
         big_cuda.sim_seconds() < big_omp.sim_seconds(),
         "past the crossover the GPU must lead ({} vs {})",
@@ -354,8 +382,8 @@ fn figure11_growth_shape() {
     // cost must rise between a cache-resident and a DRAM-resident mesh.
     // anchor on the cache plateau (750² ≈ 5.6·10⁵ cells, below the
     // paper's 9·10⁵ knee) and past it (1250² ≈ 1.6·10⁶ cells)
-    let small = run_simulation_seeded(ModelId::Omp3F90, &cpu, &cfg_of(750), 0).unwrap();
-    let large = run_simulation_seeded(ModelId::Omp3F90, &cpu, &cfg_of(1250), 0).unwrap();
+    let small = port_run(ModelId::Omp3F90, &cpu, &cfg_of(750));
+    let large = port_run(ModelId::Omp3F90, &cpu, &cfg_of(1250));
     let unit =
         |r: &tealeaf::RunReport| r.sim_seconds() / (r.cells() as f64 * r.total_iterations as f64);
     // the blend region of the cache model makes the decay gradual, as the

@@ -16,7 +16,8 @@ use std::time::Duration;
 use mpisim::{FaultSpec, KillSpec};
 use proptest::prelude::*;
 use tea_core::config::{SolverKind, TeaConfig};
-use tealeaf::distributed::{latest_common_key, run_distributed, CkptKey, DistributedSpec};
+use tealeaf::distributed::{latest_common_key, CkptKey, DistributedSpec};
+use tealeaf::{run, Exec, RunSpec};
 
 /// One checkpoint key in the shape the drivers emit: a small timestep,
 /// a two-valued phase, a bounded iteration.
@@ -110,7 +111,7 @@ proptest! {
         cfg.tl_eps = 1.0e-10;
         cfg.tl_checkpoint_interval = interval;
         cfg.solver = solver;
-        let baseline = run_distributed(&cfg, &DistributedSpec::new(gx, gy))
+        let baseline = run(&RunSpec::new(&cfg, Exec::Tiled(DistributedSpec::new(gx, gy))))
             .expect("a fault-free run cannot abort")
             .report;
         let spec = FaultSpec {
@@ -123,9 +124,9 @@ proptest! {
             faults: Some(spec),
             ..DistributedSpec::new(gx, gy)
         };
-        let run = run_distributed(&cfg, &faulty).unwrap_or_else(|d| panic!("unrecovered: {d}"));
+        let run = run(&RunSpec::new(&cfg, Exec::Tiled(faulty))).unwrap_or_else(|d| panic!("unrecovered: {d}"));
         let log = run.recovery;
-        prop_assert_eq!(run.report, baseline, "replay diverged (log {:?})", log);
+        prop_assert_eq!(run.report.without_clocks(), baseline.without_clocks(), "replay diverged (log {:?})", log);
         prop_assert_eq!(log.regrids, 0, "a transient kill must never regrid");
     }
 }

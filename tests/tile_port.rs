@@ -21,11 +21,11 @@ use simdev::devices;
 use tea_core::config::{SolverKind, TeaConfig};
 use tea_core::halo::FieldId;
 use tea_telemetry::Record;
-use tealeaf::distributed::{run_distributed, DistributedRun, DistributedSpec};
+use tealeaf::distributed::DistributedSpec;
 use tealeaf::ports::serial::SerialPort;
 use tealeaf::ports::tile::TilePort;
 use tealeaf::tile::{tile_span, CARRY_ROWS};
-use tealeaf::{run_simulation, NormField, Problem, TeaLeafPort, TelemetrySink};
+use tealeaf::{run, Exec, NormField, Problem, Run, RunSpec, TeaLeafPort, TelemetrySink};
 
 const SOLVERS: [SolverKind; 4] = [
     SolverKind::ConjugateGradient,
@@ -34,7 +34,7 @@ const SOLVERS: [SolverKind; 4] = [
     SolverKind::Jacobi,
 ];
 
-/// Fault-free [`run_distributed`] runs on the pinned deck, recorded
+/// Fault-free tiled [`run`]s on the pinned deck, recorded
 /// from the per-solver distributed loops this port replaced.
 const PINNED: [&str; 24] = [
         "cg 2x1 overlap iters=20 conv=true windows=44 interior=10100 boundary=2720 exchanged=1232 hidden=1232 messages=[0, 0, 26, 26, 0, 0, 0, 0] elements=[0, 0, 784, 784, 0, 0, 0, 0]",
@@ -66,12 +66,12 @@ const PINNED: [&str; 24] = [
 /// Two steps at 24², presteps short enough that Chebyshev and PPCG reach
 /// their main loops.
 /// A fault-free run of `cfg` on `gx × gy` tiles, overlapped or blocking.
-fn distributed(cfg: &TeaConfig, gx: usize, gy: usize, overlap: bool) -> DistributedRun {
+fn distributed(cfg: &TeaConfig, gx: usize, gy: usize, overlap: bool) -> Run {
     let spec = DistributedSpec {
         overlap,
         ..DistributedSpec::new(gx, gy)
     };
-    run_distributed(cfg, &spec).expect("a fault-free run cannot abort")
+    run(&RunSpec::new(cfg, Exec::Tiled(spec))).expect("a fault-free run cannot abort")
 }
 
 fn pinned_deck(solver: SolverKind) -> TeaConfig {
@@ -90,7 +90,7 @@ fn lowering_keeps_the_pinned_schedule() {
         let cfg = pinned_deck(solver);
         for (gx, gy) in [(2usize, 1usize), (1, 2), (2, 2)] {
             for overlap in [true, false] {
-                let DistributedRun {
+                let Run {
                     report: r,
                     overlap: s,
                     exchange: m,
@@ -127,12 +127,12 @@ fn distributed_sentinels_trip_like_serial() {
     cfg.initial_timestep *= 100.0;
     cfg.tl_stagnation_window = 1;
     cfg.tl_resilience = false;
-    let serial = run_simulation(
-        tealeaf::ModelId::Serial,
-        &devices::cpu_xeon_e5_2670_x2(),
+    let serial = run(&RunSpec::new(
         &cfg,
-    )
-    .expect("serial run");
+        Exec::port(tealeaf::ModelId::Serial, &devices::cpu_xeon_e5_2670_x2()),
+    ))
+    .expect("serial run")
+    .report;
     assert!(!serial.converged, "the sentinel must stop the serial solve");
     assert!(!serial.health.is_empty());
     for (gx, gy) in [(1usize, 1usize), (2, 1), (2, 2)] {
@@ -172,12 +172,12 @@ fn tiles_take_rx_ry_from_the_global_mesh() {
         );
         for solver in SOLVERS {
             let cfg = pinned_deck(solver);
-            let serial = run_simulation(
-                tealeaf::ModelId::Serial,
-                &devices::cpu_xeon_e5_2670_x2(),
+            let serial = run(&RunSpec::new(
                 &cfg,
-            )
-            .expect("serial run");
+                Exec::port(tealeaf::ModelId::Serial, &devices::cpu_xeon_e5_2670_x2()),
+            ))
+            .expect("serial run")
+            .report;
             let dist = distributed(&cfg, gx, gy, true).report;
             let what = format!("{} {gx}x{gy}", solver.name());
             assert_eq!(dist.total_iterations, serial.total_iterations, "{what}");
@@ -315,12 +315,15 @@ fn lowering_keeps_the_logical_clock() {
         for (gx, gy) in [(2usize, 1usize), (1, 2), (2, 2)] {
             for overlap in [true, false] {
                 let (sink, collector) = TelemetrySink::collecting();
-                let spec = DistributedSpec {
+                let tiles = DistributedSpec {
                     overlap,
-                    sink,
                     ..DistributedSpec::new(gx, gy)
                 };
-                run_distributed(&cfg, &spec).expect("a fault-free run cannot abort");
+                let spec = RunSpec {
+                    sink,
+                    ..RunSpec::new(&cfg, Exec::Tiled(tiles))
+                };
+                run(&spec).expect("a fault-free run cannot abort");
                 let records = collector.records();
                 rows.push(format!(
                     "{} {gx}x{gy} {} records={} digest={:#018x}",
