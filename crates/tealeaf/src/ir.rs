@@ -8,7 +8,9 @@
 //! everything that used to be per-port special-casing is *derived*:
 //!
 //! * the launch profiles the ports charge through `simdev`
-//!   ([`KernelDesc::profile`], consumed by `ports::common::profiles`),
+//!   ([`KernelDesc::profile`], which every kernel launch in
+//!   `ports::common` takes its profile from, fused tails through
+//!   `ports::common::profiles::fused_pair`),
 //! * fusion legality ([`FusionKind::legal`]): whether a tail sweep may
 //!   ride the head's dispatch without reading another work-item's
 //!   freshly-written data,

@@ -1,4 +1,5 @@
-//! Shared kernel bodies, launch profiles and the field set.
+//! Shared kernel bodies, launch profiles, the field set and the one
+//! kernel wiring every port launches through.
 //!
 //! Every port performs *identical per-cell arithmetic* by calling the run
 //! bodies here (which in turn use [`tea_core::physics`]); what differs
@@ -9,10 +10,10 @@
 //! (§3).
 //!
 //! A body works on a [`Run`], a contiguous stretch of cells within one
-//! row. Row-dispatch ports hand it whole rows (the `row_*` forms); the
-//! flat-index models (Kokkos, RAJA, OpenCL, CUDA) hand it each block,
-//! work-group or chunk cut into runs by [`RunBox::clip`], which is their
-//! in-kernel halo guard evaluated once per run.
+//! row. Row-dispatch ports hand it whole rows; the flat-index models
+//! (Kokkos, RAJA, OpenCL, CUDA) hand it each block, work-group or chunk
+//! cut into runs by [`RunBox::clip`], which is their in-kernel halo guard
+//! evaluated once per run.
 //!
 //! The `unsafe` functions write through [`parpool::UnsafeSlice`]; their
 //! safety contract is always the same: **each output cell is written by
@@ -24,6 +25,12 @@
 //! OpenCL, a `DeviceBuffer` for CUDA. The containers differ; the map from
 //! a [`FieldId`] to its array (aliases included), the conformance
 //! read-back and poke, and the batched halo update are written once here.
+//!
+//! So is every kernel launch: one `Fields` method per IR kernel
+//! ([`crate::ir::KernelId`]) binds the arrays it reads and writes and
+//! hands the shared body to the port's `Launch`, which dispatches it in
+//! the model's idiom and charges it. This module is the only place in the
+//! ports that binds a shared-write slice or writes `unsafe`.
 
 use std::ops::Range;
 
@@ -34,6 +41,11 @@ use tea_core::field::Field2d;
 use tea_core::halo::FieldId;
 use tea_core::mesh::Mesh2d;
 use tea_core::physics;
+use tea_core::summary::Summary;
+
+use crate::ir::{FusionKind, KernelId, LoweringCaps};
+use crate::kernels::NormField;
+use FieldId::{Density, Energy1, Kx, Ky, Sd, P, R, U, U0, W, Z};
 
 /// Shorthand for the shared-write slice of `f64`.
 pub type Us<'a> = UnsafeSlice<'a, f64>;
@@ -162,6 +174,11 @@ impl RunBox {
             j1: b.j1 + 1,
             ..b
         }
+    }
+
+    /// The box's rows `j0..j1`.
+    pub fn rows(&self) -> Range<usize> {
+        self.j0..self.j1
     }
 
     /// The box's run on row `j`.
@@ -871,11 +888,10 @@ pub fn block_norm(mesh: &Mesh2d, rows: Range<usize>, pass: Pass<'_>, x: &[f64]) 
 }
 
 // ---------------------------------------------------------------------------
-// row forms (row-dispatch ports)
+// row forms (the fused CG tail, benchmarks and tests)
 // ---------------------------------------------------------------------------
 
-/// `row_*`: the `run_*` body over interior row `j` — the whole-row entry the
-/// row-dispatch ports call.
+/// `row_*`: the `run_*` body over interior row `j`.
 macro_rules! row_forms {
     ($($row:ident => $run:ident($($a:ident: $t:ty),*) $(-> $ret:ty)?;)*) => {$(
         #[doc = concat!("[`", stringify!($run), "`] over interior row `j`.")]
@@ -891,19 +907,12 @@ macro_rules! row_forms {
 }
 
 row_forms! {
-    row_init_u0 => run_init_u0(density: &[f64], energy: &[f64], u0: &Us, u: &Us);
     row_cg_calc_p => run_cg_calc_p(beta: f64, precond: bool, r: &[f64], z: &[f64], p: &Us);
     row_cheby_calc_p => run_cheby_calc_p(
         first: bool, theta: f64, alpha: f64, beta: f64, u: &[f64], u0: &[f64],
         kx: &[f64], ky: &[f64], w: &Us, r: &Us, p: &Us
     );
     row_add_p_to_u => run_add_p_to_u(p: &[f64], u: &Us);
-    row_sd_init => run_sd_init(theta: f64, r: &[f64], sd: &Us);
-    row_ppcg_w => run_ppcg_w(sd: &[f64], kx: &[f64], ky: &[f64], w: &Us);
-    row_ppcg_update => run_ppcg_update(alpha: f64, beta: f64, w: &[f64], u: &Us, r: &Us, sd: &Us);
-    row_residual => run_residual(u: &[f64], u0: &[f64], kx: &[f64], ky: &[f64], r: &Us);
-    row_jacobi_copy => run_jacobi_copy(u: &[f64], r: &Us);
-    row_finalise => run_finalise(u: &[f64], density: &[f64], energy: &Us);
 }
 
 /// [`run_init_coeffs`] over row `j` of [`RunBox::coeffs`], covering
@@ -928,7 +937,9 @@ pub unsafe fn row_init_coeffs(
 }
 
 /// [`block_cg_calc_w`] over interior row `j` alone; returns its `p·w`
-/// partial.
+/// partial. No port runs it (they run the block body): hostbench's
+/// kernel layer, `crates/bench`, the conformance fuzzer and
+/// `tests/prop_ir_lowering.rs` time or check it.
 ///
 /// # Safety
 /// Row `j` of every output is this caller's alone.
@@ -948,7 +959,9 @@ pub unsafe fn row_cg_calc_w(
 }
 
 /// [`block_cg_calc_ur`] over interior row `j` alone; returns its `r·r`
-/// (or `r·z`) partial.
+/// (or `r·z`) partial. No port runs it (they run the block body):
+/// hostbench's kernel layer and `tests/prop_ir_lowering.rs` time or check
+/// it.
 ///
 /// # Safety
 /// Row `j` of every output is this caller's alone.
@@ -1007,116 +1020,17 @@ pub fn row_summary(
 // launch profiles (application bytes per kernel)
 // ---------------------------------------------------------------------------
 
-/// Launch profiles for every TeaLeaf kernel, parameterised by interior
-/// cell count. Since the shared kernel IR ([`crate::ir`]) every profile
-/// is *derived* from its [`crate::ir::KernelDesc`] — the per-kernel
-/// array counts live in one table and `ir::tests` pins them against the
-/// original hand-written values.
+/// The launch profiles that are not one IR row's
+/// [`crate::ir::KernelDesc::profile`]: the interior cell count every
+/// profile is sized by, the halo exchange of one field, and the fusion
+/// pairs.
 pub mod profiles {
     use super::*;
-    use crate::ir::{self, FusionKind, KernelId, LoweringCaps};
+    use crate::ir;
 
     /// Interior cell count as `u64`.
     pub fn cells(mesh: &Mesh2d) -> u64 {
         mesh.interior_len() as u64
-    }
-
-    /// `init_u0`: read density, energy; write u0, u.
-    pub fn init_u0(n: u64) -> KernelProfile {
-        KernelId::InitU0.desc().profile(n, false)
-    }
-
-    /// `init_coeffs`: read density (stencil); write kx, ky.
-    pub fn init_coeffs(n: u64) -> KernelProfile {
-        KernelId::InitCoeffs.desc().profile(n, false)
-    }
-
-    /// `cg_init`: stencil on u + u0, kx, ky; write w, r, p (+z); reduce.
-    pub fn cg_init(n: u64, precond: bool) -> KernelProfile {
-        KernelId::CgInit.desc().profile(n, precond)
-    }
-
-    /// `cg_calc_w`: stencil on p with kx, ky; write w; reduce `p·w`.
-    pub fn cg_calc_w(n: u64) -> KernelProfile {
-        KernelId::CgCalcW.desc().profile(n, false)
-    }
-
-    /// `cg_calc_ur`: read p, w, u, r (+kx, ky for M⁻¹); write u, r (+z);
-    /// reduce `r·r`.
-    pub fn cg_calc_ur(n: u64, precond: bool) -> KernelProfile {
-        KernelId::CgCalcUr.desc().profile(n, precond)
-    }
-
-    /// `cg_calc_p`: read r|z, p; write p.
-    pub fn cg_calc_p(n: u64) -> KernelProfile {
-        KernelId::CgCalcP.desc().profile(n, false)
-    }
-
-    /// The β·p sweep when it rides the fused ur launch: the same data
-    /// traffic as [`cg_calc_p`], but no dispatch of its own. Fused ports
-    /// charge `cg_calc_ur` (the reduction sweep, costed exactly as
-    /// unfused) followed by this tail — the net saving is precisely one
-    /// launch overhead per CG iteration, without leaking the model's
-    /// reduction penalty onto the streaming p-update's bytes.
-    pub fn cg_fused_p_tail(n: u64) -> KernelProfile {
-        fused_tail(FusionKind::CgTail, n)
-    }
-
-    /// `cheby_calc_p` (both first and iterate forms): stencil on u; read
-    /// u0, kx, ky, p; write w, r, p.
-    pub fn cheby_calc_p(n: u64) -> KernelProfile {
-        KernelId::ChebyCalcP.desc().profile(n, false)
-    }
-
-    /// `cheby_calc_u` / PPCG's `u += sd`: read p|sd, u; write u.
-    pub fn add_to_u(n: u64) -> KernelProfile {
-        KernelId::ChebyCalcU.desc().profile(n, false)
-    }
-
-    /// `ppcg_init_sd`: read r; write sd.
-    pub fn ppcg_init_sd(n: u64) -> KernelProfile {
-        KernelId::PpcgInitSd.desc().profile(n, false)
-    }
-
-    /// `ppcg_calc_w`: stencil on sd with kx, ky; write w.
-    pub fn ppcg_calc_w(n: u64) -> KernelProfile {
-        KernelId::PpcgCalcW.desc().profile(n, false)
-    }
-
-    /// `ppcg_update`: read w, sd, r, u; write r, u, sd.
-    pub fn ppcg_update(n: u64) -> KernelProfile {
-        KernelId::PpcgUpdate.desc().profile(n, false)
-    }
-
-    /// `jacobi_copy_u`: read u; write r.
-    pub fn jacobi_copy(n: u64) -> KernelProfile {
-        KernelId::JacobiCopy.desc().profile(n, false)
-    }
-
-    /// `jacobi_solve`: stencil on old u (r) with u0, kx, ky; write u;
-    /// reduce `Σ|Δu|`.
-    pub fn jacobi_iterate(n: u64) -> KernelProfile {
-        KernelId::JacobiSolve.desc().profile(n, false)
-    }
-
-    /// `calc_residual`: stencil on u with u0, kx, ky; write r.
-    pub fn residual(n: u64) -> KernelProfile {
-        KernelId::Residual.desc().profile(n, false)
-    }
-
-    /// `calc_2norm`: read one field; reduce.
-    pub fn norm(n: u64) -> KernelProfile {
-        KernelId::Calc2Norm.desc().profile(n, false)
-    }
-
-    /// `finalise`: read u, density; write energy.
-    pub fn finalise(n: u64) -> KernelProfile {
-        KernelId::Finalise.desc().profile(n, false)
-    }
-
-    /// `field_summary`: read density, energy, u; 4-component reduce.
-    pub fn field_summary(n: u64) -> KernelProfile {
-        KernelId::FieldSummary.desc().profile(n, false)
     }
 
     /// One halo-exchange kernel for a single field at `depth`.
@@ -1212,11 +1126,11 @@ impl FieldStore for cuda_rs::DeviceBuffer<f64> {
 }
 
 /// The mesh and the eleven TeaLeaf arrays of one port, each held in the
-/// port's own model container `S`. Kernels name the arrays directly
-/// (`f.u`, `f.kx`) and use the model's accessors; the conformance hooks
-/// and the batched halo update go through [`FieldId`], which resolves —
-/// aliases included — by [`FieldId::slot`] alone, the same for every
-/// port.
+/// port's own model container `S`. Every kernel launch binds its arrays
+/// here, once for all ports, and hands the shared body to the port's
+/// launcher; the conformance hooks and the batched halo update go through
+/// [`FieldId`], which resolves — aliases included — by [`FieldId::slot`]
+/// alone, the same for every port.
 #[derive(Debug, Clone)]
 pub struct Fields<S> {
     pub mesh: Mesh2d,
@@ -1363,9 +1277,369 @@ impl<S: FieldStore> Fields<S> {
     }
 }
 
+// ---------------------------------------------------------------------------
+// launches: one binding per IR kernel, one dispatch idiom per port
+// ---------------------------------------------------------------------------
+
+/// How a port dispatches and charges a kernel launch: one method per
+/// dispatch shape the ports use. The [`Fields`] launch methods bind every
+/// kernel's arrays once and hand the shared body here; a port implements
+/// only its model's idiom (row loops, `parallel for`, target regions,
+/// chunks or teams, `forall`, work-groups, thread blocks, a tile's rows)
+/// and its charge. Each method gets the launch's [`KernelId`] and its
+/// profile, which the port may finish (Kokkos' loop-body branch, RAJA's
+/// indirection) before charging.
+///
+/// The trait is crate-private because the bodies' `unsafe` writes rest on
+/// its contract: **every run or row is handed to exactly one `body` call,
+/// and no two concurrent calls overlap.**
+pub(crate) trait Launch {
+    /// A grid kernel: `body` over every run of `bx`, each cell once.
+    fn grid(
+        &self,
+        k: KernelId,
+        p: &KernelProfile,
+        mesh: &Mesh2d,
+        bx: RunBox,
+        body: &(impl Fn(Run) + Sync),
+    );
+
+    /// A reducing kernel: the ordered row-block sum over the interior
+    /// rows. `body(rows, acc)` continues `acc[r]` over interior row
+    /// `rows.start + r` ([`Pass::Reduce`]); the row sums join in row order.
+    fn sum_rows(
+        &self,
+        k: KernelId,
+        p: &KernelProfile,
+        mesh: &Mesh2d,
+        body: &(impl Fn(Range<usize>, &mut [f64]) + Sync),
+    ) -> f64;
+
+    /// The 4-wide field summary: `body(jj, acc)` continues `acc` over
+    /// interior row `jj`; the row sums join in row order.
+    fn sum4(
+        &self,
+        k: KernelId,
+        p: &KernelProfile,
+        mesh: &Mesh2d,
+        body: &(impl Fn(usize, &mut [f64; 4]) + Sync),
+    ) -> [f64; 4];
+
+    /// Charge a launch whose sweep runs dispatch-free on [`Launch::exec`]
+    /// (the fused CG tail).
+    fn charge(&self, k: KernelId, p: &KernelProfile);
+
+    /// The plain executor under the port's dispatch.
+    fn exec(&self) -> &dyn parpool::Executor;
+}
+
+// SAFETY throughout the launch methods below: `bind` hands out disjoint
+// arrays, `Launch` hands each run or row to one `body` call and never two
+// overlapping ones at once (its contract), and no kernel writes an array
+// it reads.
+impl<S: FieldStore> Fields<S> {
+    /// `k`'s IR profile over this mesh.
+    fn profile(&self, k: KernelId, precond: bool) -> KernelProfile {
+        k.desc().profile(profiles::cells(&self.mesh), precond)
+    }
+
+    /// Bind one launch's arrays: the mesh, `reads` as plain slices and
+    /// `writes` as shared-write slices.
+    ///
+    /// # Panics
+    /// Panics if two ids name the same array: a launch binds each once.
+    fn bind<const R: usize, const W: usize>(
+        &mut self,
+        reads: [FieldId; R],
+        writes: [FieldId; W],
+    ) -> (&Mesh2d, [&[f64]; R], [Us<'_>; W]) {
+        let (mesh, stored) = self.stored_mut();
+        let mut slots = stored.map(Some);
+        let mut take = |id: FieldId| {
+            slots[id.slot()]
+                .take()
+                .unwrap_or_else(|| panic!("{} bound twice in one launch", id.name()))
+        };
+        let writes = writes.map(|id| Us::new(take(id).data_mut()));
+        let reads = reads.map(|id| -> &[f64] { take(id).data() });
+        (mesh, reads, writes)
+    }
+
+    /// `init_u0`: `u0 = u = density·energy`.
+    pub(crate) fn init_u0(&mut self, l: &impl Launch) {
+        let kp = self.profile(KernelId::InitU0, false);
+        let (mesh, [d, e], [u0, u]) = self.bind([Density, Energy1], [U0, U]);
+        l.grid(
+            KernelId::InitU0,
+            &kp,
+            mesh,
+            RunBox::interior(mesh),
+            &|run| unsafe { run_init_u0(run, d, e, &u0, &u) },
+        );
+    }
+
+    /// `init_coeffs`: the face coefficients over [`RunBox::coeffs`].
+    pub(crate) fn init_coeffs(&mut self, l: &impl Launch, coef: Coefficient, rx: f64, ry: f64) {
+        let kp = self.profile(KernelId::InitCoeffs, false);
+        let (mesh, [d], [kx, ky]) = self.bind([Density], [Kx, Ky]);
+        l.grid(
+            KernelId::InitCoeffs,
+            &kp,
+            mesh,
+            RunBox::coeffs(mesh),
+            &|run| unsafe { run_init_coeffs(run, coef, rx, ry, d, &kx, &ky) },
+        );
+    }
+
+    /// `cg_init`: returns `r·p`.
+    pub(crate) fn cg_init(&mut self, l: &impl Launch, precond: bool) -> f64 {
+        let kp = self.profile(KernelId::CgInit, precond);
+        let (mesh, [u, u0, kx, ky], [w, r, p, z]) = self.bind([U, U0, Kx, Ky], [W, R, P, Z]);
+        l.sum_rows(KernelId::CgInit, &kp, mesh, &|rows, acc| unsafe {
+            let pass = Pass::Reduce(acc);
+            block_cg_init(mesh, rows, pass, precond, u, u0, kx, ky, &w, &r, &p, &z)
+        })
+    }
+
+    /// `cg_calc_w`: returns `p·w`.
+    pub(crate) fn cg_calc_w(&mut self, l: &impl Launch) -> f64 {
+        let kp = self.profile(KernelId::CgCalcW, false);
+        let (mesh, [p, kx, ky], [w]) = self.bind([P, Kx, Ky], [W]);
+        l.sum_rows(KernelId::CgCalcW, &kp, mesh, &|rows, acc| unsafe {
+            block_cg_calc_w(mesh, rows, Pass::Reduce(acc), p, kx, ky, &w)
+        })
+    }
+
+    /// `cg_calc_ur`'s block body bound to this set: the one binding behind
+    /// [`Fields::cg_calc_ur`], the fused CG tail and
+    /// [`Fields::cg_update_ur`].
+    fn ur(
+        &mut self,
+        alpha: f64,
+        precond: bool,
+    ) -> (&Mesh2d, impl Fn(Range<usize>, Pass<'_>) + Sync + '_) {
+        let (mesh, [p, w, kx, ky], [u, r, z]) = self.bind([P, W, Kx, Ky], [U, R, Z]);
+        (mesh, move |rows, pass| unsafe {
+            block_cg_calc_ur(mesh, rows, pass, alpha, precond, p, w, kx, ky, &u, &r, &z)
+        })
+    }
+
+    /// `cg_calc_ur`: returns `r·r` (or `r·z`).
+    pub(crate) fn cg_calc_ur(&mut self, l: &impl Launch, alpha: f64, precond: bool) -> f64 {
+        let kp = self.profile(KernelId::CgCalcUr, precond);
+        let (mesh, ur) = self.ur(alpha, precond);
+        l.sum_rows(KernelId::CgCalcUr, &kp, mesh, &|rows, acc| {
+            ur(rows, Pass::Reduce(acc))
+        })
+    }
+
+    /// `cg_calc_ur`'s update alone, on the calling thread: a tile's
+    /// reduction that PPCG discards.
+    pub(crate) fn cg_update_ur(&mut self, alpha: f64, precond: bool) {
+        let (mesh, ur) = self.ur(alpha, precond);
+        ur(0..mesh.y_cells, Pass::Update)
+    }
+
+    /// `cg_calc_p`'s run body bound to this set.
+    fn calc_p(&mut self, beta: f64, precond: bool) -> (&Mesh2d, impl Fn(Run) + Sync + '_) {
+        let (mesh, [r, z], [p]) = self.bind([R, Z], [P]);
+        (mesh, move |run| unsafe {
+            run_cg_calc_p(run, beta, precond, r, z, &p)
+        })
+    }
+
+    /// `cg_calc_p`: `p = (z|r) + β·p`.
+    pub(crate) fn cg_calc_p(&mut self, l: &impl Launch, beta: f64, precond: bool) {
+        let kp = self.profile(KernelId::CgCalcP, false);
+        let (mesh, calc_p) = self.calc_p(beta, precond);
+        l.grid(
+            KernelId::CgCalcP,
+            &kp,
+            mesh,
+            RunBox::interior(mesh),
+            &calc_p,
+        );
+    }
+
+    /// The fused CG tail: one launch charge each for `cg_calc_ur` and the
+    /// dispatch-free `β·p` tail, both sweeps run on the plain executor in
+    /// row blocks and rows. Returns `(rrn, β)`, bit-identical to the
+    /// unfused pair.
+    pub(crate) fn cg_fused_ur_p(
+        &mut self,
+        l: &impl Launch,
+        caps: LoweringCaps,
+        alpha: f64,
+        rro: f64,
+        precond: bool,
+    ) -> (f64, f64) {
+        let n = profiles::cells(&self.mesh);
+        let (head, tail) = profiles::fused_pair(FusionKind::CgTail, n, precond, caps);
+        l.charge(KernelId::CgCalcUr, &head);
+        l.charge(KernelId::CgCalcP, &tail);
+        let rrn = {
+            let (mesh, ur) = self.ur(alpha, precond);
+            l.exec()
+                .run_sum_blocks(mesh.y_cells, &|rows, acc| ur(rows, Pass::Reduce(acc)))
+        };
+        let beta = rrn / rro;
+        let (mesh, calc_p) = self.calc_p(beta, precond);
+        l.exec()
+            .run(mesh.y_cells, &|jj| calc_p(Run::row(mesh, mesh.i0() + jj)));
+        (rrn, beta)
+    }
+
+    /// The Chebyshev step: `cheby_calc_p` (the first step's `p = r/θ`
+    /// when `first`), then `u += p` as the fusion pair's tail.
+    pub(crate) fn cheby_step(
+        &mut self,
+        l: &impl Launch,
+        caps: LoweringCaps,
+        first: bool,
+        theta: f64,
+        alpha: f64,
+        beta: f64,
+    ) {
+        let n = profiles::cells(&self.mesh);
+        let (head, tail) = profiles::fused_pair(FusionKind::ChebyStep, n, false, caps);
+        let (mesh, [u, u0, kx, ky], [w, r, p]) = self.bind([U, U0, Kx, Ky], [W, R, P]);
+        l.grid(
+            KernelId::ChebyCalcP,
+            &head,
+            mesh,
+            RunBox::interior(mesh),
+            &|run| unsafe {
+                run_cheby_calc_p(run, first, theta, alpha, beta, u, u0, kx, ky, &w, &r, &p)
+            },
+        );
+        let (mesh, [p], [u]) = self.bind([P], [U]);
+        l.grid(
+            KernelId::ChebyCalcU,
+            &tail,
+            mesh,
+            RunBox::interior(mesh),
+            &|run| unsafe { run_add_p_to_u(run, p, &u) },
+        );
+    }
+
+    /// `ppcg_init_sd`: `sd = r/θ`.
+    pub(crate) fn ppcg_init_sd(&mut self, l: &impl Launch, theta: f64) {
+        let kp = self.profile(KernelId::PpcgInitSd, false);
+        let (mesh, [r], [sd]) = self.bind([R], [Sd]);
+        l.grid(
+            KernelId::PpcgInitSd,
+            &kp,
+            mesh,
+            RunBox::interior(mesh),
+            &|run| unsafe { run_sd_init(run, theta, r, &sd) },
+        );
+    }
+
+    /// The PPCG inner step: `w = A·sd`, then the u/r/sd update as the
+    /// fusion pair's tail.
+    pub(crate) fn ppcg_inner(
+        &mut self,
+        l: &impl Launch,
+        caps: LoweringCaps,
+        alpha: f64,
+        beta: f64,
+    ) {
+        let n = profiles::cells(&self.mesh);
+        let (head, tail) = profiles::fused_pair(FusionKind::PpcgInner, n, false, caps);
+        let (mesh, [sd, kx, ky], [w]) = self.bind([Sd, Kx, Ky], [W]);
+        l.grid(
+            KernelId::PpcgCalcW,
+            &head,
+            mesh,
+            RunBox::interior(mesh),
+            &|run| unsafe { run_ppcg_w(run, sd, kx, ky, &w) },
+        );
+        let (mesh, [w], [u, r, sd]) = self.bind([W], [U, R, Sd]);
+        l.grid(
+            KernelId::PpcgUpdate,
+            &tail,
+            mesh,
+            RunBox::interior(mesh),
+            &|run| unsafe { run_ppcg_update(run, alpha, beta, w, &u, &r, &sd) },
+        );
+    }
+
+    /// `jacobi_copy_u`: save `u` into the scratch `r`.
+    pub(crate) fn jacobi_copy(&mut self, l: &impl Launch) {
+        let kp = self.profile(KernelId::JacobiCopy, false);
+        let (mesh, [u], [r]) = self.bind([U], [R]);
+        l.grid(
+            KernelId::JacobiCopy,
+            &kp,
+            mesh,
+            RunBox::interior(mesh),
+            &|run| unsafe { run_jacobi_copy(run, u, &r) },
+        );
+    }
+
+    /// `jacobi_solve`: one sweep from the scratch `r`; returns `Σ|Δu|`.
+    pub(crate) fn jacobi_solve(&mut self, l: &impl Launch) -> f64 {
+        let kp = self.profile(KernelId::JacobiSolve, false);
+        let (mesh, [u0, r, kx, ky], [u]) = self.bind([U0, R, Kx, Ky], [U]);
+        l.sum_rows(KernelId::JacobiSolve, &kp, mesh, &|rows, acc| unsafe {
+            block_jacobi_iterate(mesh, rows, Pass::Reduce(acc), u0, r, kx, ky, &u)
+        })
+    }
+
+    /// `calc_residual`: `r = u0 − A·u`.
+    pub(crate) fn residual(&mut self, l: &impl Launch) {
+        let kp = self.profile(KernelId::Residual, false);
+        let (mesh, [u, u0, kx, ky], [r]) = self.bind([U, U0, Kx, Ky], [R]);
+        l.grid(
+            KernelId::Residual,
+            &kp,
+            mesh,
+            RunBox::interior(mesh),
+            &|run| unsafe { run_residual(run, u, u0, kx, ky, &r) },
+        );
+    }
+
+    /// `calc_2norm`: returns `‖field‖²`.
+    pub(crate) fn calc_2norm(&mut self, l: &impl Launch, field: NormField) -> f64 {
+        let kp = self.profile(KernelId::Calc2Norm, false);
+        let id = match field {
+            NormField::U0 => U0,
+            NormField::R => R,
+        };
+        let (mesh, [x], []) = self.bind([id], []);
+        l.sum_rows(KernelId::Calc2Norm, &kp, mesh, &|rows, acc| {
+            block_norm(mesh, rows, Pass::Reduce(acc), x)
+        })
+    }
+
+    /// `finalise`: `energy = u/density`.
+    pub(crate) fn finalise(&mut self, l: &impl Launch) {
+        let kp = self.profile(KernelId::Finalise, false);
+        let (mesh, [u, d], [e]) = self.bind([U, Density], [Energy1]);
+        l.grid(
+            KernelId::Finalise,
+            &kp,
+            mesh,
+            RunBox::interior(mesh),
+            &|run| unsafe { run_finalise(run, u, d, &e) },
+        );
+    }
+
+    /// `field_summary`: volume, mass, internal energy and temperature.
+    pub(crate) fn field_summary(&mut self, l: &impl Launch) -> Summary {
+        let kp = self.profile(KernelId::FieldSummary, false);
+        let (mesh, [d, e, u], []) = self.bind([Density, Energy1, U], []);
+        let vol = mesh.cell_volume();
+        Summary::from(l.sum4(KernelId::FieldSummary, &kp, mesh, &|jj, acc| {
+            run_summary(Run::row(mesh, mesh.i0() + jj), d, e, u, vol, acc)
+        }))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::Reduction;
 
     // Per-cell bodies, one flat index each: the oracle every run body must
     // match bit for bit.
@@ -2261,17 +2535,20 @@ mod tests {
 
     #[test]
     fn profile_names_match_kernels() {
-        assert_eq!(profiles::cg_calc_w(10).name, "cg_calc_w");
-        assert!(profiles::cg_calc_w(10).traits.reduction);
-        assert!(profiles::cheby_calc_p(10).traits.stencil);
-        assert!(!profiles::cg_calc_p(10).traits.reduction);
-        assert!(profiles::field_summary(10).traits.reduction);
+        let p = |k: KernelId| k.desc().profile(10, false);
+        assert_eq!(p(KernelId::CgCalcW).name, "cg_calc_w");
+        assert!(p(KernelId::CgCalcW).traits.reduction);
+        assert!(p(KernelId::ChebyCalcP).traits.stencil);
+        assert!(!p(KernelId::CgCalcP).traits.reduction);
+        assert!(p(KernelId::FieldSummary).traits.reduction);
     }
 
     #[test]
     fn precond_profiles_move_more_bytes() {
-        assert!(profiles::cg_init(100, true).bytes() > profiles::cg_init(100, false).bytes());
-        assert!(profiles::cg_calc_ur(100, true).bytes() > profiles::cg_calc_ur(100, false).bytes());
+        for k in [KernelId::CgInit, KernelId::CgCalcUr] {
+            let bytes = |precond| k.desc().profile(100, precond).bytes();
+            assert!(bytes(true) > bytes(false), "{k:?}");
+        }
     }
 
     #[test]
@@ -2304,5 +2581,182 @@ mod tests {
             1,
             &parpool::SerialExec,
         );
+    }
+
+    /// A serial launcher that logs each launch's kernel and the reduction
+    /// arity of its dispatch shape (`None` for a bare charge, whose sweep
+    /// runs on the plain executor).
+    #[derive(Default)]
+    struct Logged(std::cell::RefCell<Vec<(KernelId, Option<Reduction>)>>);
+
+    impl Logged {
+        fn log(&self, k: KernelId, arity: Option<Reduction>) {
+            self.0.borrow_mut().push((k, arity));
+        }
+    }
+
+    impl Launch for Logged {
+        fn grid(
+            &self,
+            k: KernelId,
+            _: &KernelProfile,
+            _: &Mesh2d,
+            bx: RunBox,
+            body: &(impl Fn(Run) + Sync),
+        ) {
+            self.log(k, Some(Reduction::None));
+            bx.rows().for_each(|j| body(bx.row(j)));
+        }
+
+        fn sum_rows(
+            &self,
+            k: KernelId,
+            _: &KernelProfile,
+            mesh: &Mesh2d,
+            body: &(impl Fn(Range<usize>, &mut [f64]) + Sync),
+        ) -> f64 {
+            self.log(k, Some(Reduction::Sum));
+            parpool::Executor::run_sum_blocks(&parpool::SerialExec, mesh.y_cells, body)
+        }
+
+        fn sum4(
+            &self,
+            k: KernelId,
+            _: &KernelProfile,
+            mesh: &Mesh2d,
+            body: &(impl Fn(usize, &mut [f64; 4]) + Sync),
+        ) -> [f64; 4] {
+            self.log(k, Some(Reduction::Sum4));
+            let mut acc = [0.0; 4];
+            (0..mesh.y_cells).for_each(|jj| body(jj, &mut acc));
+            acc
+        }
+
+        fn charge(&self, k: KernelId, _: &KernelProfile) {
+            self.log(k, None);
+        }
+
+        fn exec(&self) -> &dyn parpool::Executor {
+            &parpool::SerialExec
+        }
+    }
+
+    /// A launch method under test, with `precond` for those that take it.
+    type Wiring<'b> = &'b dyn Fn(&mut PortFields, &Logged, bool);
+
+    /// Every launch method on `Fields` against the IR, on seeded random
+    /// fields, with and without the preconditioner: the launcher sees
+    /// exactly the kernels listed, each through a dispatch of its
+    /// `desc.reduction` arity, and only the arrays in those kernels'
+    /// `desc.writes` (plus `z` when preconditioned) change. Fusion legality
+    /// (`ir::legal_pair`) is decided from `writes`, so the bodies must
+    /// write what the table says.
+    #[test]
+    fn launches_write_what_the_ir_says() {
+        use KernelId::*;
+        let m = Mesh2d::new(7, 5, 2, (0.0, 7.0), (0.0, 5.0));
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut start = PortFields::new(&m, &Field2d::filled(&m, 1.0), &Field2d::filled(&m, 1.0));
+        for id in FieldId::STORED {
+            for x in start.field_mut(id) {
+                // splitmix64, scaled to [0.5, 1.5): every divisor positive
+                seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = seed;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                *x = 0.5 + ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64;
+            }
+        }
+        let fused = LoweringCaps { fused_launch: true };
+        let plain = LoweringCaps::default();
+        let cases: [(&str, &[KernelId], bool, Wiring); 19] = [
+            ("init_u0", &[InitU0], true, &|f, l, _| f.init_u0(l)),
+            ("init_coeffs", &[InitCoeffs], true, &|f, l, _| {
+                f.init_coeffs(l, Coefficient::RecipConductivity, 0.3, 0.7)
+            }),
+            ("cg_init", &[CgInit], true, &|f, l, pre| {
+                _ = f.cg_init(l, pre)
+            }),
+            ("cg_calc_w", &[CgCalcW], true, &|f, l, _| _ = f.cg_calc_w(l)),
+            ("cg_calc_ur", &[CgCalcUr], true, &|f, l, pre| {
+                _ = f.cg_calc_ur(l, 0.3, pre)
+            }),
+            ("cg_update_ur", &[CgCalcUr], false, &|f, _, pre| {
+                f.cg_update_ur(0.3, pre)
+            }),
+            ("cg_calc_p", &[CgCalcP], true, &|f, l, pre| {
+                f.cg_calc_p(l, 0.6, pre)
+            }),
+            ("cg_fused_ur_p", &[CgCalcUr, CgCalcP], true, &|f, l, pre| {
+                _ = f.cg_fused_ur_p(l, fused, 0.3, 1.7, pre)
+            }),
+            (
+                "cheby_step first",
+                &[ChebyCalcP, ChebyCalcU],
+                true,
+                &|f, l, _| f.cheby_step(l, plain, true, 1.7, 0.0, 0.0),
+            ),
+            ("cheby_step", &[ChebyCalcP, ChebyCalcU], true, &|f, l, _| {
+                f.cheby_step(l, fused, false, 0.0, 0.4, 0.6)
+            }),
+            ("ppcg_init_sd", &[PpcgInitSd], true, &|f, l, _| {
+                f.ppcg_init_sd(l, 1.7)
+            }),
+            ("ppcg_inner", &[PpcgCalcW, PpcgUpdate], true, &|f, l, _| {
+                f.ppcg_inner(l, fused, 0.4, 0.6)
+            }),
+            ("jacobi_copy", &[JacobiCopy], true, &|f, l, _| {
+                f.jacobi_copy(l)
+            }),
+            ("jacobi_solve", &[JacobiSolve], true, &|f, l, _| {
+                _ = f.jacobi_solve(l)
+            }),
+            ("residual", &[Residual], true, &|f, l, _| f.residual(l)),
+            ("calc_2norm u0", &[Calc2Norm], true, &|f, l, _| {
+                _ = f.calc_2norm(l, NormField::U0)
+            }),
+            ("calc_2norm r", &[Calc2Norm], true, &|f, l, _| {
+                _ = f.calc_2norm(l, NormField::R)
+            }),
+            ("finalise", &[Finalise], true, &|f, l, _| f.finalise(l)),
+            ("field_summary", &[FieldSummary], true, &|f, l, _| {
+                _ = f.field_summary(l)
+            }),
+        ];
+        for (what, kernels, launched, run) in cases {
+            for pre in [false, true] {
+                let (mut f, l) = (start.clone(), Logged::default());
+                run(&mut f, &l, pre);
+                let seen = l.0.into_inner();
+                let ids: Vec<KernelId> = seen.iter().map(|&(k, _)| k).collect();
+                let want = if launched { kernels } else { &[] };
+                assert_eq!(ids, want, "{what}, precond {pre}: launches");
+                for (k, arity) in seen {
+                    if let Some(arity) = arity {
+                        assert_eq!(arity, k.desc().reduction, "{what}: {k:?} dispatch");
+                    }
+                }
+                let mut writable: Vec<usize> = kernels
+                    .iter()
+                    .flat_map(|k| k.desc().writes.iter().map(|id| id.slot()))
+                    .collect();
+                if pre {
+                    writable.push(FieldId::Z.slot());
+                }
+                for id in FieldId::STORED
+                    .into_iter()
+                    .filter(|id| !writable.contains(&id.slot()))
+                {
+                    let bits = |x: &PortFields| {
+                        x.field(id).iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                    };
+                    assert!(
+                        bits(&f) == bits(&start),
+                        "{what}, precond {pre}: wrote {}",
+                        id.name()
+                    );
+                }
+            }
+        }
     }
 }

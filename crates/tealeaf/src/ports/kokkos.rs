@@ -9,9 +9,10 @@
 //! `interior_branch` kernel trait.
 //!
 //! On the host the flat range runs one `RangePolicy` chunk at a time
-//! (`parallel_for_chunks`): each chunk reaches the shared run bodies as the
-//! interior runs [`RunBox::clip`] cuts from it, so the guard is evaluated
-//! once per run while the simulated clock still charges the branch.
+//! through a functor (`parallel_for_functor`): each chunk reaches the
+//! shared run bodies as the interior runs [`RunBox::clip`] cuts from it,
+//! so the guard is evaluated once per run while the simulated clock still
+//! charges the branch.
 //!
 //! The `Kokkos HP` variant is Sandia's fix (Figure 7): hierarchical
 //! parallelism with a league of teams over interior rows and
@@ -22,67 +23,49 @@
 
 use std::ops::Range;
 
+use kokkos_rs::reducer::ArraySumReducer;
 use kokkos_rs::{deep_copy, ExecutionSpace, Functor, RangePolicy, TeamMember, TeamPolicy, View};
-use parpool::{Executor, StaticPool};
+use parpool::Executor;
 use simdev::{DeviceSpec, KernelProfile, SimContext};
 use tea_core::config::Coefficient;
 use tea_core::halo::FieldId;
 use tea_core::mesh::Mesh2d;
 use tea_core::summary::Summary;
 
+use crate::ir::KernelId;
 use crate::kernels::{NormField, TeaLeafPort};
 use crate::model_id::ModelId;
-use crate::ports::common::{self, profiles, Fields, Pass, Run, RunBox, Us};
+use crate::ports::common::{self, profiles, Fields, Launch, Run, RunBox};
 use crate::problem::Problem;
 
 /// Kokkos TeaLeaf (flat or hierarchical-parallelism).
 pub struct KokkosPort {
     model: ModelId,
-    hp: bool,
-    ctx: SimContext,
+    launch: Space,
     f: Fields<View>,
 }
 
-/// Dispatch a non-reduction grid kernel: the flat padded range one chunk
-/// at a time, each chunk's interior runs handed to `f` — the loop-body
-/// halo guard evaluated once per run (`hp == false`) — or a league of row
-/// teams, each team's row one run (`hp == true`).
-fn grid_for(
+/// The default execution space on the static pool: flat `RangePolicy`
+/// dispatch over the padded range (`hp == false`) or a league of row
+/// teams (`hp == true`).
+struct Space {
     hp: bool,
-    mesh: &Mesh2d,
-    space: &ExecutionSpace<'_>,
-    profile: &KernelProfile,
-    f: &(impl Fn(Run) + Sync),
-) {
-    if hp {
-        space.team_parallel_for(profile, row_teams(mesh), &|m| f(team_row(mesh, m)));
-    } else {
-        let cover = RunBox::interior(mesh);
-        let policy = RangePolicy::new(0, mesh.len());
-        space.parallel_for_chunks(profile, policy, &|ids| cover.clip(ids, f));
-    }
+    ctx: SimContext,
 }
 
-/// Dispatch a reducing kernel's block body over the interior rows: a
-/// `parallel_reduce` over blocks of rows (`hp == false`), or one team per
-/// row, each a one-row block (`hp == true`). Both fold the row partials in
-/// row order, so results match every other port bit for bit.
-fn grid_reduce(
-    hp: bool,
-    mesh: &Mesh2d,
-    space: &ExecutionSpace<'_>,
-    profile: &KernelProfile,
-    f: &(impl Fn(Range<usize>, &mut [f64]) + Sync),
-) -> f64 {
-    if hp {
-        space.team_parallel_reduce(profile, row_teams(mesh), &|m| {
-            let mut acc = [0.0];
-            f(m.league_rank..m.league_rank + 1, &mut acc);
-            acc[0]
-        })
-    } else {
-        let policy = RangePolicy::new(0, mesh.y_cells);
-        space.parallel_reduce_blocks(profile, policy, f)
+impl Space {
+    fn space(&self) -> ExecutionSpace<'_> {
+        ExecutionSpace::new(&self.ctx, parpool::global_static())
+    }
+
+    /// Finalise a kernel profile: the flat port's halo guard is a
+    /// loop-body branch; HP has none.
+    fn profile(&self, p: &KernelProfile) -> KernelProfile {
+        if self.hp {
+            p.clone()
+        } else {
+            p.clone().with_interior_branch()
+        }
     }
 }
 
@@ -106,32 +89,92 @@ fn team_row(mesh: &Mesh2d, m: TeamMember) -> Run {
     }
 }
 
-/// The paper-era functor form of the `init_u0` kernel (§2.4: "the
-/// function operator is overloaded and encapsulates the core functional
-/// logic … Views are declared as local variables inside the class") —
-/// including the §3.3 halo-exclusion conditional in the functor body that
-/// the flat port is charged for, here evaluated once per run of each
-/// chunk. The other kernels use the succinct lambda style the paper could
-/// not (CUDA 7.0); keeping one functor exhibits the verbosity difference
-/// the paper discusses.
-struct InitU0Functor<'a> {
-    mesh: &'a Mesh2d,
-    density: &'a [f64],
-    energy: &'a [f64],
-    u0: Us<'a>,
-    u: Us<'a>,
+/// The flat port's functor (§2.4: "the function operator is overloaded
+/// and encapsulates the core functional logic"), including the §3.3
+/// halo-exclusion conditional in the functor body that the flat port is
+/// charged for — here evaluated once per run of each chunk.
+struct Guarded<'a, F> {
+    cover: RunBox,
+    body: &'a F,
 }
 
-impl Functor for InitU0Functor<'_> {
+impl<F: Fn(Run) + Sync> Functor for Guarded<'_, F> {
     fn operator(&self, k: usize) {
         self.operator_range(k..k + 1);
     }
 
     fn operator_range(&self, ids: Range<usize>) {
-        RunBox::interior(self.mesh).clip(ids, |run| {
-            // SAFETY: chunks own disjoint runs.
-            unsafe { common::run_init_u0(run, self.density, self.energy, &self.u0, &self.u) }
-        });
+        self.cover.clip(ids, self.body);
+    }
+}
+
+impl Launch for Space {
+    /// The flat padded range one chunk at a time, each chunk's runs of
+    /// `bx` handed over by the guarded functor; or, for the interior, a
+    /// league of row teams, each team's row one run (HP). The
+    /// coefficients' extended box is flat in both variants.
+    fn grid(
+        &self,
+        _: KernelId,
+        p: &KernelProfile,
+        mesh: &Mesh2d,
+        bx: RunBox,
+        body: &(impl Fn(Run) + Sync),
+    ) {
+        let (space, p) = (self.space(), self.profile(p));
+        if self.hp && bx == RunBox::interior(mesh) {
+            space.team_parallel_for(&p, row_teams(mesh), &|m| body(team_row(mesh, m)));
+        } else {
+            let functor = Guarded { cover: bx, body };
+            space.parallel_for_functor(&p, RangePolicy::new(0, mesh.len()), &functor);
+        }
+    }
+
+    /// A `parallel_reduce` over blocks of rows, or one team per row, each
+    /// a one-row block (HP). Both fold the row partials in row order.
+    fn sum_rows(
+        &self,
+        _: KernelId,
+        p: &KernelProfile,
+        mesh: &Mesh2d,
+        body: &(impl Fn(Range<usize>, &mut [f64]) + Sync),
+    ) -> f64 {
+        let (space, p) = (self.space(), self.profile(p));
+        if self.hp {
+            space.team_parallel_reduce(&p, row_teams(mesh), &|m| {
+                let mut acc = [0.0];
+                body(m.league_rank..m.league_rank + 1, &mut acc);
+                acc[0]
+            })
+        } else {
+            space.parallel_reduce_blocks(&p, RangePolicy::new(0, mesh.y_cells), body)
+        }
+    }
+
+    /// The multi-variable reduction that needed a custom reducer in the
+    /// paper's port (§3.3): the array reducer over rows.
+    fn sum4(
+        &self,
+        _: KernelId,
+        p: &KernelProfile,
+        mesh: &Mesh2d,
+        body: &(impl Fn(usize, &mut [f64; 4]) + Sync),
+    ) -> [f64; 4] {
+        let policy = RangePolicy::new(0, mesh.y_cells);
+        let (space, p) = (self.space(), self.profile(p));
+        space.parallel_reduce_custom(&p, policy, &ArraySumReducer::<4>, &|jj| {
+            let mut acc = [0.0; 4];
+            body(jj, &mut acc);
+            acc
+        })
+    }
+
+    fn charge(&self, _: KernelId, p: &KernelProfile) {
+        self.ctx.launch(&self.profile(p));
+    }
+
+    fn exec(&self) -> &dyn Executor {
+        parpool::global_static()
     }
 }
 
@@ -154,24 +197,10 @@ impl KokkosPort {
         deep_copy(&ctx, &mut f.density, &h);
         h.raw_mut().copy_from_slice(problem.energy.as_slice());
         deep_copy(&ctx, &mut f.energy, &h);
-        KokkosPort { model, hp, ctx, f }
-    }
-
-    fn pool(&self) -> &'static StaticPool {
-        parpool::global_static()
-    }
-
-    fn n(&self) -> u64 {
-        profiles::cells(&self.f.mesh)
-    }
-
-    /// Finalise a grid-kernel profile: the flat port's halo guard is a
-    /// loop-body branch; HP has none.
-    fn grid_profile(&self, p: KernelProfile) -> KernelProfile {
-        if self.hp {
-            p
-        } else {
-            p.with_interior_branch()
+        KokkosPort {
+            model,
+            launch: Space { hp, ctx },
+            f,
         }
     }
 }
@@ -182,54 +211,16 @@ impl TeaLeafPort for KokkosPort {
     }
 
     fn context(&self) -> &SimContext {
-        &self.ctx
+        &self.launch.ctx
     }
 
     fn context_mut(&mut self) -> &mut SimContext {
-        &mut self.ctx
+        &mut self.launch.ctx
     }
 
     fn init_fields(&mut self, coefficient: Coefficient, rx: f64, ry: f64) {
-        let mesh = &self.f.mesh;
-        let hp = self.hp;
-        let p_u0 = self.grid_profile(profiles::init_u0(self.n()));
-        let p_k = self.grid_profile(profiles::init_coeffs(self.n()));
-        let pool = self.pool();
-        {
-            let space = ExecutionSpace::new(&self.ctx, pool);
-            let (density, energy) = (self.f.density.raw(), self.f.energy.raw());
-            let u0 = Us::new(self.f.u0.raw_mut());
-            let u = Us::new(self.f.u.raw_mut());
-            if hp {
-                // SAFETY: teams own disjoint rows.
-                grid_for(hp, mesh, &space, &p_u0, &|run| unsafe {
-                    common::run_init_u0(run, density, energy, &u0, &u)
-                });
-            } else {
-                // functor style over the flat padded range, guard inside
-                let functor = InitU0Functor {
-                    mesh,
-                    density,
-                    energy,
-                    u0,
-                    u,
-                };
-                space.parallel_for_functor(&p_u0, RangePolicy::new(0, mesh.len()), &functor);
-            }
-        }
-        // Coefficients cover i0..=i1 / i0..=j1 — one cell beyond the
-        // interior on the high sides, the runs of `RunBox::coeffs`.
-        let space = ExecutionSpace::new(&self.ctx, pool);
-        let density = self.f.density.raw();
-        let kx = Us::new(self.f.kx.raw_mut());
-        let ky = Us::new(self.f.ky.raw_mut());
-        let cover = RunBox::coeffs(mesh);
-        space.parallel_for_chunks(&p_k, RangePolicy::new(0, mesh.len()), &|ids| {
-            cover.clip(ids, |run| {
-                // SAFETY: chunks own disjoint runs.
-                unsafe { common::run_init_coeffs(run, coefficient, rx, ry, density, &kx, &ky) }
-            })
-        });
+        self.f.init_u0(&self.launch);
+        self.f.init_coeffs(&self.launch, coefficient, rx, ry);
     }
 
     fn halo_update(&mut self, fields: &[FieldId], depth: usize) {
@@ -237,319 +228,87 @@ impl TeaLeafPort for KokkosPort {
         // batched dispatch on the execution space's pool.
         let profile = profiles::halo(&self.f.mesh, depth);
         for _ in fields {
-            self.ctx.launch(&profile);
+            self.launch.ctx.launch(&profile);
         }
-        let pool = self.pool();
-        self.f.halo_batch(fields, depth, pool);
+        self.f.halo_batch(fields, depth, parpool::global_static());
     }
 
     fn cg_init(&mut self, preconditioner: bool) -> f64 {
-        let mesh = &self.f.mesh;
-        let hp = self.hp;
-        let profile = self.grid_profile(profiles::cg_init(self.n(), preconditioner));
-        let pool = self.pool();
-        let space = ExecutionSpace::new(&self.ctx, pool);
-        let (u, u0, kx, ky) = (
-            self.f.u.raw(),
-            self.f.u0.raw(),
-            self.f.kx.raw(),
-            self.f.ky.raw(),
-        );
-        let w = Us::new(self.f.w.raw_mut());
-        let r = Us::new(self.f.r.raw_mut());
-        let p = Us::new(self.f.p.raw_mut());
-        let z = Us::new(self.f.z.raw_mut());
-        // SAFETY: row blocks disjoint (one row per team).
-        grid_reduce(hp, mesh, &space, &profile, &|jj, out| unsafe {
-            let pass = Pass::Reduce(out);
-            common::block_cg_init(
-                mesh,
-                jj,
-                pass,
-                preconditioner,
-                u,
-                u0,
-                kx,
-                ky,
-                &w,
-                &r,
-                &p,
-                &z,
-            )
-        })
+        self.f.cg_init(&self.launch, preconditioner)
     }
 
     fn cg_calc_w(&mut self) -> f64 {
-        let mesh = &self.f.mesh;
-        let hp = self.hp;
-        let profile = self.grid_profile(profiles::cg_calc_w(self.n()));
-        let space = ExecutionSpace::new(&self.ctx, self.pool());
-        let (p, kx, ky) = (self.f.p.raw(), self.f.kx.raw(), self.f.ky.raw());
-        let w = Us::new(self.f.w.raw_mut());
-        // SAFETY: row blocks disjoint (one row per team).
-        grid_reduce(hp, mesh, &space, &profile, &|jj, out| unsafe {
-            common::block_cg_calc_w(mesh, jj, Pass::Reduce(out), p, kx, ky, &w)
-        })
+        self.f.cg_calc_w(&self.launch)
     }
 
     fn cg_calc_ur(&mut self, alpha: f64, preconditioner: bool) -> f64 {
-        let mesh = &self.f.mesh;
-        let hp = self.hp;
-        let profile = self.grid_profile(profiles::cg_calc_ur(self.n(), preconditioner));
-        let space = ExecutionSpace::new(&self.ctx, self.pool());
-        let (p, w, kx, ky) = (
-            self.f.p.raw(),
-            self.f.w.raw(),
-            self.f.kx.raw(),
-            self.f.ky.raw(),
-        );
-        let u = Us::new(self.f.u.raw_mut());
-        let r = Us::new(self.f.r.raw_mut());
-        let z = Us::new(self.f.z.raw_mut());
-        // SAFETY: row blocks disjoint (one row per team).
-        grid_reduce(hp, mesh, &space, &profile, &|jj, out| unsafe {
-            let pass = Pass::Reduce(out);
-            common::block_cg_calc_ur(
-                mesh,
-                jj,
-                pass,
-                alpha,
-                preconditioner,
-                p,
-                w,
-                kx,
-                ky,
-                &u,
-                &r,
-                &z,
-            )
-        })
+        self.f.cg_calc_ur(&self.launch, alpha, preconditioner)
     }
 
     fn cg_calc_p(&mut self, beta: f64, preconditioner: bool) {
-        let mesh = &self.f.mesh;
-        let hp = self.hp;
-        let profile = self.grid_profile(profiles::cg_calc_p(self.n()));
-        let space = ExecutionSpace::new(&self.ctx, self.pool());
-        let (r, z) = (self.f.r.raw(), self.f.z.raw());
-        let p = Us::new(self.f.p.raw_mut());
-        // SAFETY: chunks and teams own disjoint runs.
-        grid_for(hp, mesh, &space, &profile, &|run| unsafe {
-            common::run_cg_calc_p(run, beta, preconditioner, r, z, &p)
-        });
+        self.f.cg_calc_p(&self.launch, beta, preconditioner)
     }
 
     fn lowering_caps(&self) -> crate::ir::LoweringCaps {
         crate::ir::LoweringCaps { fused_launch: true }
     }
 
+    /// One launch covers both sweeps (the p-update is a zero-overhead
+    /// tail); they run directly on the execution space's pool with the
+    /// same row-ordered arithmetic as the unfused pair.
     fn cg_fused_ur_p(&mut self, alpha: f64, rro: f64, preconditioner: bool) -> (f64, f64) {
-        let mesh = &self.f.mesh;
-        let (h, t) = profiles::fused_pair(
-            crate::ir::FusionKind::CgTail,
-            self.n(),
-            preconditioner,
+        self.f.cg_fused_ur_p(
+            &self.launch,
             self.lowering_caps(),
-        );
-        let p_ur = self.grid_profile(h);
-        let p_tail = self.grid_profile(t);
-        let pool = self.pool();
-        // One launch covers both sweeps (the p-update is a zero-overhead
-        // tail); they run directly on the execution space's pool with the
-        // same row-ordered arithmetic as the unfused
-        // `grid_reduce`/`grid_for` pair (both variants of which fold
-        // per-row partials in row order).
-        self.ctx.launch(&p_ur);
-        self.ctx.launch(&p_tail);
-        let i0 = mesh.i0();
-        let rrn = {
-            let (p, w, kx, ky) = (
-                self.f.p.raw(),
-                self.f.w.raw(),
-                self.f.kx.raw(),
-                self.f.ky.raw(),
-            );
-            let u = Us::new(self.f.u.raw_mut());
-            let r = Us::new(self.f.r.raw_mut());
-            let z = Us::new(self.f.z.raw_mut());
-            // SAFETY: row blocks disjoint.
-            pool.run_sum_blocks(mesh.y_cells, &|jj, out| unsafe {
-                common::block_cg_calc_ur(
-                    mesh,
-                    jj,
-                    Pass::Reduce(out),
-                    alpha,
-                    preconditioner,
-                    p,
-                    w,
-                    kx,
-                    ky,
-                    &u,
-                    &r,
-                    &z,
-                )
-            })
-        };
-        let beta = rrn / rro;
-        let (r, z) = (self.f.r.raw(), self.f.z.raw());
-        let p = Us::new(self.f.p.raw_mut());
-        // SAFETY: rows disjoint.
-        pool.run(mesh.y_cells, &|jj| unsafe {
-            common::row_cg_calc_p(mesh, i0 + jj, beta, preconditioner, r, z, &p)
-        });
-        (rrn, beta)
+            alpha,
+            rro,
+            preconditioner,
+        )
     }
 
     fn cheby_init(&mut self, theta: f64) {
-        self.cheby_step(true, theta, 0.0, 0.0);
+        self.f
+            .cheby_step(&self.launch, self.lowering_caps(), true, theta, 0.0, 0.0);
     }
 
     fn cheby_iterate(&mut self, alpha: f64, beta: f64) {
-        self.cheby_step(false, 0.0, alpha, beta);
+        self.f
+            .cheby_step(&self.launch, self.lowering_caps(), false, 0.0, alpha, beta);
     }
 
     fn ppcg_init_sd(&mut self, theta: f64) {
-        let mesh = &self.f.mesh;
-        let hp = self.hp;
-        let profile = self.grid_profile(profiles::ppcg_init_sd(self.n()));
-        let space = ExecutionSpace::new(&self.ctx, self.pool());
-        let r = self.f.r.raw();
-        let sd = Us::new(self.f.sd.raw_mut());
-        // SAFETY: chunks and teams own disjoint runs.
-        grid_for(hp, mesh, &space, &profile, &|run| unsafe {
-            common::run_sd_init(run, theta, r, &sd)
-        });
+        self.f.ppcg_init_sd(&self.launch, theta)
     }
 
     fn ppcg_inner(&mut self, alpha: f64, beta: f64) {
-        let mesh = &self.f.mesh;
-        let hp = self.hp;
-        let (h, t) = profiles::fused_pair(
-            crate::ir::FusionKind::PpcgInner,
-            self.n(),
-            false,
-            self.lowering_caps(),
-        );
-        let p_w = self.grid_profile(h);
-        let p_up = self.grid_profile(t);
-        let pool = self.pool();
-        {
-            let space = ExecutionSpace::new(&self.ctx, pool);
-            let (sd, kx, ky) = (self.f.sd.raw(), self.f.kx.raw(), self.f.ky.raw());
-            let w = Us::new(self.f.w.raw_mut());
-            // SAFETY: chunks and teams own disjoint runs.
-            grid_for(hp, mesh, &space, &p_w, &|run| unsafe {
-                common::run_ppcg_w(run, sd, kx, ky, &w)
-            });
-        }
-        let space = ExecutionSpace::new(&self.ctx, pool);
-        let w = self.f.w.raw();
-        let u = Us::new(self.f.u.raw_mut());
-        let r = Us::new(self.f.r.raw_mut());
-        let sd = Us::new(self.f.sd.raw_mut());
-        // SAFETY: chunks and teams own disjoint runs.
-        grid_for(hp, mesh, &space, &p_up, &|run| unsafe {
-            common::run_ppcg_update(run, alpha, beta, w, &u, &r, &sd)
-        });
+        self.f
+            .ppcg_inner(&self.launch, self.lowering_caps(), alpha, beta)
     }
 
     fn jacobi_iterate(&mut self) -> f64 {
-        let mesh = &self.f.mesh;
-        let hp = self.hp;
-        let p_copy = self.grid_profile(profiles::jacobi_copy(self.n()));
-        let p_it = self.grid_profile(profiles::jacobi_iterate(self.n()));
-        let pool = self.pool();
-        {
-            let space = ExecutionSpace::new(&self.ctx, pool);
-            let u = self.f.u.raw();
-            let r = Us::new(self.f.r.raw_mut());
-            // SAFETY: chunks and teams own disjoint runs.
-            grid_for(hp, mesh, &space, &p_copy, &|run| unsafe {
-                common::run_jacobi_copy(run, u, &r)
-            });
-        }
-        let space = ExecutionSpace::new(&self.ctx, pool);
-        let (u0, r, kx, ky) = (
-            self.f.u0.raw(),
-            self.f.r.raw(),
-            self.f.kx.raw(),
-            self.f.ky.raw(),
-        );
-        let u = Us::new(self.f.u.raw_mut());
-        // SAFETY: row blocks disjoint (one row per team).
-        grid_reduce(hp, mesh, &space, &p_it, &|jj, out| unsafe {
-            common::block_jacobi_iterate(mesh, jj, Pass::Reduce(out), u0, r, kx, ky, &u)
-        })
+        self.f.jacobi_copy(&self.launch);
+        self.f.jacobi_solve(&self.launch)
     }
 
     fn residual(&mut self) {
-        let mesh = &self.f.mesh;
-        let hp = self.hp;
-        let profile = self.grid_profile(profiles::residual(self.n()));
-        let space = ExecutionSpace::new(&self.ctx, self.pool());
-        let (u, u0, kx, ky) = (
-            self.f.u.raw(),
-            self.f.u0.raw(),
-            self.f.kx.raw(),
-            self.f.ky.raw(),
-        );
-        let r = Us::new(self.f.r.raw_mut());
-        // SAFETY: chunks and teams own disjoint runs.
-        grid_for(hp, mesh, &space, &profile, &|run| unsafe {
-            common::run_residual(run, u, u0, kx, ky, &r)
-        });
+        self.f.residual(&self.launch)
     }
 
     fn calc_2norm(&mut self, field: NormField) -> f64 {
-        let mesh = &self.f.mesh;
-        let hp = self.hp;
-        let profile = self.grid_profile(profiles::norm(self.n()));
-        let space = ExecutionSpace::new(&self.ctx, self.pool());
-        let x = match field {
-            NormField::U0 => self.f.u0.raw(),
-            NormField::R => self.f.r.raw(),
-        };
-        grid_reduce(hp, mesh, &space, &profile, &|jj, out| {
-            common::block_norm(mesh, jj, Pass::Reduce(out), x)
-        })
+        self.f.calc_2norm(&self.launch, field)
     }
 
     fn finalise(&mut self) {
-        let mesh = &self.f.mesh;
-        let hp = self.hp;
-        let profile = self.grid_profile(profiles::finalise(self.n()));
-        let space = ExecutionSpace::new(&self.ctx, self.pool());
-        let (u, density) = (self.f.u.raw(), self.f.density.raw());
-        let energy = Us::new(self.f.energy.raw_mut());
-        // SAFETY: chunks and teams own disjoint runs.
-        grid_for(hp, mesh, &space, &profile, &|run| unsafe {
-            common::run_finalise(run, u, density, &energy)
-        });
+        self.f.finalise(&self.launch)
     }
 
     fn field_summary(&mut self) -> Summary {
-        // The multi-variable reduction that needed a custom reducer in the
-        // paper's port (§3.3) — here via Kokkos' custom-reducer dispatch,
-        // one component at a time would lose fusion, so use the array
-        // reducer over rows.
-        let mesh = &self.f.mesh;
-        let profile = self.grid_profile(profiles::field_summary(self.n()));
-        let space = ExecutionSpace::new(&self.ctx, self.pool());
-        let i0 = mesh.i0();
-        let vol = mesh.cell_volume();
-        let (density, energy, u) = (self.f.density.raw(), self.f.energy.raw(), self.f.u.raw());
-        let acc = space.parallel_reduce_custom(
-            &profile,
-            RangePolicy::new(0, mesh.y_cells),
-            &kokkos_rs::reducer::ArraySumReducer::<4>,
-            &|jj| common::row_summary(mesh, i0 + jj, density, energy, u, vol),
-        );
-        Summary::from(acc)
+        self.f.field_summary(&self.launch)
     }
 
     fn read_u(&mut self) -> Vec<f64> {
         let mut h = View::host("h_u", self.f.mesh.len(), 1);
-        deep_copy(&self.ctx, &mut h, &self.f.u);
+        deep_copy(&self.launch.ctx, &mut h, &self.f.u);
         h.raw().to_vec()
     }
 
@@ -563,44 +322,5 @@ impl TeaLeafPort for KokkosPort {
 
     fn poke_field(&mut self, id: FieldId, k: usize, value: f64) {
         self.f.field_mut(id)[k] = value;
-    }
-}
-
-impl KokkosPort {
-    fn cheby_step(&mut self, first: bool, theta: f64, alpha: f64, beta: f64) {
-        let mesh = &self.f.mesh;
-        let hp = self.hp;
-        let (h, t) = profiles::fused_pair(
-            crate::ir::FusionKind::ChebyStep,
-            self.n(),
-            false,
-            self.lowering_caps(),
-        );
-        let p_p = self.grid_profile(h);
-        let p_u = self.grid_profile(t);
-        let pool = self.pool();
-        {
-            let space = ExecutionSpace::new(&self.ctx, pool);
-            let (u, u0, kx, ky) = (
-                self.f.u.raw(),
-                self.f.u0.raw(),
-                self.f.kx.raw(),
-                self.f.ky.raw(),
-            );
-            let w = Us::new(self.f.w.raw_mut());
-            let r = Us::new(self.f.r.raw_mut());
-            let p = Us::new(self.f.p.raw_mut());
-            // SAFETY: chunks and teams own disjoint runs.
-            grid_for(hp, mesh, &space, &p_p, &|run| unsafe {
-                common::run_cheby_calc_p(run, first, theta, alpha, beta, u, u0, kx, ky, &w, &r, &p)
-            });
-        }
-        let space = ExecutionSpace::new(&self.ctx, pool);
-        let p = self.f.p.raw();
-        let u = Us::new(self.f.u.raw_mut());
-        // SAFETY: chunks and teams own disjoint runs.
-        grid_for(hp, mesh, &space, &p_u, &|run| unsafe {
-            common::run_add_p_to_u(run, p, &u)
-        });
     }
 }

@@ -3,8 +3,12 @@
 //! One module per port, mirroring the paper's §3 ("Design, Development,
 //! and Findings"): each port expresses the same kernels in its model's
 //! idiom, against its model's data containers, charged with its model's
-//! cost profile. The `tile` port is the odd one out: it runs the serial
-//! reference's arithmetic on one rank's tile of a distributed run.
+//! cost profile. The kernels themselves are wired once, in [`common`]:
+//! every launch binds its arrays in `common::Fields` and hands the shared
+//! body to the port's launcher, so a port file holds only its dispatch
+//! idiom (one `Launch` impl), its charges and its containers. The `tile`
+//! port is the odd one out: it runs the serial reference's arithmetic on
+//! one rank's tile of a distributed run.
 
 pub mod common;
 pub mod cuda;

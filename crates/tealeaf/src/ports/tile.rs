@@ -11,8 +11,8 @@
 //!   next (`u`, `p`, `sd`) only *opens* the exchange window: the
 //!   reflective refresh and the sends happen now, the receives wait. The
 //!   next stencil kernel drains the window, then runs once over the whole
-//!   tile, row by row, through the serial port's row bodies. The overlap
-//!   schedule lives on the logical clock: with overlap on, the pass is
+//!   tile, row by row, through the shared launch and its run bodies. The
+//!   overlap schedule lives on the logical clock: with overlap on, the pass is
 //!   charged as an interior ([`Span::Inner`]) running from the window's
 //!   start beside the exchange, then the boundary ring ([`Span::Ring`]);
 //!   with overlap off, as one monolithic pass after the exchange. No
@@ -27,7 +27,7 @@
 //! * **Reductions** return the streamed carry pipeline's global sum,
 //!   [`tile::ordered_reduce`] — bit-equal to the serial row fold. The
 //!   whole stream is the kernel pass: every [`tile::CARRY_ROWS`] rows, the
-//!   serial port's block body runs once with [`Pass::Reduce`] seeded with
+//!   shared block body runs once with `Pass::Reduce` seeded with
 //!   the carries the west tile sent for those rows (`+0.0` on a west-most
 //!   tile), and the block's sums go east. Each tile makes one fused pass,
 //!   and an east tile starts as soon as the first block arrives.
@@ -46,7 +46,8 @@
 use std::ops::Range;
 
 use mpisim::{ExchangeMetrics, Grid2d, Rank, Tag};
-use simdev::SimContext;
+use parpool::{Executor, SerialExec};
+use simdev::{KernelProfile, SimContext};
 use tea_core::config::{Coefficient, TeaConfig};
 use tea_core::halo::FieldId;
 use tea_core::mesh::Mesh2d;
@@ -56,9 +57,9 @@ use crate::distributed::{CheckpointStore, CkptKey, TileCheckpoint};
 use crate::ir::{self, KernelId};
 use crate::kernels::{NormField, TeaLeafPort};
 use crate::model_id::ModelId;
-use crate::ports::common::{self, Pass, PortFields, Run, Us};
+use crate::ports::common::{Launch, PortFields, Run, RunBox};
 use crate::resilience::{CutSnapshot, PhaseStart};
-use crate::tile::{self, OverlapStats, Span, Tile};
+use crate::tile::{self, OverlapStats, Span, Tile, TileGeom};
 
 /// The base tag of `id`'s halo exchange. `R` names Jacobi's
 /// previous-iterate scratch, the one field exchanged raw.
@@ -92,9 +93,59 @@ struct Window {
     t0: f64,
 }
 
-/// Run `row` over the tile's interior rows in order.
-fn rows(mesh: &Mesh2d, row: impl FnMut(usize)) {
-    (mesh.i0()..mesh.j1()).for_each(row)
+/// One rank's kernel launches: the serial port's bodies over the tile's
+/// rows in order, every reduction the exactly-ordered global one
+/// ([`tile::ordered_reduce`]). The port charges its own logical clock, so
+/// the launches charge nothing.
+struct TileRows<'a> {
+    rank: &'a Rank,
+    geom: &'a TileGeom,
+}
+
+impl Launch for TileRows<'_> {
+    fn grid(
+        &self,
+        _: KernelId,
+        _: &KernelProfile,
+        _: &Mesh2d,
+        bx: RunBox,
+        body: &(impl Fn(Run) + Sync),
+    ) {
+        bx.rows().for_each(|j| body(bx.row(j)));
+    }
+
+    /// The streamed carry pipeline: block by block, the fused update and
+    /// fold seeded with the carries from the west tile, or from `+0.0` on
+    /// a west-most tile.
+    fn sum_rows(
+        &self,
+        _: KernelId,
+        _: &KernelProfile,
+        _: &Mesh2d,
+        body: &(impl Fn(Range<usize>, &mut [f64]) + Sync),
+    ) -> f64 {
+        tile::ordered_reduce::<1>(self.rank, self.geom, body)[0]
+    }
+
+    fn sum4(
+        &self,
+        _: KernelId,
+        _: &KernelProfile,
+        _: &Mesh2d,
+        body: &(impl Fn(usize, &mut [f64; 4]) + Sync),
+    ) -> [f64; 4] {
+        tile::ordered_reduce::<4>(self.rank, self.geom, |rows, sums| {
+            for (acc, jj) in sums.chunks_exact_mut(4).zip(rows) {
+                body(jj, acc.try_into().expect("four-wide row sums"));
+            }
+        })
+    }
+
+    fn charge(&self, _: KernelId, _: &KernelProfile) {}
+
+    fn exec(&self) -> &dyn Executor {
+        &SerialExec
+    }
 }
 
 /// The world-restart checkpointing of a resilient run.
@@ -279,6 +330,18 @@ impl<'a> TilePort<'a> {
         }
     }
 
+    /// Run `run` over the tile's fields with the tile's launcher.
+    fn on<R>(&mut self, run: impl FnOnce(&mut PortFields, &TileRows) -> R) -> R {
+        let Tile { geom, f } = &mut self.t;
+        run(
+            f,
+            &TileRows {
+                rank: self.rank,
+                geom,
+            },
+        )
+    }
+
     /// One stencil pass around the open window (see the module docs):
     /// drain the window, run `run` once over the whole tile, then charge
     /// the schedule on the logical clock. A plain pass when no window is
@@ -287,13 +350,13 @@ impl<'a> TilePort<'a> {
         &mut self,
         kernel: KernelId,
         label: &str,
-        run: impl FnOnce(&mut PortFields) -> R,
+        run: impl FnOnce(&mut PortFields, &TileRows) -> R,
     ) -> R {
         let Some(Window { field, depth, t0 }) = self.window.take() else {
-            return run(&mut self.t.f);
+            return self.on(run);
         };
         let got = self.drain(field, depth, t0);
-        let out = run(&mut self.t.f);
+        let out = self.on(run);
         let mesh = &self.t.geom.mesh;
         if self.overlap {
             let (interior, ring) = (
@@ -334,80 +397,6 @@ impl<'a> TilePort<'a> {
         out
     }
 
-    /// A reducing kernel on the tile, as one exactly-ordered global
-    /// reduction ([`tile::ordered_reduce`]). `body(fields, rows, pass)`
-    /// runs the kernel's block body over the interior rows `rows`. The
-    /// kernel pass (around the open window of `stencil`, see
-    /// [`TilePort::pass`]) is the streamed carry pipeline: block by block,
-    /// the fused update and fold ([`Pass::Reduce`]) seeded with the
-    /// carries from the west tile, or from `+0.0` on a west-most tile.
-    fn reduce(
-        &mut self,
-        stencil: Option<(KernelId, &str)>,
-        body: impl Fn(&mut PortFields, Range<usize>, Pass<'_>),
-    ) -> f64 {
-        let (rank, geom) = (self.rank, self.t.geom.clone());
-        let run = |f: &mut PortFields| {
-            let fold = |rows, acc: &mut [f64]| body(f, rows, Pass::Reduce(acc));
-            tile::ordered_reduce::<1>(rank, &geom, fold)[0]
-        };
-        match stencil {
-            Some((kernel, label)) => self.pass(kernel, label, run),
-            None => run(&mut self.t.f),
-        }
-    }
-
-    // --- kernel bodies ---
-    //
-    // The serial port's row and block bodies over the same field storage,
-    // one row loop or block call per kernel. SAFETY throughout:
-    // single-threaded within the rank, each row written by exactly one
-    // call per pass.
-
-    /// The CG update over the interior rows `rows`, as the `pass` asks.
-    fn update_ur(
-        f: &mut PortFields,
-        rows: Range<usize>,
-        pass: Pass<'_>,
-        alpha: f64,
-        preconditioner: bool,
-    ) {
-        let (u, r, z) = (Us::new(&mut f.u), Us::new(&mut f.r), Us::new(&mut f.z));
-        let (p, w, kx, ky) = (&f.p, &f.w, &f.kx, &f.ky);
-        unsafe {
-            common::block_cg_calc_ur(
-                &f.mesh,
-                rows,
-                pass,
-                alpha,
-                preconditioner,
-                p,
-                w,
-                kx,
-                ky,
-                &u,
-                &r,
-                &z,
-            )
-        }
-    }
-
-    fn cheby_step(&mut self, first: bool, theta: f64, alpha: f64, beta: f64) {
-        self.pass(KernelId::ChebyCalcP, "cheby_calc_p", |f| {
-            let (w, r, p) = (Us::new(&mut f.w), Us::new(&mut f.r), Us::new(&mut f.p));
-            rows(&f.mesh, |j| unsafe {
-                common::row_cheby_calc_p(
-                    &f.mesh, j, first, theta, alpha, beta, &f.u, &f.u0, &f.kx, &f.ky, &w, &r, &p,
-                )
-            });
-        });
-        let f = &mut self.t.f;
-        let u = Us::new(&mut f.u);
-        rows(&f.mesh, |j| unsafe {
-            common::row_add_p_to_u(&f.mesh, j, &f.p, &u)
-        });
-    }
-
     /// Save one checkpoint of the tile into the rings.
     fn save(&self, key: CkptKey, phase: Option<PhaseStart>) {
         let Some(cuts) = &self.cuts else { return };
@@ -446,16 +435,11 @@ impl TeaLeafPort for TilePort<'_> {
     }
 
     fn init_fields(&mut self, coefficient: Coefficient, rx: f64, ry: f64) {
-        let f = &mut self.t.f;
-        let mesh = &f.mesh;
-        let (u0, u) = (Us::new(&mut f.u0), Us::new(&mut f.u));
-        let (kx, ky) = (Us::new(&mut f.kx), Us::new(&mut f.ky));
-        for j in mesh.i0()..mesh.j1() {
-            unsafe { common::row_init_u0(mesh, j, &f.density, &f.energy, &u0, &u) };
-        }
-        for j in mesh.i0()..=mesh.j1() {
-            unsafe { common::row_init_coeffs(mesh, j, coefficient, rx, ry, &f.density, &kx, &ky) };
-        }
+        self.on(|f, l| {
+            f.init_u0(l);
+            f.init_coeffs(l, coefficient, rx, ry);
+        });
+        let mesh = &self.t.f.mesh;
         self.rider = Some(((mesh.x_cells + 1) * (mesh.y_cells + 1)) as u64);
     }
 
@@ -474,145 +458,82 @@ impl TeaLeafPort for TilePort<'_> {
     fn cg_init(&mut self, preconditioner: bool) -> f64 {
         // A stencil run as one pass: its ghosts must have landed.
         self.settle();
-        self.reduce(None, |f, rows, pass| {
-            let (w, r) = (Us::new(&mut f.w), Us::new(&mut f.r));
-            let (p, z) = (Us::new(&mut f.p), Us::new(&mut f.z));
-            let (u, u0, kx, ky) = (&f.u, &f.u0, &f.kx, &f.ky);
-            unsafe {
-                common::block_cg_init(
-                    &f.mesh,
-                    rows,
-                    pass,
-                    preconditioner,
-                    u,
-                    u0,
-                    kx,
-                    ky,
-                    &w,
-                    &r,
-                    &p,
-                    &z,
-                )
-            }
-        })
+        self.on(|f, l| f.cg_init(l, preconditioner))
     }
 
     fn cg_calc_w(&mut self) -> f64 {
-        self.reduce(Some((KernelId::CgCalcW, "cg_calc_w")), |f, rows, pass| {
-            let w = Us::new(&mut f.w);
-            unsafe { common::block_cg_calc_w(&f.mesh, rows, pass, &f.p, &f.kx, &f.ky, &w) }
-        })
+        self.pass(KernelId::CgCalcW, "cg_calc_w", |f, l| f.cg_calc_w(l))
     }
 
     fn cg_calc_ur(&mut self, alpha: f64, preconditioner: bool) -> f64 {
-        self.reduce(None, |f, rows, pass| {
-            Self::update_ur(f, rows, pass, alpha, preconditioner)
-        })
+        self.on(|f, l| f.cg_calc_ur(l, alpha, preconditioner))
     }
 
     /// No allreduce and no fold: the PPCG outer loop discards this
     /// reduction, and a collective nobody reads would only add messages.
     fn cg_update_ur(&mut self, alpha: f64, preconditioner: bool) {
-        let rows = 0..self.t.f.mesh.y_cells;
-        Self::update_ur(&mut self.t.f, rows, Pass::Update, alpha, preconditioner);
+        self.t.f.cg_update_ur(alpha, preconditioner);
     }
 
     fn cg_calc_p(&mut self, beta: f64, preconditioner: bool) {
-        let f = &mut self.t.f;
-        let p = Us::new(&mut f.p);
-        rows(&f.mesh, |j| unsafe {
-            common::row_cg_calc_p(&f.mesh, j, beta, preconditioner, &f.r, &f.z, &p)
-        });
+        self.on(|f, l| f.cg_calc_p(l, beta, preconditioner))
     }
 
+    /// The `u += p` tail runs inside the stencil's pass: it moves no
+    /// message and charges nothing, so the window closes on the same bits.
     fn cheby_init(&mut self, theta: f64) {
-        self.cheby_step(true, theta, 0.0, 0.0);
+        let caps = self.lowering_caps();
+        self.pass(KernelId::ChebyCalcP, "cheby_calc_p", |f, l| {
+            f.cheby_step(l, caps, true, theta, 0.0, 0.0)
+        })
     }
 
     fn cheby_iterate(&mut self, alpha: f64, beta: f64) {
-        self.cheby_step(false, 0.0, alpha, beta);
+        let caps = self.lowering_caps();
+        self.pass(KernelId::ChebyCalcP, "cheby_calc_p", |f, l| {
+            f.cheby_step(l, caps, false, 0.0, alpha, beta)
+        })
     }
 
     fn ppcg_init_sd(&mut self, theta: f64) {
-        let f = &mut self.t.f;
-        let sd = Us::new(&mut f.sd);
-        rows(&f.mesh, |j| unsafe {
-            common::row_sd_init(&f.mesh, j, theta, &f.r, &sd)
-        });
+        self.on(|f, l| f.ppcg_init_sd(l, theta))
     }
 
+    /// As Chebyshev: the u/r/sd tail runs inside the `w = A·sd` pass.
     fn ppcg_inner(&mut self, alpha: f64, beta: f64) {
-        self.pass(KernelId::PpcgCalcW, "ppcg_w", |f| {
-            let w = Us::new(&mut f.w);
-            rows(&f.mesh, |j| unsafe {
-                common::row_ppcg_w(&f.mesh, j, &f.sd, &f.kx, &f.ky, &w)
-            });
-        });
-        let f = &mut self.t.f;
-        let (u, r, sd) = (Us::new(&mut f.u), Us::new(&mut f.r), Us::new(&mut f.sd));
-        rows(&f.mesh, |j| unsafe {
-            common::row_ppcg_update(&f.mesh, j, alpha, beta, &f.w, &u, &r, &sd)
-        });
+        let caps = self.lowering_caps();
+        self.pass(KernelId::PpcgCalcW, "ppcg_w", |f, l| {
+            f.ppcg_inner(l, caps, alpha, beta)
+        })
     }
 
     /// Double window: the `u → r` copy consumes the reflective `u`
     /// window, then the sweep consumes the raw exchange of the copy. The
     /// scratch's physical ghosts stay untouched (0.0, as in serial).
     fn jacobi_iterate(&mut self) -> f64 {
-        self.pass(KernelId::JacobiCopy, "jacobi_copy", |f| {
-            let r = Us::new(&mut f.r);
-            rows(&f.mesh, |j| unsafe {
-                common::row_jacobi_copy(&f.mesh, j, &f.u, &r)
-            });
-        });
+        self.pass(KernelId::JacobiCopy, "jacobi_copy", |f, l| f.jacobi_copy(l));
         self.open(FieldId::R, 1);
-        let sweep = (KernelId::JacobiSolve, "jacobi_sweep");
-        self.reduce(Some(sweep), |f, rows, pass| {
-            let u = Us::new(&mut f.u);
-            let (u0, r, kx, ky) = (&f.u0, &f.r, &f.kx, &f.ky);
-            unsafe { common::block_jacobi_iterate(&f.mesh, rows, pass, u0, r, kx, ky, &u) }
+        self.pass(KernelId::JacobiSolve, "jacobi_sweep", |f, l| {
+            f.jacobi_solve(l)
         })
     }
 
     fn residual(&mut self) {
         self.settle();
-        let f = &mut self.t.f;
-        let r = Us::new(&mut f.r);
-        rows(&f.mesh, |j| unsafe {
-            common::row_residual(&f.mesh, j, &f.u, &f.u0, &f.kx, &f.ky, &r)
-        });
+        self.on(|f, l| f.residual(l))
     }
 
     fn calc_2norm(&mut self, field: NormField) -> f64 {
-        self.reduce(None, |f, rows, pass| {
-            let x = match field {
-                NormField::U0 => &f.u0,
-                NormField::R => &f.r,
-            };
-            common::block_norm(&f.mesh, rows, pass, x)
-        })
+        self.on(|f, l| f.calc_2norm(l, field))
     }
 
     fn finalise(&mut self) {
-        let f = &mut self.t.f;
-        let energy = Us::new(&mut f.energy);
-        rows(&f.mesh, |j| unsafe {
-            common::row_finalise(&f.mesh, j, &f.u, &f.density, &energy)
-        });
+        self.on(|f, l| f.finalise(l))
     }
 
     fn field_summary(&mut self) -> Summary {
         self.settle();
-        let Tile { geom, f } = &self.t;
-        let vol = geom.mesh.cell_volume();
-        let global = tile::ordered_reduce::<4>(self.rank, geom, |rows, sums| {
-            for (acc, jj) in sums.chunks_exact_mut(4).zip(rows) {
-                let acc: &mut [f64; 4] = acc.try_into().expect("four-wide row sums");
-                let row = Run::row(&f.mesh, f.mesh.i0() + jj);
-                common::run_summary(row, &f.density, &f.energy, &f.u, vol, acc);
-            }
-        });
-        Summary::from(global)
+        self.on(|f, l| f.field_summary(l))
     }
 
     fn read_u(&mut self) -> Vec<f64> {

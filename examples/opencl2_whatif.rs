@@ -63,17 +63,18 @@ fn run_with_reduction_factor(
 /// A representative profile per kernel name (only the reduction kernels
 /// differ under the hypothesis).
 fn representative_profile(name: &str, n: u64) -> Option<simdev::KernelProfile> {
-    use tealeaf::ports::common::profiles as p;
-    Some(match name {
-        "cg_init" => p::cg_init(n, false),
-        "cg_calc_w" => p::cg_calc_w(n),
-        "cg_calc_ur" => p::cg_calc_ur(n, false),
-        "calc_2norm" => p::norm(n),
-        "field_summary" => p::field_summary(n),
-        "jacobi_solve" => p::jacobi_iterate(n),
+    use tealeaf::ir::KernelId;
+    let kernel = match name {
+        "cg_init" => KernelId::CgInit,
+        "cg_calc_w" => KernelId::CgCalcW,
+        "cg_calc_ur" => KernelId::CgCalcUr,
+        "calc_2norm" => KernelId::Calc2Norm,
+        "field_summary" => KernelId::FieldSummary,
+        "jacobi_solve" => KernelId::JacobiSolve,
         "reduce_final_pass" => return None, // absorbed into the single-pass launch
         _ => return None,                   // non-reduction kernels are unchanged
-    })
+    };
+    Some(kernel.desc().profile(n, false))
 }
 
 fn main() {
